@@ -12,7 +12,6 @@ from skewpbw.scalars import (
     FieldSpec,
     Scalar,
     apply_automorphism,
-    field_op,
     make_field,
 )
 from skewpbw.presentation import (
@@ -44,7 +43,6 @@ from skewpbw.poly import (
 from skewpbw.groebner import (
     Budget,
     DivisionResult,
-    GroebnerBasis,
     IdealHandle,
     divide,
     intersect_left,

@@ -37,8 +37,16 @@ class CliError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors: exit 1, keeping 2 for `unknown`."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="skewpbw",
         description="exact Groebner machinery for bijective skew PBW extensions",
     )
@@ -123,8 +131,12 @@ def _order_from_flag(text: str, pres: Presentation) -> MonomialOrder:
 def _budget_from_flags(args) -> Budget:
     b = Budget()
     if args.budget_degree is not None:
+        if args.budget_degree < 0:
+            raise CliError("--budget-degree must be >= 0")
         b.max_degree = args.budget_degree
     if args.budget_pairs is not None:
+        if args.budget_pairs < 0:
+            raise CliError("--budget-pairs must be >= 0")
         b.max_pairs = args.budget_pairs
     return b
 

@@ -26,7 +26,7 @@ from skewpbw.groebner import (
     is_member_left,
     intersect_left,
     left_groebner,
-    remainder_of,
+    normal_form_rows,
     two_sided_saturate,
 )
 from skewpbw.poly import DEGLEX, Polynomial, exponents_up_to, multiply
@@ -195,14 +195,12 @@ def ideal_of_points(
     d: int,
     budget: Optional[Budget] = None,
 ) -> List[Polynomial]:
-    """Basis of {f : deg f <= d, f in <Z> for every Z}, by normal-form kernels.
+    """Basis of {f : deg f <= d, f in <Z> for every Z}, by normal forms.
 
     The normal form against a fixed saturated basis is linear in f, so the
-    space is the kernel of coefficients -> stacked normal forms.
+    space is the nullspace of coefficients -> stacked normal forms.
     """
-    field = pres.field
     monos = exponents_up_to(pres.n, d)
-    col_index = {e: k for k, e in enumerate(monos)}
     rows: List[List[Scalar]] = []
     for Z in points:
         handle = point_ideal(pres, Z, budget).handle
@@ -212,25 +210,13 @@ def ideal_of_points(
             )
         if handle.status == UNIT:
             continue  # normal form is identically zero
-        nf_cols = []
-        support = set()
-        for e in monos:
-            nf = remainder_of(Polynomial.monomial(pres, e), handle.basis, DEGLEX)
-            nf_cols.append(nf.to_dict())
-            support.update(nf.to_dict())
-        for mu in sorted(support):
-            rows.append(
-                [col.get(mu, field.zero) for col in nf_cols]
-            )
-    kernel = linalg.nullspace(rows, field, len(monos))
-    out = []
-    for vec in kernel:
-        out.append(
-            Polynomial.from_dict(
-                pres, {monos[k]: c for k, c in enumerate(vec) if not c.is_zero()}
-            )
+        rows.extend(normal_form_rows(pres, monos, handle.basis, DEGLEX))
+    return [
+        Polynomial.from_dict(
+            pres, {monos[k]: c for k, c in enumerate(vec) if not c.is_zero()}
         )
-    return out
+        for vec in linalg.nullspace(rows, pres.field, len(monos))
+    ]
 
 
 @dataclass

@@ -15,13 +15,15 @@ import heapq
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from skewpbw import kernels
 from skewpbw.poly import (
     DEGLEX,
     MonomialOrder,
     Polynomial,
     _acc,
     _mono_times_dict,
+    exp_max,
+    exp_sub,
+    find_divisor,
     multiply,
 )
 from skewpbw.presentation import Presentation, extend_with_central
@@ -95,11 +97,11 @@ def divide(
         coeff = work.pop(exp, None)
         if coeff is None:
             continue  # stale entry
-        i = kernels.find_divisor(lead_exps, exp)
+        i = find_divisor(lead_exps, exp)
         if i < 0:
             remainder[exp] = coeff
             continue
-        theta = kernels.exp_sub(exp, lead_exps[i])
+        theta = exp_sub(exp, lead_exps[i])
         prod = _mono_times_dict(pres, theta, div_dicts[i])
         lead_c = prod.get(exp)
         if lead_c is None or lead_c.is_zero():
@@ -123,11 +125,29 @@ def divide(
 
 
 def remainder_of(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder) -> Polynomial:
-    if not basis:
-        return f
-    if f.is_zero():
+    if not basis or f.is_zero():
         return f
     return divide(f, basis, order).remainder
+
+
+def normal_form_rows(
+    pres: Presentation,
+    exps: Sequence[tuple],
+    basis: Sequence[Polynomial],
+    order: MonomialOrder,
+) -> List[list]:
+    """Matrix of the linear map f -> remainder_of(f, basis, order) on span(x^exps).
+
+    Column k is the normal form of x^(exps[k]); its nullspace is the part
+    of the span that reduces to zero.
+    """
+    zero = pres.field.zero
+    cols = [
+        remainder_of(Polynomial.monomial(pres, e), basis, order).to_dict()
+        for e in exps
+    ]
+    support = sorted(set().union(*cols))
+    return [[col.get(mu, zero) for col in cols] for mu in support]
 
 
 # ---------------------------------------------------------------------------
@@ -139,14 +159,6 @@ TWO_SIDED = "two-sided"
 PROPER = "proper"
 UNIT = "unit"
 UNKNOWN = "unknown"
-
-
-@dataclass(frozen=True)
-class GroebnerBasis:
-    presentation: Presentation
-    order: MonomialOrder
-    elements: Tuple[Polynomial, ...]
-    reduced: bool
 
 
 @dataclass(frozen=True)
@@ -166,15 +178,6 @@ class IdealHandle:
     basis: Tuple[Polynomial, ...] = ()
     certificates: Optional[tuple] = None  # per basis element: ((p, gen_idx, q), ...)
     note: str = ""
-
-    @property
-    def gb(self) -> Optional[GroebnerBasis]:
-        if self.status != PROPER:
-            return None
-        return GroebnerBasis(self.presentation, self.order, self.basis, True)
-
-    def is_proper(self) -> bool:
-        return self.status == PROPER
 
     def __repr__(self):
         body = ", ".join(str(g) for g in self.basis)
@@ -277,7 +280,7 @@ def _completion(
     pair_heap = []
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            gamma = kernels.exp_max(
+            gamma = exp_max(
                 basis[i].leading(order)[0], basis[j].leading(order)[0]
             )
             heapq.heappush(pair_heap, (order.key(gamma), i, j))
@@ -286,10 +289,10 @@ def _completion(
     skipped = False
     while pair_heap:
         _, i, j = heapq.heappop(pair_heap)
-        gamma = kernels.exp_max(
+        gamma = exp_max(
             basis[i].leading(order)[0], basis[j].leading(order)[0]
         )
-        if kernels.total_degree(gamma) > budget.max_degree:
+        if sum(gamma) > budget.max_degree:
             skipped = True
             continue
         processed += 1
@@ -311,7 +314,7 @@ def _completion(
         certs.append(cert_s)
         k = len(basis) - 1
         for t in range(k):
-            gamma = kernels.exp_max(
+            gamma = exp_max(
                 basis[t].leading(order)[0], rem.leading(order)[0]
             )
             heapq.heappush(pair_heap, (order.key(gamma), t, k))
@@ -324,8 +327,8 @@ def _completion(
 def _s_element(pres, basis, certs, i, j, gamma, order, track):
     """Left S-element of basis[i], basis[j] w.r.t. the common multiple gamma."""
     gi, gj = basis[i], basis[j]
-    ti = kernels.exp_sub(gamma, gi.leading(order)[0])
-    tj = kernels.exp_sub(gamma, gj.leading(order)[0])
+    ti = exp_sub(gamma, gi.leading(order)[0])
+    tj = exp_sub(gamma, gj.leading(order)[0])
     pi = _mono_times_dict(pres, ti, gi.to_dict())
     pj = _mono_times_dict(pres, tj, gj.to_dict())
     ci = pi.get(gamma)

@@ -39,7 +39,7 @@ from skewpbw.groebner import (
     intersect_left,
     is_member_left,
     left_groebner,
-    remainder_of,
+    normal_form_rows,
 )
 from skewpbw.normality import central_probe
 from skewpbw.poly import DEGLEX, Polynomial, multiply
@@ -219,7 +219,6 @@ def contract_to_center(
     if handle.status == UNKNOWN:
         raise GroebnerError("contraction needs a resolved ideal; raise the budget")
     pres = C.presentation
-    field = pres.field
     center_pres = C.center_presentation()
     kappas = _central_exponents(C.exponents, d)
     if handle.status == UNIT:
@@ -227,20 +226,9 @@ def contract_to_center(
             Polynomial.monomial(center_pres, kap) for kap in kappas
         ]
     else:
-        nf_cols = []
-        support = set()
-        for kap in kappas:
-            a_exp = tuple(k * l for k, l in zip(kap, C.exponents))
-            nf = remainder_of(
-                Polynomial.monomial(pres, a_exp), handle.basis, handle.order
-            )
-            nf_cols.append(nf.to_dict())
-            support.update(nf.to_dict())
-        rows = [
-            [col.get(mu, field.zero) for col in nf_cols]
-            for mu in sorted(support)
-        ]
-        kernel = linalg.nullspace(rows, field, len(kappas))
+        a_exps = [tuple(k * l for k, l in zip(kap, C.exponents)) for kap in kappas]
+        rows = normal_form_rows(pres, a_exps, handle.basis, handle.order)
+        kernel = linalg.nullspace(rows, pres.field, len(kappas))
         center_polys = [
             Polynomial.from_dict(
                 center_pres,

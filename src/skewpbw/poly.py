@@ -1,4 +1,4 @@
-"""Monomial orders and normal-ordered polynomial arithmetic.
+"""Exponents, monomial orders and normal-ordered polynomial arithmetic.
 
 Elements are finite sums c * x1^a1 ... xn^an over a presentation's field.
 Products are normalized by a confluent rewriting of adjacent inversions
@@ -12,10 +12,66 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Tuple
 
-from skewpbw import kernels, parsing
+from skewpbw import parsing
 from skewpbw.parsing import ParseError
 from skewpbw.presentation import Presentation
 from skewpbw.scalars import Scalar
+
+
+# ---------------------------------------------------------------------------
+# exponents (int tuples) and order keys, flat int tuples compared
+# lexicographically: deglex (|a|, a1, ..., an), degrevlex (|a|, -an, ...,
+# -a1), block (deglex key of the masked front, then of the rest)
+
+
+def exp_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def exp_max(a, b):
+    return tuple(x if x >= y else y for x, y in zip(a, b))
+
+
+def divides(a, b):
+    """Componentwise a <= b."""
+    for x, y in zip(a, b):
+        if x > y:
+            return False
+    return True
+
+
+def deglex_key(a):
+    return (sum(a),) + tuple(a)
+
+
+def degrevlex_key(a):
+    return (sum(a),) + tuple(-x for x in reversed(a))
+
+
+def block_key(a, mask):
+    front = []
+    rest = []
+    fdeg = 0
+    rdeg = 0
+    for x, m in zip(a, mask):
+        if m:
+            front.append(x)
+            fdeg += x
+        else:
+            rest.append(x)
+            rdeg += x
+    return (fdeg,) + tuple(front) + (rdeg,) + tuple(rest)
+
+
+def find_divisor(leads, target):
+    """Index of the first exponent in ``leads`` dividing ``target``, or -1."""
+    n = len(leads)
+    i = 0
+    while i < n:
+        if divides(leads[i], target):
+            return i
+        i += 1
+    return -1
 
 
 class MonomialOrder:
@@ -30,10 +86,10 @@ class MonomialOrder:
 
     def key(self, exp: tuple) -> tuple:
         if self.kind == "deglex":
-            return kernels.deglex_key(exp)
+            return deglex_key(exp)
         if self.kind == "degrevlex":
-            return kernels.degrevlex_key(exp)
-        return kernels.block_key(exp, self.mask)
+            return degrevlex_key(exp)
+        return block_key(exp, self.mask)
 
     def compare(self, a: tuple, b: tuple) -> int:
         if len(a) != len(b):
@@ -64,8 +120,8 @@ def monomial_divides(a: tuple, b: tuple) -> Optional[tuple]:
     """The quotient exponent b - a when a divides b componentwise, else None."""
     if len(a) != len(b):
         raise ValueError("exponent length mismatch")
-    if kernels.divides(a, b):
-        return kernels.exp_sub(b, a)
+    if divides(a, b):
+        return exp_sub(b, a)
     return None
 
 
@@ -165,7 +221,7 @@ class Polynomial:
     @staticmethod
     def from_dict(pres: Presentation, d: dict) -> "Polynomial":
         items = [(e, c) for e, c in d.items() if not c.is_zero()]
-        items.sort(key=lambda t: kernels.deglex_key(t[0]), reverse=True)
+        items.sort(key=lambda t: deglex_key(t[0]), reverse=True)
         return Polynomial(pres, tuple(items))
 
     @staticmethod
@@ -215,7 +271,7 @@ class Polynomial:
         """Max total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(kernels.total_degree(e) for e, _ in self.terms)
+        return max(sum(e) for e, _ in self.terms)
 
     def leading(self, order: MonomialOrder = DEGLEX) -> Optional[Tuple[tuple, Scalar]]:
         if not self.terms:
@@ -323,7 +379,7 @@ def multiply(f: Polynomial, g: Polynomial) -> Polynomial:
 def monomial_product(pres: Presentation, alpha: tuple, beta: tuple):
     """x^alpha * x^beta as (c, p) with the product equal to c*x^(a+b) + p."""
     d = dict(_mono_times_dict(pres, tuple(alpha), {tuple(beta): pres.field.one}))
-    top = kernels.exp_add(tuple(alpha), tuple(beta))
+    top = tuple(x + y for x, y in zip(alpha, beta))
     c = d.pop(top, pres.field.zero)
     assert not c.is_zero(), "leading constant of a monomial product is invertible"
     return c, Polynomial.from_dict(pres, d)

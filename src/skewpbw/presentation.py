@@ -406,11 +406,7 @@ def check_pbw_consistency(pres: Presentation, degree_bound: int = 4) -> Consiste
                 if bad:
                     return ConsistencyReport(False, checked, bad)
 
-    exps = [
-        e
-        for d in range(0, degree_bound + 1)
-        for e in _exponents_of_degree(n, d)
-    ]
+    exps = poly.exponents_up_to(n, degree_bound)
     for ea, eb, ec in itertools.product(exps, repeat=3):
         if sum(ea) + sum(eb) + sum(ec) > degree_bound:
             continue
@@ -418,12 +414,3 @@ def check_pbw_consistency(pres: Presentation, degree_bound: int = 4) -> Consiste
         if bad:
             return ConsistencyReport(False, checked, bad)
     return ConsistencyReport(True, checked)
-
-
-def _exponents_of_degree(n: int, d: int):
-    if n == 1:
-        yield (d,)
-        return
-    for first in range(d + 1):
-        for rest in _exponents_of_degree(n - 1, d - first):
-            yield (first,) + rest

@@ -219,20 +219,10 @@ class Field:
         """A generator of the field over its prime field, or None for Q/GF(p)."""
         return None
 
-    # prime-field vector space interface (used by the semilinear solver)
-
     @property
     def prime_dim(self) -> int:
+        """Dimension of the field as a vector space over its prime field."""
         return 1
-
-    def prime_field(self) -> "Field":
-        return self
-
-    def to_vector(self, a: Scalar) -> tuple:
-        return (a,)
-
-    def from_vector(self, vec) -> Scalar:
-        return vec[0]
 
     def __repr__(self):
         return f"Field({self.spec})"
@@ -310,16 +300,6 @@ class GaussianRationalField(Field):
     @property
     def prime_dim(self):
         return 2
-
-    def prime_field(self):
-        return get_field(FieldSpec.rationals())
-
-    def to_vector(self, a):
-        q = self.prime_field()
-        return (q.from_fraction(a.value[0]), q.from_fraction(a.value[1]))
-
-    def from_vector(self, vec):
-        return Scalar(self, (vec[0].value, vec[1].value))
 
     def format(self, a):
         re, im = a.value
@@ -480,16 +460,6 @@ class CyclotomicField(Field):
     @property
     def prime_dim(self):
         return self.dim
-
-    def prime_field(self):
-        return get_field(FieldSpec.rationals())
-
-    def to_vector(self, a):
-        q = self.prime_field()
-        return tuple(q.from_fraction(c) for c in a.value)
-
-    def from_vector(self, vec):
-        return Scalar(self, tuple(v.value for v in vec))
 
     def format(self, a):
         parts = []
@@ -690,19 +660,3 @@ def automorphism_power(spec: AutomorphismSpec, t: int, field: Field) -> Automorp
         k = pow(spec.param, t, m)
         return AutomorphismSpec.identity() if k == 1 else AutomorphismSpec.galois(k)
     return AutomorphismSpec.frobenius(spec.param * t)
-
-
-def field_op(kind: str, a: Scalar, b: Optional[Scalar] = None):
-    """Uniform entry point for add/mul/neg/inv/eq; used by the CLI."""
-    f = a.field
-    if kind == "add":
-        return f.add(a, f.coerce(b))
-    if kind == "mul":
-        return f.mul(a, f.coerce(b))
-    if kind == "neg":
-        return f.neg(a)
-    if kind == "inv":
-        return f.inv(a)
-    if kind == "eq":
-        return f.eq(a, f.coerce(b))
-    raise FieldError(f"unknown field op {kind!r}")

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from conftest import algebra_path
 from skewpbw.cli import EXIT_INPUT, EXIT_OK, EXIT_UNKNOWN, main
 
@@ -90,6 +92,39 @@ def test_missing_file_exit_code(capsys):
         ["normalize", "--algebra", "no-such-file.alg", "--f", "x"], capsys
     )
     assert code == EXIT_INPUT
+
+
+@pytest.mark.parametrize("flag", ["--budget-degree", "--budget-pairs"])
+def test_negative_budget_is_input_error(flag, capsys):
+    code, out, err = run(
+        ["gb", "--algebra", QPLANE, "--gens", "x-1, y-1", flag, "-1"], capsys
+    )
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error:") and flag in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gb", "--algebra", QPLANE],
+        ["gb", "--algebra", QPLANE, "--gens", "x", "--budget-degree", "abc"],
+    ],
+    ids=["missing-gens", "non-int-budget"],
+)
+def test_usage_error_exits_input(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gb", "--help"])
+    assert exc.value.code == EXIT_OK
+    assert "--gens" in capsys.readouterr().out
 
 
 def test_center_subcommand(capsys):

@@ -4,6 +4,7 @@ import random
 import zlib
 
 import pytest
+from hypothesis import given, strategies as st
 
 from oracles import naive_commutative_multiply
 from skewpbw.geometry import random_polynomial
@@ -14,6 +15,11 @@ from skewpbw.poly import (
     Polynomial,
     commute_scalar,
     compare_monomials,
+    deglex_key,
+    divides,
+    exp_max,
+    exp_sub,
+    find_divisor,
     leading_data,
     monomial_divides,
     monomial_product,
@@ -52,6 +58,18 @@ def test_monomial_divides_examples():
     assert monomial_divides((0, 1, 0), (0, 1, 2)) == (0, 0, 2)
     assert monomial_divides((1, 0), (0, 1)) is None
     assert monomial_divides((0, 0), (3, 4)) == (3, 4)
+
+
+@given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=6))
+def test_exponent_helpers_consistency(pairs):
+    a, b = tuple(x for x, _ in pairs), tuple(y for _, y in pairs)
+    assert exp_sub(a, b) == tuple(x - y for x, y in zip(a, b))
+    assert exp_max(a, b) == tuple(max(x, y) for x, y in zip(a, b))
+    assert divides(a, b) == all(x <= y for x, y in zip(a, b))
+    assert find_divisor([b, a], a) == (0 if divides(b, a) else 1)
+    # deglex key: degree first, then leftmost larger entry wins
+    if deglex_key(a) > deglex_key(b):
+        assert sum(a) > sum(b) or (sum(a) == sum(b) and a > b)
 
 
 def test_commute_scalar_examples(qplane_q2, QQ):
