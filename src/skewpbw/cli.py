@@ -57,8 +57,16 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--algebra", required=True, help="presentation document")
         p.add_argument("--order", default="deglex")
-        p.add_argument("--budget-degree", type=int, default=None)
-        p.add_argument("--budget-pairs", type=int, default=None)
+        p.add_argument(
+            "--budget-degree", type=int, default=None,
+            help="skip S-pairs whose lcm has a higher total degree (result "
+            "unknown); pairs pruned by the chain criterion never count",
+        )
+        p.add_argument(
+            "--budget-pairs", type=int, default=None,
+            help="most S-elements one completion forms (else unknown); "
+            "pairs pruned by the chain criterion are not formed or counted",
+        )
         return p
 
     p = cmd("normalize", help="parse and normal-order a polynomial")
@@ -400,6 +408,12 @@ def main(argv: Optional[list] = None) -> int:
         ValueError,
     ) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_INPUT
+    except RecursionError:
+        sys.stderr.write(
+            "error: the input needs deeper recursion than Python's recursion "
+            f"limit ({sys.getrecursionlimit()}) allows\n"
+        )
         return EXIT_INPUT
     if args.format == "json":
         json.dump(doc, sys.stdout, indent=2)

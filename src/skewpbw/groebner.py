@@ -4,8 +4,9 @@ The division algorithm peels leading terms: a term whose monomial is
 divisible by some divisor's leading monomial is cancelled exactly (over a
 field the coefficient condition is always solvable), otherwise it moves to
 the remainder. Completion is Buchberger-style on left S-elements with the
-normal selection strategy; two-sided ideals are handled by alternating left
-completion with reduced right multiples. Budgets make `unknown` a first
+normal selection strategy and Gebauer-Moller's chain criterion; two-sided
+ideals are handled by alternating left completion with reduced right
+multiples of the newly added elements. Budgets make `unknown` a first
 class outcome: right closure need not terminate in general.
 """
 
@@ -21,6 +22,7 @@ from skewpbw.poly import (
     Polynomial,
     _acc,
     _mono_times_dict,
+    divides,
     exp_max,
     exp_sub,
     find_divisor,
@@ -35,7 +37,19 @@ class GroebnerError(ValueError):
 
 @dataclass
 class Budget:
-    """Caps for completion/saturation work; exceeding one yields `unknown`."""
+    """Caps for completion/saturation work; exceeding one yields `unknown`.
+
+    - max_degree: a queued S-pair whose lcm has a higher total degree is
+      skipped, and the result is `unknown`;
+    - max_pairs: the S-elements one completion may form;
+    - max_rounds: the right-closure rounds of a two-sided saturation.
+
+    Pairs pruned by the chain criterion are never formed: they count
+    nowhere and never trip the degree budget. So a budget goes further
+    than it would without the criterion, and an input that ran out of it
+    there may be decided here. A proper or unit answer is exact whatever
+    the budget; budgets count work, never time.
+    """
 
     max_degree: int = 12
     max_pairs: int = 100_000
@@ -243,55 +257,95 @@ def _reduce_with_cert(
     return res.remainder, cert
 
 
+def _monic(g: Polynomial, cert, order: MonomialOrder, track: bool):
+    """g and its certificate scaled to lead coefficient 1; no work if it is 1."""
+    lc = g.leading(order)[1]
+    if lc == lc.field.one:
+        return g, cert
+    u = lc.inv()
+    return g.scale(u), (_scale_cert(cert, u) if track else None)
+
+
 def _completion(
     items: List[Tuple[Polynomial, Optional[tuple]]],
     order: MonomialOrder,
     budget: Budget,
     track: bool,
+    done: int = 0,
 ):
     """Left Buchberger completion; returns (status, items, note).
 
-    status UNIT means a nonzero constant was derived; the single returned
-    item is that constant made monic (i.e. 1).
+    The first `done` items must already be a left GB of monic nonconstant
+    elements: no pair among them is formed, and they lead the returned
+    items unchanged. status UNIT means a nonzero constant was derived; the
+    single returned item is then 1.
+
+    Pairs are managed with Gebauer-Moller's chain criterion only (the
+    product criterion fails for these algebras). It is sound because in a
+    bijective skew PBW extension lm(x^a * g) = x^(a + lm g) with a nonzero
+    coefficient, so S-elements of a chain i-k-j whose lcms divide the lcm
+    of i and j combine into a standard representation of the S-element of
+    i and j.
     """
     pres = None
     basis: List[Polynomial] = []
     certs: List = []
+    leads: List[tuple] = []
+    pairs: dict = {}  # queued pair (i, j), i < j -> lcm of the two leads
+    heap: list = []  # (order key of the lcm, i, j); pairs pruned later go stale
 
-    def unit_result(c: Polynomial, cert):
-        one = c.monic(order)
-        cert = _scale_cert(cert, c.leading(order)[1].inv()) if track else None
-        return UNIT, [(one, cert)], "derived a nonzero constant"
+    def add(g: Polynomial, cert):
+        k = len(basis)
+        lead = g.leading(order)[0]
+        # B_k: a queued pair (i, j) whose lcm lead divides, by a chain
+        # through k with both lcms different from it, is redundant
+        for (i, j), gamma in list(pairs.items()):
+            if (
+                divides(lead, gamma)
+                and exp_max(leads[i], lead) != gamma
+                and exp_max(leads[j], lead) != gamma
+            ):
+                del pairs[(i, j)]
+        # M: drop a new pair whose lcm another new lcm properly divides;
+        # F: keep one new pair per lcm
+        lcms = [exp_max(lead_i, lead) for lead_i in leads]
+        fresh: dict = {}
+        for i, gamma in enumerate(lcms):
+            if gamma in fresh or any(
+                other != gamma and divides(other, gamma) for other in lcms
+            ):
+                continue
+            fresh[gamma] = i
+        for gamma, i in fresh.items():
+            pairs[(i, k)] = gamma
+            heapq.heappush(heap, (order.key(gamma), i, k))
+        basis.append(g)
+        certs.append(cert)
+        leads.append(lead)
 
-    for g, cert in items:
+    for g, cert in items[:done]:
+        pres = g.pres
+        basis.append(g)
+        certs.append(cert)
+        leads.append(g.leading(order)[0])
+    for g, cert in items[done:]:
         if g.is_zero():
             continue
         pres = g.pres
-        lc = g.leading(order)[1]
-        g = g.scale(lc.inv())
-        cert = _scale_cert(cert, lc.inv()) if track else None
+        g, cert = _monic(g, cert, order, track)
         if g.is_constant():
-            return unit_result(g, cert)
-        basis.append(g)
-        certs.append(cert)
+            return UNIT, [(g, cert)], "derived a nonzero constant"
+        add(g, cert)
     if not basis:
         return PROPER, [], ""
 
-    pair_heap = []
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            gamma = exp_max(
-                basis[i].leading(order)[0], basis[j].leading(order)[0]
-            )
-            heapq.heappush(pair_heap, (order.key(gamma), i, j))
-
     processed = 0
     skipped = False
-    while pair_heap:
-        _, i, j = heapq.heappop(pair_heap)
-        gamma = exp_max(
-            basis[i].leading(order)[0], basis[j].leading(order)[0]
-        )
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        gamma = pairs.pop((i, j), None)
+        if gamma is None:
+            continue  # pruned by B_k after it was queued
         if sum(gamma) > budget.max_degree:
             skipped = True
             continue
@@ -305,19 +359,10 @@ def _completion(
         rem, cert_s = _reduce_with_cert(s, cert_s, basis, certs, order, track)
         if rem.is_zero():
             continue
-        lc = rem.leading(order)[1]
-        rem = rem.scale(lc.inv())
-        cert_s = _scale_cert(cert_s, lc.inv()) if track else None
+        rem, cert_s = _monic(rem, cert_s, order, track)
         if rem.is_constant():
-            return unit_result(rem, cert_s)
-        basis.append(rem)
-        certs.append(cert_s)
-        k = len(basis) - 1
-        for t in range(k):
-            gamma = exp_max(
-                basis[t].leading(order)[0], rem.leading(order)[0]
-            )
-            heapq.heappush(pair_heap, (order.key(gamma), t, k))
+            return UNIT, [(rem, cert_s)], "derived a nonzero constant"
+        add(rem, cert_s)
 
     if skipped:
         return UNKNOWN, list(zip(basis, certs)), "degree budget exhausted"
@@ -355,32 +400,34 @@ def _s_element(pres, basis, certs, i, j, gamma, order, track):
 
 
 def _inter_reduce(basis, certs, order, track):
-    """Tail-reduce each element against the others; drops redundant ones."""
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(basis)):
-            others = basis[:k] + basis[k + 1 :]
-            other_certs = certs[:k] + certs[k + 1 :]
-            if not others:
-                continue
-            rem, cert = _reduce_with_cert(
-                basis[k], certs[k], others, other_certs, order, track
-            )
-            if rem != basis[k]:
-                changed = True
-                if rem.is_zero():
-                    del basis[k]
-                    del certs[k]
-                else:
-                    lc = rem.leading(order)[1]
-                    basis[k] = rem.scale(lc.inv())
-                    certs[k] = _scale_cert(cert, lc.inv()) if track else None
-                break
-    srt = sorted(
-        range(len(basis)), key=lambda k: order.key(basis[k].leading(order)[0])
-    )
-    return [basis[k] for k in srt], [certs[k] for k in srt]
+    """Reduced GB from a left GB of monic elements, sorted by lead.
+
+    Drops each element whose lead another lead divides (the first of equal
+    leads stays), then tail-reduces each survivor once against the others.
+    The surviving leads are fixed and pairwise non-dividing, so one pass
+    leaves every tail reduced and every lead coefficient 1.
+    """
+    leads = [g.leading(order)[0] for g in basis]
+    keep = [
+        k
+        for k, lead in enumerate(leads)
+        if not any(
+            divides(other, lead) and (other != lead or j < k)
+            for j, other in enumerate(leads)
+            if j != k
+        )
+    ]
+    basis = [basis[k] for k in keep]
+    certs = [certs[k] for k in keep]
+    out = []
+    for k in range(len(basis)):
+        others = basis[:k] + basis[k + 1 :]
+        other_certs = certs[:k] + certs[k + 1 :]
+        out.append(
+            _reduce_with_cert(basis[k], certs[k], others, other_certs, order, track)
+        )
+    out.sort(key=lambda item: order.key(item[0].leading(order)[0]))
+    return [g for g, _ in out], [c for _, c in out]
 
 
 def _initial_items(gens: Sequence[Polynomial], track: bool):
@@ -471,9 +518,12 @@ def two_sided_saturate(
         if prim is not None:
             right_factors.append(Polynomial.constant(pres, prim))
 
+    # each round right-multiplies only the elements it added: an earlier
+    # right multiple lies in the left ideal already, which only grows
     items = _initial_items(live, track)
+    done = 0
     for _ in range(budget.max_rounds):
-        status, items, note = _completion(items, order, budget, track)
+        status, items, note = _completion(items, order, budget, track, done)
         if status != PROPER:
             basis = tuple(g for g, _ in items)
             certs = tuple(c for _, c in items) if track else None
@@ -483,7 +533,7 @@ def two_sided_saturate(
         basis = [g for g, _ in items]
         certs = [c for _, c in items]
         new_items = []
-        for g, cert in items:
+        for g, cert in items[done:]:
             for w in right_factors:
                 gw = multiply(g, w)
                 cw = _right_mul_cert(cert, w) if track else None
@@ -501,6 +551,7 @@ def two_sided_saturate(
                 tuple(basis),
                 tuple(certs) if track else None,
             )
+        done = len(items)
         items = items + new_items
     basis = tuple(g for g, _ in items)
     certs = tuple(c for _, c in items) if track else None

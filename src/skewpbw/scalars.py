@@ -8,6 +8,7 @@ is plain structural equality.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,16 +23,37 @@ class FieldMismatchError(FieldError):
     """Operands belong to different fields."""
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below this bound (Sorenson & Webster, 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; FieldError at or above _MR_LIMIT."""
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    if p >= _MR_LIMIT:
+        raise FieldError(
+            f"primality is decided only below {_MR_LIMIT} (about 3.3e24), not for {p}"
+        )
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -333,18 +355,43 @@ def _poly_divmod(num: list, den: list):
     return q, num
 
 
+@functools.lru_cache(maxsize=None)
+def _cyclotomic(m: int) -> tuple:
+    # Phi_m = prod over d | m of (x^d - 1)^mu(m/d): multiply in the factors
+    # with mu = 1, then divide out those with mu = -1, exactly over Z
+    primes = [q for q in range(2, m + 1) if m % q == 0 and _is_prime(q)]
+    coeffs = [1]
+    divide_by = []
+    for k in range(1 << len(primes)):  # squarefree e = m/d, mu(e) = (-1)^|e|
+        e = 1
+        for bit, q in enumerate(primes):
+            if k >> bit & 1:
+                e *= q
+        d = m // e
+        if bin(k).count("1") % 2 == 0:
+            coeffs = [0] * d + coeffs  # x^d * c - c
+            for j in range(len(coeffs) - d):
+                coeffs[j] -= coeffs[j + d]
+        else:
+            divide_by.append(d)
+    for d in divide_by:  # c = q * (x^d - 1): q[j - d] = c[j] + q[j]
+        top = len(coeffs) - 1
+        q = [0] * (top - d + 1)
+        for j in range(top, d - 1, -1):
+            q[j - d] = coeffs[j] + (q[j] if j < len(q) else 0)
+        assert all(coeffs[j] + q[j] == 0 for j in range(d)), "inexact division"
+        coeffs = q
+    return tuple(coeffs)
+
+
 def cyclotomic_polynomial(m: int) -> list:
-    """Integer coefficients of the m-th cyclotomic polynomial, low degree first."""
+    """Integer coefficients of the m-th cyclotomic polynomial, low degree first.
+
+    Memoized per m; each call returns a fresh list.
+    """
     if m < 1:
         raise FieldError("cyclotomic index must be >= 1")
-    # x^m - 1 = prod over d | m of Phi_d
-    num = [Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]
-    for d in range(1, m):
-        if m % d == 0:
-            phi_d = cyclotomic_polynomial(d)
-            num, rem = _poly_divmod(num, phi_d)
-            assert not rem, "cyclotomic division must be exact"
-    return [int(c) for c in num]
+    return list(_cyclotomic(m))
 
 
 class CyclotomicField(Field):

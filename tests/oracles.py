@@ -3,13 +3,16 @@
 These deliberately avoid the code paths they validate: commutative
 multiplication is a plain convolution on exponent dicts, membership is
 linear algebra over spans of shifted products, radical membership is a
-power search.
+power search, and Groebner bases come from plain Buchberger completion
+(every pair formed, restart-style inter-reduction) on the public API.
 """
 
 from __future__ import annotations
 
+import heapq
+
 from skewpbw import linalg
-from skewpbw.groebner import is_member_left, left_groebner
+from skewpbw.groebner import divide, is_member_left, left_groebner
 from skewpbw.poly import DEGLEX, Polynomial, exponents_up_to, multiply
 from skewpbw.presentation import Presentation
 
@@ -101,3 +104,98 @@ def brute_force_radical(f: Polynomial, J_gens, max_power: int = 6) -> bool:
             return True
         power = multiply(power, f)
     return False
+
+
+def _remainder(f: Polynomial, basis, order) -> Polynomial:
+    if f.is_zero() or not basis:
+        return f
+    return divide(f, basis, order).remainder
+
+
+def _lead_lcm(f: Polynomial, g: Polynomial, order) -> tuple:
+    return tuple(
+        max(a, b) for a, b in zip(f.leading(order)[0], g.leading(order)[0])
+    )
+
+
+def naive_s_element(gi: Polynomial, gj: Polynomial, order=DEGLEX) -> Polynomial:
+    """Left S-element: both leads shifted to their lcm, made monic, subtracted."""
+    gamma = _lead_lcm(gi, gj, order)
+    parts = []
+    for g in (gi, gj):
+        shift = tuple(c - a for c, a in zip(gamma, g.leading(order)[0]))
+        parts.append(multiply(Polynomial.monomial(g.pres, shift), g).monic(order))
+    return parts[0] - parts[1]
+
+
+def _naive_inter_reduce(basis, order):
+    changed = True
+    while changed:
+        changed = False
+        for k in range(len(basis)):
+            others = basis[:k] + basis[k + 1 :]
+            if not others:
+                continue
+            rem = _remainder(basis[k], others, order)
+            if rem != basis[k]:
+                changed = True
+                if rem.is_zero():
+                    del basis[k]
+                else:
+                    basis[k] = rem.monic(order)
+                break
+    return sorted(basis, key=lambda g: order.key(g.leading(order)[0]))
+
+
+def naive_left_gb(gens, order=DEGLEX, stats=None):
+    """Reduced left GB by Buchberger completion that forms every pair,
+    smallest lcm first; [1] for the unit ideal. `stats["spairs"]` counts
+    the S-elements formed."""
+    basis = []
+    pairs = []
+    for g in gens:
+        if g.is_zero():
+            continue
+        if g.is_constant():
+            return [Polynomial.one(g.pres)]
+        for i, other in enumerate(basis):
+            gamma = _lead_lcm(other, g, order)
+            heapq.heappush(pairs, (order.key(gamma), i, len(basis)))
+        basis.append(g.monic(order))
+    while pairs:
+        _, i, j = heapq.heappop(pairs)
+        if stats is not None:
+            stats["spairs"] = stats.get("spairs", 0) + 1
+        rem = _remainder(naive_s_element(basis[i], basis[j], order), basis, order)
+        if rem.is_zero():
+            continue
+        if rem.is_constant():
+            return [Polynomial.one(rem.pres)]
+        for t, other in enumerate(basis):
+            gamma = _lead_lcm(other, rem, order)
+            heapq.heappush(pairs, (order.key(gamma), t, len(basis)))
+        basis.append(rem.monic(order))
+    return _naive_inter_reduce(basis, order)
+
+
+def naive_saturate(gens, order=DEGLEX, max_rounds=10, stats=None):
+    """Reduced left GB of the two-sided ideal of gens: left completion from
+    scratch, then every basis element times every variable (and the field
+    primitive when some sigma twists), until nothing new reduces to a
+    nonzero remainder. None when `max_rounds` rounds do not close."""
+    live = [g for g in gens if not g.is_zero()]
+    if not live:
+        return []
+    pres = live[0].pres
+    right = [Polynomial.variable(pres, j) for j in range(pres.n)]
+    prim = pres.field.primitive()
+    if not pres.sigma_all_identity and prim is not None:
+        right.append(Polynomial.constant(pres, prim))
+    basis = naive_left_gb(live, order, stats)
+    for _ in range(max_rounds):
+        extra = [multiply(g, w) for g in basis for w in right]
+        extra = [f for f in extra if not _remainder(f, basis, order).is_zero()]
+        if not extra:
+            return basis
+        basis = naive_left_gb(basis + extra, order, stats)
+    return None

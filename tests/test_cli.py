@@ -79,6 +79,19 @@ def test_unknown_exit_code(capsys):
     assert doc["status"] == "unknown"
 
 
+def test_recursion_limit_is_input_error(capsys):
+    """Normal ordering recurses once per unit of exponent it moves past, so
+    a long power ends at Python's recursion limit: one line, exit 1."""
+    code, out, err = run(
+        ["normalize", "--algebra", QPLANE, "--f", "y*x^1500"], capsys
+    )
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error:") and "recursion limit" in err
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_parse_error_exit_code(capsys):
     code, out, err = run(
         ["normalize", "--algebra", WITTEN, "--f", "x*w"], capsys

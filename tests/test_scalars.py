@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from skewpbw import scalars
 from skewpbw.scalars import (
     AutomorphismSpec,
     FieldError,
@@ -114,6 +115,49 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(3) == [1, 1, 1]
     assert cyclotomic_polynomial(6) == [1, -1, 1]
     assert cyclotomic_polynomial(12) == [1, 0, -1, 0, 1]
+    known = {
+        5: [1, 1, 1, 1, 1],
+        8: [1, 0, 0, 0, 1],
+        9: [1, 0, 0, 1, 0, 0, 1],
+        10: [1, -1, 1, -1, 1],
+        15: [1, -1, 0, 1, -1, 1, 0, -1, 1],
+        30: [1, 1, 0, -1, -1, -1, 0, 1, 1],
+    }
+    for m, coeffs in known.items():
+        assert cyclotomic_polynomial(m) == coeffs
+    # Phi_105 is the first with a coefficient outside {-1, 0, 1}
+    phi105 = cyclotomic_polynomial(105)
+    assert len(phi105) == 49 and phi105[7] == -2 and min(phi105) == -2
+    hits = scalars._cyclotomic.cache_info().hits
+    first = cyclotomic_polynomial(15)
+    assert scalars._cyclotomic.cache_info().hits == hits + 1
+    # each caller gets its own list: mutating one leaves the cache intact
+    first[0] = 99
+    assert cyclotomic_polynomial(15) == known[15]
+    assert len(cyclotomic_polynomial(1260)) == 289  # phi(1260)
+
+
+CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185]
+
+
+def test_is_prime_miller_rabin():
+    small = [n for n in range(200) if scalars._is_prime(n)]
+    assert small == [
+        n for n in range(2, 200) if all(n % d for d in range(2, n))
+    ]
+    for n in CARMICHAEL:
+        assert not scalars._is_prime(n)
+    # a strong pseudoprime to bases 2, 3, 5 and 7 at once
+    assert not scalars._is_prime(3215031751)
+    assert scalars._is_prime(2**61 - 1)
+    assert scalars._is_prime(2**64 + 13)  # the least prime above 2^64
+    assert not scalars._is_prime(2**64 + 1)  # 274177 * 67280421310721
+    assert not scalars._is_prime(274177 * 67280421310721)
+    with pytest.raises(FieldError, match="3317044064679887385961981"):
+        scalars._is_prime(2**127 - 1)
+    with pytest.raises(FieldError, match="not prime"):
+        make_field(FieldSpec.prime(561))
+    assert make_field(FieldSpec.prime(2**61 - 1)).p == 2**61 - 1
 
 
 def test_automorphism_examples():
