@@ -11,6 +11,7 @@ mark them as degenerate.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field as dc_field
 from typing import List, Optional, Sequence, Tuple
@@ -36,6 +37,11 @@ from skewpbw.scalars import Field, PrimeField, Scalar
 
 class GeometryError(ValueError):
     pass
+
+
+# the most points a search domain may enumerate: every point is built up
+# front and then costs a point ideal (a two-sided saturation) of its own
+MAX_DOMAIN_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -71,23 +77,33 @@ class SearchDomain:
         return SearchDomain("full-prime-field")
 
     def points(self, pres: Presentation) -> List[Point]:
+        """Every candidate point; GeometryError past MAX_DOMAIN_POINTS."""
         if self.kind == "grid":
             cols = self.per_coordinate
             if len(cols) == 1 and pres.n > 1:
                 cols = cols * pres.n
             if len(cols) != pres.n:
                 raise GeometryError("grid arity does not match the presentation")
+            _check_domain_size(math.prod(len(col) for col in cols))
             cols = tuple(
                 tuple(pres.field.coerce(v) for v in col) for col in cols
             )
             return [Point(t) for t in itertools.product(*cols)]
         if not isinstance(pres.field, PrimeField):
             raise GeometryError("full-prime-field domain needs a GF(p) presentation")
+        _check_domain_size(pres.field.p ** pres.n)
         elems = pres.field.elements()
         return [Point(t) for t in itertools.product(elems, repeat=pres.n)]
 
     def __repr__(self):
         return f"SearchDomain({self.kind})"
+
+
+def _check_domain_size(count: int) -> None:
+    if count > MAX_DOMAIN_POINTS:
+        raise GeometryError(
+            f"search domain has {count} points, above the limit of {MAX_DOMAIN_POINTS}"
+        )
 
 
 @dataclass(frozen=True)

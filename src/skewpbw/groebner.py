@@ -13,7 +13,9 @@ class outcome: right closure need not terminate in general.
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from skewpbw.poly import (
@@ -29,6 +31,7 @@ from skewpbw.poly import (
     multiply,
 )
 from skewpbw.presentation import Presentation, extend_with_central
+from skewpbw.scalars import Scalar
 
 
 class GroebnerError(ValueError):
@@ -63,10 +66,21 @@ DEFAULT_BUDGET = Budget()
 # division
 
 
-@dataclass
 class DivisionResult:
-    quotients: List[Polynomial]
-    remainder: Polynomial
+    """f = sum quotients[i] * divisors[i] + remainder.
+
+    The quotients are built from their raw dicts on first access: callers
+    that need only the remainder never pay for them.
+    """
+
+    def __init__(self, pres: Presentation, raw_quotients: List[dict], remainder: Polynomial):
+        self.remainder = remainder
+        self._pres = pres
+        self._raw_quotients = raw_quotients
+
+    @cached_property
+    def quotients(self) -> List[Polynomial]:
+        return [Polynomial.from_raw(self._pres, q) for q in self._raw_quotients]
 
     def reconstruct(self, divisors: Sequence[Polynomial]) -> Polynomial:
         out = self.remainder
@@ -99,9 +113,15 @@ def divide(
             raise GroebnerError("division by the zero polynomial")
         lead_exps.append(lead[0])
 
-    div_dicts = [g.to_dict() for g in divisors]
-    work = f.to_dict()
-    heap = [(tuple(-v for v in order.key(e)), e) for e in work]
+    field = pres.field
+    add, mul, neg, inv, zero = (
+        field.raw_add, field.raw_mul, field.raw_neg, field.raw_inv, field.raw_zero
+    )
+    key = order.key
+    div_dicts = [None] * len(divisors)  # raw dicts, made when first used
+    work = f.raw_dict()
+    # a min-heap on negated order keys pops the largest term first
+    heap = [(tuple(map(operator.neg, key(e))), e) for e in work]
     heapq.heapify(heap)
     quotients: List[dict] = [dict() for _ in divisors]
     remainder: dict = {}
@@ -116,26 +136,36 @@ def divide(
             remainder[exp] = coeff
             continue
         theta = exp_sub(exp, lead_exps[i])
-        prod = _mono_times_dict(pres, theta, div_dicts[i])
+        d = div_dicts[i]
+        if d is None:
+            d = div_dicts[i] = divisors[i].raw_dict()
+        prod = _mono_times_dict(pres, theta, d)
         lead_c = prod.get(exp)
-        if lead_c is None or lead_c.is_zero():
+        if lead_c is None or lead_c == zero:
             raise GroebnerError(
                 "monomial order is not multiplicative for this presentation"
             )
-        r = coeff * lead_c.inv()
-        _acc(quotients[i], theta, r)
+        r = mul(coeff, inv(lead_c))
+        _acc(quotients[i], theta, r, add, zero)
+        r = neg(r)
         for e, c in prod.items():
             if e == exp:
                 continue
-            fresh = e not in work
-            _acc(work, e, -(r * c))
-            if fresh and e in work:
-                heapq.heappush(heap, (tuple(-v for v in order.key(e)), e))
+            cur = work.get(e)
+            if cur is None:
+                work[e] = mul(r, c)  # nonzero: r and c are
+                heapq.heappush(heap, (tuple(map(operator.neg, key(e))), e))
+            else:
+                cur = add(cur, mul(r, c))
+                if cur == zero:
+                    del work[e]  # its heap entry goes stale
+                else:
+                    work[e] = cur
 
-    return DivisionResult(
-        [Polynomial.from_dict(pres, q) for q in quotients],
-        Polynomial.from_dict(pres, remainder),
-    )
+    # the heap pops terms in descending order, which under deglex is the
+    # order of Polynomial.terms
+    rem = Polynomial.from_raw(pres, remainder, ordered=order.kind == "deglex")
+    return DivisionResult(pres, quotients, rem)
 
 
 def remainder_of(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder) -> Polynomial:
@@ -371,28 +401,28 @@ def _completion(
 
 def _s_element(pres, basis, certs, i, j, gamma, order, track):
     """Left S-element of basis[i], basis[j] w.r.t. the common multiple gamma."""
+    field = pres.field
+    add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
     gi, gj = basis[i], basis[j]
     ti = exp_sub(gamma, gi.leading(order)[0])
     tj = exp_sub(gamma, gj.leading(order)[0])
-    pi = _mono_times_dict(pres, ti, gi.to_dict())
-    pj = _mono_times_dict(pres, tj, gj.to_dict())
+    pi = _mono_times_dict(pres, ti, gi.raw_dict())
+    pj = _mono_times_dict(pres, tj, gj.raw_dict())
     ci = pi.get(gamma)
     cj = pj.get(gamma)
-    if ci is None or cj is None or ci.is_zero() or cj.is_zero():
+    if ci is None or cj is None or ci == zero or cj == zero:
         raise GroebnerError(
             "monomial order is not multiplicative for this presentation"
         )
-    ui, uj = ci.inv(), cj.inv()
-    out: dict = {}
-    for e, c in pi.items():
-        _acc(out, e, ui * c)
+    ui, uj = field.raw_inv(ci), field.raw_neg(field.raw_inv(cj))
+    out = {e: mul(ui, c) for e, c in pi.items()}
     for e, c in pj.items():
-        _acc(out, e, -(uj * c))
-    s = Polynomial.from_dict(pres, out)
+        _acc(out, e, mul(uj, c), add, zero)
+    s = Polynomial.from_raw(pres, out)
     cert = None
     if track:
-        mi = Polynomial.monomial(pres, ti, ui)
-        mj = Polynomial.monomial(pres, tj, -uj)
+        mi = Polynomial.monomial(pres, ti, Scalar(field, ui))
+        mj = Polynomial.monomial(pres, tj, Scalar(field, uj))
         cert = _add_certs(
             _left_mul_cert(certs[i], mi), _left_mul_cert(certs[j], mj)
         )

@@ -44,7 +44,13 @@ from skewpbw.groebner import (
 from skewpbw.normality import central_probe
 from skewpbw.poly import DEGLEX, Polynomial, multiply
 from skewpbw.presentation import Presentation, commutative_presentation
-from skewpbw.scalars import CyclotomicField, GaussianRationalField, PrimeField, Scalar
+from skewpbw.scalars import (
+    CyclotomicField,
+    GaussianRationalField,
+    PrimeField,
+    Scalar,
+    _prime_factors,
+)
 
 
 class CenterError(ValueError):
@@ -52,14 +58,22 @@ class CenterError(ValueError):
 
 
 def multiplicative_order(s: Scalar, cap: Optional[int] = None) -> Optional[int]:
-    """Smallest k >= 1 with s^k = 1, searched up to a field-derived cap."""
+    """Smallest k >= 1 with s^k = 1; None when there is none up to the cap.
+
+    On GF(p) the order divides p - 1 and comes from its factorization;
+    elsewhere it is searched up to a field-derived cap.
+    """
     field = s.field
     if s.is_zero():
         return None
+    if isinstance(field, PrimeField):
+        k = field.p - 1
+        for q in _prime_factors(k):
+            while k % q == 0 and pow(s.value, k // q, field.p) == 1:
+                k //= q
+        return k if cap is None or k <= cap else None
     if cap is None:
-        if isinstance(field, PrimeField):
-            cap = field.p - 1
-        elif isinstance(field, CyclotomicField):
+        if isinstance(field, CyclotomicField):
             cap = 2 * field.m
         elif isinstance(field, GaussianRationalField):
             cap = 4

@@ -6,6 +6,12 @@ x_j x_i (j > i) through the presentation's relation constants, with
 coefficients passing variables via the sigma automorphisms. The engine
 memoizes single-variable insertions per presentation, which keeps repeated
 division/completion work cheap.
+
+The rewriting engine below works on dicts {exponent: raw field value} (an
+int residue, a Fraction or a tuple of them; see scalars.Field), and so does
+the insertion cache. `Polynomial.terms` holds Scalars: values cross into
+raw form once, by `Polynomial.raw_dict`, and back once, by
+`Polynomial.from_raw`.
 """
 
 from __future__ import annotations
@@ -129,21 +135,23 @@ def monomial_divides(a: tuple, b: tuple) -> Optional[tuple]:
 # rewriting engine (dict-of-exponent form)
 
 
-def _acc(out: dict, exp: tuple, c: Scalar) -> None:
+def _acc(out: dict, exp: tuple, c, add, zero) -> None:
+    """out[exp] += c on raw values, dropping the entry when it cancels."""
     cur = out.get(exp)
     if cur is None:
         out[exp] = c
     else:
-        s = cur + c
-        if s.is_zero():
+        s = add(cur, c)
+        if s == zero:
             del out[exp]
         else:
             out[exp] = s
 
 
 def _insert_var(pres: Presentation, i: int, exp: tuple) -> dict:
-    """Normal form of x_i * x^exp as {exponent: coefficient}; memoized.
+    """Normal form of x_i * x^exp as {exponent: raw value}; memoized.
 
+    pres._insert_cache maps (i, exp) to that dict of raw field values.
     Callers must treat the returned dict as read-only.
     """
     key = (i, exp)
@@ -155,11 +163,13 @@ def _insert_var(pres: Presentation, i: int, exp: tuple) -> dict:
         if exp[k] > 0:
             j = k
             break
+    field = pres.field
     if j < 0:
         e2 = list(exp)
         e2[i] += 1
-        result = {tuple(e2): pres.field.one}
+        result = {tuple(e2): field.raw_one}
     else:
+        add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
         rest = list(exp)
         rest[j] -= 1
         rest = tuple(rest)
@@ -168,35 +178,39 @@ def _insert_var(pres: Presentation, i: int, exp: tuple) -> dict:
         # x_i x_j = c x_j x_i + (linear + const), so
         # x_i x^exp = c * x_j * (x_i x^rest) + (linear + const) * x^rest
         inner = _insert_var(pres, i, rest)
-        sigma_trivial = pres.sigma[j].is_identity()
+        sigma = pres.sigma_maps[j]
+        c = rel.c.value
         for e, cf in inner.items():
-            cf2 = cf if sigma_trivial else pres.sigma_apply(j, cf)
-            cf2 = rel.c * cf2
+            cf2 = mul(c, cf if sigma is None else sigma(cf))
             for e3, k3 in _insert_var(pres, j, e).items():
-                _acc(out, e3, cf2 * k3)
+                _acc(out, e3, mul(cf2, k3), add, zero)
         for k, a in enumerate(rel.linear):
             if a.is_zero():
                 continue
             for e3, k3 in _insert_var(pres, k, rest).items():
-                _acc(out, e3, a * k3)
+                _acc(out, e3, mul(a.value, k3), add, zero)
         if not rel.const.is_zero():
-            _acc(out, rest, rel.const)
+            _acc(out, rest, rel.const.value, add, zero)
         result = out
     pres._insert_cache[key] = result
     return result
 
 
 def _var_times_dict(pres: Presentation, i: int, d: dict) -> dict:
+    field = pres.field
+    add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
+    sigma = pres.sigma_maps[i]
     out: dict = {}
-    sigma_trivial = pres.sigma[i].is_identity()
     for e, c in d.items():
-        c2 = c if sigma_trivial else pres.sigma_apply(i, c)
+        if sigma is not None:
+            c = sigma(c)
         for e2, k in _insert_var(pres, i, e).items():
-            _acc(out, e2, c2 * k)
+            _acc(out, e2, mul(c, k), add, zero)
     return out
 
 
 def _mono_times_dict(pres: Presentation, alpha: tuple, d: dict) -> dict:
+    """x^alpha * d on raw dicts; may return d itself, so treat it as read-only."""
     for i in range(pres.n - 1, -1, -1):
         for _ in range(alpha[i]):
             if not d:
@@ -222,6 +236,20 @@ class Polynomial:
     def from_dict(pres: Presentation, d: dict) -> "Polynomial":
         items = [(e, c) for e, c in d.items() if not c.is_zero()]
         items.sort(key=lambda t: deglex_key(t[0]), reverse=True)
+        return Polynomial(pres, tuple(items))
+
+    @staticmethod
+    def from_raw(pres: Presentation, d: dict, ordered: bool = False) -> "Polynomial":
+        """The polynomial of a dict {exponent: raw field value}; zeros dropped.
+
+        ordered: d already iterates in descending deglex order, the order
+        of `terms`, so no sort is needed.
+        """
+        field = pres.field
+        zero = field.raw_zero
+        items = [(e, Scalar(field, c)) for e, c in d.items() if c != zero]
+        if not ordered:
+            items.sort(key=lambda t: deglex_key(t[0]), reverse=True)
         return Polynomial(pres, tuple(items))
 
     @staticmethod
@@ -253,6 +281,10 @@ class Polynomial:
 
     def to_dict(self) -> dict:
         return dict(self.terms)
+
+    def raw_dict(self) -> dict:
+        """A fresh dict {exponent: raw field value} of the terms."""
+        return {e: c.value for e, c in self.terms}
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -300,20 +332,24 @@ class Polynomial:
     def __add__(self, other):
         other = self._coerce(other)
         self._check(other)
-        out = dict(self.terms)
+        field = self.pres.field
+        add, zero = field.raw_add, field.raw_zero
+        out = self.raw_dict()
         for e, c in other.terms:
-            _acc(out, e, c)
-        return Polynomial.from_dict(self.pres, out)
+            _acc(out, e, c.value, add, zero)
+        return Polynomial.from_raw(self.pres, out)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._coerce(other)
         self._check(other)
-        out = dict(self.terms)
+        field = self.pres.field
+        add, neg, zero = field.raw_add, field.raw_neg, field.raw_zero
+        out = self.raw_dict()
         for e, c in other.terms:
-            _acc(out, e, -c)
-        return Polynomial.from_dict(self.pres, out)
+            _acc(out, e, neg(c.value), add, zero)
+        return Polynomial.from_raw(self.pres, out)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -336,11 +372,17 @@ class Polynomial:
         return self.scale(self.pres.field.coerce(other))
 
     def __pow__(self, k: int):
+        """Square-and-multiply: powers of one element commute with each other."""
         if k < 0:
             raise ValueError("negative power of a polynomial")
         out = Polynomial.one(self.pres)
-        for _ in range(k):
-            out = out * self
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __eq__(self, other):
@@ -367,22 +409,25 @@ def multiply(f: Polynomial, g: Polynomial) -> Polynomial:
     pres = f.pres
     if f.is_zero() or g.is_zero():
         return Polynomial.zero(pres)
-    gdict = g.to_dict()
+    field = pres.field
+    add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
+    gdict = g.raw_dict()
     out: dict = {}
     for alpha, a in f.terms:
-        part = _mono_times_dict(pres, alpha, gdict)
-        for e, c in part.items():
-            _acc(out, e, a * c)
-    return Polynomial.from_dict(pres, out)
+        a = a.value
+        for e, c in _mono_times_dict(pres, alpha, gdict).items():
+            _acc(out, e, mul(a, c), add, zero)
+    return Polynomial.from_raw(pres, out)
 
 
 def monomial_product(pres: Presentation, alpha: tuple, beta: tuple):
     """x^alpha * x^beta as (c, p) with the product equal to c*x^(a+b) + p."""
-    d = dict(_mono_times_dict(pres, tuple(alpha), {tuple(beta): pres.field.one}))
+    field = pres.field
+    d = dict(_mono_times_dict(pres, tuple(alpha), {tuple(beta): field.raw_one}))
     top = tuple(x + y for x, y in zip(alpha, beta))
-    c = d.pop(top, pres.field.zero)
-    assert not c.is_zero(), "leading constant of a monomial product is invertible"
-    return c, Polynomial.from_dict(pres, d)
+    c = d.pop(top, field.raw_zero)
+    assert c != field.raw_zero, "leading constant of a monomial product is invertible"
+    return Scalar(field, c), Polynomial.from_raw(pres, d)
 
 
 def commute_scalar(pres: Presentation, alpha: tuple, r: Scalar):

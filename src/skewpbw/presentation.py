@@ -25,9 +25,9 @@ from skewpbw.scalars import (
     FieldSpec,
     Scalar,
     apply_automorphism,
+    automorphism_map,
     automorphism_power,
     get_field,
-    validate_automorphism,
 )
 
 class PresentationError(ValueError):
@@ -80,8 +80,8 @@ class Presentation:
         if sigma is None:
             sigma = (AutomorphismSpec.identity(),) * self.n
         self.sigma = tuple(sigma)
-        for s in self.sigma:
-            validate_automorphism(s, field)
+        # sigma_i on raw field values, None where it is the identity map
+        self.sigma_maps = tuple(automorphism_map(s, field) for s in self.sigma)
         rels = {}
         for i in range(self.n):
             for j in range(i + 1, self.n):
@@ -103,11 +103,6 @@ class Presentation:
         self._sigma_pow: dict = {}
 
     # -- coefficient commutation -------------------------------------------
-
-    def sigma_apply(self, i: int, s: Scalar) -> Scalar:
-        if self.sigma[i].is_identity():
-            return s
-        return apply_automorphism(self.sigma[i], s)
 
     def sigma_power_apply(self, alpha, s: Scalar) -> Scalar:
         """sigma^alpha = sigma_1^a1 o ... o sigma_n^an applied to s."""

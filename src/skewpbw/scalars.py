@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -55,6 +56,43 @@ def _is_prime(p: int) -> bool:
         else:
             return False
     return True
+
+
+def _prime_factors(n: int) -> set:
+    """The primes dividing n >= 1, by Pollard's rho on composite parts."""
+    out: set = set()
+    stack = [n]
+    while stack:
+        m = stack.pop()
+        if m == 1:
+            continue
+        if m % 2 == 0:
+            out.add(2)
+            while m % 2 == 0:
+                m //= 2
+            stack.append(m)
+        elif _is_prime(m):
+            out.add(m)
+        else:
+            d = _rho_divisor(m)
+            stack += [d, m // d]
+    return out
+
+
+def _rho_divisor(m: int) -> int:
+    """A proper divisor of an odd composite m (Pollard's rho, Floyd cycles)."""
+    c = 1
+    while True:
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % m
+            y = (y * y + c) % m
+            y = (y * y + c) % m
+            d = math.gcd(x - y, m)
+        if d != m:
+            return d
+        c += 1
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +142,11 @@ class FieldSpec:
 
 
 class Scalar:
-    """A field element; immutable, canonical, hashable. Arithmetic via dunders."""
+    """A field element; immutable, canonical, hashable. Arithmetic via dunders.
+
+    `value` is the field's raw value (see Field); the operators apply the
+    field's raw functions to it.
+    """
 
     __slots__ = ("field", "value")
 
@@ -113,16 +155,18 @@ class Scalar:
         self.value = value
 
     def _operand(self, other):
-        # non-scalar operands (e.g. polynomials) defer to the reflected op
+        """other's raw value in this field; None for non-scalar operands
+        (e.g. polynomials), which defer to the reflected op."""
         if isinstance(other, (Scalar, int, Fraction)):
-            return self.field.coerce(other)
+            return self.field.coerce(other).value
         return None
 
     def __add__(self, other):
         o = self._operand(other)
         if o is None:
             return NotImplemented
-        return self.field.add(self, o)
+        f = self.field
+        return Scalar(f, f.raw_add(self.value, o))
 
     __radd__ = __add__
 
@@ -130,37 +174,43 @@ class Scalar:
         o = self._operand(other)
         if o is None:
             return NotImplemented
-        return self.field.add(self, self.field.neg(o))
+        f = self.field
+        return Scalar(f, f.raw_add(self.value, f.raw_neg(o)))
 
     def __rsub__(self, other):
         o = self._operand(other)
         if o is None:
             return NotImplemented
-        return self.field.add(o, self.field.neg(self))
+        f = self.field
+        return Scalar(f, f.raw_add(o, f.raw_neg(self.value)))
 
     def __mul__(self, other):
         o = self._operand(other)
         if o is None:
             return NotImplemented
-        return self.field.mul(self, o)
+        f = self.field
+        return Scalar(f, f.raw_mul(self.value, o))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return self.field.neg(self)
+        f = self.field
+        return Scalar(f, f.raw_neg(self.value))
 
     def __truediv__(self, other):
         o = self._operand(other)
         if o is None:
             return NotImplemented
-        return self.field.mul(self, self.field.inv(o))
+        f = self.field
+        return Scalar(f, f.raw_mul(self.value, f.raw_inv(o)))
 
     def inv(self) -> "Scalar":
-        return self.field.inv(self)
+        f = self.field
+        return Scalar(f, f.raw_inv(self.value))
 
     def __pow__(self, k: int) -> "Scalar":
         if k < 0:
-            return self.field.inv(self) ** (-k)
+            return self.inv() ** (-k)
         out = self.field.one
         base = self
         while k:
@@ -171,7 +221,7 @@ class Scalar:
         return out
 
     def is_zero(self) -> bool:
-        return self.value == self.field.zero.value
+        return self.value == self.field.raw_zero
 
     def __eq__(self, other):
         if isinstance(other, Scalar):
@@ -194,9 +244,26 @@ class Scalar:
 
 
 class Field:
-    """Base field context: constants, arithmetic closure, canonical formatting."""
+    """Base field context: constants, arithmetic closure, canonical formatting.
+
+    Arithmetic lives on raw values, the canonical `Scalar.value` of each
+    field: an int residue for GF(p), a Fraction for Q, a tuple of
+    Fractions for Q(i) and Q(z_m). Each field supplies `raw_zero`,
+    `raw_one` and the functions `raw_add(a, b)`, `raw_mul(a, b)`,
+    `raw_neg(a)` and `raw_inv(a)` (ZeroDivisionError on zero); the
+    normal-ordering and division kernels call them without building a
+    Scalar, and the Scalar operators wrap them.
+    """
 
     spec: FieldSpec
+    raw_zero: object
+    raw_one: object
+
+    def _constants(self, raw_zero, raw_one) -> None:
+        self.raw_zero = raw_zero
+        self.raw_one = raw_one
+        self.zero = Scalar(self, raw_zero)
+        self.one = Scalar(self, raw_one)
 
     def coerce(self, v: Union[Scalar, int, Fraction]) -> Scalar:
         if isinstance(v, Scalar):
@@ -217,23 +284,6 @@ class Field:
     def from_fraction(self, q: Fraction) -> Scalar:
         raise NotImplementedError
 
-    def add(self, a: Scalar, b: Scalar) -> Scalar:
-        raise NotImplementedError
-
-    def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        raise NotImplementedError
-
-    def neg(self, a: Scalar) -> Scalar:
-        raise NotImplementedError
-
-    def inv(self, a: Scalar) -> Scalar:
-        raise NotImplementedError
-
-    def eq(self, a: Scalar, b: Scalar) -> bool:
-        self.coerce(a)
-        self.coerce(b)
-        return a.value == b.value
-
     def format(self, a: Scalar) -> str:
         raise NotImplementedError
 
@@ -251,10 +301,15 @@ class Field:
 
 
 class RationalField(Field):
+    """Q; raw values are Fractions."""
+
+    raw_add = staticmethod(operator.add)
+    raw_mul = staticmethod(operator.mul)
+    raw_neg = staticmethod(operator.neg)
+
     def __init__(self):
         self.spec = FieldSpec.rationals()
-        self.zero = Scalar(self, Fraction(0))
-        self.one = Scalar(self, Fraction(1))
+        self._constants(Fraction(0), Fraction(1))
 
     def from_int(self, k):
         return Scalar(self, Fraction(k))
@@ -262,19 +317,11 @@ class RationalField(Field):
     def from_fraction(self, q):
         return Scalar(self, q)
 
-    def add(self, a, b):
-        return Scalar(self, a.value + b.value)
-
-    def mul(self, a, b):
-        return Scalar(self, a.value * b.value)
-
-    def neg(self, a):
-        return Scalar(self, -a.value)
-
-    def inv(self, a):
-        if a.value == 0:
+    @staticmethod
+    def raw_inv(a):
+        if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return Scalar(self, 1 / a.value)
+        return 1 / a
 
     def format(self, a):
         return str(a.value)
@@ -285,8 +332,7 @@ class GaussianRationalField(Field):
 
     def __init__(self):
         self.spec = FieldSpec.gaussian()
-        self.zero = Scalar(self, (Fraction(0), Fraction(0)))
-        self.one = Scalar(self, (Fraction(1), Fraction(0)))
+        self._constants((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)))
         self.i = Scalar(self, (Fraction(0), Fraction(1)))
 
     def from_int(self, k):
@@ -295,26 +341,31 @@ class GaussianRationalField(Field):
     def from_fraction(self, q):
         return Scalar(self, (q, Fraction(0)))
 
-    def add(self, a, b):
-        return Scalar(self, (a.value[0] + b.value[0], a.value[1] + b.value[1]))
+    @staticmethod
+    def raw_add(a, b):
+        return (a[0] + b[0], a[1] + b[1])
 
-    def mul(self, a, b):
-        ar, ai = a.value
-        br, bi = b.value
-        return Scalar(self, (ar * br - ai * bi, ar * bi + ai * br))
+    @staticmethod
+    def raw_mul(a, b):
+        ar, ai = a
+        br, bi = b
+        return (ar * br - ai * bi, ar * bi + ai * br)
 
-    def neg(self, a):
-        return Scalar(self, (-a.value[0], -a.value[1]))
+    @staticmethod
+    def raw_neg(a):
+        return (-a[0], -a[1])
 
-    def inv(self, a):
-        re, im = a.value
+    @staticmethod
+    def raw_inv(a):
+        re, im = a
         n = re * re + im * im
         if n == 0:
             raise ZeroDivisionError("inverse of 0")
-        return Scalar(self, (re / n, -im / n))
+        return (re / n, -im / n)
 
-    def conjugate(self, a):
-        return Scalar(self, (a.value[0], -a.value[1]))
+    @staticmethod
+    def raw_conjugate(a):
+        return (a[0], -a[1])
 
     def primitive(self):
         return self.i
@@ -404,10 +455,9 @@ class CyclotomicField(Field):
         self.spec = FieldSpec.cyclotomic(m)
         self.modulus = cyclotomic_polynomial(m)
         self.dim = len(self.modulus) - 1  # phi(m)
-        self.zero = Scalar(self, (Fraction(0),) * self.dim)
         one = [Fraction(0)] * self.dim
         one[0] = Fraction(1)
-        self.one = Scalar(self, tuple(one))
+        self._constants((Fraction(0),) * self.dim, tuple(one))
         # x^k mod Phi_m for k = 0..2*dim-2 (covers products) and k < m (Galois maps)
         self._xpow = self._power_table(max(2 * self.dim - 1, m))
         if self.dim >= 2:
@@ -445,33 +495,35 @@ class CyclotomicField(Field):
         v[0] = q
         return Scalar(self, tuple(v))
 
-    def add(self, a, b):
-        return Scalar(self, tuple(x + y for x, y in zip(a.value, b.value)))
+    @staticmethod
+    def raw_add(a, b):
+        return tuple(x + y for x, y in zip(a, b))
 
-    def neg(self, a):
-        return Scalar(self, tuple(-x for x in a.value))
+    @staticmethod
+    def raw_neg(a):
+        return tuple(-x for x in a)
 
-    def mul(self, a, b):
+    def raw_mul(self, a, b):
         out = [Fraction(0)] * self.dim
-        for ka, ca in enumerate(a.value):
+        for ka, ca in enumerate(a):
             if not ca:
                 continue
-            for kb, cb in enumerate(b.value):
+            for kb, cb in enumerate(b):
                 if not cb:
                     continue
                 coef = ca * cb
                 for k, c in enumerate(self._xpow[ka + kb]):
                     if c:
                         out[k] += coef * c
-        return Scalar(self, tuple(out))
+        return tuple(out)
 
-    def inv(self, a):
-        if a.is_zero():
+    def raw_inv(self, a):
+        if a == self.raw_zero:
             raise ZeroDivisionError("inverse of 0")
         # extended Euclid in Q[x]: track r_k = s_k * a (mod Phi_m)
         r0 = [Fraction(c) for c in self.modulus]
         s0: list = [Fraction(0)]
-        r1 = _poly_trim(list(a.value))
+        r1 = _poly_trim(list(a))
         s1 = [Fraction(1)]
         while len(r1) > 1:
             q, r = _poly_divmod(r0, r1)
@@ -488,18 +540,18 @@ class CyclotomicField(Field):
         out = [Fraction(0)] * self.dim
         for k, cs in enumerate(s1):
             out[k] = cs / c
-        return Scalar(self, tuple(out[: self.dim]))
+        return tuple(out[: self.dim])
 
-    def galois(self, a: Scalar, k: int) -> Scalar:
+    def raw_galois(self, a, k: int):
         """z |-> z^k on the power basis; requires gcd(k, m) = 1."""
         out = [Fraction(0)] * self.dim
-        for j, c in enumerate(a.value):
+        for j, c in enumerate(a):
             if not c:
                 continue
             for t, x in enumerate(self._xpow[(j * k) % self.m]):
                 if x:
                     out[t] += c * x
-        return Scalar(self, tuple(out))
+        return tuple(out)
 
     def primitive(self):
         return self.zeta
@@ -532,13 +584,18 @@ class CyclotomicField(Field):
 
 
 class PrimeField(Field):
+    """GF(p); raw values are ints in range(p)."""
+
     def __init__(self, p: int):
         if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
         self.p = p
         self.spec = FieldSpec.prime(p)
-        self.zero = Scalar(self, 0)
-        self.one = Scalar(self, 1 % p)
+        self._constants(0, 1 % p)
+        # closures over p: the kernels call these per term
+        self.raw_add = lambda a, b: (a + b) % p
+        self.raw_mul = lambda a, b: a * b % p
+        self.raw_neg = lambda a: -a % p
 
     def from_int(self, k):
         return Scalar(self, k % self.p)
@@ -549,19 +606,10 @@ class PrimeField(Field):
             raise FieldError(f"denominator {q.denominator} vanishes mod {self.p}")
         return Scalar(self, q.numerator * pow(den, -1, self.p) % self.p)
 
-    def add(self, a, b):
-        return Scalar(self, (a.value + b.value) % self.p)
-
-    def mul(self, a, b):
-        return Scalar(self, (a.value * b.value) % self.p)
-
-    def neg(self, a):
-        return Scalar(self, (-a.value) % self.p)
-
-    def inv(self, a):
-        if a.value == 0:
+    def raw_inv(self, a):
+        if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return Scalar(self, pow(a.value, -1, self.p))
+        return pow(a, -1, self.p)
 
     def elements(self):
         return [Scalar(self, v) for v in range(self.p)]
@@ -669,23 +717,26 @@ def validate_automorphism(spec: AutomorphismSpec, field: Field) -> None:
     raise FieldError(f"unknown automorphism kind {spec.kind!r}")
 
 
-def apply_automorphism(spec: AutomorphismSpec, a: Scalar) -> Scalar:
-    field = a.field
+def automorphism_map(spec: AutomorphismSpec, field: Field):
+    """The automorphism as a function on raw values; None for the identity map."""
     validate_automorphism(spec, field)
-    if spec.kind == "identity":
-        return a
+    if spec.kind == "identity" or isinstance(field, (RationalField, PrimeField)):
+        # conj is trivial on Q; frobenius on GF(p) is x^(p^e) = x by Fermat
+        return None
+    if isinstance(field, GaussianRationalField):
+        if spec.kind == "galois" and spec.param % 4 == 1:
+            return None
+        return field.raw_conjugate
     if spec.kind == "conj":
-        if isinstance(field, RationalField):
-            return a
-        if isinstance(field, GaussianRationalField):
-            return field.conjugate(a)
-        return field.galois(a, field.m - 1 if field.m > 2 else 1)
-    if spec.kind == "galois":
-        if isinstance(field, GaussianRationalField):
-            return a if spec.param % 4 == 1 else field.conjugate(a)
-        return field.galois(a, spec.param % field.m)
-    # frobenius on GF(p): x^(p^e) = x by Fermat
-    return a
+        k = field.m - 1 if field.m > 2 else 1
+    else:
+        k = spec.param % field.m
+    return lambda a: field.raw_galois(a, k)
+
+
+def apply_automorphism(spec: AutomorphismSpec, a: Scalar) -> Scalar:
+    fn = automorphism_map(spec, a.field)
+    return a if fn is None else Scalar(a.field, fn(a.value))
 
 
 def automorphism_inverse(spec: AutomorphismSpec, field: Field) -> AutomorphismSpec:

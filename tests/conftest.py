@@ -9,11 +9,12 @@ sys.path.insert(0, os.path.dirname(__file__))
 from skewpbw.poly import Polynomial
 from skewpbw.presentation import (
     Presentation,
+    Relation,
     commutative_presentation,
     load_presentation_file,
     quantum_plane,
 )
-from skewpbw.scalars import FieldSpec, get_field
+from skewpbw.scalars import AutomorphismSpec, FieldSpec, get_field
 
 ALGEBRA_DIR = os.path.join(os.path.dirname(__file__), "..", "algebras")
 
@@ -65,6 +66,18 @@ def qplane_gf5(GF5):
 @pytest.fixture(scope="session")
 def qspace3():
     return load_presentation_file(algebra_path("qspace3.alg"))
+
+
+@pytest.fixture(scope="session")
+def conj_qplane(QI):
+    """y*x = i*x*y over Q(i), with x conjugating the coefficients it passes."""
+    rel = Relation(QI.i, (QI.zero, QI.zero), QI.zero)
+    return Presentation(
+        QI,
+        ("x", "y"),
+        sigma=(AutomorphismSpec.conjugation(), AutomorphismSpec.identity()),
+        relations={(0, 1): rel},
+    )
 
 
 @pytest.fixture(scope="session")

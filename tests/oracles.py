@@ -15,6 +15,7 @@ from skewpbw import linalg
 from skewpbw.groebner import divide, is_member_left, left_groebner
 from skewpbw.poly import DEGLEX, Polynomial, exponents_up_to, multiply
 from skewpbw.presentation import Presentation
+from skewpbw.scalars import apply_automorphism
 
 
 def naive_commutative_multiply(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -29,6 +30,55 @@ def naive_commutative_multiply(f: Polynomial, g: Polynomial) -> Polynomial:
                 out.pop(e, None)
             else:
                 out[e] = c
+    return Polynomial.from_dict(pres, out)
+
+
+def naive_word_multiply(f: Polynomial, g: Polynomial) -> Polynomial:
+    """Product by rewriting words of variable indices on Scalars.
+
+    Independent of the engine's raw-value kernels and insertion cache: the
+    leftmost adjacent inversion x_j x_i (j > i) of a word u x_j x_i v
+    becomes u (c x_i x_j + sum_k a_k x_k + d) v, the relation's constants
+    passing the prefix u by its sigmas, until every word is sorted.
+    """
+    pres = f.pres
+
+    def word(exp):
+        return tuple(k for k, a in enumerate(exp) for _ in range(a))
+
+    def past(prefix, c):  # prefix * c = sigma^prefix(c) * prefix
+        for k in reversed(prefix):
+            c = apply_automorphism(pres.sigma[k], c)
+        return c
+
+    todo: dict = {}
+
+    def put(w, c):
+        c = todo.get(w, pres.field.zero) + c
+        if c.is_zero():
+            todo.pop(w, None)
+        else:
+            todo[w] = c
+
+    for ea, ca in f.terms:
+        for eb, cb in g.terms:
+            put(word(ea) + word(eb), ca * past(word(ea), cb))
+    out: dict = {}
+    while todo:
+        w, c = todo.popitem()
+        t = next((t for t in range(len(w) - 1) if w[t] > w[t + 1]), None)
+        if t is None:
+            e = tuple(w.count(k) for k in range(pres.n))
+            out[e] = out.get(e, pres.field.zero) + c
+            continue
+        u, j, i, v = w[:t], w[t], w[t + 1], w[t + 2 :]
+        rel = pres.relations[(i, j)]
+        put(u + (i, j) + v, c * past(u, rel.c))
+        for k, a in enumerate(rel.linear):
+            if not a.is_zero():
+                put(u + (k,) + v, c * past(u, a))
+        if not rel.const.is_zero():
+            put(u + v, c * past(u, rel.const))
     return Polynomial.from_dict(pres, out)
 
 

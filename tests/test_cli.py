@@ -92,6 +92,17 @@ def test_recursion_limit_is_input_error(capsys):
     assert "Traceback" not in err
 
 
+def test_large_search_domain_is_input_error(tmp_path, capsys):
+    alg = tmp_path / "big.alg"
+    alg.write_text("field: gf:1000003\nvars: x, y\nrelation: y*x = 2*x*y\n")
+    code, out, err = run(
+        ["vanish", "--algebra", str(alg), "--polys", "x", "--domain", "gf"], capsys
+    )
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == "error: search domain has 1000006000009 points, above the limit of 100000\n"
+
+
 def test_parse_error_exit_code(capsys):
     code, out, err = run(
         ["normalize", "--algebra", WITTEN, "--f", "x*w"], capsys

@@ -2,6 +2,7 @@
 
 import pytest
 
+from skewpbw import geometry
 from skewpbw.geometry import (
     GeometryError,
     Point,
@@ -18,6 +19,8 @@ from skewpbw.geometry import (
 from skewpbw.groebner import Budget, is_member_left, left_groebner
 from skewpbw.linalg import in_row_span, rank
 from skewpbw.poly import Polynomial, multiply, parse_polynomial
+from skewpbw.presentation import quantum_plane
+from skewpbw.scalars import FieldSpec, get_field
 from oracles import span_rows, _vector
 
 
@@ -72,6 +75,22 @@ def test_full_prime_field_domain(qplane_gf5):
     assert len(pts) == 25
     rep = vanishing_set(qplane_gf5, [parse_polynomial("x", qplane_gf5)], dom)
     assert len(rep.roots) + len(rep.non_roots) == 25
+
+
+def test_search_domain_size_guard(qplane_gf5, monkeypatch):
+    """The count is checked before any point is built: enumerating 10^12
+    points of GF(1000003)^2 would not end."""
+    F = get_field(FieldSpec.prime(1_000_003))
+    big = quantum_plane(F, F.from_int(2))
+    with pytest.raises(GeometryError, match="1000006000009 points, above the limit of 100000"):
+        SearchDomain.full_prime_field().points(big)
+    monkeypatch.setattr(geometry, "MAX_DOMAIN_POINTS", 24)
+    with pytest.raises(GeometryError, match="25 points, above the limit of 24"):
+        SearchDomain.full_prime_field().points(qplane_gf5)
+    col = [qplane_gf5.field.from_int(k) for k in range(6)]
+    assert len(SearchDomain.grid([col[:4], col]).points(qplane_gf5)) == 24
+    with pytest.raises(GeometryError, match="36 points"):
+        SearchDomain.grid([col]).points(qplane_gf5)
 
 
 def test_ideal_of_points_examples(comm2, qplane_m1):

@@ -39,6 +39,29 @@ def test_multiplicative_order(QQ, GF5):
     assert multiplicative_order(C4.zeta) == 4
 
 
+@pytest.mark.parametrize("p", [5, 7, 101])
+def test_prime_field_order_matches_scan(p):
+    F = get_field(FieldSpec.prime(p))
+    for v in range(1, p):
+        scan = next(k for k in range(1, p) if pow(v, k, p) == 1)
+        assert multiplicative_order(F.from_int(v)) == scan
+        assert multiplicative_order(F.from_int(v), cap=scan - 1) is None
+
+
+@pytest.mark.parametrize(
+    "p, factors",
+    [(1_000_003, (2, 3, 166667)), (2**61 - 1, (2, 3, 5, 7, 11, 13, 31, 41, 61, 151, 331, 1321))],
+)
+def test_prime_field_order_large_field(p, factors):
+    """No scan: these orders are far too large to search for."""
+    F = get_field(FieldSpec.prime(p))
+    k = multiplicative_order(F.from_int(3))
+    assert (p - 1) % k == 0 and pow(3, k, p) == 1
+    # minimal: 3^(k/q) != 1 for each prime q dividing k (the primes of p - 1)
+    assert all(pow(3, k // q, p) != 1 for q in factors if k % q == 0)
+    assert multiplicative_order(F.from_int(p - 1)) == 2
+
+
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_center_quantum_plane_roots_of_unity(m):
     F = get_field(FieldSpec.cyclotomic(m))

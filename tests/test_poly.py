@@ -221,6 +221,18 @@ def test_mixed_scalar_polynomial_operators(qplane_q2, QQ):
     assert 1 - f == Polynomial.one(qplane_q2) - f
 
 
+@pytest.mark.parametrize("fixture", ["witten", "conj_qplane"])
+def test_power_is_repeated_product(fixture, request):
+    pres = request.getfixturevalue(fixture)
+    rng = random.Random(zlib.crc32(fixture.encode()))
+    for _ in range(4):
+        f = random_polynomial(pres, rng, max_degree=2, max_terms=2)
+        product = Polynomial.one(pres)
+        for k in range(8):
+            assert f ** k == product
+            product = product * f
+
+
 def test_sigma_twisted_coefficients_pass_variables():
     G = get_field(FieldSpec.gaussian())
     pres = Presentation(

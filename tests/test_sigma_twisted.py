@@ -12,20 +12,8 @@ import pytest
 from skewpbw.geometry import random_polynomial
 from skewpbw.groebner import divide, left_groebner, two_sided_saturate
 from skewpbw.poly import Polynomial, multiply
-from skewpbw.presentation import Presentation, Relation, check_pbw_consistency
+from skewpbw.presentation import Presentation, check_pbw_consistency
 from skewpbw.scalars import AutomorphismSpec, FieldSpec, get_field
-
-
-@pytest.fixture(scope="module")
-def conj_qplane():
-    G = get_field(FieldSpec.gaussian())
-    rel = Relation(G.i, (G.zero, G.zero), G.zero)
-    return Presentation(
-        G,
-        ("x", "y"),
-        sigma=(AutomorphismSpec.conjugation(), AutomorphismSpec.identity()),
-        relations={(0, 1): rel},
-    )
 
 
 @pytest.fixture(scope="module")
