@@ -136,15 +136,28 @@ def _order_from_flag(text: str, pres: Presentation) -> MonomialOrder:
     raise CliError(f"unknown order {text!r}")
 
 
+# the least legal value of each integer flag that has one
+_FLAG_MINIMUMS = {
+    "budget_degree": 0,
+    "budget_pairs": 0,
+    "trunc_degree": 0,
+    "max_power": 1,
+    "slack": 0,
+}
+
+
+def _check_flags(args) -> None:
+    for attr, least in _FLAG_MINIMUMS.items():
+        value = getattr(args, attr, None)
+        if value is not None and value < least:
+            raise CliError(f"--{attr.replace('_', '-')} must be >= {least}")
+
+
 def _budget_from_flags(args) -> Budget:
     b = Budget()
     if args.budget_degree is not None:
-        if args.budget_degree < 0:
-            raise CliError("--budget-degree must be >= 0")
         b.max_degree = args.budget_degree
     if args.budget_pairs is not None:
-        if args.budget_pairs < 0:
-            raise CliError("--budget-pairs must be >= 0")
         b.max_pairs = args.budget_pairs
     return b
 
@@ -183,6 +196,7 @@ def _domain(text: str, pres: Presentation) -> SearchDomain:
 
 def run_command(args) -> tuple:
     """Execute a parsed command; returns (document, exit_code)."""
+    _check_flags(args)
     pres = load_presentation_file(args.algebra)
     order = _order_from_flag(args.order, pres)
     budget = _budget_from_flags(args)

@@ -4,10 +4,15 @@ The division algorithm peels leading terms: a term whose monomial is
 divisible by some divisor's leading monomial is cancelled exactly (over a
 field the coefficient condition is always solvable), otherwise it moves to
 the remainder. Completion is Buchberger-style on left S-elements with the
-normal selection strategy and Gebauer-Moller's chain criterion; two-sided
-ideals are handled by alternating left completion with reduced right
-multiples of the newly added elements. Budgets make `unknown` a first
-class outcome: right closure need not terminate in general.
+normal selection strategy and Gebauer-Moller's chain criterion.
+
+One routine computes left and two-sided bases: a two-sided basis is a left
+basis that is also closed under right multiples. It alternates left
+completion with adjoining the reduced right multiples of the newly added
+elements by a list of right factors: none for a left ideal, the variables
+(and the field primitive when some sigma is not the identity) for a
+two-sided one. Budgets make `unknown` a first class outcome: right
+closure need not terminate in general.
 """
 
 from __future__ import annotations
@@ -45,7 +50,11 @@ class Budget:
     - max_degree: a queued S-pair whose lcm has a higher total degree is
       skipped, and the result is `unknown`;
     - max_pairs: the S-elements one completion may form;
-    - max_rounds: the right-closure rounds of a two-sided saturation.
+    - max_rounds: the right-closure rounds of a two-sided saturation. A
+      round adjoins the reduced right multiples of the elements the last
+      completion added; if the round that reaches the cap still adds
+      elements, the result is `unknown`. The first round always runs, so
+      0 acts as 1. A left basis runs no round and never reads it.
 
     Pairs pruned by the chain criterion are never formed: they count
     nowhere and never trip the degree budget. So a budget goes further
@@ -228,38 +237,30 @@ class IdealHandle:
         return f"IdealHandle({self.sidedness}, {self.status}, basis=[{body}])"
 
 
-# internal: basis items carry an optional certificate, a tuple of triples
-# (p, gen_index, q) with element == sum p * gens[gen_index] * q
+# internal: basis items carry a certificate, a tuple of triples
+# (p, gen_index, q) with element == sum p * gens[gen_index] * q, where
+# gen_index counts the generators as given, zeros included; the
+# certificate is None when nobody asked for one
 
 
-def _scale_cert(cert, c):
-    if cert is None:
-        return None
-    return tuple((p.scale(c), i, q) for p, i, q in cert)
+def _cert_sum(parts) -> tuple:
+    """Certificate of sum w * element over (w, cert) parts, merged per
+    (gen_index, q) in one pass.
 
-
-def _left_mul_cert(cert, w: Polynomial):
-    if cert is None:
-        return None
-    return tuple((multiply(w, p), i, q) for p, i, q in cert)
-
-
-def _right_mul_cert(cert, w: Polynomial):
-    if cert is None:
-        return None
-    return tuple((p, i, multiply(q, w)) for p, i, q in cert)
-
-
-def _add_certs(a, b):
-    if a is None or b is None:
-        return None
+    w multiplies each p on the left and is a Polynomial, or None for 1; a
+    constant w scales p, the same product without normal ordering.
+    """
     merged: dict = {}
-    for p, i, q in a + b:
-        key = (i, q)
-        merged[key] = merged.get(key, Polynomial.zero(p.pres)) + p
-    return tuple(
-        (p, i, q) for (i, q), p in merged.items() if not p.is_zero()
-    )
+    for w, cert in parts:
+        c = w.terms[0][1] if w is not None and w.is_constant() else None
+        for p, i, q in cert:
+            if c is not None:
+                p = p.scale(c)
+            elif w is not None:
+                p = multiply(w, p)
+            prev = merged.get((i, q))
+            merged[(i, q)] = p if prev is None else prev + p
+    return tuple((p, i, q) for (i, q), p in merged.items() if not p.is_zero())
 
 
 def expand_certificate(cert, gens: Sequence[Polynomial]) -> Polynomial:
@@ -275,35 +276,36 @@ def _reduce_with_cert(
     basis: List[Polynomial],
     certs: List,
     order: MonomialOrder,
-    track: bool,
 ):
     if not basis or f.is_zero():
         return f, cert
     res = divide(f, basis, order)
-    if track:
-        for q, bc in zip(res.quotients, certs):
-            if not q.is_zero():
-                cert = _add_certs(cert, _scale_cert(_left_mul_cert(bc, q), f.pres.field.from_int(-1)))
+    if cert is not None:
+        cert = _cert_sum(
+            [(None, cert)]
+            + [(-q, c) for q, c in zip(res.quotients, certs) if not q.is_zero()]
+        )
     return res.remainder, cert
 
 
-def _monic(g: Polynomial, cert, order: MonomialOrder, track: bool):
+def _monic(g: Polynomial, cert, order: MonomialOrder):
     """g and its certificate scaled to lead coefficient 1; no work if it is 1."""
     lc = g.leading(order)[1]
     if lc == lc.field.one:
         return g, cert
     u = lc.inv()
-    return g.scale(u), (_scale_cert(cert, u) if track else None)
+    if cert is not None:
+        cert = _cert_sum([(Polynomial.constant(g.pres, u), cert)])
+    return g.scale(u), cert
 
 
 def _completion(
     items: List[Tuple[Polynomial, Optional[tuple]]],
     order: MonomialOrder,
     budget: Budget,
-    track: bool,
     done: int = 0,
 ):
-    """Left Buchberger completion; returns (status, items, note).
+    """Left Buchberger completion of nonzero items; returns (status, items, note).
 
     The first `done` items must already be a left GB of monic nonconstant
     elements: no pair among them is formed, and they lead the returned
@@ -317,7 +319,9 @@ def _completion(
     of i and j combine into a standard representation of the S-element of
     i and j.
     """
-    pres = None
+    if not items:
+        return PROPER, [], ""
+    pres = items[0][0].pres
     basis: List[Polynomial] = []
     certs: List = []
     leads: List[tuple] = []
@@ -354,20 +358,14 @@ def _completion(
         leads.append(lead)
 
     for g, cert in items[:done]:
-        pres = g.pres
         basis.append(g)
         certs.append(cert)
         leads.append(g.leading(order)[0])
     for g, cert in items[done:]:
-        if g.is_zero():
-            continue
-        pres = g.pres
-        g, cert = _monic(g, cert, order, track)
+        g, cert = _monic(g, cert, order)
         if g.is_constant():
             return UNIT, [(g, cert)], "derived a nonzero constant"
         add(g, cert)
-    if not basis:
-        return PROPER, [], ""
 
     processed = 0
     skipped = False
@@ -383,13 +381,13 @@ def _completion(
         if processed > budget.max_pairs:
             return UNKNOWN, list(zip(basis, certs)), "pair budget exhausted"
 
-        s, cert_s = _s_element(pres, basis, certs, i, j, gamma, order, track)
+        s, cert_s = _s_element(pres, basis, certs, i, j, gamma, order)
         if s.is_zero():
             continue
-        rem, cert_s = _reduce_with_cert(s, cert_s, basis, certs, order, track)
+        rem, cert_s = _reduce_with_cert(s, cert_s, basis, certs, order)
         if rem.is_zero():
             continue
-        rem, cert_s = _monic(rem, cert_s, order, track)
+        rem, cert_s = _monic(rem, cert_s, order)
         if rem.is_constant():
             return UNIT, [(rem, cert_s)], "derived a nonzero constant"
         add(rem, cert_s)
@@ -399,7 +397,7 @@ def _completion(
     return PROPER, list(zip(basis, certs)), ""
 
 
-def _s_element(pres, basis, certs, i, j, gamma, order, track):
+def _s_element(pres, basis, certs, i, j, gamma, order):
     """Left S-element of basis[i], basis[j] w.r.t. the common multiple gamma."""
     field = pres.field
     add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
@@ -420,16 +418,15 @@ def _s_element(pres, basis, certs, i, j, gamma, order, track):
         _acc(out, e, mul(uj, c), add, zero)
     s = Polynomial.from_raw(pres, out)
     cert = None
-    if track:
-        mi = Polynomial.monomial(pres, ti, Scalar(field, ui))
-        mj = Polynomial.monomial(pres, tj, Scalar(field, uj))
-        cert = _add_certs(
-            _left_mul_cert(certs[i], mi), _left_mul_cert(certs[j], mj)
-        )
+    if certs[i] is not None:
+        cert = _cert_sum((
+            (Polynomial.monomial(pres, ti, Scalar(field, ui)), certs[i]),
+            (Polynomial.monomial(pres, tj, Scalar(field, uj)), certs[j]),
+        ))
     return s, cert
 
 
-def _inter_reduce(basis, certs, order, track):
+def _inter_reduce(basis, certs, order):
     """Reduced GB from a left GB of monic elements, sorted by lead.
 
     Drops each element whose lead another lead divides (the first of equal
@@ -453,22 +450,69 @@ def _inter_reduce(basis, certs, order, track):
     for k in range(len(basis)):
         others = basis[:k] + basis[k + 1 :]
         other_certs = certs[:k] + certs[k + 1 :]
-        out.append(
-            _reduce_with_cert(basis[k], certs[k], others, other_certs, order, track)
-        )
+        out.append(_reduce_with_cert(basis[k], certs[k], others, other_certs, order))
     out.sort(key=lambda item: order.key(item[0].leading(order)[0]))
-    return [g for g, _ in out], [c for _, c in out]
+    return out
 
 
-def _initial_items(gens: Sequence[Polynomial], track: bool):
-    items = []
-    for idx, g in enumerate(gens):
-        cert = None
-        if track:
-            one = Polynomial.one(g.pres)
-            cert = ((one, idx, one),)
-        items.append((g, cert))
-    return items
+def _groebner(
+    gens: Tuple[Polynomial, ...],
+    order: MonomialOrder,
+    budget: Optional[Budget],
+    right_factors: Optional[List[Polynomial]],
+    one: Optional[Polynomial],
+) -> IdealHandle:
+    """Reduced left basis of the ideal of gens closed under right multiples
+    by right_factors; None asks for the left ideal.
+
+    Each round completes the left basis, then adjoins the reduced right
+    multiples of the elements that completion added: an earlier right
+    multiple lies in the left ideal already, which only grows. A left
+    ideal stops after its one completion. `one` is the polynomial 1 when
+    elements carry certificates, seeding generator k's as ((1, k, 1),),
+    and None when they carry none.
+    """
+    budget = budget or DEFAULT_BUDGET
+    items = [
+        (g, None if one is None else ((one, k, one),))
+        for k, g in enumerate(gens)
+        if not g.is_zero()
+    ]
+    done = rounds = 0
+    while True:
+        status, items, note = _completion(items, order, budget, done)
+        if status != PROPER:
+            break
+        basis = [g for g, _ in items]
+        certs = [c for _, c in items]
+        new_items = []
+        for g, cert in items[done:] if right_factors else ():
+            for w in right_factors:
+                cw = None if cert is None else tuple(
+                    (p, i, multiply(q, w)) for p, i, q in cert
+                )
+                rem, cw = _reduce_with_cert(multiply(g, w), cw, basis, certs, order)
+                if not rem.is_zero():
+                    new_items.append((rem, cw))
+        if not new_items:
+            items = _inter_reduce(basis, certs, order)
+            break
+        rounds += 1
+        done = len(items)
+        items = items + new_items
+        if rounds >= budget.max_rounds:
+            status, note = UNKNOWN, "saturation round budget exhausted"
+            break
+    return IdealHandle(
+        gens[0].pres if gens else None,
+        gens,
+        LEFT if right_factors is None else TWO_SIDED,
+        status,
+        order,
+        tuple(g for g, _ in items),
+        None if one is None else tuple(c for _, c in items),
+        note,
+    )
 
 
 def left_groebner(
@@ -479,30 +523,8 @@ def left_groebner(
 ) -> IdealHandle:
     """Left Groebner basis of the left ideal generated by gens."""
     gens = tuple(gens)
-    budget = budget or DEFAULT_BUDGET
-    live = [g for g in gens if not g.is_zero()]
-    if not live:
-        return IdealHandle(
-            gens[0].pres if gens else None, gens, LEFT, PROPER, order
-        )
-    pres = live[0].pres
-    status, items, note = _completion(
-        _initial_items(live, track), order, budget, track
-    )
-    basis = [g for g, _ in items]
-    certs = [c for _, c in items]
-    if status == PROPER and basis:
-        basis, certs = _inter_reduce(basis, certs, order, track)
-    return IdealHandle(
-        pres,
-        gens,
-        LEFT,
-        status,
-        order,
-        tuple(basis),
-        tuple(certs) if track else None,
-        note,
-    )
+    one = Polynomial.one(gens[0].pres) if track and gens else None
+    return _groebner(gens, order, budget, None, one)
 
 
 def is_member_left(f: Polynomial, handle: IdealHandle) -> str:
@@ -530,65 +552,21 @@ def two_sided_saturate(
 ) -> IdealHandle:
     """Left basis of the two-sided ideal of gens, by right-closure rounds.
 
-    Alternates left completion with adjoining reduced right multiples by
-    every variable (and by the field primitive when some sigma is not the
-    identity, so closure under right scalar multiplication holds too).
+    The right factors are every variable, and the field primitive when
+    some sigma is not the identity, so closure under right scalar
+    multiplication holds too.
     """
     gens = tuple(gens)
-    budget = budget or DEFAULT_BUDGET
-    live = [g for g in gens if not g.is_zero()]
-    if not live:
-        return IdealHandle(
-            gens[0].pres if gens else None, gens, TWO_SIDED, PROPER, order
-        )
-    pres = live[0].pres
+    if not gens:
+        return _groebner(gens, order, budget, [], None)
+    pres = gens[0].pres
     right_factors = [Polynomial.variable(pres, j) for j in range(pres.n)]
     if not pres.sigma_all_identity:
         prim = pres.field.primitive()
         if prim is not None:
             right_factors.append(Polynomial.constant(pres, prim))
-
-    # each round right-multiplies only the elements it added: an earlier
-    # right multiple lies in the left ideal already, which only grows
-    items = _initial_items(live, track)
-    done = 0
-    for _ in range(budget.max_rounds):
-        status, items, note = _completion(items, order, budget, track, done)
-        if status != PROPER:
-            basis = tuple(g for g, _ in items)
-            certs = tuple(c for _, c in items) if track else None
-            return IdealHandle(
-                pres, gens, TWO_SIDED, status, order, basis, certs, note
-            )
-        basis = [g for g, _ in items]
-        certs = [c for _, c in items]
-        new_items = []
-        for g, cert in items[done:]:
-            for w in right_factors:
-                gw = multiply(g, w)
-                cw = _right_mul_cert(cert, w) if track else None
-                rem, cw = _reduce_with_cert(gw, cw, basis, certs, order, track)
-                if not rem.is_zero():
-                    new_items.append((rem, cw))
-        if not new_items:
-            basis, certs = _inter_reduce(basis, certs, order, track)
-            return IdealHandle(
-                pres,
-                gens,
-                TWO_SIDED,
-                PROPER,
-                order,
-                tuple(basis),
-                tuple(certs) if track else None,
-            )
-        done = len(items)
-        items = items + new_items
-    basis = tuple(g for g, _ in items)
-    certs = tuple(c for _, c in items) if track else None
-    return IdealHandle(
-        pres, gens, TWO_SIDED, UNKNOWN, order, basis, certs,
-        "saturation round budget exhausted",
-    )
+    one = Polynomial.one(pres) if track else None
+    return _groebner(gens, order, budget, right_factors, one)
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,8 @@ def is_normal(f: Polynomial, slack: int = 0, budget=None) -> NormalityVerdict:
     terms). All solvable => normal with recorded witnesses; any infeasible
     solve => not_normal with the failing generator.
     """
+    if slack < 0:
+        raise NormalityError("slack must be >= 0")
     if f.is_zero():
         raise NormalityError("normality of the zero polynomial is undefined")
     pres = f.pres

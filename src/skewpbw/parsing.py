@@ -187,7 +187,10 @@ def eval_scalar_ast(node, field: Field) -> Scalar:
             raise ParseError("division by zero")
         return eval_scalar_ast(node[1], field) / den
     if kind == "pow":
-        return eval_scalar_ast(node[1], field) ** node[2]
+        base = eval_scalar_ast(node[1], field)
+        if node[2] < 0 and base.is_zero():
+            raise ParseError("division by zero")
+        return base ** node[2]
     raise ParseError(f"bad node {kind!r}")
 
 

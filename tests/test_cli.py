@@ -132,6 +132,44 @@ def test_negative_budget_is_input_error(flag, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["normal", "--algebra", QPLANE, "--f", "x", "--slack", "-1"],
+        ["sandwich", "--algebra", QPLANE, "--gens", "x^4", "--domain", "grid:-1..1",
+         "--max-power", "0"],
+        ["points-ideal", "--algebra", QPLANE, "--points", "0,0", "--trunc-degree", "-1"],
+    ],
+    ids=["slack", "max-power", "trunc-degree"],
+)
+def test_out_of_range_flag_is_input_error(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error:") and argv[-2] in err
+    assert err.count("\n") == 1
+
+
+def test_zero_to_negative_power_is_input_error(capsys):
+    code, out, err = run(
+        ["root", "--algebra", QPLANE, "--f", "x", "--point", "0^-1,0"], capsys
+    )
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == "error: division by zero\n"
+
+
+def test_gb_certificates_index_generators_as_given(capsys):
+    code, doc, _ = run_json(
+        ["gb", "--algebra", QPLANE, "--gens", "0, x-1, y-1", "--certificates"],
+        capsys,
+    )
+    assert code == EXIT_OK
+    assert doc["result"]["status"] == "unit"
+    indices = [i for cert in doc["result"]["certificates"] for _, i, _ in cert]
+    assert sorted(indices) == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["gb", "--algebra", QPLANE],
         ["gb", "--algebra", QPLANE, "--gens", "x", "--budget-degree", "abc"],
     ],

@@ -285,6 +285,20 @@ def test_saturation_two_sided_certificates(qplane_m1):
         assert expand_certificate(cert, H.generators) == element
 
 
+@pytest.mark.parametrize("engine", [left_groebner, two_sided_saturate])
+@pytest.mark.parametrize("texts", [("0", "x-1", "y-1"), ("x^2 - x", "0", "y^3")])
+def test_certificates_index_generators_as_given(engine, texts, qplane_m1):
+    """A zero generator keeps its place: certificate indices point into the
+    generators as given, zeros included."""
+    gens = [parse_polynomial(t, qplane_m1) for t in texts]
+    H = engine(gens, track=True)
+    assert H.generators == tuple(gens)
+    assert H.basis
+    for element, cert in zip(H.basis, H.certificates):
+        assert expand_certificate(cert, H.generators) == element
+        assert all(not H.generators[i].is_zero() for _, i, _ in cert)
+
+
 def test_saturation_closes_under_scalars_with_sigma_twist():
     """With x*r = conj(r)*x, the two-sided ideal of x+1 contains
     (x+1)*i + i*(x+1) = 2i: right closure by variables alone would miss it."""
@@ -345,6 +359,35 @@ def test_reduced_bases_match_naive_oracle(name):
             assert H.basis == engine(gens).basis
             for element, cert in zip(H.basis, H.certificates):
                 assert expand_certificate(cert, H.generators) == element
+
+
+@pytest.mark.parametrize(
+    "name, texts",
+    [
+        ("qplane_q2_gf5.alg", ("x^2*y - y^2", "x*y^2 + x")),
+        ("witten.alg", ("x^2*y + x*z", "y*z - x")),
+    ],
+)
+def test_left_basis_ignores_round_budget(name, texts):
+    """max_rounds counts right-closure rounds, which a left basis never runs."""
+    pres = _algebra(name)
+    gens = [parse_polynomial(t, pres) for t in texts]
+    default = left_groebner(gens)
+    assert default.status == "proper"
+    for rounds in (0, 1):
+        H = left_groebner(gens, budget=Budget(max_rounds=rounds))
+        assert (H.status, H.basis) == (default.status, default.basis)
+
+
+def test_round_budget_zero_runs_the_first_round(comm2):
+    """The first right-closure round always runs, so max_rounds=0 acts as 1:
+    a commutative ideal closes in that round and is decided."""
+    gens = [parse_polynomial("x^2 - x", comm2), parse_polynomial("x*y", comm2)]
+    zero = two_sided_saturate(gens, budget=Budget(max_rounds=0))
+    one = two_sided_saturate(gens, budget=Budget(max_rounds=1))
+    assert zero.status == "proper"
+    assert (zero.status, zero.basis) == (one.status, one.basis)
+    assert zero.basis == left_groebner(gens).basis
 
 
 def test_chain_criterion_forms_fewer_pairs(monkeypatch):

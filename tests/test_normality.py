@@ -32,6 +32,14 @@ def test_is_normal_x_quantum_plane(qplane_q2):
     assert multiply(gprime, x) == multiply(x, y)
 
 
+def test_negative_slack_is_an_error(qplane_m1):
+    """A negative slack leaves no witness degrees, which is no evidence."""
+    x = parse_polynomial("x", qplane_m1)
+    assert is_normal(x, slack=0).status == "normal"
+    with pytest.raises(NormalityError):
+        is_normal(x, slack=-1)
+
+
 def test_is_normal_counterexample(qplane_m1):
     verdict = is_normal(parse_polynomial("x+y", qplane_m1))
     assert verdict.status == "not_normal"

@@ -28,6 +28,16 @@ def test_scalar_grammar():
         parse_scalar("", Q)
 
 
+def test_zero_to_negative_power_is_parse_error():
+    Q = get_field(FieldSpec.rationals())
+    assert parse_scalar("2^-1", Q) == Q.from_int(1) / Q.from_int(2)
+    for text in ("0^-1", "(2-2)^-3"):
+        with pytest.raises(ParseError, match="division by zero"):
+            parse_scalar(text, Q)
+    with pytest.raises(ParseError, match="division by zero"):
+        parse_scalar("5^-1", get_field(FieldSpec.prime(5)))
+
+
 def test_parse_polynomial_normal_orders(qplane_q2):
     f = parse_polynomial("y*x", qplane_q2)
     assert str(f) == "2*x*y"
