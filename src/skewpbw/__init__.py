@@ -54,7 +54,6 @@ from skewpbw.geometry import (
     Point,
     SearchDomain,
     algebraic_witness,
-    classify_hypersurface,
     ideal_of_points,
     is_root,
     point_ideal,

@@ -265,15 +265,13 @@ def run_command(args) -> tuple:
     elif cmd == "root":
         f = parse_polynomial(args.f, pres)
         Z = _point(args.point, pres)
-        verdict = geometry.is_root(f, Z, budget)
         doc["inputs"] = {"f": args.f, "point": args.point}
-        doc["result"] = {"root": verdict}
-        code = EXIT_UNKNOWN if verdict == "unknown" else EXIT_OK
+        doc["result"] = {"root": geometry.is_root(f, Z)}
 
     elif cmd == "vanish":
         polys = _polys(args.polys, pres)
         dom = _domain(args.domain, pres)
-        rep = geometry.vanishing_set(pres, polys, dom, budget)
+        rep = geometry.vanishing_set(pres, polys, dom)
         doc["inputs"] = {"polys": args.polys, "domain": args.domain}
         doc["result"] = {
             "table": [[str(p), tag] for p, tag in rep.table()],
@@ -281,11 +279,10 @@ def run_command(args) -> tuple:
             "degenerate": len(rep.degenerate),
             "unknown": len(rep.unknown),
         }
-        code = EXIT_UNKNOWN if rep.unknown else EXIT_OK
 
     elif cmd == "points-ideal":
         pts = _points(args.points, pres)
-        basis = geometry.ideal_of_points(pres, pts, args.trunc_degree, budget)
+        basis = geometry.ideal_of_points(pres, pts, args.trunc_degree)
         doc["inputs"] = {"points": args.points, "trunc_degree": args.trunc_degree}
         doc["result"] = {"basis": [str(g) for g in basis]}
 

@@ -1,8 +1,13 @@
-"""Roots, vanishing sets, ideals of points and hypersurface bookkeeping.
+"""Roots, vanishing sets, ideals of points and algebraic witnesses.
 
-A point Z is a root of f when f lies in the two-sided ideal generated by
-x_1 - z_1, ..., x_n - z_n; "evaluation" never happens through the division
-remainder (which is not even unique). Vanishing sets over infinite fields
+A point Z is a root of f when f lies in the two-sided ideal
+I_Z = <x_1 - z_1, ..., x_n - z_n>. In A/I_Z every x_i equals the scalar
+z_i, so A/I_Z is the image of the field: 0 or the field itself. Hence I_Z
+is proper exactly when x_i -> z_i extends to a ring map epsilon_Z: A -> K
+(`is_character`). Then I_Z lies in the kernel of epsilon_Z and has the
+same codimension 1, so it is that kernel: f is a root exactly when
+epsilon_Z(f) = sum c_alpha * z^alpha is zero (`evaluate`). So no point
+needs a Groebner basis of its own. Vanishing sets over infinite fields
 are enumerated over a finite search domain, and points whose ideal is the
 whole ring are first-class: they are roots of everything and the reports
 mark them as degenerate.
@@ -22,13 +27,11 @@ from skewpbw.groebner import (
     DEFAULT_BUDGET,
     IdealHandle,
     PROPER,
+    TWO_SIDED,
     UNIT,
-    UNKNOWN,
     is_member_left,
     intersect_left,
     left_groebner,
-    normal_form_rows,
-    two_sided_saturate,
 )
 from skewpbw.poly import DEGLEX, Polynomial, exponents_up_to, multiply
 from skewpbw.presentation import Presentation
@@ -40,7 +43,7 @@ class GeometryError(ValueError):
 
 
 # the most points a search domain may enumerate: every point is built up
-# front and then costs a point ideal (a two-sided saturation) of its own
+# front and then checked and evaluated on its own
 MAX_DOMAIN_POINTS = 100_000
 
 
@@ -119,37 +122,104 @@ def point_generators(pres: Presentation, Z: Point) -> List[Polynomial]:
     ]
 
 
-def point_ideal(
-    pres: Presentation,
-    Z: Point,
-    budget: Optional[Budget] = None,
-    track: bool = False,
-) -> PointIdealCache:
-    """Saturated two-sided ideal of x_i - z_i; cached per presentation."""
-    budget = budget or DEFAULT_BUDGET
-    key = Z.coords
-    cached = pres._point_ideals.get(key)
-    if cached is not None:
-        handle, cached_budget = cached
-        bigger = (
-            budget.max_degree > cached_budget.max_degree
-            or budget.max_pairs > cached_budget.max_pairs
-            or budget.max_rounds > cached_budget.max_rounds
-        )
-        needs_track = track and handle.certificates is None
-        if not ((handle.status == UNKNOWN and bigger) or needs_track):
-            return PointIdealCache(Z, handle)
-    handle = two_sided_saturate(point_generators(pres, Z), DEGLEX, budget, track)
-    pres._point_ideals[key] = (handle, budget)
+def is_character(pres: Presentation, Z: Point) -> bool:
+    """Whether x_i -> z_i extends to a ring map A -> K.
+
+    It does exactly when z_i = 0 wherever sigma_i moves the field primitive
+    r (x_i*r = sigma_i(r)*x_i forces z_i*(r - sigma_i(r)) = 0), and Z
+    satisfies z_j*z_i = c_ij*z_i*z_j + sum_k a_k*z_k + d for every i < j.
+    """
+    return _character_test(pres)([c.value for c in Z.coords])
+
+
+def _character_test(pres: Presentation):
+    """is_character on raw coordinates, with the relations unwrapped once."""
+    field = pres.field
+    add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
+    prim = field.primitive()
+    twisted = [
+        i for i, sigma in enumerate(pres.sigma_maps)
+        if sigma is not None and sigma(prim.value) != prim.value
+    ]
+    relations = [
+        (i, j, rel.c.value, rel.const.value,
+         [(k, a.value) for k, a in enumerate(rel.linear) if not a.is_zero()])
+        for (i, j), rel in pres.relations.items()
+    ]
+
+    def test(z) -> bool:
+        for i in twisted:
+            if z[i] != zero:
+                return False
+        for i, j, c, d, linear in relations:
+            zij = mul(z[i], z[j])
+            rhs = add(mul(c, zij), d)
+            for k, a in linear:
+                rhs = add(rhs, mul(a, z[k]))
+            if rhs != zij:
+                return False
+        return True
+
+    return test
+
+
+def _monomial_values(field: Field, Z: Point):
+    """x^alpha -> z^alpha on raw values, building each power once."""
+    mul, one = field.raw_mul, field.raw_one
+    z = [c.value for c in Z.coords]
+    powers = [[one] for _ in z]
+
+    def value(exp):
+        out = one
+        for zi, pw, k in zip(z, powers, exp):
+            if k:
+                while len(pw) <= k:
+                    pw.append(mul(pw[-1], zi))
+                out = mul(out, pw[k])
+        return out
+
+    return value
+
+
+def evaluate(f: Polynomial, Z: Point) -> Scalar:
+    """sum c_alpha * z^alpha over the normal-ordered terms of f.
+
+    At a character point this is the ring map epsilon_Z applied to f, and
+    f is a root exactly when it is zero.
+    """
+    field = f.pres.field
+    add, mul = field.raw_add, field.raw_mul
+    value = _monomial_values(field, Z)
+    out = field.raw_zero
+    for exp, c in f.terms:
+        out = add(out, mul(c.value, value(exp)))
+    return Scalar(field, out)
+
+
+def point_ideal(pres: Presentation, Z: Point) -> PointIdealCache:
+    """Two-sided ideal of x_i - z_i with its reduced basis; cached per presentation.
+
+    The reduced basis is unique, so it is written down, not saturated: at
+    a character point it is the generators sorted by lead (the last
+    variable is the smallest), elsewhere the ideal is the whole ring.
+    """
+    handle = pres._point_ideals.get(Z.coords)
+    if handle is None:
+        gens = tuple(point_generators(pres, Z))
+        if is_character(pres, Z):
+            status, basis, note = PROPER, gens[::-1], ""
+        else:
+            status, basis, note = UNIT, (Polynomial.one(pres),), "derived a nonzero constant"
+        handle = IdealHandle(pres, gens, TWO_SIDED, status, DEGLEX, basis, None, note)
+        pres._point_ideals[Z.coords] = handle
     return PointIdealCache(Z, handle)
 
 
-def is_root(
-    f: Polynomial, Z: Point, budget: Optional[Budget] = None
-) -> str:
-    """'yes'/'no'/'unknown': membership of f in the point's two-sided ideal."""
-    cache = point_ideal(f.pres, Z, budget)
-    return is_member_left(f, cache.handle)
+def is_root(f: Polynomial, Z: Point) -> str:
+    """'yes'/'no': membership of f in the point's two-sided ideal."""
+    if point_ideal(f.pres, Z).handle.status == UNIT:
+        return "yes"
+    return "yes" if evaluate(f, Z).is_zero() else "no"
 
 
 ROOT = "root"
@@ -162,7 +232,7 @@ class VanishingReport:
     roots: List[Point]
     non_roots: List[Point]
     degenerate: List[Point]
-    unknown: List[Point]
+    unknown: List[Point]  # always empty: evaluation decides every point
 
     def table(self) -> List[tuple]:
         rows = []
@@ -178,60 +248,47 @@ def vanishing_set(
     pres: Presentation,
     polys: Sequence[Polynomial],
     domain: SearchDomain,
-    budget: Optional[Budget] = None,
 ) -> VanishingReport:
-    """Partition of the domain into roots of every generator, non-roots
-    and unknowns; checking generators suffices for the ideal they generate."""
+    """Partition of the domain into roots of every generator and non-roots;
+    checking generators suffices for the ideal they generate."""
     roots: List[Point] = []
     non_roots: List[Point] = []
     degenerate: List[Point] = []
-    unknown: List[Point] = []
+    character = _character_test(pres)
     for Z in domain.points(pres):
-        handle = point_ideal(pres, Z, budget).handle
-        if handle.status == UNIT:
+        if not character([c.value for c in Z.coords]):
             degenerate.append(Z)
             roots.append(Z)
-            continue
-        if handle.status == UNKNOWN:
-            unknown.append(Z)
-            continue
-        verdicts = [is_member_left(f, handle) for f in polys]
-        if all(v == "yes" for v in verdicts):
+        elif all(evaluate(f, Z).is_zero() for f in polys):
             roots.append(Z)
-        elif any(v == "unknown" for v in verdicts):
-            unknown.append(Z)
         else:
             non_roots.append(Z)
-    return VanishingReport(roots, non_roots, degenerate, unknown)
+    return VanishingReport(roots, non_roots, degenerate, [])
 
 
 def ideal_of_points(
     pres: Presentation,
     points: Sequence[Point],
     d: int,
-    budget: Optional[Budget] = None,
 ) -> List[Polynomial]:
-    """Basis of {f : deg f <= d, f in <Z> for every Z}, by normal forms.
+    """Basis of {f : deg f <= d, f in <Z> for every Z}, by evaluation.
 
-    The normal form against a fixed saturated basis is linear in f, so the
-    space is the nullspace of coefficients -> stacked normal forms.
+    At a character point f lies in <Z> exactly when sum c_alpha * z^alpha
+    is zero, so the space is the nullspace of the rows (z^alpha)_alpha;
+    any other point's ideal is the whole ring and adds no row.
     """
+    field = pres.field
     monos = exponents_up_to(pres.n, d)
     rows: List[List[Scalar]] = []
     for Z in points:
-        handle = point_ideal(pres, Z, budget).handle
-        if handle.status == UNKNOWN:
-            raise GeometryError(
-                f"point ideal at {Z} unresolved; raise the budget"
-            )
-        if handle.status == UNIT:
-            continue  # normal form is identically zero
-        rows.extend(normal_form_rows(pres, monos, handle.basis, DEGLEX))
+        if is_character(pres, Z):
+            value = _monomial_values(field, Z)
+            rows.append([Scalar(field, value(e)) for e in monos])
     return [
         Polynomial.from_dict(
             pres, {monos[k]: c for k, c in enumerate(vec) if not c.is_zero()}
         )
-        for vec in linalg.nullspace(rows, pres.field, len(monos))
+        for vec in linalg.nullspace(rows, field, len(monos))
     ]
 
 
@@ -284,10 +341,7 @@ def algebraic_witness(
         current = res.elements
     g = min(current, key=lambda p: DEGLEX.key(p.leading(DEGLEX)[0]))
     for Z in points:
-        verdict = is_root(g, Z, budget)
-        if verdict == "unknown":
-            return WitnessResult(g, f"root check at {Z} unresolved")
-        if verdict == "no":
+        if is_root(g, Z) == "no":
             raise GeometryError(f"witness fails root check at {Z}")
     return WitnessResult(g)
 
@@ -325,10 +379,10 @@ def random_polynomial(
 @dataclass
 class SemiprimeReport:
     point: Point
-    proper: Optional[bool]
+    proper: bool
     samples: int
     consistent: int
-    unknown: int
+    unknown: int  # always 0: a point ideal is always resolved
     counterexamples: List[Polynomial] = dc_field(default_factory=list)
 
     @property
@@ -341,55 +395,21 @@ def semiprime_probe(
     Z: Point,
     samples: int = 100,
     max_degree: int = 3,
-    budget: Optional[Budget] = None,
     seed: int = 0,
 ) -> SemiprimeReport:
     """Probe f^2 in <Z> iff f in <Z> on random f; reports any counterexample."""
     if not pres.quasi_commutative:
         raise GeometryError("the semiprimeness probe needs a quasi-commutative presentation")
-    handle = point_ideal(pres, Z, budget).handle
-    if handle.status == UNKNOWN:
-        return SemiprimeReport(Z, None, 0, 0, samples)
-    proper = handle.status == PROPER
+    handle = point_ideal(pres, Z).handle
     rng = random.Random(seed)
     consistent = 0
-    unknown = 0
     counterexamples: List[Polynomial] = []
     for _ in range(samples):
         f = random_polynomial(pres, rng, max_degree)
-        mf = is_member_left(f, handle)
-        mf2 = is_member_left(multiply(f, f), handle)
-        if "unknown" in (mf, mf2):
-            unknown += 1
-        elif mf == mf2:
+        if is_member_left(f, handle) == is_member_left(multiply(f, f), handle):
             consistent += 1
         else:
             counterexamples.append(f)
-    return SemiprimeReport(Z, proper, samples, consistent, unknown, counterexamples)
-
-
-# ---------------------------------------------------------------------------
-# hypersurface tags
-
-
-@dataclass
-class HypersurfaceTags:
-    tags: frozenset
-    note: str = ""
-
-
-def classify_hypersurface(f: Polynomial) -> HypersurfaceTags:
-    """Tags per the vanishing-set taxonomy: hypersurface needs f outside
-    the coefficient field; plane curve and line need n = 2; hyperplane and
-    line need degree 1."""
-    if f.is_constant():
-        return HypersurfaceTags(frozenset(), "constant polynomial defines no hypersurface")
-    tags = {"hypersurface"}
-    n = f.pres.n
-    if n == 2:
-        tags.add("plane-curve")
-    if f.degree() == 1:
-        tags.add("hyperplane")
-        if n == 2:
-            tags.add("line")
-    return HypersurfaceTags(frozenset(tags))
+    return SemiprimeReport(
+        Z, handle.status == PROPER, samples, consistent, 0, counterexamples
+    )

@@ -25,6 +25,7 @@ from skewpbw.geometry import (
     Point,
     SearchDomain,
     VanishingReport,
+    evaluate,
     is_root,
     vanishing_set,
 )
@@ -259,19 +260,7 @@ def contract_to_center(
 
 
 # ---------------------------------------------------------------------------
-# commutative side: evaluation, points ideal, radical membership
-
-
-def evaluate_commutative(f: Polynomial, coords: Sequence[Scalar]) -> Scalar:
-    field = f.pres.field
-    out = field.zero
-    for exp, c in f.terms:
-        term = c
-        for z, k in zip(coords, exp):
-            if k:
-                term = term * (z ** k)
-        out = out + term
-    return out
+# commutative side: points ideal, radical membership
 
 
 def commutative_points_ideal(
@@ -373,7 +362,7 @@ class GeneratorVerdict:
     in_radical_J: bool
     nilpotency_m: Optional[int]
     failed_roots: List[Point] = dc_field(default_factory=list)
-    unknown_roots: List[Point] = dc_field(default_factory=list)
+    unknown_roots: List[Point] = dc_field(default_factory=list)  # always empty
 
     @property
     def grid_artifact(self) -> bool:
@@ -458,9 +447,7 @@ def verify_sandwich(
 
     v_center = []
     for p in domain.points(center_pres):
-        if all(
-            evaluate_commutative(g, p.coords).is_zero() for g in j_center
-        ):
+        if all(evaluate(g, p).is_zero() for g in j_center):
             v_center.append(p.coords)
 
     try:
@@ -468,7 +455,7 @@ def verify_sandwich(
     except GroebnerError as exc:
         return SandwichReport(
             list(handle.generators), C, d, M, j_center, v_center, [],
-            vanishing_set(pres, list(handle.generators), domain, budget),
+            vanishing_set(pres, list(handle.generators), domain),
             INCONCLUSIVE, INCONCLUSIVE,
             [f"points-ideal stage unresolved: {exc}"],
         )
@@ -507,23 +494,14 @@ def verify_sandwich(
             "some certified generator has no nilpotency exponent within the cap"
         )
 
-    variety = vanishing_set(pres, list(handle.generators), domain, budget)
-    if variety.unknown:
-        notes.append(f"{len(variety.unknown)} domain point(s) unresolved")
-    inclusion_points = CONFIRMED
+    variety = vanishing_set(pres, list(handle.generators), domain)
     for v in certified:
         if v.nilpotency_m is None:
             continue
-        for Z in variety.roots:
-            verdict = is_root(v.lifted, Z, budget)
-            if verdict == "no":
-                v.failed_roots.append(Z)
-            elif verdict == "unknown":
-                v.unknown_roots.append(Z)
-    if any(v.failed_roots for v in certified):
-        inclusion_points = REFUTED
-    elif any(v.unknown_roots for v in certified) or variety.unknown:
-        inclusion_points = INCONCLUSIVE
+        v.failed_roots = [Z for Z in variety.roots if is_root(v.lifted, Z) == "no"]
+    inclusion_points = (
+        REFUTED if any(v.failed_roots for v in certified) else CONFIRMED
+    )
     if inclusion_radical == INCONCLUSIVE and inclusion_points == CONFIRMED:
         # an unconfirmed radical witness never weakens the point inclusion,
         # but surface the asymmetry

@@ -232,6 +232,8 @@ def collect_commutative(node, field: Field, var_index: dict) -> dict:
             k = node[2]
             base = collect_commutative(node[1], field, var_index)
             if k < 0:
+                if not base:
+                    raise ParseError("division by zero")
                 if len(base) != 1 or any(any(e) for e in base):
                     raise ParseError("negative power of a non-scalar")
                 ((e, c),) = base.items()
@@ -243,6 +245,8 @@ def collect_commutative(node, field: Field, var_index: dict) -> dict:
         left = collect_commutative(node[1], field, var_index)
         right = collect_commutative(node[2], field, var_index)
         if kind == "div":
+            if not right:
+                raise ParseError("division by zero")
             if len(right) != 1 or any(any(e) for e in right):
                 raise ParseError("division by a non-scalar")
             ((_, c),) = right.items()

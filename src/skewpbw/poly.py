@@ -527,7 +527,9 @@ def _eval_ast(node, pres: Presentation) -> Polynomial:
         return _eval_ast(node[1], pres) * _eval_ast(node[2], pres)
     if kind == "div":
         den = _eval_ast(node[2], pres)
-        if not den.is_constant() or den.is_zero():
+        if den.is_zero():
+            raise ParseError("division by zero")
+        if not den.is_constant():
             raise ParseError("division only by nonzero scalars")
         return _eval_ast(node[1], pres) * Polynomial.constant(
             pres, den.constant_value().inv()
@@ -536,7 +538,9 @@ def _eval_ast(node, pres: Presentation) -> Polynomial:
         k = node[2]
         base = _eval_ast(node[1], pres)
         if k < 0:
-            if not base.is_constant() or base.is_zero():
+            if base.is_zero():
+                raise ParseError("division by zero")
+            if not base.is_constant():
                 raise ParseError("negative power of a non-scalar")
             return Polynomial.constant(pres, base.constant_value() ** k)
         return base ** k

@@ -156,6 +156,33 @@ def test_zero_to_negative_power_is_input_error(capsys):
     assert err == "error: division by zero\n"
 
 
+def test_zero_to_negative_power_in_polynomial_is_division_by_zero(capsys):
+    code, out, err = run(
+        ["normalize", "--algebra", QPLANE, "--f", "0^-1*x"], capsys
+    )
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == "error: division by zero\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["root", "--f", "x*y - 1", "--point", "2,3"],
+        ["vanish", "--polys", "x*y", "--domain", "grid:-1..2"],
+        ["points-ideal", "--points", "2,3; 0,1", "--trunc-degree", "2"],
+    ],
+    ids=["root", "vanish", "points-ideal"],
+)
+def test_point_commands_ignore_budgets(argv, capsys):
+    """Points are decided by evaluation, so no budget can leave one unknown."""
+    argv = [argv[0], "--algebra", QPLANE] + argv[1:]
+    code, doc, _ = run_json(argv, capsys)
+    starved = argv + ["--budget-degree", "0", "--budget-pairs", "1"]
+    assert run_json(starved, capsys) == (code, doc, "")
+    assert code == EXIT_OK
+
+
 def test_gb_certificates_index_generators_as_given(capsys):
     code, doc, _ = run_json(
         ["gb", "--algebra", QPLANE, "--gens", "0, x-1, y-1", "--certificates"],

@@ -1,5 +1,8 @@
 """Point ideals, roots, vanishing sets, ideals of points, witnesses."""
 
+import os
+import random
+
 import pytest
 
 from skewpbw import geometry
@@ -8,7 +11,6 @@ from skewpbw.geometry import (
     Point,
     SearchDomain,
     algebraic_witness,
-    classify_hypersurface,
     ideal_of_points,
     is_root,
     point_ideal,
@@ -16,11 +18,22 @@ from skewpbw.geometry import (
     semiprime_probe,
     vanishing_set,
 )
-from skewpbw.groebner import Budget, is_member_left, left_groebner
+from skewpbw.groebner import (
+    Budget,
+    is_member_left,
+    left_groebner,
+    two_sided_saturate,
+)
 from skewpbw.linalg import in_row_span, rank
 from skewpbw.poly import Polynomial, multiply, parse_polynomial
-from skewpbw.presentation import quantum_plane
+from skewpbw.presentation import (
+    check_pbw_consistency,
+    load_presentation,
+    load_presentation_file,
+    quantum_plane,
+)
 from skewpbw.scalars import FieldSpec, get_field
+from conftest import ALGEBRA_DIR, algebra_path
 from oracles import span_rows, _vector
 
 
@@ -145,18 +158,20 @@ def test_ideal_of_points_three_variables(witten):
         assert is_root(f, Z) == "yes"
 
 
-def test_ideal_of_points_budget_error(qplane_m1):
+def test_ideal_of_points_ignores_budget(qplane_m1):
+    """(2, 3) is no character of y*x = -x*y (2*3 != -2*3), so its ideal is
+    the whole ring. A budget that starves the saturation of x - 2, y - 3
+    left this unresolved; evaluation gives the default-budget answer."""
     pres = qplane_m1
-    with pytest.raises(GeometryError):
-        # unresolvable point under a starvation budget that blocks saturation
-        pres._point_ideals.clear()
-        ideal_of_points(
-            pres,
-            [Point.of(pres, [2, 3])],
-            2,
-            budget=Budget(max_degree=0, max_pairs=1, max_rounds=1),
-        )
-    pres._point_ideals.clear()
+    Z = Point.of(pres, [2, 3])
+    starved = Budget(max_degree=0, max_pairs=1, max_rounds=1)
+    gens = geometry.point_generators(pres, Z)
+    assert two_sided_saturate(gens, budget=starved).status == "unknown"
+    assert two_sided_saturate(gens).status == "unit"
+    exact = ideal_of_points(pres, [Z], 2)
+    assert len(exact) == 6  # the whole degree <= 2 space
+    # a unit point ideal adds no condition, as with no point at all
+    assert exact == ideal_of_points(pres, [], 2)
 
 
 def test_algebraic_witness_origin(qplane_m1):
@@ -203,15 +218,6 @@ def test_semiprime_probe_spec_cases(comm2, qplane_m1):
         qplane_m1, Point.of(qplane_m1, [1, 1]), samples=20, seed=3
     )
     assert degenerate.proper is False and degenerate.passed
-
-
-def test_classify_hypersurface(comm2, witten):
-    t = classify_hypersurface(parse_polynomial("x + y - 1", comm2))
-    assert t.tags == {"hypersurface", "plane-curve", "hyperplane", "line"}
-    t3 = classify_hypersurface(parse_polynomial("x*y + z", witten))
-    assert t3.tags == {"hypersurface"}
-    none = classify_hypersurface(parse_polynomial("5", comm2))
-    assert not none.tags and none.note
 
 
 def test_witten_proper_locus_is_z_axis(witten):
@@ -264,3 +270,92 @@ def test_sandwiching_products_keep_roots(qplane_gf5, rng):
         gfh = multiply(multiply(g, f), h)
         Vgfh = {p.coords for p in vanishing_set(pres, [gfh], dom).roots}
         assert Vf <= Vgfh
+
+
+# -- evaluation against the saturation oracle ---------------------------------
+
+SHIPPED = sorted(f for f in os.listdir(ALGEBRA_DIR) if f.endswith(".alg"))
+
+
+@pytest.fixture(scope="module")
+def gf5_affine3():
+    """A GF(5) 3-space with linear and constant relation terms."""
+    pres = load_presentation(
+        "field: gf:5\nvars: x, y, z\nrelation: y*x = 4*x*y + 1\n"
+        "relation: z*x = 4*x*z + y\nrelation: z*y = 4*y*z + 4*x\n"
+    )
+    assert check_pbw_consistency(pres, 4).consistent
+    return pres
+
+
+def _saturated(pres, Z):
+    return two_sided_saturate(geometry.point_generators(pres, Z))
+
+
+def _test_points(pres, rng):
+    """Random points over small values, plus two points on each axis: on
+    the x-axis of a sigma-twisted plane only sigma makes a point degenerate."""
+    field = pres.field
+    values = [field.from_int(k) for k in (0, 0, 1, -1, 2, 3)]
+    if field.primitive() is not None:
+        values.append(field.primitive())
+    points = {Point(tuple(rng.choice(values) for _ in range(pres.n))) for _ in range(12)}
+    for i in range(pres.n):
+        for v in values[2:4]:
+            points.add(Point(tuple(v if k == i else field.zero for k in range(pres.n))))
+    return points
+
+
+@pytest.mark.parametrize("name", SHIPPED + ["conj_qplane", "gf5_affine3"])
+def test_points_agree_with_saturation(name, request):
+    """point_ideal writes down the basis that saturating x_i - z_i reaches,
+    and is_root agrees with membership in that saturation, at degenerate
+    and character points alike."""
+    if name.endswith(".alg"):
+        pres = load_presentation_file(algebra_path(name))
+    else:
+        pres = request.getfixturevalue(name)
+    rng = random.Random(name)
+    points = _test_points(pres, rng)
+    if name == "gf5_affine3":
+        # characters: 3xy + 1 = 3xz + y = 3yz + 4x = 0 (mod 5)
+        points |= {Point.of(pres, [1, 3, 4]), Point.of(pres, [2, 4, 1])}
+    statuses = set()
+    for Z in sorted(points, key=repr):
+        oracle = _saturated(pres, Z)
+        handle = point_ideal(pres, Z).handle
+        statuses.add(oracle.status)
+        assert (handle.status, handle.basis, handle.note) == (
+            oracle.status, oracle.basis, oracle.note
+        ), f"{name} at {Z}"
+        assert geometry.is_character(pres, Z) == (oracle.status == "proper")
+        for _ in range(6):
+            f = random_polynomial(pres, rng, 3, 4)
+            g, h = random_polynomial(pres, rng, 2, 2), random_polynomial(pres, rng, 1, 2)
+            i = rng.randrange(pres.n)
+            for p in (
+                f,
+                f - Polynomial.constant(pres, geometry.evaluate(f, Z)),
+                multiply(multiply(g, geometry.point_generators(pres, Z)[i]), h),
+            ):
+                assert is_root(p, Z) == is_member_left(p, oracle), f"{p} at {Z}"
+    if name in ("conj_qplane", "gf5_affine3", "qplane_m1.alg", "witten.alg"):
+        assert statuses == {"proper", "unit"}
+
+
+def test_vanishing_set_matches_saturation_per_point(qplane_gf5, rng):
+    pres = qplane_gf5
+    polys = [parse_polynomial("x*y", pres), random_polynomial(pres, rng, 3, 3)]
+    for gens in ([polys[0]], polys):
+        rep = vanishing_set(pres, gens, SearchDomain.full_prime_field())
+        table = {p.coords: tag for p, tag in rep.table()}
+        assert len(table) == 25 and not rep.unknown
+        for Z in SearchDomain.full_prime_field().points(pres):
+            oracle = _saturated(pres, Z)
+            if oracle.status == "unit":
+                expected = "degenerate"
+            elif all(is_member_left(f, oracle) == "yes" for f in gens):
+                expected = "root"
+            else:
+                expected = "non-root"
+            assert table[Z.coords] == expected, f"{Z}"

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from oracles import brute_force_radical
-from skewpbw.geometry import SearchDomain, random_polynomial
+from skewpbw.geometry import Point, SearchDomain, evaluate, random_polynomial
 from skewpbw.groebner import is_member_left, left_groebner, two_sided_saturate
 from skewpbw.normality import central_probe
 from skewpbw.nullstellensatz import (
@@ -14,7 +14,6 @@ from skewpbw.nullstellensatz import (
     central_nilpotency,
     commutative_points_ideal,
     contract_to_center,
-    evaluate_commutative,
     multiplicative_order,
     radical_membership_commutative,
     verify_sandwich,
@@ -208,7 +207,7 @@ def test_commutative_points_ideal_examples(comm2, QQ):
         for b in range(-2, 3):
             coords = (QQ.from_int(a), QQ.from_int(b))
             vanish_all = all(
-                evaluate_commutative(g, coords).is_zero() for g in G2
+                evaluate(g, Point(coords)).is_zero() for g in G2
             )
             assert vanish_all == (coords in [tuple(p) for p in pts])
     u2_minus_u = parse_polynomial("x^2 - x", comm2)

@@ -8,6 +8,7 @@ import pytest
 from skewpbw.geometry import random_polynomial
 from skewpbw.parsing import ParseError, parse_scalar, split_top_level
 from skewpbw.poly import Polynomial, parse_polynomial, to_string
+from skewpbw.presentation import PresentationError, load_presentation
 from skewpbw.scalars import FieldSpec, get_field
 
 
@@ -36,6 +37,17 @@ def test_zero_to_negative_power_is_parse_error():
             parse_scalar(text, Q)
     with pytest.raises(ParseError, match="division by zero"):
         parse_scalar("5^-1", get_field(FieldSpec.prime(5)))
+
+
+def test_zero_divisor_in_polynomial_is_division_by_zero(qplane_q2):
+    for text in ("0^-1*x", "x/0", "x/(1-1)"):
+        with pytest.raises(ParseError, match="division by zero"):
+            parse_polynomial(text, qplane_q2)
+    for rhs in ("0^-1*x*y", "x*y/0"):
+        with pytest.raises(PresentationError, match="line 3: division by zero"):
+            load_presentation(f"field: Q\nvars: x, y\nrelation: y*x = {rhs}\n")
+    with pytest.raises(ParseError, match="negative power of a non-scalar"):
+        parse_polynomial("x^-1", qplane_q2)
 
 
 def test_parse_polynomial_normal_orders(qplane_q2):
