@@ -4,14 +4,18 @@ For quasi-commutative presentations whose commutation constants are roots
 of unity, the center is the polynomial ring on x_i^(L_i) in the cases
 shipped here (quantum plane, uniform q with n even, fully multiparametric
 via the lcm exponent formula, and the commutative ring itself). Contraction
-of a two-sided ideal to the center, the classical radical step (decided by
-the Rabinowitsch trick inside the engine on a trivial-relations
-presentation) and central nilpotency certificates then verify
+of a two-sided ideal to the center, the ideal of the central points found
+on a finite search grid, the classical radical step (decided by the
+Rabinowitsch trick inside the engine on a trivial-relations presentation)
+and central nilpotency certificates then verify
 
     < I_Z(V_Z(J)) >  subset of  radical(I)  subset of  I(V(I))
 
-generator by generator, over a finite search grid, never confirming an
-inclusion without a certificate.
+generator by generator, over that grid, never confirming an inclusion
+without a certificate. A center that is only assumed to be the polynomial
+ring on the x_i^(L_i) is refused. The ideal of points is linear algebra on
+the values of monomials at the points (Buchberger-Moeller): it needs no
+Groebner basis and no budget.
 """
 
 from __future__ import annotations
@@ -34,16 +38,14 @@ from skewpbw.groebner import (
     DEFAULT_BUDGET,
     GroebnerError,
     IdealHandle,
-    PROPER,
     UNIT,
     UNKNOWN,
-    intersect_left,
     is_member_left,
     left_groebner,
     normal_form_rows,
 )
 from skewpbw.normality import central_probe
-from skewpbw.poly import DEGLEX, Polynomial, multiply
+from skewpbw.poly import DEGLEX, Polynomial, divides, multiply
 from skewpbw.presentation import Presentation, commutative_presentation
 from skewpbw.scalars import (
     CyclotomicField,
@@ -264,34 +266,80 @@ def contract_to_center(
 
 
 def commutative_points_ideal(
-    center_pres: Presentation,
-    points: Sequence[Sequence[Scalar]],
-    budget: Optional[Budget] = None,
+    center_pres: Presentation, points: Sequence[Sequence[Scalar]]
 ) -> List[Polynomial]:
-    """Generators of the intersection of the maximal ideals at the points."""
+    """Reduced deglex Groebner basis of the ideal of the points, ascending by lead.
+
+    Buchberger-Moeller (Moeller & Buchberger 1982; Abbott, Bigatti, Kreuzer
+    & Robbiano 2000), on raw field values: walk the monomials in ascending
+    deglex, skipping multiples of the leads found so far, and reduce each
+    one's vector of values at the points against an echelon of the earlier
+    standard monomials' vectors, carrying the combination. A vector that
+    reduces to zero gives the basis element t - sum c_j * o_j with lead t;
+    any other extends the echelon and t becomes standard. The walk stops
+    after a degree with no candidate left. Every tail monomial is standard,
+    so the basis is reduced; a reduced basis is unique, so this is the
+    basis a fold of pairwise intersections returns, whose block order
+    restricts to deglex on the t-free part.
+
+    One point gives x_i - z_i in variable order, no points give [1].
+    """
     field = center_pres.field
     if not points:
         return [Polynomial.one(center_pres)]
-    budget = budget or DEFAULT_BUDGET
-
-    def maximal_ideal(coords):
+    if len(points) == 1:
         return [
             Polynomial.variable(center_pres, i)
             - Polynomial.constant(center_pres, field.coerce(z))
-            for i, z in enumerate(coords)
+            for i, z in enumerate(points[0])
         ]
-
-    current = maximal_ideal(points[0])
-    for coords in points[1:]:
-        left = left_groebner(current, DEGLEX, budget)
-        right = left_groebner(maximal_ideal(coords), DEGLEX, budget)
-        if left.status != PROPER or right.status != PROPER:
-            raise GroebnerError("points-ideal intersection unresolved in budget")
-        res = intersect_left(left, right, budget)
-        if not res.complete:
-            raise GroebnerError("points-ideal intersection unresolved in budget")
-        current = res.elements
-    return current
+    add, mul, neg, zero, one = (
+        field.raw_add, field.raw_mul, field.raw_neg, field.raw_zero, field.raw_one
+    )
+    # distinct points as raw coordinate columns, one per variable
+    distinct = list(
+        dict.fromkeys(tuple(field.coerce(z).value for z in p) for p in points)
+    )
+    columns = list(zip(*distinct))
+    n = center_pres.n
+    origin = (0,) * n
+    values = {origin: [one] * len(distinct)}  # standard monomial -> its values
+    # (pivot, row with 1 at the pivot, combination {exponent: raw})
+    echelon = [(0, values[origin], {origin: one})]
+    leads: List[tuple] = []
+    basis: List[Polynomial] = []
+    standard = [origin]
+    while standard:
+        candidates = sorted({
+            o[:i] + (o[i] + 1,) + o[i + 1 :] for o in standard for i in range(n)
+        })
+        standard = []
+        for t in candidates:
+            if any(divides(lead, t) for lead in leads):
+                continue
+            # t = x_i * o with o a standard monomial of the degree below
+            i = next(k for k, a in enumerate(t) if a)
+            o = t[:i] + (t[i] - 1,) + t[i + 1 :]
+            vals = [mul(v, z) for v, z in zip(values[o], columns[i])]
+            row, comb = vals, {t: one}
+            for pivot, erow, ecomb in echelon:
+                a = row[pivot]
+                if a != zero:
+                    a = neg(a)
+                    row = [add(v, mul(a, w)) for v, w in zip(row, erow)]
+                    for e, c in ecomb.items():
+                        comb[e] = add(comb.get(e, zero), mul(a, c))
+            pivot = next((k for k, v in enumerate(row) if v != zero), None)
+            if pivot is None:
+                leads.append(t)
+                basis.append(Polynomial.from_raw(center_pres, comb))
+            else:
+                s = field.raw_inv(row[pivot])
+                row = [mul(s, v) for v in row]
+                echelon.append((pivot, row, {e: mul(s, c) for e, c in comb.items()}))
+                values[t] = vals
+                standard.append(t)
+    return basis
 
 
 _RABINOWITSCH_BUDGET = Budget(max_degree=24, max_pairs=200_000)
@@ -359,14 +407,14 @@ INCONCLUSIVE = "inconclusive"
 class GeneratorVerdict:
     center_poly: Polynomial
     lifted: Polynomial
-    in_radical_J: bool
+    in_radical_J: Optional[bool]  # None: radical membership unresolved
     nilpotency_m: Optional[int]
     failed_roots: List[Point] = dc_field(default_factory=list)
     unknown_roots: List[Point] = dc_field(default_factory=list)  # always empty
 
     @property
     def grid_artifact(self) -> bool:
-        return not self.in_radical_J
+        return self.in_radical_J is False
 
 
 @dataclass
@@ -431,10 +479,18 @@ def verify_sandwich(
     variety; build its points ideal; cross-check every generator with exact
     radical membership (grid artifacts are reported and excluded); certify
     the survivors by nilpotency exponents; finally check the certified
-    witnesses vanish on every found root of the ideal itself.
+    witnesses vanish on every character root of the ideal itself (a
+    degenerate point is a root of everything). The budget reaches only the
+    radical membership step. Raises CenterError for a center that is only
+    assumed to be the polynomial ring on the x_i^(L_i).
     """
     if not C.verified:
         raise CenterError("center description must be verified")
+    if C.polynomial_center_assumed:
+        raise CenterError(
+            f"the {C.case} center is assumed, not shown, to be generated by "
+            "x_i^(L_i); the sandwich needs a polynomial center"
+        )
     pres = C.presentation
     budget = budget or DEFAULT_BUDGET
     notes: List[str] = []
@@ -450,31 +506,21 @@ def verify_sandwich(
         if all(evaluate(g, p).is_zero() for g in j_center):
             v_center.append(p.coords)
 
-    try:
-        g_center = commutative_points_ideal(center_pres, v_center, budget)
-    except GroebnerError as exc:
-        return SandwichReport(
-            list(handle.generators), C, d, M, j_center, v_center, [],
-            vanishing_set(pres, list(handle.generators), domain),
-            INCONCLUSIVE, INCONCLUSIVE,
-            [f"points-ideal stage unresolved: {exc}"],
-        )
-
     verdicts: List[GeneratorVerdict] = []
     radical_unresolved = False
-    for g in g_center:
+    for g in commutative_points_ideal(center_pres, v_center):
+        lifted = lift_center_poly(C, g)
         try:
             in_rad = radical_membership_commutative(g, j_center, budget)
         except GroebnerError:
             radical_unresolved = True
-            verdicts.append(GeneratorVerdict(g, lift_center_poly(C, g), False, None))
+            verdicts.append(GeneratorVerdict(g, lifted, None, None))
             continue
-        lifted = lift_center_poly(C, g)
         m = central_nilpotency(lifted, handle, M) if in_rad else None
         verdicts.append(GeneratorVerdict(g, lifted, in_rad, m))
 
     certified = [v for v in verdicts if v.in_radical_J]
-    artifacts = [v for v in verdicts if not v.in_radical_J]
+    artifacts = [v for v in verdicts if v.grid_artifact]
     if artifacts:
         notes.append(
             f"{len(artifacts)} generator(s) vanish on the grid trace but lie "
@@ -495,10 +541,12 @@ def verify_sandwich(
         )
 
     variety = vanishing_set(pres, list(handle.generators), domain)
+    degenerate = {Z.coords for Z in variety.degenerate}
+    character_roots = [Z for Z in variety.roots if Z.coords not in degenerate]
     for v in certified:
         if v.nilpotency_m is None:
             continue
-        v.failed_roots = [Z for Z in variety.roots if is_root(v.lifted, Z) == "no"]
+        v.failed_roots = [Z for Z in character_roots if is_root(v.lifted, Z) == "no"]
     inclusion_points = (
         REFUTED if any(v.failed_roots for v in certified) else CONFIRMED
     )

@@ -3,8 +3,9 @@
 These deliberately avoid the code paths they validate: commutative
 multiplication is a plain convolution on exponent dicts, membership is
 linear algebra over spans of shifted products, radical membership is a
-power search, and Groebner bases come from plain Buchberger completion
-(every pair formed, restart-style inter-reduction) on the public API.
+power search, Groebner bases come from plain Buchberger completion
+(every pair formed, restart-style inter-reduction) on the public API, and
+ideals of points from a fold of elimination Groebner bases.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import heapq
 
 from skewpbw import linalg
-from skewpbw.groebner import divide, is_member_left, left_groebner
+from skewpbw.groebner import divide, intersect_left, is_member_left, left_groebner
 from skewpbw.poly import DEGLEX, Polynomial, exponents_up_to, multiply
 from skewpbw.presentation import Presentation
 from skewpbw.scalars import apply_automorphism
@@ -143,6 +144,31 @@ def left_span_membership(f: Polynomial, gens, degree: int) -> bool:
     if f.degree() > degree:
         return False
     return linalg.in_row_span(rows, _vector(f, monos, index), pres.field)
+
+
+def naive_points_ideal(pres: Presentation, points) -> list:
+    """Ideal of points as a fold of elimination GBs: for each further point,
+    a left GB of the ideal so far, one of the point's maximal ideal and
+    their `intersect_left`. [1] for no points; one point gives x_i - z_i
+    in variable order."""
+    field = pres.field
+    if not points:
+        return [Polynomial.one(pres)]
+
+    def maximal_ideal(coords):
+        return [
+            Polynomial.variable(pres, i) - Polynomial.constant(pres, field.coerce(z))
+            for i, z in enumerate(coords)
+        ]
+
+    current = maximal_ideal(points[0])
+    for coords in points[1:]:
+        res = intersect_left(
+            left_groebner(current, DEGLEX), left_groebner(maximal_ideal(coords), DEGLEX)
+        )
+        assert res.complete, "points-ideal intersection ran out of budget"
+        current = res.elements
+    return current
 
 
 def brute_force_radical(f: Polynomial, J_gens, max_power: int = 6) -> bool:

@@ -286,6 +286,25 @@ def test_sandwich_subcommand(capsys):
     assert doc["result"]["inclusion_points"] == "confirmed"
 
 
+def test_sandwich_refuses_assumed_center(tmp_path, capsys):
+    """x^6, y^6, z^6 are central here, but x*y*z^4 is too: the center is
+    not the polynomial ring the sandwich needs."""
+    alg = tmp_path / "gf7space.alg"
+    alg.write_text(
+        "field: gf:7\nvars: x, y, z\n"
+        "relation: y*x = 2*x*y\nrelation: z*x = 3*x*z\nrelation: z*y = 5*y*z\n"
+    )
+    code, out, err = run(
+        ["sandwich", "--algebra", str(alg), "--gens", "x^6", "--domain", "gf",
+         "--trunc-degree", "12", "--max-power", "3"],
+        capsys,
+    )
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error:") and "assumed" in err
+    assert err.count("\n") == 1
+
+
 def test_normal_subcommand(capsys):
     code, doc, _ = run_json(
         ["normal", "--algebra", QPLANE, "--f", "x+y"], capsys

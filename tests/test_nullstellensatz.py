@@ -4,8 +4,14 @@ import random
 
 import pytest
 
-from oracles import brute_force_radical
-from skewpbw.geometry import Point, SearchDomain, evaluate, random_polynomial
+from oracles import brute_force_radical, naive_points_ideal
+from skewpbw.geometry import (
+    Point,
+    SearchDomain,
+    evaluate,
+    random_polynomial,
+    random_scalar,
+)
 from skewpbw.groebner import is_member_left, left_groebner, two_sided_saturate
 from skewpbw.normality import central_probe
 from skewpbw.nullstellensatz import (
@@ -18,8 +24,18 @@ from skewpbw.nullstellensatz import (
     radical_membership_commutative,
     verify_sandwich,
 )
-from skewpbw.poly import Polynomial, multiply, parse_polynomial
-from skewpbw.presentation import quantum_plane, quantum_space
+from skewpbw.poly import (
+    Polynomial,
+    divides,
+    exponents_up_to,
+    multiply,
+    parse_polynomial,
+)
+from skewpbw.presentation import (
+    commutative_presentation,
+    quantum_plane,
+    quantum_space,
+)
 from skewpbw.scalars import FieldSpec, get_field
 
 
@@ -290,17 +306,44 @@ def test_sandwich_cyclotomic_plane():
     assert certified[0].nilpotency_m == 2
 
 
-def test_sandwich_budget_starvation_is_inconclusive(qplane_m1, QQ):
+def test_sandwich_unresolved_radical_is_no_grid_artifact(qplane_m1, QQ):
+    """A starved radical step leaves membership undecided (None), and an
+    undecided generator is not reported as lying outside radical(J)."""
     from skewpbw.groebner import Budget
 
     C = center_generators(qplane_m1)
     I = two_sided_saturate([parse_polynomial("x^4", qplane_m1)])
+    full = verify_sandwich(I, C, qgrid(QQ, -2, 2), d=4, M=4)
     rep = verify_sandwich(
         I, C, qgrid(QQ, -2, 2), d=4, M=4, budget=Budget(max_degree=2)
     )
     assert rep.inclusion_radical == "inconclusive"
-    assert rep.inclusion_points == "inconclusive"
-    assert rep.notes
+    assert "radical membership unresolved for some generator" in rep.notes
+    assert [str(v.center_poly) for v in rep.generator_verdicts] == [
+        str(v.center_poly) for v in full.generator_verdicts
+    ]
+    unresolved = [v for v in rep.generator_verdicts if v.in_radical_J is None]
+    assert unresolved
+    assert not any(v.grid_artifact for v in unresolved)
+    assert not any("grid artifacts" in note for note in rep.notes)
+    assert all(
+        g["grid_artifact"] is False
+        for g in rep.to_doc()["generators"]
+        if g["in_radical_J"] is None
+    )
+
+
+def test_sandwich_refuses_assumed_center(GF5):
+    P = quantum_space(
+        GF5,
+        {(0, 1): GF5.from_int(2), (0, 2): GF5.from_int(4), (1, 2): GF5.from_int(3)},
+        ("a", "b", "c"),
+    )
+    C = center_generators(P)
+    assert C.polynomial_center_assumed
+    I = two_sided_saturate([parse_polynomial("a^4", P)])
+    with pytest.raises(CenterError, match="assumed"):
+        verify_sandwich(I, C, SearchDomain.full_prime_field(), d=4, M=2)
 
 
 def test_sandwich_gf5(qplane_gf5):
@@ -312,3 +355,47 @@ def test_sandwich_gf5(qplane_gf5):
     )
     assert rep.inclusion_radical == "confirmed"
     assert rep.inclusion_points == "confirmed"
+
+
+# -- ideals of points against the elimination fold ------------------------------
+
+
+def _random_point_sets():
+    """Seeded point sets over six fields, 1-3 variables, 0-8 points, with
+    repeated points."""
+    rng = random.Random(7177)
+    specs = [
+        FieldSpec.prime(2), FieldSpec.prime(5), FieldSpec.prime(7),
+        FieldSpec.rationals(), FieldSpec.gaussian(), FieldSpec.cyclotomic(5),
+    ]
+    for k in range(48):
+        field = get_field(specs[k % len(specs)])
+        n = 1 + k // len(specs) % 3
+        pres = commutative_presentation(field, ("u", "v", "w")[:n])
+        points = []
+        for _ in range(k % 9):
+            if points and rng.random() < 0.25:
+                points.append(rng.choice(points))
+            else:
+                points.append(tuple(random_scalar(field, rng) for _ in range(n)))
+        yield pres, points
+
+
+def test_points_ideal_matches_elimination_fold():
+    for pres, points in _random_point_sets():
+        G = commutative_points_ideal(pres, points)
+        assert [str(g) for g in G] == [str(g) for g in naive_points_ideal(pres, points)]
+        leads = [g.leading()[0] for g in G]
+        for g in G:
+            assert g.leading()[1] == pres.field.one
+            assert all(evaluate(g, Point(coords)).is_zero() for coords in points)
+            for e, _ in g.terms[1:]:
+                assert not any(divides(lead, e) for lead in leads)
+        for k, lead in enumerate(leads):
+            assert not any(divides(o, lead) for j, o in enumerate(leads) if j != k)
+        distinct = set(points)
+        standard = [
+            e for e in exponents_up_to(pres.n, len(distinct))
+            if not any(divides(lead, e) for lead in leads)
+        ]
+        assert len(standard) == len(distinct)
