@@ -32,11 +32,6 @@ from skewpbw.poly import (
     DEGREVLEX,
     MonomialOrder,
     Polynomial,
-    commute_scalar,
-    compare_monomials,
-    leading_data,
-    monomial_divides,
-    monomial_product,
     multiply,
     parse_polynomial,
 )

@@ -480,9 +480,11 @@ def verify_sandwich(
     radical membership (grid artifacts are reported and excluded); certify
     the survivors by nilpotency exponents; finally check the certified
     witnesses vanish on every character root of the ideal itself (a
-    degenerate point is a root of everything). The budget reaches only the
-    radical membership step. Raises CenterError for a center that is only
-    assumed to be the polynomial ring on the x_i^(L_i).
+    degenerate point is a root of everything); with no witness to check
+    and some radical verdict unresolved, that inclusion is inconclusive.
+    The budget reaches only the radical membership step. Raises CenterError
+    for a center that is only assumed to be the polynomial ring on the
+    x_i^(L_i).
     """
     if not C.verified:
         raise CenterError("center description must be verified")
@@ -543,13 +545,17 @@ def verify_sandwich(
     variety = vanishing_set(pres, list(handle.generators), domain)
     degenerate = {Z.coords for Z in variety.degenerate}
     character_roots = [Z for Z in variety.roots if Z.coords not in degenerate]
-    for v in certified:
-        if v.nilpotency_m is None:
-            continue
+    checked = [v for v in certified if v.nilpotency_m is not None]
+    for v in checked:
         v.failed_roots = [Z for Z in character_roots if is_root(v.lifted, Z) == "no"]
-    inclusion_points = (
-        REFUTED if any(v.failed_roots for v in certified) else CONFIRMED
-    )
+    if any(v.failed_roots for v in checked):
+        inclusion_points = REFUTED
+    elif radical_unresolved and not checked:
+        # with no witness checked, a confirmation would rest on nothing
+        inclusion_points = INCONCLUSIVE
+        notes.append("no certified witness to check the second inclusion on")
+    else:
+        inclusion_points = CONFIRMED
     if inclusion_radical == INCONCLUSIVE and inclusion_points == CONFIRMED:
         # an unconfirmed radical witness never weakens the point inclusion,
         # but surface the asymmetry

@@ -8,10 +8,10 @@ memoizes single-variable insertions per presentation, which keeps repeated
 division/completion work cheap.
 
 The rewriting engine below works on dicts {exponent: raw field value} (an
-int residue, a Fraction or a tuple of them; see scalars.Field), and so does
-the insertion cache. `Polynomial.terms` holds Scalars: values cross into
-raw form once, by `Polynomial.raw_dict`, and back once, by
-`Polynomial.from_raw`.
+int residue, or a tuple of integer numerators over one denominator; see
+scalars.Field), and so does the insertion cache. `Polynomial.terms` holds
+Scalars: values cross into raw form once, by `Polynomial.raw_dict`, and
+back once, by `Polynomial.from_raw`.
 """
 
 from __future__ import annotations
@@ -115,20 +115,6 @@ class MonomialOrder:
 
 DEGLEX = MonomialOrder("deglex")
 DEGREVLEX = MonomialOrder("degrevlex")
-
-
-def compare_monomials(order: MonomialOrder, a: tuple, b: tuple) -> int:
-    """Negative, zero or positive as a <, =, > b under the order."""
-    return order.compare(a, b)
-
-
-def monomial_divides(a: tuple, b: tuple) -> Optional[tuple]:
-    """The quotient exponent b - a when a divides b componentwise, else None."""
-    if len(a) != len(b):
-        raise ValueError("exponent length mismatch")
-    if divides(a, b):
-        return exp_sub(b, a)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -418,30 +404,6 @@ def multiply(f: Polynomial, g: Polynomial) -> Polynomial:
         for e, c in _mono_times_dict(pres, alpha, gdict).items():
             _acc(out, e, mul(a, c), add, zero)
     return Polynomial.from_raw(pres, out)
-
-
-def monomial_product(pres: Presentation, alpha: tuple, beta: tuple):
-    """x^alpha * x^beta as (c, p) with the product equal to c*x^(a+b) + p."""
-    field = pres.field
-    d = dict(_mono_times_dict(pres, tuple(alpha), {tuple(beta): field.raw_one}))
-    top = tuple(x + y for x, y in zip(alpha, beta))
-    c = d.pop(top, field.raw_zero)
-    assert c != field.raw_zero, "leading constant of a monomial product is invertible"
-    return Scalar(field, c), Polynomial.from_raw(pres, d)
-
-
-def commute_scalar(pres: Presentation, alpha: tuple, r: Scalar):
-    """x^alpha * r = sigma^alpha(r) * x^alpha (+ 0 over field coefficients)."""
-    return pres.sigma_power_apply(tuple(alpha), pres.field.coerce(r)), Polynomial.zero(pres)
-
-
-def leading_data(order: MonomialOrder, f: Polynomial):
-    """(lm exponent, lc, leading term) or None for the zero polynomial."""
-    lead = f.leading(order)
-    if lead is None:
-        return None
-    exp, c = lead
-    return exp, c, Polynomial.monomial(f.pres, exp, c)
 
 
 def exponents_of_degree(n: int, d: int):

@@ -2,15 +2,15 @@
 
 Supported fields: the rationals Q, the Gaussian rationals Q(i), cyclotomic
 fields Q(z_m) in the power basis reduced mod the m-th cyclotomic polynomial,
-and prime fields GF(p). Every value has a unique canonical form, so equality
-is plain structural equality.
+and prime fields GF(p). The three characteristic-0 fields share one kernel
+on integer numerators over one denominator. Every value has a unique
+canonical form, so equality is plain structural equality.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -247,12 +247,12 @@ class Field:
     """Base field context: constants, arithmetic closure, canonical formatting.
 
     Arithmetic lives on raw values, the canonical `Scalar.value` of each
-    field: an int residue for GF(p), a Fraction for Q, a tuple of
-    Fractions for Q(i) and Q(z_m). Each field supplies `raw_zero`,
-    `raw_one` and the functions `raw_add(a, b)`, `raw_mul(a, b)`,
-    `raw_neg(a)` and `raw_inv(a)` (ZeroDivisionError on zero); the
-    normal-ordering and division kernels call them without building a
-    Scalar, and the Scalar operators wrap them.
+    field: an int residue for GF(p), and for Q, Q(i) and Q(z_m) a tuple of
+    ints, integer numerators over one denominator (see _NumberField). Each
+    field supplies `raw_zero`, `raw_one` and the functions `raw_add(a, b)`,
+    `raw_mul(a, b)`, `raw_neg(a)` and `raw_inv(a)` (ZeroDivisionError on
+    zero); the normal-ordering and division kernels call them without
+    building a Scalar, and the Scalar operators wrap them.
     """
 
     spec: FieldSpec
@@ -300,112 +300,6 @@ class Field:
         return f"Field({self.spec})"
 
 
-class RationalField(Field):
-    """Q; raw values are Fractions."""
-
-    raw_add = staticmethod(operator.add)
-    raw_mul = staticmethod(operator.mul)
-    raw_neg = staticmethod(operator.neg)
-
-    def __init__(self):
-        self.spec = FieldSpec.rationals()
-        self._constants(Fraction(0), Fraction(1))
-
-    def from_int(self, k):
-        return Scalar(self, Fraction(k))
-
-    def from_fraction(self, q):
-        return Scalar(self, q)
-
-    @staticmethod
-    def raw_inv(a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return 1 / a
-
-    def format(self, a):
-        return str(a.value)
-
-
-class GaussianRationalField(Field):
-    """Q(i); values are pairs (re, im) of Fractions."""
-
-    def __init__(self):
-        self.spec = FieldSpec.gaussian()
-        self._constants((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)))
-        self.i = Scalar(self, (Fraction(0), Fraction(1)))
-
-    def from_int(self, k):
-        return Scalar(self, (Fraction(k), Fraction(0)))
-
-    def from_fraction(self, q):
-        return Scalar(self, (q, Fraction(0)))
-
-    @staticmethod
-    def raw_add(a, b):
-        return (a[0] + b[0], a[1] + b[1])
-
-    @staticmethod
-    def raw_mul(a, b):
-        ar, ai = a
-        br, bi = b
-        return (ar * br - ai * bi, ar * bi + ai * br)
-
-    @staticmethod
-    def raw_neg(a):
-        return (-a[0], -a[1])
-
-    @staticmethod
-    def raw_inv(a):
-        re, im = a
-        n = re * re + im * im
-        if n == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return (re / n, -im / n)
-
-    @staticmethod
-    def raw_conjugate(a):
-        return (a[0], -a[1])
-
-    def primitive(self):
-        return self.i
-
-    @property
-    def prime_dim(self):
-        return 2
-
-    def format(self, a):
-        re, im = a.value
-        if im == 0:
-            return str(re)
-        imt = "i" if abs(im) == 1 else f"{abs(im)}*i"
-        if re == 0:
-            return imt if im > 0 else f"-{imt}"
-        sign = "+" if im > 0 else "-"
-        return f"({re}{sign}{imt})"
-
-
-def _poly_trim(c: list) -> list:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_divmod(num: list, den: list):
-    """Exact division of integer/Fraction coefficient lists (den monic-led)."""
-    num = list(num)
-    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    lead = Fraction(den[-1])
-    while len(num) >= len(den) and _poly_trim(num):
-        shift = len(num) - len(den)
-        coef = Fraction(num[-1]) / lead
-        q[shift] = coef
-        for k, d in enumerate(den):
-            num[shift + k] -= coef * d
-        _poly_trim(num)
-    return q, num
-
-
 @functools.lru_cache(maxsize=None)
 def _cyclotomic(m: int) -> tuple:
     # Phi_m = prod over d | m of (x^d - 1)^mu(m/d): multiply in the factors
@@ -445,130 +339,200 @@ def cyclotomic_polynomial(m: int) -> list:
     return list(_cyclotomic(m))
 
 
-class CyclotomicField(Field):
-    """Q(z_m); values are tuples of phi(m) Fractions in the power basis."""
+def _power_rows(modulus: list, top: int) -> list:
+    """x^e mod a monic integer modulus for e = 0..top, each as a sparse row
+    of (power, coefficient) pairs."""
+    d = len(modulus) - 1
+    rows = []
+    cur = [1] + [0] * (d - 1)
+    for _ in range(top + 1):
+        rows.append(tuple((t, c) for t, c in enumerate(cur) if c))
+        lead = cur[-1]
+        cur = [0] + cur[:-1]
+        if lead:
+            for t in range(d):
+                cur[t] -= lead * modulus[t]
+    return rows
 
-    def __init__(self, m: int):
-        if m < 1:
-            raise FieldError("cyclotomic index must be >= 1")
+
+# Q on (numerator, denominator) pairs, with the Henrici/Knuth cross-
+# cancellation of `fractions`: each gcd runs on the smaller operands
+# before they are multiplied.
+
+
+def _q_add(a, b):
+    na, da = a
+    nb, db = b
+    g = math.gcd(da, db)
+    if g == 1:
+        return (na * db + nb * da, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = math.gcd(t, g)
+    if g2 == 1:
+        return (t, s * db)
+    return (t // g2, s * (db // g2))
+
+
+def _q_mul(a, b):
+    na, da = a
+    nb, db = b
+    g1 = math.gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = math.gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return (na * nb, da * db)
+
+
+def _q_neg(a):
+    return (-a[0], a[1])
+
+
+def _q_inv(a):
+    n, d = a
+    if n > 0:
+        return (d, n)
+    if n < 0:
+        return (-d, -n)
+    raise ZeroDivisionError("inverse of 0")
+
+
+class _NumberField(Field):
+    """Q(z_m) on integers: the one kernel behind Q (m = 1), Q(i) (m = 4)
+    and cyclotomic:m.
+
+    A raw value is a tuple (n_0, ..., n_{d-1}, den) of ints, d = phi(m),
+    standing for (n_0 + n_1 z + ... + n_{d-1} z^(d-1)) / den in the power
+    basis mod Phi_m, with den > 0 and gcd(n_0, ..., n_{d-1}, den) = 1. So
+    each element has one tuple, and zero is (0, ..., 0, 1).
+
+    - `raw_add` cross-multiplies, or adds when the denominators are equal,
+      and divides out one gcd.
+    - `raw_mul` is a schoolbook product of the numerators, then one pass
+      over the integer rows x^k mod Phi_m for k = d..2d-2.
+    - `raw_inv` is a^-1 = b / N(a), b the product of the conjugates
+      sigma_k(a) for the units k != 1 mod m and N(a) = a*b in Q: phi(m) - 1
+      products in all.
+    - `raw_galois` maps z to z^k through the integer rows x^(jk mod m); an
+      automorphism of Z[z] keeps the gcd, so its image needs no reduction.
+    For d = 1 the functions are those of Q above.
+    """
+
+    symbol = "z"  # the generator's name in printed values
+
+    def __init__(self, spec: FieldSpec, m: int):
+        self.spec = spec
         self.m = m
-        self.spec = FieldSpec.cyclotomic(m)
-        self.modulus = cyclotomic_polynomial(m)
-        self.dim = len(self.modulus) - 1  # phi(m)
-        one = [Fraction(0)] * self.dim
-        one[0] = Fraction(1)
-        self._constants((Fraction(0),) * self.dim, tuple(one))
-        # x^k mod Phi_m for k = 0..2*dim-2 (covers products) and k < m (Galois maps)
-        self._xpow = self._power_table(max(2 * self.dim - 1, m))
-        if self.dim >= 2:
-            z = [Fraction(0)] * self.dim
-            z[1] = Fraction(1)
-            self.zeta = Scalar(self, tuple(z))
+        modulus = cyclotomic_polynomial(m)
+        d = self.dim = len(modulus) - 1  # phi(m)
+        self._pad = (0,) * (d - 1)
+        self._constants((0,) * d + (1,), (1,) + self._pad + (1,))
+        # x^e mod Phi_m for e <= 2d - 2 (products) and e < m (Galois maps)
+        self._xpow = _power_rows(modulus, max(2 * d - 2, m - 1))
+        if d == 1:
+            kernel = (_q_add, _q_mul, _q_neg, _q_inv)
         else:
-            # m in {1, 2}: z_1 = 1, z_2 = -1
-            self.zeta = self.one if m == 1 else Scalar(self, (Fraction(-1),))
+            kernel = self._kernel(d)
+        self.raw_add, self.raw_mul, self.raw_neg, self.raw_inv = kernel
 
-    def _power_table(self, top: int) -> list:
-        table = []
-        cur = [Fraction(0)] * self.dim
-        cur[0] = Fraction(1)
-        for _ in range(top + 1):
-            table.append(tuple(cur))
-            # multiply by x, reduce by the monic modulus
-            nxt = [Fraction(0)] * (self.dim + 1)
-            for k, c in enumerate(cur):
-                nxt[k + 1] = c
-            lead = nxt[self.dim]
-            if lead:
-                for k in range(self.dim):
-                    nxt[k] -= lead * self.modulus[k]
-            cur = nxt[: self.dim]
-        return table
+    def _kernel(self, d: int):
+        # each result ends as integer numerators and a positive denominator
+        # divided by their gcd
+        gcd = math.gcd
+        top = 2 * d - 1
+        reduce_rows = list(enumerate(self._xpow[d:top], d))
+        units = [k for k in range(2, self.m) if gcd(k, self.m) == 1]
+        galois = self.raw_galois
 
-    def from_int(self, k):
-        v = [Fraction(0)] * self.dim
-        v[0] = Fraction(k)
-        return Scalar(self, tuple(v))
+        def add(a, b):
+            da, db = a[d], b[d]
+            if da == db:
+                s = [x + y for x, y in zip(a, b)]
+                s[d] = da
+            else:
+                s = [x * db + y * da for x, y in zip(a, b)]
+                s[d] = da * db
+            g = gcd(*s)
+            return tuple(s) if g == 1 else tuple([x // g for x in s])
 
-    def from_fraction(self, q):
-        v = [Fraction(0)] * self.dim
-        v[0] = q
-        return Scalar(self, tuple(v))
+        def mul(a, b):
+            p = [0] * top
+            for i in range(d):
+                x = a[i]
+                if x:
+                    for j in range(d):
+                        y = b[j]
+                        if y:
+                            p[i + j] += x * y
+            for k, row in reduce_rows:
+                c = p[k]
+                if c:
+                    for t, r in row:
+                        p[t] += c * r
+            del p[d:]
+            p.append(a[d] * b[d])
+            g = gcd(*p)
+            return tuple(p) if g == 1 else tuple([x // g for x in p])
 
-    @staticmethod
-    def raw_add(a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        def neg(a):
+            return tuple([-x for x in a[:d]]) + a[d:]
 
-    @staticmethod
-    def raw_neg(a):
-        return tuple(-x for x in a)
+        def inv(a):
+            if not any(a[:d]):
+                raise ZeroDivisionError("inverse of 0")
+            b = galois(a, units[0])
+            for k in units[1:]:
+                b = mul(b, galois(a, k))
+            norm = mul(a, b)
+            n, nd = norm[0], norm[d]
+            if n < 0:
+                n, nd = -n, -nd
+            s = [x * nd for x in b[:d]]
+            s.append(b[d] * n)
+            g = gcd(*s)
+            return tuple(s) if g == 1 else tuple([x // g for x in s])
 
-    def raw_mul(self, a, b):
-        out = [Fraction(0)] * self.dim
-        for ka, ca in enumerate(a):
-            if not ca:
-                continue
-            for kb, cb in enumerate(b):
-                if not cb:
-                    continue
-                coef = ca * cb
-                for k, c in enumerate(self._xpow[ka + kb]):
-                    if c:
-                        out[k] += coef * c
-        return tuple(out)
-
-    def raw_inv(self, a):
-        if a == self.raw_zero:
-            raise ZeroDivisionError("inverse of 0")
-        # extended Euclid in Q[x]: track r_k = s_k * a (mod Phi_m)
-        r0 = [Fraction(c) for c in self.modulus]
-        s0: list = [Fraction(0)]
-        r1 = _poly_trim(list(a))
-        s1 = [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            s = list(s0) + [Fraction(0)] * max(0, len(q) + len(s1) - len(s0))
-            for kq, cq in enumerate(q):
-                if not cq:
-                    continue
-                for ks, cs in enumerate(s1):
-                    s[kq + ks] -= cq * cs
-            r0, s0 = r1, s1
-            r1, s1 = _poly_trim(list(r)), _poly_trim(s) or [Fraction(0)]
-        assert r1 and r1[0], "modulus is irreducible, gcd must be a unit"
-        c = r1[0]
-        out = [Fraction(0)] * self.dim
-        for k, cs in enumerate(s1):
-            out[k] = cs / c
-        return tuple(out[: self.dim])
+        return add, mul, neg, inv
 
     def raw_galois(self, a, k: int):
         """z |-> z^k on the power basis; requires gcd(k, m) = 1."""
-        out = [Fraction(0)] * self.dim
-        for j, c in enumerate(a):
-            if not c:
-                continue
-            for t, x in enumerate(self._xpow[(j * k) % self.m]):
-                if x:
+        out = [0] * self.dim
+        for j, c in enumerate(a[:-1]):
+            if c:
+                for t, x in self._xpow[j * k % self.m]:
                     out[t] += c * x
+        out.append(a[-1])
         return tuple(out)
 
-    def primitive(self):
-        return self.zeta
+    def raw_conjugate(self, a):
+        """Complex conjugation, z |-> z^-1."""
+        return self.raw_galois(a, -1)
+
+    def from_int(self, k):
+        return Scalar(self, (k,) + self._pad + (1,))
+
+    def from_fraction(self, q):
+        return Scalar(self, (q.numerator,) + self._pad + (q.denominator,))
 
     @property
     def prime_dim(self):
         return self.dim
 
     def format(self, a):
+        den = a.value[-1]
         parts = []
-        for k, c in enumerate(a.value):
-            if not c:
+        for k, n in enumerate(a.value[:-1]):
+            if not n:
                 continue
+            c = Fraction(n, den)
             if k == 0:
                 parts.append(str(c))
             else:
-                zt = "z" if k == 1 else f"z^{k}"
+                zt = self.symbol if k == 1 else f"{self.symbol}^{k}"
                 if c == 1:
                     parts.append(zt)
                 elif c == -1:
@@ -581,6 +545,46 @@ class CyclotomicField(Field):
         for p in parts[1:]:
             text += ("+" + p) if not p.startswith("-") else p
         return f"({text})" if len(parts) > 1 else text
+
+
+class RationalField(_NumberField):
+    """Q; raw values are pairs (numerator, denominator)."""
+
+    def __init__(self):
+        super().__init__(FieldSpec.rationals(), 1)
+
+
+class GaussianRationalField(_NumberField):
+    """Q(i), as Q(z_4) printed with i for z; raw values are triples
+    (re, im, den)."""
+
+    symbol = "i"
+
+    def __init__(self):
+        super().__init__(FieldSpec.gaussian(), 4)
+        self.i = Scalar(self, (0, 1, 1))
+
+    def primitive(self):
+        return self.i
+
+
+class CyclotomicField(_NumberField):
+    """Q(z_m), z a primitive m-th root of unity; raw values are phi(m)
+    numerators over one denominator in the power basis mod Phi_m.
+
+    An inverse costs phi(m) - 1 products (see _NumberField).
+    """
+
+    def __init__(self, m: int):
+        super().__init__(FieldSpec.cyclotomic(m), m)
+        if self.dim >= 2:
+            self.zeta = Scalar(self, (0, 1) + self._pad[1:] + (1,))
+        else:
+            # m in {1, 2}: z_1 = 1, z_2 = -1
+            self.zeta = self.one if m == 1 else Scalar(self, (-1, 1))
+
+    def primitive(self):
+        return self.zeta
 
 
 class PrimeField(Field):
@@ -695,18 +699,14 @@ def validate_automorphism(spec: AutomorphismSpec, field: Field) -> None:
     if spec.kind == "identity":
         return
     if spec.kind == "conj":
-        if isinstance(field, (GaussianRationalField, CyclotomicField, RationalField)):
+        if isinstance(field, _NumberField):
             return
         raise FieldError(f"conjugation undefined on {field.spec}")
     if spec.kind == "galois":
-        if isinstance(field, CyclotomicField):
-            m = field.m
-        elif isinstance(field, GaussianRationalField):
-            m = 4
-        else:
+        if not isinstance(field, (GaussianRationalField, CyclotomicField)):
             raise FieldError(f"galois power undefined on {field.spec}")
-        if math.gcd(spec.param, m) != 1:
-            raise FieldError(f"galois exponent {spec.param} not coprime to {m}")
+        if math.gcd(spec.param, field.m) != 1:
+            raise FieldError(f"galois exponent {spec.param} not coprime to {field.m}")
         return
     if spec.kind == "frobenius":
         if isinstance(field, PrimeField):
@@ -720,17 +720,13 @@ def validate_automorphism(spec: AutomorphismSpec, field: Field) -> None:
 def automorphism_map(spec: AutomorphismSpec, field: Field):
     """The automorphism as a function on raw values; None for the identity map."""
     validate_automorphism(spec, field)
-    if spec.kind == "identity" or isinstance(field, (RationalField, PrimeField)):
-        # conj is trivial on Q; frobenius on GF(p) is x^(p^e) = x by Fermat
+    if spec.kind in ("identity", "frobenius"):
+        # frobenius on GF(p) is x^(p^e) = x by Fermat
         return None
-    if isinstance(field, GaussianRationalField):
-        if spec.kind == "galois" and spec.param % 4 == 1:
-            return None
-        return field.raw_conjugate
-    if spec.kind == "conj":
-        k = field.m - 1 if field.m > 2 else 1
-    else:
-        k = spec.param % field.m
+    k = -1 if spec.kind == "conj" else spec.param
+    if (k - 1) % field.m == 0:
+        # z |-> z; conj is trivial on Q = Q(z_1) = Q(z_2)
+        return None
     return lambda a: field.raw_galois(a, k)
 
 
@@ -743,8 +739,7 @@ def automorphism_inverse(spec: AutomorphismSpec, field: Field) -> AutomorphismSp
     validate_automorphism(spec, field)
     if spec.kind in ("identity", "conj", "frobenius"):
         return spec
-    m = field.m if isinstance(field, CyclotomicField) else 4
-    return AutomorphismSpec.galois(pow(spec.param, -1, m))
+    return AutomorphismSpec.galois(pow(spec.param, -1, field.m))
 
 
 def automorphism_power(spec: AutomorphismSpec, t: int, field: Field) -> AutomorphismSpec:
@@ -754,7 +749,6 @@ def automorphism_power(spec: AutomorphismSpec, t: int, field: Field) -> Automorp
     if spec.kind == "conj":
         return spec if t % 2 == 1 else AutomorphismSpec.identity()
     if spec.kind == "galois":
-        m = field.m if isinstance(field, CyclotomicField) else 4
-        k = pow(spec.param, t, m)
+        k = pow(spec.param, t, field.m)
         return AutomorphismSpec.identity() if k == 1 else AutomorphismSpec.galois(k)
     return AutomorphismSpec.frobenius(spec.param * t)

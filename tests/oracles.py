@@ -4,19 +4,21 @@ These deliberately avoid the code paths they validate: commutative
 multiplication is a plain convolution on exponent dicts, membership is
 linear algebra over spans of shifted products, radical membership is a
 power search, Groebner bases come from plain Buchberger completion
-(every pair formed, restart-style inter-reduction) on the public API, and
-ideals of points from a fold of elimination Groebner bases.
+(every pair formed, restart-style inter-reduction) on the public API,
+ideals of points from a fold of elimination Groebner bases, and
+characteristic-0 coefficients from Fraction arithmetic.
 """
 
 from __future__ import annotations
 
 import heapq
+from fractions import Fraction
 
 from skewpbw import linalg
 from skewpbw.groebner import divide, intersect_left, is_member_left, left_groebner
 from skewpbw.poly import DEGLEX, Polynomial, exponents_up_to, multiply
 from skewpbw.presentation import Presentation
-from skewpbw.scalars import apply_automorphism
+from skewpbw.scalars import apply_automorphism, cyclotomic_polynomial
 
 
 def naive_commutative_multiply(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -275,3 +277,156 @@ def naive_saturate(gens, order=DEGLEX, max_rounds=10, stats=None):
             return basis
         basis = naive_left_gb(basis + extra, order, stats)
     return None
+
+
+# ---------------------------------------------------------------------------
+# characteristic-0 coefficients on Fractions: the reference for the integer
+# number-field kernel in scalars. Elements are tuples of phi(m) Fractions in
+# the power basis; Q(z_m) multiplies by a table of x^k mod Phi_m and inverts
+# by extended Euclid in Q[x].
+
+
+class FractionRationals:
+    """Q on 1-tuples of Fractions."""
+
+    def add(self, a, b):
+        return (a[0] + b[0],)
+
+    def mul(self, a, b):
+        return (a[0] * b[0],)
+
+    def neg(self, a):
+        return (-a[0],)
+
+    def inv(self, a):
+        if a[0] == 0:
+            raise ZeroDivisionError("inverse of 0")
+        return (1 / a[0],)
+
+    def galois(self, a, k):
+        return a
+
+    def conjugate(self, a):
+        return a
+
+
+class FractionGaussian:
+    """Q(i) on pairs (re, im) of Fractions."""
+
+    def add(self, a, b):
+        return (a[0] + b[0], a[1] + b[1])
+
+    def mul(self, a, b):
+        ar, ai = a
+        br, bi = b
+        return (ar * br - ai * bi, ar * bi + ai * br)
+
+    def neg(self, a):
+        return (-a[0], -a[1])
+
+    def inv(self, a):
+        re, im = a
+        n = re * re + im * im
+        if n == 0:
+            raise ZeroDivisionError("inverse of 0")
+        return (re / n, -im / n)
+
+    def conjugate(self, a):
+        return (a[0], -a[1])
+
+    def galois(self, a, k):
+        return a if k % 4 == 1 else self.conjugate(a)
+
+
+def _poly_trim(c: list) -> list:
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _poly_divmod(num: list, den: list):
+    """Quotient and remainder of Fraction coefficient lists, low degree first."""
+    num = list(num)
+    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
+    lead = Fraction(den[-1])
+    while len(num) >= len(den) and _poly_trim(num):
+        shift = len(num) - len(den)
+        coef = Fraction(num[-1]) / lead
+        q[shift] = coef
+        for k, d in enumerate(den):
+            num[shift + k] -= coef * d
+        _poly_trim(num)
+    return q, num
+
+
+class FractionCyclotomic:
+    """Q(z_m) on tuples of phi(m) Fractions."""
+
+    def __init__(self, m: int):
+        self.m = m
+        self.modulus = cyclotomic_polynomial(m)
+        self.dim = len(self.modulus) - 1
+        # x^k mod Phi_m for k = 0..2*dim-2 (products) and k < m (Galois maps)
+        self.xpow = []
+        cur = [Fraction(1)] + [Fraction(0)] * (self.dim - 1)
+        for _ in range(max(2 * self.dim - 1, m) + 1):
+            self.xpow.append(tuple(cur))
+            nxt = [Fraction(0)] + cur
+            lead = nxt[self.dim]
+            for k in range(self.dim):
+                nxt[k] -= lead * self.modulus[k]
+            cur = nxt[: self.dim]
+
+    def add(self, a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple(-x for x in a)
+
+    def mul(self, a, b):
+        out = [Fraction(0)] * self.dim
+        for ka, ca in enumerate(a):
+            for kb, cb in enumerate(b):
+                for k, c in enumerate(self.xpow[ka + kb]):
+                    out[k] += ca * cb * c
+        return tuple(out)
+
+    def inv(self, a):
+        if not any(a):
+            raise ZeroDivisionError("inverse of 0")
+        # extended Euclid in Q[x]: track r_k = s_k * a (mod Phi_m)
+        r0 = [Fraction(c) for c in self.modulus]
+        s0: list = [Fraction(0)]
+        r1 = _poly_trim(list(a))
+        s1 = [Fraction(1)]
+        while len(r1) > 1:
+            q, r = _poly_divmod(r0, r1)
+            s = list(s0) + [Fraction(0)] * max(0, len(q) + len(s1) - len(s0))
+            for kq, cq in enumerate(q):
+                for ks, cs in enumerate(s1):
+                    s[kq + ks] -= cq * cs
+            r0, s0 = r1, s1
+            r1, s1 = _poly_trim(list(r)), _poly_trim(s) or [Fraction(0)]
+        out = [Fraction(0)] * self.dim
+        for k, cs in enumerate(s1):
+            out[k] = cs / r1[0]
+        return tuple(out)
+
+    def galois(self, a, k):
+        out = [Fraction(0)] * self.dim
+        for j, c in enumerate(a):
+            for t, x in enumerate(self.xpow[(j * k) % self.m]):
+                out[t] += c * x
+        return tuple(out)
+
+    def conjugate(self, a):
+        return self.galois(a, -1)
+
+
+def fraction_field(spec):
+    """The Fraction reference arithmetic for a characteristic-0 FieldSpec."""
+    if spec.kind == "Q":
+        return FractionRationals()
+    if spec.kind == "Q(i)":
+        return FractionGaussian()
+    return FractionCyclotomic(spec.param)

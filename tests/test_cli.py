@@ -286,6 +286,29 @@ def test_sandwich_subcommand(capsys):
     assert doc["result"]["inclusion_points"] == "confirmed"
 
 
+def test_sandwich_without_checked_witness_is_inconclusive(capsys):
+    """Radical membership of both generators runs out of budget, so no
+    witness is checked: the second inclusion is not confirmed vacuously."""
+    code, doc, _ = run_json(
+        [
+            "sandwich",
+            "--algebra", COMM,
+            "--gens", "x*y - 1",
+            "--domain", "grid:-2..2",
+            "--trunc-degree", "8",
+            "--max-power", "4",
+            "--budget-degree", "4",
+        ],
+        capsys,
+    )
+    assert code == EXIT_UNKNOWN
+    result = doc["result"]
+    assert [g["in_radical_J"] for g in result["generators"]] == [None, None]
+    assert result["inclusion_radical"] == "inconclusive"
+    assert result["inclusion_points"] == "inconclusive"
+    assert "no certified witness to check the second inclusion on" in result["notes"]
+
+
 def test_sandwich_refuses_assumed_center(tmp_path, capsys):
     """x^6, y^6, z^6 are central here, but x*y*z^4 is too: the center is
     not the polynomial ring the sandwich needs."""

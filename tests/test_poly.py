@@ -6,23 +6,18 @@ import zlib
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import naive_commutative_multiply
+from oracles import naive_commutative_multiply, naive_word_multiply
 from skewpbw.geometry import random_polynomial
 from skewpbw.poly import (
     DEGLEX,
     DEGREVLEX,
     MonomialOrder,
     Polynomial,
-    commute_scalar,
-    compare_monomials,
     deglex_key,
     divides,
     exp_max,
     exp_sub,
     find_divisor,
-    leading_data,
-    monomial_divides,
-    monomial_product,
     multiply,
     parse_polynomial,
 )
@@ -33,31 +28,31 @@ SHIPPED = ["witten", "weyl_z", "qplane_m1", "qplane_q2", "qplane_gf5", "qspace3"
 
 
 def test_compare_monomials_examples():
-    assert compare_monomials(DEGLEX, (2, 1), (1, 2)) > 0
-    assert compare_monomials(DEGLEX, (0, 0), (0, 0)) == 0
+    assert DEGLEX.compare((2, 1), (1, 2)) > 0
+    assert DEGLEX.compare((0, 0), (0, 0)) == 0
     block = MonomialOrder.block([0], 2)
-    assert compare_monomials(block, (1, 0), (0, 5)) > 0
+    assert block.compare((1, 0), (0, 5)) > 0
     with pytest.raises(ValueError):
-        compare_monomials(DEGLEX, (1, 0), (1, 0, 0))
+        DEGLEX.compare((1, 0), (1, 0, 0))
 
 
 def test_deglex_spec_rule():
     # degree first, then leftmost strictly larger coordinate
-    assert compare_monomials(DEGLEX, (1, 1, 0), (0, 0, 3)) < 0
-    assert compare_monomials(DEGLEX, (2, 0, 1), (2, 1, 0)) < 0
+    assert DEGLEX.compare((1, 1, 0), (0, 0, 3)) < 0
+    assert DEGLEX.compare((2, 0, 1), (2, 1, 0)) < 0
 
 
 def test_degrevlex_differs_from_deglex():
     # xz vs y^2: deglex prefers xz (leftmost), degrevlex prefers y^2
-    assert compare_monomials(DEGLEX, (1, 0, 1), (0, 2, 0)) > 0
-    assert compare_monomials(DEGREVLEX, (1, 0, 1), (0, 2, 0)) < 0
-    assert compare_monomials(DEGREVLEX, (1, 1, 0), (2, 0, 0)) < 0
+    assert DEGLEX.compare((1, 0, 1), (0, 2, 0)) > 0
+    assert DEGREVLEX.compare((1, 0, 1), (0, 2, 0)) < 0
+    assert DEGREVLEX.compare((1, 1, 0), (2, 0, 0)) < 0
 
 
 def test_monomial_divides_examples():
-    assert monomial_divides((0, 1, 0), (0, 1, 2)) == (0, 0, 2)
-    assert monomial_divides((1, 0), (0, 1)) is None
-    assert monomial_divides((0, 0), (3, 4)) == (3, 4)
+    assert divides((0, 1, 0), (0, 1, 2)) and exp_sub((0, 1, 2), (0, 1, 0)) == (0, 0, 2)
+    assert not divides((1, 0), (0, 1))
+    assert divides((0, 0), (3, 4))
 
 
 @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=6))
@@ -72,31 +67,36 @@ def test_exponent_helpers_consistency(pairs):
         assert sum(a) > sum(b) or (sum(a) == sum(b) and a > b)
 
 
+def _monomial_times(pres, alpha, other):
+    return multiply(Polynomial.monomial(pres, alpha), other)
+
+
 def test_commute_scalar_examples(qplane_q2, QQ):
-    r, p = commute_scalar(qplane_q2, (3, 0), QQ.from_int(5))
-    assert r == QQ.from_int(5) and p.is_zero()
+    """x^alpha * r = sigma^alpha(r) * x^alpha."""
+    five = Polynomial.constant(qplane_q2, QQ.from_int(5))
+    assert _monomial_times(qplane_q2, (3, 0), five) == Polynomial.monomial(
+        qplane_q2, (3, 0), QQ.from_int(5)
+    )
 
     G = get_field(FieldSpec.gaussian())
     pres = Presentation(
         G, ("x", "y"), sigma=(AutomorphismSpec.conjugation(), AutomorphismSpec.identity())
     )
-    r1, p1 = commute_scalar(pres, (1, 0), G.i)
-    assert r1 == -G.i and p1.is_zero()
-    r2, _ = commute_scalar(pres, (2, 0), G.i)
-    assert r2 == G.i
+    i_const = Polynomial.constant(pres, G.i)
+    assert _monomial_times(pres, (1, 0), i_const) == Polynomial.monomial(pres, (1, 0), -G.i)
+    assert _monomial_times(pres, (2, 0), i_const) == Polynomial.monomial(pres, (2, 0), G.i)
 
 
 def test_monomial_product_examples(qspace3, witten, QQ):
     QI = qspace3.field
-    c, p = monomial_product(qspace3, (0, 1, 0), (1, 0, 0))
-    assert c == QI.from_int(2) * QI.i and p.is_zero()
+    y = Polynomial.monomial(qspace3, (0, 1, 0))
+    assert multiply(y, Polynomial.variable(qspace3, 0)) == Polynomial.monomial(
+        qspace3, (1, 1, 0), QI.from_int(2) * QI.i
+    )
 
-    c, p = monomial_product(witten, (0, 0, 1), (1, 0, 0))
-    assert c == QQ.one
-    assert str(p) == "-x"
-
-    c, p = monomial_product(witten, (1, 0, 0), (1, 0, 0))
-    assert c == QQ.one and p.is_zero()
+    z, x = Polynomial.variable(witten, 2), Polynomial.variable(witten, 0)
+    assert str(multiply(z, x)) == "x*z - x"
+    assert multiply(x, x) == Polynomial.monomial(witten, (2, 0, 0))
 
 
 def test_multiply_examples(witten, weyl_z):
@@ -111,12 +111,9 @@ def test_multiply_examples(witten, weyl_z):
 
 def test_leading_data_examples(witten, QQ):
     f = parse_polynomial("x^2*y + y*z^2 + x*z", witten)
-    exp, lc, lt = leading_data(DEGLEX, f)
-    assert exp == (2, 1, 0) and lc == QQ.one
-    assert leading_data(DEGLEX, Polynomial.zero(witten)) is None
-    g = parse_polynomial("7", witten)
-    exp, lc, _ = leading_data(DEGLEX, g)
-    assert exp == (0, 0, 0) and lc == QQ.from_int(7)
+    assert f.leading(DEGLEX) == ((2, 1, 0), QQ.one)
+    assert Polynomial.zero(witten).leading(DEGLEX) is None
+    assert parse_polynomial("7", witten).leading(DEGLEX) == ((0, 0, 0), QQ.from_int(7))
 
 
 @pytest.mark.parametrize("fixture", SHIPPED)
@@ -160,24 +157,22 @@ def test_order_compatibility(fixture, request):
 
 @pytest.mark.parametrize("fixture", SHIPPED)
 def test_monomial_product_contract(fixture, request):
-    """c*x^(a+b) + p rebuilt through multiply reproduces monomial_product."""
+    """x^a * x^b = c*x^(a+b) + p with c nonzero and deg p < |a| + |b|, as
+    word rewriting gives it."""
     pres = request.getfixturevalue(fixture)
     rng = random.Random(13)
     n = pres.n
     for _ in range(100):
         a = tuple(rng.randint(0, 3) for _ in range(n))
         b = tuple(rng.randint(0, 3) for _ in range(n))
-        c, p = monomial_product(pres, a, b)
-        assert not c.is_zero()
-        if not p.is_zero():
-            assert p.degree() < sum(a) + sum(b)
-        rebuilt = Polynomial.monomial(
-            pres, tuple(x + y for x, y in zip(a, b)), c
-        ) + p
-        direct = multiply(
-            Polynomial.monomial(pres, a), Polynomial.monomial(pres, b)
-        )
-        assert rebuilt == direct
+        xa, xb = Polynomial.monomial(pres, a), Polynomial.monomial(pres, b)
+        direct = multiply(xa, xb)
+        top = tuple(x + y for x, y in zip(a, b))
+        exp, c = direct.leading(DEGLEX)
+        assert exp == top and not c.is_zero()
+        p = direct - Polynomial.monomial(pres, top, c)
+        assert p.is_zero() or p.degree() < sum(top)
+        assert direct == naive_word_multiply(xa, xb)
 
 
 @pytest.mark.parametrize("fixture", SHIPPED)
@@ -193,7 +188,9 @@ def test_domain_lc_product(fixture, request):
         fg = f * g
         ea, ca = f.leading(DEGLEX)
         eb, cb = g.leading(DEGLEX)
-        cab, _ = monomial_product(pres, ea, eb)
+        _, cab = multiply(
+            Polynomial.monomial(pres, ea), Polynomial.monomial(pres, eb)
+        ).leading(DEGLEX)
         expect = ca * pres.sigma_power_apply(ea, cb) * cab
         exp, lc = fg.leading(DEGLEX)
         assert exp == tuple(x + y for x, y in zip(ea, eb))

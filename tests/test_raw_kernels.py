@@ -1,8 +1,10 @@
 """The raw-value kernels (normal ordering, multiply, divide) on every field kind.
 
-One presentation per kind of raw value: GF(5) ints, Q Fractions, Q(i) and
-cyclotomic tuples, and a conjugation-twisted Q(i) plane where sigma acts
-on raw values. A GF(5) 3-space adds a linear relation term that must be
+One presentation per kind of raw value: GF(5) ints, and over Q, Q(i) and
+cyclotomic fields integer numerators over one denominator, with a
+conjugation-twisted Q(i) plane where sigma acts on raw values. The z_7
+and z_12 planes run the generic reduction rows (Phi_12 = x^4 - x^2 + 1
+is not all ones) and the norm inverse. A GF(5) 3-space adds a linear relation term that must be
 reordered past the rest of the monomial (in Witten's algebra every linear
 term lands in order with coefficient 1). Inputs are drawn from fixed seeds.
 """
@@ -25,7 +27,16 @@ from skewpbw.presentation import (
 )
 from skewpbw.scalars import FieldSpec, get_field
 
-KINDS = ["gf5_plane", "witten", "qspace3", "cyc5_plane", "conj_qplane", "gf5_linear3"]
+KINDS = [
+    "gf5_plane",
+    "witten",
+    "qspace3",
+    "cyc5_plane",
+    "cyc7_plane",
+    "cyc12_plane",
+    "conj_qplane",
+    "gf5_linear3",
+]
 
 
 @pytest.fixture(scope="module")
@@ -33,10 +44,24 @@ def gf5_plane():
     return load_presentation_file(algebra_path("qplane_q2_gf5.alg"))
 
 
+def _zeta_plane(m):
+    field = get_field(FieldSpec.cyclotomic(m))
+    return quantum_plane(field, field.zeta)
+
+
 @pytest.fixture(scope="module")
 def cyc5_plane():
-    C5 = get_field(FieldSpec.cyclotomic(5))
-    return quantum_plane(C5, C5.zeta)
+    return _zeta_plane(5)
+
+
+@pytest.fixture(scope="module")
+def cyc7_plane():
+    return _zeta_plane(7)
+
+
+@pytest.fixture(scope="module")
+def cyc12_plane():
+    return _zeta_plane(12)
 
 
 @pytest.fixture(scope="module")

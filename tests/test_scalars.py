@@ -1,12 +1,19 @@
 """Field arithmetic, canonical forms and automorphisms."""
 
+import math
 import random
 import zlib
 from fractions import Fraction
 
 import pytest
 
+import oracles
+from conftest import algebra_path
 from skewpbw import scalars
+from skewpbw.geometry import random_polynomial
+from skewpbw.groebner import Budget, left_groebner, two_sided_saturate
+from skewpbw.poly import parse_polynomial
+from skewpbw.presentation import load_presentation
 from skewpbw.scalars import (
     AutomorphismSpec,
     FieldError,
@@ -214,3 +221,91 @@ def test_automorphisms_are_ring_maps():
         assert apply_automorphism(sigma, a * b) == apply_automorphism(
             sigma, a
         ) * apply_automorphism(sigma, b)
+
+
+ORACLE_SPECS = ["Q", "Q(i)"] + [f"cyclotomic:{m}" for m in (1, 2, 3, 4, 5, 7, 8, 12)]
+
+
+def _as_fractions(v):
+    return tuple(Fraction(n, v[-1]) for n in v[:-1])
+
+
+def _canonical(fracs):
+    """Integer numerators over the least common denominator, gcd 1."""
+    den = math.lcm(*(c.denominator for c in fracs))
+    nums = [c.numerator * (den // c.denominator) for c in fracs]
+    g = math.gcd(*nums, den)
+    return tuple(x // g for x in nums) + (den // g,)
+
+
+def _fraction_value(dim, rng):
+    """Zero, integers, small fractions, or dense ~200-bit ones, mixed."""
+    shape = rng.choice(("zero", "int", "small", "big", "mixed"))
+    out = []
+    for _ in range(dim):
+        kind = shape if shape != "mixed" else rng.choice(("zero", "int", "small", "big"))
+        if kind == "zero" or (kind != "big" and rng.random() < 0.3):
+            out.append(Fraction(0))
+        elif kind == "int":
+            out.append(Fraction(rng.randint(-9, 9)))
+        elif kind == "small":
+            out.append(Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
+        else:
+            sign = rng.choice((-1, 1))
+            out.append(Fraction(sign * rng.getrandbits(200), rng.getrandbits(200) | 1))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_number_field_kernel_matches_fraction_oracle(spec):
+    """The integer kernel against Fraction arithmetic (power table and
+    Euclid for Q(z_m)), with every result in canonical form: den > 0,
+    gcd 1, so equal elements have equal tuples and zero is unique."""
+    field = get_field(FieldSpec.from_string(spec))
+    oracle = oracles.fraction_field(field.spec)
+    zero = field.raw_zero
+    assert zero == _canonical((Fraction(0),) * field.dim)
+    units = [k for k in range(1, field.m + 1) if math.gcd(k, field.m) == 1]
+    rng = random.Random(zlib.crc32(spec.encode()))
+
+    def check(got, want):
+        assert got[-1] > 0 and math.gcd(*got) == 1
+        assert got == _canonical(want) and _as_fractions(got) == want
+
+    for _ in range(120):
+        fa, fb = _fraction_value(field.dim, rng), _fraction_value(field.dim, rng)
+        a, b = _canonical(fa), _canonical(fb)
+        check(field.raw_add(a, b), oracle.add(fa, fb))
+        check(field.raw_mul(a, b), oracle.mul(fa, fb))
+        check(field.raw_neg(a), oracle.neg(fa))
+        check(field.raw_conjugate(a), oracle.conjugate(fa))
+        for k in units:
+            check(field.raw_galois(a, k), oracle.galois(fa, k))
+        assert field.raw_add(a, field.raw_neg(a)) == zero
+        assert field.raw_mul(a, zero) == zero == field.raw_mul(zero, a)
+        if any(fa):
+            check(field.raw_inv(a), oracle.inv(fa))
+            assert field.raw_mul(a, field.raw_inv(a)) == field.raw_one
+        else:
+            with pytest.raises(ZeroDivisionError):
+                field.raw_inv(a)
+
+
+def test_gaussian_and_cyclotomic4_give_one_basis():
+    """Q(i) is Q(z_4): the same inputs give the same reduced bases, printed
+    alike up to the symbol i for z."""
+    text = open(algebra_path("qspace3.alg")).read().replace("z", "t")
+    QI = load_presentation(text)
+    C4 = load_presentation(text.replace("field: Q(i)", "field: cyclotomic:4"))
+    rng = random.Random(41)
+    budget = Budget(max_degree=6, max_pairs=60, max_rounds=4)
+    for _ in range(6):
+        gens = [str(random_polynomial(QI, rng, 2, 3)) for _ in range(2)]
+        for run in (left_groebner, two_sided_saturate):
+            hq = run([parse_polynomial(g, QI) for g in gens], budget=budget)
+            hc = run([parse_polynomial(g, C4) for g in gens], budget=budget)
+            assert hq.status == hc.status
+            assert [g.raw_dict() for g in hq.basis] == [g.raw_dict() for g in hc.basis]
+            assert [str(g).replace("i", "z") for g in hq.basis] == [
+                str(g) for g in hc.basis
+            ]
