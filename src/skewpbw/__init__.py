@@ -15,10 +15,8 @@ from skewpbw.scalars import (
     make_field,
 )
 from skewpbw.presentation import (
-    ClassificationFlags,
     Presentation,
     check_pbw_consistency,
-    classify,
     commutative_presentation,
     load_presentation,
     load_presentation_file,

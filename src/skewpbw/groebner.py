@@ -584,7 +584,6 @@ def intersect_left(
     I: IdealHandle,
     J: IdealHandle,
     budget: Optional[Budget] = None,
-    var_name: str = "t",
 ) -> IntersectionResult:
     """Generators of the intersection of two proper left ideals.
 
@@ -598,7 +597,7 @@ def intersect_left(
         raise GroebnerError("intersection needs both ideals proper")
     pres = I.presentation
     budget = budget or DEFAULT_BUDGET
-    ext = extend_with_central(pres, var_name)
+    ext = extend_with_central(pres)
     block = MonomialOrder.block([0], ext.n)
 
     def lift(f: Polynomial, tdeg: int) -> Polynomial:

@@ -76,7 +76,7 @@ def normal_from_parts(
     return f, verdict
 
 
-def is_normal(f: Polynomial, slack: int = 0, budget=None) -> NormalityVerdict:
+def is_normal(f: Polynomial, slack: int = 0) -> NormalityVerdict:
     """Decide Af = fA through generator-wise witness solves.
 
     For each generator: find g with f*g = x_j*f and g' with g'*f = f*x_j,

@@ -46,7 +46,11 @@ from skewpbw.groebner import (
 )
 from skewpbw.normality import central_probe
 from skewpbw.poly import DEGLEX, Polynomial, divides, multiply
-from skewpbw.presentation import Presentation, commutative_presentation
+from skewpbw.presentation import (
+    Presentation,
+    commutative_presentation,
+    extend_with_central,
+)
 from skewpbw.scalars import (
     CyclotomicField,
     GaussianRationalField,
@@ -356,10 +360,8 @@ def radical_membership_commutative(
         for rel in center_pres.relations.values()
     ):
         raise GroebnerError("radical membership runs on trivial relations only")
-    from skewpbw.presentation import extend_with_central
-
     budget = budget or _RABINOWITSCH_BUDGET
-    ext = extend_with_central(center_pres, "t")
+    ext = extend_with_central(center_pres)
 
     def lift(g: Polynomial) -> Polynomial:
         return Polynomial(ext, tuple(((0,) + e, c) for e, c in g.terms))

@@ -3,9 +3,9 @@
 Scalars: integers, fractions a/b, `i` (Gaussian or cyclotomic index 4),
 `z` for the primitive root in a cyclotomic field, residues in GF(p), with
 parenthesized sums and products. Polynomials extend this with variable
-names, `*`, `^` and `+`/`-`; parsing produces an AST that the caller
-evaluates either inside the algebra (noncommutative normal ordering) or
-as a formal commutative collection (presentation documents).
+names, `*`, `^` and `+`/`-`. This module only tokenizes and builds the
+AST; `poly.parse_polynomial` evaluates it, for scalars and relation sides
+too (see `poly.parse_scalar` and `presentation.load_presentation`).
 """
 
 from __future__ import annotations
@@ -153,121 +153,26 @@ def parse_ast(text: str):
     return node
 
 
+# Scalar symbols of the grammar: name -> its value in a field, or None
+# where the field has no such element. Variable names may not shadow them.
+SCALAR_SYMBOLS = {
+    "i": lambda field: (
+        field.i if isinstance(field, GaussianRationalField)
+        else field.zeta if isinstance(field, CyclotomicField) and field.m == 4
+        else None
+    ),
+    "z": lambda field: field.zeta if isinstance(field, CyclotomicField) else None,
+}
+
+
 def _scalar_symbol(field: Field, name: str, pos: int) -> Scalar:
-    if name == "i":
-        if isinstance(field, GaussianRationalField):
-            return field.i
-        if isinstance(field, CyclotomicField) and field.m == 4:
-            return field.zeta
-        raise ParseError(f"'i' is not an element of {field.spec}", pos)
-    if name == "z":
-        if isinstance(field, CyclotomicField):
-            return field.zeta
-        raise ParseError(f"'z' is not an element of {field.spec}", pos)
-    raise ParseError(f"unknown symbol {name!r}", pos)
-
-
-def eval_scalar_ast(node, field: Field) -> Scalar:
-    kind = node[0]
-    if kind == "int":
-        return field.from_int(node[1])
-    if kind == "sym":
-        return _scalar_symbol(field, node[1], node[2])
-    if kind == "neg":
-        return -eval_scalar_ast(node[1], field)
-    if kind == "add":
-        return eval_scalar_ast(node[1], field) + eval_scalar_ast(node[2], field)
-    if kind == "sub":
-        return eval_scalar_ast(node[1], field) - eval_scalar_ast(node[2], field)
-    if kind == "mul":
-        return eval_scalar_ast(node[1], field) * eval_scalar_ast(node[2], field)
-    if kind == "div":
-        den = eval_scalar_ast(node[2], field)
-        if den.is_zero():
-            raise ParseError("division by zero")
-        return eval_scalar_ast(node[1], field) / den
-    if kind == "pow":
-        base = eval_scalar_ast(node[1], field)
-        if node[2] < 0 and base.is_zero():
-            raise ParseError("division by zero")
-        return base ** node[2]
-    raise ParseError(f"bad node {kind!r}")
-
-
-def parse_scalar(text: str, field: Field) -> Scalar:
-    return eval_scalar_ast(parse_ast(text), field)
-
-
-def collect_commutative(node, field: Field, var_index: dict) -> dict:
-    """Evaluate an AST treating variables as commuting formal symbols.
-
-    Returns {exponent tuple: Scalar}. Used for presentation-document
-    relation sides, whose terms are written in normal order anyway.
-    """
-    n = len(var_index)
-    kind = node[0]
-    if kind == "int":
-        c = field.from_int(node[1])
-        return {} if c.is_zero() else {(0,) * n: c}
-    if kind == "sym":
-        name = node[1]
-        if name in var_index:
-            e = [0] * n
-            e[var_index[name]] = 1
-            return {tuple(e): field.one}
-        return {(0,) * n: _scalar_symbol(field, name, node[2])}
-    if kind == "neg":
-        return {e: -c for e, c in collect_commutative(node[1], field, var_index).items()}
-    if kind in ("add", "sub"):
-        out = dict(collect_commutative(node[1], field, var_index))
-        for e, c in collect_commutative(node[2], field, var_index).items():
-            c2 = out.get(e, field.zero) + (c if kind == "add" else -c)
-            if c2.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = c2
-        return out
-    if kind in ("mul", "div", "pow"):
-        if kind == "pow":
-            k = node[2]
-            base = collect_commutative(node[1], field, var_index)
-            if k < 0:
-                if not base:
-                    raise ParseError("division by zero")
-                if len(base) != 1 or any(any(e) for e in base):
-                    raise ParseError("negative power of a non-scalar")
-                ((e, c),) = base.items()
-                return {e: c ** k}
-            out = {(0,) * n: field.one}
-            for _ in range(k):
-                out = _conv(out, base, field)
-            return out
-        left = collect_commutative(node[1], field, var_index)
-        right = collect_commutative(node[2], field, var_index)
-        if kind == "div":
-            if not right:
-                raise ParseError("division by zero")
-            if len(right) != 1 or any(any(e) for e in right):
-                raise ParseError("division by a non-scalar")
-            ((_, c),) = right.items()
-            if c.is_zero():
-                raise ParseError("division by zero")
-            right = {(0,) * n: c.inv()}
-        return _conv(left, right, field)
-    raise ParseError(f"bad node {kind!r}")
-
-
-def _conv(a: dict, b: dict, field: Field) -> dict:
-    out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            c = out.get(e, field.zero) + ca * cb
-            if c.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = c
-    return out
+    value_in = SCALAR_SYMBOLS.get(name)
+    if value_in is None:
+        raise ParseError(f"unknown symbol {name!r}", pos)
+    value = value_in(field)
+    if value is None:
+        raise ParseError(f"{name!r} is not an element of {field.spec}", pos)
+    return value
 
 
 def split_top_level(text: str, sep: str = ",") -> list:

@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Tuple
 from skewpbw import parsing
 from skewpbw.parsing import ParseError
 from skewpbw.presentation import Presentation
-from skewpbw.scalars import Scalar
+from skewpbw.scalars import Field, Scalar
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +466,11 @@ def parse_polynomial(text: str, pres: Presentation) -> Polynomial:
     """
     ast = parsing.parse_ast(text)
     return _eval_ast(ast, pres)
+
+
+def parse_scalar(text: str, field: Field) -> Scalar:
+    """Parse the scalar grammar: a polynomial over no variables."""
+    return parse_polynomial(text, Presentation(field, ())).constant_value()
 
 
 def _eval_ast(node, pres: Presentation) -> Polynomial:

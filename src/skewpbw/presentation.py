@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from skewpbw import parsing
-from skewpbw.parsing import ParseError
+from skewpbw.parsing import SCALAR_SYMBOLS, ParseError
 from skewpbw.scalars import (
     AutomorphismSpec,
     Field,
@@ -34,17 +34,6 @@ class PresentationError(ValueError):
     """Invalid presentation document or relation data."""
 
 
-def _reserved_symbols(field: Field) -> set:
-    """Scalar-grammar symbols that would shadow variables over this field."""
-    from skewpbw.scalars import CyclotomicField, GaussianRationalField
-
-    if isinstance(field, GaussianRationalField):
-        return {"i"}
-    if isinstance(field, CyclotomicField):
-        return {"z", "i"} if field.m == 4 else {"z"}
-    return set()
-
-
 @dataclass(frozen=True)
 class Relation:
     c: Scalar
@@ -55,12 +44,6 @@ class Relation:
         return all(a.is_zero() for a in self.linear) and self.const.is_zero()
 
 
-@dataclass(frozen=True)
-class ClassificationFlags:
-    quasi_commutative: bool
-    bijective: bool
-
-
 class Presentation:
     """Immutable algebra presentation; carries the normal-form caches."""
 
@@ -68,9 +51,8 @@ class Presentation:
         names = tuple(names)
         if len(set(names)) != len(names):
             raise PresentationError("duplicate variable names")
-        reserved = _reserved_symbols(field)
         for nm in names:
-            if nm in reserved:
+            if nm in SCALAR_SYMBOLS and SCALAR_SYMBOLS[nm](field) is not None:
                 raise PresentationError(
                     f"variable name {nm!r} collides with a scalar symbol of {field.spec}"
                 )
@@ -150,11 +132,6 @@ class Presentation:
         return f"Presentation({self.field.spec}; {', '.join(self.names)})"
 
 
-def classify(pres: Presentation) -> ClassificationFlags:
-    # field coefficients force bijectivity: sigma invertible, c_ij units
-    return ClassificationFlags(pres.quasi_commutative, True)
-
-
 def commutative_presentation(field: Field, names) -> Presentation:
     return Presentation(field, names)
 
@@ -177,10 +154,15 @@ def quantum_space(field: Field, q_pairs: dict, names) -> Presentation:
     return Presentation(field, names, relations=rels)
 
 
-def extend_with_central(pres: Presentation, name: str = "t") -> Presentation:
-    """New presentation with one fresh central variable in front (index 0)."""
-    if name in pres.names or name in _reserved_symbols(pres.field):
-        raise PresentationError(f"cannot extend with variable {name!r}")
+def extend_with_central(pres: Presentation) -> Presentation:
+    """New presentation with one fresh central variable in front (index 0).
+
+    It is named by the first of t, t1, t2, ... that is not a variable yet.
+    """
+    name, k = "t", 0
+    while name in pres.names:
+        k += 1
+        name = f"t{k}"
     field = pres.field
     names = (name,) + pres.names
     n = pres.n + 1
@@ -197,7 +179,14 @@ def extend_with_central(pres: Presentation, name: str = "t") -> Presentation:
 
 
 def load_presentation(text: str) -> Presentation:
-    """Parse a presentation document (field/vars/sigma/relation lines)."""
+    """Parse a presentation document (field/vars/sigma/relation lines).
+
+    Each relation's right side is parsed as a polynomial in commuting
+    variables with the document's names: its normal form is the formal
+    collection of c*x_i*x_j, the linear terms and the constant.
+    """
+    from skewpbw import poly  # deferred: poly imports this module
+
     field: Optional[Field] = None
     names: Optional[tuple] = None
     sigma_tags: dict = {}
@@ -239,6 +228,7 @@ def load_presentation(text: str) -> Presentation:
         sigma_tags.get(nm, AutomorphismSpec.identity()) for nm in names
     )
 
+    comm = Presentation(field, names)
     relations = {}
     for lineno, line in relation_lines:
         if "=" not in line:
@@ -249,9 +239,11 @@ def load_presentation(text: str) -> Presentation:
             raise PresentationError(
                 f"line {lineno}: duplicate relation for {names[j]}*{names[i]}"
             )
-        relations[(i, j)] = _parse_relation_rhs(
-            rhs, field, index, i, j, lineno, names
-        )
+        try:
+            f = poly.parse_polynomial(rhs, comm)
+        except ParseError as exc:
+            raise PresentationError(f"line {lineno}: {exc}") from exc
+        relations[(i, j)] = _relation_of(f, i, j, lineno)
     return Presentation(field, names, sigma=sigma, relations=relations)
 
 
@@ -278,22 +270,20 @@ def _parse_relation_lhs(lhs: str, index: dict, lineno: int):
     return i, j
 
 
-def _parse_relation_rhs(
-    rhs: str, field: Field, index: dict, i: int, j: int, lineno: int, names
-) -> Relation:
-    try:
-        ast = parsing.parse_ast(rhs)
-        terms = parsing.collect_commutative(ast, field, index)
-    except ParseError as exc:
-        raise PresentationError(f"line {lineno}: {exc}") from exc
-    n = len(index)
+def _exponent(n: int, *ks: int) -> tuple:
+    """Exponent of the product of the distinct variables ks among n."""
+    return tuple(1 if t in ks else 0 for t in range(n))
+
+
+def _relation_of(f, i: int, j: int, lineno: int) -> Relation:
+    """The Relation whose right side is f, a polynomial in commuting variables."""
+    comm = f.pres
+    field, names, n = comm.field, comm.names, comm.n
     c = field.zero
     linear = [field.zero] * n
     const = field.zero
-    pair_exp = tuple(
-        1 if k in (i, j) else 0 for k in range(n)
-    )
-    for exp, coeff in terms.items():
+    pair_exp = _exponent(n, i, j)
+    for exp, coeff in f.terms:
         if exp == pair_exp:
             c = coeff
         elif sum(exp) == 0:
@@ -314,6 +304,8 @@ def _parse_relation_rhs(
 
 def serialize_presentation(pres: Presentation) -> str:
     """Canonical document text; load(serialize(P)) reproduces P."""
+    from skewpbw import poly  # deferred: poly imports this module
+
     lines = [f"field: {pres.field.spec}", "vars: " + ", ".join(pres.names)]
     tags = [
         f"{nm} = {s}"
@@ -322,29 +314,15 @@ def serialize_presentation(pres: Presentation) -> str:
     ]
     if tags:
         lines.append("sigma: " + ", ".join(tags))
+    comm = Presentation(pres.field, pres.names)
+    n = pres.n
     for (i, j), rel in sorted(pres.relations.items()):
-        parts = [_coeff_times(rel.c, f"{pres.names[i]}*{pres.names[j]}")]
-        for k, a in enumerate(rel.linear):
-            if not a.is_zero():
-                parts.append(_coeff_times(a, pres.names[k]))
-        if not rel.const.is_zero():
-            parts.append(str(rel.const))
-        rhs = parts[0]
-        for p in parts[1:]:
-            rhs += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+        terms = {_exponent(n, k): a for k, a in enumerate(rel.linear)}
+        terms[_exponent(n, i, j)] = rel.c
+        terms[_exponent(n)] = rel.const
+        rhs = poly.to_string(poly.Polynomial.from_dict(comm, terms))
         lines.append(f"relation: {pres.names[j]}*{pres.names[i]} = {rhs}")
     return "\n".join(lines) + "\n"
-
-
-def _coeff_times(c: Scalar, mono: str) -> str:
-    text = str(c)
-    if text == "1":
-        return mono
-    if text == "-1":
-        return f"-{mono}"
-    core = text[1:] if text.startswith("-") else text
-    compound = any(ch in core for ch in "+-") and not text.startswith("(")
-    return f"({text})*{mono}" if compound else f"{text}*{mono}"
 
 
 def presentation_hash(pres: Presentation) -> str:

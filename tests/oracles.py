@@ -5,8 +5,10 @@ multiplication is a plain convolution on exponent dicts, membership is
 linear algebra over spans of shifted products, radical membership is a
 power search, Groebner bases come from plain Buchberger completion
 (every pair formed, restart-style inter-reduction) on the public API,
-ideals of points from a fold of elimination Groebner bases, and
-characteristic-0 coefficients from Fraction arithmetic.
+ideals of points from a fold of elimination Groebner bases,
+characteristic-0 coefficients from Fraction arithmetic, and the text
+layer from a scalar evaluator, a formal commutative collection and a
+term-by-term printer on Scalars.
 """
 
 from __future__ import annotations
@@ -17,8 +19,14 @@ from fractions import Fraction
 from skewpbw import linalg
 from skewpbw.groebner import divide, intersect_left, is_member_left, left_groebner
 from skewpbw.poly import DEGLEX, Polynomial, exponents_up_to, multiply
-from skewpbw.presentation import Presentation
-from skewpbw.scalars import apply_automorphism, cyclotomic_polynomial
+from skewpbw.parsing import ParseError, parse_ast
+from skewpbw.presentation import Presentation, PresentationError, Relation
+from skewpbw.scalars import (
+    CyclotomicField,
+    GaussianRationalField,
+    apply_automorphism,
+    cyclotomic_polynomial,
+)
 
 
 def naive_commutative_multiply(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -430,3 +438,174 @@ def fraction_field(spec):
     if spec.kind == "Q(i)":
         return FractionGaussian()
     return FractionCyclotomic(spec.param)
+
+
+# ---------------------------------------------------------------------------
+# the text layer on Scalars: the reference for poly.parse_scalar, and for
+# presentation documents, which poly reads with parse_polynomial in commuting
+# variables and prints with to_string. Relation sides are collected as
+# {exponent: Scalar} dicts with one convolution per product and per unit of
+# an exponent.
+
+
+def _reference_symbol(field, name: str, pos: int):
+    if name == "i":
+        if isinstance(field, GaussianRationalField):
+            return field.i
+        if isinstance(field, CyclotomicField) and field.m == 4:
+            return field.zeta
+        raise ParseError(f"'i' is not an element of {field.spec}", pos)
+    if name == "z":
+        if isinstance(field, CyclotomicField):
+            return field.zeta
+        raise ParseError(f"'z' is not an element of {field.spec}", pos)
+    raise ParseError(f"unknown symbol {name!r}", pos)
+
+
+def reference_eval_scalar(node, field):
+    kind = node[0]
+    if kind == "int":
+        return field.from_int(node[1])
+    if kind == "sym":
+        return _reference_symbol(field, node[1], node[2])
+    if kind == "neg":
+        return -reference_eval_scalar(node[1], field)
+    if kind == "add":
+        return reference_eval_scalar(node[1], field) + reference_eval_scalar(node[2], field)
+    if kind == "sub":
+        return reference_eval_scalar(node[1], field) - reference_eval_scalar(node[2], field)
+    if kind == "mul":
+        return reference_eval_scalar(node[1], field) * reference_eval_scalar(node[2], field)
+    if kind == "div":
+        den = reference_eval_scalar(node[2], field)
+        if den.is_zero():
+            raise ParseError("division by zero")
+        return reference_eval_scalar(node[1], field) / den
+    if kind == "pow":
+        base = reference_eval_scalar(node[1], field)
+        if node[2] < 0 and base.is_zero():
+            raise ParseError("division by zero")
+        return base ** node[2]
+    raise ParseError(f"bad node {kind!r}")
+
+
+def reference_parse_scalar(text: str, field):
+    return reference_eval_scalar(parse_ast(text), field)
+
+
+def _convolve(a: dict, b: dict, field) -> dict:
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            c = out.get(e, field.zero) + ca * cb
+            if c.is_zero():
+                out.pop(e, None)
+            else:
+                out[e] = c
+    return out
+
+
+def reference_collect(node, field, var_index: dict) -> dict:
+    """An AST in commuting formal variables, as {exponent: Scalar}."""
+    n = len(var_index)
+    kind = node[0]
+    if kind == "int":
+        c = field.from_int(node[1])
+        return {} if c.is_zero() else {(0,) * n: c}
+    if kind == "sym":
+        name = node[1]
+        if name in var_index:
+            e = [0] * n
+            e[var_index[name]] = 1
+            return {tuple(e): field.one}
+        return {(0,) * n: _reference_symbol(field, name, node[2])}
+    if kind == "neg":
+        return {e: -c for e, c in reference_collect(node[1], field, var_index).items()}
+    if kind in ("add", "sub"):
+        out = dict(reference_collect(node[1], field, var_index))
+        for e, c in reference_collect(node[2], field, var_index).items():
+            c2 = out.get(e, field.zero) + (c if kind == "add" else -c)
+            if c2.is_zero():
+                out.pop(e, None)
+            else:
+                out[e] = c2
+        return out
+    if kind == "pow":
+        k = node[2]
+        base = reference_collect(node[1], field, var_index)
+        if k < 0:
+            if not base:
+                raise ParseError("division by zero")
+            if len(base) != 1 or any(any(e) for e in base):
+                raise ParseError("negative power of a non-scalar")
+            ((e, c),) = base.items()
+            return {e: c ** k}
+        out = {(0,) * n: field.one}
+        for _ in range(k):
+            out = _convolve(out, base, field)
+        return out
+    if kind in ("mul", "div"):
+        left = reference_collect(node[1], field, var_index)
+        right = reference_collect(node[2], field, var_index)
+        if kind == "div":
+            if not right:
+                raise ParseError("division by zero")
+            if len(right) != 1 or any(any(e) for e in right):
+                raise ParseError("division by a non-scalar")
+            ((_, c),) = right.items()
+            right = {(0,) * n: c.inv()}
+        return _convolve(left, right, field)
+    raise ParseError(f"bad node {kind!r}")
+
+
+def reference_relation(rhs: str, field, names, i: int, j: int) -> Relation:
+    """The relation x_j*x_i = rhs, collected by reference_collect."""
+    n = len(names)
+    terms = reference_collect(parse_ast(rhs), field, {nm: k for k, nm in enumerate(names)})
+    c, const, linear = field.zero, field.zero, [field.zero] * n
+    for exp, coeff in terms.items():
+        if exp == tuple(1 if k in (i, j) else 0 for k in range(n)):
+            c = coeff
+        elif sum(exp) == 0:
+            const = coeff
+        elif sum(exp) == 1:
+            linear[exp.index(1)] = coeff
+        else:
+            raise PresentationError(
+                f"right side must be c*{names[i]}*{names[j]} + linear terms + constant"
+            )
+    if c.is_zero():
+        raise PresentationError(f"coefficient of {names[i]}*{names[j]} must be nonzero")
+    return Relation(c, tuple(linear), const)
+
+
+def _coeff_times(c, mono: str) -> str:
+    text = str(c)
+    if text == "1":
+        return mono
+    if text == "-1":
+        return f"-{mono}"
+    core = text[1:] if text.startswith("-") else text
+    compound = any(ch in core for ch in "+-") and not text.startswith("(")
+    return f"({text})*{mono}" if compound else f"{text}*{mono}"
+
+
+def reference_serialize(pres: Presentation) -> str:
+    """serialize_presentation, printed term by term."""
+    lines = [f"field: {pres.field.spec}", "vars: " + ", ".join(pres.names)]
+    tags = [f"{nm} = {s}" for nm, s in zip(pres.names, pres.sigma) if not s.is_identity()]
+    if tags:
+        lines.append("sigma: " + ", ".join(tags))
+    for (i, j), rel in sorted(pres.relations.items()):
+        parts = [_coeff_times(rel.c, f"{pres.names[i]}*{pres.names[j]}")]
+        for k, a in enumerate(rel.linear):
+            if not a.is_zero():
+                parts.append(_coeff_times(a, pres.names[k]))
+        if not rel.const.is_zero():
+            parts.append(str(rel.const))
+        rhs = parts[0]
+        for p in parts[1:]:
+            rhs += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+        lines.append(f"relation: {pres.names[j]}*{pres.names[i]} = {rhs}")
+    return "\n".join(lines) + "\n"

@@ -269,6 +269,18 @@ def test_points_ideal_and_witness(capsys):
     assert doc["result"]["witness"]
 
 
+def test_witness_on_a_variable_named_t(tmp_path, capsys):
+    alg = tmp_path / "st.alg"
+    alg.write_text("field: Q\nvars: s, t\n")
+    code, doc, err = run_json(
+        ["witness", "--algebra", str(alg), "--points", "0,0; 1,1"], capsys
+    )
+    assert (code, err) == (EXIT_OK, "")
+    _, want, _ = run_json(["witness", "--algebra", COMM, "--points", "0,0; 1,1"], capsys)
+    renamed = want["result"]["witness"].replace("x", "s").replace("y", "t")
+    assert doc["result"]["witness"] == renamed
+
+
 def test_sandwich_subcommand(capsys):
     code, doc, _ = run_json(
         [

@@ -20,6 +20,7 @@ from skewpbw.geometry import (
 )
 from skewpbw.groebner import (
     Budget,
+    intersect_left,
     is_member_left,
     left_groebner,
     two_sided_saturate,
@@ -28,6 +29,7 @@ from skewpbw.linalg import in_row_span, rank
 from skewpbw.poly import Polynomial, multiply, parse_polynomial
 from skewpbw.presentation import (
     check_pbw_consistency,
+    extend_with_central,
     load_presentation,
     load_presentation_file,
     quantum_plane,
@@ -196,6 +198,33 @@ def test_algebraic_witness_two_points(comm2):
 def test_algebraic_witness_empty(comm2):
     res = algebraic_witness(comm2, [])
     assert str(res.witness) == "x + y"
+
+
+@pytest.mark.parametrize("q", ["1", "-1"])
+def test_witness_and_intersection_with_a_variable_named_t(q):
+    """The added elimination variable avoids the algebra's own names: on
+    `s, t` the answers are those on `x, y` with the variables renamed."""
+    st = load_presentation(f"field: Q\nvars: s, t\nrelation: t*s = {q}*s*t\n")
+    xy = load_presentation(f"field: Q\nvars: x, y\nrelation: y*x = {q}*x*y\n")
+
+    def shape(f):
+        return [(e, str(c)) for e, c in f.terms]
+
+    coords = [[0, 0], [1, 0]]
+    w_st = algebraic_witness(st, [Point.of(st, z) for z in coords]).witness
+    w_xy = algebraic_witness(xy, [Point.of(xy, z) for z in coords]).witness
+    assert w_st is not None and shape(w_st) == shape(w_xy)
+
+    meet = {}
+    for pres in (st, xy):
+        a, b = (Polynomial.variable(pres, k) for k in range(2))
+        res = intersect_left(left_groebner([a]), left_groebner([b - 1]))
+        assert res.complete
+        meet[pres.names] = [shape(g) for g in res.elements]
+    assert meet[("s", "t")] == meet[("x", "y")]
+    assert extend_with_central(load_presentation("field: Q\nvars: t, t1\n")).names == (
+        "t2", "t", "t1",
+    )
 
 
 def test_semiprime_probe_commutative(comm2):

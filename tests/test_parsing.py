@@ -1,14 +1,20 @@
 """Polynomial/scalar grammar: positions, precedence, print round-trips."""
 
 import random
+import time
 import zlib
 
 import pytest
 
 from skewpbw.geometry import random_polynomial
-from skewpbw.parsing import ParseError, parse_scalar, split_top_level
-from skewpbw.poly import Polynomial, parse_polynomial, to_string
-from skewpbw.presentation import PresentationError, load_presentation
+from skewpbw.parsing import SCALAR_SYMBOLS, ParseError, split_top_level
+from skewpbw.poly import Polynomial, parse_polynomial, parse_scalar, to_string
+from skewpbw.presentation import (
+    PresentationError,
+    Relation,
+    load_presentation,
+    serialize_presentation,
+)
 from skewpbw.scalars import FieldSpec, get_field
 
 
@@ -95,3 +101,120 @@ def test_print_parse_roundtrip(fixture, request):
     for _ in range(500):
         f = random_polynomial(pres, rng, max_degree=4, max_terms=5)
         assert parse_polynomial(to_string(f), pres) == f
+
+
+# -- the text layer against the references in oracles -------------------------
+
+TEXT_FIELDS = (
+    "Q", "Q(i)", "cyclotomic:3", "cyclotomic:4", "cyclotomic:5",
+    "cyclotomic:12", "gf:5", "gf:7",
+)
+
+
+def _scalar_text(rng, symbols, depth=2):
+    """Random scalar-grammar text: sums, quotients, powers, unary minus."""
+    if depth == 0 or rng.random() < 0.3:
+        if symbols and rng.random() < 0.3:
+            return rng.choice(symbols)
+        return str(rng.randint(0 if rng.random() < 0.1 else 1, 9))
+    a = _scalar_text(rng, symbols, depth - 1)
+    b = _scalar_text(rng, symbols, depth - 1)
+    return rng.choice(
+        [f"({a}+{b})", f"({a}-{b})", f"{a}*{b}", f"{a}/{b}",
+         f"({a})^{rng.randint(-2, 3)}", f"-{a}"]
+    )
+
+
+def _relation_text(rng, names, i, j, symbols):
+    """c*x_i*x_j plus linear and constant terms, some repeated, in any order."""
+    pair = [names[i], names[j]]
+    monos = [None, rng.choice(names), rng.choice(names)]
+    terms = []
+    for mono in rng.sample(monos, len(monos)) + ["*".join(pair)]:
+        if rng.random() < 0.3 and mono is not None and mono != "*".join(pair):
+            continue
+        rng.shuffle(pair)
+        coeff = _scalar_text(rng, symbols)
+        terms.append(coeff if mono is None else f"{coeff}*{mono}")
+    rng.shuffle(terms)
+    return "".join(
+        (rng.choice([" + ", " - "]) if k else "") + t for k, t in enumerate(terms)
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except (ParseError, PresentationError) as exc:
+        return None, str(exc)
+
+
+def test_text_layer_matches_references():
+    """Random presentations: parse_scalar, load_presentation and
+    serialize_presentation agree with the Scalar-level references."""
+    import oracles
+
+    rng = random.Random(9)
+    counts = {"presentations": 0, "relations": 0, "scalars": 0, "errors": 0}
+    for k in range(560):
+        spec = TEXT_FIELDS[k % len(TEXT_FIELDS)]
+        field = get_field(FieldSpec.from_string(spec))
+        symbols = [s for s in ("i", "z") if SCALAR_SYMBOLS[s](field) is not None]
+        names = rng.sample(["x", "y", "u", "v", "w", "s", "t"], rng.randint(2, 4))
+        lines = []
+        expected = {}
+        for j in range(len(names)):
+            for i in range(j):
+                if rng.random() < 0.3:
+                    continue
+                rhs = _relation_text(rng, names, i, j, symbols)
+                want, err = _outcome(oracles.reference_relation, rhs, field, names, i, j)
+                doc = f"field: {spec}\nvars: {', '.join(names)}\nrelation: {names[j]}*{names[i]} = {rhs}\n"
+                if err is not None:
+                    counts["errors"] += 1
+                    with pytest.raises(PresentationError) as exc:
+                        load_presentation(doc)
+                    assert str(exc.value) == f"line 3: {err}"
+                    continue
+                expected[(i, j)] = want
+                lines.append(f"relation: {names[j]}*{names[i]} = {rhs}")
+        doc = f"field: {spec}\nvars: {', '.join(names)}\n" + "\n".join(lines)
+        P = load_presentation(doc)
+        for key, rel in P.relations.items():
+            assert rel == expected.get(key, Relation(field.one, (field.zero,) * P.n, field.zero))
+        text = serialize_presentation(P)
+        assert text == oracles.reference_serialize(P)
+        assert load_presentation(text).relations == P.relations
+        counts["presentations"] += 1
+        counts["relations"] += len(expected)
+
+        for _ in range(3):
+            s = _scalar_text(rng, symbols, depth=3)
+            want, err = _outcome(oracles.reference_parse_scalar, s, field)
+            got, got_err = _outcome(parse_scalar, s, field)
+            assert (got, got_err) == (want, err), s
+            counts["scalars"] += 1
+        for rel in P.relations.values():
+            for c in (rel.c, rel.const) + rel.linear:
+                assert parse_scalar(str(c), field) == c
+                counts["scalars"] += 1
+    assert counts["presentations"] == 560
+    assert counts["relations"] > 900 and counts["errors"] > 50, counts
+
+
+def test_division_by_zero_in_scalars_and_documents():
+    Q = get_field(FieldSpec.rationals())
+    for text in ("0^-1", "x/0", "(2-2)^-3"):
+        with pytest.raises(ParseError, match="^division by zero$"):
+            parse_scalar(text, Q)
+        with pytest.raises(PresentationError, match="^line 3: division by zero$"):
+            load_presentation(
+                f"field: Q\nvars: x, y\nrelation: y*x = x*y + {text}\n"
+            )
+
+
+def test_huge_scalar_power_in_a_document_loads_fast():
+    start = time.perf_counter()
+    P = load_presentation("field: gf:7\nvars: x, y\nrelation: y*x = 3^1000000*x*y\n")
+    assert time.perf_counter() - start < 1.0
+    assert P.relations[(0, 1)].c == P.field.from_int(4)

@@ -8,7 +8,6 @@ from conftest import ALGEBRA_DIR, algebra_path
 from skewpbw.presentation import (
     PresentationError,
     check_pbw_consistency,
-    classify,
     load_presentation,
     load_presentation_file,
     presentation_hash,
@@ -41,7 +40,7 @@ def test_load_commutative_defaults(QQ):
         rel.c == QQ.one and rel.is_trivial_lower()
         for rel in P.relations.values()
     )
-    assert classify(P).quasi_commutative
+    assert P.quasi_commutative
 
 
 def test_zero_constant_rejected():
@@ -80,10 +79,9 @@ def test_serialize_roundtrip():
 
 
 def test_classify_examples(witten, qspace3, comm2):
-    flags = classify(witten)
-    assert not flags.quasi_commutative and flags.bijective
-    assert classify(qspace3).quasi_commutative
-    assert classify(comm2).quasi_commutative and classify(comm2).bijective
+    assert not witten.quasi_commutative
+    assert qspace3.quasi_commutative
+    assert comm2.quasi_commutative
 
 
 def test_consistency_shipped_algebras():
@@ -91,7 +89,6 @@ def test_consistency_shipped_algebras():
         P = load_presentation_file(algebra_path(name))
         report = check_pbw_consistency(P, 4)
         assert report.consistent, f"{name}: {report.failure}"
-        assert classify(P).bijective
 
 
 def test_consistency_flags_mutated_witten():
