@@ -263,13 +263,6 @@ def _cert_sum(parts) -> tuple:
     return tuple((p, i, q) for (i, q), p in merged.items() if not p.is_zero())
 
 
-def expand_certificate(cert, gens: Sequence[Polynomial]) -> Polynomial:
-    out = Polynomial.zero(gens[0].pres)
-    for p, i, q in cert:
-        out = out + multiply(multiply(p, gens[i]), q)
-    return out
-
-
 def _reduce_with_cert(
     f: Polynomial,
     cert,

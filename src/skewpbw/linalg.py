@@ -79,42 +79,3 @@ def solve(rows: List[List[Scalar]], rhs: List[Scalar], field: Field):
             return None
         v[pc] = red[r][-1]
     return v
-
-
-def rank(rows: List[List[Scalar]], field: Field) -> int:
-    if not rows:
-        return 0
-    return len(rref(rows, field)[1])
-
-
-def in_row_span(rows: List[List[Scalar]], vec: List[Scalar], field: Field) -> bool:
-    """Whether vec lies in the row span of rows."""
-    if all(v.is_zero() for v in vec):
-        return True
-    if not rows:
-        return False
-    base = rank(rows, field)
-    return rank(rows + [vec], field) == base
-
-
-def span_intersection(a: List[List[Scalar]], b: List[List[Scalar]], field: Field):
-    """Basis of span(a) ∩ span(b), rows as vectors."""
-    if not a or not b:
-        return []
-    ncols = len(a[0])
-    # solve [A^T | -B^T] (x; y) = 0; intersection vectors are A^T x
-    rows = []
-    for c in range(ncols):
-        rows.append([a[r][c] for r in range(len(a))] + [-b[r][c] for r in range(len(b))])
-    out = []
-    for v in nullspace(rows, field, len(a) + len(b)):
-        vec = [field.zero] * ncols
-        for r in range(len(a)):
-            if not v[r].is_zero():
-                for c in range(ncols):
-                    vec[c] = vec[c] + v[r] * a[r][c]
-        if any(not x.is_zero() for x in vec):
-            out.append(vec)
-    # deduplicate the spanning set to an independent basis
-    red, pivots = rref(out, field) if out else ([], [])
-    return [row for row in red[: len(pivots)]]

@@ -1,21 +1,18 @@
 """Centers of quantum affine spaces and the two-inclusion radical sandwich.
 
-For quasi-commutative presentations whose commutation constants are roots
-of unity, the center is the polynomial ring on x_i^(L_i) in the cases
-shipped here (quantum plane, uniform q with n even, fully multiparametric
-via the lcm exponent formula, and the commutative ring itself). Contraction
-of a two-sided ideal to the center, the ideal of the central points found
-on a finite search grid, the classical radical step (decided by the
-Rabinowitsch trick inside the engine on a trivial-relations presentation)
-and central nilpotency certificates then verify
+The center is decided by one rule on the lattice of central monomials
+(center_generators) and accepted only when it is the polynomial ring on
+pure powers x_i^(L_i), as the paper's Nullstellensatz assumes. Contraction
+of a two-sided ideal to it, the ideal of the central points found on a
+finite search grid (Buchberger-Moeller: linear algebra on the values of
+monomials at the points, with no Groebner basis and no budget), the
+classical radical step (the Rabinowitsch trick inside the engine on a
+trivial-relations presentation) and central nilpotency certificates verify
 
     < I_Z(V_Z(J)) >  subset of  radical(I)  subset of  I(V(I))
 
 generator by generator, over that grid, never confirming an inclusion
-without a certificate. A center that is only assumed to be the polynomial
-ring on the x_i^(L_i) is refused. The ideal of points is linear algebra on
-the values of monomials at the points (Buchberger-Moeller): it needs no
-Groebner basis and no budget.
+without a certificate.
 """
 
 from __future__ import annotations
@@ -61,7 +58,7 @@ from skewpbw.scalars import (
 
 
 class CenterError(ValueError):
-    """Center outside the supported catalogue, or verification failure."""
+    """Center outside the rule's reach, or verification failure."""
 
 
 def multiplicative_order(s: Scalar, cap: Optional[int] = None) -> Optional[int]:
@@ -101,7 +98,6 @@ class CenterDescription:
     generators: Tuple[Polynomial, ...]  # x_i^(L_i)
     verified: bool
     case: str
-    polynomial_center_assumed: bool = False
 
     def center_presentation(self) -> Presentation:
         names = _center_names(self.presentation.n)
@@ -114,62 +110,68 @@ def _center_names(n: int) -> tuple:
     return tuple(f"u{k + 1}" for k in range(n))
 
 
-def center_generators(pres: Presentation) -> CenterDescription:
-    """Central generators x_i^(L_i) for the supported quantum-space cases.
+# largest N accepted: central_probe recurses once per unit of an exponent
+MAX_CENTER_ORDER = 512
 
-    Refuses (raises CenterError) outside the catalogue: non-quasi-commutative
-    input, constants that are not roots of unity, uniform q with odd n, or
-    mixed trivial/nontrivial constants. Generators are always re-verified to
-    commute with every variable before being returned.
+
+def center_generators(pres: Presentation) -> CenterDescription:
+    """Central generators x_i^(L_i), when they generate the center.
+
+    The algebra is Z^n-graded, so central monomials span its center. With
+    q_ij = w^(e_ij), w generating the N-th roots of unity the constants
+    generate, x^alpha is central iff E*alpha = 0 mod N (De Concini & Procesi
+    1993; Brown & Goodearl 2002): L_i = N / gcd(N, row i of E), and the
+    center is K[x_i^(L_i)] iff [Z^n : E*Z^n + N*Z^n] * prod L_i = N^n.
+    CenterError otherwise, naming the lex-first central x^alpha != 1 with
+    alpha in prod [0, L_i); likewise for input that is not quasi-commutative,
+    a sigma_i that is not the identity, a constant that is not a root of
+    unity, or N above MAX_CENTER_ORDER. `case` is a label only.
     """
     if not pres.quasi_commutative:
-        raise CenterError("center catalogue needs a quasi-commutative presentation")
+        raise CenterError("the center rule needs a quasi-commutative presentation")
+    for name, sigma in zip(pres.names, pres.sigma_maps):
+        if sigma is not None:
+            raise CenterError(
+                f"sigma of {name} is not the identity: the center is not a K-algebra"
+            )
     n = pres.n
     cs = {pair: rel.c for pair, rel in pres.relations.items()}
-    one = pres.field.one
-    if all(c == one for c in cs.values()):
-        L = (1,) * n
-        case = "commutative"
-        assumed = False
-    else:
-        orders = {}
-        for pair, c in cs.items():
-            k = multiplicative_order(c)
-            if k is None:
-                raise CenterError(
-                    f"constant {c} for pair {pair} is not a root of unity"
-                )
-            orders[pair] = k
-        uniform = len({str(c) for c in cs.values()}) == 1
-        if n == 2:
-            L = (orders[(0, 1)],) * 2
-            case = "quantum-plane"
-            assumed = False
-        elif uniform:
-            if n % 2 == 1:
-                raise CenterError(
-                    "uniform quantum space with odd variable count: "
-                    "the center is not a polynomial ring on pure powers"
-                )
-            m = next(iter(orders.values()))
-            L = (m,) * n
-            case = "uniform"
-            assumed = False
-        else:
-            if any(c == one for c in cs.values()):
-                raise CenterError(
-                    "mixed trivial/nontrivial constants are outside the catalogue"
-                )
-            L = tuple(
-                _lcm_all(
-                    orders[(min(i, j), max(i, j))]
-                    for j in range(n)
-                    if j != i
-                )
-                for i in range(n)
-            )
-            case = "multiparametric"
-            assumed = True
+    orders = {}
+    for pair, c in cs.items():
+        orders[pair] = multiplicative_order(c)
+        if orders[pair] is None:
+            raise CenterError(f"constant {c} for pair {pair} is not a root of unity")
+    N = math.lcm(*orders.values())
+    if N > MAX_CENTER_ORDER:
+        raise CenterError(
+            f"the constants generate {N} roots of unity, above the limit "
+            f"{MAX_CENTER_ORDER}"
+        )
+    # w has order N: one factor of order l^e for each l^e exactly dividing N
+    w = pres.field.one
+    for ell in _prime_factors(N):
+        le = math.gcd(N, ell ** N)
+        pair = next(p for p, k in orders.items() if k % le == 0)
+        w = w * cs[pair] ** (orders[pair] // le)
+    log = {w ** k: k for k in range(N)}
+    E = [[0] * n for _ in range(n)]
+    for (i, j), c in cs.items():
+        E[i][j], E[j][i] = log[c], -log[c]
+    L = tuple(N // math.gcd(N, *row) for row in E)
+    # rows (E*e_i | e_i): the echelon rows with E*alpha = 0 span the central lattice
+    rows = [E[i] + [int(k == i) for k in range(n)] for i in range(n)]
+    basis = _echelon(rows, (N,) * n + L)
+    if math.prod(basis[c][c] for c in range(n)) * math.prod(L) != N ** n:
+        c = max(c for c in range(n) if basis[n + c][n + c] < L[c])
+        alpha = tuple(a % l for a, l in zip(basis[n + c][n:], L))
+        raise CenterError(
+            f"{Polynomial.monomial(pres, alpha)} is central: "
+            "the center is not K[x_i^(L_i)]"
+        )
+    case = (
+        "commutative" if N == 1 else "quantum-plane" if n == 2
+        else "uniform" if len(set(cs.values())) == 1 else "multiparametric"
+    )
     gens = tuple(
         Polynomial.monomial(pres, tuple(L[i] if k == i else 0 for k in range(n)))
         for i in range(n)
@@ -177,14 +179,26 @@ def center_generators(pres: Presentation) -> CenterDescription:
     for g in gens:
         if not central_probe(g):
             raise CenterError(f"generator {g} failed the centrality check")
-    return CenterDescription(pres, L, gens, True, case, assumed)
+    return CenterDescription(pres, L, gens, True, case)
 
 
-def _lcm_all(values) -> int:
-    out = 1
-    for v in values:
-        out = out * v // math.gcd(out, v)
-    return out
+def _echelon(rows, moduli) -> list:
+    """Hermite basis of the lattice of rows and the m_c * e_c, by Euclid.
+
+    Column c is kept mod m_c. Basis row c is zero before column c and holds
+    there the positive gcd of the lattice's entries in that column.
+    """
+    basis = []
+    for c, modulus in enumerate(moduli):
+        rows = [[a % m for a, m in zip(r, moduli)] for r in rows]
+        pivot = [0] * len(moduli)
+        pivot[c] = modulus
+        for r in rows:
+            while r[c]:
+                q = pivot[c] // r[c]
+                pivot, r[:] = r[:], [a - q * b for a, b in zip(pivot, r)]
+        basis.append(pivot)
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -193,19 +207,10 @@ def _lcm_all(values) -> int:
 
 def _central_exponents(L: Tuple[int, ...], d: int) -> List[tuple]:
     """Center-coordinate exponents kappa with sum L_i * kappa_i <= d."""
-    n = len(L)
-
-    def rec(i, remaining):
-        if i == n:
-            yield ()
-            return
-        for k in range(remaining // L[i] + 1):
-            for rest in rec(i + 1, remaining - k * L[i]):
-                yield (k,) + rest
-
-    out = list(rec(0, d))
-    out.sort(key=lambda kap: (sum(k * l for k, l in zip(kap, L)), kap))
-    return out
+    out = [((), 0)]
+    for l in L:
+        out = [(a + (k,), w + k * l) for a, w in out for k in range((d - w) // l + 1)]
+    return [kap for w, kap in sorted((w, kap) for kap, w in out)]
 
 
 def lift_center_poly(C: CenterDescription, f_center: Polynomial) -> Polynomial:
@@ -484,17 +489,10 @@ def verify_sandwich(
     witnesses vanish on every character root of the ideal itself (a
     degenerate point is a root of everything); with no witness to check
     and some radical verdict unresolved, that inclusion is inconclusive.
-    The budget reaches only the radical membership step. Raises CenterError
-    for a center that is only assumed to be the polynomial ring on the
-    x_i^(L_i).
+    The budget reaches only the radical membership step.
     """
     if not C.verified:
         raise CenterError("center description must be verified")
-    if C.polynomial_center_assumed:
-        raise CenterError(
-            f"the {C.case} center is assumed, not shown, to be generated by "
-            "x_i^(L_i); the sandwich needs a polynomial center"
-        )
     pres = C.presentation
     budget = budget or DEFAULT_BUDGET
     notes: List[str] = []

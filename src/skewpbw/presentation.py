@@ -76,7 +76,7 @@ class Presentation:
                     )
                 rels[(i, j)] = rel
         self.relations = rels
-        self.sigma_all_identity = all(s.is_identity() for s in self.sigma)
+        self.sigma_all_identity = all(m is None for m in self.sigma_maps)
         self.quasi_commutative = all(
             rel.is_trivial_lower() for rel in rels.values()
         )

@@ -5,8 +5,8 @@ multiplication is a plain convolution on exponent dicts, membership is
 linear algebra over spans of shifted products, radical membership is a
 power search, Groebner bases come from plain Buchberger completion
 (every pair formed, restart-style inter-reduction) on the public API,
-ideals of points from a fold of elimination Groebner bases,
-characteristic-0 coefficients from Fraction arithmetic, and the text
+ideals of points from a fold of elimination Groebner bases, centers
+from a scan of monomials by `central_probe`, characteristic-0 coefficients from Fraction arithmetic, and the text
 layer from a scalar evaluator, a formal commutative collection and a
 term-by-term printer on Scalars.
 """
@@ -14,16 +14,21 @@ term-by-term printer on Scalars.
 from __future__ import annotations
 
 import heapq
+import itertools
 from fractions import Fraction
+from typing import List, Optional, Sequence
 
 from skewpbw import linalg
 from skewpbw.groebner import divide, intersect_left, is_member_left, left_groebner
+from skewpbw.normality import central_probe
 from skewpbw.poly import DEGLEX, Polynomial, exponents_up_to, multiply
 from skewpbw.parsing import ParseError, parse_ast
 from skewpbw.presentation import Presentation, PresentationError, Relation
 from skewpbw.scalars import (
     CyclotomicField,
+    Field,
     GaussianRationalField,
+    Scalar,
     apply_automorphism,
     cyclotomic_polynomial,
 )
@@ -101,6 +106,61 @@ def _vector(f: Polynomial, monos: list, index: dict):
     return v
 
 
+def rank(rows: List[List[Scalar]], field: Field) -> int:
+    if not rows:
+        return 0
+    return len(linalg.rref(rows, field)[1])
+
+
+def in_row_span(rows: List[List[Scalar]], vec: List[Scalar], field: Field) -> bool:
+    """Whether vec lies in the row span of rows."""
+    if all(v.is_zero() for v in vec):
+        return True
+    if not rows:
+        return False
+    base = rank(rows, field)
+    return rank(rows + [vec], field) == base
+
+
+def span_intersection(a: List[List[Scalar]], b: List[List[Scalar]], field: Field):
+    """Basis of span(a) ∩ span(b), rows as vectors."""
+    if not a or not b:
+        return []
+    ncols = len(a[0])
+    # solve [A^T | -B^T] (x; y) = 0; intersection vectors are A^T x
+    rows = []
+    for c in range(ncols):
+        rows.append([a[r][c] for r in range(len(a))] + [-b[r][c] for r in range(len(b))])
+    out = []
+    for v in linalg.nullspace(rows, field, len(a) + len(b)):
+        vec = [field.zero] * ncols
+        for r in range(len(a)):
+            if not v[r].is_zero():
+                for c in range(ncols):
+                    vec[c] = vec[c] + v[r] * a[r][c]
+        if any(not x.is_zero() for x in vec):
+            out.append(vec)
+    # deduplicate the spanning set to an independent basis
+    red, pivots = linalg.rref(out, field) if out else ([], [])
+    return [row for row in red[: len(pivots)]]
+
+
+def expand_certificate(cert, gens: Sequence[Polynomial]) -> Polynomial:
+    out = Polynomial.zero(gens[0].pres)
+    for p, i, q in cert:
+        out = out + multiply(multiply(p, gens[i]), q)
+    return out
+
+
+def first_central_in_box(pres: Presentation, L) -> Optional[tuple]:
+    """The lex-first exponent alpha != 0 in prod [0, L_i) with x^alpha
+    central by `central_probe`, or None when there is none."""
+    for alpha in itertools.product(*(range(l) for l in L)):
+        if any(alpha) and central_probe(Polynomial.monomial(pres, alpha)):
+            return alpha
+    return None
+
+
 def span_rows(polys, pres: Presentation, degree: int):
     monos = exponents_up_to(pres.n, degree)
     index = {e: k for k, e in enumerate(monos)}
@@ -137,7 +197,7 @@ def two_sided_span_membership(
     rows, monos, index = span_rows(products, pres, degree)
     if f.degree() > degree:
         return False
-    return linalg.in_row_span(rows, _vector(f, monos, index), pres.field)
+    return in_row_span(rows, _vector(f, monos, index), pres.field)
 
 
 def left_span_membership(f: Polynomial, gens, degree: int) -> bool:
@@ -153,7 +213,7 @@ def left_span_membership(f: Polynomial, gens, degree: int) -> bool:
     rows, monos, index = span_rows(products, pres, degree)
     if f.degree() > degree:
         return False
-    return linalg.in_row_span(rows, _vector(f, monos, index), pres.field)
+    return in_row_span(rows, _vector(f, monos, index), pres.field)
 
 
 def naive_points_ideal(pres: Presentation, points) -> list:

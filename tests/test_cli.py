@@ -321,14 +321,17 @@ def test_sandwich_without_checked_witness_is_inconclusive(capsys):
     assert "no certified witness to check the second inclusion on" in result["notes"]
 
 
+GF7SPACE = (
+    "field: gf:7\nvars: x, y, z\n"
+    "relation: y*x = 2*x*y\nrelation: z*x = 3*x*z\nrelation: z*y = 5*y*z\n"
+)
+
+
 def test_sandwich_refuses_assumed_center(tmp_path, capsys):
     """x^6, y^6, z^6 are central here, but x*y*z^4 is too: the center is
     not the polynomial ring the sandwich needs."""
     alg = tmp_path / "gf7space.alg"
-    alg.write_text(
-        "field: gf:7\nvars: x, y, z\n"
-        "relation: y*x = 2*x*y\nrelation: z*x = 3*x*z\nrelation: z*y = 5*y*z\n"
-    )
+    alg.write_text(GF7SPACE)
     code, out, err = run(
         ["sandwich", "--algebra", str(alg), "--gens", "x^6", "--domain", "gf",
          "--trunc-degree", "12", "--max-power", "3"],
@@ -336,8 +339,34 @@ def test_sandwich_refuses_assumed_center(tmp_path, capsys):
     )
     assert code == EXIT_INPUT
     assert out == ""
-    assert err.startswith("error:") and "assumed" in err
+    assert err.startswith("error:") and "x*y*z^4 is central" in err
     assert err.count("\n") == 1
+
+
+def test_center_refuses_extra_central_monomial(tmp_path, capsys):
+    alg = tmp_path / "gf7space.alg"
+    alg.write_text(GF7SPACE)
+    code, out, err = run(["center", "--algebra", str(alg)], capsys)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith("error:") and "x*y*z^4 is central" in err
+    assert err.count("\n") == 1
+
+
+def test_center_refuses_twisting_sigma(tmp_path, capsys):
+    alg = tmp_path / "conj_qplane.alg"
+    alg.write_text("field: Q(i)\nvars: x, y\nsigma: x = conj\nrelation: y*x = i*x*y\n")
+    code, out, err = run(["center", "--algebra", str(alg)], capsys)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith("error:") and "sigma of x" in err
+
+
+def test_center_mixed_trivial_constants(tmp_path, capsys):
+    alg = tmp_path / "anti_xy.alg"
+    alg.write_text("field: Q\nvars: x, y, z\nrelation: y*x = -x*y\n")
+    code, doc, _ = run_json(["center", "--algebra", str(alg)], capsys)
+    assert code == EXIT_OK
+    assert doc["result"]["exponents"] == [2, 2, 1]
+    assert doc["result"]["generators"] == ["x^2", "y^2", "z"]
 
 
 def test_normal_subcommand(capsys):

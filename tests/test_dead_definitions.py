@@ -1,0 +1,76 @@
+"""Every top-level function or class of the library has a caller.
+
+A definition counts as used when its name is read, imported or named in a
+string (perfbench wraps functions by name) anywhere in `src/skewpbw` or
+`perfbench/` outside the definition itself; a name `skewpbw/__init__.py`
+exports is used. Helpers only tests call belong in `tests/oracles.py`.
+"""
+
+import ast
+import os
+from collections import Counter
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+SRC = os.path.join(ROOT, "src", "skewpbw")
+PERFBENCH = os.path.join(ROOT, "perfbench")
+
+
+def _references(tree) -> Counter:
+    """Names read, attribute names, imported names and identifier strings."""
+    out: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name.split(".")[-1]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                out[node.value] += 1
+    return out
+
+
+def dead_definitions(modules: dict, others: dict) -> list:
+    """`module: name` for each top-level def or class of the sources in
+    `modules` that no source in `modules` or `others` references outside
+    its own body. Both map a label to source text."""
+    trees = {label: ast.parse(text) for label, text in {**others, **modules}.items()}
+    total: Counter = Counter()
+    for tree in trees.values():
+        total.update(_references(tree))
+    dead = []
+    for label in modules:
+        for node in trees[label].body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if total[node.name] == _references(node)[node.name]:
+                    dead.append(f"{label}: {node.name}")
+    return sorted(dead)
+
+
+def _sources(directory: str) -> dict:
+    out = {}
+    for name in sorted(os.listdir(directory)):
+        if name.endswith(".py"):
+            with open(os.path.join(directory, name), encoding="utf-8") as fh:
+                out[name] = fh.read()
+    return out
+
+
+def test_checker_flags_an_uncalled_definition():
+    modules = {
+        "a.py": "def used():\n    pass\n\n"
+        "def recursive(n):\n    return recursive(n - 1)\n\n"
+        "def by_name():\n    pass\n\n"
+        "class Unused:\n    pass\n\n"
+        "def _private():\n    pass\n\nused()\n_private()\n",
+    }
+    others = {"b.py": "import a\nwrap(a, 'by_name')\n"}
+    assert dead_definitions(modules, others) == ["a.py: Unused", "a.py: recursive"]
+
+
+def test_no_dead_definitions():
+    library = _sources(SRC)
+    init = {"__init__.py": library.pop("__init__.py")}
+    others = {**init, **{f"perfbench/{k}": v for k, v in _sources(PERFBENCH).items()}}
+    assert dead_definitions(library, others) == []

@@ -25,7 +25,6 @@ from skewpbw.groebner import (
     left_groebner,
     two_sided_saturate,
 )
-from skewpbw.linalg import in_row_span, rank
 from skewpbw.poly import Polynomial, multiply, parse_polynomial
 from skewpbw.presentation import (
     check_pbw_consistency,
@@ -36,7 +35,7 @@ from skewpbw.presentation import (
 )
 from skewpbw.scalars import FieldSpec, get_field
 from conftest import ALGEBRA_DIR, algebra_path
-from oracles import span_rows, _vector
+from oracles import in_row_span, rank, span_rows, _vector
 
 
 def grid(field, lo, hi):

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import ALGEBRA_DIR, algebra_path
 from oracles import (
+    expand_certificate,
     left_span_membership,
     naive_left_gb,
     naive_saturate,
@@ -19,7 +20,6 @@ from skewpbw.groebner import (
     Budget,
     GroebnerError,
     divide,
-    expand_certificate,
     intersect_left,
     is_member_left,
     left_groebner,

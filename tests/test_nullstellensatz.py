@@ -1,10 +1,13 @@
 """Centers, contraction, radical membership and the sandwich verifier."""
 
+import math
 import random
+import re
 
 import pytest
 
-from oracles import brute_force_radical, naive_points_ideal
+from oracles import brute_force_radical, first_central_in_box, naive_points_ideal
+from skewpbw import nullstellensatz
 from skewpbw.geometry import (
     Point,
     SearchDomain,
@@ -118,7 +121,7 @@ def test_center_refusals(witten, qspace3, GF5, QQ):
         center_generators(witten)  # not quasi-commutative
     with pytest.raises(CenterError, match="root of unity"):
         center_generators(qspace3)  # 2i, 3i are not roots of unity
-    with pytest.raises(CenterError, match="odd"):
+    with pytest.raises(CenterError, match=r"a\*b\*c is central"):
         center_generators(
             quantum_space(
                 QQ,
@@ -126,7 +129,7 @@ def test_center_refusals(witten, qspace3, GF5, QQ):
                 ("a", "b", "c"),
             )
         )
-    with pytest.raises(CenterError, match="mixed"):
+    with pytest.raises(CenterError, match=r"a\*c is central"):
         center_generators(
             quantum_space(
                 GF5,
@@ -137,18 +140,138 @@ def test_center_refusals(witten, qspace3, GF5, QQ):
 
 
 def test_center_multiparametric_lcm(GF5):
-    # orders: 4 (q=2), 2 (q=4), 4 (q=3); L_i = lcm over incident pairs
+    # orders: 4 (q=2), 2 (q=4), 4 (q=3); a^4, b^4, c^4 are central, but so
+    # is a*b^2*c^3, so the center is not K[a^4, b^4, c^4]
     P = quantum_space(
         GF5,
         {(0, 1): GF5.from_int(2), (0, 2): GF5.from_int(4), (1, 2): GF5.from_int(3)},
         ("a", "b", "c"),
     )
+    with pytest.raises(CenterError, match=r"a\*b\^2\*c\^3 is central"):
+        center_generators(P)
+    assert central_probe(parse_polynomial("a*b^2*c^3", P))
+
+
+def _pair_lcms(P):
+    """lcm over the pairs at each variable of the constants' orders."""
+    orders = {pair: multiplicative_order(rel.c) for pair, rel in P.relations.items()}
+    return tuple(
+        math.lcm(*(orders[min(i, j), max(i, j)] for j in range(P.n) if j != i))
+        for i in range(P.n)
+    )
+
+
+def _roots_of_unity(F):
+    if F.spec.kind == "gf":
+        return [F.from_int(v) for v in range(1, F.spec.param)]
+    gens = [F.from_int(-1)] + ([F.zeta] if F.spec.kind == "cyclotomic" else [])
+    if F.spec.kind == "Q(i)":
+        gens.append(F.i)
+    out = {F.one}
+    for g in gens:
+        out |= {r * g ** k for r in out for k in range(24)}
+    return sorted(out, key=str)
+
+
+_ORACLE_FIELDS = ["gf:5", "gf:7", "gf:11", "gf:13", "Q", "Q(i)",
+                  "cyclotomic:3", "cyclotomic:5", "cyclotomic:12"]
+# an accepted space costs prod L_i probes in the box scan, so 4-variable
+# spaces are drawn over the fields with at most 6 roots of unity
+_SMALL_GROUP_FIELDS = ["gf:5", "gf:7", "Q", "Q(i)", "cyclotomic:3"]
+
+
+def test_center_rule_matches_box_scan():
+    """Accept or refuse as a central_probe scan of prod [0, L_i) says, on
+    seeded random quantum spaces with root-of-unity constants (1 included);
+    an accepted center has the pair-order lcms as exponents, a refusal
+    names the scan's first central monomial."""
+    rng = random.Random(20261018)
+    seen = {"accepted": 0, "refused": 0}
+    for _ in range(120):
+        n = rng.choice([2, 3, 4])
+        spec = rng.choice(_ORACLE_FIELDS if n < 4 else _SMALL_GROUP_FIELDS)
+        F = get_field(FieldSpec.from_string(spec))
+        roots = _roots_of_unity(F)
+        P = quantum_space(
+            F,
+            {(i, j): rng.choice(roots) for i in range(n) for j in range(i + 1, n)},
+            ("a", "b", "c", "d")[:n],
+        )
+        L = _pair_lcms(P)
+        alpha = first_central_in_box(P, L)
+        if alpha is None:
+            assert center_generators(P).exponents == L
+            seen["accepted"] += 1
+        else:
+            extra = str(Polynomial.monomial(P, alpha))
+            with pytest.raises(CenterError, match=rf"^{re.escape(extra)} is central"):
+                center_generators(P)
+            seen["refused"] += 1
+    assert min(seen.values()) >= 30
+
+
+def _space(spec, names, constants):
+    F = get_field(FieldSpec.from_string(spec))
+    pairs = [(i, j) for i in range(len(names)) for j in range(i + 1, len(names))]
+    return quantum_space(
+        F, {p: F.from_int(c) for p, c in zip(pairs, constants)}, names
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, names, constants, extra",
+    [
+        ("gf:13", ("x", "y", "z"), (9, 5, 8), "x^3*y^3"),
+        ("gf:7", ("x", "y", "z"), (2, 3, 5), "x*y*z^4"),  # gf7space
+        ("Q", ("a", "b", "c"), (-1, -1, -1), "a*b*c"),
+    ],
+)
+def test_center_refuses_extra_central_monomial(spec, names, constants, extra):
+    P = _space(spec, names, constants)
+    with pytest.raises(CenterError, match=rf"^{re.escape(extra)} is central"):
+        center_generators(P)
+    assert central_probe(parse_polynomial(extra, P))
+
+
+@pytest.mark.parametrize(
+    "spec, names, constants, exponents",
+    [
+        ("Q", ("x", "y", "z"), (-1, 1, 1), (2, 2, 1)),
+        ("gf:7", ("a", "b", "c", "d"), (2, 5, 3, 6, 4, 5), (6, 6, 6, 6)),
+    ],
+)
+def test_center_accepts_polynomial_center(spec, names, constants, exponents):
+    P = _space(spec, names, constants)
     C = center_generators(P)
-    assert C.case == "multiparametric"
-    assert C.exponents == (4, 4, 4)
-    assert C.polynomial_center_assumed
-    for g in C.generators:
-        assert central_probe(g)
+    assert C.exponents == exponents and C.case == "multiparametric"
+    assert first_central_in_box(P, exponents) is None
+
+
+def test_center_refuses_twisting_sigma(conj_qplane):
+    """i*x^4 commutes with x and y but not with i: no K-algebra center."""
+    with pytest.raises(CenterError, match="sigma of x is not the identity"):
+        center_generators(conj_qplane)
+
+
+def test_center_order_limit(qplane_gf5, qplane_m1, monkeypatch):
+    F = get_field(FieldSpec.prime(1009))
+    with pytest.raises(CenterError, match="1008 roots of unity, above the limit 512"):
+        center_generators(quantum_plane(F, F.from_int(11)))
+    monkeypatch.setattr(nullstellensatz, "MAX_CENTER_ORDER", 3)
+    with pytest.raises(CenterError, match="4 roots of unity, above the limit 3"):
+        center_generators(qplane_gf5)
+    assert center_generators(qplane_m1).exponents == (2, 2)
+
+
+def test_sandwich_mixed_trivial_constants():
+    """yx = -xy with z central: accepted with L = (2, 2, 1)."""
+    P = _space("Q", ("x", "y", "z"), (-1, 1, 1))
+    C = center_generators(P)
+    I = two_sided_saturate(
+        [parse_polynomial(g, P) for g in ("x^4", "x^2*z - z", "y^2 - z^2")]
+    )
+    rep = verify_sandwich(I, C, qgrid(P.field, -2, 2), d=4, M=4)
+    assert (rep.inclusion_radical, rep.inclusion_points) == ("confirmed", "confirmed")
 
 
 # -- contraction --------------------------------------------------------------
@@ -334,16 +457,15 @@ def test_sandwich_unresolved_radical_is_no_grid_artifact(qplane_m1, QQ):
 
 
 def test_sandwich_refuses_assumed_center(GF5):
+    """The sandwich needs a center description, and a center that is not
+    K[x_i^(L_i)] gets none."""
     P = quantum_space(
         GF5,
         {(0, 1): GF5.from_int(2), (0, 2): GF5.from_int(4), (1, 2): GF5.from_int(3)},
         ("a", "b", "c"),
     )
-    C = center_generators(P)
-    assert C.polynomial_center_assumed
-    I = two_sided_saturate([parse_polynomial("a^4", P)])
-    with pytest.raises(CenterError, match="assumed"):
-        verify_sandwich(I, C, SearchDomain.full_prime_field(), d=4, M=2)
+    with pytest.raises(CenterError, match="is central: the center is not"):
+        center_generators(P)
 
 
 def test_sandwich_gf5(qplane_gf5):

@@ -11,8 +11,12 @@ import pytest
 
 from skewpbw.geometry import random_polynomial
 from skewpbw.groebner import divide, left_groebner, two_sided_saturate
-from skewpbw.poly import Polynomial, multiply
-from skewpbw.presentation import Presentation, check_pbw_consistency
+from skewpbw.poly import Polynomial, multiply, parse_polynomial
+from skewpbw.presentation import (
+    Presentation,
+    check_pbw_consistency,
+    load_presentation,
+)
 from skewpbw.scalars import AutomorphismSpec, FieldSpec, get_field
 
 
@@ -79,3 +83,31 @@ def test_twisted_completion_deterministic(galois_pair):
         assert (H1.status, H1.basis) == (H2.status, H2.basis)
         S1, S2 = two_sided_saturate(gens), two_sided_saturate(gens)
         assert (S1.status, S1.basis) == (S2.status, S2.basis)
+
+
+@pytest.mark.parametrize(
+    "doc, sigma, gens",
+    [
+        (
+            "field: cyclotomic:5\nvars: x, y\nrelation: y*x = z*x*y\n",
+            "sigma: x = galois:1\n",
+            ["x^2 - z*y", "x*y + 1"],
+        ),
+        (
+            "field: Q\nvars: x, y\nrelation: y*x = -x*y\n",
+            "sigma: y = conj\n",
+            ["x^2 - y", "x*y + 1"],
+        ),
+    ],
+)
+def test_identity_maps_are_untwisted(doc, sigma, gens):
+    """galois:1 on Q(z_5) and conj on Q are the identity map, so the
+    presentation is untwisted and saturation adds no scalar right factor."""
+    twisted = load_presentation(doc + sigma)
+    plain = load_presentation(doc)
+    assert twisted.sigma_all_identity and plain.sigma_all_identity
+    bases = [
+        [str(g) for g in two_sided_saturate([parse_polynomial(g, P) for g in gens]).basis]
+        for P in (twisted, plain)
+    ]
+    assert bases[0] == bases[1]
