@@ -9,10 +9,10 @@ normal selection strategy and Gebauer-Moller's chain criterion.
 One routine computes left and two-sided bases: a two-sided basis is a left
 basis that is also closed under right multiples. It alternates left
 completion with adjoining the reduced right multiples of the newly added
-elements by a list of right factors: none for a left ideal, the variables
-(and the field primitive when some sigma is not the identity) for a
-two-sided one. Budgets make `unknown` a first class outcome: right
-closure need not terminate in general.
+elements that no other lead divides, by a list of right factors: none for
+a left ideal, the variables (and the field primitive when some sigma is
+not the identity) for a two-sided one. Budgets make `unknown` a first
+class outcome: right closure need not terminate in general.
 """
 
 from __future__ import annotations
@@ -57,10 +57,13 @@ class Budget:
       0 acts as 1. A left basis runs no round and never reads it.
 
     Pairs pruned by the chain criterion are never formed: they count
-    nowhere and never trip the degree budget. So a budget goes further
-    than it would without the criterion, and an input that ran out of it
-    there may be decided here. A proper or unit answer is exact whatever
-    the budget; budgets count work, never time.
+    nowhere and never trip the degree budget. A saturation round
+    multiplies only the new elements whose lead no other lead divides, so
+    fewer right multiples feed the next completion. So a budget goes
+    further than it would without the criterion and with every right
+    multiple, and an input that ran out of it there may be decided here.
+    A proper or unit answer is exact whatever the budget; budgets count
+    work, never time.
     """
 
     max_degree: int = 12
@@ -98,41 +101,91 @@ class DivisionResult:
         return out
 
 
+class _Memo:
+    """The basis of one Groebner computation with its caches; dropped
+    when the computation returns.
+
+    The basis only grows by appending, so a position names one element for
+    the whole computation and both maps stay valid:
+    - `first`: exponent -> (position of the first lead dividing it, or -1;
+      number of leads checked), so a miss is searched again only among
+      the leads appended since;
+    - `products`: (position k, theta) -> (raw dict of x^theta * basis[k],
+      inverse of its lead coefficient), shared by division and S-elements.
+    """
+
+    __slots__ = ("pres", "basis", "leads", "dicts", "first", "products")
+
+    def __init__(self, pres: Presentation):
+        self.pres = pres
+        self.basis: List[Polynomial] = []
+        self.leads: List[tuple] = []
+        self.dicts: List[Optional[dict]] = []  # raw dicts, made when first used
+        self.first: dict = {}
+        self.products: dict = {}
+
+    def append(self, g: Polynomial, lead: tuple) -> None:
+        self.basis.append(g)
+        self.leads.append(lead)
+        self.dicts.append(None)
+
+    def product(self, k: int, theta: tuple):
+        """(x^theta * basis[k] as a raw dict, inverse of its lead coefficient)."""
+        key = (k, theta)
+        hit = self.products.get(key)
+        if hit is None:
+            d = self.dicts[k]
+            if d is None:
+                d = self.dicts[k] = self.basis[k].raw_dict()
+            pres = self.pres
+            prod = _mono_times_dict(pres, theta, d)
+            lead_c = prod.get(tuple(map(operator.add, theta, self.leads[k])))
+            if lead_c is None or lead_c == pres.field.raw_zero:
+                raise GroebnerError(
+                    "monomial order is not multiplicative for this presentation"
+                )
+            hit = self.products[key] = (prod, pres.field.raw_inv(lead_c))
+        return hit
+
+
 def divide(
     f: Polynomial,
     divisors: Sequence[Polynomial],
     order: MonomialOrder = DEGLEX,
+    *,
+    memo: Optional[_Memo] = None,
 ) -> DivisionResult:
     """f = sum q_i * f_i + h with h reduced w.r.t. the divisors.
 
     Reduced means no term of h has a monomial divisible by any lm(f_i);
     terms are processed largest first, so lm(f) = max of the partial
     product leads and lm(h). Raises on an empty divisor list or a zero
-    divisor.
+    divisor. `memo` is internal: the caches of the Groebner computation
+    whose whole basis `divisors` is.
     """
     if not divisors:
         raise GroebnerError("division requires at least one divisor")
     pres = f.pres
-    lead_exps = []
-    for g in divisors:
-        if g.pres is not pres:
-            raise GroebnerError("divisors from a different presentation")
-        lead = g.leading(order)
-        if lead is None:
-            raise GroebnerError("division by the zero polynomial")
-        lead_exps.append(lead[0])
+    if memo is None:
+        memo = _Memo(pres)
+        for g in divisors:
+            if g.pres is not pres:
+                raise GroebnerError("divisors from a different presentation")
+            lead = g.leading(order)
+            if lead is None:
+                raise GroebnerError("division by the zero polynomial")
+            memo.append(g, lead[0])
 
     field = pres.field
-    add, mul, neg, inv, zero = (
-        field.raw_add, field.raw_mul, field.raw_neg, field.raw_inv, field.raw_zero
-    )
+    add, mul, neg, zero = field.raw_add, field.raw_mul, field.raw_neg, field.raw_zero
     key = order.key
-    div_dicts = [None] * len(divisors)  # raw dicts, made when first used
+    leads, first, product = memo.leads, memo.first, memo.product
+    n = len(leads)
     work = f.raw_dict()
     # a min-heap on negated order keys pops the largest term first
     heap = [(tuple(map(operator.neg, key(e))), e) for e in work]
     heapq.heapify(heap)
-    quotients: List[dict] = [dict() for _ in divisors]
+    quotients: List[dict] = [dict() for _ in range(n)]
     remainder: dict = {}
 
     while heap:
@@ -140,21 +193,21 @@ def divide(
         coeff = work.pop(exp, None)
         if coeff is None:
             continue  # stale entry
-        i = find_divisor(lead_exps, exp)
+        hit = first.get(exp)
+        if hit is None:
+            i = find_divisor(leads, exp)
+            first[exp] = (i, n)
+        elif hit[0] < 0 and hit[1] < n:
+            i = find_divisor(leads, exp, hit[1])
+            first[exp] = (i, n)
+        else:
+            i = hit[0]
         if i < 0:
             remainder[exp] = coeff
             continue
-        theta = exp_sub(exp, lead_exps[i])
-        d = div_dicts[i]
-        if d is None:
-            d = div_dicts[i] = divisors[i].raw_dict()
-        prod = _mono_times_dict(pres, theta, d)
-        lead_c = prod.get(exp)
-        if lead_c is None or lead_c == zero:
-            raise GroebnerError(
-                "monomial order is not multiplicative for this presentation"
-            )
-        r = mul(coeff, inv(lead_c))
+        theta = exp_sub(exp, leads[i])
+        prod, inv_lc = product(i, theta)
+        r = mul(coeff, inv_lc)
         _acc(quotients[i], theta, r, add, zero)
         r = neg(r)
         for e, c in prod.items():
@@ -269,10 +322,12 @@ def _reduce_with_cert(
     basis: List[Polynomial],
     certs: List,
     order: MonomialOrder,
+    memo: Optional[_Memo] = None,
 ):
+    """f reduced by basis, with its certificate; memo: as for `divide`."""
     if not basis or f.is_zero():
         return f, cert
-    res = divide(f, basis, order)
+    res = divide(f, basis, order, memo=memo)
     if cert is not None:
         cert = _cert_sum(
             [(None, cert)]
@@ -296,14 +351,16 @@ def _completion(
     items: List[Tuple[Polynomial, Optional[tuple]]],
     order: MonomialOrder,
     budget: Budget,
-    done: int = 0,
+    done: int,
+    memo: _Memo,
 ):
     """Left Buchberger completion of nonzero items; returns (status, items, note).
 
     The first `done` items must already be a left GB of monic nonconstant
-    elements: no pair among them is formed, and they lead the returned
-    items unchanged. status UNIT means a nonzero constant was derived; the
-    single returned item is then 1.
+    elements, and they must be the memo's basis: no pair among them is
+    formed, and they lead the returned items unchanged. Every element the
+    completion adds is appended to the memo. status UNIT means a nonzero
+    constant was derived; the single returned item is then 1.
 
     Pairs are managed with Gebauer-Moller's chain criterion only (the
     product criterion fails for these algebras). It is sound because in a
@@ -314,10 +371,8 @@ def _completion(
     """
     if not items:
         return PROPER, [], ""
-    pres = items[0][0].pres
-    basis: List[Polynomial] = []
-    certs: List = []
-    leads: List[tuple] = []
+    basis, leads = memo.basis, memo.leads
+    certs: List = [cert for _, cert in items[:done]]
     pairs: dict = {}  # queued pair (i, j), i < j -> lcm of the two leads
     heap: list = []  # (order key of the lcm, i, j); pairs pruned later go stale
 
@@ -346,14 +401,9 @@ def _completion(
         for gamma, i in fresh.items():
             pairs[(i, k)] = gamma
             heapq.heappush(heap, (order.key(gamma), i, k))
-        basis.append(g)
+        memo.append(g, lead)
         certs.append(cert)
-        leads.append(lead)
 
-    for g, cert in items[:done]:
-        basis.append(g)
-        certs.append(cert)
-        leads.append(g.leading(order)[0])
     for g, cert in items[done:]:
         g, cert = _monic(g, cert, order)
         if g.is_constant():
@@ -374,10 +424,10 @@ def _completion(
         if processed > budget.max_pairs:
             return UNKNOWN, list(zip(basis, certs)), "pair budget exhausted"
 
-        s, cert_s = _s_element(pres, basis, certs, i, j, gamma, order)
+        s, cert_s = _s_element(memo, certs, i, j, gamma)
         if s.is_zero():
             continue
-        rem, cert_s = _reduce_with_cert(s, cert_s, basis, certs, order)
+        rem, cert_s = _reduce_with_cert(s, cert_s, basis, certs, order, memo)
         if rem.is_zero():
             continue
         rem, cert_s = _monic(rem, cert_s, order)
@@ -390,22 +440,16 @@ def _completion(
     return PROPER, list(zip(basis, certs)), ""
 
 
-def _s_element(pres, basis, certs, i, j, gamma, order):
+def _s_element(memo: _Memo, certs, i, j, gamma):
     """Left S-element of basis[i], basis[j] w.r.t. the common multiple gamma."""
+    pres = memo.pres
     field = pres.field
     add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
-    gi, gj = basis[i], basis[j]
-    ti = exp_sub(gamma, gi.leading(order)[0])
-    tj = exp_sub(gamma, gj.leading(order)[0])
-    pi = _mono_times_dict(pres, ti, gi.raw_dict())
-    pj = _mono_times_dict(pres, tj, gj.raw_dict())
-    ci = pi.get(gamma)
-    cj = pj.get(gamma)
-    if ci is None or cj is None or ci == zero or cj == zero:
-        raise GroebnerError(
-            "monomial order is not multiplicative for this presentation"
-        )
-    ui, uj = field.raw_inv(ci), field.raw_neg(field.raw_inv(cj))
+    ti = exp_sub(gamma, memo.leads[i])
+    tj = exp_sub(gamma, memo.leads[j])
+    pi, ui = memo.product(i, ti)
+    pj, uj = memo.product(j, tj)
+    uj = field.raw_neg(uj)
     out = {e: mul(ui, c) for e, c in pi.items()}
     for e, c in pj.items():
         _acc(out, e, mul(uj, c), add, zero)
@@ -419,24 +463,30 @@ def _s_element(pres, basis, certs, i, j, gamma, order):
     return s, cert
 
 
-def _inter_reduce(basis, certs, order):
-    """Reduced GB from a left GB of monic elements, sorted by lead.
-
-    Drops each element whose lead another lead divides (the first of equal
-    leads stays), then tail-reduces each survivor once against the others.
-    The surviving leads are fixed and pairwise non-dividing, so one pass
-    leaves every tail reduced and every lead coefficient 1.
-    """
-    leads = [g.leading(order)[0] for g in basis]
-    keep = [
+def _minimal(leads: Sequence[tuple], start: int = 0) -> List[int]:
+    """Positions from `start` on whose lead no other lead divides; of equal
+    leads, only the first position counts."""
+    return [
         k
-        for k, lead in enumerate(leads)
+        for k in range(start, len(leads))
         if not any(
-            divides(other, lead) and (other != lead or j < k)
+            divides(other, leads[k]) and (other != leads[k] or j < k)
             for j, other in enumerate(leads)
             if j != k
         )
     ]
+
+
+def _inter_reduce(basis, certs, leads, order):
+    """Reduced GB from a left GB of monic elements with these leads,
+    sorted by lead.
+
+    Drops each element that is not `_minimal`, then tail-reduces each
+    survivor once against the others. The surviving leads are fixed and
+    pairwise non-dividing, so one pass leaves every tail reduced and every
+    lead coefficient 1.
+    """
+    keep = _minimal(leads)
     basis = [basis[k] for k in keep]
     certs = [certs[k] for k in keep]
     out = []
@@ -459,11 +509,23 @@ def _groebner(
     by right_factors; None asks for the left ideal.
 
     Each round completes the left basis, then adjoins the reduced right
-    multiples of the elements that completion added: an earlier right
-    multiple lies in the left ideal already, which only grows. A left
-    ideal stops after its one completion. `one` is the polynomial 1 when
-    elements carry certificates, seeding generator k's as ((1, k, 1),),
-    and None when they carry none.
+    multiples of the elements that completion added and that are minimal:
+    no other lead divides theirs (of equal leads, the first counts). A
+    left ideal stops after its one completion. `one` is the polynomial 1
+    when elements carry certificates, seeding generator k's as
+    ((1, k, 1),), and None when they carry none.
+
+    Why the minimal elements suffice. Let G be the left GB a completion
+    returns, L its left ideal and G' its minimal elements. Every lead in G
+    is divisible by a lead in G', so G' is a left GB of L as well, and each
+    g in G reduces to 0 by G': g = sum a_h * h over h in G', hence
+    g * w = sum a_h * (h * w) for each right factor w. For an h this
+    completion added, h * w is adjoined now; an h from an earlier round
+    lies in that round's left ideal, whose products with w were adjoined
+    then, by the same argument. So after the round the left ideal contains
+    L * w, as if every element of G had been multiplied.
+
+    The computation owns one `_Memo`; its caches go when this returns.
     """
     budget = budget or DEFAULT_BUDGET
     items = [
@@ -471,24 +533,28 @@ def _groebner(
         for k, g in enumerate(gens)
         if not g.is_zero()
     ]
+    memo = _Memo(gens[0].pres if gens else None)
     done = rounds = 0
     while True:
-        status, items, note = _completion(items, order, budget, done)
+        status, items, note = _completion(items, order, budget, done, memo)
         if status != PROPER:
             break
-        basis = [g for g, _ in items]
+        basis = memo.basis
         certs = [c for _, c in items]
         new_items = []
-        for g, cert in items[done:] if right_factors else ():
+        for k in _minimal(memo.leads, done) if right_factors else ():
+            g, cert = items[k]
             for w in right_factors:
                 cw = None if cert is None else tuple(
                     (p, i, multiply(q, w)) for p, i, q in cert
                 )
-                rem, cw = _reduce_with_cert(multiply(g, w), cw, basis, certs, order)
+                rem, cw = _reduce_with_cert(
+                    multiply(g, w), cw, basis, certs, order, memo
+                )
                 if not rem.is_zero():
                     new_items.append((rem, cw))
         if not new_items:
-            items = _inter_reduce(basis, certs, order)
+            items = _inter_reduce(basis, certs, memo.leads, order)
             break
         rounds += 1
         done = len(items)

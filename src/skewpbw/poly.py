@@ -69,10 +69,10 @@ def block_key(a, mask):
     return (fdeg,) + tuple(front) + (rdeg,) + tuple(rest)
 
 
-def find_divisor(leads, target):
-    """Index of the first exponent in ``leads`` dividing ``target``, or -1."""
+def find_divisor(leads, target, start=0):
+    """Index of the first exponent in ``leads[start:]`` dividing ``target``, or -1."""
     n = len(leads)
-    i = 0
+    i = start
     while i < n:
         if divides(leads[i], target):
             return i
@@ -210,13 +210,18 @@ def _mono_times_dict(pres: Presentation, alpha: tuple, d: dict) -> dict:
 
 
 class Polynomial:
-    """Immutable normal-ordered polynomial; terms sorted by descending deglex."""
+    """Immutable normal-ordered polynomial; terms sorted by descending deglex.
 
-    __slots__ = ("pres", "terms")
+    `_lead` holds (order, leading term) for the last order other than
+    deglex that `leading` was asked for, so each lead is searched once.
+    """
+
+    __slots__ = ("pres", "terms", "_lead")
 
     def __init__(self, pres: Presentation, terms: tuple):
         self.pres = pres
         self.terms = terms
+        self._lead = None
 
     @staticmethod
     def from_dict(pres: Presentation, d: dict) -> "Polynomial":
@@ -296,7 +301,12 @@ class Polynomial:
             return None
         if order.kind == "deglex":
             return self.terms[0]
-        return max(self.terms, key=lambda t: order.key(t[0]))
+        cached = self._lead
+        if cached is not None and cached[0] is order:
+            return cached[1]
+        lead = max(self.terms, key=lambda t: order.key(t[0]))
+        self._lead = (order, lead)
+        return lead
 
     def scale(self, c: Scalar) -> "Polynomial":
         """Left multiplication by a scalar."""

@@ -25,7 +25,7 @@ from skewpbw.groebner import (
     left_groebner,
     two_sided_saturate,
 )
-from skewpbw.poly import DEGLEX, Polynomial, multiply, parse_polynomial
+from skewpbw.poly import DEGLEX, Polynomial, divides, multiply, parse_polynomial
 from skewpbw.presentation import load_presentation, load_presentation_file
 
 
@@ -319,11 +319,14 @@ GF7_SPACE = (
     "field: gf:7\nvars: x, y, z\n"
     "relation: y*x = 2*x*y\nrelation: z*x = 3*x*z\nrelation: z*y = 5*y*z\n"
 )
+ZETA5_PLANE = "field: cyclotomic:5\nvars: x, y\nrelation: y*x = z*x*y\n"
 
 
 def _algebra(name):
     if name == "gf7space":
         return load_presentation(GF7_SPACE)
+    if name == "zeta5plane":
+        return load_presentation(ZETA5_PLANE)
     return load_presentation_file(algebra_path(name))
 
 
@@ -338,10 +341,12 @@ def _random_gens(pres, rng, degree, terms):
             return gens
 
 
-@pytest.mark.parametrize("name", SHIPPED + ["gf7space"])
+@pytest.mark.parametrize("name", SHIPPED + ["gf7space", "zeta5plane"])
 def test_reduced_bases_match_naive_oracle(name):
-    """Pruned pairs and incremental saturation give the reduced bases of
-    completion over every pair; certificates still expand."""
+    """Pruned pairs, incremental saturation and right multiples of the
+    minimal new elements only give the reduced bases of completion over
+    every pair and right closure of every element, with and without
+    certificates; certificates still expand."""
     pres = _algebra(name)
     rng = random.Random(zlib.crc32(name.encode()))
     for _ in range(6):
@@ -354,9 +359,13 @@ def test_reduced_bases_match_naive_oracle(name):
         assert list(two.basis) == naive_saturate(gens)
     for _ in range(3):
         gens = _random_gens(pres, rng, 2, 3)
-        for engine in (left_groebner, two_sided_saturate):
+        for engine, oracle in (
+            (left_groebner, naive_left_gb),
+            (two_sided_saturate, naive_saturate),
+        ):
             H = engine(gens, track=True)
-            assert H.basis == engine(gens).basis
+            assert H.status in ("proper", "unit")
+            assert list(H.basis) == oracle(gens)
             for element, cert in zip(H.basis, H.certificates):
                 assert expand_certificate(cert, H.generators) == element
 
@@ -407,6 +416,168 @@ def test_chain_criterion_forms_fewer_pairs(monkeypatch):
         assert list(left_groebner(gens).basis) == naive_left_gb(gens, stats=stats)
         assert list(two_sided_saturate(gens).basis) == naive_saturate(gens, stats=stats)
     assert 0 < formed[0] < stats["spairs"]
+
+
+def _multiply_every_new_element(monkeypatch):
+    """Make right closure multiply every new element, minimal or not, as
+    the engine did before minimal closure; inter-reduction still drops
+    the non-minimal elements."""
+    minimal, inter_reduce = groebner._minimal, groebner._inter_reduce
+
+    def every(leads, start=0):
+        return list(range(start, len(leads)))
+
+    def reduce_minimal(*args):
+        monkeypatch.setattr(groebner, "_minimal", minimal)
+        try:
+            return inter_reduce(*args)
+        finally:
+            monkeypatch.setattr(groebner, "_minimal", every)
+
+    monkeypatch.setattr(groebner, "_minimal", every)
+    monkeypatch.setattr(groebner, "_inter_reduce", reduce_minimal)
+
+
+def test_right_multiples_only_of_minimal_elements(monkeypatch):
+    """No right multiple is formed of a new element whose lead another
+    lead divides, and fewer are formed than when every new element is
+    multiplied."""
+    pres = _algebra("qplane_q2_gf5.alg")
+    rng = random.Random(11)
+    inputs = [
+        [random_polynomial(pres, rng, 4, 4) for _ in range(3)] for _ in range(10)
+    ]
+    completion, multiply_ = groebner._completion, groebner.multiply
+    formed = []  # (left factor, basis it was formed against)
+    bases = []
+
+    def spy_completion(*args):
+        out = completion(*args)
+        bases.append([g for g, _ in out[1]])
+        return out
+
+    def spy_multiply(f, g):
+        formed.append((f, bases[-1]))
+        return multiply_(f, g)
+
+    monkeypatch.setattr(groebner, "_completion", spy_completion)
+    monkeypatch.setattr(groebner, "multiply", spy_multiply)
+    minimal = [two_sided_saturate(gens).basis for gens in inputs]
+    assert formed
+    for f, basis in formed:
+        k = next(k for k, g in enumerate(basis) if g is f)
+        lead = leading_exp(f)
+        assert not any(
+            divides(leading_exp(g), lead)
+            and (leading_exp(g) != lead or j < k)
+            for j, g in enumerate(basis)
+            if j != k
+        )
+    count = len(formed)
+
+    formed.clear()
+    _multiply_every_new_element(monkeypatch)
+    assert [two_sided_saturate(gens).basis for gens in inputs] == minimal
+    assert count < len(formed)
+
+
+QSPACE3_OP = (
+    "(-2-2*i)*x*y + x + (1+2*i)*z",
+    "(-2-i)*x*y + i*x*z + (1-i)*y^2",
+)
+
+
+def test_minimal_closure_decides_within_the_budget(monkeypatch):
+    """With every new element multiplied, this saturation runs out of its
+    pair budget; with the minimal ones only it is decided, and its basis
+    is the oracle's."""
+    pres = _algebra("qspace3.alg")
+    gens = [parse_polynomial(t, pres) for t in QSPACE3_OP]
+    H = two_sided_saturate(gens, budget=Budget(6, 40, 6))
+    assert H.status == "proper"
+    assert list(H.basis) == naive_saturate(gens)
+    _multiply_every_new_element(monkeypatch)
+    H = two_sided_saturate(gens, budget=Budget(6, 40, 6))
+    assert (H.status, H.note) == ("unknown", "pair budget exhausted")
+
+
+def test_minimal_closure_never_loses_a_decision(monkeypatch):
+    """Over seeded inputs under tight budgets, no saturation that is
+    decided when every new element is multiplied ends unknown with the
+    minimal ones; decided answers agree, and those decided only with the
+    minimal ones match the oracle."""
+    budgets = (Budget(5, 8, 6), Budget(6, 40, 6))
+    cases = []
+    for name in ("qspace3.alg", "witten.alg", "gf7space", "zeta5plane"):
+        pres = _algebra(name)
+        rng = random.Random(zlib.crc32(b"budget sweep " + name.encode()))
+        for _ in range(30):
+            gens = [
+                random_polynomial(pres, rng, 2, 3) for _ in range(rng.randint(2, 3))
+            ]
+            cases += [(gens, budget) for budget in budgets]
+    minimal = [two_sided_saturate(gens, budget=budget) for gens, budget in cases]
+    _multiply_every_new_element(monkeypatch)
+    every = [two_sided_saturate(gens, budget=budget) for gens, budget in cases]
+    assert any(G.status == "unknown" for G in every)
+    for (gens, _), H, G in zip(cases, minimal, every):
+        if G.status != "unknown":
+            assert (H.status, H.basis) == (G.status, G.basis)
+        elif H.status != "unknown":
+            assert list(H.basis) == naive_saturate(gens)
+
+
+def test_memo_lives_for_one_computation(qspace3):
+    """The computation's caches go when it returns: the presentation keeps
+    only its own caches, and repeated calls give identical handles."""
+    gens = [parse_polynomial(t, qspace3) for t in QSPACE3_OP]
+    before = set(vars(qspace3))
+
+    def handles():
+        return (
+            left_groebner(gens),
+            two_sided_saturate(gens),
+            two_sided_saturate(gens, track=True),
+        )
+
+    first, again = handles(), handles()
+    assert set(vars(qspace3)) == before
+    assert {a for a in before if a.startswith("_")} == {
+        "_insert_cache", "_point_ideals", "_sigma_pow"
+    }
+    assert first == again
+
+
+def test_memo_products_are_checked_once_per_key(monkeypatch, qplane_q2):
+    """A product x^theta * g is formed, and its lead checked, once per
+    (position, theta); the key fixes its lead monomial theta + lm(g)."""
+    g = parse_polynomial("x*y + x + 1", qplane_q2)
+    memo = groebner._Memo(qplane_q2)
+    memo.append(g, leading_exp(g))
+    calls = []
+    mono_times = groebner._mono_times_dict
+
+    def counting(pres, alpha, d):
+        calls.append(alpha)
+        return mono_times(pres, alpha, d)
+
+    monkeypatch.setattr(groebner, "_mono_times_dict", counting)
+    prod, inv_lc = memo.product(0, (1, 0))
+    assert memo.product(0, (1, 0)) == (prod, inv_lc)
+    assert calls == [(1, 0)]
+    field = qplane_q2.field
+    assert field.raw_mul(prod[(2, 1)], inv_lc) == field.raw_one
+
+    # a product missing its lead monomial is refused when first formed
+    monkeypatch.setattr(
+        groebner, "_mono_times_dict", lambda pres, alpha, d: {(0, 0): field.raw_one}
+    )
+    with pytest.raises(GroebnerError, match="not multiplicative"):
+        memo.product(0, (0, 1))
+    with pytest.raises(GroebnerError, match="not multiplicative"):
+        divide(parse_polynomial("x^2*y", qplane_q2), [g])
+    with pytest.raises(GroebnerError, match="not multiplicative"):
+        left_groebner([g, parse_polynomial("y^2 + 1", qplane_q2)])
 
 
 # -- intersection ------------------------------------------------------------
