@@ -82,16 +82,21 @@ class DivisionResult:
     """f = sum quotients[i] * divisors[i] + remainder.
 
     The quotients are built from their raw dicts on first access: callers
-    that need only the remainder never pay for them.
+    that need only the remainder never pay for them. A division run for
+    its remainder alone records no quotients, and reading them raises.
     """
 
-    def __init__(self, pres: Presentation, raw_quotients: List[dict], remainder: Polynomial):
+    def __init__(
+        self, pres: Presentation, raw_quotients: Optional[List[dict]], remainder: Polynomial
+    ):
         self.remainder = remainder
         self._pres = pres
         self._raw_quotients = raw_quotients
 
     @cached_property
     def quotients(self) -> List[Polynomial]:
+        if self._raw_quotients is None:
+            raise GroebnerError("this division recorded no quotients")
         return [Polynomial.from_raw(self._pres, q) for q in self._raw_quotients]
 
     def reconstruct(self, divisors: Sequence[Polynomial]) -> Polynomial:
@@ -102,49 +107,65 @@ class DivisionResult:
 
 
 class _Memo:
-    """The basis of one Groebner computation with its caches; dropped
-    when the computation returns.
+    """The basis of one Groebner computation under one order with its
+    caches; dropped when the computation returns.
 
     The basis only grows by appending, so a position names one element for
-    the whole computation and both maps stay valid:
+    the whole computation and every map stays valid:
     - `first`: exponent -> (position of the first lead dividing it, or -1;
       number of leads checked), so a miss is searched again only among
       the leads appended since;
-    - `products`: (position k, theta) -> (raw dict of x^theta * basis[k],
-      inverse of its lead coefficient), shared by division and S-elements.
+    - `products`: (position k, mu) -> (raw dict of x^theta * basis[k],
+      inverse of its lead coefficient) with theta = mu - lm(basis[k]), so
+      mu is the product's lead monomial: the exponent `divide` cancels,
+      or the lcm an S-element is formed at. Both callers hold mu already,
+      and theta is computed only when the product is first formed;
+    - `entries`: exponent -> (its order key negated, exponent), the heap
+      entry `divide` pushes, built once per exponent for `order`.
     """
 
-    __slots__ = ("pres", "basis", "leads", "dicts", "first", "products")
+    __slots__ = ("pres", "order", "basis", "leads", "dicts", "first", "products", "entries")
 
-    def __init__(self, pres: Presentation):
+    def __init__(self, pres: Presentation, order: MonomialOrder):
         self.pres = pres
+        self.order = order
         self.basis: List[Polynomial] = []
         self.leads: List[tuple] = []
         self.dicts: List[Optional[dict]] = []  # raw dicts, made when first used
         self.first: dict = {}
         self.products: dict = {}
+        self.entries: dict = {}
 
     def append(self, g: Polynomial, lead: tuple) -> None:
         self.basis.append(g)
         self.leads.append(lead)
         self.dicts.append(None)
 
-    def product(self, k: int, theta: tuple):
-        """(x^theta * basis[k] as a raw dict, inverse of its lead coefficient)."""
-        key = (k, theta)
+    def product(self, k: int, mu: tuple):
+        """(x^theta * basis[k] as a raw dict, inverse of its lead
+        coefficient), for the theta with theta + lm(basis[k]) = mu."""
+        key = (k, mu)
         hit = self.products.get(key)
         if hit is None:
             d = self.dicts[k]
             if d is None:
                 d = self.dicts[k] = self.basis[k].raw_dict()
             pres = self.pres
-            prod = _mono_times_dict(pres, theta, d)
-            lead_c = prod.get(tuple(map(operator.add, theta, self.leads[k])))
+            prod = _mono_times_dict(pres, exp_sub(mu, self.leads[k]), d)
+            lead_c = prod.get(mu)
             if lead_c is None or lead_c == pres.field.raw_zero:
                 raise GroebnerError(
                     "monomial order is not multiplicative for this presentation"
                 )
             hit = self.products[key] = (prod, pres.field.raw_inv(lead_c))
+        return hit
+
+    def entry(self, exp: tuple) -> tuple:
+        """(negated order key of exp, exp): a min-heap of these pops the
+        largest exponent first."""
+        hit = self.entries.get(exp)
+        if hit is None:
+            hit = self.entries[exp] = (tuple(map(operator.neg, self.order.key(exp))), exp)
         return hit
 
 
@@ -154,20 +175,23 @@ def divide(
     order: MonomialOrder = DEGLEX,
     *,
     memo: Optional[_Memo] = None,
+    _quotients: bool = True,
 ) -> DivisionResult:
     """f = sum q_i * f_i + h with h reduced w.r.t. the divisors.
 
     Reduced means no term of h has a monomial divisible by any lm(f_i);
     terms are processed largest first, so lm(f) = max of the partial
     product leads and lm(h). Raises on an empty divisor list or a zero
-    divisor. `memo` is internal: the caches of the Groebner computation
-    whose whole basis `divisors` is.
+    divisor. `memo` and `_quotients` are internal: the caches of the
+    Groebner computation whose whole basis `divisors` is, kept for
+    `order`, and False when only the remainder is read, so that no
+    quotient is recorded.
     """
     if not divisors:
         raise GroebnerError("division requires at least one divisor")
     pres = f.pres
     if memo is None:
-        memo = _Memo(pres)
+        memo = _Memo(pres, order)
         for g in divisors:
             if g.pres is not pres:
                 raise GroebnerError("divisors from a different presentation")
@@ -178,18 +202,19 @@ def divide(
 
     field = pres.field
     add, mul, neg, zero = field.raw_add, field.raw_mul, field.raw_neg, field.raw_zero
-    key = order.key
-    leads, first, product = memo.leads, memo.first, memo.product
+    leads, first, products, product = memo.leads, memo.first, memo.products, memo.product
+    # cached products and heap entries are nonempty tuples: `or` tests for a hit
+    entries, entry = memo.entries, memo.entry
+    heappush, heappop = heapq.heappush, heapq.heappop
     n = len(leads)
     work = f.raw_dict()
-    # a min-heap on negated order keys pops the largest term first
-    heap = [(tuple(map(operator.neg, key(e))), e) for e in work]
+    heap = [entries.get(e) or entry(e) for e in work]
     heapq.heapify(heap)
-    quotients: List[dict] = [dict() for _ in range(n)]
+    quotients = [dict() for _ in range(n)] if _quotients else None
     remainder: dict = {}
 
     while heap:
-        _, exp = heapq.heappop(heap)
+        _, exp = heappop(heap)
         coeff = work.pop(exp, None)
         if coeff is None:
             continue  # stale entry
@@ -205,10 +230,10 @@ def divide(
         if i < 0:
             remainder[exp] = coeff
             continue
-        theta = exp_sub(exp, leads[i])
-        prod, inv_lc = product(i, theta)
+        prod, inv_lc = products.get((i, exp)) or product(i, exp)
         r = mul(coeff, inv_lc)
-        _acc(quotients[i], theta, r, add, zero)
+        if quotients is not None:
+            _acc(quotients[i], exp_sub(exp, leads[i]), r, add, zero)
         r = neg(r)
         for e, c in prod.items():
             if e == exp:
@@ -216,7 +241,7 @@ def divide(
             cur = work.get(e)
             if cur is None:
                 work[e] = mul(r, c)  # nonzero: r and c are
-                heapq.heappush(heap, (tuple(map(operator.neg, key(e))), e))
+                heappush(heap, entries.get(e) or entry(e))
             else:
                 cur = add(cur, mul(r, c))
                 if cur == zero:
@@ -233,7 +258,7 @@ def divide(
 def remainder_of(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder) -> Polynomial:
     if not basis or f.is_zero():
         return f
-    return divide(f, basis, order).remainder
+    return divide(f, basis, order, _quotients=False).remainder
 
 
 def normal_form_rows(
@@ -324,10 +349,11 @@ def _reduce_with_cert(
     order: MonomialOrder,
     memo: Optional[_Memo] = None,
 ):
-    """f reduced by basis, with its certificate; memo: as for `divide`."""
+    """f reduced by basis, with its certificate; memo: as for `divide`.
+    Only a certificate reads the quotients, so none are recorded without."""
     if not basis or f.is_zero():
         return f, cert
-    res = divide(f, basis, order, memo=memo)
+    res = divide(f, basis, order, memo=memo, _quotients=cert is not None)
     if cert is not None:
         cert = _cert_sum(
             [(None, cert)]
@@ -367,7 +393,16 @@ def _completion(
     bijective skew PBW extension lm(x^a * g) = x^(a + lm g) with a nonzero
     coefficient, so S-elements of a chain i-k-j whose lcms divide the lcm
     of i and j combine into a standard representation of the S-element of
-    i and j.
+    i and j. `_gebauer_moller` updates the queue on each insertion; its M
+    step compares each new lcm only with kept lcms of lower total degree,
+    the only ones that can divide it properly.
+
+    The same multiplicativity keys the memo's products by their lead: the
+    S-element of i and j is formed from the products of basis[i] and
+    basis[j] with lead gamma, and a division step cancels exponent mu with
+    the product of lead mu, so neither computes theta on a cache hit.
+    Divisions here run on the memo's heap entries and record quotients
+    only for certificates.
     """
     if not items:
         return PROPER, [], ""
@@ -379,26 +414,7 @@ def _completion(
     def add(g: Polynomial, cert):
         k = len(basis)
         lead = g.leading(order)[0]
-        # B_k: a queued pair (i, j) whose lcm lead divides, by a chain
-        # through k with both lcms different from it, is redundant
-        for (i, j), gamma in list(pairs.items()):
-            if (
-                divides(lead, gamma)
-                and exp_max(leads[i], lead) != gamma
-                and exp_max(leads[j], lead) != gamma
-            ):
-                del pairs[(i, j)]
-        # M: drop a new pair whose lcm another new lcm properly divides;
-        # F: keep one new pair per lcm
-        lcms = [exp_max(lead_i, lead) for lead_i in leads]
-        fresh: dict = {}
-        for i, gamma in enumerate(lcms):
-            if gamma in fresh or any(
-                other != gamma and divides(other, gamma) for other in lcms
-            ):
-                continue
-            fresh[gamma] = i
-        for gamma, i in fresh.items():
+        for gamma, i in _gebauer_moller(pairs, leads, lead).items():
             pairs[(i, k)] = gamma
             heapq.heappush(heap, (order.key(gamma), i, k))
         memo.append(g, lead)
@@ -440,15 +456,49 @@ def _completion(
     return PROPER, list(zip(basis, certs)), ""
 
 
+def _gebauer_moller(pairs: dict, leads: Sequence[tuple], lead: tuple) -> dict:
+    """Gebauer-Moller update for a new element with this lead, after
+    `leads`: drops the queued pairs it makes redundant from `pairs`, a
+    dict (i, j) -> lcm, and returns its new pairs to queue as {lcm: i}.
+
+    B_k drops a queued pair (i, j) whose lcm the new lead divides, by a
+    chain through the new element with both lcms different from it. M
+    drops a new pair whose lcm another new lcm properly divides; F keeps
+    one new pair per lcm, the first position. A proper divisor has a
+    lower total degree, so M visits the new lcms by (degree, position) and
+    tests each only against the kept lcms of lower degree: by
+    transitivity, a dropped lcm divides nothing a kept one does not.
+    """
+    lcms = [exp_max(lead_i, lead) for lead_i in leads]
+    for ij in [
+        ij
+        for ij, gamma in pairs.items()
+        if divides(lead, gamma) and lcms[ij[0]] != gamma and lcms[ij[1]] != gamma
+    ]:
+        del pairs[ij]
+    fresh: dict = {}
+    lower: list = []  # kept lcms of degree below the current one
+    level: list = []  # kept lcms of the current degree
+    degree = -1
+    for d, i, gamma in sorted([(sum(gamma), i, gamma) for i, gamma in enumerate(lcms)]):
+        if d != degree:
+            lower += level
+            level = []
+            degree = d
+        if gamma in fresh or any(divides(other, gamma) for other in lower):
+            continue
+        fresh[gamma] = i
+        level.append(gamma)
+    return fresh
+
+
 def _s_element(memo: _Memo, certs, i, j, gamma):
     """Left S-element of basis[i], basis[j] w.r.t. the common multiple gamma."""
     pres = memo.pres
     field = pres.field
     add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
-    ti = exp_sub(gamma, memo.leads[i])
-    tj = exp_sub(gamma, memo.leads[j])
-    pi, ui = memo.product(i, ti)
-    pj, uj = memo.product(j, tj)
+    pi, ui = memo.product(i, gamma)
+    pj, uj = memo.product(j, gamma)
     uj = field.raw_neg(uj)
     out = {e: mul(ui, c) for e, c in pi.items()}
     for e, c in pj.items():
@@ -456,6 +506,8 @@ def _s_element(memo: _Memo, certs, i, j, gamma):
     s = Polynomial.from_raw(pres, out)
     cert = None
     if certs[i] is not None:
+        ti = exp_sub(gamma, memo.leads[i])
+        tj = exp_sub(gamma, memo.leads[j])
         cert = _cert_sum((
             (Polynomial.monomial(pres, ti, Scalar(field, ui)), certs[i]),
             (Polynomial.monomial(pres, tj, Scalar(field, uj)), certs[j]),
@@ -466,14 +518,14 @@ def _s_element(memo: _Memo, certs, i, j, gamma):
 def _minimal(leads: Sequence[tuple], start: int = 0) -> List[int]:
     """Positions from `start` on whose lead no other lead divides; of equal
     leads, only the first position counts."""
+    first: dict = {}  # distinct lead -> its first position
+    for k, lead in enumerate(leads):
+        first.setdefault(lead, k)
     return [
         k
         for k in range(start, len(leads))
-        if not any(
-            divides(other, leads[k]) and (other != leads[k] or j < k)
-            for j, other in enumerate(leads)
-            if j != k
-        )
+        if first[leads[k]] == k
+        and not any(other != leads[k] and divides(other, leads[k]) for other in first)
     ]
 
 
@@ -528,12 +580,15 @@ def _groebner(
     The computation owns one `_Memo`; its caches go when this returns.
     """
     budget = budget or DEFAULT_BUDGET
+    pres = gens[0].pres if gens else None
+    if any(g.pres is not pres for g in gens):
+        raise GroebnerError("generators from a different presentation")
     items = [
         (g, None if one is None else ((one, k, one),))
         for k, g in enumerate(gens)
         if not g.is_zero()
     ]
-    memo = _Memo(gens[0].pres if gens else None)
+    memo = _Memo(pres, order)
     done = rounds = 0
     while True:
         status, items, note = _completion(items, order, budget, done, memo)
@@ -563,7 +618,7 @@ def _groebner(
             status, note = UNKNOWN, "saturation round budget exhausted"
             break
     return IdealHandle(
-        gens[0].pres if gens else None,
+        pres,
         gens,
         LEFT if right_factors is None else TWO_SIDED,
         status,

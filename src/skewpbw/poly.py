@@ -16,6 +16,7 @@ back once, by `Polynomial.from_raw`.
 
 from __future__ import annotations
 
+from operator import le
 from typing import Iterable, Optional, Tuple
 
 from skewpbw import parsing
@@ -40,10 +41,7 @@ def exp_max(a, b):
 
 def divides(a, b):
     """Componentwise a <= b."""
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
+    return all(map(le, a, b))
 
 
 def deglex_key(a):
@@ -71,12 +69,9 @@ def block_key(a, mask):
 
 def find_divisor(leads, target, start=0):
     """Index of the first exponent in ``leads[start:]`` dividing ``target``, or -1."""
-    n = len(leads)
-    i = start
-    while i < n:
-        if divides(leads[i], target):
+    for i in range(start, len(leads)):
+        if all(map(le, leads[i], target)):  # `divides`, inline: this loop is hot
             return i
-        i += 1
     return -1
 
 
@@ -309,11 +304,15 @@ class Polynomial:
         return lead
 
     def scale(self, c: Scalar) -> "Polynomial":
-        """Left multiplication by a scalar."""
-        c = self.pres.field.coerce(c)
+        """Left multiplication by a scalar, on raw values in one pass."""
+        field = self.pres.field
+        c = field.coerce(c)
         if c.is_zero():
             return Polynomial.zero(self.pres)
-        return Polynomial(self.pres, tuple((e, c * k) for e, k in self.terms))
+        u, mul = c.value, field.raw_mul
+        return Polynomial(
+            self.pres, tuple((e, Scalar(field, mul(u, k.value))) for e, k in self.terms)
+        )
 
     def monic(self, order: MonomialOrder = DEGLEX) -> "Polynomial":
         lead = self.leading(order)

@@ -5,6 +5,7 @@ multiplication is a plain convolution on exponent dicts, membership is
 linear algebra over spans of shifted products, radical membership is a
 power search, Groebner bases come from plain Buchberger completion
 (every pair formed, restart-style inter-reduction) on the public API,
+the Gebauer-Moller pair update from its quadratic definition,
 ideals of points from a fold of elimination Groebner bases, centers
 from a scan of monomials by `central_probe`, characteristic-0 coefficients from Fraction arithmetic, and the text
 layer from a scalar evaluator, a formal commutative collection and a
@@ -345,6 +346,36 @@ def naive_saturate(gens, order=DEGLEX, max_rounds=10, stats=None):
             return basis
         basis = naive_left_gb(basis + extra, order, stats)
     return None
+
+
+def naive_gebauer_moller(pairs: dict, leads, lead) -> dict:
+    """The Gebauer-Moller update by its definition, for a new lead after
+    `leads`: B_k over a copy of the queued pairs (i, j) -> lcm, M by
+    testing each new lcm against every other one, F by the first
+    position. Drops from `pairs` and returns the new pairs as {lcm: i}."""
+
+    def lcm(a, b):
+        return tuple(max(x, y) for x, y in zip(a, b))
+
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    for (i, j), gamma in list(pairs.items()):
+        if (
+            divides(lead, gamma)
+            and lcm(leads[i], lead) != gamma
+            and lcm(leads[j], lead) != gamma
+        ):
+            del pairs[(i, j)]
+    lcms = [lcm(other, lead) for other in leads]
+    fresh: dict = {}
+    for i, gamma in enumerate(lcms):
+        if gamma in fresh or any(
+            other != gamma and divides(other, gamma) for other in lcms
+        ):
+            continue
+        fresh[gamma] = i
+    return fresh
 
 
 # ---------------------------------------------------------------------------

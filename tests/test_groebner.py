@@ -10,6 +10,7 @@ from conftest import ALGEBRA_DIR, algebra_path
 from oracles import (
     expand_certificate,
     left_span_membership,
+    naive_gebauer_moller,
     naive_left_gb,
     naive_saturate,
     two_sided_span_membership,
@@ -25,7 +26,14 @@ from skewpbw.groebner import (
     left_groebner,
     two_sided_saturate,
 )
-from skewpbw.poly import DEGLEX, Polynomial, divides, multiply, parse_polynomial
+from skewpbw.poly import (
+    DEGLEX,
+    MonomialOrder,
+    Polynomial,
+    divides,
+    multiply,
+    parse_polynomial,
+)
 from skewpbw.presentation import load_presentation, load_presentation_file
 
 
@@ -416,6 +424,37 @@ def test_chain_criterion_forms_fewer_pairs(monkeypatch):
         assert list(left_groebner(gens).basis) == naive_left_gb(gens, stats=stats)
         assert list(two_sided_saturate(gens).basis) == naive_saturate(gens, stats=stats)
     assert 0 < formed[0] < stats["spairs"]
+    # the update by degree queues the pairs of the quadratic update, so
+    # exactly as many S-elements are formed as with it
+    assert formed[0] == 78
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_gebauer_moller_update_matches_its_definition(n):
+    """After each insertion into seeded lead sequences, with some queued
+    pairs processed in between, the update by degree leaves exactly the
+    queued pairs of the quadratic definition; B_k, M and F all fire."""
+    rng = random.Random(zlib.crc32(b"gebauer-moller %d" % n))
+    dropped = pruned = 0
+    for _ in range(60):
+        leads: list = []
+        fast: dict = {}
+        slow: dict = {}
+        for k in range(rng.randint(2, 16)):
+            lead = tuple(rng.randint(0, 4) for _ in range(n))
+            queued = len(slow)
+            new_fast = groebner._gebauer_moller(fast, leads, lead)
+            new_slow = naive_gebauer_moller(slow, leads, lead)
+            dropped += queued - len(slow)
+            pruned += len(leads) - len(new_slow)
+            assert new_fast == new_slow
+            for gamma, i in new_slow.items():
+                fast[(i, k)] = slow[(i, k)] = gamma
+            assert fast == slow
+            leads.append(lead)
+            for ij in rng.sample(sorted(slow), len(slow) // 3):
+                del fast[ij], slow[ij]
+    assert dropped > 0 and pruned > 0
 
 
 def _multiply_every_new_element(monkeypatch):
@@ -550,21 +589,28 @@ def test_memo_lives_for_one_computation(qspace3):
 
 def test_memo_products_are_checked_once_per_key(monkeypatch, qplane_q2):
     """A product x^theta * g is formed, and its lead checked, once per
-    (position, theta); the key fixes its lead monomial theta + lm(g)."""
+    (position, lead of the product); that lead theta + lm(g) fixes theta."""
     g = parse_polynomial("x*y + x + 1", qplane_q2)
-    memo = groebner._Memo(qplane_q2)
+    memo = groebner._Memo(qplane_q2, DEGLEX)
     memo.append(g, leading_exp(g))
     calls = []
+    lookups = []
     mono_times = groebner._mono_times_dict
+
+    class Lookups(dict):
+        def get(self, key, default=None):
+            lookups.append(key)
+            return super().get(key, default)
 
     def counting(pres, alpha, d):
         calls.append(alpha)
-        return mono_times(pres, alpha, d)
+        return Lookups(mono_times(pres, alpha, d))
 
     monkeypatch.setattr(groebner, "_mono_times_dict", counting)
-    prod, inv_lc = memo.product(0, (1, 0))
-    assert memo.product(0, (1, 0)) == (prod, inv_lc)
+    prod, inv_lc = memo.product(0, (2, 1))
+    assert memo.product(0, (2, 1)) == (prod, inv_lc)
     assert calls == [(1, 0)]
+    assert lookups == [(2, 1)]
     field = qplane_q2.field
     assert field.raw_mul(prod[(2, 1)], inv_lc) == field.raw_one
 
@@ -573,11 +619,52 @@ def test_memo_products_are_checked_once_per_key(monkeypatch, qplane_q2):
         groebner, "_mono_times_dict", lambda pres, alpha, d: {(0, 0): field.raw_one}
     )
     with pytest.raises(GroebnerError, match="not multiplicative"):
-        memo.product(0, (0, 1))
+        memo.product(0, (1, 2))
     with pytest.raises(GroebnerError, match="not multiplicative"):
         divide(parse_polynomial("x^2*y", qplane_q2), [g])
     with pytest.raises(GroebnerError, match="not multiplicative"):
         left_groebner([g, parse_polynomial("y^2 + 1", qplane_q2)])
+
+
+@pytest.mark.parametrize("fixture", ["witten", "qplane_gf5", "qspace3"])
+def test_quotients_only_when_read(fixture, request):
+    """Public division still records its quotients; a division for the
+    remainder alone gives the same remainder and refuses to return
+    quotients it never recorded; tracked bases still expand."""
+    pres = request.getfixturevalue(fixture)
+    rng = random.Random(zlib.crc32(b"quotients " + fixture.encode()))
+    orders = (DEGLEX, MonomialOrder("degrevlex"))
+    checked = 0
+    while checked < 60:
+        f = random_polynomial(pres, rng, 4, 4)
+        divisors = [d for d in (random_polynomial(pres, rng, 2, 2) for _ in range(3)) if not d.is_zero()]
+        if f.is_zero() or not divisors:
+            continue
+        order = orders[checked % 2]
+        checked += 1
+        res = divide(f, divisors, order)
+        assert res.reconstruct(divisors) == f
+        assert groebner.remainder_of(f, divisors, order) == res.remainder
+        bare = divide(f, divisors, order, _quotients=False)
+        assert bare.remainder == res.remainder
+        with pytest.raises(GroebnerError, match="no quotients"):
+            bare.quotients
+    gens = [random_polynomial(pres, rng, 2, 2) for _ in range(2)]
+    H = two_sided_saturate([g for g in gens if not g.is_zero()], track=True)
+    for element, cert in zip(H.basis, H.certificates):
+        assert expand_certificate(cert, H.generators) == element
+
+
+def test_generators_from_different_presentations_are_refused(qplane_m1, comm2):
+    """Mixed generators used to be computed with the first one's
+    relations: x*y - 1 over the q=-1 plane with y*x + 1 over the
+    commutative plane came out as the unit ideal."""
+    gens = [parse_polynomial("x*y - 1", qplane_m1), parse_polynomial("y*x + 1", comm2)]
+    for engine in (left_groebner, two_sided_saturate):
+        with pytest.raises(GroebnerError, match="different presentation"):
+            engine(gens)
+        with pytest.raises(GroebnerError, match="different presentation"):
+            engine(gens[::-1], track=True)
 
 
 # -- intersection ------------------------------------------------------------
