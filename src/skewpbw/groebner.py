@@ -107,11 +107,11 @@ class DivisionResult:
 
 
 class _Memo:
-    """The basis of one Groebner computation under one order with its
-    caches; dropped when the computation returns.
+    """The basis of one Groebner computation with its caches; dropped
+    when the computation returns.
 
     The basis only grows by appending, so a position names one element for
-    the whole computation and every map stays valid:
+    the whole computation and both maps stay valid:
     - `first`: exponent -> (position of the first lead dividing it, or -1;
       number of leads checked), so a miss is searched again only among
       the leads appended since;
@@ -119,22 +119,18 @@ class _Memo:
       inverse of its lead coefficient) with theta = mu - lm(basis[k]), so
       mu is the product's lead monomial: the exponent `divide` cancels,
       or the lcm an S-element is formed at. Both callers hold mu already,
-      and theta is computed only when the product is first formed;
-    - `entries`: exponent -> (its order key negated, exponent), the heap
-      entry `divide` pushes, built once per exponent for `order`.
+      and theta is computed only when the product is first formed.
     """
 
-    __slots__ = ("pres", "order", "basis", "leads", "dicts", "first", "products", "entries")
+    __slots__ = ("pres", "basis", "leads", "dicts", "first", "products")
 
-    def __init__(self, pres: Presentation, order: MonomialOrder):
+    def __init__(self, pres: Presentation):
         self.pres = pres
-        self.order = order
         self.basis: List[Polynomial] = []
         self.leads: List[tuple] = []
         self.dicts: List[Optional[dict]] = []  # raw dicts, made when first used
         self.first: dict = {}
         self.products: dict = {}
-        self.entries: dict = {}
 
     def append(self, g: Polynomial, lead: tuple) -> None:
         self.basis.append(g)
@@ -160,14 +156,6 @@ class _Memo:
             hit = self.products[key] = (prod, pres.field.raw_inv(lead_c))
         return hit
 
-    def entry(self, exp: tuple) -> tuple:
-        """(negated order key of exp, exp): a min-heap of these pops the
-        largest exponent first."""
-        hit = self.entries.get(exp)
-        if hit is None:
-            hit = self.entries[exp] = (tuple(map(operator.neg, self.order.key(exp))), exp)
-        return hit
-
 
 def divide(
     f: Polynomial,
@@ -183,15 +171,14 @@ def divide(
     terms are processed largest first, so lm(f) = max of the partial
     product leads and lm(h). Raises on an empty divisor list or a zero
     divisor. `memo` and `_quotients` are internal: the caches of the
-    Groebner computation whose whole basis `divisors` is, kept for
-    `order`, and False when only the remainder is read, so that no
-    quotient is recorded.
+    Groebner computation whose whole basis `divisors` is, and False when
+    only the remainder is read, so that no quotient is recorded.
     """
     if not divisors:
         raise GroebnerError("division requires at least one divisor")
     pres = f.pres
     if memo is None:
-        memo = _Memo(pres, order)
+        memo = _Memo(pres)
         for g in divisors:
             if g.pres is not pres:
                 raise GroebnerError("divisors from a different presentation")
@@ -202,19 +189,18 @@ def divide(
 
     field = pres.field
     add, mul, neg, zero = field.raw_add, field.raw_mul, field.raw_neg, field.raw_zero
-    leads, first, products, product = memo.leads, memo.first, memo.products, memo.product
-    # cached products and heap entries are nonempty tuples: `or` tests for a hit
-    entries, entry = memo.entries, memo.entry
-    heappush, heappop = heapq.heappush, heapq.heappop
+    key = order.key
+    leads, first, product = memo.leads, memo.first, memo.product
     n = len(leads)
     work = f.raw_dict()
-    heap = [entries.get(e) or entry(e) for e in work]
+    # a min-heap on negated order keys pops the largest term first
+    heap = [(tuple(map(operator.neg, key(e))), e) for e in work]
     heapq.heapify(heap)
     quotients = [dict() for _ in range(n)] if _quotients else None
     remainder: dict = {}
 
     while heap:
-        _, exp = heappop(heap)
+        _, exp = heapq.heappop(heap)
         coeff = work.pop(exp, None)
         if coeff is None:
             continue  # stale entry
@@ -230,7 +216,7 @@ def divide(
         if i < 0:
             remainder[exp] = coeff
             continue
-        prod, inv_lc = products.get((i, exp)) or product(i, exp)
+        prod, inv_lc = product(i, exp)
         r = mul(coeff, inv_lc)
         if quotients is not None:
             _acc(quotients[i], exp_sub(exp, leads[i]), r, add, zero)
@@ -241,7 +227,7 @@ def divide(
             cur = work.get(e)
             if cur is None:
                 work[e] = mul(r, c)  # nonzero: r and c are
-                heappush(heap, entries.get(e) or entry(e))
+                heapq.heappush(heap, (tuple(map(operator.neg, key(e))), e))
             else:
                 cur = add(cur, mul(r, c))
                 if cur == zero:
@@ -401,8 +387,7 @@ def _completion(
     S-element of i and j is formed from the products of basis[i] and
     basis[j] with lead gamma, and a division step cancels exponent mu with
     the product of lead mu, so neither computes theta on a cache hit.
-    Divisions here run on the memo's heap entries and record quotients
-    only for certificates.
+    Divisions here record quotients only for certificates.
     """
     if not items:
         return PROPER, [], ""
@@ -518,14 +503,14 @@ def _s_element(memo: _Memo, certs, i, j, gamma):
 def _minimal(leads: Sequence[tuple], start: int = 0) -> List[int]:
     """Positions from `start` on whose lead no other lead divides; of equal
     leads, only the first position counts."""
-    first: dict = {}  # distinct lead -> its first position
-    for k, lead in enumerate(leads):
-        first.setdefault(lead, k)
     return [
         k
         for k in range(start, len(leads))
-        if first[leads[k]] == k
-        and not any(other != leads[k] and divides(other, leads[k]) for other in first)
+        if not any(
+            divides(other, leads[k]) and (other != leads[k] or j < k)
+            for j, other in enumerate(leads)
+            if j != k
+        )
     ]
 
 
@@ -588,7 +573,7 @@ def _groebner(
         for k, g in enumerate(gens)
         if not g.is_zero()
     ]
-    memo = _Memo(pres, order)
+    memo = _Memo(pres)
     done = rounds = 0
     while True:
         status, items, note = _completion(items, order, budget, done, memo)

@@ -16,7 +16,6 @@ back once, by `Polynomial.from_raw`.
 
 from __future__ import annotations
 
-from operator import le
 from typing import Iterable, Optional, Tuple
 
 from skewpbw import parsing
@@ -41,7 +40,10 @@ def exp_max(a, b):
 
 def divides(a, b):
     """Componentwise a <= b."""
-    return all(map(le, a, b))
+    for x, y in zip(a, b):
+        if x > y:
+            return False
+    return True
 
 
 def deglex_key(a):
@@ -69,9 +71,12 @@ def block_key(a, mask):
 
 def find_divisor(leads, target, start=0):
     """Index of the first exponent in ``leads[start:]`` dividing ``target``, or -1."""
-    for i in range(start, len(leads)):
-        if all(map(le, leads[i], target)):  # `divides`, inline: this loop is hot
+    n = len(leads)
+    i = start
+    while i < n:
+        if divides(leads[i], target):
             return i
+        i += 1
     return -1
 
 

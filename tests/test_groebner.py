@@ -591,7 +591,7 @@ def test_memo_products_are_checked_once_per_key(monkeypatch, qplane_q2):
     """A product x^theta * g is formed, and its lead checked, once per
     (position, lead of the product); that lead theta + lm(g) fixes theta."""
     g = parse_polynomial("x*y + x + 1", qplane_q2)
-    memo = groebner._Memo(qplane_q2, DEGLEX)
+    memo = groebner._Memo(qplane_q2)
     memo.append(g, leading_exp(g))
     calls = []
     lookups = []
