@@ -294,13 +294,9 @@ def run_command(args) -> tuple:
 
     elif cmd == "witness":
         pts = _points(args.points, pres)
-        res = geometry.algebraic_witness(pres, pts, budget)
+        res = geometry.algebraic_witness(pres, pts)
         doc["inputs"] = {"points": args.points}
-        doc["result"] = {
-            "witness": None if res.witness is None else str(res.witness),
-            "note": res.note,
-        }
-        code = EXIT_UNKNOWN if res.witness is None else EXIT_OK
+        doc["result"] = {"witness": str(res.witness), "note": res.note}
 
     elif cmd == "center":
         C = nullstellensatz.center_generators(pres)

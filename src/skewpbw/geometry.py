@@ -7,8 +7,12 @@ is proper exactly when x_i -> z_i extends to a ring map epsilon_Z: A -> K
 (`is_character`). Then I_Z lies in the kernel of epsilon_Z and has the
 same codimension 1, so it is that kernel: f is a root exactly when
 epsilon_Z(f) = sum c_alpha * z^alpha is zero (`evaluate`). So no point
-needs a Groebner basis of its own. Vanishing sets over infinite fields
-are enumerated over a finite search domain, and points whose ideal is the
+needs a Groebner basis of its own, and neither does a witness: the
+hyperplane sums s - c, s = x_1 + ... + x_n, commute with each other and
+epsilon_Z is multiplicative, so their product vanishes wherever one
+factor does, and A is a domain (Lezama & Reyes, Comm. Algebra 2014), so
+the product is not zero. Vanishing sets over infinite fields are
+enumerated over a finite search domain, and points whose ideal is the
 whole ring are first-class: they are roots of everything and the reports
 mark them as degenerate.
 """
@@ -22,17 +26,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import List, Optional, Sequence, Tuple
 
 from skewpbw import linalg
-from skewpbw.groebner import (
-    Budget,
-    DEFAULT_BUDGET,
-    IdealHandle,
-    PROPER,
-    TWO_SIDED,
-    UNIT,
-    is_member_left,
-    intersect_left,
-    left_groebner,
-)
+from skewpbw.groebner import PROPER, TWO_SIDED, UNIT, IdealHandle, is_member_left
 from skewpbw.poly import DEGLEX, Polynomial, exponents_up_to, multiply
 from skewpbw.presentation import Presentation
 from skewpbw.scalars import Field, PrimeField, Scalar
@@ -279,67 +273,42 @@ def ideal_of_points(
     """
     field = pres.field
     monos = exponents_up_to(pres.n, d)
-    rows: List[List[Scalar]] = []
+    rows = []
     for Z in points:
         if is_character(pres, Z):
             value = _monomial_values(field, Z)
-            rows.append([Scalar(field, value(e)) for e in monos])
+            rows.append([value(e) for e in monos])
     return [
-        Polynomial.from_dict(
-            pres, {monos[k]: c for k, c in enumerate(vec) if not c.is_zero()}
-        )
+        Polynomial.from_raw(pres, dict(zip(monos, vec)))
         for vec in linalg.nullspace(rows, field, len(monos))
     ]
 
 
 @dataclass
 class WitnessResult:
-    witness: Optional[Polynomial]
+    witness: Polynomial
     note: str = ""
 
 
-def algebraic_witness(
-    pres: Presentation,
-    points: Sequence[Point],
-    budget: Optional[Budget] = None,
-) -> WitnessResult:
-    """A nonzero g with every given point a root, via left-ideal intersection.
+def algebraic_witness(pres: Presentation, points: Sequence[Point]) -> WitnessResult:
+    """A nonzero g with every given point a root: the product of the
+    hyperplane sums s - c, s = x_1 + ... + x_n, over the distinct
+    coordinate sums c of the points.
 
-    Uses the hyperplane sums f_i = (x_1 - z_i1) + ... + (x_n - z_in) and a
-    fold of pairwise intersections; any nonzero element of the fold is a
-    left multiple of each f_i, hence vanishes on all the points. The empty
-    set gets the same construction at the origin.
+    The factors are polynomials in s, so they commute, and g is a left
+    multiple of each one. At a character point Z, epsilon_Z is a ring map,
+    so it sends g to the product of the epsilon_Z(s - c), one of which is
+    zero; any other point is a root of everything. A is a domain, so g is
+    not zero. The empty set gets s, the sum at the origin.
     """
-    budget = budget or DEFAULT_BUDGET
+    s = Polynomial.zero(pres)
+    for i in range(pres.n):
+        s = s + Polynomial.variable(pres, i)
     if not points:
-        g = Polynomial.from_dict(
-            pres,
-            {e: pres.field.one for e in (tuple(
-                1 if k == i else 0 for k in range(pres.n)
-            ) for i in range(pres.n))},
-        )
-        return WitnessResult(g, "empty point set; witness at the origin")
-    sums = []
-    for Z in points:
-        f = Polynomial.zero(pres)
-        for i, z in enumerate(Z.coords):
-            f = f + Polynomial.variable(pres, i) - Polynomial.constant(pres, z)
-        sums.append(f)
-    current = [sums[0]]
-    for f in sums[1:]:
-        left = left_groebner(current, DEGLEX, budget)
-        right = left_groebner([f], DEGLEX, budget)
-        if left.status != PROPER or right.status != PROPER:
-            return WitnessResult(None, "intersection stage unresolved in budget")
-        res = intersect_left(left, right, budget)
-        if not res.elements:
-            return WitnessResult(
-                None,
-                "no intersection element found"
-                + ("" if res.complete else " (budget exhausted)"),
-            )
-        current = res.elements
-    g = min(current, key=lambda p: DEGLEX.key(p.leading(DEGLEX)[0]))
+        return WitnessResult(s, "empty point set; witness at the origin")
+    g = Polynomial.one(pres)
+    for c in dict.fromkeys(sum(Z.coords, pres.field.zero) for Z in points):
+        g = multiply(g, s - Polynomial.constant(pres, c))
     for Z in points:
         if is_root(g, Z) == "no":
             raise GeometryError(f"witness fails root check at {Z}")

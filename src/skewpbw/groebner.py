@@ -255,12 +255,12 @@ def normal_form_rows(
 ) -> List[list]:
     """Matrix of the linear map f -> remainder_of(f, basis, order) on span(x^exps).
 
-    Column k is the normal form of x^(exps[k]); its nullspace is the part
-    of the span that reduces to zero.
+    Column k is the normal form of x^(exps[k]), in raw field values; its
+    nullspace is the part of the span that reduces to zero.
     """
-    zero = pres.field.zero
+    zero = pres.field.raw_zero
     cols = [
-        remainder_of(Polynomial.monomial(pres, e), basis, order).to_dict()
+        remainder_of(Polynomial.monomial(pres, e), basis, order).raw_dict()
         for e in exps
     ]
     support = sorted(set().union(*cols))

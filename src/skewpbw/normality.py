@@ -142,20 +142,13 @@ def is_normal(f: Polynomial, slack: int = 0) -> NormalityVerdict:
 def _solve_combination(products, target, monos, pres) -> Optional[Polynomial]:
     """Scalars v_b with sum v_b * products[b] = target, as a polynomial."""
     field = pres.field
-    support = set(target.to_dict())
-    for p in products:
-        support.update(p.to_dict())
-    support = sorted(support)
-    rows = []
-    rhs = []
-    pdicts = [p.to_dict() for p in products]
-    tdict = target.to_dict()
-    for mu in support:
-        rows.append([pd.get(mu, field.zero) for pd in pdicts])
-        rhs.append(tdict.get(mu, field.zero))
+    zero = field.raw_zero
+    pdicts = [p.raw_dict() for p in products]
+    tdict = target.raw_dict()
+    support = sorted(set(tdict).union(*pdicts))
+    rows = [[pd.get(mu, zero) for pd in pdicts] for mu in support]
+    rhs = [tdict.get(mu, zero) for mu in support]
     sol = linalg.solve(rows, rhs, field)
     if sol is None:
         return None
-    return Polynomial.from_dict(
-        pres, {monos[k]: c for k, c in enumerate(sol) if not c.is_zero()}
-    )
+    return Polynomial.from_raw(pres, dict(zip(monos, sol)))

@@ -229,8 +229,6 @@ def lift_center_poly(C: CenterDescription, f_center: Polynomial) -> Polynomial:
 class ContractionResult:
     center_polys: List[Polynomial]  # over the commutative u-presentation
     lifted: List[Polynomial]  # the same elements inside A
-    certified_member: List[bool]
-    certified_central: List[bool]
 
 
 def contract_to_center(
@@ -256,18 +254,12 @@ def contract_to_center(
         rows = normal_form_rows(pres, a_exps, handle.basis, handle.order)
         kernel = linalg.nullspace(rows, pres.field, len(kappas))
         center_polys = [
-            Polynomial.from_dict(
-                center_pres,
-                {kappas[k]: c for k, c in enumerate(vec) if not c.is_zero()},
-            )
-            for vec in kernel
+            Polynomial.from_raw(center_pres, dict(zip(kappas, vec))) for vec in kernel
         ]
     lifted = [lift_center_poly(C, f) for f in center_polys]
-    member = [is_member_left(f, handle) == "yes" for f in lifted]
-    central = [central_probe(f) for f in lifted]
-    if not all(member) or not all(central):
+    if not all(is_member_left(f, handle) == "yes" and central_probe(f) for f in lifted):
         raise GroebnerError("contraction output failed certification")
-    return ContractionResult(center_polys, lifted, member, central)
+    return ContractionResult(center_polys, lifted)
 
 
 # ---------------------------------------------------------------------------

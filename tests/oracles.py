@@ -6,7 +6,8 @@ linear algebra over spans of shifted products, radical membership is a
 power search, Groebner bases come from plain Buchberger completion
 (every pair formed, restart-style inter-reduction) on the public API,
 the Gebauer-Moller pair update from its quadratic definition,
-ideals of points from a fold of elimination Groebner bases, centers
+ideals of points and witnesses from folds of elimination Groebner bases,
+linear algebra from Gaussian elimination on Scalars, centers
 from a scan of monomials by `central_probe`, characteristic-0 coefficients from Fraction arithmetic, and the text
 layer from a scalar evaluator, a formal commutative collection and a
 term-by-term printer on Scalars.
@@ -19,8 +20,13 @@ import itertools
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from skewpbw import linalg
-from skewpbw.groebner import divide, intersect_left, is_member_left, left_groebner
+from skewpbw.groebner import (
+    Budget,
+    divide,
+    intersect_left,
+    is_member_left,
+    left_groebner,
+)
 from skewpbw.normality import central_probe
 from skewpbw.poly import DEGLEX, Polynomial, exponents_up_to, multiply
 from skewpbw.parsing import ParseError, parse_ast
@@ -107,10 +113,38 @@ def _vector(f: Polynomial, monos: list, index: dict):
     return v
 
 
+def rref(rows: List[List[Scalar]], field: Field):
+    """Reduced row echelon form on Scalars, and the pivot columns.
+
+    The engine's `linalg` eliminates on raw values; the span checks use
+    this copy so that they share no kernel with it.
+    """
+    m = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    ncols = len(m[0]) if m else 0
+    for c in range(ncols):
+        pivot = next((k for k in range(r, len(m)) if not m[k][c].is_zero()), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = m[r][c].inv()
+        m[r] = [inv * v for v in m[r]]
+        for k in range(len(m)):
+            if k != r and not m[k][c].is_zero():
+                f = m[k][c]
+                m[k] = [a - f * b for a, b in zip(m[k], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
 def rank(rows: List[List[Scalar]], field: Field) -> int:
     if not rows:
         return 0
-    return len(linalg.rref(rows, field)[1])
+    return len(rref(rows, field)[1])
 
 
 def in_row_span(rows: List[List[Scalar]], vec: List[Scalar], field: Field) -> bool:
@@ -132,17 +166,24 @@ def span_intersection(a: List[List[Scalar]], b: List[List[Scalar]], field: Field
     rows = []
     for c in range(ncols):
         rows.append([a[r][c] for r in range(len(a))] + [-b[r][c] for r in range(len(b))])
+    red, pivots = rref(rows, field)
     out = []
-    for v in linalg.nullspace(rows, field, len(a) + len(b)):
+    for free in range(len(a) + len(b)):
+        if free in pivots:
+            continue
+        # the kernel vector with 1 at this free column, -red[r][free] at pivot r
+        x = [field.zero] * (len(a) + len(b))
+        x[free] = field.one
+        for r, pc in enumerate(pivots):
+            x[pc] = -red[r][free]
         vec = [field.zero] * ncols
         for r in range(len(a)):
-            if not v[r].is_zero():
-                for c in range(ncols):
-                    vec[c] = vec[c] + v[r] * a[r][c]
-        if any(not x.is_zero() for x in vec):
+            for c in range(ncols):
+                vec[c] = vec[c] + x[r] * a[r][c]
+        if any(not v.is_zero() for v in vec):
             out.append(vec)
     # deduplicate the spanning set to an independent basis
-    red, pivots = linalg.rref(out, field) if out else ([], [])
+    red, pivots = rref(out, field) if out else ([], [])
     return [row for row in red[: len(pivots)]]
 
 
@@ -240,6 +281,36 @@ def naive_points_ideal(pres: Presentation, points) -> list:
         assert res.complete, "points-ideal intersection ran out of budget"
         current = res.elements
     return current
+
+
+# far above what any witness fold in the tests needs, so an unresolved
+# stage is a failure, not a budget artifact
+WITNESS_FOLD_BUDGET = Budget(max_degree=40, max_pairs=1_000_000)
+
+
+def naive_witness(pres: Presentation, points) -> Polynomial:
+    """Witness as a fold of left-ideal intersections: the hyperplane sums
+    f_Z = (x_1 - z_1) + ... + (x_n - z_n), intersected one point at a time
+    by `intersect_left`, and the element of least deglex lead of the last
+    intersection. x_1 + ... + x_n for no points."""
+    budget = WITNESS_FOLD_BUDGET
+    s = Polynomial.zero(pres)
+    for i in range(pres.n):
+        s = s + Polynomial.variable(pres, i)
+    if not points:
+        return s
+    sums = [
+        s - Polynomial.constant(pres, sum(Z.coords, pres.field.zero)) for Z in points
+    ]
+    current = [sums[0]]
+    for f in sums[1:]:
+        left = left_groebner(current, DEGLEX, budget)
+        right = left_groebner([f], DEGLEX, budget)
+        assert left.status == right.status == "proper", "witness fold ran out of budget"
+        res = intersect_left(left, right, budget)
+        assert res.complete and res.elements, "witness intersection ran out of budget"
+        current = res.elements
+    return min(current, key=lambda p: DEGLEX.key(p.leading(DEGLEX)[0]))
 
 
 def brute_force_radical(f: Polynomial, J_gens, max_power: int = 6) -> bool:

@@ -269,6 +269,26 @@ def test_points_ideal_and_witness(capsys):
     assert doc["result"]["witness"]
 
 
+def test_witness_needs_no_budget(capsys):
+    """A budget of one S-pair left the intersection fold unresolved: exit 2
+    with a null witness. The product of the hyperplane sums reads no
+    budget, and gives the witness the fold found under the default one."""
+    argv = [
+        "witness",
+        "--algebra", algebra_path("qspace3.alg"),
+        "--points", "1,0,0; 0,1,0; 0,0,i",
+    ]
+    code, doc, err = run_json(argv + ["--budget-pairs", "1"], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    assert doc["status"] == "ok"
+    assert doc["result"] == {
+        "witness": "x^2 + (1+2*i)*x*y + (1+3*i)*x*z + y^2 + (1-i)*y*z + z^2"
+        " + (-1-i)*x + (-1-i)*y + (-1-i)*z + i",
+        "note": "",
+    }
+    assert run_json(argv, capsys) == (code, doc, err)
+
+
 def test_witness_on_a_variable_named_t(tmp_path, capsys):
     alg = tmp_path / "st.alg"
     alg.write_text("field: Q\nvars: s, t\n")

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from skewpbw import geometry
+from skewpbw import geometry, groebner
 from skewpbw.geometry import (
     GeometryError,
     Point,
@@ -35,7 +35,10 @@ from skewpbw.presentation import (
 )
 from skewpbw.scalars import FieldSpec, get_field
 from conftest import ALGEBRA_DIR, algebra_path
-from oracles import in_row_span, rank, span_rows, _vector
+from oracles import in_row_span, naive_witness, rank, span_rows, _vector
+
+
+SHIPPED = sorted(f for f in os.listdir(ALGEBRA_DIR) if f.endswith(".alg"))
 
 
 def grid(field, lo, hi):
@@ -180,23 +183,77 @@ def test_algebraic_witness_origin(qplane_m1):
     assert str(res.witness) == "x + y"
 
 
-def test_algebraic_witness_two_points(comm2):
-    pts = [Point.of(comm2, [0, 0]), Point.of(comm2, [1, 1])]
-    res = algebraic_witness(comm2, pts)
-    assert res.witness is not None
+@pytest.mark.parametrize("name", ["comm2", "qplane_m1", "witten"])
+def test_algebraic_witness_two_points(name, request):
+    """The witness vanishes at the origin and at (1, ..., 1), and is a left
+    multiple of both hyperplane sums, also where the variables do not
+    commute and (1, 1) is a degenerate point of the q = -1 plane."""
+    pres = request.getfixturevalue(name)
+    coords = ([0] * pres.n, [1] * pres.n)
+    pts = [Point.of(pres, z) for z in coords]
+    res = algebraic_witness(pres, pts)
     for Z in pts:
         assert is_root(res.witness, Z) == "yes"
-    # the witness is a left multiple of both hyperplane sums
-    for coords in ([0, 0], [1, 1]):
-        s = parse_polynomial("x + y", comm2) - Polynomial.constant(
-            comm2, comm2.field.from_int(sum(coords))
-        )
-        assert is_member_left(res.witness, left_groebner([s])) == "yes"
+    s = Polynomial.zero(pres)
+    for i in range(pres.n):
+        s = s + Polynomial.variable(pres, i)
+    for z in coords:
+        f = s - Polynomial.constant(pres, pres.field.from_int(sum(z)))
+        assert is_member_left(res.witness, left_groebner([f])) == "yes"
 
 
 def test_algebraic_witness_empty(comm2):
     res = algebraic_witness(comm2, [])
     assert str(res.witness) == "x + y"
+
+
+@pytest.fixture(scope="module")
+def gf7_qspace3():
+    """A GF(7) quantum 3-space: yx = 2xy, zx = 3xz, zy = 5yz."""
+    return load_presentation(
+        "field: gf:7\nvars: x, y, z\nrelation: y*x = 2*x*y\n"
+        "relation: z*x = 3*x*z\nrelation: z*y = 5*y*z\n"
+    )
+
+
+@pytest.mark.parametrize("name", SHIPPED + ["gf7_qspace3"])
+def test_algebraic_witness_matches_intersection_fold(name, request):
+    """The product of hyperplane sums is the element of least lead that a
+    fold of left-ideal intersections finds, on seeded sets of 0-4 points."""
+    if name.endswith(".alg"):
+        pres = load_presentation_file(algebra_path(name))
+    else:
+        pres = request.getfixturevalue(name)
+    rng = random.Random(name)
+    field = pres.field
+    values = [field.from_int(k) for k in (0, 1, -1, 2, 3)]
+    if field.primitive() is not None:
+        values.append(field.primitive())
+    for k in range(5):
+        pts = [
+            Point(tuple(rng.choice(values) for _ in range(pres.n))) for _ in range(k)
+        ]
+        assert algebraic_witness(pres, pts).witness == naive_witness(pres, pts), (
+            f"{name} at {pts}"
+        )
+
+
+def test_algebraic_witness_runs_no_groebner_basis(monkeypatch, comm2, qspace3):
+    """The witness is a product: with every Groebner entry point refusing,
+    it still equals the fold's answer."""
+    i = qspace3.field.primitive()
+    cases = [
+        (comm2, [Point.of(comm2, z) for z in ([0, 0], [1, 1], [2, -1], [3, 5])]),
+        (qspace3, [Point.of(qspace3, z) for z in ([1, 0, 0], [0, 1, 0], [0, 0, i])]),
+    ]
+    expected = [naive_witness(pres, pts) for pres, pts in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the witness ran a Groebner computation")
+
+    for name in ("left_groebner", "intersect_left", "_groebner"):
+        monkeypatch.setattr(groebner, name, refuse)
+    assert [algebraic_witness(pres, pts).witness for pres, pts in cases] == expected
 
 
 @pytest.mark.parametrize("q", ["1", "-1"])
@@ -301,8 +358,6 @@ def test_sandwiching_products_keep_roots(qplane_gf5, rng):
 
 
 # -- evaluation against the saturation oracle ---------------------------------
-
-SHIPPED = sorted(f for f in os.listdir(ALGEBRA_DIR) if f.endswith(".alg"))
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,12 @@ from skewpbw.geometry import (
     random_polynomial,
     random_scalar,
 )
-from skewpbw.groebner import is_member_left, left_groebner, two_sided_saturate
+from skewpbw.groebner import (
+    GroebnerError,
+    is_member_left,
+    left_groebner,
+    two_sided_saturate,
+)
 from skewpbw.normality import central_probe
 from skewpbw.nullstellensatz import (
     CenterError,
@@ -284,7 +289,18 @@ def test_contract_power_ideal(qplane_m1):
     res = contract_to_center(I, C, 4)
     assert [str(g) for g in res.center_polys] == ["u^2"]
     assert [str(g) for g in res.lifted] == ["x^4"]
-    assert all(res.certified_member) and all(res.certified_central)
+    assert all(is_member_left(f, I) == "yes" and central_probe(f) for f in res.lifted)
+
+
+@pytest.mark.parametrize("probe", ["is_member_left", "central_probe"])
+def test_contract_refuses_an_uncertified_element(qplane_m1, monkeypatch, probe):
+    """Each lifted element is certified a member of I and central, or the
+    contraction raises; a failing probe must reach the caller."""
+    C = center_generators(qplane_m1)
+    I = two_sided_saturate([parse_polynomial("x", qplane_m1) ** 4])
+    monkeypatch.setattr(nullstellensatz, probe, lambda *args: False)
+    with pytest.raises(GroebnerError, match="failed certification"):
+        contract_to_center(I, C, 4)
 
 
 def test_contract_variable_ideal(qplane_m1):

@@ -1,4 +1,4 @@
-"""The raw-value kernels (normal ordering, multiply, divide) on every field kind.
+"""The raw-value kernels (normal ordering, multiply, divide, linear algebra).
 
 One presentation per kind of raw value: GF(5) ints, and over Q, Q(i) and
 cyclotomic fields integer numerators over one denominator, with a
@@ -6,7 +6,8 @@ conjugation-twisted Q(i) plane where sigma acts on raw values. The z_7
 and z_12 planes run the generic reduction rows (Phi_12 = x^4 - x^2 + 1
 is not all ones) and the norm inverse. A GF(5) 3-space adds a linear relation term that must be
 reordered past the rest of the monomial (in Witten's algebra every linear
-term lands in order with coefficient 1). Inputs are drawn from fixed seeds.
+term lands in order with coefficient 1). `linalg` is checked over GF(7),
+Q and Q(i). Inputs are drawn from fixed seeds.
 """
 
 import random
@@ -15,8 +16,9 @@ import zlib
 import pytest
 
 from conftest import algebra_path
-from oracles import naive_word_multiply
-from skewpbw.geometry import random_polynomial
+from oracles import naive_word_multiply, rank
+from skewpbw import linalg
+from skewpbw.geometry import random_polynomial, random_scalar
 from skewpbw.groebner import divide
 from skewpbw.poly import DEGLEX, DEGREVLEX, deglex_key, divides
 from skewpbw.presentation import (
@@ -25,7 +27,7 @@ from skewpbw.presentation import (
     load_presentation_file,
     quantum_plane,
 )
-from skewpbw.scalars import FieldSpec, get_field
+from skewpbw.scalars import FieldSpec, Scalar, get_field
 
 KINDS = [
     "gf5_plane",
@@ -110,3 +112,54 @@ def test_division_reconstructs_with_reduced_remainder(kind, order, request):
         assert list(rem.terms) == deglex_desc
         assert res.quotients is res.quotients
         done += 1
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [FieldSpec.prime(7), FieldSpec.rationals(), FieldSpec.gaussian()],
+    ids=str,
+)
+def test_raw_nullspace_and_solve_match_scalar_elimination(spec):
+    """linalg's raw-value kernels against the Scalar elimination of
+    `oracles.rank`: kernel dimension and independence, rows @ v = 0 and
+    rows @ v = rhs recomputed on Scalars, None exactly when rank grows."""
+    field = get_field(spec)
+    rng = random.Random(str(spec))
+
+    def raw(rows):
+        return [[c.value for c in r] for r in rows]
+
+    def wrap(v):
+        return [Scalar(field, c) for c in v]
+
+    def apply(rows, v):
+        return [sum((a * b for a, b in zip(r, v)), field.zero) for r in rows]
+
+    assert linalg.nullspace([], field, 3) == [
+        [field.raw_one if i == k else field.raw_zero for i in range(3)] for k in range(3)
+    ]
+    inconsistent = [[field.one, field.from_int(2)], [field.from_int(2), field.from_int(4)]]
+    assert linalg.solve(raw(inconsistent), [field.raw_one, field.raw_zero], field) is None
+    for _ in range(40):
+        width = rng.randint(1, 5)
+        rows = [
+            [random_scalar(field, rng) for _ in range(width)]
+            for _ in range(rng.randint(1, 4))
+        ]
+        if rng.random() < 0.5:  # a dependent row
+            k = random_scalar(field, rng)
+            rows.append([k * a + b for a, b in zip(rows[0], rows[-1])])
+        ncols = width + rng.randint(0, 2)
+        kernel = [wrap(v) for v in linalg.nullspace(raw(rows), field, ncols)]
+        assert len(kernel) == ncols - rank(rows, field)
+        assert not kernel or rank(kernel, field) == len(kernel)
+        for v in kernel:
+            assert all(x.is_zero() for x in apply(rows, v[:width]))
+
+        rhs = [random_scalar(field, rng) for _ in rows]
+        v = linalg.solve(raw(rows), [c.value for c in rhs], field)
+        augmented = [r + [b] for r, b in zip(rows, rhs)]
+        if rank(augmented, field) > rank(rows, field):
+            assert v is None
+        else:
+            assert apply(rows, wrap(v)) == rhs
