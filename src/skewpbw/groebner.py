@@ -28,7 +28,7 @@ from skewpbw.poly import (
     MonomialOrder,
     Polynomial,
     _acc,
-    _mono_times_dict,
+    _var_times_dict,
     divides,
     exp_max,
     exp_sub,
@@ -111,31 +111,42 @@ class _Memo:
     when the computation returns.
 
     The basis only grows by appending, so a position names one element for
-    the whole computation and both maps stay valid:
+    the whole computation and the maps stay valid:
     - `first`: exponent -> (position of the first lead dividing it, or -1;
       number of leads checked), so a miss is searched again only among
       the leads appended since;
-    - `products`: (position k, mu) -> (raw dict of x^theta * basis[k],
-      inverse of its lead coefficient) with theta = mu - lm(basis[k]), so
-      mu is the product's lead monomial: the exponent `divide` cancels,
-      or the lcm an S-element is formed at. Both callers hold mu already,
-      and theta is computed only when the product is first formed.
+    - `multiples`: (position k, mu) -> raw dict of x^theta * basis[k] with
+      theta = mu - lm(basis[k]), so mu is the multiple's lead monomial;
+    - `products`: (k, mu) -> (that dict, inverse of its lead coefficient),
+      for the keys a caller asked for: the exponent `divide` cancels, or
+      the lcm an S-element is formed at. Both callers hold mu already.
+
+    A multiple is built by a ladder of one variable step per rung. With
+    x_f the first variable of theta, x^theta * g = x_f * (x^(theta - e_f) * g)
+    exactly: x_f * x^(theta - e_f) is already the normal monomial x^theta,
+    and `poly._mono_times_dict` applies the same steps in the same order,
+    the last variable first. So each rung is `_var_times_dict` of the rung
+    below it, equal to the one-shot product term for term, in the same
+    dict order. A new multiple walks down from mu to the nearest cached
+    rung, or to mu = lm(g) whose rung is g's own dict, then climbs back one
+    step per rung, caching each; the walk is a loop, so its depth is
+    bounded by deg theta and not by the recursion limit. Rungs carry no
+    inverse: only the keys callers ask for pay for one.
     """
 
-    __slots__ = ("pres", "basis", "leads", "dicts", "first", "products")
+    __slots__ = ("pres", "basis", "leads", "first", "multiples", "products")
 
     def __init__(self, pres: Presentation):
         self.pres = pres
         self.basis: List[Polynomial] = []
         self.leads: List[tuple] = []
-        self.dicts: List[Optional[dict]] = []  # raw dicts, made when first used
         self.first: dict = {}
+        self.multiples: dict = {}
         self.products: dict = {}
 
     def append(self, g: Polynomial, lead: tuple) -> None:
         self.basis.append(g)
         self.leads.append(lead)
-        self.dicts.append(None)
 
     def product(self, k: int, mu: tuple):
         """(x^theta * basis[k] as a raw dict, inverse of its lead
@@ -143,18 +154,36 @@ class _Memo:
         key = (k, mu)
         hit = self.products.get(key)
         if hit is None:
-            d = self.dicts[k]
-            if d is None:
-                d = self.dicts[k] = self.basis[k].raw_dict()
-            pres = self.pres
-            prod = _mono_times_dict(pres, exp_sub(mu, self.leads[k]), d)
+            prod = self._multiple(k, mu)
+            field = self.pres.field
             lead_c = prod.get(mu)
-            if lead_c is None or lead_c == pres.field.raw_zero:
+            if lead_c is None or lead_c == field.raw_zero:
                 raise GroebnerError(
                     "monomial order is not multiplicative for this presentation"
                 )
-            hit = self.products[key] = (prod, pres.field.raw_inv(lead_c))
+            hit = self.products[key] = (prod, field.raw_inv(lead_c))
         return hit
+
+    def _multiple(self, k: int, mu: tuple) -> dict:
+        """The rung (k, mu) of basis[k]'s ladder; see the class docstring."""
+        multiples, lead = self.multiples, self.leads[k]
+        n = len(lead)
+        steps = []  # (first variable of theta, mu) from mu down
+        f = 0  # theta's first variable only moves right as theta shrinks
+        d = multiples.get((k, mu))
+        while d is None:
+            while f < n and mu[f] == lead[f]:
+                f += 1
+            if f == n:  # mu = lead
+                d = multiples[(k, mu)] = self.basis[k].raw_dict()
+                break
+            steps.append((f, mu))
+            mu = mu[:f] + (mu[f] - 1,) + mu[f + 1 :]
+            d = multiples.get((k, mu))
+        pres = self.pres
+        for f, mu in reversed(steps):
+            d = multiples[(k, mu)] = _var_times_dict(pres, f, d)
+        return d
 
 
 def divide(
@@ -178,14 +207,7 @@ def divide(
         raise GroebnerError("division requires at least one divisor")
     pres = f.pres
     if memo is None:
-        memo = _Memo(pres)
-        for g in divisors:
-            if g.pres is not pres:
-                raise GroebnerError("divisors from a different presentation")
-            lead = g.leading(order)
-            if lead is None:
-                raise GroebnerError("division by the zero polynomial")
-            memo.append(g, lead[0])
+        memo = _divisor_memo(pres, divisors, order)
 
     field = pres.field
     add, mul, neg, zero = field.raw_add, field.raw_mul, field.raw_neg, field.raw_zero
@@ -241,6 +263,22 @@ def divide(
     return DivisionResult(pres, quotients, rem)
 
 
+def _divisor_memo(
+    pres: Presentation, divisors: Sequence[Polynomial], order: MonomialOrder
+) -> _Memo:
+    """A memo whose basis is the divisors; refuses a zero divisor or one
+    from another presentation."""
+    memo = _Memo(pres)
+    for g in divisors:
+        if g.pres is not pres:
+            raise GroebnerError("divisors from a different presentation")
+        lead = g.leading(order)
+        if lead is None:
+            raise GroebnerError("division by the zero polynomial")
+        memo.append(g, lead[0])
+    return memo
+
+
 def remainder_of(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder) -> Polynomial:
     if not basis or f.is_zero():
         return f
@@ -256,13 +294,19 @@ def normal_form_rows(
     """Matrix of the linear map f -> remainder_of(f, basis, order) on span(x^exps).
 
     Column k is the normal form of x^(exps[k]), in raw field values; its
-    nullspace is the part of the span that reduces to zero.
+    nullspace is the part of the span that reduces to zero. Every column
+    divides by the same basis, so they share one memo: each multiple
+    x^theta * g is formed once per matrix.
     """
     zero = pres.field.raw_zero
-    cols = [
-        remainder_of(Polynomial.monomial(pres, e), basis, order).raw_dict()
-        for e in exps
-    ]
+    monos = [Polynomial.monomial(pres, e) for e in exps]
+    if basis:
+        memo = _divisor_memo(pres, basis, order)
+        monos = [
+            divide(m, basis, order, memo=memo, _quotients=False).remainder
+            for m in monos
+        ]
+    cols = [m.raw_dict() for m in monos]
     support = sorted(set().union(*cols))
     return [[col.get(mu, zero) for col in cols] for mu in support]
 
@@ -386,7 +430,12 @@ def _completion(
     The same multiplicativity keys the memo's products by their lead: the
     S-element of i and j is formed from the products of basis[i] and
     basis[j] with lead gamma, and a division step cancels exponent mu with
-    the product of lead mu, so neither computes theta on a cache hit.
+    the product of lead mu, so neither computes theta on a cache hit. A
+    new product climbs basis[k]'s ladder from its nearest cached rung, one
+    variable step per rung; the rungs are exact (they equal the one-shot
+    product term for term), so the products many divisions and S-elements
+    form share their lower multiples, for this completion and the rounds
+    after it, until the computation returns and its memo goes.
     Divisions here record quotients only for certificates.
     """
     if not items:

@@ -1,0 +1,40 @@
+"""The benchmark's own correctness checks hold on its GB workloads.
+
+Imports `perfbench/workloads.py` and `perfbench/engine.py` read-only, as
+`test_tracing_hooks.py` imports `tracing`, and runs the first operations
+of seed 1 through `engine.execute` and `engine.check` on the presentations
+each workload prescribes, so that an answer the benchmark would count
+wrong fails here, not only in a benchmark run.
+"""
+
+import itertools
+import os
+
+import pytest
+
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+OPS = 60
+
+
+@pytest.mark.parametrize("workload", ["gb-char0", "gb-gfp"])
+def test_first_operations_check_correct(monkeypatch, workload):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import engine
+    import workloads
+
+    docs = workloads.documents(ROOT)
+    shared = engine.build(docs, workloads.ALGEBRAS[workload])
+    wrong = []
+    outcomes = set()
+    for op in itertools.islice(workloads.stream(workload, 1), OPS):
+        if workloads.SHARED_PRESENTATIONS[workload]:
+            pres = shared[op.algebra]
+        else:
+            pres = engine.load_presentation(docs[op.algebra])
+        args = engine.prepare(op, pres)
+        outcome, why, _ = engine.check(op, args, engine.execute(op, args), docs)
+        outcomes.add(outcome)
+        if outcome == "wrong":
+            wrong.append(f"op {op.index} {op.kind}/{op.algebra}: {why}")
+    assert wrong == []
+    assert "ok" in outcomes

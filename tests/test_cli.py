@@ -41,6 +41,17 @@ def test_divide_witten(capsys):
     assert len(doc["result"]["quotients"]) == 3
 
 
+def test_divide_deep_power(capsys):
+    """Cancelling x^1200 takes multiples of x - 1 up to degree 1199, deeper
+    than the default recursion limit."""
+    code, doc, _ = run_json(
+        ["divide", "--algebra", QPLANE, "--f", "x^1200", "--divisors", "x - 1"],
+        capsys,
+    )
+    assert code == EXIT_OK
+    assert doc["result"]["remainder"] == "1"
+
+
 def test_gb_improper_unit(capsys):
     code, doc, _ = run_json(
         ["gb", "--algebra", QPLANE, "--gens", "x-1, y-1"], capsys

@@ -30,7 +30,9 @@ from skewpbw.poly import (
     DEGLEX,
     MonomialOrder,
     Polynomial,
+    _mono_times_dict,
     divides,
+    exponents_up_to,
     multiply,
     parse_polynomial,
 )
@@ -84,6 +86,33 @@ def test_divide_errors(witten):
         divide(f, [])
     with pytest.raises(GroebnerError):
         divide(f, [Polynomial.zero(witten)])
+
+
+def test_deep_division_runs_in_a_loop(qplane_m1):
+    """x^1500 is cancelled by multiples of x + 1 up to x^1499, deeper than
+    the default recursion limit: the memo climbs its ladder iteratively."""
+    f = parse_polynomial("x^1500 + y", qplane_m1)
+    res = divide(f, [parse_polynomial("x + 1", qplane_m1)])
+    assert res.remainder == parse_polynomial("y + 1", qplane_m1)
+
+
+@pytest.mark.parametrize("d", [4, 6])
+def test_normal_form_rows_share_one_memo(qplane_m1, d):
+    """The matrix whose columns share one memo equals the one built column
+    by column, each with its own division."""
+    gens = [parse_polynomial(t, qplane_m1) for t in ("x^4 + x*y^2", "x^2*y^2 - y^3")]
+    handle = two_sided_saturate(gens)
+    assert handle.status == "proper" and len(handle.basis) > 1
+    exps = exponents_up_to(qplane_m1.n, d)
+    zero = qplane_m1.field.raw_zero
+    cols = [
+        groebner.remainder_of(Polynomial.monomial(qplane_m1, e), handle.basis, DEGLEX)
+        .raw_dict()
+        for e in exps
+    ]
+    support = sorted(set().union(*cols))
+    expected = [[col.get(mu, zero) for col in cols] for mu in support]
+    assert groebner.normal_form_rows(qplane_m1, exps, handle.basis, DEGLEX) == expected
 
 
 @pytest.mark.parametrize(
@@ -589,41 +618,85 @@ def test_memo_lives_for_one_computation(qspace3):
 
 def test_memo_products_are_checked_once_per_key(monkeypatch, qplane_q2):
     """A product x^theta * g is formed, and its lead checked, once per
-    (position, lead of the product); that lead theta + lm(g) fixes theta."""
-    g = parse_polynomial("x*y + x + 1", qplane_q2)
+    (position, lead of the product); that lead theta + lm(g) fixes theta.
+    Each new rung of g's ladder costs one variable step, and only the
+    products a caller asks for are inverted."""
+    g = parse_polynomial("x*y + x + 1", qplane_q2)  # lead x*y
     memo = groebner._Memo(qplane_q2)
     memo.append(g, leading_exp(g))
-    calls = []
+    field = qplane_q2.field
+    steps = []
     lookups = []
-    mono_times = groebner._mono_times_dict
+    inverted = []
+    var_times, raw_inv = groebner._var_times_dict, field.raw_inv
 
     class Lookups(dict):
         def get(self, key, default=None):
             lookups.append(key)
             return super().get(key, default)
 
-    def counting(pres, alpha, d):
-        calls.append(alpha)
-        return Lookups(mono_times(pres, alpha, d))
+    def counting(pres, i, d):
+        steps.append(i)
+        return Lookups(var_times(pres, i, d))
 
-    monkeypatch.setattr(groebner, "_mono_times_dict", counting)
+    def inverting(a):
+        inverted.append(a)
+        return raw_inv(a)
+
+    monkeypatch.setattr(groebner, "_var_times_dict", counting)
+    monkeypatch.setattr(field, "raw_inv", inverting)
     prod, inv_lc = memo.product(0, (2, 1))
     assert memo.product(0, (2, 1)) == (prod, inv_lc)
-    assert calls == [(1, 0)]
+    assert steps == [0]
     assert lookups == [(2, 1)]
-    field = qplane_q2.field
+    assert inverted == [prod[(2, 1)]]
     assert field.raw_mul(prod[(2, 1)], inv_lc) == field.raw_one
+
+    # y^2 * g climbs two new rungs; x^2 * y^2 * g climbs two more from
+    # the cached y^2 * g; only the requested leads are inverted
+    requested = [(2, 1), (1, 3), (3, 3), (1, 2)]
+    for mu in requested[1:]:
+        memo.product(0, mu)
+        memo.product(0, mu)
+    assert steps == [0, 1, 1, 0, 0]
+    assert len(memo.multiples) == 1 + len(steps)
+    assert lookups == requested
+    assert inverted == [memo.multiples[(0, mu)][mu] for mu in requested]
 
     # a product missing its lead monomial is refused when first formed
     monkeypatch.setattr(
-        groebner, "_mono_times_dict", lambda pres, alpha, d: {(0, 0): field.raw_one}
+        groebner, "_var_times_dict", lambda pres, i, d: {(0, 0): field.raw_one}
     )
     with pytest.raises(GroebnerError, match="not multiplicative"):
-        memo.product(0, (1, 2))
+        memo.product(0, (1, 4))
     with pytest.raises(GroebnerError, match="not multiplicative"):
         divide(parse_polynomial("x^2*y", qplane_q2), [g])
     with pytest.raises(GroebnerError, match="not multiplicative"):
         left_groebner([g, parse_polynomial("y^2 + 1", qplane_q2)])
+
+
+@pytest.mark.parametrize("name", SHIPPED + ["gf7space", "zeta5plane"])
+def test_memo_ladder_matches_one_shot_products(name):
+    """Every multiple x^theta * g the memo climbs to, deg theta <= 4 and in
+    a seeded order so that walks start from varied cached rungs, equals
+    the one-shot product term for term and in the same dict order."""
+    pres = _algebra(name)
+    rng = random.Random(zlib.crc32(b"ladder " + name.encode()))
+    thetas = exponents_up_to(pres.n, 4)
+    checked = 0
+    while checked < 3:
+        g = random_polynomial(pres, rng, 3, 4)
+        if g.is_zero():
+            continue
+        checked += 1
+        lead = leading_exp(g)
+        memo = groebner._Memo(pres)
+        memo.append(g, lead)
+        for theta in rng.sample(thetas, len(thetas)):
+            prod, _ = memo.product(0, tuple(t + a for t, a in zip(theta, lead)))
+            direct = _mono_times_dict(pres, theta, g.raw_dict())
+            assert prod == direct
+            assert list(prod.items()) == list(direct.items())
 
 
 @pytest.mark.parametrize("fixture", ["witten", "qplane_gf5", "qspace3"])
