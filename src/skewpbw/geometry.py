@@ -185,8 +185,8 @@ def evaluate(f: Polynomial, Z: Point) -> Scalar:
     add, mul = field.raw_add, field.raw_mul
     value = _monomial_values(field, Z)
     out = field.raw_zero
-    for exp, c in f.terms:
-        out = add(out, mul(c.value, value(exp)))
+    for exp, c in f.raw:
+        out = add(out, mul(c, value(exp)))
     return Scalar(field, out)
 
 
@@ -279,7 +279,7 @@ def ideal_of_points(
             value = _monomial_values(field, Z)
             rows.append([value(e) for e in monos])
     return [
-        Polynomial.from_raw(pres, dict(zip(monos, vec)))
+        Polynomial.from_raw(pres, zip(monos, vec))
         for vec in linalg.nullspace(rows, field, len(monos))
     ]
 
@@ -335,14 +335,16 @@ def random_polynomial(
     max_degree: int = 3,
     max_terms: int = 4,
 ) -> Polynomial:
+    field = pres.field
+    add, zero = field.raw_add, field.raw_zero
     monos = exponents_up_to(pres.n, max_degree)
     out: dict = {}
     for _ in range(rng.randint(1, max_terms)):
         e = monos[rng.randrange(len(monos))]
-        c = random_scalar(pres.field, rng)
-        if not c.is_zero():
-            out[e] = out.get(e, pres.field.zero) + c
-    return Polynomial.from_dict(pres, out)
+        c = random_scalar(field, rng).value
+        if c != zero:
+            out[e] = add(out.get(e, zero), c)
+    return Polynomial.from_raw(pres, out.items())
 
 
 @dataclass
@@ -353,10 +355,6 @@ class SemiprimeReport:
     consistent: int
     unknown: int  # always 0: a point ideal is always resolved
     counterexamples: List[Polynomial] = dc_field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.counterexamples
 
 
 def semiprime_probe(

@@ -97,7 +97,7 @@ class DivisionResult:
     def quotients(self) -> List[Polynomial]:
         if self._raw_quotients is None:
             raise GroebnerError("this division recorded no quotients")
-        return [Polynomial.from_raw(self._pres, q) for q in self._raw_quotients]
+        return [Polynomial.from_raw(self._pres, q.items()) for q in self._raw_quotients]
 
     def reconstruct(self, divisors: Sequence[Polynomial]) -> Polynomial:
         out = self.remainder
@@ -175,7 +175,7 @@ class _Memo:
             while f < n and mu[f] == lead[f]:
                 f += 1
             if f == n:  # mu = lead
-                d = multiples[(k, mu)] = self.basis[k].raw_dict()
+                d = multiples[(k, mu)] = dict(self.basis[k].raw)
                 break
             steps.append((f, mu))
             mu = mu[:f] + (mu[f] - 1,) + mu[f + 1 :]
@@ -214,7 +214,7 @@ def divide(
     key = order.key
     leads, first, product = memo.leads, memo.first, memo.product
     n = len(leads)
-    work = f.raw_dict()
+    work = dict(f.raw)
     # a min-heap on negated order keys pops the largest term first
     heap = [(tuple(map(operator.neg, key(e))), e) for e in work]
     heapq.heapify(heap)
@@ -258,8 +258,8 @@ def divide(
                     work[e] = cur
 
     # the heap pops terms in descending order, which under deglex is the
-    # order of Polynomial.terms
-    rem = Polynomial.from_raw(pres, remainder, ordered=order.kind == "deglex")
+    # order of Polynomial.raw
+    rem = Polynomial.from_raw(pres, remainder.items(), ordered=order.kind == "deglex")
     return DivisionResult(pres, quotients, rem)
 
 
@@ -306,7 +306,7 @@ def normal_form_rows(
             divide(m, basis, order, memo=memo, _quotients=False).remainder
             for m in monos
         ]
-    cols = [m.raw_dict() for m in monos]
+    cols = [dict(m.raw) for m in monos]
     support = sorted(set().union(*cols))
     return [[col.get(mu, zero) for col in cols] for mu in support]
 
@@ -360,7 +360,7 @@ def _cert_sum(parts) -> tuple:
     """
     merged: dict = {}
     for w, cert in parts:
-        c = w.terms[0][1] if w is not None and w.is_constant() else None
+        c = w.constant_value() if w is not None and w.is_constant() else None
         for p, i, q in cert:
             if c is not None:
                 p = p.scale(c)
@@ -395,11 +395,13 @@ def _reduce_with_cert(
 def _monic(g: Polynomial, cert, order: MonomialOrder):
     """g and its certificate scaled to lead coefficient 1; no work if it is 1."""
     lc = g.leading(order)[1]
-    if lc == lc.field.one:
+    field = g.pres.field
+    if lc == field.raw_one:
         return g, cert
-    u = lc.inv()
+    u = Scalar(field, field.raw_inv(lc))
     if cert is not None:
-        cert = _cert_sum([(Polynomial.constant(g.pres, u), cert)])
+        # a nonzero scale creates no zero part and merges no two parts
+        cert = tuple((p.scale(u), i, q) for p, i, q in cert)
     return g.scale(u), cert
 
 
@@ -537,14 +539,14 @@ def _s_element(memo: _Memo, certs, i, j, gamma):
     out = {e: mul(ui, c) for e, c in pi.items()}
     for e, c in pj.items():
         _acc(out, e, mul(uj, c), add, zero)
-    s = Polynomial.from_raw(pres, out)
+    s = Polynomial.from_raw(pres, out.items())
     cert = None
     if certs[i] is not None:
         ti = exp_sub(gamma, memo.leads[i])
         tj = exp_sub(gamma, memo.leads[j])
         cert = _cert_sum((
-            (Polynomial.monomial(pres, ti, Scalar(field, ui)), certs[i]),
-            (Polynomial.monomial(pres, tj, Scalar(field, uj)), certs[j]),
+            (Polynomial.from_raw(pres, ((ti, ui),), ordered=True), certs[i]),
+            (Polynomial.from_raw(pres, ((tj, uj),), ordered=True), certs[j]),
         ))
     return s, cert
 
@@ -749,8 +751,9 @@ def intersect_left(
     block = MonomialOrder.block([0], ext.n)
 
     def lift(f: Polynomial, tdeg: int) -> Polynomial:
-        return Polynomial(
-            ext, tuple(((tdeg,) + e, c) for e, c in f.terms)
+        # a common t-degree keeps the deglex order of the terms
+        return Polynomial.from_raw(
+            ext, [((tdeg,) + e, c) for e, c in f.raw], ordered=True
         )
 
     gens = [lift(f, 1) for f in I.generators if not f.is_zero()]
@@ -766,9 +769,9 @@ def intersect_left(
         raise GroebnerError("elimination produced a unit from proper ideals")
     out = []
     for g in handle.basis:
-        if all(e[0] == 0 for e, _ in g.terms):
+        if all(e[0] == 0 for e, _ in g.raw):
             out.append(
-                Polynomial(pres, tuple((e[1:], c) for e, c in g.terms))
+                Polynomial.from_raw(pres, [(e[1:], c) for e, c in g.raw], ordered=True)
             )
     complete = handle.status == PROPER
     return IntersectionResult(

@@ -1,8 +1,11 @@
 """Dense exact linear algebra over a coefficient field, on raw values.
 
-Matrices are lists of row lists of the field's raw values (`Scalar.value`),
-combined with the field's raw functions; no Scalar is built. Sizes here
-are desk scale (tens of columns), so plain Gaussian elimination is enough.
+Matrices are lists of row lists of the field's raw values, the values
+`Polynomial.raw` stores, combined with the field's raw functions. Callers
+read matrix cells from `Polynomial.raw` and build polynomials from the
+solution vectors with `Polynomial.from_raw`, so no Scalar is built on
+either side. Sizes here are desk scale (tens of columns), so plain
+Gaussian elimination is enough.
 """
 
 from __future__ import annotations

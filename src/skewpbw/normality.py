@@ -34,7 +34,7 @@ def central_probe(f: Polynomial) -> bool:
     if not pres.sigma_all_identity:
         prim = pres.field.primitive()
         if prim is not None:
-            for exp, _ in f.terms:
+            for exp, _ in f.raw:
                 if pres.sigma_power_apply(exp, prim) != prim:
                     return False
     for j in range(pres.n):
@@ -93,11 +93,11 @@ def is_normal(f: Polynomial, slack: int = 0) -> NormalityVerdict:
     field = pres.field
 
     # scalar direction: every sigma^alpha on supp(f) must be the same map
-    rep_exp = f.terms[0][0]
+    rep_exp = f.raw[0][0]
     if not pres.sigma_all_identity:
         prim = field.primitive()
         if prim is not None:
-            images = {pres.sigma_power_apply(exp, prim) for exp, _ in f.terms}
+            images = {pres.sigma_power_apply(exp, prim) for exp, _ in f.raw}
             if len(images) > 1:
                 return NormalityVerdict(
                     "not_normal", counter_witness=("scalar", prim)
@@ -122,12 +122,12 @@ def is_normal(f: Polynomial, slack: int = 0) -> NormalityVerdict:
         v = _solve_combination(basis_products, target, monos, pres)
         if v is None:
             return NormalityVerdict("not_normal", counter_witness=("left", j))
-        g = Polynomial.from_dict(
+        g = Polynomial.from_raw(
             pres,
-            {
-                b: pres.sigma_power_unapply(rep_exp, c)
-                for b, c in v.terms
-            },
+            [
+                (b, pres.sigma_power_unapply(rep_exp, Scalar(field, c)).value)
+                for b, c in v.raw
+            ],
         )
         if multiply(f, g) != multiply(xj, f):
             # only possible when sigma twists vary over the support in a way
@@ -143,12 +143,12 @@ def _solve_combination(products, target, monos, pres) -> Optional[Polynomial]:
     """Scalars v_b with sum v_b * products[b] = target, as a polynomial."""
     field = pres.field
     zero = field.raw_zero
-    pdicts = [p.raw_dict() for p in products]
-    tdict = target.raw_dict()
+    pdicts = [dict(p.raw) for p in products]
+    tdict = dict(target.raw)
     support = sorted(set(tdict).union(*pdicts))
     rows = [[pd.get(mu, zero) for pd in pdicts] for mu in support]
     rhs = [tdict.get(mu, zero) for mu in support]
     sol = linalg.solve(rows, rhs, field)
     if sol is None:
         return None
-    return Polynomial.from_raw(pres, dict(zip(monos, sol)))
+    return Polynomial.from_raw(pres, zip(monos, sol))

@@ -216,12 +216,12 @@ def _central_exponents(L: Tuple[int, ...], d: int) -> List[tuple]:
 def lift_center_poly(C: CenterDescription, f_center: Polynomial) -> Polynomial:
     """u_i -> x_i^(L_i); central monomials stay single monomials."""
     pres = C.presentation
-    return Polynomial.from_dict(
+    return Polynomial.from_raw(
         pres,
-        {
-            tuple(k * l for k, l in zip(exp, C.exponents)): c
-            for exp, c in f_center.terms
-        },
+        [
+            (tuple(k * l for k, l in zip(exp, C.exponents)), c)
+            for exp, c in f_center.raw
+        ],
     )
 
 
@@ -254,7 +254,7 @@ def contract_to_center(
         rows = normal_form_rows(pres, a_exps, handle.basis, handle.order)
         kernel = linalg.nullspace(rows, pres.field, len(kappas))
         center_polys = [
-            Polynomial.from_raw(center_pres, dict(zip(kappas, vec))) for vec in kernel
+            Polynomial.from_raw(center_pres, zip(kappas, vec)) for vec in kernel
         ]
     lifted = [lift_center_poly(C, f) for f in center_polys]
     if not all(is_member_left(f, handle) == "yes" and central_probe(f) for f in lifted):
@@ -333,7 +333,7 @@ def commutative_points_ideal(
             pivot = next((k for k, v in enumerate(row) if v != zero), None)
             if pivot is None:
                 leads.append(t)
-                basis.append(Polynomial.from_raw(center_pres, comb))
+                basis.append(Polynomial.from_raw(center_pres, comb.items()))
             else:
                 s = field.raw_inv(row[pivot])
                 row = [mul(s, v) for v in row]
@@ -361,7 +361,7 @@ def radical_membership_commutative(
     ext = extend_with_central(center_pres)
 
     def lift(g: Polynomial) -> Polynomial:
-        return Polynomial(ext, tuple(((0,) + e, c) for e, c in g.terms))
+        return Polynomial.from_raw(ext, [((0,) + e, c) for e, c in g.raw], ordered=True)
 
     t = Polynomial.variable(ext, 0)
     gens = [lift(g) for g in J_gens if not g.is_zero()]

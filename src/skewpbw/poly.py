@@ -7,11 +7,11 @@ coefficients passing variables via the sigma automorphisms. The engine
 memoizes single-variable insertions per presentation, which keeps repeated
 division/completion work cheap.
 
-The rewriting engine below works on dicts {exponent: raw field value} (an
-int residue, or a tuple of integer numerators over one denominator; see
-scalars.Field), and so does the insertion cache. `Polynomial.terms` holds
-Scalars: values cross into raw form once, by `Polynomial.raw_dict`, and
-back once, by `Polynomial.from_raw`.
+Coefficients are raw field values throughout (an int residue, or a tuple
+of integer numerators over one denominator; see scalars.Field): the
+rewriting engine and the insertion cache work on dicts {exponent: raw
+value}, and `Polynomial` stores (exponent, raw value) pairs. A `Scalar`
+is built only where a caller reads a coefficient as a field element.
 """
 
 from __future__ import annotations
@@ -96,12 +96,6 @@ class MonomialOrder:
         if self.kind == "degrevlex":
             return degrevlex_key(exp)
         return block_key(exp, self.mask)
-
-    def compare(self, a: tuple, b: tuple) -> int:
-        if len(a) != len(b):
-            raise ValueError("exponent length mismatch")
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
 
     @staticmethod
     def block(front_indices: Iterable[int], n: int) -> "MonomialOrder":
@@ -210,42 +204,54 @@ def _mono_times_dict(pres: Presentation, alpha: tuple, d: dict) -> dict:
 
 
 class Polynomial:
-    """Immutable normal-ordered polynomial; terms sorted by descending deglex.
+    """Immutable normal-ordered polynomial.
 
-    `_lead` holds (order, leading term) for the last order other than
+    `raw` is a tuple of (exponent, raw field value) pairs in descending
+    deglex order, with no zero value. Raw values are canonical, so
+    equality and hashing compare `raw`. The library builds polynomials
+    through `from_raw`; `Polynomial(pres, terms)` and `from_dict` build
+    them from `Scalar` coefficients, and `terms` reads the pairs back with
+    `Scalar` values. Both stay public because the benchmark harness in
+    `perfbench/engine.py` slices `terms` and builds from Scalars.
+
+    `_lead` holds (order, leading pair) for the last order other than
     deglex that `leading` was asked for, so each lead is searched once.
     """
 
-    __slots__ = ("pres", "terms", "_lead")
+    __slots__ = ("pres", "raw", "_lead")
 
-    def __init__(self, pres: Presentation, terms: tuple):
+    def __init__(self, pres: Presentation, terms: Iterable):
+        """From (exponent, Scalar) pairs in descending deglex order, none zero."""
         self.pres = pres
-        self.terms = terms
+        self.raw = tuple((e, c.value) for e, c in terms)
         self._lead = None
 
     @staticmethod
-    def from_dict(pres: Presentation, d: dict) -> "Polynomial":
-        items = [(e, c) for e, c in d.items() if not c.is_zero()]
-        items.sort(key=lambda t: deglex_key(t[0]), reverse=True)
-        return Polynomial(pres, tuple(items))
+    def from_raw(pres: Presentation, pairs: Iterable, ordered=False) -> "Polynomial":
+        """The polynomial of (exponent, raw field value) pairs with distinct
+        exponents; zero values are dropped.
 
-    @staticmethod
-    def from_raw(pres: Presentation, d: dict, ordered: bool = False) -> "Polynomial":
-        """The polynomial of a dict {exponent: raw field value}; zeros dropped.
-
-        ordered: d already iterates in descending deglex order, the order
-        of `terms`, so no sort is needed.
+        ordered: the pairs already come in descending deglex order, the
+        order of `raw`, so no sort is needed.
         """
-        field = pres.field
-        zero = field.raw_zero
-        items = [(e, Scalar(field, c)) for e, c in d.items() if c != zero]
+        zero = pres.field.raw_zero
+        items = [t for t in pairs if t[1] != zero]
         if not ordered:
             items.sort(key=lambda t: deglex_key(t[0]), reverse=True)
-        return Polynomial(pres, tuple(items))
+        f = Polynomial.__new__(Polynomial)
+        f.pres = pres
+        f.raw = tuple(items)
+        f._lead = None
+        return f
+
+    @staticmethod
+    def from_dict(pres: Presentation, d: dict) -> "Polynomial":
+        """The polynomial of a dict {exponent: Scalar}; zeros dropped."""
+        return Polynomial.from_raw(pres, [(e, c.value) for e, c in d.items()])
 
     @staticmethod
     def zero(pres: Presentation) -> "Polynomial":
-        return Polynomial(pres, ())
+        return Polynomial.from_raw(pres, (), ordered=True)
 
     @staticmethod
     def one(pres: Presentation) -> "Polynomial":
@@ -253,77 +259,66 @@ class Polynomial:
 
     @staticmethod
     def constant(pres: Presentation, c: Scalar) -> "Polynomial":
-        c = pres.field.coerce(c)
-        if c.is_zero():
-            return Polynomial.zero(pres)
-        return Polynomial(pres, (((0,) * pres.n, c),))
+        return Polynomial.monomial(pres, (0,) * pres.n, c)
 
     @staticmethod
     def variable(pres: Presentation, i: int) -> "Polynomial":
         e = tuple(1 if k == i else 0 for k in range(pres.n))
-        return Polynomial(pres, ((e, pres.field.one),))
+        return Polynomial.monomial(pres, e)
 
     @staticmethod
     def monomial(pres: Presentation, exp: tuple, c=None) -> "Polynomial":
         c = pres.field.one if c is None else pres.field.coerce(c)
-        if c.is_zero():
-            return Polynomial.zero(pres)
-        return Polynomial(pres, ((tuple(exp), c),))
+        return Polynomial.from_raw(pres, ((tuple(exp), c.value),), ordered=True)
 
-    def to_dict(self) -> dict:
-        return dict(self.terms)
-
-    def raw_dict(self) -> dict:
-        """A fresh dict {exponent: raw field value} of the terms."""
-        return {e: c.value for e, c in self.terms}
+    @property
+    def terms(self) -> tuple:
+        """The (exponent, Scalar) pairs, in the order of `raw`."""
+        field = self.pres.field
+        return tuple((e, Scalar(field, c)) for e, c in self.raw)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.raw
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and not any(self.terms[0][0]))
+        return not self.raw or (len(self.raw) == 1 and not any(self.raw[0][0]))
 
     def constant_value(self) -> Scalar:
         if self.is_zero():
             return self.pres.field.zero
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return self.terms[0][1]
+        return Scalar(self.pres.field, self.raw[0][1])
 
     def degree(self) -> int:
         """Max total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.raw:
             return -1
-        return max(sum(e) for e, _ in self.terms)
+        return max(sum(e) for e, _ in self.raw)
 
-    def leading(self, order: MonomialOrder = DEGLEX) -> Optional[Tuple[tuple, Scalar]]:
-        if not self.terms:
+    def leading(self, order: MonomialOrder = DEGLEX) -> Optional[Tuple[tuple, object]]:
+        """The leading (exponent, raw field value) pair; None for zero."""
+        if not self.raw:
             return None
         if order.kind == "deglex":
-            return self.terms[0]
+            return self.raw[0]
         cached = self._lead
         if cached is not None and cached[0] is order:
             return cached[1]
-        lead = max(self.terms, key=lambda t: order.key(t[0]))
+        lead = max(self.raw, key=lambda t: order.key(t[0]))
         self._lead = (order, lead)
         return lead
 
     def scale(self, c: Scalar) -> "Polynomial":
-        """Left multiplication by a scalar, on raw values in one pass."""
+        """Left multiplication by a scalar; a nonzero one keeps every term."""
         field = self.pres.field
-        c = field.coerce(c)
-        if c.is_zero():
+        u = field.coerce(c).value
+        if u == field.raw_zero:
             return Polynomial.zero(self.pres)
-        u, mul = c.value, field.raw_mul
-        return Polynomial(
-            self.pres, tuple((e, Scalar(field, mul(u, k.value))) for e, k in self.terms)
+        mul = field.raw_mul
+        return Polynomial.from_raw(
+            self.pres, [(e, mul(u, k)) for e, k in self.raw], ordered=True
         )
-
-    def monic(self, order: MonomialOrder = DEGLEX) -> "Polynomial":
-        lead = self.leading(order)
-        if lead is None:
-            return self
-        return self.scale(lead[1].inv())
 
     def _check(self, other: "Polynomial") -> None:
         if self.pres is not other.pres:
@@ -334,10 +329,10 @@ class Polynomial:
         self._check(other)
         field = self.pres.field
         add, zero = field.raw_add, field.raw_zero
-        out = self.raw_dict()
-        for e, c in other.terms:
-            _acc(out, e, c.value, add, zero)
-        return Polynomial.from_raw(self.pres, out)
+        out = dict(self.raw)
+        for e, c in other.raw:
+            _acc(out, e, c, add, zero)
+        return Polynomial.from_raw(self.pres, out.items())
 
     __radd__ = __add__
 
@@ -346,16 +341,19 @@ class Polynomial:
         self._check(other)
         field = self.pres.field
         add, neg, zero = field.raw_add, field.raw_neg, field.raw_zero
-        out = self.raw_dict()
-        for e, c in other.terms:
-            _acc(out, e, neg(c.value), add, zero)
-        return Polynomial.from_raw(self.pres, out)
+        out = dict(self.raw)
+        for e, c in other.raw:
+            _acc(out, e, neg(c), add, zero)
+        return Polynomial.from_raw(self.pres, out.items())
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __neg__(self):
-        return Polynomial(self.pres, tuple((e, -c) for e, c in self.terms))
+        neg = self.pres.field.raw_neg
+        return Polynomial.from_raw(
+            self.pres, [(e, neg(c)) for e, c in self.raw], ordered=True
+        )
 
     def _coerce(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
@@ -390,10 +388,10 @@ class Polynomial:
             if isinstance(other, int):
                 return self == self._coerce(other)
             return NotImplemented
-        return self.pres is other.pres and self.terms == other.terms
+        return self.pres is other.pres and self.raw == other.raw
 
     def __hash__(self):
-        return hash((id(self.pres), self.terms))
+        return hash((id(self.pres), self.raw))
 
     def __repr__(self):
         return to_string(self)
@@ -411,13 +409,12 @@ def multiply(f: Polynomial, g: Polynomial) -> Polynomial:
         return Polynomial.zero(pres)
     field = pres.field
     add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
-    gdict = g.raw_dict()
+    gdict = dict(g.raw)
     out: dict = {}
-    for alpha, a in f.terms:
-        a = a.value
+    for alpha, a in f.raw:
         for e, c in _mono_times_dict(pres, alpha, gdict).items():
             _acc(out, e, mul(a, c), add, zero)
-    return Polynomial.from_raw(pres, out)
+    return Polynomial.from_raw(pres, out.items())
 
 
 def exponents_of_degree(n: int, d: int):

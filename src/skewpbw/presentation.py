@@ -25,6 +25,7 @@ from skewpbw.scalars import (
     FieldSpec,
     Scalar,
     apply_automorphism,
+    automorphism_inverse,
     automorphism_map,
     automorphism_power,
     get_field,
@@ -106,8 +107,6 @@ class Presentation:
         """Inverse of sigma_power_apply (sigma_i are bijective on the field)."""
         if self.sigma_all_identity or s.is_zero():
             return s
-        from skewpbw.scalars import automorphism_inverse
-
         for i in range(self.n):
             t = alpha[i]
             if t == 0 or self.sigma[i].is_identity():
@@ -317,10 +316,10 @@ def serialize_presentation(pres: Presentation) -> str:
     comm = Presentation(pres.field, pres.names)
     n = pres.n
     for (i, j), rel in sorted(pres.relations.items()):
-        terms = {_exponent(n, k): a for k, a in enumerate(rel.linear)}
-        terms[_exponent(n, i, j)] = rel.c
-        terms[_exponent(n)] = rel.const
-        rhs = poly.to_string(poly.Polynomial.from_dict(comm, terms))
+        terms = {_exponent(n, k): a.value for k, a in enumerate(rel.linear)}
+        terms[_exponent(n, i, j)] = rel.c.value
+        terms[_exponent(n)] = rel.const.value
+        rhs = poly.to_string(poly.Polynomial.from_raw(comm, terms.items()))
         lines.append(f"relation: {pres.names[j]}*{pres.names[i]} = {rhs}")
     return "\n".join(lines) + "\n"
 

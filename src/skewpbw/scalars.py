@@ -251,8 +251,10 @@ class Field:
     ints, integer numerators over one denominator (see _NumberField). Each
     field supplies `raw_zero`, `raw_one` and the functions `raw_add(a, b)`,
     `raw_mul(a, b)`, `raw_neg(a)` and `raw_inv(a)` (ZeroDivisionError on
-    zero); the normal-ordering and division kernels call them without
-    building a Scalar, and the Scalar operators wrap them.
+    zero). `Polynomial` stores raw values, so polynomial arithmetic,
+    division and linear algebra call these functions directly; a Scalar
+    wraps a raw value only where a caller reads a coefficient, and its
+    operators call the same functions.
     """
 
     spec: FieldSpec
@@ -507,10 +509,6 @@ class _NumberField(Field):
                     out[t] += c * x
         out.append(a[-1])
         return tuple(out)
-
-    def raw_conjugate(self, a):
-        """Complex conjugation, z |-> z^-1."""
-        return self.raw_galois(a, -1)
 
     def from_int(self, k):
         return Scalar(self, (k,) + self._pad + (1,))

@@ -330,6 +330,14 @@ def _remainder(f: Polynomial, basis, order) -> Polynomial:
     return divide(f, basis, order).remainder
 
 
+def monic(f: Polynomial, order=DEGLEX) -> Polynomial:
+    """f scaled to lead coefficient 1 under the order; zero stays zero."""
+    lead = f.leading(order)
+    if lead is None:
+        return f
+    return f.scale(Scalar(f.pres.field, lead[1]).inv())
+
+
 def _lead_lcm(f: Polynomial, g: Polynomial, order) -> tuple:
     return tuple(
         max(a, b) for a, b in zip(f.leading(order)[0], g.leading(order)[0])
@@ -342,7 +350,7 @@ def naive_s_element(gi: Polynomial, gj: Polynomial, order=DEGLEX) -> Polynomial:
     parts = []
     for g in (gi, gj):
         shift = tuple(c - a for c, a in zip(gamma, g.leading(order)[0]))
-        parts.append(multiply(Polynomial.monomial(g.pres, shift), g).monic(order))
+        parts.append(monic(multiply(Polynomial.monomial(g.pres, shift), g), order))
     return parts[0] - parts[1]
 
 
@@ -360,7 +368,7 @@ def _naive_inter_reduce(basis, order):
                 if rem.is_zero():
                     del basis[k]
                 else:
-                    basis[k] = rem.monic(order)
+                    basis[k] = monic(rem, order)
                 break
     return sorted(basis, key=lambda g: order.key(g.leading(order)[0]))
 
@@ -379,7 +387,7 @@ def naive_left_gb(gens, order=DEGLEX, stats=None):
         for i, other in enumerate(basis):
             gamma = _lead_lcm(other, g, order)
             heapq.heappush(pairs, (order.key(gamma), i, len(basis)))
-        basis.append(g.monic(order))
+        basis.append(monic(g, order))
     while pairs:
         _, i, j = heapq.heappop(pairs)
         if stats is not None:
@@ -392,7 +400,7 @@ def naive_left_gb(gens, order=DEGLEX, stats=None):
         for t, other in enumerate(basis):
             gamma = _lead_lcm(other, rem, order)
             heapq.heappush(pairs, (order.key(gamma), t, len(basis)))
-        basis.append(rem.monic(order))
+        basis.append(monic(rem, order))
     return _naive_inter_reduce(basis, order)
 
 

@@ -431,7 +431,7 @@ def test_c10_semiprime_probe_nonblocking():
             rep = semiprime_probe(pres, Z, samples=50, max_degree=3, seed=900 + k)
             assert rep.proper is True
             assert rep.unknown == 0
-            if not rep.passed:
+            if rep.counterexamples:
                 findings.append((name, Z, rep.counterexamples[:1]))
     t = elapsed()
     if findings:

@@ -1,9 +1,12 @@
-"""Every top-level function or class of the library has a caller.
+"""Every top-level function or class of the library, and every method of
+its classes, has a caller.
 
 A definition counts as used when its name is read, imported or named in a
 string (perfbench wraps functions by name) anywhere in `src/skewpbw` or
 `perfbench/` outside the definition itself; a name `skewpbw/__init__.py`
-exports is used. Helpers only tests call belong in `tests/oracles.py`.
+exports is used. A method counts by its name alone, whatever object it is
+read from; dunder methods are exempt, since the language calls them.
+Helpers only tests call belong in `tests/oracles.py`.
 """
 
 import ast
@@ -31,20 +34,34 @@ def _references(tree) -> Counter:
     return out
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def dead_definitions(modules: dict, others: dict) -> list:
-    """`module: name` for each top-level def or class of the sources in
-    `modules` that no source in `modules` or `others` references outside
-    its own body. Both map a label to source text."""
+    """`module: name` for each top-level def or class, and `module:
+    Class.name` for each non-dunder method of a top-level class, of the
+    sources in `modules` that no source in `modules` or `others`
+    references outside its own body. Both map a label to source text."""
     trees = {label: ast.parse(text) for label, text in {**others, **modules}.items()}
     total: Counter = Counter()
     for tree in trees.values():
         total.update(_references(tree))
+
+    def unused(node) -> bool:
+        return total[node.name] == _references(node)[node.name]
+
     dead = []
     for label in modules:
         for node in trees[label].body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if total[node.name] == _references(node)[node.name]:
-                    dead.append(f"{label}: {node.name}")
+            if isinstance(node, _FUNCTIONS + (ast.ClassDef,)) and unused(node):
+                dead.append(f"{label}: {node.name}")
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if not isinstance(item, _FUNCTIONS):
+                        continue
+                    dunder = item.name.startswith("__") and item.name.endswith("__")
+                    if not dunder and unused(item):
+                        dead.append(f"{label}: {node.name}.{item.name}")
     return sorted(dead)
 
 
@@ -67,6 +84,20 @@ def test_checker_flags_an_uncalled_definition():
     }
     others = {"b.py": "import a\nwrap(a, 'by_name')\n"}
     assert dead_definitions(modules, others) == ["a.py: Unused", "a.py: recursive"]
+
+
+def test_checker_flags_an_uncalled_method():
+    modules = {
+        "a.py": "class K:\n"
+        "    def __init__(self):\n        self.used()\n\n"
+        "    def used(self):\n        pass\n\n"
+        "    def uncalled(self):\n        pass\n\n"
+        "    def recursive(self):\n        return self.recursive()\n\n"
+        "    @property\n    def by_attribute(self):\n        return 1\n\n"
+        "    def __eq__(self, other):\n        return True\n\n"
+        "K().by_attribute\n",
+    }
+    assert dead_definitions(modules, {}) == ["a.py: K.recursive", "a.py: K.uncalled"]
 
 
 def test_no_dead_definitions():

@@ -285,7 +285,7 @@ def test_witness_and_intersection_with_a_variable_named_t(q):
 
 def test_semiprime_probe_commutative(comm2):
     rep = semiprime_probe(comm2, Point.of(comm2, [0, 0]), samples=50, seed=3)
-    assert rep.proper and rep.passed
+    assert rep.proper and not rep.counterexamples
     assert rep.consistent == 50
 
 
@@ -302,7 +302,7 @@ def test_semiprime_probe_spec_cases(comm2, qplane_m1):
     degenerate = semiprime_probe(
         qplane_m1, Point.of(qplane_m1, [1, 1]), samples=20, seed=3
     )
-    assert degenerate.proper is False and degenerate.passed
+    assert degenerate.proper is False and not degenerate.counterexamples
 
 
 def test_witten_proper_locus_is_z_axis(witten):

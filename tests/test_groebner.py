@@ -106,8 +106,11 @@ def test_normal_form_rows_share_one_memo(qplane_m1, d):
     exps = exponents_up_to(qplane_m1.n, d)
     zero = qplane_m1.field.raw_zero
     cols = [
-        groebner.remainder_of(Polynomial.monomial(qplane_m1, e), handle.basis, DEGLEX)
-        .raw_dict()
+        dict(
+            groebner.remainder_of(
+                Polynomial.monomial(qplane_m1, e), handle.basis, DEGLEX
+            ).raw
+        )
         for e in exps
     ]
     support = sorted(set().union(*cols))
@@ -694,7 +697,7 @@ def test_memo_ladder_matches_one_shot_products(name):
         memo.append(g, lead)
         for theta in rng.sample(thetas, len(thetas)):
             prod, _ = memo.product(0, tuple(t + a for t, a in zip(theta, lead)))
-            direct = _mono_times_dict(pres, theta, g.raw_dict())
+            direct = _mono_times_dict(pres, theta, dict(g.raw))
             assert prod == direct
             assert list(prod.items()) == list(direct.items())
 

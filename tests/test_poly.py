@@ -22,31 +22,29 @@ from skewpbw.poly import (
     parse_polynomial,
 )
 from skewpbw.presentation import Presentation
-from skewpbw.scalars import AutomorphismSpec, FieldSpec, get_field
+from skewpbw.scalars import AutomorphismSpec, FieldSpec, Scalar, get_field
 
 SHIPPED = ["witten", "weyl_z", "qplane_m1", "qplane_q2", "qplane_gf5", "qspace3", "comm2"]
 
 
 def test_compare_monomials_examples():
-    assert DEGLEX.compare((2, 1), (1, 2)) > 0
-    assert DEGLEX.compare((0, 0), (0, 0)) == 0
+    assert DEGLEX.key((2, 1)) > DEGLEX.key((1, 2))
+    assert DEGLEX.key((0, 0)) == DEGLEX.key((0, 0))
     block = MonomialOrder.block([0], 2)
-    assert block.compare((1, 0), (0, 5)) > 0
-    with pytest.raises(ValueError):
-        DEGLEX.compare((1, 0), (1, 0, 0))
+    assert block.key((1, 0)) > block.key((0, 5))
 
 
 def test_deglex_spec_rule():
     # degree first, then leftmost strictly larger coordinate
-    assert DEGLEX.compare((1, 1, 0), (0, 0, 3)) < 0
-    assert DEGLEX.compare((2, 0, 1), (2, 1, 0)) < 0
+    assert DEGLEX.key((1, 1, 0)) < DEGLEX.key((0, 0, 3))
+    assert DEGLEX.key((2, 0, 1)) < DEGLEX.key((2, 1, 0))
 
 
 def test_degrevlex_differs_from_deglex():
     # xz vs y^2: deglex prefers xz (leftmost), degrevlex prefers y^2
-    assert DEGLEX.compare((1, 0, 1), (0, 2, 0)) > 0
-    assert DEGREVLEX.compare((1, 0, 1), (0, 2, 0)) < 0
-    assert DEGREVLEX.compare((1, 1, 0), (2, 0, 0)) < 0
+    assert DEGLEX.key((1, 0, 1)) > DEGLEX.key((0, 2, 0))
+    assert DEGREVLEX.key((1, 0, 1)) < DEGREVLEX.key((0, 2, 0))
+    assert DEGREVLEX.key((1, 1, 0)) < DEGREVLEX.key((2, 0, 0))
 
 
 def test_monomial_divides_examples():
@@ -111,9 +109,10 @@ def test_multiply_examples(witten, weyl_z):
 
 def test_leading_data_examples(witten, QQ):
     f = parse_polynomial("x^2*y + y*z^2 + x*z", witten)
-    assert f.leading(DEGLEX) == ((2, 1, 0), QQ.one)
+    assert f.leading(DEGLEX) == ((2, 1, 0), QQ.one.value)
     assert Polynomial.zero(witten).leading(DEGLEX) is None
-    assert parse_polynomial("7", witten).leading(DEGLEX) == ((0, 0, 0), QQ.from_int(7))
+    seven = QQ.from_int(7).value
+    assert parse_polynomial("7", witten).leading(DEGLEX) == ((0, 0, 0), seven)
 
 
 @pytest.mark.parametrize("fixture", SHIPPED)
@@ -138,7 +137,7 @@ def test_order_compatibility(fixture, request):
         for _ in range(200):
             a = tuple(rng.randint(0, 3) for _ in range(n))
             b = tuple(rng.randint(0, 3) for _ in range(n))
-            if order.compare(a, b) <= 0:
+            if order.key(a) <= order.key(b):
                 continue
             g = tuple(rng.randint(0, 2) for _ in range(n))
             l = tuple(rng.randint(0, 2) for _ in range(n))
@@ -151,7 +150,7 @@ def test_order_compatibility(fixture, request):
                 Polynomial.monomial(pres, l),
             )
             assert (
-                order.compare(left.leading(order)[0], right.leading(order)[0]) > 0
+                order.key(left.leading(order)[0]) > order.key(right.leading(order)[0])
             )
 
 
@@ -169,8 +168,8 @@ def test_monomial_product_contract(fixture, request):
         direct = multiply(xa, xb)
         top = tuple(x + y for x, y in zip(a, b))
         exp, c = direct.leading(DEGLEX)
-        assert exp == top and not c.is_zero()
-        p = direct - Polynomial.monomial(pres, top, c)
+        assert exp == top and c != pres.field.raw_zero
+        p = direct - Polynomial.monomial(pres, top, Scalar(pres.field, c))
         assert p.is_zero() or p.degree() < sum(top)
         assert direct == naive_word_multiply(xa, xb)
 
@@ -186,13 +185,19 @@ def test_domain_lc_product(fixture, request):
         if f.is_zero() or g.is_zero():
             continue
         fg = f * g
+        field = pres.field
         ea, ca = f.leading(DEGLEX)
         eb, cb = g.leading(DEGLEX)
         _, cab = multiply(
             Polynomial.monomial(pres, ea), Polynomial.monomial(pres, eb)
         ).leading(DEGLEX)
-        expect = ca * pres.sigma_power_apply(ea, cb) * cab
+        expect = (
+            Scalar(field, ca)
+            * pres.sigma_power_apply(ea, Scalar(field, cb))
+            * Scalar(field, cab)
+        )
         exp, lc = fg.leading(DEGLEX)
+        lc = Scalar(field, lc)
         assert exp == tuple(x + y for x, y in zip(ea, eb))
         assert lc == expect and not lc.is_zero()
         assert fg.degree() == f.degree() + g.degree()

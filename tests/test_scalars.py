@@ -278,7 +278,7 @@ def test_number_field_kernel_matches_fraction_oracle(spec):
         check(field.raw_add(a, b), oracle.add(fa, fb))
         check(field.raw_mul(a, b), oracle.mul(fa, fb))
         check(field.raw_neg(a), oracle.neg(fa))
-        check(field.raw_conjugate(a), oracle.conjugate(fa))
+        check(field.raw_galois(a, -1), oracle.conjugate(fa))
         for k in units:
             check(field.raw_galois(a, k), oracle.galois(fa, k))
         assert field.raw_add(a, field.raw_neg(a)) == zero
@@ -305,7 +305,7 @@ def test_gaussian_and_cyclotomic4_give_one_basis():
             hq = run([parse_polynomial(g, QI) for g in gens], budget=budget)
             hc = run([parse_polynomial(g, C4) for g in gens], budget=budget)
             assert hq.status == hc.status
-            assert [g.raw_dict() for g in hq.basis] == [g.raw_dict() for g in hc.basis]
+            assert [g.raw for g in hq.basis] == [g.raw for g in hc.basis]
             assert [str(g).replace("i", "z") for g in hq.basis] == [
                 str(g) for g in hc.basis
             ]
