@@ -15,6 +15,12 @@ the product is not zero. Vanishing sets over infinite fields are
 enumerated over a finite search domain, and points whose ideal is the
 whole ring are first-class: they are roots of everything and the reports
 mark them as degenerate.
+
+Which points of a domain are characters depends on the presentation and
+never on the polynomials, so `vanishing_set` tests each point once per
+presentation: the partition of the last domain it was given stays on the
+presentation, and each call evaluates its generators, on raw field
+values, at the character points only.
 """
 
 from __future__ import annotations
@@ -73,8 +79,9 @@ class SearchDomain:
     def full_prime_field() -> "SearchDomain":
         return SearchDomain("full-prime-field")
 
-    def points(self, pres: Presentation) -> List[Point]:
-        """Every candidate point; GeometryError past MAX_DOMAIN_POINTS."""
+    def _columns(self, pres: Presentation) -> Tuple[Tuple[Scalar, ...], ...]:
+        """One column of field elements per coordinate, whose product is the
+        domain; GeometryError past MAX_DOMAIN_POINTS, before any is built."""
         if self.kind == "grid":
             cols = self.per_coordinate
             if len(cols) == 1 and pres.n > 1:
@@ -82,15 +89,15 @@ class SearchDomain:
             if len(cols) != pres.n:
                 raise GeometryError("grid arity does not match the presentation")
             _check_domain_size(math.prod(len(col) for col in cols))
-            cols = tuple(
-                tuple(pres.field.coerce(v) for v in col) for col in cols
-            )
-            return [Point(t) for t in itertools.product(*cols)]
+            return tuple(tuple(pres.field.coerce(v) for v in col) for col in cols)
         if not isinstance(pres.field, PrimeField):
             raise GeometryError("full-prime-field domain needs a GF(p) presentation")
         _check_domain_size(pres.field.p ** pres.n)
-        elems = pres.field.elements()
-        return [Point(t) for t in itertools.product(elems, repeat=pres.n)]
+        return (tuple(pres.field.elements()),) * pres.n
+
+    def points(self, pres: Presentation) -> List[Point]:
+        """Every candidate point; GeometryError past MAX_DOMAIN_POINTS."""
+        return [Point(t) for t in itertools.product(*self._columns(pres))]
 
     def __repr__(self):
         return f"SearchDomain({self.kind})"
@@ -157,22 +164,42 @@ def _character_test(pres: Presentation):
     return test
 
 
-def _monomial_values(field: Field, Z: Point):
-    """x^alpha -> z^alpha on raw values, building each power once."""
-    mul, one = field.raw_mul, field.raw_one
-    z = [c.value for c in Z.coords]
-    powers = [[one] for _ in z]
+def _support(exp: tuple) -> list:
+    """[(i, alpha_i) for each alpha_i > 0]."""
+    return [(i, k) for i, k in enumerate(exp) if k]
 
-    def value(exp):
-        out = one
-        for zi, pw, k in zip(z, powers, exp):
-            if k:
-                while len(pw) <= k:
-                    pw.append(mul(pw[-1], zi))
-                out = mul(out, pw[k])
-        return out
 
-    return value
+def _sparse_terms(f: Polynomial) -> list:
+    """f's raw terms as (value, support of the exponent)."""
+    return [(c, _support(e)) for e, c in f.raw]
+
+
+def _top_degrees(n: int, polys: Sequence[Polynomial]) -> List[int]:
+    """The highest exponent of each variable among the terms of polys."""
+    return [max((e[i] for f in polys for e, _ in f.raw), default=0) for i in range(n)]
+
+
+def _power_table(field: Field, z, top) -> list:
+    """The raw powers z_i^0, ..., z_i^top_i of each raw coordinate z_i."""
+    mul = field.raw_mul
+    table = []
+    for zi, t in zip(z, top):
+        pw = [field.raw_one]
+        for _ in range(t):
+            pw.append(mul(pw[-1], zi))
+        table.append(pw)
+    return table
+
+
+def _value_at(field: Field, terms, powers):
+    """sum c_alpha * z^alpha over sparse terms, z^alpha read off a power table."""
+    add, mul = field.raw_add, field.raw_mul
+    out = field.raw_zero
+    for c, mono in terms:
+        for i, k in mono:
+            c = mul(c, powers[i][k])
+        out = add(out, c)
+    return out
 
 
 def evaluate(f: Polynomial, Z: Point) -> Scalar:
@@ -182,12 +209,9 @@ def evaluate(f: Polynomial, Z: Point) -> Scalar:
     f is a root exactly when it is zero.
     """
     field = f.pres.field
-    add, mul = field.raw_add, field.raw_mul
-    value = _monomial_values(field, Z)
-    out = field.raw_zero
-    for exp, c in f.raw:
-        out = add(out, mul(c, value(exp)))
-    return Scalar(field, out)
+    z = [c.value for c in Z.coords]
+    powers = _power_table(field, z, _top_degrees(len(z), [f]))
+    return Scalar(field, _value_at(field, _sparse_terms(f), powers))
 
 
 def point_ideal(pres: Presentation, Z: Point) -> PointIdealCache:
@@ -238,25 +262,68 @@ class VanishingReport:
         return rows
 
 
+def _domain_partition(pres: Presentation, domain: SearchDomain):
+    """(points in domain order, whether each one is degenerate, (position,
+    raw coordinates) of each character point) of the domain.
+
+    Whether a point is a character depends on the presentation alone, so
+    the partition is cached on it, keyed by the domain's raw columns; a
+    new domain replaces the cached one.
+    """
+    cols = domain._columns(pres)
+    key = tuple(tuple(c.value for c in col) for col in cols)
+    cache = pres._domain_partition
+    entry = cache.get(key)
+    if entry is None:
+        character = _character_test(pres)
+        points, degenerate, characters = [], [], []
+        raw_points = itertools.product(*key)
+        for k, (t, z) in enumerate(zip(itertools.product(*cols), raw_points)):
+            points.append(Point(t))
+            if character(z):
+                degenerate.append(False)
+                characters.append((k, z))
+            else:
+                degenerate.append(True)
+        entry = (points, degenerate, characters)
+        cache.clear()
+        cache[key] = entry
+    return entry
+
+
 def vanishing_set(
     pres: Presentation,
     polys: Sequence[Polynomial],
     domain: SearchDomain,
 ) -> VanishingReport:
     """Partition of the domain into roots of every generator and non-roots;
-    checking generators suffices for the ideal they generate."""
-    roots: List[Point] = []
+    checking generators suffices for the ideal they generate.
+
+    The generators are evaluated at the character points only; every other
+    point is a degenerate root.
+    """
+    points, degenerate_mask, characters = _domain_partition(pres, domain)
+    field = pres.field
+    gens = [_sparse_terms(f) for f in polys]
+    top = _top_degrees(pres.n, polys)
+    add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
+    is_root = list(degenerate_mask)
     non_roots: List[Point] = []
-    degenerate: List[Point] = []
-    character = _character_test(pres)
-    for Z in domain.points(pres):
-        if not character([c.value for c in Z.coords]):
-            degenerate.append(Z)
-            roots.append(Z)
-        elif all(evaluate(f, Z).is_zero() for f in polys):
-            roots.append(Z)
+    for k, z in characters:
+        powers = _power_table(field, z, top)
+        for terms in gens:  # _value_at, inlined on this hot path
+            out = zero
+            for c, mono in terms:
+                for i, e in mono:
+                    c = mul(c, powers[i][e])
+                out = add(out, c)
+            if out != zero:
+                non_roots.append(points[k])
+                break
         else:
-            non_roots.append(Z)
+            is_root[k] = True
+    roots = list(itertools.compress(points, is_root))
+    degenerate = list(itertools.compress(points, degenerate_mask))
     return VanishingReport(roots, non_roots, degenerate, [])
 
 
@@ -273,11 +340,12 @@ def ideal_of_points(
     """
     field = pres.field
     monos = exponents_up_to(pres.n, d)
+    monomials = [((field.raw_one, _support(e)),) for e in monos]
     rows = []
     for Z in points:
         if is_character(pres, Z):
-            value = _monomial_values(field, Z)
-            rows.append([value(e) for e in monos])
+            powers = _power_table(field, [c.value for c in Z.coords], [d] * pres.n)
+            rows.append([_value_at(field, m, powers) for m in monomials])
     return [
         Polynomial.from_raw(pres, zip(monos, vec))
         for vec in linalg.nullspace(rows, field, len(monos))

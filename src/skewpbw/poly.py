@@ -133,31 +133,42 @@ def _insert_var(pres: Presentation, i: int, exp: tuple) -> dict:
 
     pres._insert_cache maps (i, exp) to that dict of raw field values.
     Callers must treat the returned dict as read-only.
+
+    With x_j the first variable of exp before x_i and rest = exp - e_j,
+    x_i * x_j = c * x_j * x_i + (linear + const) gives
+    x_i * x^exp = c * x_j * (x_i * x^rest) + (linear + const) * x^rest.
+    The chain exp, rest, ... walks down to the nearest cached entry, or to
+    an exponent with no variable before x_i, then climbs back one entry at
+    a time, caching each. The walk is a loop, so moving x_i past a long
+    power takes no recursion depth; only the insertions of x_j and of the
+    linear terms call back in.
     """
-    key = (i, exp)
-    cached = pres._insert_cache.get(key)
+    cache = pres._insert_cache
+    cached = cache.get((i, exp))
     if cached is not None:
         return cached
-    j = -1
-    for k in range(i):
-        if exp[k] > 0:
-            j = k
-            break
     field = pres.field
-    if j < 0:
-        e2 = list(exp)
-        e2[i] += 1
-        result = {tuple(e2): field.raw_one}
-    else:
-        add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
-        rest = list(exp)
-        rest[j] -= 1
-        rest = tuple(rest)
+    steps = []  # (j, exp) from exp down
+    j = 0  # the first variable of exp before x_i only moves right
+    while True:
+        while j < i and exp[j] == 0:
+            j += 1
+        if j == i:
+            e2 = list(exp)
+            e2[i] += 1
+            inner = cache[(i, exp)] = {tuple(e2): field.raw_one}
+            break
+        steps.append((j, exp))
+        exp = exp[:j] + (exp[j] - 1,) + exp[j + 1 :]
+        inner = cache.get((i, exp))
+        if inner is not None:
+            break
+    add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
+    rest = exp
+    for j, exp in reversed(steps):
+        # inner is x_i * x^rest, rest = exp - e_j
         rel = pres.relations[(j, i)]
         out: dict = {}
-        # x_i x_j = c x_j x_i + (linear + const), so
-        # x_i x^exp = c * x_j * (x_i x^rest) + (linear + const) * x^rest
-        inner = _insert_var(pres, i, rest)
         sigma = pres.sigma_maps[j]
         c = rel.c.value
         for e, cf in inner.items():
@@ -171,9 +182,9 @@ def _insert_var(pres: Presentation, i: int, exp: tuple) -> dict:
                 _acc(out, e3, mul(a.value, k3), add, zero)
         if not rel.const.is_zero():
             _acc(out, rest, rel.const.value, add, zero)
-        result = out
-    pres._insert_cache[key] = result
-    return result
+        inner = cache[(i, exp)] = out
+        rest = exp
+    return inner
 
 
 def _var_times_dict(pres: Presentation, i: int, d: dict) -> dict:
@@ -221,10 +232,11 @@ class Polynomial:
     __slots__ = ("pres", "raw", "_lead")
 
     def __init__(self, pres: Presentation, terms: Iterable):
-        """From (exponent, Scalar) pairs in descending deglex order, none zero."""
-        self.pres = pres
-        self.raw = tuple((e, c.value) for e, c in terms)
-        self._lead = None
+        """From (exponent, Scalar) pairs with distinct exponents, in any
+        order; as in `from_raw`, they are sorted and zeros are dropped."""
+        coerce = pres.field.coerce
+        f = Polynomial.from_raw(pres, [(e, coerce(c).value) for e, c in terms])
+        self.pres, self.raw, self._lead = pres, f.raw, None
 
     @staticmethod
     def from_raw(pres: Presentation, pairs: Iterable, ordered=False) -> "Polynomial":

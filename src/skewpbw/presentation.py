@@ -46,7 +46,14 @@ class Relation:
 
 
 class Presentation:
-    """Immutable algebra presentation; carries the normal-form caches."""
+    """Immutable algebra presentation; carries the normal-form caches.
+
+    `_domain_partition` holds one entry for `geometry.vanishing_set`: the
+    points of the last search domain asked about, keyed by the domain's
+    raw columns, each flagged as a character or not. Which points are
+    characters depends on the presentation alone; a new domain replaces
+    the entry, so it holds at most `geometry.MAX_DOMAIN_POINTS` points.
+    """
 
     def __init__(self, field: Field, names, sigma=None, relations=None):
         names = tuple(names)
@@ -83,6 +90,7 @@ class Presentation:
         )
         self._insert_cache: dict = {}
         self._point_ideals: dict = {}
+        self._domain_partition: dict = {}
         self._sigma_pow: dict = {}
 
     # -- coefficient commutation -------------------------------------------

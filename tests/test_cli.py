@@ -91,16 +91,25 @@ def test_unknown_exit_code(capsys):
 
 
 def test_recursion_limit_is_input_error(capsys):
-    """Normal ordering recurses once per unit of exponent it moves past, so
-    a long power ends at Python's recursion limit: one line, exit 1."""
-    code, out, err = run(
-        ["normalize", "--algebra", QPLANE, "--f", "y*x^1500"], capsys
-    )
+    """The parser recurses once per level of parentheses, so deep nesting
+    ends at Python's recursion limit: one line, exit 1."""
+    nested = "(" * 1000 + "x" + ")" * 1000
+    code, out, err = run(["normalize", "--algebra", QPLANE, "--f", nested], capsys)
     assert code == EXIT_INPUT
     assert out == ""
     assert err.startswith("error:") and "recursion limit" in err
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_long_power_normalizes(capsys):
+    """Normal ordering walks its chain of insertions in a loop, so moving y
+    past x^1500 needs no recursion depth of 1500."""
+    code, out, err = run(
+        ["normalize", "--algebra", QPLANE, "--f", "y*x^1500"], capsys
+    )
+    assert code == 0 and err == ""
+    assert "result.normal_form: x^1500*y" in out
 
 
 def test_large_search_domain_is_input_error(tmp_path, capsys):

@@ -18,7 +18,7 @@ import pytest
 
 from skewpbw import groebner, nullstellensatz
 from skewpbw.geometry import random_polynomial, random_scalar
-from skewpbw.groebner import Budget, divide, intersect_left
+from skewpbw.groebner import Budget, divide, intersect_left, left_groebner
 from skewpbw.nullstellensatz import radical_membership_commutative
 from skewpbw.poly import DEGLEX, DEGREVLEX, Polynomial, deglex_key, multiply
 from skewpbw.presentation import load_presentation
@@ -148,3 +148,23 @@ def test_central_variable_lifts_keep_raw_canonical(name, monkeypatch):
         radical_membership_commutative(random_polynomial(comm, rng, 2, 3), J, budget)
 
     assert len(seen) >= 24
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_scalar_constructor_takes_any_order(name):
+    """`Polynomial(pres, terms)` sorts its pairs and drops zeros, as
+    `from_raw` does: reversed terms with a zero among them give an equal
+    polynomial with an equal hash, and a left Groebner basis of them ends
+    with the basis of the originals."""
+    pres = load_presentation(ALGEBRAS[name])
+    rng = _rng("any-order-" + name)
+    gens = [_nonconstant(pres, rng, 3, 4) for _ in range(2)]
+    unused = (9,) + (0,) * (pres.n - 1)
+    backwards = []
+    for f in gens:
+        g = Polynomial(pres, [(unused, pres.field.zero)] + list(reversed(f.terms)))
+        assert_canonical(g)
+        assert g == f and hash(g) == hash(f)
+        backwards.append(g)
+    budget = Budget(max_degree=6, max_pairs=200)
+    assert left_groebner(backwards, budget=budget) == left_groebner(gens, budget=budget)

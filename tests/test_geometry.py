@@ -94,6 +94,70 @@ def test_full_prime_field_domain(qplane_gf5):
     assert len(rep.roots) + len(rep.non_roots) == 25
 
 
+def _report_coords(rep):
+    return tuple(
+        [tuple(c.value for c in Z.coords) for Z in part]
+        for part in (rep.roots, rep.non_roots, rep.degenerate, rep.unknown)
+    )
+
+
+def test_vanishing_set_domain_cache(GF5, monkeypatch):
+    """One presentation keeps the character partition of the last domain:
+    a warm call tests no point, a new domain replaces the entry, and two
+    domains that list the same points share it. Every report equals a
+    fresh presentation's and agrees with is_root point by point."""
+    pres = quantum_plane(GF5, GF5.from_int(2))
+    lists = [["x - 1"], ["y^2 - 4*y", "x - 2"], [], ["x^3*y + 2*x - y^2"]]
+    lists = [[parse_polynomial(t, pres) for t in ts] for ts in lists]
+    full = SearchDomain.full_prime_field()
+    grid_a = SearchDomain.grid([[0, 1, 2]])
+    grid_a_scalars = SearchDomain.grid([[GF5.from_int(k) for k in (0, 1, 2)]])
+    grid_b = SearchDomain.grid([[0, 3], [1, 2, 4]])
+    whole_field = SearchDomain.grid([range(5)])
+    # (domain, whether the call finds its partition cached)
+    calls = [
+        (full, False), (full, True), (whole_field, True),
+        (grid_a, False), (grid_a_scalars, True), (grid_b, False),
+        (grid_b, True), (grid_a_scalars, False), (full, False),
+    ]
+    builds, tests = [], []
+    character_test = geometry._character_test
+
+    def counting(p):
+        builds.append(p)
+        test = character_test(p)
+
+        def counted(z):
+            tests.append(z)
+            return test(z)
+
+        return counted
+
+    for k, (domain, warm) in enumerate(calls):
+        polys = lists[k % len(lists)]
+        builds.clear()
+        tests.clear()
+        monkeypatch.setattr(geometry, "_character_test", counting)
+        rep = vanishing_set(pres, polys, domain)
+        monkeypatch.setattr(geometry, "_character_test", character_test)
+        if warm:
+            assert builds == [] and tests == [], k
+        else:
+            assert builds == [pres] and len(tests) == len(domain.points(pres)), k
+        assert len(pres._domain_partition) == 1
+
+        fresh = quantum_plane(GF5, GF5.from_int(2))
+        fresh_polys = [Polynomial.from_raw(fresh, f.raw) for f in polys]
+        assert _report_coords(rep) == _report_coords(
+            vanishing_set(fresh, fresh_polys, domain)
+        ), k
+        table = rep.table()
+        assert len(table) == len(domain.points(pres))
+        for Z, tag in table:
+            root = all(is_root(f, Z) == "yes" for f in polys)
+            assert root == (tag in ("root", "degenerate")), (k, Z, tag)
+
+
 def test_search_domain_size_guard(qplane_gf5, monkeypatch):
     """The count is checked before any point is built: enumerating 10^12
     points of GF(1000003)^2 would not end."""
