@@ -406,6 +406,20 @@ def _print_text(doc: dict, out) -> None:
 
 
 def main(argv: Optional[list] = None) -> int:
+    # exact coefficients can outgrow Python's int-to-str digit limit (4,300
+    # digits by default): lift it for this run only, so in-process callers
+    # keep theirs; 0 is no limit, as on interpreters that have none
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def _main(argv: Optional[list]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

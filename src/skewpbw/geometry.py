@@ -126,8 +126,9 @@ def point_generators(pres: Presentation, Z: Point) -> List[Polynomial]:
 def is_character(pres: Presentation, Z: Point) -> bool:
     """Whether x_i -> z_i extends to a ring map A -> K.
 
-    It does exactly when z_i = 0 wherever sigma_i moves the field primitive
-    r (x_i*r = sigma_i(r)*x_i forces z_i*(r - sigma_i(r)) = 0), and Z
+    It does exactly when z_i = 0 wherever sigma_i is not the identity, so
+    moves the field primitive r (x_i*r = sigma_i(r)*x_i forces
+    z_i*(r - sigma_i(r)) = 0), and Z
     satisfies z_j*z_i = c_ij*z_i*z_j + sum_k a_k*z_k + d for every i < j.
     """
     return _character_test(pres)([c.value for c in Z.coords])
@@ -137,11 +138,7 @@ def _character_test(pres: Presentation):
     """is_character on raw coordinates, with the relations unwrapped once."""
     field = pres.field
     add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
-    prim = field.primitive()
-    twisted = [
-        i for i, sigma in enumerate(pres.sigma_maps)
-        if sigma is not None and sigma(prim.value) != prim.value
-    ]
+    twisted = [i for i, sigma in enumerate(pres.sigma_maps) if sigma is not None]
     relations = [
         (i, j, rel.c.value, rel.const.value,
          [(k, a.value) for k, a in enumerate(rel.linear) if not a.is_zero()])

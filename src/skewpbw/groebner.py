@@ -711,10 +711,8 @@ def two_sided_saturate(
         return _groebner(gens, order, budget, [], None)
     pres = gens[0].pres
     right_factors = [Polynomial.variable(pres, j) for j in range(pres.n)]
-    if not pres.sigma_all_identity:
-        prim = pres.field.primitive()
-        if prim is not None:
-            right_factors.append(Polynomial.constant(pres, prim))
+    if not pres.sigma_all_identity:  # some sigma moves the primitive
+        right_factors.append(Polynomial.constant(pres, pres.field.primitive()))
     one = Polynomial.one(pres) if track else None
     return _groebner(gens, order, budget, right_factors, one)
 

@@ -26,17 +26,12 @@ def central_probe(f: Polynomial) -> bool:
     """Whether f commutes with every generator and with the field.
 
     Generators plus scalars generate the algebra, so this decides f in Z(A).
-    The scalar half needs sigma^alpha to fix the field for every exponent in
-    the support; fields without a designated primitive (Q, GF(p)) have no
-    nontrivial automorphisms in play.
+    The scalar half needs sigma^alpha to fix the field, exponent 1, for
+    every exponent alpha in the support.
     """
     pres = f.pres
-    if not pres.sigma_all_identity:
-        prim = pres.field.primitive()
-        if prim is not None:
-            for exp, _ in f.raw:
-                if pres.sigma_power_apply(exp, prim) != prim:
-                    return False
+    if not pres.sigma_all_identity and any(pres.sigma_power(e) != 1 for e, _ in f.raw):
+        return False
     for j in range(pres.n):
         xj = Polynomial.variable(pres, j)
         if multiply(f, xj) != multiply(xj, f):
@@ -93,15 +88,9 @@ def is_normal(f: Polynomial, slack: int = 0) -> NormalityVerdict:
     field = pres.field
 
     # scalar direction: every sigma^alpha on supp(f) must be the same map
-    rep_exp = f.raw[0][0]
-    if not pres.sigma_all_identity:
-        prim = field.primitive()
-        if prim is not None:
-            images = {pres.sigma_power_apply(exp, prim) for exp, _ in f.raw}
-            if len(images) > 1:
-                return NormalityVerdict(
-                    "not_normal", counter_witness=("scalar", prim)
-                )
+    K = pres.sigma_power(f.raw[0][0])
+    if not pres.sigma_all_identity and any(pres.sigma_power(e) != K for e, _ in f.raw):
+        return NormalityVerdict("not_normal", counter_witness=("scalar", field.primitive()))
 
     monos = exponents_up_to(pres.n, 1 + slack)
     witnesses: Dict[int, tuple] = {}
@@ -115,20 +104,20 @@ def is_normal(f: Polynomial, slack: int = 0) -> NormalityVerdict:
         gprime = _solve_combination(basis_products, target, monos, pres)
         if gprime is None:
             return NormalityVerdict("not_normal", counter_witness=("right", j))
-        # left witness: f * g = x_j * f; substituting v = sigma^alpha(u)
-        # (one map by the scalar check) makes the system linear in v
+        # left witness: f * g = x_j * f; substituting v = sigma^alpha(g)
+        # (one map z |-> z^K by the scalar check) makes the system linear in v
         target = multiply(xj, f)
         basis_products = [f * Polynomial.monomial(pres, b) for b in monos]
         v = _solve_combination(basis_products, target, monos, pres)
         if v is None:
             return NormalityVerdict("not_normal", counter_witness=("left", j))
-        g = Polynomial.from_raw(
-            pres,
-            [
-                (b, pres.sigma_power_unapply(rep_exp, Scalar(field, c)).value)
-                for b, c in v.raw
-            ],
-        )
+        if K == 1:
+            g = v
+        else:
+            k_inv = pow(K, -1, field.m)
+            g = Polynomial.from_raw(
+                pres, [(b, field.raw_galois(c, k_inv)) for b, c in v.raw], ordered=True
+            )
         if multiply(f, g) != multiply(xj, f):
             # only possible when sigma twists vary over the support in a way
             # the scalar probe cannot see; report honestly

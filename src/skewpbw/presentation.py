@@ -6,8 +6,9 @@ A presentation stores, for every pair i < j, the constants of the rule
 
 with c nonzero, plus one field automorphism per variable (the coefficient
 commutation x_i * r = sigma_i(r) * x_i; the coefficient-level derivations
-are zero for field coefficients). Variable order fixes deglex precedence:
-the first declared variable is the largest.
+are zero for field coefficients). Each sigma_i is z |-> z^k_i on the
+field's primitive root z, stored as the int k_i. Variable order fixes
+deglex precedence: the first declared variable is the largest.
 """
 
 from __future__ import annotations
@@ -19,17 +20,7 @@ from typing import Optional
 
 from skewpbw import parsing
 from skewpbw.parsing import SCALAR_SYMBOLS, ParseError
-from skewpbw.scalars import (
-    AutomorphismSpec,
-    Field,
-    FieldSpec,
-    Scalar,
-    apply_automorphism,
-    automorphism_inverse,
-    automorphism_map,
-    automorphism_power,
-    get_field,
-)
+from skewpbw.scalars import Field, FieldSpec, Scalar, galois_exponent, get_field
 
 class PresentationError(ValueError):
     """Invalid presentation document or relation data."""
@@ -47,6 +38,9 @@ class Relation:
 
 class Presentation:
     """Immutable algebra presentation; carries the normal-form caches.
+
+    `sigma` holds the exponents k_i, taken as ints coprime to the field's m
+    and stored in `Field.unit_exponent` form: 1 for the identity.
 
     `_domain_partition` holds one entry for `geometry.vanishing_set`: the
     points of the last search domain asked about, keyed by the domain's
@@ -67,11 +61,17 @@ class Presentation:
         self.field = field
         self.names = names
         self.n = len(names)
-        if sigma is None:
-            sigma = (AutomorphismSpec.identity(),) * self.n
-        self.sigma = tuple(sigma)
+        sigma = (1,) * self.n if sigma is None else tuple(sigma)
+        if len(sigma) != self.n:
+            raise PresentationError(
+                f"sigma has {len(sigma)} exponents for {self.n} variables"
+            )
+        self.sigma = tuple(field.unit_exponent(k) for k in sigma)
         # sigma_i on raw field values, None where it is the identity map
-        self.sigma_maps = tuple(automorphism_map(s, field) for s in self.sigma)
+        self.sigma_maps = tuple(
+            None if k == 1 else (lambda a, k=k: field.raw_galois(a, k))
+            for k in self.sigma
+        )
         rels = {}
         for i in range(self.n):
             for j in range(i + 1, self.n):
@@ -91,37 +91,15 @@ class Presentation:
         self._insert_cache: dict = {}
         self._point_ideals: dict = {}
         self._domain_partition: dict = {}
-        self._sigma_pow: dict = {}
 
-    # -- coefficient commutation -------------------------------------------
-
-    def sigma_power_apply(self, alpha, s: Scalar) -> Scalar:
-        """sigma^alpha = sigma_1^a1 o ... o sigma_n^an applied to s."""
-        if self.sigma_all_identity or s.is_zero():
-            return s
-        for i in range(self.n - 1, -1, -1):
-            t = alpha[i]
-            if t == 0 or self.sigma[i].is_identity():
-                continue
-            key = (i, t)
-            spec = self._sigma_pow.get(key)
-            if spec is None:
-                spec = automorphism_power(self.sigma[i], t, self.field)
-                self._sigma_pow[key] = spec
-            s = apply_automorphism(spec, s)
-        return s
-
-    def sigma_power_unapply(self, alpha, s: Scalar) -> Scalar:
-        """Inverse of sigma_power_apply (sigma_i are bijective on the field)."""
-        if self.sigma_all_identity or s.is_zero():
-            return s
-        for i in range(self.n):
-            t = alpha[i]
-            if t == 0 or self.sigma[i].is_identity():
-                continue
-            spec = automorphism_power(self.sigma[i], t, self.field)
-            s = apply_automorphism(automorphism_inverse(spec, self.field), s)
-        return s
+    def sigma_power(self, alpha) -> int:
+        """The exponent of sigma^alpha = sigma_1^a1 o ... o sigma_n^an, the
+        product of the k_i^a_i mod m; 1 exactly when it is the identity."""
+        k, m = 1, self.field.m
+        for ki, t in zip(self.sigma, alpha):
+            if t and ki != 1:
+                k = k * pow(ki, t, m) % m
+        return k
 
     def index(self, name: str) -> int:
         try:
@@ -177,8 +155,7 @@ def extend_with_central(pres: Presentation) -> Presentation:
     rels = {}
     for (i, j), rel in pres.relations.items():
         rels[(i + 1, j + 1)] = Relation(rel.c, (zero,) + rel.linear, rel.const)
-    sigma = (AutomorphismSpec.identity(),) + pres.sigma
-    return Presentation(field, names, sigma=sigma, relations=rels)
+    return Presentation(field, names, sigma=(1,) + pres.sigma, relations=rels)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +195,12 @@ def load_presentation(text: str) -> Presentation:
                         f"line {lineno}: sigma entries look like 'x = conj'"
                     )
                 var, tag = item.split("=", 1)
-                sigma_tags[var.strip()] = AutomorphismSpec.from_string(tag)
+                var = var.strip()
+                if var in sigma_tags:
+                    raise PresentationError(
+                        f"line {lineno}: duplicate sigma for {var}"
+                    )
+                sigma_tags[var] = tag
         elif key == "relation":
             relation_lines.append((lineno, value))
         else:
@@ -231,8 +213,10 @@ def load_presentation(text: str) -> Presentation:
     for var in sigma_tags:
         if var not in index:
             raise PresentationError(f"sigma for unknown variable {var!r}")
+    # tags are read once the field is known: 'field:' may follow 'sigma:'
     sigma = tuple(
-        sigma_tags.get(nm, AutomorphismSpec.identity()) for nm in names
+        galois_exponent(sigma_tags[nm], field) if nm in sigma_tags else 1
+        for nm in names
     )
 
     comm = Presentation(field, names)
@@ -310,14 +294,20 @@ def _relation_of(f, i: int, j: int, lineno: int) -> Relation:
 
 
 def serialize_presentation(pres: Presentation) -> str:
-    """Canonical document text; load(serialize(P)) reproduces P."""
+    """Canonical document text; load(serialize(P)) reproduces P.
+
+    A sigma prints from its exponent: conj for k = -1 mod m, galois:k for
+    any other k but the identity, which prints nothing. So two spellings of
+    one automorphism give one text and one `presentation_hash`.
+    """
     from skewpbw import poly  # deferred: poly imports this module
 
     lines = [f"field: {pres.field.spec}", "vars: " + ", ".join(pres.names)]
+    m = pres.field.m
     tags = [
-        f"{nm} = {s}"
-        for nm, s in zip(pres.names, pres.sigma)
-        if not s.is_identity()
+        f"{nm} = " + ("conj" if k == m - 1 else f"galois:{k}")
+        for nm, k in zip(pres.names, pres.sigma)
+        if k != 1
     ]
     if tags:
         lines.append("sigma: " + ", ".join(tags))

@@ -260,6 +260,7 @@ class Field:
     spec: FieldSpec
     raw_zero: object
     raw_one: object
+    m = 1  # automorphisms are z |-> z^k for units k mod m (see galois_exponent)
 
     def _constants(self, raw_zero, raw_one) -> None:
         self.raw_zero = raw_zero
@@ -292,6 +293,14 @@ class Field:
     def primitive(self) -> Optional[Scalar]:
         """A generator of the field over its prime field, or None for Q/GF(p)."""
         return None
+
+    def unit_exponent(self, k: int) -> int:
+        """The exponent k of z |-> z^k in canonical form: k mod m, and 1 for
+        the identity map (every k when m = 1). FieldError unless gcd(k, m) = 1.
+        """
+        if math.gcd(k, self.m) != 1:
+            raise FieldError(f"galois exponent {k} not coprime to {self.m}")
+        return k % self.m or 1
 
     @property
     def prime_dim(self) -> int:
@@ -647,106 +656,32 @@ def make_field(spec: FieldSpec) -> Field:
 # automorphisms
 
 
-@dataclass(frozen=True)
-class AutomorphismSpec:
-    """A field automorphism tag: identity, conj, galois:k or frobenius:e."""
-
-    kind: str
-    param: int = 0
-
-    @staticmethod
-    def identity() -> "AutomorphismSpec":
-        return AutomorphismSpec("identity")
-
-    @staticmethod
-    def conjugation() -> "AutomorphismSpec":
-        return AutomorphismSpec("conj")
-
-    @staticmethod
-    def galois(k: int) -> "AutomorphismSpec":
-        return AutomorphismSpec("galois", k)
-
-    @staticmethod
-    def frobenius(e: int) -> "AutomorphismSpec":
-        return AutomorphismSpec("frobenius", e)
-
-    @staticmethod
-    def from_string(text: str) -> "AutomorphismSpec":
-        text = text.strip()
-        if text in ("identity", "id"):
-            return AutomorphismSpec.identity()
-        if text == "conj":
-            return AutomorphismSpec.conjugation()
-        if text.startswith("galois:"):
-            return AutomorphismSpec.galois(int(text.split(":", 1)[1]))
-        if text.startswith("frobenius:"):
-            return AutomorphismSpec.frobenius(int(text.split(":", 1)[1]))
-        raise FieldError(f"unknown automorphism {text!r}")
-
-    def is_identity(self) -> bool:
-        return self.kind == "identity"
-
-    def __str__(self) -> str:
-        if self.kind in ("identity", "conj"):
-            return self.kind
-        return f"{self.kind}:{self.param}"
-
-
-def validate_automorphism(spec: AutomorphismSpec, field: Field) -> None:
-    """Reject specs that are not automorphisms of the given field."""
-    if spec.kind == "identity":
-        return
-    if spec.kind == "conj":
+def galois_exponent(tag: str, field: Field) -> int:
+    """The exponent k, in `Field.unit_exponent` form, of the automorphism
+    z |-> z^k that a tag names. Q(i) and cyclotomic:m take identity (or id),
+    conj (k = -1) and galois:k; Q takes identity and conj, the identity on
+    Q; GF(p) takes identity and frobenius:e, e >= 0, x^(p^e) = x by Fermat.
+    """
+    tag = tag.strip()
+    if tag in ("identity", "id"):
+        return 1
+    if tag == "conj":
         if isinstance(field, _NumberField):
-            return
+            return field.unit_exponent(-1)
         raise FieldError(f"conjugation undefined on {field.spec}")
-    if spec.kind == "galois":
+    kind, _, arg = tag.partition(":")
+    if kind not in ("galois", "frobenius"):
+        raise FieldError(f"unknown automorphism {tag!r}")
+    try:
+        e = int(arg)
+    except ValueError:
+        raise FieldError(f"unknown automorphism {tag!r}") from None
+    if kind == "galois":
         if not isinstance(field, (GaussianRationalField, CyclotomicField)):
             raise FieldError(f"galois power undefined on {field.spec}")
-        if math.gcd(spec.param, field.m) != 1:
-            raise FieldError(f"galois exponent {spec.param} not coprime to {field.m}")
-        return
-    if spec.kind == "frobenius":
-        if isinstance(field, PrimeField):
-            if spec.param < 0:
-                raise FieldError("frobenius power must be >= 0")
-            return
+        return field.unit_exponent(e)
+    if not isinstance(field, PrimeField):
         raise FieldError(f"frobenius undefined on {field.spec}")
-    raise FieldError(f"unknown automorphism kind {spec.kind!r}")
-
-
-def automorphism_map(spec: AutomorphismSpec, field: Field):
-    """The automorphism as a function on raw values; None for the identity map."""
-    validate_automorphism(spec, field)
-    if spec.kind in ("identity", "frobenius"):
-        # frobenius on GF(p) is x^(p^e) = x by Fermat
-        return None
-    k = -1 if spec.kind == "conj" else spec.param
-    if (k - 1) % field.m == 0:
-        # z |-> z; conj is trivial on Q = Q(z_1) = Q(z_2)
-        return None
-    return lambda a: field.raw_galois(a, k)
-
-
-def apply_automorphism(spec: AutomorphismSpec, a: Scalar) -> Scalar:
-    fn = automorphism_map(spec, a.field)
-    return a if fn is None else Scalar(a.field, fn(a.value))
-
-
-def automorphism_inverse(spec: AutomorphismSpec, field: Field) -> AutomorphismSpec:
-    validate_automorphism(spec, field)
-    if spec.kind in ("identity", "conj", "frobenius"):
-        return spec
-    return AutomorphismSpec.galois(pow(spec.param, -1, field.m))
-
-
-def automorphism_power(spec: AutomorphismSpec, t: int, field: Field) -> AutomorphismSpec:
-    """spec composed with itself t times, collapsed to a single tag."""
-    if t == 0 or spec.kind == "identity":
-        return AutomorphismSpec.identity()
-    if spec.kind == "conj":
-        return spec if t % 2 == 1 else AutomorphismSpec.identity()
-    if spec.kind == "galois":
-        k = pow(spec.param, t, field.m)
-        return AutomorphismSpec.identity() if k == 1 else AutomorphismSpec.galois(k)
-    return AutomorphismSpec.frobenius(spec.param * t)
+    if e < 0:
+        raise FieldError("frobenius power must be >= 0")
+    return 1

@@ -14,7 +14,7 @@ from skewpbw.presentation import (
     load_presentation_file,
     quantum_plane,
 )
-from skewpbw.scalars import AutomorphismSpec, FieldSpec, get_field
+from skewpbw.scalars import FieldSpec, get_field
 
 ALGEBRA_DIR = os.path.join(os.path.dirname(__file__), "..", "algebras")
 
@@ -75,7 +75,7 @@ def conj_qplane(QI):
     return Presentation(
         QI,
         ("x", "y"),
-        sigma=(AutomorphismSpec.conjugation(), AutomorphismSpec.identity()),
+        sigma=(-1, 1),  # z |-> z^-1 on x: complex conjugation
         relations={(0, 1): rel},
     )
 

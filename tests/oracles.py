@@ -36,7 +36,6 @@ from skewpbw.scalars import (
     Field,
     GaussianRationalField,
     Scalar,
-    apply_automorphism,
     cyclotomic_polynomial,
 )
 
@@ -62,16 +61,29 @@ def naive_word_multiply(f: Polynomial, g: Polynomial) -> Polynomial:
     Independent of the engine's raw-value kernels and insertion cache: the
     leftmost adjacent inversion x_j x_i (j > i) of a word u x_j x_i v
     becomes u (c x_i x_j + sum_k a_k x_k + d) v, the relation's constants
-    passing the prefix u by its sigmas, until every word is sorted.
+    passing the prefix u by its sigmas, until every word is sorted. A sigma
+    z |-> z^k maps c = sum_j (n_j/den) z^j to sum_j (n_j/den) z^(jk), with
+    the powers of z taken on Scalars.
     """
     pres = f.pres
+    field = pres.field
+    z = field.primitive()
 
     def word(exp):
         return tuple(k for k, a in enumerate(exp) for _ in range(a))
 
+    def sigma(k, c):
+        if k == 1:
+            return c
+        *nums, den = c.value
+        out = field.zero
+        for j, n in enumerate(nums):
+            out = out + field.from_fraction(Fraction(n, den)) * z ** (j * k)
+        return out
+
     def past(prefix, c):  # prefix * c = sigma^prefix(c) * prefix
         for k in reversed(prefix):
-            c = apply_automorphism(pres.sigma[k], c)
+            c = sigma(pres.sigma[k], c)
         return c
 
     todo: dict = {}
@@ -764,7 +776,12 @@ def _coeff_times(c, mono: str) -> str:
 def reference_serialize(pres: Presentation) -> str:
     """serialize_presentation, printed term by term."""
     lines = [f"field: {pres.field.spec}", "vars: " + ", ".join(pres.names)]
-    tags = [f"{nm} = {s}" for nm, s in zip(pres.names, pres.sigma) if not s.is_identity()]
+    m = pres.field.m
+    tags = [
+        f"{nm} = conj" if (k + 1) % m == 0 else f"{nm} = galois:{k}"
+        for nm, k in zip(pres.names, pres.sigma)
+        if k != 1
+    ]
     if tags:
         lines.append("sigma: " + ", ".join(tags))
     for (i, j), rel in sorted(pres.relations.items()):

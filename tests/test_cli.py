@@ -1,6 +1,8 @@
 """Subcommand matrix: exit codes, document round-trips, error paths."""
 
+import decimal
 import json
+import sys
 
 import pytest
 
@@ -110,6 +112,25 @@ def test_long_power_normalizes(capsys):
     )
     assert code == 0 and err == ""
     assert "result.normal_form: x^1500*y" in out
+
+
+def test_coefficient_past_int_str_limit_prints(capsys):
+    """The coefficient 2^90000 of x^300*y^300*z has 27,093 digits, more than
+    Python's default int-to-str limit; the CLI prints it and exits 0, and
+    the caller's limit is the same afterwards."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    code, out, err = run(
+        ["normalize", "--algebra", WITTEN, "--f", "z*y^300*x^300"], capsys
+    )
+    assert code == EXIT_OK and err == ""
+    normal_form = out.split("result.normal_form: ", 1)[1].split("\n", 1)[0]
+    coeff, rest = normal_form.split("*x^300*y^300*z", 1)
+    with decimal.localcontext() as ctx:  # exact digits, free of the limit
+        ctx.prec = 30_000
+        assert coeff == str(decimal.Decimal(2) ** 90_000)
+    assert rest.startswith(" + ") and rest.endswith("*x^300*y^300")
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
 
 
 def test_large_search_domain_is_input_error(tmp_path, capsys):

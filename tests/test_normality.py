@@ -11,7 +11,7 @@ from skewpbw.normality import (
 )
 from skewpbw.poly import Polynomial, multiply, parse_polynomial
 from skewpbw.presentation import Presentation
-from skewpbw.scalars import AutomorphismSpec, FieldSpec, get_field
+from skewpbw.scalars import FieldSpec, get_field
 
 
 def test_central_probe_examples(qplane_m1, qplane_q2):
@@ -111,7 +111,7 @@ def test_sigma_twisted_scalar_counterexample():
     pres = Presentation(
         G,
         ("x", "y"),
-        sigma=(AutomorphismSpec.conjugation(), AutomorphismSpec.identity()),
+        sigma=(-1, 1),
     )
     f = parse_polynomial("x + x^2", pres)
     verdict = is_normal(f)
@@ -122,3 +122,15 @@ def test_sigma_twisted_scalar_counterexample():
     lhs = multiply(i_const, f)
     for s in (G.i, -G.i):
         assert lhs != multiply(f, Polynomial.constant(pres, s))
+
+
+def test_twisted_left_witness_is_untwisted(conj_qplane):
+    """On the conjugation-twisted plane x is normal. Its left witness for y
+    solves x*g = y*x = i*x*y; the system is solved for v = sigma_x(g), so
+    v = i*y, and g = -i*y is v passed back through sigma_x^-1."""
+    f = parse_polynomial("x", conj_qplane)
+    verdict = is_normal(f)
+    assert verdict.status == "normal"
+    g, _ = verdict.certificate["per_generator"][1]
+    assert g == parse_polynomial("-i*y", conj_qplane)
+    assert multiply(f, g) == multiply(Polynomial.variable(conj_qplane, 1), f)

@@ -13,15 +13,14 @@ from skewpbw import scalars
 from skewpbw.geometry import random_polynomial
 from skewpbw.groebner import Budget, left_groebner, two_sided_saturate
 from skewpbw.poly import parse_polynomial
-from skewpbw.presentation import load_presentation
+from skewpbw.presentation import Presentation, load_presentation
 from skewpbw.scalars import (
-    AutomorphismSpec,
     FieldError,
     FieldMismatchError,
     FieldSpec,
-    apply_automorphism,
-    automorphism_inverse,
+    Scalar,
     cyclotomic_polynomial,
+    galois_exponent,
     get_field,
     make_field,
 )
@@ -167,60 +166,65 @@ def test_is_prime_miller_rabin():
     assert make_field(FieldSpec.prime(2**61 - 1)).p == 2**61 - 1
 
 
+def _automorphism(tag, field):
+    """The tag's map on Scalars, as sigma_maps of a one-variable presentation."""
+    pres = Presentation(field, ("x",), sigma=(galois_exponent(tag, field),))
+    fn = pres.sigma_maps[0]
+    return (lambda a: a) if fn is None else (lambda a: Scalar(field, fn(a.value)))
+
+
 def test_automorphism_examples():
     Q = get_field(FieldSpec.rationals())
     v = Q.from_fraction(Fraction(7, 3))
-    assert apply_automorphism(AutomorphismSpec.identity(), v) == v
+    assert _automorphism("identity", Q)(v) == v
+    assert galois_exponent("conj", Q) == 1  # conjugation fixes Q
 
     G = get_field(FieldSpec.gaussian())
     two_plus_i = G.from_int(2) + G.i
-    assert apply_automorphism(AutomorphismSpec.conjugation(), two_plus_i) == (
-        G.from_int(2) - G.i
-    )
+    assert galois_exponent("conj", G) == galois_exponent("galois:3", G) == 3
+    assert _automorphism("conj", G)(two_plus_i) == G.from_int(2) - G.i
 
     C4 = get_field(FieldSpec.cyclotomic(4))
-    assert apply_automorphism(AutomorphismSpec.galois(3), C4.zeta) == -C4.zeta
+    assert _automorphism("galois:3", C4)(C4.zeta) == -C4.zeta
 
     with pytest.raises(FieldError):
-        apply_automorphism(AutomorphismSpec.galois(2), C4.zeta)
+        galois_exponent("galois:2", C4)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
 def test_automorphisms_bijective(spec):
+    """Each valid tag's map has the inverse exponent's map as its inverse;
+    on GF(p) every valid tag is the identity map."""
     field = get_field(spec)
     rng = random.Random(3)
-    autos = [AutomorphismSpec.identity()]
+    tags = ["identity", "id"]
     if spec.kind in ("Q(i)", "cyclotomic", "Q"):
-        autos.append(AutomorphismSpec.conjugation())
+        tags.append("conj")
     if spec.kind == "cyclotomic":
         m = spec.param
-        autos.extend(
-            AutomorphismSpec.galois(k)
-            for k in range(1, m)
-            if __import__("math").gcd(k, m) == 1
-        )
+        tags.extend(f"galois:{k}" for k in range(1, m) if math.gcd(k, m) == 1)
     if spec.kind == "gf":
-        autos.append(AutomorphismSpec.frobenius(1))
-    for auto in autos:
-        inv = automorphism_inverse(auto, field)
+        tags.extend(["frobenius:0", "frobenius:1", "frobenius:3"])
+    for tag in tags:
+        k = galois_exponent(tag, field)
+        if spec.kind == "gf":
+            assert k == 1 and Presentation(field, ("x",), sigma=(k,)).sigma_maps == (None,)
+        auto = _automorphism(tag, field)
+        inv = _automorphism(f"galois:{pow(k, -1, field.m)}", field) if k != 1 else auto
         for _ in range(100):
             a = _random_scalar(field, rng)
-            assert apply_automorphism(inv, apply_automorphism(auto, a)) == a
+            assert inv(auto(a)) == a
 
 
 def test_automorphisms_are_ring_maps():
     C12 = get_field(FieldSpec.cyclotomic(12))
     rng = random.Random(9)
-    sigma = AutomorphismSpec.galois(5)
+    sigma = _automorphism("galois:5", C12)
     for _ in range(100):
         a = _random_scalar(C12, rng)
         b = _random_scalar(C12, rng)
-        assert apply_automorphism(sigma, a + b) == apply_automorphism(
-            sigma, a
-        ) + apply_automorphism(sigma, b)
-        assert apply_automorphism(sigma, a * b) == apply_automorphism(
-            sigma, a
-        ) * apply_automorphism(sigma, b)
+        assert sigma(a + b) == sigma(a) + sigma(b)
+        assert sigma(a * b) == sigma(a) * sigma(b)
 
 
 ORACLE_SPECS = ["Q", "Q(i)"] + [f"cyclotomic:{m}" for m in (1, 2, 3, 4, 5, 7, 8, 12)]

@@ -6,6 +6,7 @@ bookkeeping in products, division and saturation.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,10 +15,12 @@ from skewpbw.groebner import divide, left_groebner, two_sided_saturate
 from skewpbw.poly import Polynomial, multiply, parse_polynomial
 from skewpbw.presentation import (
     Presentation,
+    PresentationError,
     check_pbw_consistency,
     load_presentation,
+    presentation_hash,
 )
-from skewpbw.scalars import AutomorphismSpec, FieldSpec, get_field
+from skewpbw.scalars import FieldError, FieldSpec, get_field
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +29,7 @@ def galois_pair():
     return Presentation(
         C12,
         ("x", "y"),
-        sigma=(AutomorphismSpec.galois(5), AutomorphismSpec.galois(7)),
+        sigma=(5, 7),
     )
 
 
@@ -111,3 +114,107 @@ def test_identity_maps_are_untwisted(doc, sigma, gens):
         for P in (twisted, plain)
     ]
     assert bases[0] == bases[1]
+
+
+@pytest.mark.parametrize(
+    "field, tag, message",
+    [
+        ("gf:5", "conj", "conjugation undefined on gf:5"),
+        ("Q", "galois:3", "galois power undefined on Q"),
+        ("gf:5", "galois:3", "galois power undefined on gf:5"),
+        ("Q", "frobenius:1", "frobenius undefined on Q"),
+        ("Q(i)", "frobenius:1", r"frobenius undefined on Q\(i\)"),
+        ("cyclotomic:4", "frobenius:1", "frobenius undefined on cyclotomic:4"),
+        ("gf:5", "frobenius:-1", "frobenius power must be >= 0"),
+        ("Q(i)", "galois:2", "galois exponent 2 not coprime to 4"),
+        ("cyclotomic:4", "galois:2", "galois exponent 2 not coprime to 4"),
+        ("Q(i)", "swap", "unknown automorphism 'swap'"),
+    ],
+)
+def test_sigma_tag_rejections(field, tag, message):
+    """Each field accepts only its own automorphism tags, with one message
+    per kind of rejection."""
+    with pytest.raises(FieldError, match=f"^{message}$"):
+        load_presentation(f"field: {field}\nvars: x, y\nsigma: x = {tag}\n")
+
+
+def test_sigma_tag_with_bad_exponent_is_unknown():
+    with pytest.raises(FieldError, match=r"^unknown automorphism 'galois:abc'$"):
+        load_presentation("field: Q(i)\nvars: x\nsigma: x = galois:abc\n")
+
+
+def test_duplicate_sigma_rejected():
+    """A second sigma entry for one variable is an error, as a second
+    relation for one pair is, on one line or across two."""
+    base = "field: Q(i)\nvars: x, y\n"
+    with pytest.raises(PresentationError, match=r"^line 3: duplicate sigma for x$"):
+        load_presentation(base + "sigma: x = conj, x = identity\n")
+    with pytest.raises(PresentationError, match=r"^line 4: duplicate sigma for y$"):
+        load_presentation(base + "sigma: y = conj\nsigma: x = conj, y = conj\n")
+
+
+def test_constructor_checks_sigma():
+    QI = get_field(FieldSpec.gaussian())
+    with pytest.raises(PresentationError, match="1 exponents for 2 variables"):
+        Presentation(QI, ("x", "y"), sigma=(-1,))
+    with pytest.raises(PresentationError, match="3 exponents for 2 variables"):
+        Presentation(QI, ("x", "y"), sigma=(1, 1, 1))
+    with pytest.raises(FieldError, match="^galois exponent 2 not coprime to 4$"):
+        Presentation(QI, ("x", "y"), sigma=(2, 1))
+    # exponents are stored mod m, with 1 for the identity on every field
+    assert Presentation(QI, ("x", "y"), sigma=(-1, 5)).sigma == (3, 1)
+    Q = get_field(FieldSpec.rationals())
+    GF5 = get_field(FieldSpec.prime(5))
+    assert Presentation(Q, ("x",), sigma=(-1,)).sigma == (1,)
+    assert Presentation(GF5, ("x",), sigma=(4,)).sigma_all_identity
+
+
+def _hash(doc):
+    return presentation_hash(load_presentation(doc))
+
+
+def test_sigma_hashes():
+    """A canonical spelling keeps its hash, a spelling of the identity
+    hashes like no sigma line, and two spellings of one automorphism hash
+    equal."""
+    assert _hash("field: Q(i)\nvars: x, y\nsigma: x = conj\n") == "6601c27e98eaa42f"
+    for field, tag in [
+        ("Q", "conj"),
+        ("Q", "identity"),
+        ("Q(i)", "galois:1"),
+        ("Q(i)", "galois:5"),
+        ("cyclotomic:5", "id"),
+        ("gf:5", "frobenius:1"),
+        ("gf:5", "frobenius:0"),
+    ]:
+        doc = f"field: {field}\nvars: x, y\nrelation: y*x = 2*x*y\n"
+        assert _hash(doc + f"sigma: x = {tag}\n") == _hash(doc), (field, tag)
+    for field, a, b in [
+        ("Q(i)", "galois:3", "conj"),
+        ("Q(i)", "galois:-1", "conj"),
+        ("cyclotomic:5", "galois:7", "galois:2"),
+        ("cyclotomic:5", "galois:4", "conj"),
+        ("cyclotomic:12", "galois:-5", "galois:7"),
+    ]:
+        doc = f"field: {field}\nvars: x, y\n"
+        assert _hash(doc + f"sigma: y = {a}\n") == _hash(doc + f"sigma: y = {b}\n")
+
+
+@pytest.mark.parametrize("fixture", ["conj_qplane", "galois_pair"])
+def test_sigma_power_composes_sigma_maps(fixture, request):
+    """z |-> z^sigma_power(alpha) is sigma_1^a1 o ... o sigma_n^an, the
+    maps applied one variable at a time."""
+    pres = request.getfixturevalue(fixture)
+    field = pres.field
+    z = field.primitive()
+    rng = random.Random(73)
+    for _ in range(60):
+        alpha = tuple(rng.randint(0, 5) for _ in range(pres.n))
+        c = field.zero
+        for j in range(field.dim):
+            c = c + field.from_fraction(Fraction(rng.randint(-9, 9), rng.randint(1, 9))) * z**j
+        want = c.value
+        for fn, t in zip(pres.sigma_maps, alpha):
+            for _ in range(t if fn is not None else 0):
+                want = fn(want)
+        assert field.raw_galois(c.value, pres.sigma_power(alpha)) == want
