@@ -44,7 +44,6 @@ from skewpbw.geometry import (
     ideal_of_points,
     is_root,
     point_ideal,
-    semiprime_probe,
     vanishing_set,
 )
 from skewpbw.nullstellensatz import (

@@ -2,7 +2,8 @@
 
 Answers that were computed exactly (including "no" and "not_normal") exit
 with 0; budget-exhausted/unknown results exit with 2; input errors exit
-with 1. Output is human text or a JSON document (--format json) carrying
+with 1, and so does an engine fault, reported as one "internal error:"
+line. Output is human text or a JSON document (--format json) carrying
 the echoed inputs, the presentation hash, the result payload and status.
 """
 
@@ -16,7 +17,7 @@ from typing import List, Optional
 from skewpbw import geometry, groebner, normality, nullstellensatz
 from skewpbw.geometry import Point, SearchDomain
 from skewpbw.groebner import Budget, UNKNOWN
-from skewpbw.parsing import ParseError, split_top_level
+from skewpbw.parsing import split_top_level
 from skewpbw.poly import (
     DEGLEX,
     DEGREVLEX,
@@ -27,12 +28,10 @@ from skewpbw.poly import (
 )
 from skewpbw.presentation import (
     Presentation,
-    PresentationError,
     check_pbw_consistency,
     load_presentation_file,
     presentation_hash,
 )
-from skewpbw.scalars import FieldError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -424,18 +423,7 @@ def _main(argv: Optional[list]) -> int:
     args = parser.parse_args(argv)
     try:
         doc, code = run_command(args)
-    except (
-        CliError,
-        ParseError,
-        PresentationError,
-        FieldError,
-        groebner.GroebnerError,
-        geometry.GeometryError,
-        nullstellensatz.CenterError,
-        normality.NormalityError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (ValueError, OSError) as exc:  # every input error is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except RecursionError:
@@ -443,6 +431,10 @@ def _main(argv: Optional[list]) -> int:
             "error: the input needs deeper recursion than Python's recursion "
             f"limit ({sys.getrecursionlimit()}) allows\n"
         )
+        return EXIT_INPUT
+    except Exception as exc:  # an engine fault, reported without a traceback
+        message = " ".join(str(exc).split()) or type(exc).__name__
+        sys.stderr.write(f"internal error: {message}\n")
         return EXIT_INPUT
     if args.format == "json":
         json.dump(doc, sys.stdout, indent=2)

@@ -11,13 +11,19 @@ needs a Groebner basis of its own, and neither does a witness: the
 hyperplane sums s - c, s = x_1 + ... + x_n, commute with each other and
 epsilon_Z is multiplicative, so their product vanishes wherever one
 factor does, and A is a domain (Lezama & Reyes, Comm. Algebra 2014), so
-the product is not zero. Vanishing sets over infinite fields are
-enumerated over a finite search domain, and points whose ideal is the
-whole ring are first-class: they are roots of everything and the reports
-mark them as degenerate.
+the product is not zero.
 
-Which points of a domain are characters depends on the presentation and
-never on the polynomials, so `vanishing_set` tests each point once per
+Lemma: every proper point ideal is completely prime, since A/I_Z is the
+field K, so fg in I_Z forces f or g into I_Z. Hence f^2 lies in I_Z
+exactly when f does, and rad(I) lies in I(V(I)) for every two-sided ideal
+I: a point ideal that contains I is A or completely prime, and either way
+it holds every f with a power in I.
+
+Vanishing sets over infinite fields are enumerated over a finite search
+domain, and points whose ideal is the whole ring are first-class: they
+are roots of everything and the reports mark them as degenerate. Which
+points of a domain are characters depends on the presentation and never
+on the polynomials, so `vanishing_set` tests each point once per
 presentation: the partition of the last domain it was given stays on the
 presentation, and each call evaluates its generators, on raw field
 values, at the character points only.
@@ -27,12 +33,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from skewpbw import linalg
-from skewpbw.groebner import PROPER, TWO_SIDED, UNIT, IdealHandle, is_member_left
+from skewpbw.groebner import PROPER, TWO_SIDED, UNIT, IdealHandle
 from skewpbw.poly import DEGLEX, Polynomial, exponents_up_to, multiply
 from skewpbw.presentation import Presentation
 from skewpbw.scalars import Field, PrimeField, Scalar
@@ -108,12 +113,6 @@ def _check_domain_size(count: int) -> None:
         raise GeometryError(
             f"search domain has {count} points, above the limit of {MAX_DOMAIN_POINTS}"
         )
-
-
-@dataclass(frozen=True)
-class PointIdealCache:
-    point: Point
-    handle: IdealHandle
 
 
 def point_generators(pres: Presentation, Z: Point) -> List[Polynomial]:
@@ -211,7 +210,7 @@ def evaluate(f: Polynomial, Z: Point) -> Scalar:
     return Scalar(field, _value_at(field, _sparse_terms(f), powers))
 
 
-def point_ideal(pres: Presentation, Z: Point) -> PointIdealCache:
+def point_ideal(pres: Presentation, Z: Point) -> IdealHandle:
     """Two-sided ideal of x_i - z_i with its reduced basis; cached per presentation.
 
     The reduced basis is unique, so it is written down, not saturated: at
@@ -227,12 +226,12 @@ def point_ideal(pres: Presentation, Z: Point) -> PointIdealCache:
             status, basis, note = UNIT, (Polynomial.one(pres),), "derived a nonzero constant"
         handle = IdealHandle(pres, gens, TWO_SIDED, status, DEGLEX, basis, None, note)
         pres._point_ideals[Z.coords] = handle
-    return PointIdealCache(Z, handle)
+    return handle
 
 
 def is_root(f: Polynomial, Z: Point) -> str:
     """'yes'/'no': membership of f in the point's two-sided ideal."""
-    if point_ideal(f.pres, Z).handle.status == UNIT:
+    if point_ideal(f.pres, Z).status == UNIT:
         return "yes"
     return "yes" if evaluate(f, Z).is_zero() else "no"
 
@@ -378,70 +377,3 @@ def algebraic_witness(pres: Presentation, points: Sequence[Point]) -> WitnessRes
         if is_root(g, Z) == "no":
             raise GeometryError(f"witness fails root check at {Z}")
     return WitnessResult(g)
-
-
-# ---------------------------------------------------------------------------
-# random sampling and the semiprimeness probe
-
-
-def random_scalar(field: Field, rng: random.Random) -> Scalar:
-    if isinstance(field, PrimeField):
-        return field.from_int(rng.randrange(field.p))
-    out = field.from_int(rng.randint(-3, 3))
-    prim = field.primitive()
-    if prim is not None and rng.random() < 0.5:
-        out = out + field.from_int(rng.randint(-2, 2)) * prim
-    return out
-
-
-def random_polynomial(
-    pres: Presentation,
-    rng: random.Random,
-    max_degree: int = 3,
-    max_terms: int = 4,
-) -> Polynomial:
-    field = pres.field
-    add, zero = field.raw_add, field.raw_zero
-    monos = exponents_up_to(pres.n, max_degree)
-    out: dict = {}
-    for _ in range(rng.randint(1, max_terms)):
-        e = monos[rng.randrange(len(monos))]
-        c = random_scalar(field, rng).value
-        if c != zero:
-            out[e] = add(out.get(e, zero), c)
-    return Polynomial.from_raw(pres, out.items())
-
-
-@dataclass
-class SemiprimeReport:
-    point: Point
-    proper: bool
-    samples: int
-    consistent: int
-    unknown: int  # always 0: a point ideal is always resolved
-    counterexamples: List[Polynomial] = dc_field(default_factory=list)
-
-
-def semiprime_probe(
-    pres: Presentation,
-    Z: Point,
-    samples: int = 100,
-    max_degree: int = 3,
-    seed: int = 0,
-) -> SemiprimeReport:
-    """Probe f^2 in <Z> iff f in <Z> on random f; reports any counterexample."""
-    if not pres.quasi_commutative:
-        raise GeometryError("the semiprimeness probe needs a quasi-commutative presentation")
-    handle = point_ideal(pres, Z).handle
-    rng = random.Random(seed)
-    consistent = 0
-    counterexamples: List[Polynomial] = []
-    for _ in range(samples):
-        f = random_polynomial(pres, rng, max_degree)
-        if is_member_left(f, handle) == is_member_left(multiply(f, f), handle):
-            consistent += 1
-        else:
-            counterexamples.append(f)
-    return SemiprimeReport(
-        Z, handle.status == PROPER, samples, consistent, 0, counterexamples
-    )

@@ -8,11 +8,13 @@ finite search grid (Buchberger-Moeller: linear algebra on the values of
 monomials at the points, with no Groebner basis and no budget), the
 classical radical step (the Rabinowitsch trick inside the engine on a
 trivial-relations presentation) and central nilpotency certificates verify
+the first inclusion of
 
     < I_Z(V_Z(J)) >  subset of  radical(I)  subset of  I(V(I))
 
-generator by generator, over that grid, never confirming an inclusion
-without a certificate.
+generator by generator, over that grid, never confirming it without a
+certificate. The second inclusion holds for every two-sided ideal, by the
+lemma in `geometry`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from skewpbw.geometry import (
     Point,
     SearchDomain,
     VanishingReport,
-    evaluate,
     is_root,
     vanishing_set,
 )
@@ -398,7 +399,6 @@ def central_nilpotency(
 
 
 CONFIRMED = "confirmed"
-REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive"
 
 
@@ -408,7 +408,7 @@ class GeneratorVerdict:
     lifted: Polynomial
     in_radical_J: Optional[bool]  # None: radical membership unresolved
     nilpotency_m: Optional[int]
-    failed_roots: List[Point] = dc_field(default_factory=list)
+    failed_roots: List[Point] = dc_field(default_factory=list)  # always empty
     unknown_roots: List[Point] = dc_field(default_factory=list)  # always empty
 
     @property
@@ -427,7 +427,7 @@ class SandwichReport:
     generator_verdicts: List[GeneratorVerdict]
     variety_report: VanishingReport
     inclusion_radical: str  # <I_Z(V_Z(J))> subset of radical(I)
-    inclusion_points: str  # radical(I) subset of I(V(I))
+    inclusion_points: str  # radical(I) subset of I(V(I)): confirmed, by the lemma
     notes: List[str] = dc_field(default_factory=list)
 
     def to_doc(self) -> dict:
@@ -477,14 +477,13 @@ def verify_sandwich(
     Pipeline: contract to the center; find the grid trace of the central
     variety; build its points ideal; cross-check every generator with exact
     radical membership (grid artifacts are reported and excluded); certify
-    the survivors by nilpotency exponents; finally check the certified
-    witnesses vanish on every character root of the ideal itself (a
-    degenerate point is a root of everything); with no witness to check
-    and some radical verdict unresolved, that inclusion is inconclusive.
-    The budget reaches only the radical membership step.
+    the survivors by nilpotency exponents. The second inclusion holds by
+    the lemma in `geometry`: every point ideal is A or completely prime.
+    As a self-check, every certified witness must vanish at every character
+    root of the ideal itself (a degenerate point is a root of everything);
+    RuntimeError if one does not, since that is an engine fault. The budget
+    reaches only the radical membership step.
     """
-    if not C.verified:
-        raise CenterError("center description must be verified")
     pres = C.presentation
     budget = budget or DEFAULT_BUDGET
     notes: List[str] = []
@@ -495,10 +494,7 @@ def verify_sandwich(
         j_center[0].pres if j_center else C.center_presentation()
     )
 
-    v_center = []
-    for p in domain.points(center_pres):
-        if all(evaluate(g, p).is_zero() for g in j_center):
-            v_center.append(p.coords)
+    v_center = [p.coords for p in vanishing_set(center_pres, j_center, domain).roots]
 
     verdicts: List[GeneratorVerdict] = []
     radical_unresolved = False
@@ -537,21 +533,14 @@ def verify_sandwich(
     variety = vanishing_set(pres, list(handle.generators), domain)
     degenerate = {Z.coords for Z in variety.degenerate}
     character_roots = [Z for Z in variety.roots if Z.coords not in degenerate]
-    checked = [v for v in certified if v.nilpotency_m is not None]
-    for v in checked:
-        v.failed_roots = [Z for Z in character_roots if is_root(v.lifted, Z) == "no"]
-    if any(v.failed_roots for v in checked):
-        inclusion_points = REFUTED
-    elif radical_unresolved and not checked:
-        # with no witness checked, a confirmation would rest on nothing
-        inclusion_points = INCONCLUSIVE
-        notes.append("no certified witness to check the second inclusion on")
-    else:
-        inclusion_points = CONFIRMED
-    if inclusion_radical == INCONCLUSIVE and inclusion_points == CONFIRMED:
-        # an unconfirmed radical witness never weakens the point inclusion,
-        # but surface the asymmetry
-        notes.append("second inclusion checked on certified witnesses only")
+    for v in certified:
+        if v.nilpotency_m is None:
+            continue
+        for Z in character_roots:
+            if is_root(v.lifted, Z) == "no":
+                raise RuntimeError(
+                    f"certified witness {v.lifted} does not vanish at the root {Z}"
+                )
 
     return SandwichReport(
         list(handle.generators),
@@ -563,6 +552,6 @@ def verify_sandwich(
         verdicts,
         variety,
         inclusion_radical,
-        inclusion_points,
+        CONFIRMED,
         notes,
     )

@@ -20,7 +20,14 @@ from typing import Optional
 
 from skewpbw import parsing
 from skewpbw.parsing import SCALAR_SYMBOLS, ParseError
-from skewpbw.scalars import Field, FieldSpec, Scalar, galois_exponent, get_field
+from skewpbw.scalars import (
+    Field,
+    FieldError,
+    FieldSpec,
+    Scalar,
+    galois_exponent,
+    get_field,
+)
 
 class PresentationError(ValueError):
     """Invalid presentation document or relation data."""
@@ -200,7 +207,7 @@ def load_presentation(text: str) -> Presentation:
                     raise PresentationError(
                         f"line {lineno}: duplicate sigma for {var}"
                     )
-                sigma_tags[var] = tag
+                sigma_tags[var] = (lineno, tag)
         elif key == "relation":
             relation_lines.append((lineno, value))
         else:
@@ -210,14 +217,17 @@ def load_presentation(text: str) -> Presentation:
     if not names:
         raise PresentationError("missing 'vars:' line")
     index = {nm: k for k, nm in enumerate(names)}
-    for var in sigma_tags:
-        if var not in index:
-            raise PresentationError(f"sigma for unknown variable {var!r}")
     # tags are read once the field is known: 'field:' may follow 'sigma:'
-    sigma = tuple(
-        galois_exponent(sigma_tags[nm], field) if nm in sigma_tags else 1
-        for nm in names
-    )
+    sigma = [1] * len(names)
+    for var, (lineno, tag) in sigma_tags.items():
+        if var not in index:
+            raise PresentationError(
+                f"line {lineno}: sigma for unknown variable {var!r}"
+            )
+        try:
+            sigma[index[var]] = galois_exponent(tag, field)
+        except FieldError as exc:
+            raise PresentationError(f"line {lineno}: {exc}") from exc
 
     comm = Presentation(field, names)
     relations = {}

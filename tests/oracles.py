@@ -7,6 +7,7 @@ power search, Groebner bases come from plain Buchberger completion
 (every pair formed, restart-style inter-reduction) on the public API,
 the Gebauer-Moller pair update from its quadratic definition,
 ideals of points and witnesses from folds of elimination Groebner bases,
+the point-ideal lemma from a saturation per point, seeded random polynomials,
 linear algebra from Gaussian elimination on Scalars, centers
 from a scan of monomials by `central_probe`, characteristic-0 coefficients from Fraction arithmetic, and the text
 layer from a scalar evaluator, a formal commutative collection and a
@@ -17,15 +18,18 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import random
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
+from skewpbw.geometry import Point, evaluate, is_character, point_generators
 from skewpbw.groebner import (
     Budget,
     divide,
     intersect_left,
     is_member_left,
     left_groebner,
+    two_sided_saturate,
 )
 from skewpbw.normality import central_probe
 from skewpbw.poly import DEGLEX, Polynomial, exponents_up_to, multiply
@@ -35,9 +39,38 @@ from skewpbw.scalars import (
     CyclotomicField,
     Field,
     GaussianRationalField,
+    PrimeField,
     Scalar,
     cyclotomic_polynomial,
 )
+
+
+def random_scalar(field: Field, rng: random.Random) -> Scalar:
+    if isinstance(field, PrimeField):
+        return field.from_int(rng.randrange(field.p))
+    out = field.from_int(rng.randint(-3, 3))
+    prim = field.primitive()
+    if prim is not None and rng.random() < 0.5:
+        out = out + field.from_int(rng.randint(-2, 2)) * prim
+    return out
+
+
+def random_polynomial(
+    pres: Presentation,
+    rng: random.Random,
+    max_degree: int = 3,
+    max_terms: int = 4,
+) -> Polynomial:
+    field = pres.field
+    add, zero = field.raw_add, field.raw_zero
+    monos = exponents_up_to(pres.n, max_degree)
+    out: dict = {}
+    for _ in range(rng.randint(1, max_terms)):
+        e = monos[rng.randrange(len(monos))]
+        c = random_scalar(field, rng).value
+        if c != zero:
+            out[e] = add(out.get(e, zero), c)
+    return Polynomial.from_raw(pres, out.items())
 
 
 def naive_commutative_multiply(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -293,6 +326,39 @@ def naive_points_ideal(pres: Presentation, points) -> list:
         assert res.complete, "points-ideal intersection ran out of budget"
         current = res.elements
     return current
+
+
+def semiprime_probe(
+    pres: Presentation, Z: Point, samples: int = 50, max_degree: int = 3, seed: int = 0
+) -> List[str]:
+    """Counterexamples at Z to the lemma that point ideals are completely
+    prime, against a saturation of x_i - z_i of Z's own.
+
+    The saturation must end unit exactly where Z is no character. On each
+    sample f, the verdicts f in <Z>, f^2 in <Z> and, at a proper point,
+    evaluate(f, Z) == 0 must agree. Every other sample is a random f less
+    its value at Z, so that it lies in a proper <Z>; the rest are random
+    and mostly outside. An empty list is no counterexample."""
+    handle = two_sided_saturate(point_generators(pres, Z))
+    assert handle.status in ("proper", "unit"), f"saturation at {Z} unresolved"
+    proper = handle.status == "proper"
+    if proper != is_character(pres, Z):
+        return [f"{Z}: saturation is {handle.status}, is_character says {not proper}"]
+    rng = random.Random(seed)
+    found = []
+    for k in range(samples):
+        f = random_polynomial(pres, rng, max_degree)
+        if k % 2:
+            f = f - Polynomial.constant(pres, evaluate(f, Z))
+        verdicts = {
+            is_member_left(f, handle) == "yes",
+            is_member_left(multiply(f, f), handle) == "yes",
+        }
+        if proper:
+            verdicts.add(evaluate(f, Z).is_zero())
+        if len(verdicts) > 1:
+            found.append(f"{Z}: {f}")
+    return found
 
 
 # far above what any witness fold in the tests needs, so an unresolved

@@ -12,6 +12,8 @@ from conftest import algebra_path
 from oracles import (
     _vector,
     brute_force_radical,
+    random_polynomial,
+    semiprime_probe,
     span_rows,
     two_sided_span_membership,
 )
@@ -19,10 +21,9 @@ from skewpbw.geometry import (
     Point,
     SearchDomain,
     ideal_of_points,
+    is_character,
     is_root,
     point_ideal,
-    random_polynomial,
-    semiprime_probe,
     vanishing_set,
 )
 from skewpbw.groebner import (
@@ -97,11 +98,10 @@ def test_c02_weyl_unit_ideal(weyl_z):
 def test_c03_degenerate_point_ideal(qplane_m1):
     elapsed = timer()
     pres = qplane_m1
-    unit_cache = point_ideal(pres, Point.of(pres, [1, 1]))
-    assert unit_cache.handle.status == "unit"
-    origin = point_ideal(pres, Point.of(pres, [0, 0]))
-    assert origin.handle.status == "proper"
-    assert set(map(str, origin.handle.basis)) == {"x", "y"}
+    assert not is_character(pres, Point.of(pres, [1, 1]))
+    origin = Point.of(pres, [0, 0])
+    assert is_character(pres, origin)
+    assert set(map(str, point_ideal(pres, origin).basis)) == {"x", "y"}
 
     one = Polynomial.one(pres)
     x = parse_polynomial("x", pres)
@@ -143,7 +143,7 @@ def _theorem_suite(pres, domain, instances, seed, d=2):
         g = random_polynomial(pres, rng, 2, 2)
         h = random_polynomial(pres, rng, 2, 2)
         Z = domain_points[rng.randrange(len(domain_points))]
-        handle = point_ideal(pres, Z).handle
+        handle = point_ideal(pres, Z)
 
         # (i)(a) roots add
         if (
@@ -374,7 +374,7 @@ def test_c09_commutative_regression(comm2, comm2_gf5):
     report(9, f"membership matches the span oracle on {agreements} probes, {t:.1f}s")
 
 
-# -- 10: complete-semiprimeness probe (non-blocking) -------------------------------
+# -- 10: point ideals are completely prime ------------------------------------
 
 
 QUASI_COMMUTATIVE_ALGEBRAS = [
@@ -412,33 +412,28 @@ def _proper_points(pres, want=10):
                     candidates.append(Point(coords))
     out = []
     for Z in candidates:
-        if point_ideal(pres, Z).handle.status == "proper":
+        if is_character(pres, Z):
             out.append(Z)
         if len(out) >= want:
             break
     return out
 
 
-def test_c10_semiprime_probe_nonblocking():
+def test_c10_point_ideals_completely_prime():
+    """At every probe point, a saturation of x_i - z_i of its own agrees
+    with `is_character`, and f in <Z>, f^2 in <Z> and evaluate(f, Z) == 0
+    agree on 50 random f: the lemma in `geometry`, checked by an oracle."""
     elapsed = timer()
-    findings = []
+    probes = 0
     for name in QUASI_COMMUTATIVE_ALGEBRAS:
         pres = load_presentation_file(algebra_path(name))
         points = _proper_points(pres, want=10)
         floor = 9 if name == "qplane_q2_gf5.alg" else 10
         assert len(points) >= floor, f"{name}: too few proper probe points"
         for k, Z in enumerate(points):
-            rep = semiprime_probe(pres, Z, samples=50, max_degree=3, seed=900 + k)
-            assert rep.proper is True
-            assert rep.unknown == 0
-            if rep.counterexamples:
-                findings.append((name, Z, rep.counterexamples[:1]))
+            found = semiprime_probe(pres, Z, samples=50, max_degree=3, seed=900 + k)
+            assert found == [], f"{name}: {found[0]}"
+            probes += 50
     t = elapsed()
-    if findings:
-        print("\nACCEPTANCE 10 FINDINGS (non-blocking):")
-        for name, Z, ex in findings:
-            print(f"  {name} at {Z}: counterexample {ex}")
-    else:
-        report(10, f"f^2-membership equivalence held on 5x500 probes, {t:.1f}s")
-    # non-blocking per the documented proof-gap question: findings are
-    # reported above rather than failing the build
+    assert t < 5.0
+    report(10, f"no counterexample to the point-ideal lemma in {probes} probes, {t:.1f}s")

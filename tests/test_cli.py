@@ -360,8 +360,9 @@ def test_sandwich_subcommand(capsys):
 
 
 def test_sandwich_without_checked_witness_is_inconclusive(capsys):
-    """Radical membership of both generators runs out of budget, so no
-    witness is checked: the second inclusion is not confirmed vacuously."""
+    """Radical membership of both generators runs out of budget, so the
+    first inclusion is inconclusive; the second holds by the point-ideal
+    lemma, with no witness to check."""
     code, doc, _ = run_json(
         [
             "sandwich",
@@ -378,8 +379,61 @@ def test_sandwich_without_checked_witness_is_inconclusive(capsys):
     result = doc["result"]
     assert [g["in_radical_J"] for g in result["generators"]] == [None, None]
     assert result["inclusion_radical"] == "inconclusive"
-    assert result["inclusion_points"] == "inconclusive"
-    assert "no certified witness to check the second inclusion on" in result["notes"]
+    assert result["inclusion_points"] == "confirmed"
+    assert result["notes"] == ["radical membership unresolved for some generator"]
+
+
+def test_engine_fault_is_one_internal_error_line(monkeypatch, capsys):
+    """A certified witness that evaluates to nonzero at a character root is
+    an engine fault: the sandwich's self-check raises, and the CLI reports
+    one `internal error:` line with exit 1 and no traceback."""
+    from skewpbw import geometry
+
+    evaluate = geometry.evaluate
+
+    def broken(f, Z):
+        value = evaluate(f, Z)
+        return value + value.field.one if str(Z) == "(0, 1)" else value
+
+    monkeypatch.setattr(geometry, "evaluate", broken)
+    code, out, err = run(
+        ["sandwich", "--algebra", QPLANE, "--gens", "x^4", "--domain", "grid:-2..2",
+         "--trunc-degree", "4", "--max-power", "4"],
+        capsys,
+    )
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == (
+        "internal error: certified witness x^2 does not vanish at the root (0, 1)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["normalize", "--algebra", QPLANE, "--f", "x+"],
+        ["mul", "--algebra", QPLANE, "--f", "x", "--g", "y*("],
+        ["divide", "--algebra", WITTEN, "--f", "x", "--divisors", "x^"],
+        ["gb", "--algebra", QPLANE, "--gens", "x, q*y"],
+        ["member", "--algebra", QPLANE, "--f", "x", "--gens", "y)"],
+        ["saturate", "--algebra", QPLANE, "--gens", "x", "--order", "lex"],
+        ["root", "--algebra", QPLANE, "--f", "x", "--point", "1"],
+        ["vanish", "--algebra", QPLANE, "--polys", "x", "--domain", "box:0..1"],
+        ["points-ideal", "--algebra", QPLANE, "--points", "0,0,0", "--trunc-degree", "1"],
+        ["witness", "--algebra", COMM, "--points", "0,w"],
+        ["center", "--algebra", "no-such-file.alg"],
+        ["sandwich", "--algebra", QPLANE, "--gens", "x^4", "--domain", "grid:a..b"],
+        ["normal", "--algebra", QPLANE, "--f", "x", "--order", "block:w"],
+        ["consistency", "--algebra", "no-such-file.alg"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_malformed_input_is_one_error_line(argv, capsys):
+    """Every subcommand reports a malformed argument or a missing algebra
+    file as one `error:` line, exit 1, with no traceback."""
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 GF7SPACE = (

@@ -16,8 +16,8 @@ import zlib
 
 import pytest
 
+from oracles import random_polynomial, random_scalar
 from skewpbw import groebner, nullstellensatz
-from skewpbw.geometry import random_polynomial, random_scalar
 from skewpbw.groebner import Budget, divide, intersect_left, left_groebner
 from skewpbw.nullstellensatz import radical_membership_commutative
 from skewpbw.poly import DEGLEX, DEGREVLEX, Polynomial, deglex_key, multiply

@@ -13,9 +13,8 @@ from skewpbw.geometry import (
     algebraic_witness,
     ideal_of_points,
     is_root,
+    is_character,
     point_ideal,
-    random_polynomial,
-    semiprime_probe,
     vanishing_set,
 )
 from skewpbw.groebner import (
@@ -35,7 +34,15 @@ from skewpbw.presentation import (
 )
 from skewpbw.scalars import FieldSpec, get_field
 from conftest import ALGEBRA_DIR, algebra_path
-from oracles import in_row_span, naive_witness, rank, span_rows, _vector
+from oracles import (
+    _vector,
+    in_row_span,
+    naive_witness,
+    random_polynomial,
+    rank,
+    semiprime_probe,
+    span_rows,
+)
 
 
 SHIPPED = sorted(f for f in os.listdir(ALGEBRA_DIR) if f.endswith(".alg"))
@@ -46,12 +53,12 @@ def grid(field, lo, hi):
 
 
 def test_point_ideal_examples(qplane_m1, weyl_z, QQ):
-    cache = point_ideal(qplane_m1, Point.of(qplane_m1, [0, 0]))
-    assert cache.handle.status == "proper"
-    assert set(map(str, cache.handle.basis)) == {"x", "y"}
+    origin = Point.of(qplane_m1, [0, 0])
+    assert is_character(qplane_m1, origin)
+    assert set(map(str, point_ideal(qplane_m1, origin).basis)) == {"x", "y"}
 
-    assert point_ideal(qplane_m1, Point.of(qplane_m1, [1, 1])).handle.status == "unit"
-    assert point_ideal(weyl_z, Point.of(weyl_z, [1, 0, 0])).handle.status == "unit"
+    assert not is_character(qplane_m1, Point.of(qplane_m1, [1, 1]))
+    assert not is_character(weyl_z, Point.of(weyl_z, [1, 0, 0]))
 
 
 def test_is_root_examples(qplane_m1, weyl_z, comm2):
@@ -192,7 +199,7 @@ def test_ideal_of_points_matches_saturated_basis(qplane_m1):
     Z = Point.of(pres, [1, 0])
     d = 3
     kernel = ideal_of_points(pres, [Z], d)
-    handle = point_ideal(pres, Z).handle
+    handle = point_ideal(pres, Z)
     products = []
     from skewpbw.poly import exponents_up_to
 
@@ -211,7 +218,7 @@ def test_ideal_of_points_three_variables(witten):
     Z = Point.of(pres, [0, 0, 0])
     d = 2
     kernel = ideal_of_points(pres, [Z], d)
-    handle = point_ideal(pres, Z).handle
+    handle = point_ideal(pres, Z)
     assert handle.status == "proper"
     from skewpbw.poly import exponents_up_to
 
@@ -348,14 +355,15 @@ def test_witness_and_intersection_with_a_variable_named_t(q):
 
 
 def test_semiprime_probe_commutative(comm2):
-    rep = semiprime_probe(comm2, Point.of(comm2, [0, 0]), samples=50, seed=3)
-    assert rep.proper and not rep.counterexamples
-    assert rep.consistent == 50
+    assert semiprime_probe(comm2, Point.of(comm2, [0, 0]), samples=50, seed=3) == []
 
 
 def test_semiprime_probe_spec_cases(comm2, qplane_m1):
+    """x and x^2 lie in the ideal of the origin, x + 1 and its square do
+    not; at the degenerate (1, 1) of y*x = -x*y the saturation is the whole
+    ring, as `is_character` says, and the probe finds nothing."""
     Z = Point.of(comm2, [0, 0])
-    handle = point_ideal(comm2, Z).handle
+    handle = _saturated(comm2, Z)
     x = parse_polynomial("x", comm2)
     x1 = parse_polynomial("x+1", comm2)
     assert is_member_left(multiply(x, x), handle) == "yes"
@@ -363,21 +371,20 @@ def test_semiprime_probe_spec_cases(comm2, qplane_m1):
     assert is_member_left(multiply(x1, x1), handle) == "no"
     assert is_member_left(x1, handle) == "no"
 
-    degenerate = semiprime_probe(
-        qplane_m1, Point.of(qplane_m1, [1, 1]), samples=20, seed=3
-    )
-    assert degenerate.proper is False and not degenerate.counterexamples
+    degenerate = Point.of(qplane_m1, [1, 1])
+    assert _saturated(qplane_m1, degenerate).status == "unit"
+    assert not is_character(qplane_m1, degenerate)
+    assert semiprime_probe(qplane_m1, degenerate, samples=20, seed=3) == []
 
 
 def test_witten_proper_locus_is_z_axis(witten):
     """Saturation derives x and y from the commutators z*x - x*z = -x and
     z*y - y*z = 2y, so point ideals are proper exactly on the z-axis."""
     proper = Point.of(witten, [0, 0, 2])
-    h = point_ideal(witten, proper).handle
-    assert h.status == "proper"
-    assert set(map(str, h.basis)) == {"x", "y", "z - 2"}
+    assert is_character(witten, proper)
+    assert set(map(str, point_ideal(witten, proper).basis)) == {"x", "y", "z - 2"}
     for coords in ([1, 0, 0], [0, 1, 0], [1, 1, 1]):
-        assert point_ideal(witten, Point.of(witten, coords)).handle.status == "unit"
+        assert not is_character(witten, Point.of(witten, coords))
     # x vanishes on the whole grid: degenerate points plus the z-axis trace
     field = witten.field
     grid = SearchDomain.grid([[field.from_int(k) for k in (-1, 0, 1)]])
@@ -389,8 +396,7 @@ def test_witten_proper_locus_is_z_axis(witten):
 def test_weyl_pair_makes_every_point_degenerate(weyl_z):
     """y*(x-a) - (x-a)*y = -1 puts a unit in every point ideal."""
     for coords in ([0, 0, 0], [1, 0, 0], [2, -1, 3]):
-        h = point_ideal(weyl_z, Point.of(weyl_z, coords)).handle
-        assert h.status == "unit"
+        assert not is_character(weyl_z, Point.of(weyl_z, coords))
 
 
 # -- closure properties of vanishing sets (smoke; the full randomized suite
@@ -400,7 +406,7 @@ def test_weyl_pair_makes_every_point_degenerate(weyl_z):
 def test_sum_of_roots_is_root(qplane_gf5, rng):
     pres = qplane_gf5
     Z = Point.of(pres, [0, 3])
-    handle = point_ideal(pres, Z).handle
+    handle = point_ideal(pres, Z)
     for _ in range(20):
         f = random_polynomial(pres, rng, 3)
         g = random_polynomial(pres, rng, 3)
@@ -470,7 +476,7 @@ def test_points_agree_with_saturation(name, request):
     statuses = set()
     for Z in sorted(points, key=repr):
         oracle = _saturated(pres, Z)
-        handle = point_ideal(pres, Z).handle
+        handle = point_ideal(pres, Z)
         statuses.add(oracle.status)
         assert (handle.status, handle.basis, handle.note) == (
             oracle.status, oracle.basis, oracle.note

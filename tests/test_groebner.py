@@ -13,10 +13,10 @@ from oracles import (
     naive_gebauer_moller,
     naive_left_gb,
     naive_saturate,
+    random_polynomial,
     two_sided_span_membership,
 )
 from skewpbw import groebner
-from skewpbw.geometry import random_polynomial
 from skewpbw.groebner import (
     Budget,
     GroebnerError,

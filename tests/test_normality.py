@@ -2,7 +2,7 @@
 
 import pytest
 
-from skewpbw.geometry import random_polynomial
+from oracles import random_polynomial
 from skewpbw.normality import (
     NormalityError,
     central_probe,

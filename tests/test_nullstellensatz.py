@@ -6,15 +6,15 @@ import re
 
 import pytest
 
-from oracles import brute_force_radical, first_central_in_box, naive_points_ideal
-from skewpbw import nullstellensatz
-from skewpbw.geometry import (
-    Point,
-    SearchDomain,
-    evaluate,
+from oracles import (
+    brute_force_radical,
+    first_central_in_box,
+    naive_points_ideal,
     random_polynomial,
     random_scalar,
 )
+from skewpbw import nullstellensatz
+from skewpbw.geometry import Point, SearchDomain, evaluate
 from skewpbw.groebner import (
     GroebnerError,
     is_member_left,

@@ -6,7 +6,7 @@ import zlib
 
 import pytest
 
-from skewpbw.geometry import random_polynomial
+from oracles import random_polynomial
 from skewpbw.parsing import SCALAR_SYMBOLS, ParseError, split_top_level
 from skewpbw.poly import Polynomial, parse_polynomial, parse_scalar, to_string
 from skewpbw.presentation import (

@@ -6,8 +6,7 @@ import zlib
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import naive_commutative_multiply, naive_word_multiply
-from skewpbw.geometry import random_polynomial
+from oracles import naive_commutative_multiply, naive_word_multiply, random_polynomial
 from skewpbw.poly import (
     DEGLEX,
     DEGREVLEX,

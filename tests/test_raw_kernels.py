@@ -16,9 +16,8 @@ import zlib
 import pytest
 
 from conftest import algebra_path
-from oracles import naive_word_multiply, rank
+from oracles import naive_word_multiply, random_polynomial, random_scalar, rank
 from skewpbw import linalg
-from skewpbw.geometry import random_polynomial, random_scalar
 from skewpbw.groebner import divide
 from skewpbw.poly import DEGLEX, DEGREVLEX, deglex_key, divides
 from skewpbw.presentation import (

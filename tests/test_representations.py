@@ -11,7 +11,7 @@ polynomials (degrees here stay far below any faithfulness threshold).
 import random
 import zlib
 
-from skewpbw.geometry import random_polynomial
+from oracles import random_polynomial
 from skewpbw.poly import Polynomial, multiply
 from skewpbw.presentation import quantum_plane
 from skewpbw.scalars import FieldSpec, get_field

@@ -9,8 +9,8 @@ import pytest
 
 import oracles
 from conftest import algebra_path
+from oracles import random_polynomial
 from skewpbw import scalars
-from skewpbw.geometry import random_polynomial
 from skewpbw.groebner import Budget, left_groebner, two_sided_saturate
 from skewpbw.poly import parse_polynomial
 from skewpbw.presentation import Presentation, load_presentation

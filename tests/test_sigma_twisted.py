@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from skewpbw.geometry import random_polynomial
+from oracles import random_polynomial
 from skewpbw.groebner import divide, left_groebner, two_sided_saturate
 from skewpbw.poly import Polynomial, multiply, parse_polynomial
 from skewpbw.presentation import (
@@ -133,14 +133,29 @@ def test_identity_maps_are_untwisted(doc, sigma, gens):
 )
 def test_sigma_tag_rejections(field, tag, message):
     """Each field accepts only its own automorphism tags, with one message
-    per kind of rejection."""
-    with pytest.raises(FieldError, match=f"^{message}$"):
+    per kind of rejection, prefixed by the line of the sigma entry."""
+    with pytest.raises(PresentationError, match=f"^line 3: {message}$"):
         load_presentation(f"field: {field}\nvars: x, y\nsigma: x = {tag}\n")
 
 
 def test_sigma_tag_with_bad_exponent_is_unknown():
-    with pytest.raises(FieldError, match=r"^unknown automorphism 'galois:abc'$"):
+    with pytest.raises(
+        PresentationError, match=r"^line 3: unknown automorphism 'galois:abc'$"
+    ):
         load_presentation("field: Q(i)\nvars: x\nsigma: x = galois:abc\n")
+
+
+def test_sigma_errors_name_their_line():
+    """A tag is read once the field is known, which may be after the sigma
+    line; the error still names the line of the entry."""
+    with pytest.raises(
+        PresentationError, match="^line 2: galois exponent 2 not coprime to 4$"
+    ):
+        load_presentation("vars: x, y\nsigma: y = conj, x = galois:2\n\nfield: Q(i)\n")
+    with pytest.raises(
+        PresentationError, match="^line 4: sigma for unknown variable 'z'$"
+    ):
+        load_presentation("field: Q(i)\nvars: x\nsigma: x = conj\nsigma: z = conj\n")
 
 
 def test_duplicate_sigma_rejected():
