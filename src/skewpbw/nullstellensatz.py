@@ -126,7 +126,9 @@ def center_generators(pres: Presentation) -> CenterDescription:
     CenterError otherwise, naming the lex-first central x^alpha != 1 with
     alpha in prod [0, L_i); likewise for input that is not quasi-commutative,
     a sigma_i that is not the identity, a constant that is not a root of
-    unity, or N above MAX_CENTER_ORDER. `case` is a label only.
+    unity, or N above MAX_CENTER_ORDER. `case` is a label only. Each
+    generator is checked central by `central_probe`; a failure is an engine
+    fault and raises RuntimeError.
     """
     if not pres.quasi_commutative:
         raise CenterError("the center rule needs a quasi-commutative presentation")
@@ -179,7 +181,7 @@ def center_generators(pres: Presentation) -> CenterDescription:
     )
     for g in gens:
         if not central_probe(g):
-            raise CenterError(f"generator {g} failed the centrality check")
+            raise RuntimeError(f"generator {g} failed the centrality check")
     return CenterDescription(pres, L, gens, True, case)
 
 
@@ -239,7 +241,9 @@ def contract_to_center(
 
     Computed as the kernel of coefficient vectors -> normal forms on the
     span of central monomials of degree <= d, then rewritten in the center
-    variables u_i = x_i^(L_i).
+    variables u_i = x_i^(L_i). Each lifted element is certified a member of
+    the ideal and central; a failure is an engine fault and raises
+    RuntimeError.
     """
     if handle.status == UNKNOWN:
         raise GroebnerError("contraction needs a resolved ideal; raise the budget")
@@ -259,7 +263,7 @@ def contract_to_center(
         ]
     lifted = [lift_center_poly(C, f) for f in center_polys]
     if not all(is_member_left(f, handle) == "yes" and central_probe(f) for f in lifted):
-        raise GroebnerError("contraction output failed certification")
+        raise RuntimeError("contraction output failed certification")
     return ContractionResult(center_polys, lifted)
 
 

@@ -182,6 +182,7 @@ def load_presentation(text: str) -> Presentation:
     names: Optional[tuple] = None
     sigma_tags: dict = {}
     relation_lines: list = []
+    seen: set = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -191,8 +192,14 @@ def load_presentation(text: str) -> Presentation:
         key, value = line.split(":", 1)
         key = key.strip().lower()
         value = value.strip()
+        if key in ("field", "vars") and key in seen:
+            raise PresentationError(f"line {lineno}: duplicate '{key}:' line")
+        seen.add(key)
         if key == "field":
-            field = get_field(FieldSpec.from_string(value))
+            try:
+                field = get_field(FieldSpec.from_string(value))
+            except FieldError as exc:
+                raise PresentationError(f"line {lineno}: {exc}") from exc
         elif key == "vars":
             names = tuple(v.strip() for v in value.split(",") if v.strip())
         elif key == "sigma":

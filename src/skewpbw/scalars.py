@@ -2,8 +2,11 @@
 
 Supported fields: the rationals Q, the Gaussian rationals Q(i), cyclotomic
 fields Q(z_m) in the power basis reduced mod the m-th cyclotomic polynomial,
-and prime fields GF(p). The three characteristic-0 fields share one kernel
-on integer numerators over one denominator. Every value has a unique
+and prime fields GF(p). The three characteristic-0 fields share one
+representation, integer numerators over one denominator. Each of them
+generates its own straight-line Galois maps and, for degree phi(m) >= 2,
+its add, mul and neg from the reduction rows of Phi_m; `get_field` refuses
+Q(z_m) with phi(m) above MAX_FIELD_DEGREE. Every value has a unique
 canonical form, so equality is plain structural equality.
 """
 
@@ -129,10 +132,12 @@ class FieldSpec:
             return FieldSpec.rationals()
         if text == "Q(i)":
             return FieldSpec.gaussian()
-        if text.startswith("cyclotomic:"):
-            return FieldSpec.cyclotomic(int(text.split(":", 1)[1]))
-        if text.startswith("gf:"):
-            return FieldSpec.prime(int(text.split(":", 1)[1]))
+        kind, _, param = text.partition(":")
+        if kind in ("cyclotomic", "gf"):
+            try:
+                return FieldSpec(kind, int(param))
+            except ValueError:
+                pass
         raise FieldError(f"unknown field spec {text!r}")
 
     def __str__(self) -> str:
@@ -366,6 +371,91 @@ def _power_rows(modulus: list, top: int) -> list:
     return rows
 
 
+# The largest phi(m) of a field Q(z_m) that `get_field` builds. A field's
+# generated source grows as phi(m)^2 (mul) plus phi(m)^2 per Galois map, so
+# this bounds the cost of building one: cyclotomic:120, the largest m
+# allowed, builds in about 16 ms (CPython 3.11, x86-64), Q(z_5) in 0.5 ms.
+MAX_FIELD_DEGREE = 32
+
+
+def _check_degree(m: int) -> None:
+    """FieldError unless m >= 1 and phi(m) <= MAX_FIELD_DEGREE. Since
+    phi(m) >= sqrt(m/2), no m above 2 * MAX_FIELD_DEGREE^2 is factored."""
+    if m < 1:
+        raise FieldError("cyclotomic index must be >= 1")
+    phi = m
+    if m <= 2 * MAX_FIELD_DEGREE**2:
+        for p in _prime_factors(m):
+            phi -= phi // p
+    if phi > MAX_FIELD_DEGREE:
+        raise FieldError(
+            f"cyclotomic:{m} has degree phi({m}) above the limit of "
+            f"{MAX_FIELD_DEGREE} (scalars.MAX_FIELD_DEGREE)"
+        )
+
+
+def _sum(pairs) -> str:
+    """Source of the int sum of c * v over (c, v) pairs; 0 for none."""
+    text = "".join(
+        f" {'-' if c < 0 else '+'} {v if abs(c) == 1 else f'{abs(c)} * {v}'}"
+        for c, v in pairs
+    )
+    if not text:
+        return "0"
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+def _kernel_source(d: int, m: int, rows) -> str:
+    """Python source of straight-line kernels on raw values
+    (n_0, ..., n_{d-1}, den) of Q(z_m), d = phi(m), where rows[e] is x^e mod
+    Phi_m as (power, coefficient) pairs for e <= max(2d - 2, m - 1):
+    - `galois_k(a)`, z |-> z^k, for each unit k in range(m);
+    - for d >= 2, `add`, `mul` and `neg`; add and mul end by dividing the
+      numerators and the positive denominator by their gcd.
+    The source uses only int operations and `gcd`."""
+    a = [f"a{i}" for i in range(d)]
+    b = [f"b{i}" for i in range(d)]
+    n = [f"n{t}" for t in range(d)]
+    unpack = [f"    {', '.join(a)}, da = a", f"    {', '.join(b)}, db = b"]
+    lines = []
+    for k in range(m):
+        if math.gcd(k, m) == 1:
+            image = [[] for _ in range(d)]  # a_j z^j |-> a_j x^(jk mod m)
+            for j in range(d):
+                for t, c in rows[j * k % m]:
+                    image[t].append((c, a[j]))
+            lines += [f"def galois_{k}(a):", unpack[0]]
+            lines += [f"    return ({', '.join(map(_sum, image))}, da)", ""]
+    if d == 1:
+        return "\n".join(lines)
+    nums = ", ".join(n)
+    canonical = [
+        f"    g = gcd({nums}, den)",
+        "    if g == 1:",
+        f"        return ({nums}, den)",
+        f"    return ({', '.join(x + ' // g' for x in n)}, den // g)",
+    ]
+
+    def products(e):  # the terms of x^e in the unreduced product
+        lo, hi = max(0, e - d + 1), min(e, d - 1)
+        return [(1, f"{a[i]} * {b[e - i]}") for i in range(lo, hi + 1)]
+
+    folded = [[] for _ in range(d)]  # n_t += c * p_e for each (t, c) in row e
+    for e in range(d, 2 * d - 1):
+        for t, c in rows[e]:
+            folded[t].append((c, f"p{e}"))
+    lines += ["def add(a, b):", *unpack, "    if da == db:"]
+    lines += [f"        {n[t]} = {a[t]} + {b[t]}" for t in range(d)]
+    lines += ["        den = da", "    else:"]
+    lines += [f"        {n[t]} = {a[t]} * db + {b[t]} * da" for t in range(d)]
+    lines += ["        den = da * db", *canonical, "", "def mul(a, b):", *unpack]
+    lines += [f"    p{e} = {_sum(products(e))}" for e in range(d, 2 * d - 1)]
+    lines += [f"    {n[t]} = {_sum(products(t) + folded[t])}" for t in range(d)]
+    lines += ["    den = da * db", *canonical, "", "def neg(a):", unpack[0]]
+    lines += [f"    return ({', '.join('-' + x for x in a)}, da)"]
+    return "\n".join(lines) + "\n"
+
+
 # Q on (numerator, denominator) pairs, with the Henrici/Knuth cross-
 # cancellation of `fractions`: each gcd runs on the smaller operands
 # before they are multiplied.
@@ -413,7 +503,7 @@ def _q_inv(a):
 
 
 class _NumberField(Field):
-    """Q(z_m) on integers: the one kernel behind Q (m = 1), Q(i) (m = 4)
+    """Q(z_m) on integers: the one representation behind Q (m = 1), Q(i) (m = 4)
     and cyclotomic:m.
 
     A raw value is a tuple (n_0, ..., n_{d-1}, den) of ints, d = phi(m),
@@ -421,16 +511,22 @@ class _NumberField(Field):
     basis mod Phi_m, with den > 0 and gcd(n_0, ..., n_{d-1}, den) = 1. So
     each element has one tuple, and zero is (0, ..., 0, 1).
 
+    Each field generates its kernels once, from the integer rows x^e mod
+    Phi_m (`_kernel_source`), as straight-line functions compiled from
+    int-only source named `<skewpbw kernel SPEC>`:
     - `raw_add` cross-multiplies, or adds when the denominators are equal,
       and divides out one gcd.
-    - `raw_mul` is a schoolbook product of the numerators, then one pass
-      over the integer rows x^k mod Phi_m for k = d..2d-2.
+    - `raw_mul` spells out every product a_i * b_j, gathers those of degree
+      k >= d into p_k, and folds each p_k into the numerators by the row
+      x^k mod Phi_m, then divides out one gcd.
+    - `raw_galois(a, k)` calls the map generated for the unit k mod m,
+      z^j |-> x^(jk mod m) mod Phi_m; an automorphism of Z[z] keeps the
+      gcd, so its image needs no reduction.
     - `raw_inv` is a^-1 = b / N(a), b the product of the conjugates
       sigma_k(a) for the units k != 1 mod m and N(a) = a*b in Q: phi(m) - 1
       products in all.
-    - `raw_galois` maps z to z^k through the integer rows x^(jk mod m); an
-      automorphism of Z[z] keeps the gcd, so its image needs no reduction.
-    For d = 1 the functions are those of Q above.
+    For d = 1 add, mul, neg and inv are those of Q above, and only the
+    identity Galois map is generated.
     """
 
     symbol = "z"  # the generator's name in printed values
@@ -443,61 +539,33 @@ class _NumberField(Field):
         self._pad = (0,) * (d - 1)
         self._constants((0,) * d + (1,), (1,) + self._pad + (1,))
         # x^e mod Phi_m for e <= 2d - 2 (products) and e < m (Galois maps)
-        self._xpow = _power_rows(modulus, max(2 * d - 2, m - 1))
+        rows = _power_rows(modulus, max(2 * d - 2, m - 1))
+        namespace = {"gcd": math.gcd}
+        source = _kernel_source(d, m, rows)
+        exec(compile(source, f"<skewpbw kernel {spec}>", "exec"), namespace)
+        self._galois = {
+            k: namespace[f"galois_{k}"] for k in range(m) if math.gcd(k, m) == 1
+        }
         if d == 1:
-            kernel = (_q_add, _q_mul, _q_neg, _q_inv)
+            self.raw_add, self.raw_mul, self.raw_neg = _q_add, _q_mul, _q_neg
+            self.raw_inv = _q_inv
         else:
-            kernel = self._kernel(d)
-        self.raw_add, self.raw_mul, self.raw_neg, self.raw_inv = kernel
+            self.raw_add, self.raw_mul, self.raw_neg = (
+                namespace["add"], namespace["mul"], namespace["neg"]
+            )
+            self.raw_inv = self._inv()
 
-    def _kernel(self, d: int):
-        # each result ends as integer numerators and a positive denominator
-        # divided by their gcd
-        gcd = math.gcd
-        top = 2 * d - 1
-        reduce_rows = list(enumerate(self._xpow[d:top], d))
-        units = [k for k in range(2, self.m) if gcd(k, self.m) == 1]
-        galois = self.raw_galois
-
-        def add(a, b):
-            da, db = a[d], b[d]
-            if da == db:
-                s = [x + y for x, y in zip(a, b)]
-                s[d] = da
-            else:
-                s = [x * db + y * da for x, y in zip(a, b)]
-                s[d] = da * db
-            g = gcd(*s)
-            return tuple(s) if g == 1 else tuple([x // g for x in s])
-
-        def mul(a, b):
-            p = [0] * top
-            for i in range(d):
-                x = a[i]
-                if x:
-                    for j in range(d):
-                        y = b[j]
-                        if y:
-                            p[i + j] += x * y
-            for k, row in reduce_rows:
-                c = p[k]
-                if c:
-                    for t, r in row:
-                        p[t] += c * r
-            del p[d:]
-            p.append(a[d] * b[d])
-            g = gcd(*p)
-            return tuple(p) if g == 1 else tuple([x // g for x in p])
-
-        def neg(a):
-            return tuple([-x for x in a[:d]]) + a[d:]
+    def _inv(self):
+        d, mul, gcd = self.dim, self.raw_mul, math.gcd
+        conjugates = [g for k, g in self._galois.items() if k != 1]
+        first, rest = conjugates[0], conjugates[1:]
 
         def inv(a):
             if not any(a[:d]):
                 raise ZeroDivisionError("inverse of 0")
-            b = galois(a, units[0])
-            for k in units[1:]:
-                b = mul(b, galois(a, k))
+            b = first(a)
+            for galois in rest:
+                b = mul(b, galois(a))
             norm = mul(a, b)
             n, nd = norm[0], norm[d]
             if n < 0:
@@ -507,17 +575,11 @@ class _NumberField(Field):
             g = gcd(*s)
             return tuple(s) if g == 1 else tuple([x // g for x in s])
 
-        return add, mul, neg, inv
+        return inv
 
     def raw_galois(self, a, k: int):
         """z |-> z^k on the power basis; requires gcd(k, m) = 1."""
-        out = [0] * self.dim
-        for j, c in enumerate(a[:-1]):
-            if c:
-                for t, x in self._xpow[j * k % self.m]:
-                    out[t] += c * x
-        out.append(a[-1])
-        return tuple(out)
+        return self._galois[k % self.m](a)
 
     def from_int(self, k):
         return Scalar(self, (k,) + self._pad + (1,))
@@ -583,6 +645,7 @@ class CyclotomicField(_NumberField):
     """
 
     def __init__(self, m: int):
+        _check_degree(m)
         super().__init__(FieldSpec.cyclotomic(m), m)
         if self.dim >= 2:
             self.zeta = Scalar(self, (0, 1) + self._pad[1:] + (1,))

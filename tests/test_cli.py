@@ -407,6 +407,28 @@ def test_engine_fault_is_one_internal_error_line(monkeypatch, capsys):
     )
 
 
+def test_failed_centrality_check_is_an_internal_error(monkeypatch, capsys):
+    """The centrality check on each center generator is a self-check: its
+    failure is an engine fault, reported as one `internal error:` line."""
+    from skewpbw import nullstellensatz
+
+    monkeypatch.setattr(nullstellensatz, "central_probe", lambda f: False)
+    code, out, err = run(["center", "--algebra", QPLANE], capsys)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "internal error: generator x^2 failed the centrality check\n"
+
+
+def test_field_above_degree_cap_is_input_error(tmp_path, capsys):
+    alg = tmp_path / "c37.alg"
+    alg.write_text("field: cyclotomic:37\nvars: x, y\n")
+    code, out, err = run(["normalize", "--algebra", str(alg), "--f", "x"], capsys)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == (
+        "error: line 1: cyclotomic:37 has degree phi(37) above the limit of 32"
+        " (scalars.MAX_FIELD_DEGREE)\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [

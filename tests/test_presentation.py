@@ -69,6 +69,36 @@ def test_reserved_symbol_collision():
     load_presentation("field: Q\nvars: z, w\n")
 
 
+def test_field_parameter_must_be_an_integer():
+    with pytest.raises(PresentationError, match=r"^line 2: unknown field spec 'cyclotomic:abc'$"):
+        load_presentation("vars: x, y\nfield: cyclotomic:abc\n")
+
+
+def test_field_above_degree_cap_names_its_line():
+    with pytest.raises(
+        PresentationError,
+        match=r"^line 1: cyclotomic:37 has degree phi\(37\) above the limit of 32",
+    ):
+        load_presentation("field: cyclotomic:37\nvars: x, y\n")
+
+
+@pytest.mark.parametrize(
+    "doc, line",
+    [
+        ("field: gf:5\nvars: x, y\nfield: Q\nrelation: y*x = 2*x*y\n", "field"),
+        ("field: Q\nvars: x, y\n# z joins later\nvars: x, y, z\n", "vars"),
+    ],
+    ids=["field", "vars"],
+)
+def test_duplicate_field_or_vars_line_rejected(doc, line):
+    """A second `field:` or `vars:` line is an error, not a silent override."""
+    lineno = 3 if line == "field" else 4
+    with pytest.raises(
+        PresentationError, match=rf"^line {lineno}: duplicate '{line}:' line$"
+    ):
+        load_presentation(doc)
+
+
 def test_serialize_roundtrip():
     for name in os.listdir(ALGEBRA_DIR):
         P = load_presentation_file(algebra_path(name))

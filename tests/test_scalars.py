@@ -1,7 +1,10 @@
 """Field arithmetic, canonical forms and automorphisms."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 import zlib
 from fractions import Fraction
 
@@ -24,6 +27,8 @@ from skewpbw.scalars import (
     get_field,
     make_field,
 )
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 ALL_SPECS = [
     FieldSpec.rationals(),
@@ -227,7 +232,18 @@ def test_automorphisms_are_ring_maps():
         assert sigma(a * b) == sigma(a) * sigma(b)
 
 
-ORACLE_SPECS = ["Q", "Q(i)"] + [f"cyclotomic:{m}" for m in (1, 2, 3, 4, 5, 7, 8, 12)]
+EUCLID_SPECS = ["Q", "Q(i)"] + [f"cyclotomic:{m}" for m in (1, 2, 3, 4, 5, 7, 8, 12)]
+# Rounds per spec. The other specs are every remaining m with phi(m) <= 8
+# and cyclotomic:120, the largest m under MAX_FIELD_DEGREE, so a generated
+# kernel of every degree the cap allows up to 8, and the largest, meets the
+# oracle. They run fewer rounds and check a^-1 as a * a^-1 = 1: the
+# oracle's Euclid takes over a second per field at m = 7.
+ORACLE_ROUNDS = (
+    {spec: 120 for spec in EUCLID_SPECS}
+    | {f"cyclotomic:{m}": 30 for m in (6, 9, 10, 14, 15, 16, 18, 20, 24, 30)}
+    | {"cyclotomic:120": 2}
+)
+ORACLE_SPECS = list(ORACLE_ROUNDS)
 
 
 def _as_fractions(v):
@@ -242,9 +258,10 @@ def _canonical(fracs):
     return tuple(x // g for x in nums) + (den // g,)
 
 
-def _fraction_value(dim, rng):
-    """Zero, integers, small fractions, or dense ~200-bit ones, mixed."""
-    shape = rng.choice(("zero", "int", "small", "big", "mixed"))
+def _fraction_value(dim, rng, shape=None):
+    """Zero, integers, small fractions, or dense ~200-bit ones, mixed;
+    a random shape unless one is given."""
+    shape = shape or rng.choice(("zero", "int", "small", "big", "mixed"))
     out = []
     for _ in range(dim):
         kind = shape if shape != "mixed" else rng.choice(("zero", "int", "small", "big"))
@@ -276,10 +293,12 @@ def test_number_field_kernel_matches_fraction_oracle(spec):
         assert got[-1] > 0 and math.gcd(*got) == 1
         assert got == _canonical(want) and _as_fractions(got) == want
 
-    for _ in range(120):
-        fa, fb = _fraction_value(field.dim, rng), _fraction_value(field.dim, rng)
+    shape = "big" if field.dim > 8 else None  # two rounds: make them dense
+    for _ in range(ORACLE_ROUNDS[spec]):
+        fa, fb = _fraction_value(field.dim, rng, shape), _fraction_value(field.dim, rng, shape)
         a, b = _canonical(fa), _canonical(fb)
         check(field.raw_add(a, b), oracle.add(fa, fb))
+        check(field.raw_add(a, a), oracle.add(fa, fa))  # equal denominators
         check(field.raw_mul(a, b), oracle.mul(fa, fb))
         check(field.raw_neg(a), oracle.neg(fa))
         check(field.raw_galois(a, -1), oracle.conjugate(fa))
@@ -287,12 +306,76 @@ def test_number_field_kernel_matches_fraction_oracle(spec):
             check(field.raw_galois(a, k), oracle.galois(fa, k))
         assert field.raw_add(a, field.raw_neg(a)) == zero
         assert field.raw_mul(a, zero) == zero == field.raw_mul(zero, a)
-        if any(fa):
+        if field.dim > 8:
+            # a dense 200-bit value has a ~6,400-bit common denominator, and
+            # its inverse, a product of 31 conjugates, takes seconds
+            fa = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in fa)
+            a = _canonical(fa)
+        if not any(fa):
+            with pytest.raises(ZeroDivisionError):
+                field.raw_inv(a)
+        elif spec in EUCLID_SPECS:
             check(field.raw_inv(a), oracle.inv(fa))
             assert field.raw_mul(a, field.raw_inv(a)) == field.raw_one
         else:
-            with pytest.raises(ZeroDivisionError):
-                field.raw_inv(a)
+            inv = field.raw_inv(a)
+            assert inv[-1] > 0 and math.gcd(*inv) == 1
+            assert field.raw_mul(a, inv) == field.raw_one
+
+
+def test_degree_cap():
+    """get_field builds Q(z_m) exactly when phi(m) <= MAX_FIELD_DEGREE: 120
+    is the largest such m and 37 (phi = 36) the first m over the cap. No m
+    above 2 * MAX_FIELD_DEGREE^2 qualifies, since phi(m) >= sqrt(m/2)."""
+    cap = scalars.MAX_FIELD_DEGREE
+    assert cap == 32
+    allowed = []
+    for m in range(1, 2 * cap**2 + 64):
+        phi = sum(math.gcd(k, m) == 1 for k in range(1, m + 1))
+        if phi <= cap:
+            scalars._check_degree(m)
+            allowed.append(m)
+        else:
+            with pytest.raises(FieldError, match=f"above the limit of {cap}"):
+                scalars._check_degree(m)
+    assert allowed[-1] == 120
+    with pytest.raises(
+        FieldError,
+        match=r"^cyclotomic:37 has degree phi\(37\) above the limit of 32 "
+        r"\(scalars.MAX_FIELD_DEGREE\)$",
+    ):
+        get_field(FieldSpec.cyclotomic(37))
+    assert FieldSpec.cyclotomic(37) not in scalars._FIELD_CACHE
+    with pytest.raises(FieldError, match="above the limit of 32"):
+        get_field(FieldSpec.cyclotomic(10**40))  # refused without factoring
+    with pytest.raises(FieldError, match="must be >= 1"):
+        get_field(FieldSpec.cyclotomic(0))
+
+
+def test_field_spec_parameter_must_be_an_integer():
+    for text in ("cyclotomic:abc", "gf:", "gf:7.0", "cyclotomic:5:1"):
+        with pytest.raises(FieldError, match=rf"^unknown field spec {text!r}$"):
+            FieldSpec.from_string(text)
+    assert FieldSpec.from_string(" cyclotomic:5 ") == FieldSpec.cyclotomic(5)
+
+
+def test_import_builds_no_field():
+    """Fields, and their generated kernels, are built on first use, so an
+    import costs nothing for set-ups that use only GF(p) and Q."""
+    code = "import skewpbw, skewpbw.cli; print(len(skewpbw.scalars._FIELD_CACHE))"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "0\n"
+
+
+def test_kernel_source_is_named_for_its_field():
+    """Each field's add, mul and neg are compiled from its own source."""
+    for spec in ("Q(i)", "cyclotomic:5"):
+        field = get_field(FieldSpec.from_string(spec))
+        for fn in (field.raw_add, field.raw_mul, field.raw_neg):
+            assert fn.__code__.co_filename == f"<skewpbw kernel {spec}>"
 
 
 def test_gaussian_and_cyclotomic4_give_one_basis():
