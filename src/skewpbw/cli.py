@@ -209,7 +209,7 @@ def run_command(args) -> tuple:
         "command": args.command,
         "algebra": args.algebra,
         "presentation": presentation_hash(pres),
-        "order": order.name,
+        "order": order.kind,
     }
     code = EXIT_OK
     cmd = args.command

@@ -285,30 +285,24 @@ def remainder_of(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrde
     return divide(f, basis, order, _quotients=False).remainder
 
 
-def normal_form_rows(
+def normal_forms(
     pres: Presentation,
     exps: Sequence[tuple],
     basis: Sequence[Polynomial],
     order: MonomialOrder,
-) -> List[list]:
-    """Matrix of the linear map f -> remainder_of(f, basis, order) on span(x^exps).
+) -> List[Polynomial]:
+    """remainder_of(x^e, basis, order) for each e in exps.
 
-    Column k is the normal form of x^(exps[k]), in raw field values; its
-    nullspace is the part of the span that reduces to zero. Every column
-    divides by the same basis, so they share one memo: each multiple
-    x^theta * g is formed once per matrix.
+    Every monomial divides by the same basis, so they share one memo: each
+    multiple x^theta * g is formed once per call.
     """
-    zero = pres.field.raw_zero
     monos = [Polynomial.monomial(pres, e) for e in exps]
-    if basis:
-        memo = _divisor_memo(pres, basis, order)
-        monos = [
-            divide(m, basis, order, memo=memo, _quotients=False).remainder
-            for m in monos
-        ]
-    cols = [dict(m.raw) for m in monos]
-    support = sorted(set().union(*cols))
-    return [[col.get(mu, zero) for col in cols] for mu in support]
+    if not basis:
+        return monos
+    memo = _divisor_memo(pres, basis, order)
+    return [
+        divide(m, basis, order, memo=memo, _quotients=False).remainder for m in monos
+    ]
 
 
 # ---------------------------------------------------------------------------

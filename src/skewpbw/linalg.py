@@ -1,79 +1,93 @@
-"""Dense exact linear algebra over a coefficient field, on raw values.
+"""Exact linear algebra over a coefficient field, on raw values: one
+incremental echelon.
 
-Matrices are lists of row lists of the field's raw values, the values
-`Polynomial.raw` stores, combined with the field's raw functions. Callers
-read matrix cells from `Polynomial.raw` and build polynomials from the
-solution vectors with `Polynomial.from_raw`, so no Scalar is built on
-either side. Sizes here are desk scale (tens of columns), so plain
-Gaussian elimination is enough.
+Vectors are sparse dicts {row key: raw value}, in the raw values
+`Polynomial.raw` stores, combined with the field's raw functions. A
+normal form's terms or a monomial's values at points are such a vector
+as they stand, so callers build no matrix: they feed vectors one at a
+time, each under a key of their own, and read back either "kept" or the
+linear relation that puts it in the span of the vectors kept before it.
+Sizes here are desk scale (tens of vectors), so plain Gaussian
+elimination is enough.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Hashable, List, Optional
 
 from skewpbw.scalars import Field
 
 
-def rref(rows: List[list], field: Field):
-    """Reduced row echelon form (in place on a copy) and pivot columns."""
-    add, mul, neg, inv, zero = (
-        field.raw_add, field.raw_mul, field.raw_neg, field.raw_inv, field.raw_zero
-    )
-    m = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        pivot = next((k for k in range(r, len(m)) if m[k][c] != zero), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        u = inv(m[r][c])
-        m[r] = [mul(u, v) for v in m[r]]
-        for k in range(len(m)):
-            if k != r and m[k][c] != zero:
-                f = neg(m[k][c])
-                m[k] = [add(a, mul(f, b)) for a, b in zip(m[k], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+class Echelon:
+    """The span of the vectors kept so far, in echelon form.
+
+    Each row is scaled to 1 at its pivot and is zero at the pivots of the
+    rows before it; it carries its combination {key: raw} of the kept
+    vectors it equals.
+    """
+
+    def __init__(self, field: Field):
+        self.field = field
+        self.rows = []  # (pivot, row, combination)
+
+    def reduce(self, key: Hashable, vec: dict) -> Optional[dict]:
+        """Keep vec under key, a key not used before, or return its relation
+        to the kept vectors.
+
+        When vec lies in the span of the kept vectors, nothing is kept and
+        the relation {key: 1, key_j: c_j} with vec + sum c_j * vec_j = 0 is
+        returned (zero c_j left out). The kept vectors are independent, so
+        the relation is unique, whichever pivots were chosen. Otherwise vec
+        is kept under key and the result is None.
+        """
+        field = self.field
+        add, mul, neg, zero = field.raw_add, field.raw_mul, field.raw_neg, field.raw_zero
+        vec = {k: v for k, v in vec.items() if v != zero}
+        comb = {key: field.raw_one}
+        for pivot, row, rcomb in self.rows:
+            a = vec.get(pivot)
+            if a is None:
+                continue
+            a = neg(a)
+            for k, v in row.items():
+                s = add(vec.get(k, zero), mul(a, v))
+                if s == zero:
+                    del vec[k]
+                else:
+                    vec[k] = s
+            for k, v in rcomb.items():
+                comb[k] = add(comb.get(k, zero), mul(a, v))
+        if not vec:
+            return {k: c for k, c in comb.items() if c != zero}
+        pivot = next(iter(vec))
+        s = field.raw_inv(vec[pivot])
+        self.rows.append((
+            pivot,
+            {k: mul(s, v) for k, v in vec.items()},
+            {k: mul(s, c) for k, c in comb.items()},
+        ))
+        return None
 
 
 def nullspace(rows: List[list], field: Field, ncols: Optional[int] = None):
-    """Basis of the right kernel {v : rows @ v = 0}, one vector per free column.
+    """Basis of the right kernel {v : rows @ v = 0}, one vector per column
+    that depends on the columns before it.
 
     Columns at or past the rows' width (all of them when there are no
-    rows) are zero, so each is free with a unit vector.
+    rows) are zero, so each gives a unit vector.
     """
     width = len(rows[0]) if rows else 0
     if ncols is None:
         ncols = width
-    red, pivots = rref(rows, field)
-    pivot_set = set(pivots)
+    zero = field.raw_zero
+    echelon = Echelon(field)
     basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [field.raw_zero] * ncols
-        v[free] = field.raw_one
-        if free < width:
-            for r, pc in enumerate(pivots):
-                v[pc] = field.raw_neg(red[r][free])
-        basis.append(v)
+    for c in range(ncols):
+        column = {r: row[c] for r, row in enumerate(rows)} if c < width else {}
+        relation = echelon.reduce(c, column)
+        if relation is not None:
+            v = [zero] * ncols
+            for k, a in relation.items():
+                v[k] = a
+            basis.append(v)
     return basis
-
-
-def solve(rows: List[list], rhs: list, field: Field):
-    """One solution of rows @ v = rhs, or None when inconsistent."""
-    ncols = len(rows[0]) if rows else 0
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug, field)
-    if pivots and pivots[-1] == ncols:
-        return None
-    v = [field.raw_zero] * ncols
-    for r, pc in enumerate(pivots):
-        v[pc] = red[r][-1]
-    return v

@@ -129,15 +129,17 @@ def is_normal(f: Polynomial, slack: int = 0) -> NormalityVerdict:
 
 
 def _solve_combination(products, target, monos, pres) -> Optional[Polynomial]:
-    """Scalars v_b with sum v_b * products[b] = target, as a polynomial."""
+    """Scalars v_b with sum v_b * products[b] = target, as a polynomial.
+
+    The target is reduced against the products; a product that depends on
+    the ones before it gets v_b = 0.
+    """
     field = pres.field
-    zero = field.raw_zero
-    pdicts = [dict(p.raw) for p in products]
-    tdict = dict(target.raw)
-    support = sorted(set(tdict).union(*pdicts))
-    rows = [[pd.get(mu, zero) for pd in pdicts] for mu in support]
-    rhs = [tdict.get(mu, zero) for mu in support]
-    sol = linalg.solve(rows, rhs, field)
-    if sol is None:
+    echelon = linalg.Echelon(field)
+    for b, p in zip(monos, products):
+        echelon.reduce(b, dict(p.raw))
+    relation = echelon.reduce(None, dict(target.raw))
+    if relation is None:
         return None
-    return Polynomial.from_raw(pres, zip(monos, sol))
+    del relation[None]
+    return Polynomial.from_raw(pres, [(b, field.raw_neg(c)) for b, c in relation.items()])

@@ -3,12 +3,13 @@
 The center is decided by one rule on the lattice of central monomials
 (center_generators) and accepted only when it is the polynomial ring on
 pure powers x_i^(L_i), as the paper's Nullstellensatz assumes. Contraction
-of a two-sided ideal to it, the ideal of the central points found on a
-finite search grid (Buchberger-Moeller: linear algebra on the values of
-monomials at the points, with no Groebner basis and no budget), the
-classical radical step (the Rabinowitsch trick inside the engine on a
-trivial-relations presentation) and central nilpotency certificates verify
-the first inclusion of
+of a two-sided ideal to it (the relations among the normal forms of
+central monomials), the ideal of the central points found on a finite
+search grid (Buchberger-Moeller: the relations among the values of
+monomials at the points, with no Groebner basis and no budget), both
+found by one `linalg.Echelon`, the classical radical step (the
+Rabinowitsch trick inside the engine on a trivial-relations presentation)
+and central nilpotency certificates verify the first inclusion of
 
     < I_Z(V_Z(J)) >  subset of  radical(I)  subset of  I(V(I))
 
@@ -40,7 +41,7 @@ from skewpbw.groebner import (
     UNKNOWN,
     is_member_left,
     left_groebner,
-    normal_form_rows,
+    normal_forms,
 )
 from skewpbw.normality import central_probe
 from skewpbw.poly import DEGLEX, Polynomial, divides, multiply
@@ -49,24 +50,20 @@ from skewpbw.presentation import (
     commutative_presentation,
     extend_with_central,
 )
-from skewpbw.scalars import (
-    CyclotomicField,
-    GaussianRationalField,
-    PrimeField,
-    Scalar,
-    _prime_factors,
-)
+from skewpbw.scalars import PrimeField, Scalar, _prime_factors
 
 
 class CenterError(ValueError):
     """Center outside the rule's reach, or verification failure."""
 
 
-def multiplicative_order(s: Scalar, cap: Optional[int] = None) -> Optional[int]:
-    """Smallest k >= 1 with s^k = 1; None when there is none up to the cap.
+def multiplicative_order(s: Scalar) -> Optional[int]:
+    """Smallest k >= 1 with s^k = 1; None when s is not a root of unity.
 
-    On GF(p) the order divides p - 1 and comes from its factorization;
-    elsewhere it is searched up to a field-derived cap.
+    On GF(p) the order divides p - 1 and comes from its factorization.
+    The roots of unity in Q(zeta_m) are the +-zeta_m^j, so every order
+    there divides lcm(2, m) (m = 1 for Q, 4 for Q(i)) and the search stops
+    at it.
     """
     field = s.field
     if s.is_zero():
@@ -76,16 +73,9 @@ def multiplicative_order(s: Scalar, cap: Optional[int] = None) -> Optional[int]:
         for q in _prime_factors(k):
             while k % q == 0 and pow(s.value, k // q, field.p) == 1:
                 k //= q
-        return k if cap is None or k <= cap else None
-    if cap is None:
-        if isinstance(field, CyclotomicField):
-            cap = 2 * field.m
-        elif isinstance(field, GaussianRationalField):
-            cap = 4
-        else:
-            cap = 2
+        return k
     acc = s
-    for k in range(1, cap + 1):
+    for k in range(1, math.lcm(2, field.m) + 1):
         if acc == field.one:
             return k
         acc = acc * s
@@ -111,7 +101,8 @@ def _center_names(n: int) -> tuple:
     return tuple(f"u{k + 1}" for k in range(n))
 
 
-# largest N accepted: central_probe recurses once per unit of an exponent
+# largest N accepted: it bounds the table of the N powers of w, and the
+# generators x_i^(L_i), L_i <= N, that central_probe multiplies by each x_j
 MAX_CENTER_ORDER = 512
 
 
@@ -240,27 +231,25 @@ def contract_to_center(
     """Basis of J up to degree d, J the contraction of the ideal to Z(A).
 
     Computed as the kernel of coefficient vectors -> normal forms on the
-    span of central monomials of degree <= d, then rewritten in the center
-    variables u_i = x_i^(L_i). Each lifted element is certified a member of
-    the ideal and central; a failure is an engine fault and raises
-    RuntimeError.
+    span of central monomials of degree <= d, one relation per monomial
+    whose normal form depends on those of the monomials before it, and
+    written in the center variables u_i = x_i^(L_i). Modulo a unit ideal
+    every normal form is 0, so J is spanned by every central monomial.
+    Each lifted element is certified a member of the ideal and central; a
+    failure is an engine fault and raises RuntimeError.
     """
     if handle.status == UNKNOWN:
         raise GroebnerError("contraction needs a resolved ideal; raise the budget")
     pres = C.presentation
     center_pres = C.center_presentation()
     kappas = _central_exponents(C.exponents, d)
-    if handle.status == UNIT:
-        center_polys = [
-            Polynomial.monomial(center_pres, kap) for kap in kappas
-        ]
-    else:
-        a_exps = [tuple(k * l for k, l in zip(kap, C.exponents)) for kap in kappas]
-        rows = normal_form_rows(pres, a_exps, handle.basis, handle.order)
-        kernel = linalg.nullspace(rows, pres.field, len(kappas))
-        center_polys = [
-            Polynomial.from_raw(center_pres, zip(kappas, vec)) for vec in kernel
-        ]
+    a_exps = [tuple(k * l for k, l in zip(kap, C.exponents)) for kap in kappas]
+    echelon = linalg.Echelon(pres.field)
+    center_polys = []
+    for kap, nf in zip(kappas, normal_forms(pres, a_exps, handle.basis, handle.order)):
+        relation = echelon.reduce(kap, dict(nf.raw))
+        if relation is not None:
+            center_polys.append(Polynomial.from_raw(center_pres, relation.items()))
     lifted = [lift_center_poly(C, f) for f in center_polys]
     if not all(is_member_left(f, handle) == "yes" and central_probe(f) for f in lifted):
         raise RuntimeError("contraction output failed certification")
@@ -279,72 +268,50 @@ def commutative_points_ideal(
     Buchberger-Moeller (Moeller & Buchberger 1982; Abbott, Bigatti, Kreuzer
     & Robbiano 2000), on raw field values: walk the monomials in ascending
     deglex, skipping multiples of the leads found so far, and reduce each
-    one's vector of values at the points against an echelon of the earlier
-    standard monomials' vectors, carrying the combination. A vector that
-    reduces to zero gives the basis element t - sum c_j * o_j with lead t;
-    any other extends the echelon and t becomes standard. The walk stops
-    after a degree with no candidate left. Every tail monomial is standard,
-    so the basis is reduced; a reduced basis is unique, so this is the
-    basis a fold of pairwise intersections returns, whose block order
-    restricts to deglex on the t-free part.
-
-    One point gives x_i - z_i in variable order, no points give [1].
+    one's vector of values at the points in a `linalg.Echelon` of the
+    earlier standard monomials' vectors. A relation t + sum c_j * o_j is
+    the basis element with lead t; a vector that is kept makes t standard.
+    The walk stops after a degree with no candidate left. Every tail
+    monomial is standard, so the basis is reduced; a reduced basis is
+    unique, so this is the basis a fold of pairwise intersections returns,
+    whose block order restricts to deglex on the t-free part. One point
+    gives the x_i - z_i, no points give [1]: the constant's vector is zero.
     """
     field = center_pres.field
-    if not points:
-        return [Polynomial.one(center_pres)]
-    if len(points) == 1:
-        return [
-            Polynomial.variable(center_pres, i)
-            - Polynomial.constant(center_pres, field.coerce(z))
-            for i, z in enumerate(points[0])
-        ]
-    add, mul, neg, zero, one = (
-        field.raw_add, field.raw_mul, field.raw_neg, field.raw_zero, field.raw_one
-    )
+    mul, one = field.raw_mul, field.raw_one
     # distinct points as raw coordinate columns, one per variable
     distinct = list(
         dict.fromkeys(tuple(field.coerce(z).value for z in p) for p in points)
     )
     columns = list(zip(*distinct))
-    n = center_pres.n
-    origin = (0,) * n
-    values = {origin: [one] * len(distinct)}  # standard monomial -> its values
-    # (pivot, row with 1 at the pivot, combination {exponent: raw})
-    echelon = [(0, values[origin], {origin: one})]
+    echelon = linalg.Echelon(field)
+    values = {}  # standard monomial -> its values at the points
     leads: List[tuple] = []
     basis: List[Polynomial] = []
-    standard = [origin]
-    while standard:
-        candidates = sorted({
-            o[:i] + (o[i] + 1,) + o[i + 1 :] for o in standard for i in range(n)
-        })
+    candidates = [(0,) * center_pres.n]
+    while candidates:
         standard = []
         for t in candidates:
             if any(divides(lead, t) for lead in leads):
                 continue
             # t = x_i * o with o a standard monomial of the degree below
-            i = next(k for k, a in enumerate(t) if a)
-            o = t[:i] + (t[i] - 1,) + t[i + 1 :]
-            vals = [mul(v, z) for v, z in zip(values[o], columns[i])]
-            row, comb = vals, {t: one}
-            for pivot, erow, ecomb in echelon:
-                a = row[pivot]
-                if a != zero:
-                    a = neg(a)
-                    row = [add(v, mul(a, w)) for v, w in zip(row, erow)]
-                    for e, c in ecomb.items():
-                        comb[e] = add(comb.get(e, zero), mul(a, c))
-            pivot = next((k for k, v in enumerate(row) if v != zero), None)
-            if pivot is None:
-                leads.append(t)
-                basis.append(Polynomial.from_raw(center_pres, comb.items()))
+            i = next((k for k, a in enumerate(t) if a), None)
+            if i is None:
+                vals = [one] * len(distinct)
             else:
-                s = field.raw_inv(row[pivot])
-                row = [mul(s, v) for v in row]
-                echelon.append((pivot, row, {e: mul(s, c) for e, c in comb.items()}))
+                o = t[:i] + (t[i] - 1,) + t[i + 1 :]
+                vals = [mul(v, z) for v, z in zip(values[o], columns[i])]
+            relation = echelon.reduce(t, dict(enumerate(vals)))
+            if relation is None:
                 values[t] = vals
                 standard.append(t)
+            else:
+                leads.append(t)
+                basis.append(Polynomial.from_raw(center_pres, relation.items()))
+        candidates = sorted({
+            o[:i] + (o[i] + 1,) + o[i + 1 :]
+            for o in standard for i in range(center_pres.n)
+        })
     return basis
 
 

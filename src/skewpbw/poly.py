@@ -83,12 +83,11 @@ def find_divisor(leads, target, start=0):
 class MonomialOrder:
     """Total degree-first order on exponents, as a flat sort key."""
 
-    __slots__ = ("kind", "mask", "name")
+    __slots__ = ("kind", "mask")
 
-    def __init__(self, kind: str, mask: Optional[tuple] = None, name: str = ""):
+    def __init__(self, kind: str, mask: Optional[tuple] = None):
         self.kind = kind
         self.mask = mask
-        self.name = name or kind
 
     def key(self, exp: tuple) -> tuple:
         if self.kind == "deglex":
@@ -101,10 +100,10 @@ class MonomialOrder:
     def block(front_indices: Iterable[int], n: int) -> "MonomialOrder":
         front = set(front_indices)
         mask = tuple(1 if k in front else 0 for k in range(n))
-        return MonomialOrder("block", mask, name="block")
+        return MonomialOrder("block", mask)
 
     def __repr__(self):
-        return f"MonomialOrder({self.name})"
+        return f"MonomialOrder({self.kind})"
 
 
 DEGLEX = MonomialOrder("deglex")

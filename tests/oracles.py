@@ -306,8 +306,8 @@ def left_span_membership(f: Polynomial, gens, degree: int) -> bool:
 def naive_points_ideal(pres: Presentation, points) -> list:
     """Ideal of points as a fold of elimination GBs: for each further point,
     a left GB of the ideal so far, one of the point's maximal ideal and
-    their `intersect_left`. [1] for no points; one point gives x_i - z_i
-    in variable order."""
+    their `intersect_left`. [1] for no points; one point gives the
+    x_i - z_i ascending by lead, the last variable first."""
     field = pres.field
     if not points:
         return [Polynomial.one(pres)]
@@ -316,7 +316,7 @@ def naive_points_ideal(pres: Presentation, points) -> list:
         return [
             Polynomial.variable(pres, i) - Polynomial.constant(pres, field.coerce(z))
             for i, z in enumerate(coords)
-        ]
+        ][::-1]
 
     current = maximal_ideal(points[0])
     for coords in points[1:]:

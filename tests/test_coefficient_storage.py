@@ -99,7 +99,7 @@ def test_arithmetic_keeps_raw_canonical(name):
 @pytest.mark.parametrize("order", [DEGLEX, DEGREVLEX], ids=["deglex", "degrevlex"])
 def test_division_results_keep_raw_canonical(name, order):
     pres = load_presentation(ALGEBRAS[name])
-    rng = _rng(name + order.name)
+    rng = _rng(name + order.kind)
     for _ in range(25):
         f = random_polynomial(pres, rng, 4, 5)
         divisors = [_nonconstant(pres, rng, 2, 3) for _ in range(2)]

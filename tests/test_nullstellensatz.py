@@ -1,21 +1,31 @@
 """Centers, contraction, radical membership and the sandwich verifier."""
 
+import inspect
+import itertools
 import math
 import random
 import re
+import sys
 
 import pytest
 
+from conftest import algebra_path
 from oracles import (
     brute_force_radical,
     first_central_in_box,
     naive_points_ideal,
     random_polynomial,
     random_scalar,
+    rref,
 )
 from skewpbw import nullstellensatz
 from skewpbw.geometry import Point, SearchDomain, evaluate
-from skewpbw.groebner import is_member_left, left_groebner, two_sided_saturate
+from skewpbw.groebner import (
+    is_member_left,
+    left_groebner,
+    remainder_of,
+    two_sided_saturate,
+)
 from skewpbw.normality import central_probe
 from skewpbw.nullstellensatz import (
     CenterError,
@@ -36,6 +46,7 @@ from skewpbw.poly import (
 )
 from skewpbw.presentation import (
     commutative_presentation,
+    load_presentation_file,
     quantum_plane,
     quantum_space,
 )
@@ -57,13 +68,29 @@ def test_multiplicative_order(QQ, GF5):
     assert multiplicative_order(C4.zeta) == 4
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [FieldSpec.rationals(), FieldSpec.gaussian()]
+    + [FieldSpec.cyclotomic(m) for m in (3, 5, 6, 8, 12)],
+    ids=str,
+)
+def test_number_field_order_matches_scan(spec):
+    """Every root of unity +-z^j, whose order the bound lcm(2, m) must
+    reach (-z in Q(z_5) has order 10), and a value that is none."""
+    F = get_field(spec)
+    z = F.primitive() or F.from_int(-1)
+    for s in [z ** j for j in range(F.m)] + [-(z ** j) for j in range(F.m)]:
+        scan = next(k for k in range(1, 2 * F.m + 1) if s ** k == F.one)
+        assert multiplicative_order(s) == scan
+    assert multiplicative_order(F.from_int(2) * z) is None
+
+
 @pytest.mark.parametrize("p", [5, 7, 101])
 def test_prime_field_order_matches_scan(p):
     F = get_field(FieldSpec.prime(p))
     for v in range(1, p):
         scan = next(k for k in range(1, p) if pow(v, k, p) == 1)
         assert multiplicative_order(F.from_int(v)) == scan
-        assert multiplicative_order(F.from_int(v), cap=scan - 1) is None
 
 
 @pytest.mark.parametrize(
@@ -263,6 +290,22 @@ def test_center_order_limit(qplane_gf5, qplane_m1, monkeypatch):
     assert center_generators(qplane_m1).exponents == (2, 2)
 
 
+def test_central_probe_at_order_1000_needs_no_recursion():
+    """What MAX_CENTER_ORDER bounds is tables and product degrees, not
+    recursion: over gf:3001 with q of order 1000, the probe decides x^1000
+    central and x^500 not within 100 frames of its caller."""
+    F = get_field(FieldSpec.prime(3001))
+    g = next(k for k in range(2, 3001) if multiplicative_order(F.from_int(k)) == 3000)
+    P = quantum_plane(F, F.from_int(g) ** 3)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        assert central_probe(Polynomial.monomial(P, (1000, 0)))
+        assert not central_probe(Polynomial.monomial(P, (500, 0)))
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_sandwich_mixed_trivial_constants():
     """yx = -xy with z central: accepted with L = (2, 2, 1)."""
     P = _space("Q", ("x", "y", "z"), (-1, 1, 1))
@@ -315,6 +358,88 @@ def test_contract_unit_ideal(qplane_m1):
     assert len(res.center_polys) == 6
 
 
+def _contraction_by_scalars(handle, C, d):
+    """J up to degree d, as `contract_to_center` lists it, built apart from
+    it: each central monomial's own `remainder_of`, the kernel of their
+    coefficient vectors on Scalars by `oracles.rref`, one vector per
+    dependent column with 1 there."""
+    pres, L = C.presentation, C.exponents
+    field = pres.field
+    weighted = sorted(
+        (sum(k * l for k, l in zip(kap, L)), kap)
+        for kap in itertools.product(*(range(d // l + 1) for l in L))
+    )
+    kappas = [kap for w, kap in weighted if w <= d]
+    forms = [
+        dict(
+            remainder_of(
+                Polynomial.monomial(pres, tuple(k * l for k, l in zip(kap, L))),
+                handle.basis,
+                handle.order,
+            ).terms
+        )
+        for kap in kappas
+    ]
+    support = sorted(set().union(*forms))
+    red, pivots = rref([[f.get(mu, field.zero) for f in forms] for mu in support], field)
+    center_pres = C.center_presentation()
+    out = []
+    for free in range(len(kappas)):
+        if free in pivots:
+            continue
+        vec = {kappas[free]: field.one}
+        for r, pc in enumerate(pivots):
+            vec[kappas[pc]] = -red[r][free]
+        out.append(Polynomial.from_dict(center_pres, vec))
+    return out
+
+
+def _seeded_generator(pres, L, rng):
+    """A scaled monomial or a binomial, which may have a constant term or be
+    central (exponents that are multiples of L): random polynomials almost
+    always saturate to the unit ideal."""
+    monos = exponents_up_to(pres.n, 4)
+    if rng.random() < 0.3:
+        monos = [tuple(a * l for a, l in zip(e, L)) for e in exponents_up_to(pres.n, 2)]
+    g = Polynomial.monomial(pres, rng.choice(monos[1:]), random_scalar(pres.field, rng))
+    if rng.random() < 0.6:
+        g = g + Polynomial.monomial(pres, rng.choice(monos), random_scalar(pres.field, rng))
+    return g
+
+
+@pytest.mark.parametrize(
+    "name", ["commutative_xy.alg", "qplane_i.alg", "qplane_m1.alg", "qplane_q2_gf5.alg"]
+)
+def test_contraction_matches_scalar_kernel(name):
+    """contract_to_center at every d <= 6 against the kernel on Scalars, on
+    every shipped algebra with a center: the unit ideal (J holds every
+    central monomial), the zero ideal (proper with an empty basis; J is
+    zero), <x_1^(L_1) - 1> (J holds u_1 - 1) and seeded ideals."""
+    pres = load_presentation_file(algebra_path(name))
+    C = center_generators(pres)
+    rng = random.Random(name)
+    handles = [
+        two_sided_saturate([Polynomial.one(pres)]),
+        two_sided_saturate([Polynomial.zero(pres)]),
+        two_sided_saturate([C.generators[0] - Polynomial.one(pres)]),
+    ]
+    while len(handles) < 8:
+        gens = [_seeded_generator(pres, C.exponents, rng) for _ in range(rng.randint(1, 2))]
+        handle = two_sided_saturate([g for g in gens if not g.is_zero()])
+        if handle.status == "proper":
+            handles.append(handle)
+    assert handles[0].status == "unit" and handles[1].basis == ()
+    for handle in handles:
+        for d in range(7):
+            res = contract_to_center(handle, C, d)
+            expected = _contraction_by_scalars(handle, C, d)
+            assert [str(g) for g in res.center_polys] == [str(g) for g in expected]
+            if handle is handles[1]:
+                assert res.center_polys == []
+    unit = contract_to_center(handles[0], C, 6).center_polys
+    assert all(len(g.raw) == 1 and g.raw[0][1] == pres.field.raw_one for g in unit)
+
+
 # -- commutative side ----------------------------------------------------------
 
 
@@ -348,6 +473,10 @@ def test_radical_membership_vs_power_search(comm2, comm2_gf5):
 def test_commutative_points_ideal_examples(comm2, QQ):
     G = commutative_points_ideal(comm2, [(QQ.zero, QQ.zero)])
     assert set(map(str, G)) == {"x", "y"}
+    # one order, ascending by lead, whatever the multiplicity
+    p = (QQ.zero, QQ.from_int(2))
+    for pts in ([p], [p, p]):
+        assert [str(g) for g in commutative_points_ideal(comm2, pts)] == ["y - 2", "x"]
     assert commutative_points_ideal(comm2, []) == [Polynomial.one(comm2)]
 
     pts = [(QQ.from_int(1), QQ.zero), (QQ.zero, QQ.from_int(1))]

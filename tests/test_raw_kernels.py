@@ -88,7 +88,7 @@ def test_products_match_word_rewriting(kind, request):
         assert (f * g) * h == f * (g * h)
 
 
-@pytest.mark.parametrize("order", [DEGLEX, DEGREVLEX], ids=lambda o: o.name)
+@pytest.mark.parametrize("order", [DEGLEX, DEGREVLEX], ids=lambda o: o.kind)
 @pytest.mark.parametrize("kind", KINDS)
 def test_division_reconstructs_with_reduced_remainder(kind, order, request):
     pres, rng = _presentation(request, kind)
@@ -120,8 +120,12 @@ def test_division_reconstructs_with_reduced_remainder(kind, order, request):
 )
 def test_raw_nullspace_and_solve_match_scalar_elimination(spec):
     """linalg's raw-value kernels against the Scalar elimination of
-    `oracles.rank`: kernel dimension and independence, rows @ v = 0 and
-    rows @ v = rhs recomputed on Scalars, None exactly when rank grows."""
+    `oracles.rank`. nullspace: kernel dimension and independence, rows @ v
+    = 0 recomputed on Scalars. Echelon, which solves for each vector's
+    relation to the vectors kept before it: a relation exactly when the
+    rank does not grow, each relation summing to zero on Scalars, as many
+    vectors kept as the rank, and the same relations when the row keys are
+    permuted."""
     field = get_field(spec)
     rng = random.Random(str(spec))
 
@@ -134,11 +138,25 @@ def test_raw_nullspace_and_solve_match_scalar_elimination(spec):
     def apply(rows, v):
         return [sum((a * b for a, b in zip(r, v)), field.zero) for r in rows]
 
+    def relations(vectors, row_keys):
+        """Each vector's relation, its entries fed in a shuffled order."""
+        echelon = linalg.Echelon(field)
+        found = []
+        for k, v in enumerate(vectors):
+            cols = rng.sample(range(len(v)), len(v))
+            found.append(echelon.reduce(k, {row_keys[c]: v[c].value for c in cols}))
+        return found
+
     assert linalg.nullspace([], field, 3) == [
         [field.raw_one if i == k else field.raw_zero for i in range(3)] for k in range(3)
     ]
-    inconsistent = [[field.one, field.from_int(2)], [field.from_int(2), field.from_int(4)]]
-    assert linalg.solve(raw(inconsistent), [field.raw_one, field.raw_zero], field) is None
+    two = field.from_int(2).value
+    echelon = linalg.Echelon(field)
+    assert echelon.reduce("a", {0: field.raw_one, 1: two}) is None
+    assert echelon.reduce("b", {0: two, 1: field.from_int(4).value}) == {
+        "b": field.raw_one, "a": field.raw_neg(two)
+    }
+    assert echelon.reduce("c", {}) == {"c": field.raw_one}
     for _ in range(40):
         width = rng.randint(1, 5)
         rows = [
@@ -155,10 +173,18 @@ def test_raw_nullspace_and_solve_match_scalar_elimination(spec):
         for v in kernel:
             assert all(x.is_zero() for x in apply(rows, v[:width]))
 
-        rhs = [random_scalar(field, rng) for _ in rows]
-        v = linalg.solve(raw(rows), [c.value for c in rhs], field)
-        augmented = [r + [b] for r, b in zip(rows, rhs)]
-        if rank(augmented, field) > rank(rows, field):
-            assert v is None
-        else:
-            assert apply(rows, wrap(v)) == rhs
+        vectors = rows + [[field.zero] * width]
+        rng.shuffle(vectors)
+        found = relations(vectors, list(range(width)))
+        for k, relation in enumerate(found):
+            grows = rank(vectors[: k + 1], field) > rank(vectors[:k], field)
+            assert (relation is None) == grows
+            if relation is not None:
+                assert relation[k] == field.raw_one
+                assert all(found[j] is None for j in relation if j != k)
+                total = [field.zero] * width
+                for j, c in relation.items():
+                    total = [t + Scalar(field, c) * a for t, a in zip(total, vectors[j])]
+                assert all(t.is_zero() for t in total)
+        assert found.count(None) == rank(vectors, field)
+        assert relations(vectors, rng.sample(range(width), width)) == found
