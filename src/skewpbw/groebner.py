@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 import operator
+from operator import le
 from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
@@ -29,8 +30,6 @@ from skewpbw.poly import (
     Polynomial,
     _acc,
     _var_times_dict,
-    divides,
-    exp_max,
     exp_sub,
     find_divisor,
     multiply,
@@ -119,7 +118,12 @@ class _Memo:
       theta = mu - lm(basis[k]), so mu is the multiple's lead monomial;
     - `products`: (k, mu) -> (that dict, inverse of its lead coefficient),
       for the keys a caller asked for: the exponent `divide` cancels, or
-      the lcm an S-element is formed at. Both callers hold mu already.
+      the lcm an S-element is formed at. Both callers hold mu already;
+    - `keys`: exponent -> its negated order key, for `divide`'s heap; a
+      computation uses one order, so each key is built once.
+
+    Every division of the computation runs on it, inter-reduction's too,
+    so that reuses the multiples the completion climbed to.
 
     A multiple is built by a ladder of one variable step per rung. With
     x_f the first variable of theta, x^theta * g = x_f * (x^(theta - e_f) * g)
@@ -134,7 +138,7 @@ class _Memo:
     inverse: only the keys callers ask for pay for one.
     """
 
-    __slots__ = ("pres", "basis", "leads", "first", "multiples", "products")
+    __slots__ = ("pres", "basis", "leads", "first", "multiples", "products", "keys")
 
     def __init__(self, pres: Presentation):
         self.pres = pres
@@ -143,6 +147,7 @@ class _Memo:
         self.first: dict = {}
         self.multiples: dict = {}
         self.products: dict = {}
+        self.keys: dict = {}
 
     def append(self, g: Polynomial, lead: tuple) -> None:
         self.basis.append(g)
@@ -212,11 +217,16 @@ def divide(
     field = pres.field
     add, mul, neg, zero = field.raw_add, field.raw_mul, field.raw_neg, field.raw_zero
     key = order.key
-    leads, first, product = memo.leads, memo.first, memo.product
+    leads, first, product, keys = memo.leads, memo.first, memo.product, memo.keys
     n = len(leads)
     work = dict(f.raw)
     # a min-heap on negated order keys pops the largest term first
-    heap = [(tuple(map(operator.neg, key(e))), e) for e in work]
+    heap = []
+    for e in work:
+        k = keys.get(e)
+        if k is None:
+            k = keys[e] = tuple(map(operator.neg, key(e)))
+        heap.append((k, e))
     heapq.heapify(heap)
     quotients = [dict() for _ in range(n)] if _quotients else None
     remainder: dict = {}
@@ -249,7 +259,10 @@ def divide(
             cur = work.get(e)
             if cur is None:
                 work[e] = mul(r, c)  # nonzero: r and c are
-                heapq.heappush(heap, (tuple(map(operator.neg, key(e))), e))
+                k = keys.get(e)
+                if k is None:
+                    k = keys[e] = tuple(map(operator.neg, key(e)))
+                heapq.heappush(heap, (k, e))
             else:
                 cur = add(cur, mul(r, c))
                 if cur == zero:
@@ -392,11 +405,14 @@ def _monic(g: Polynomial, cert, order: MonomialOrder):
     field = g.pres.field
     if lc == field.raw_one:
         return g, cert
-    u = Scalar(field, field.raw_inv(lc))
+    u = field.raw_inv(lc)
     if cert is not None:
         # a nonzero scale creates no zero part and merges no two parts
-        cert = tuple((p.scale(u), i, q) for p, i, q in cert)
-    return g.scale(u), cert
+        c = Scalar(field, u)
+        cert = tuple((p.scale(c), i, q) for p, i, q in cert)
+    mul = field.raw_mul
+    g = Polynomial.from_raw(g.pres, [(e, mul(u, k)) for e, k in g.raw], ordered=True)
+    return g, cert
 
 
 def _completion(
@@ -499,11 +515,11 @@ def _gebauer_moller(pairs: dict, leads: Sequence[tuple], lead: tuple) -> dict:
     tests each only against the kept lcms of lower degree: by
     transitivity, a dropped lcm divides nothing a kept one does not.
     """
-    lcms = [exp_max(lead_i, lead) for lead_i in leads]
+    lcms = [tuple(map(max, lead_i, lead)) for lead_i in leads]
     for ij in [
         ij
         for ij, gamma in pairs.items()
-        if divides(lead, gamma) and lcms[ij[0]] != gamma and lcms[ij[1]] != gamma
+        if all(map(le, lead, gamma)) and lcms[ij[0]] != gamma and lcms[ij[1]] != gamma
     ]:
         del pairs[ij]
     fresh: dict = {}
@@ -515,7 +531,7 @@ def _gebauer_moller(pairs: dict, leads: Sequence[tuple], lead: tuple) -> dict:
             lower += level
             level = []
             degree = d
-        if gamma in fresh or any(divides(other, gamma) for other in lower):
+        if gamma in fresh or any(all(map(le, other, gamma)) for other in lower):
             continue
         fresh[gamma] = i
         level.append(gamma)
@@ -552,30 +568,36 @@ def _minimal(leads: Sequence[tuple], start: int = 0) -> List[int]:
         k
         for k in range(start, len(leads))
         if not any(
-            divides(other, leads[k]) and (other != leads[k] or j < k)
+            all(map(le, other, leads[k])) and (other != leads[k] or j < k)
             for j, other in enumerate(leads)
             if j != k
         )
     ]
 
 
-def _inter_reduce(basis, certs, leads, order):
-    """Reduced GB from a left GB of monic elements with these leads,
-    sorted by lead.
+def _inter_reduce(memo: _Memo, certs, order):
+    """Reduced GB from the memo's basis, a left GB of monic elements with
+    these certificates, sorted by lead.
 
-    Drops each element that is not `_minimal`, then tail-reduces each
-    survivor once against the others. The surviving leads are fixed and
-    pairwise non-dividing, so one pass leaves every tail reduced and every
-    lead coefficient 1.
+    Each `_minimal` element becomes its lead plus the remainder of its
+    tail, the terms below the lead, divided by the whole basis on the
+    completion's memo. No term of that division lies above the lead, so
+    the element's own lead divides none. The basis is a left GB of the
+    ideal L, so the remainder is the unique normal form of the tail
+    modulo L: each element is the one that dividing it by the other
+    minimal elements gives, though its certificate may differ.
     """
-    keep = _minimal(leads)
-    basis = [basis[k] for k in keep]
-    certs = [certs[k] for k in keep]
+    basis = memo.basis
     out = []
-    for k in range(len(basis)):
-        others = basis[:k] + basis[k + 1 :]
-        other_certs = certs[:k] + certs[k + 1 :]
-        out.append(_reduce_with_cert(basis[k], certs[k], others, other_certs, order))
+    for k in _minimal(memo.leads):
+        g = basis[k]
+        lead = g.leading(order)
+        tail = Polynomial.from_raw(g.pres, [t for t in g.raw if t[0] != lead[0]], ordered=True)
+        rem, cert = _reduce_with_cert(tail, certs[k], basis, certs, order, memo)
+        out.append((
+            Polynomial.from_raw(g.pres, (lead,) + rem.raw, ordered=order.kind == "deglex"),
+            cert,
+        ))
     out.sort(key=lambda item: order.key(item[0].leading(order)[0]))
     return out
 
@@ -639,7 +661,7 @@ def _groebner(
                 if not rem.is_zero():
                     new_items.append((rem, cw))
         if not new_items:
-            items = _inter_reduce(basis, certs, memo.leads, order)
+            items = _inter_reduce(memo, certs, order)
             break
         rounds += 1
         done = len(items)

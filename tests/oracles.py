@@ -232,10 +232,13 @@ def span_intersection(a: List[List[Scalar]], b: List[List[Scalar]], field: Field
     return [row for row in red[: len(pivots)]]
 
 
-def expand_certificate(cert, gens: Sequence[Polynomial]) -> Polynomial:
+def expand_certificate(cert, gens: Sequence[Polynomial], times=multiply) -> Polynomial:
+    """sum p * gens[i] * q over the certificate's triples, the products
+    taken by `times`: the engine's `multiply`, or `naive_word_multiply`
+    for an expansion that shares no kernel with the engine."""
     out = Polynomial.zero(gens[0].pres)
     for p, i, q in cert:
-        out = out + multiply(multiply(p, gens[i]), q)
+        out = out + times(times(p, gens[i]), q)
     return out
 
 

@@ -13,6 +13,7 @@ from oracles import (
     naive_gebauer_moller,
     naive_left_gb,
     naive_saturate,
+    naive_word_multiply,
     random_polynomial,
     two_sided_span_membership,
 )
@@ -382,7 +383,8 @@ def test_reduced_bases_match_naive_oracle(name):
     """Pruned pairs, incremental saturation and right multiples of the
     minimal new elements only give the reduced bases of completion over
     every pair and right closure of every element, with and without
-    certificates; certificates still expand."""
+    certificates; certificates still expand, by the engine's product and
+    by the word-rewriting one."""
     pres = _algebra(name)
     rng = random.Random(zlib.crc32(name.encode()))
     for _ in range(6):
@@ -404,6 +406,57 @@ def test_reduced_bases_match_naive_oracle(name):
             assert list(H.basis) == oracle(gens)
             for element, cert in zip(H.basis, H.certificates):
                 assert expand_certificate(cert, H.generators) == element
+                assert expand_certificate(cert, H.generators, naive_word_multiply) == element
+
+
+def _inter_reduce_by_the_others(memo, certs, order):
+    """Inter-reduction by whole elements: each minimal element divided by
+    the other minimal elements, through a memo of its own."""
+    keep = groebner._minimal(memo.leads)
+    basis = [memo.basis[k] for k in keep]
+    certs = [certs[k] for k in keep]
+    out = [
+        groebner._reduce_with_cert(
+            basis[k], certs[k], basis[:k] + basis[k + 1 :], certs[:k] + certs[k + 1 :], order
+        )
+        for k in range(len(basis))
+    ]
+    out.sort(key=lambda item: order.key(item[0].leading(order)[0]))
+    return out
+
+
+def test_tail_reduction_keeps_bases_and_valid_certificates(monkeypatch):
+    """Dividing the tails by the whole basis on the completion's memo gives
+    the reduced basis that dividing each element by the other minimal ones
+    gives, on seeded tracked left and two-sided GBs of every shipped
+    algebra. The certificates may differ: where they do, both expand to
+    the element, by the engine's product and by the word-rewriting one,
+    and the basis is the every-pair oracle's."""
+    cases = []
+    for name in SHIPPED:
+        pres = _algebra(name)
+        rng = random.Random(zlib.crc32(b"tail reduction " + name.encode()))
+        for _ in range(15):
+            gens = _random_gens(pres, rng, 2, 3)
+            cases += [(engine, oracle, gens) for engine, oracle in (
+                (left_groebner, naive_left_gb),
+                (two_sided_saturate, naive_saturate),
+            )]
+    tails = [engine(gens, track=True) for engine, _, gens in cases]
+    monkeypatch.setattr(groebner, "_inter_reduce", _inter_reduce_by_the_others)
+    wholes = [engine(gens, track=True) for engine, _, gens in cases]
+    differ = 0
+    for (_, oracle, gens), H, G in zip(cases, tails, wholes):
+        assert (H.status, H.basis) == (G.status, G.basis)
+        if H.certificates == G.certificates:
+            continue
+        differ += 1
+        assert list(H.basis) == oracle(gens)
+        for element, *certs in zip(H.basis, H.certificates, G.certificates):
+            for cert in certs:
+                assert expand_certificate(cert, gens) == element
+                assert expand_certificate(cert, gens, naive_word_multiply) == element
+    assert 0 < differ < len(cases)
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,10 @@ import zlib
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import algebra_path
 from oracles import naive_commutative_multiply, naive_word_multiply, random_polynomial
+from skewpbw import poly
+from skewpbw.groebner import left_groebner
 from skewpbw.poly import (
     DEGLEX,
     DEGREVLEX,
@@ -14,13 +17,12 @@ from skewpbw.poly import (
     Polynomial,
     deglex_key,
     divides,
-    exp_max,
     exp_sub,
     find_divisor,
     multiply,
     parse_polynomial,
 )
-from skewpbw.presentation import Presentation
+from skewpbw.presentation import Presentation, load_presentation_file
 from skewpbw.scalars import FieldSpec, Scalar, get_field
 
 SHIPPED = ["witten", "weyl_z", "qplane_m1", "qplane_q2", "qplane_gf5", "qspace3", "comm2"]
@@ -56,7 +58,6 @@ def test_monomial_divides_examples():
 def test_exponent_helpers_consistency(pairs):
     a, b = tuple(x for x, _ in pairs), tuple(y for _, y in pairs)
     assert exp_sub(a, b) == tuple(x - y for x, y in zip(a, b))
-    assert exp_max(a, b) == tuple(max(x, y) for x, y in zip(a, b))
     assert divides(a, b) == all(x <= y for x, y in zip(a, b))
     assert find_divisor([b, a], a) == (0 if divides(b, a) else 1)
     # deglex key: degree first, then leftmost larger entry wins
@@ -242,3 +243,63 @@ def test_sigma_twisted_coefficients_pass_variables():
     # x * i = conj(i) * x = -i x
     assert x * i_const == Polynomial.monomial(pres, (1, 0), -G.i)
     assert y * i_const == Polynomial.monomial(pres, (0, 1), G.i)
+
+
+class _RecordingCache(dict):
+    """An insertion cache that records, at each store, by how much its size
+    exceeds the stores made since the outermost insertion began."""
+
+    def __init__(self):
+        super().__init__()
+        self.stores = self.clears = self.begun = 0
+        self.excess = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.stores += 1
+        self.excess = max(self.excess, len(self) - (self.stores - self.begun))
+
+    def clear(self):
+        self.clears += 1
+        super().clear()
+
+
+def test_insert_cache_stays_within_its_bound(monkeypatch):
+    """With the bound patched small, products and a Witten left GB are
+    unchanged, the cache is cleared, and it never holds more than the bound
+    plus the entries of the insertion in progress."""
+    bound = 8
+    path = algebra_path("witten.alg")
+    texts = ("x^2*y + x*z", "y*z - x")
+
+    def run(pres):
+        rng = random.Random(zlib.crc32(b"insert cache bound"))
+        products = []
+        for _ in range(12):
+            f = random_polynomial(pres, rng, max_degree=3, max_terms=3)
+            g = random_polynomial(pres, rng, max_degree=3, max_terms=3)
+            products.append(multiply(f, g).raw)
+        H = left_groebner([parse_polynomial(t, pres) for t in texts])
+        return products, H.status, [g.raw for g in H.basis]
+
+    expected = run(load_presentation_file(path))
+
+    pres = load_presentation_file(path)
+    cache = pres._insert_cache = _RecordingCache()
+    insert_var = poly._insert_var
+    depth = [0]
+
+    def tracked(pres, i, exp):
+        if depth[0] == 0:
+            cache.begun = cache.stores
+        depth[0] += 1
+        try:
+            return insert_var(pres, i, exp)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(poly, "MAX_INSERT_CACHE", bound)
+    monkeypatch.setattr(poly, "_insert_var", tracked)
+    assert run(pres) == expected
+    assert cache.clears > 0
+    assert cache.excess <= bound

@@ -1,11 +1,15 @@
 """The README's examples must stay executable and truthful."""
 
+import importlib
 import io
 import os
+import pkgutil
 import re
 from contextlib import redirect_stdout
 
 from conftest import algebra_path
+import skewpbw
+from skewpbw import cli, geometry, groebner, nullstellensatz, poly, scalars
 from skewpbw.presentation import (
     load_presentation,
     load_presentation_file,
@@ -49,3 +53,30 @@ def test_readme_sigma_example_loads():
     assert "sigma:" in block
     P = load_presentation(block)
     assert P.sigma == (4, 2)  # conj = galois:4 on Q(z_5)
+
+
+def test_readme_limits_table_matches_the_code():
+    """Each default in the README's table of budgets and limits is the
+    code's, and every MAX_ constant of the package appears in it."""
+    section = _readme().split("## Budgets and limits\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)`[^|]*\| ([\d,]+) \|", section, re.M)
+    table = {name: int(default.replace(",", "")) for name, default in rows}
+    budget = groebner.Budget()
+    slack = cli.build_parser().parse_args(["normal", "--algebra", "a", "--f", "x"]).slack
+    assert table == {
+        "groebner.Budget.max_degree": budget.max_degree,
+        "groebner.Budget.max_pairs": budget.max_pairs,
+        "groebner.Budget.max_rounds": budget.max_rounds,
+        "nullstellensatz.MAX_CENTER_ORDER": nullstellensatz.MAX_CENTER_ORDER,
+        "geometry.MAX_DOMAIN_POINTS": geometry.MAX_DOMAIN_POINTS,
+        "scalars.MAX_FIELD_DEGREE": scalars.MAX_FIELD_DEGREE,
+        "poly.MAX_INSERT_CACHE": poly.MAX_INSERT_CACHE,
+        "normal --slack": slack,
+    }
+    for info in pkgutil.iter_modules(skewpbw.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"skewpbw.{info.name}")
+        for name in vars(module):
+            if name.startswith("MAX_"):
+                assert f"{info.name}.{name}" in table
