@@ -160,14 +160,9 @@ def _character_test(pres: Presentation):
     return test
 
 
-def _support(exp: tuple) -> list:
-    """[(i, alpha_i) for each alpha_i > 0]."""
-    return [(i, k) for i, k in enumerate(exp) if k]
-
-
 def _sparse_terms(f: Polynomial) -> list:
-    """f's raw terms as (value, support of the exponent)."""
-    return [(c, _support(e)) for e, c in f.raw]
+    """f's raw terms as (value, [(i, alpha_i) for each alpha_i > 0])."""
+    return [(c, [(i, k) for i, k in enumerate(e) if k]) for e, c in f.raw]
 
 
 def _top_degrees(n: int, polys: Sequence[Polynomial]) -> List[int]:
@@ -187,17 +182,6 @@ def _power_table(field: Field, z, top) -> list:
     return table
 
 
-def _value_at(field: Field, terms, powers):
-    """sum c_alpha * z^alpha over sparse terms, z^alpha read off a power table."""
-    add, mul = field.raw_add, field.raw_mul
-    out = field.raw_zero
-    for c, mono in terms:
-        for i, k in mono:
-            c = mul(c, powers[i][k])
-        out = add(out, c)
-    return out
-
-
 def evaluate(f: Polynomial, Z: Point) -> Scalar:
     """sum c_alpha * z^alpha over the normal-ordered terms of f.
 
@@ -205,9 +189,15 @@ def evaluate(f: Polynomial, Z: Point) -> Scalar:
     f is a root exactly when it is zero.
     """
     field = f.pres.field
+    add, mul = field.raw_add, field.raw_mul
     z = [c.value for c in Z.coords]
     powers = _power_table(field, z, _top_degrees(len(z), [f]))
-    return Scalar(field, _value_at(field, _sparse_terms(f), powers))
+    out = field.raw_zero
+    for c, mono in _sparse_terms(f):
+        for i, k in mono:
+            c = mul(c, powers[i][k])
+        out = add(out, c)
+    return Scalar(field, out)
 
 
 def point_ideal(pres: Presentation, Z: Point) -> IdealHandle:
@@ -307,7 +297,7 @@ def vanishing_set(
     non_roots: List[Point] = []
     for k, z in characters:
         powers = _power_table(field, z, top)
-        for terms in gens:  # _value_at, inlined on this hot path
+        for terms in gens:  # evaluate's loop, inlined on this hot path
             out = zero
             for c, mono in terms:
                 for i, e in mono:
@@ -331,21 +321,27 @@ def ideal_of_points(
     """Basis of {f : deg f <= d, f in <Z> for every Z}, by evaluation.
 
     At a character point f lies in <Z> exactly when sum c_alpha * z^alpha
-    is zero, so the space is the nullspace of the rows (z^alpha)_alpha;
-    any other point's ideal is the whole ring and adds no row.
+    is zero; any other point's ideal is the whole ring and adds nothing.
+    Each monomial's values at the character points (for t = x_i * o, x_i
+    its first variable, o's values times z_i) are reduced in one
+    `linalg.Echelon`, in `exponents_up_to` order; a relation is an element.
     """
     field = pres.field
-    monos = exponents_up_to(pres.n, d)
-    monomials = [((field.raw_one, _support(e)),) for e in monos]
-    rows = []
-    for Z in points:
-        if is_character(pres, Z):
-            powers = _power_table(field, [c.value for c in Z.coords], [d] * pres.n)
-            rows.append([_value_at(field, m, powers) for m in monomials])
-    return [
-        Polynomial.from_raw(pres, zip(monos, vec))
-        for vec in linalg.nullspace(rows, field, len(monos))
-    ]
+    mul = field.raw_mul
+    character = _character_test(pres)
+    raw = [z for z in ([c.value for c in Z.coords] for Z in points) if character(z)]
+    echelon = linalg.Echelon(field)
+    values = {(0,) * pres.n: [field.raw_one] * len(raw)}  # monomial -> values
+    basis = []
+    for t in exponents_up_to(pres.n, d):
+        i = next((k for k, a in enumerate(t) if a), None)
+        if i is not None:
+            o = t[:i] + (t[i] - 1,) + t[i + 1 :]
+            values[t] = [mul(v, z[i]) for v, z in zip(values[o], raw)]
+        relation = echelon.reduce(t, dict(enumerate(values[t])))
+        if relation is not None:
+            basis.append(Polynomial.from_raw(pres, relation.items()))
+    return basis
 
 
 @dataclass

@@ -8,7 +8,7 @@ as they stand, so callers build no matrix: they feed vectors one at a
 time, each under a key of their own, and read back either "kept" or the
 linear relation that puts it in the span of the vectors kept before it.
 Sizes here are desk scale (tens of vectors), so plain Gaussian
-elimination is enough.
+elimination is enough. `Echelon` is the only routine the library calls.
 """
 
 from __future__ import annotations
@@ -74,7 +74,9 @@ def nullspace(rows: List[list], field: Field, ncols: Optional[int] = None):
     that depends on the columns before it.
 
     Columns at or past the rows' width (all of them when there are no
-    rows) are zero, so each gives a unit vector.
+    rows) are zero, so each gives a unit vector. No library code calls
+    it: only `perfbench/tracing.py`, which wraps it by name, and
+    `tests/test_raw_kernels.py`.
     """
     width = len(rows[0]) if rows else 0
     if ncols is None:

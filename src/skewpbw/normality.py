@@ -71,17 +71,16 @@ def normal_from_parts(
     return f, verdict
 
 
-def is_normal(f: Polynomial, slack: int = 0) -> NormalityVerdict:
+def is_normal(f: Polynomial) -> NormalityVerdict:
     """Decide Af = fA through generator-wise witness solves.
 
-    For each generator: find g with f*g = x_j*f and g' with g'*f = f*x_j,
-    both of degree <= 1 + slack (the domain property forces degree exactly
-    one, slack is defensive for presentations with lower-order relation
-    terms). All solvable => normal with recorded witnesses; any infeasible
-    solve => not_normal with the failing generator.
+    For each generator: find g with f*g = x_j*f and g' with g'*f = f*x_j
+    among the polynomials of degree <= 1. In a bijective skew PBW extension
+    lm(f*g) = lm f + lm g, so a witness has degree exactly one and a
+    higher degree adds only unknowns that must be zero. All solvable =>
+    normal with recorded witnesses; any infeasible solve => not_normal
+    with the failing generator.
     """
-    if slack < 0:
-        raise NormalityError("slack must be >= 0")
     if f.is_zero():
         raise NormalityError("normality of the zero polynomial is undefined")
     pres = f.pres
@@ -92,7 +91,7 @@ def is_normal(f: Polynomial, slack: int = 0) -> NormalityVerdict:
     if not pres.sigma_all_identity and any(pres.sigma_power(e) != K for e, _ in f.raw):
         return NormalityVerdict("not_normal", counter_witness=("scalar", field.primitive()))
 
-    monos = exponents_up_to(pres.n, 1 + slack)
+    monos = exponents_up_to(pres.n, 1)
     witnesses: Dict[int, tuple] = {}
     for j in range(pres.n):
         xj = Polynomial.variable(pres, j)

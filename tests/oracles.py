@@ -7,6 +7,7 @@ power search, Groebner bases come from plain Buchberger completion
 (every pair formed, restart-style inter-reduction) on the public API,
 the Gebauer-Moller pair update from its quadratic definition,
 ideals of points and witnesses from folds of elimination Groebner bases,
+truncated ideals of points from the evaluation matrix,
 the point-ideal lemma from a saturation per point, seeded random polynomials,
 linear algebra from Gaussian elimination on Scalars, centers
 from a scan of monomials by `central_probe`, characteristic-0 coefficients from Fraction arithmetic, and the text
@@ -329,6 +330,52 @@ def naive_points_ideal(pres: Presentation, points) -> list:
         assert res.complete, "points-ideal intersection ran out of budget"
         current = res.elements
     return current
+
+
+def _satisfies_relations(pres: Presentation, Z: Point) -> bool:
+    """The character test on Scalars, from its definition: z_i = 0 where
+    sigma_i is not the identity, and z_j*z_i = c*z_i*z_j + sum a_k*z_k + d
+    for every relation x_j*x_i = c*x_i*x_j + sum a_k*x_k + d."""
+    z = Z.coords
+    if any(k != 1 and not z[i].is_zero() for i, k in enumerate(pres.sigma)):
+        return False
+    for (i, j), rel in pres.relations.items():
+        rhs = rel.c * z[i] * z[j] + rel.const
+        for k, a in enumerate(rel.linear):
+            rhs = rhs + a * z[k]
+        if rhs != z[j] * z[i]:
+            return False
+    return True
+
+
+def naive_ideal_of_points(pres: Presentation, points, d: int) -> list:
+    """`geometry.ideal_of_points` from the evaluation matrix: one row of
+    monomial values z^alpha per character point, on Scalars, in `rref`.
+    Each free column c gives e_c - sum R[row of p][c] * e_p over the pivot
+    columns p before c."""
+    field = pres.field
+    monos = exponents_up_to(pres.n, d)
+    rows = []
+    for Z in points:
+        if _satisfies_relations(pres, Z):
+            row = []
+            for alpha in monos:
+                value = field.one
+                for z, k in zip(Z.coords, alpha):
+                    value = value * z ** k
+                row.append(value)
+            rows.append(row)
+    R, pivots = rref(rows, field)
+    basis = []
+    for c, alpha in enumerate(monos):
+        if c in pivots:
+            continue
+        terms = {alpha: field.one}
+        for r, p in enumerate(pivots):
+            if p < c:
+                terms[monos[p]] = -R[r][c]
+        basis.append(Polynomial.from_dict(pres, terms))
+    return basis
 
 
 def semiprime_probe(

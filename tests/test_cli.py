@@ -173,12 +173,11 @@ def test_negative_budget_is_input_error(flag, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["normal", "--algebra", QPLANE, "--f", "x", "--slack", "-1"],
         ["sandwich", "--algebra", QPLANE, "--gens", "x^4", "--domain", "grid:-1..1",
          "--max-power", "0"],
         ["points-ideal", "--algebra", QPLANE, "--points", "0,0", "--trunc-degree", "-1"],
     ],
-    ids=["slack", "max-power", "trunc-degree"],
+    ids=["max-power", "trunc-degree"],
 )
 def test_out_of_range_flag_is_input_error(argv, capsys):
     code, out, err = run(argv, capsys)

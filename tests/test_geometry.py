@@ -1,11 +1,14 @@
 """Point ideals, roots, vanishing sets, ideals of points, witnesses."""
 
+import importlib
 import os
+import pkgutil
 import random
 
 import pytest
 
-from skewpbw import geometry, groebner
+import skewpbw
+from skewpbw import geometry, groebner, linalg, nullstellensatz
 from skewpbw.geometry import (
     GeometryError,
     Point,
@@ -37,6 +40,7 @@ from conftest import ALGEBRA_DIR, algebra_path
 from oracles import (
     _vector,
     in_row_span,
+    naive_ideal_of_points,
     naive_witness,
     random_polynomial,
     rank,
@@ -247,6 +251,83 @@ def test_ideal_of_points_ignores_budget(qplane_m1):
     assert len(exact) == 6  # the whole degree <= 2 space
     # a unit point ideal adds no condition, as with no point at all
     assert exact == ideal_of_points(pres, [], 2)
+
+
+# x is twisted, so its characters are the points of the y-axis
+CYCLOTOMIC5_PLANE = (
+    "field: cyclotomic:5\nvars: x, y\nsigma: x = galois:2\nrelation: y*x = z*x*y\n"
+)
+
+
+def _point_sets(pres, rng):
+    """Seeded point sets over small values: the empty set first, then sets
+    of up to five points, some of them repeated, many coordinates 0."""
+    field = pres.field
+    values = [field.from_int(k) for k in (0, 0, 0, 1, -1, 2, 3)]
+    if field.primitive() is not None:
+        values += [field.zero, field.primitive()]
+    sets = [[]]
+    for _ in range(11):
+        points = [Point(tuple(rng.choice(values) for _ in range(pres.n)))]
+        for _ in range(rng.randrange(5)):
+            points.append(rng.choice(points) if rng.random() < 0.25 else
+                          Point(tuple(rng.choice(values) for _ in range(pres.n))))
+        sets.append(points)
+    return sets
+
+
+@pytest.mark.parametrize("name", SHIPPED + ["cyclotomic5_plane"])
+def test_ideal_of_points_matches_evaluation_matrix_oracle(name):
+    """ideal_of_points equals, element for element and in order, the
+    relations read off the reduced evaluation matrix on Scalars, for every
+    d <= 4, with repeated, non-character and no points."""
+    if name.endswith(".alg"):
+        pres = load_presentation_file(algebra_path(name))
+    else:
+        pres = load_presentation(CYCLOTOMIC5_PLANE)
+    characters, repeated = set(), 0
+    for points in _point_sets(pres, random.Random(name)):
+        characters.update(geometry.is_character(pres, Z) for Z in points)
+        repeated += len(set(points)) < len(points)
+        for d in range(5):
+            expected = naive_ideal_of_points(pres, points, d)
+            got = ideal_of_points(pres, points, d)
+            assert [str(g) for g in got] == [str(g) for g in expected], (points, d)
+            assert got == expected
+    assert repeated
+    # every point of the commutative plane is a character, and weyl_z has
+    # none: z_y*z_x = z_x*z_y - 1 has no solution
+    assert characters == {"commutative_xy.alg": {True}, "weyl_z.alg": {False}}.get(
+        name, {True, False}
+    )
+
+
+def test_no_library_code_calls_nullspace(monkeypatch, qplane_m1, QQ):
+    """`linalg.nullspace` stays for the benchmark's tracer only: with it
+    raising, ideals of points, the sandwich and the README CLI examples
+    run unchanged, and no module of the package binds the name."""
+    for info in pkgutil.iter_modules(skewpbw.__path__):
+        if info.name not in ("__main__", "linalg"):
+            module = importlib.import_module(f"skewpbw.{info.name}")
+            assert "nullspace" not in vars(module), info.name
+
+    def boom(*args, **kwargs):
+        raise AssertionError("linalg.nullspace called")
+
+    monkeypatch.setattr(linalg, "nullspace", boom)
+    pres = load_presentation(CYCLOTOMIC5_PLANE)
+    points = [Point.of(pres, [0, 2]), Point.of(pres, [1, 1]), Point.of(pres, [0, 2])]
+    assert [str(g) for g in ideal_of_points(pres, points, 2)] == [
+        "x", "y - 2", "x^2", "x*y", "y^2 - 4"
+    ]
+    C = nullstellensatz.center_generators(qplane_m1)
+    I = two_sided_saturate([parse_polynomial("x^4", qplane_m1)])
+    rep = nullstellensatz.verify_sandwich(I, C, grid(QQ, -2, 2), 4, 4)
+    assert rep.inclusion_radical == "confirmed"
+    monkeypatch.syspath_prepend(os.path.join(ALGEBRA_DIR, "..", "perfbench"))
+    monkeypatch.chdir(os.path.join(ALGEBRA_DIR, ".."))
+    import cli_capture
+    assert cli_capture.capture() == cli_capture.expected()
 
 
 def test_algebraic_witness_origin(qplane_m1):

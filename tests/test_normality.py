@@ -1,17 +1,23 @@
 """Normal-element tests and centrality probes."""
 
+import os
+import random
+
 import pytest
 
-from oracles import random_polynomial
+from conftest import ALGEBRA_DIR, algebra_path
+from oracles import random_polynomial, random_scalar
 from skewpbw.normality import (
     NormalityError,
     central_probe,
     is_normal,
     normal_from_parts,
 )
-from skewpbw.poly import Polynomial, multiply, parse_polynomial
-from skewpbw.presentation import Presentation
+from skewpbw.poly import Polynomial, exponents_up_to, multiply, parse_polynomial
+from skewpbw.presentation import Presentation, load_presentation_file
 from skewpbw.scalars import FieldSpec, get_field
+
+SHIPPED = sorted(f for f in os.listdir(ALGEBRA_DIR) if f.endswith(".alg"))
 
 
 def test_central_probe_examples(qplane_m1, qplane_q2):
@@ -32,12 +38,32 @@ def test_is_normal_x_quantum_plane(qplane_q2):
     assert multiply(gprime, x) == multiply(x, y)
 
 
-def test_negative_slack_is_an_error(qplane_m1):
-    """A negative slack leaves no witness degrees, which is no evidence."""
-    x = parse_polynomial("x", qplane_m1)
-    assert is_normal(x, slack=0).status == "normal"
-    with pytest.raises(NormalityError):
-        is_normal(x, slack=-1)
+@pytest.mark.parametrize("name", SHIPPED)
+def test_witnesses_have_degree_one(name):
+    """lm(f*g) = lm f + lm g, so a witness of f*g = x_j*f or g'*f = f*x_j
+    has degree exactly 1: every witness is_normal returns does, and it
+    satisfies its identity. Inputs: every monomial of degree <= 3 and
+    seeded binomials of such monomials."""
+    pres = load_presentation_file(algebra_path(name))
+    rng = random.Random(name)
+    monos = exponents_up_to(pres.n, 3)
+    inputs = [Polynomial.monomial(pres, e) for e in monos]
+    for _ in range(12):
+        a, b = rng.sample(monos, 2)
+        c = random_scalar(pres.field, rng)
+        inputs.append(Polynomial.monomial(pres, a) + Polynomial.monomial(pres, b, c))
+    statuses = set()
+    for f in inputs:
+        verdict = is_normal(f)
+        statuses.add(verdict.status)
+        if verdict.status != "normal":
+            continue
+        for j, (g, gprime) in verdict.certificate["per_generator"].items():
+            xj = Polynomial.variable(pres, j)
+            assert g.degree() == gprime.degree() == 1, (f, j)
+            assert multiply(f, g) == multiply(xj, f)
+            assert multiply(gprime, f) == multiply(f, xj)
+    assert "normal" in statuses
 
 
 def test_is_normal_counterexample(qplane_m1):

@@ -9,7 +9,7 @@ from contextlib import redirect_stdout
 
 from conftest import algebra_path
 import skewpbw
-from skewpbw import cli, geometry, groebner, nullstellensatz, poly, scalars
+from skewpbw import geometry, groebner, nullstellensatz, poly, scalars
 from skewpbw.presentation import (
     load_presentation,
     load_presentation_file,
@@ -62,7 +62,7 @@ def test_readme_limits_table_matches_the_code():
     rows = re.findall(r"^\| `([^`]+)`[^|]*\| ([\d,]+) \|", section, re.M)
     table = {name: int(default.replace(",", "")) for name, default in rows}
     budget = groebner.Budget()
-    slack = cli.build_parser().parse_args(["normal", "--algebra", "a", "--f", "x"]).slack
+    rabinowitsch = nullstellensatz._RABINOWITSCH_BUDGET
     assert table == {
         "groebner.Budget.max_degree": budget.max_degree,
         "groebner.Budget.max_pairs": budget.max_pairs,
@@ -71,7 +71,8 @@ def test_readme_limits_table_matches_the_code():
         "geometry.MAX_DOMAIN_POINTS": geometry.MAX_DOMAIN_POINTS,
         "scalars.MAX_FIELD_DEGREE": scalars.MAX_FIELD_DEGREE,
         "poly.MAX_INSERT_CACHE": poly.MAX_INSERT_CACHE,
-        "normal --slack": slack,
+        "nullstellensatz._RABINOWITSCH_BUDGET.max_degree": rabinowitsch.max_degree,
+        "nullstellensatz._RABINOWITSCH_BUDGET.max_pairs": rabinowitsch.max_pairs,
     }
     for info in pkgutil.iter_modules(skewpbw.__path__):
         if info.name == "__main__":  # importing it runs the CLI
