@@ -348,7 +348,6 @@ def run_command(args) -> tuple:
                 "witness": pres.names[w] if isinstance(w, int) else str(w),
             }
         doc["result"] = payload
-        code = EXIT_UNKNOWN if verdict.status == "unknown" else EXIT_OK
 
     elif cmd == "consistency":
         rep = check_pbw_consistency(pres, args.degree_bound)

@@ -27,18 +27,27 @@ on the polynomials, so `vanishing_set` tests each point once per
 presentation: the partition of the last domain it was given stays on the
 presentation, and each call evaluates its generators, on raw field
 values, at the character points only.
+
+Every value at points comes from one walk, `_monomial_values`: each
+monomial gets the list of its values z^t at all points at once, one
+variable step from the nearest monomial already held. `evaluate` runs it
+at one point, `vanishing_set` at a domain's cached character points, and
+both ideals of points (`ideal_of_points`, `commutative_points_ideal`)
+on the monomials they reduce.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from operator import le
 from typing import List, Optional, Sequence, Tuple
 
 from skewpbw import linalg
 from skewpbw.groebner import PROPER, TWO_SIDED, UNIT, IdealHandle
-from skewpbw.poly import DEGLEX, Polynomial, exponents_up_to, multiply
+from skewpbw.poly import DEGLEX, Polynomial, divides, exponents_up_to, multiply
 from skewpbw.presentation import Presentation
 from skewpbw.scalars import Field, PrimeField, Scalar
 
@@ -160,26 +169,45 @@ def _character_test(pres: Presentation):
     return test
 
 
-def _sparse_terms(f: Polynomial) -> list:
-    """f's raw terms as (value, [(i, alpha_i) for each alpha_i > 0])."""
-    return [(c, [(i, k) for i, k in enumerate(e) if k]) for e, c in f.raw]
+def _monomial_values(field: Field, columns, exps, values=None) -> dict:
+    """{t: [raw z^t at each point]} for every t in exps; column i holds the
+    points' raw z_i.
 
-
-def _top_degrees(n: int, polys: Sequence[Polynomial]) -> List[int]:
-    """The highest exponent of each variable among the terms of polys."""
-    return [max((e[i] for f in polys for e, _ in f.raw), default=0) for i in range(n)]
-
-
-def _power_table(field: Field, z, top) -> list:
-    """The raw powers z_i^0, ..., z_i^top_i of each raw coordinate z_i."""
+    A missing x^t starts from a held o <= t of highest degree (t - e_i if
+    held, which exps in ascending degree make usual) and steps up one
+    variable at a time, in a loop: x^3000 costs 3000 products per point
+    and no recursion. A values dict this function returned is extended in
+    place, so a walk that asks for more monomials reuses all it holds.
+    """
     mul = field.raw_mul
-    table = []
-    for zi, t in zip(z, top):
-        pw = [field.raw_one]
-        for _ in range(t):
-            pw.append(mul(pw[-1], zi))
-        table.append(pw)
-    return table
+    if values is None:
+        values = {(0,) * len(columns): [field.raw_one] * len(columns[0])}
+    for t in exps:
+        if t in values:
+            continue
+        for i, a in enumerate(t):
+            if a and (o := t[:i] + (a - 1,) + t[i + 1 :]) in values:
+                values[t] = list(map(mul, values[o], columns[i]))
+                break
+        else:
+            o = max((o for o in values if all(map(le, o, t))), key=sum)
+            vals = values[o]
+            for col, a, b in zip(columns, t, o):
+                for _ in range(a - b):
+                    vals = list(map(mul, vals, col))
+            values[t] = vals
+    return values
+
+
+def _sums(field: Field, f: Polynomial, values: dict, count: int) -> list:
+    """f's raw value sum c_alpha * z^alpha at each of count points, from
+    the values of its monomials."""
+    if not f.raw:
+        return [field.raw_zero] * count
+    add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
+    coeffs = [c for _, c in f.raw]
+    rows = zip(*[values[e] for e, _ in f.raw])  # one row of z^alpha per point
+    return [functools.reduce(add, map(mul, coeffs, row), zero) for row in rows]
 
 
 def evaluate(f: Polynomial, Z: Point) -> Scalar:
@@ -189,15 +217,9 @@ def evaluate(f: Polynomial, Z: Point) -> Scalar:
     f is a root exactly when it is zero.
     """
     field = f.pres.field
-    add, mul = field.raw_add, field.raw_mul
-    z = [c.value for c in Z.coords]
-    powers = _power_table(field, z, _top_degrees(len(z), [f]))
-    out = field.raw_zero
-    for c, mono in _sparse_terms(f):
-        for i, k in mono:
-            c = mul(c, powers[i][k])
-        out = add(out, c)
-    return Scalar(field, out)
+    exps = [e for e, _ in reversed(f.raw)]
+    values = _monomial_values(field, [(c.value,) for c in Z.coords], exps)
+    return Scalar(field, _sums(field, f, values, 1)[0])
 
 
 def point_ideal(pres: Presentation, Z: Point) -> IdealHandle:
@@ -244,13 +266,13 @@ class VanishingReport:
         for p in self.roots:
             rows.append((p, DEGENERATE if p.coords in degen else ROOT))
         rows.extend((p, NON_ROOT) for p in self.non_roots)
-        rows.extend((p, "unknown") for p in self.unknown)
         return rows
 
 
 def _domain_partition(pres: Presentation, domain: SearchDomain):
-    """(points in domain order, whether each one is degenerate, (position,
-    raw coordinates) of each character point) of the domain.
+    """(points in domain order, whether each one is degenerate, the
+    positions of the character points, their raw coordinate columns) of
+    the domain.
 
     Whether a point is a character depends on the presentation alone, so
     the partition is cached on it, keyed by the domain's raw columns; a
@@ -262,16 +284,12 @@ def _domain_partition(pres: Presentation, domain: SearchDomain):
     entry = cache.get(key)
     if entry is None:
         character = _character_test(pres)
-        points, degenerate, characters = [], [], []
-        raw_points = itertools.product(*key)
-        for k, (t, z) in enumerate(zip(itertools.product(*cols), raw_points)):
-            points.append(Point(t))
-            if character(z):
-                degenerate.append(False)
-                characters.append((k, z))
-            else:
-                degenerate.append(True)
-        entry = (points, degenerate, characters)
+        raw = list(itertools.product(*key))
+        points = [Point(t) for t in itertools.product(*cols)]
+        degenerate = [not character(z) for z in raw]
+        positions = [k for k, dg in enumerate(degenerate) if not dg]
+        columns = [[raw[k][i] for k in positions] for i in range(pres.n)]
+        entry = (points, degenerate, positions, columns)
         cache.clear()
         cache[key] = entry
     return entry
@@ -288,27 +306,19 @@ def vanishing_set(
     The generators are evaluated at the character points only; every other
     point is a degenerate root.
     """
-    points, degenerate_mask, characters = _domain_partition(pres, domain)
-    field = pres.field
-    gens = [_sparse_terms(f) for f in polys]
-    top = _top_degrees(pres.n, polys)
-    add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
+    points, degenerate_mask, positions, columns = _domain_partition(pres, domain)
+    field, zero = pres.field, pres.field.raw_zero
+    exps = [e for f in polys for e, _ in reversed(f.raw)]
+    values = _monomial_values(field, columns, exps)
+    vanish = [True] * len(positions)
+    for f in polys:
+        sums = _sums(field, f, values, len(positions))
+        vanish = [v and s == zero for v, s in zip(vanish, sums)]
     is_root = list(degenerate_mask)
-    non_roots: List[Point] = []
-    for k, z in characters:
-        powers = _power_table(field, z, top)
-        for terms in gens:  # evaluate's loop, inlined on this hot path
-            out = zero
-            for c, mono in terms:
-                for i, e in mono:
-                    c = mul(c, powers[i][e])
-                out = add(out, c)
-            if out != zero:
-                non_roots.append(points[k])
-                break
-        else:
-            is_root[k] = True
+    for k, v in zip(positions, vanish):
+        is_root[k] = v
     roots = list(itertools.compress(points, is_root))
+    non_roots = [points[k] for k, v in zip(positions, vanish) if not v]
     degenerate = list(itertools.compress(points, degenerate_mask))
     return VanishingReport(roots, non_roots, degenerate, [])
 
@@ -322,25 +332,65 @@ def ideal_of_points(
 
     At a character point f lies in <Z> exactly when sum c_alpha * z^alpha
     is zero; any other point's ideal is the whole ring and adds nothing.
-    Each monomial's values at the character points (for t = x_i * o, x_i
-    its first variable, o's values times z_i) are reduced in one
+    Each monomial's values at the character points are reduced in one
     `linalg.Echelon`, in `exponents_up_to` order; a relation is an element.
     """
     field = pres.field
-    mul = field.raw_mul
     character = _character_test(pres)
     raw = [z for z in ([c.value for c in Z.coords] for Z in points) if character(z)]
+    monos = exponents_up_to(pres.n, d)
+    values = _monomial_values(field, [[z[i] for z in raw] for i in range(pres.n)], monos)
     echelon = linalg.Echelon(field)
-    values = {(0,) * pres.n: [field.raw_one] * len(raw)}  # monomial -> values
     basis = []
-    for t in exponents_up_to(pres.n, d):
-        i = next((k for k, a in enumerate(t) if a), None)
-        if i is not None:
-            o = t[:i] + (t[i] - 1,) + t[i + 1 :]
-            values[t] = [mul(v, z[i]) for v, z in zip(values[o], raw)]
+    for t in monos:
         relation = echelon.reduce(t, dict(enumerate(values[t])))
         if relation is not None:
             basis.append(Polynomial.from_raw(pres, relation.items()))
+    return basis
+
+
+def commutative_points_ideal(
+    center_pres: Presentation, points: Sequence[Sequence[Scalar]]
+) -> List[Polynomial]:
+    """Reduced deglex Groebner basis of the ideal of the points, ascending by lead.
+
+    Buchberger-Moeller (Moeller & Buchberger 1982; Abbott, Bigatti, Kreuzer
+    & Robbiano 2000), on raw field values: walk the monomials in ascending
+    deglex, skipping multiples of the leads found so far, and reduce each
+    one's vector of values at the points in a `linalg.Echelon` of the
+    earlier standard monomials' vectors. A relation t + sum c_j * o_j is
+    the basis element with lead t; a vector that is kept makes t standard.
+    The walk stops after a degree with no candidate left. Every tail
+    monomial is standard, so the basis is reduced; a reduced basis is
+    unique, so this is the basis a fold of pairwise intersections returns,
+    whose block order restricts to deglex on the t-free part. One point
+    gives the x_i - z_i, no points give [1]: the constant's vector is zero.
+    """
+    field = center_pres.field
+    n = center_pres.n
+    distinct = dict.fromkeys(tuple(field.coerce(z).value for z in p) for p in points)
+    columns = [[z[i] for z in distinct] for i in range(n)]
+    echelon = linalg.Echelon(field)
+    values = None
+    leads: List[tuple] = []
+    basis: List[Polynomial] = []
+    candidates = [(0,) * n]
+    while candidates:
+        # a lead of this degree divides no other monomial of it
+        candidates = [t for t in candidates if not any(divides(lead, t) for lead in leads)]
+        # each candidate is x_i * o with o standard, so one step from held values
+        values = _monomial_values(field, columns, candidates, values)
+        standard = []
+        for t in candidates:
+            relation = echelon.reduce(t, dict(enumerate(values[t])))
+            if relation is None:
+                standard.append(t)
+            else:
+                leads.append(t)
+                basis.append(Polynomial.from_raw(center_pres, relation.items()))
+        candidates = sorted({
+            o[:i] + (o[i] + 1,) + o[i + 1 :] for o in standard for i in range(n)
+        })
     return basis
 
 

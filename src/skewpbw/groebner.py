@@ -694,20 +694,16 @@ def left_groebner(
 
 
 def is_member_left(f: Polynomial, handle: IdealHandle) -> str:
-    """'yes', 'no' or 'unknown' membership of f in the handle's ideal."""
-    if handle.status == UNIT:
+    """'yes', 'no' or 'unknown' membership of f in the handle's ideal.
+
+    A zero remainder certifies membership, also against the partial basis
+    of an UNKNOWN handle, which can never refute it.
+    """
+    if handle.status == UNIT or f.is_zero() or (
+        handle.basis and remainder_of(f, handle.basis, handle.order).is_zero()
+    ):
         return "yes"
-    if handle.status == UNKNOWN:
-        # the partial basis can still certify membership, never refute it
-        if handle.basis and remainder_of(f, handle.basis, handle.order).is_zero():
-            return "yes"
-        return "unknown"
-    if f.is_zero():
-        return "yes"
-    if not handle.basis:
-        return "no"
-    rem = remainder_of(f, handle.basis, handle.order)
-    return "yes" if rem.is_zero() else "no"
+    return "unknown" if handle.status == UNKNOWN else "no"
 
 
 def two_sided_saturate(

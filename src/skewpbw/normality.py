@@ -41,7 +41,7 @@ def central_probe(f: Polynomial) -> bool:
 
 @dataclass
 class NormalityVerdict:
-    status: str  # "normal" | "not_normal" | "unknown"
+    status: str  # "normal" | "not_normal"
     certificate: Optional[dict] = None
     counter_witness: Optional[tuple] = None  # (direction, witness)
 
@@ -79,7 +79,9 @@ def is_normal(f: Polynomial) -> NormalityVerdict:
     lm(f*g) = lm f + lm g, so a witness has degree exactly one and a
     higher degree adds only unknowns that must be zero. All solvable =>
     normal with recorded witnesses; any infeasible solve => not_normal
-    with the failing generator.
+    with the failing generator. Each left witness is checked against
+    f*g = x_j*f, and a failure raises RuntimeError: an engine fault, since
+    the scalar check makes the solve exact.
     """
     if f.is_zero():
         raise NormalityError("normality of the zero polynomial is undefined")
@@ -91,23 +93,21 @@ def is_normal(f: Polynomial) -> NormalityVerdict:
     if not pres.sigma_all_identity and any(pres.sigma_power(e) != K for e, _ in f.raw):
         return NormalityVerdict("not_normal", counter_witness=("scalar", field.primitive()))
 
-    monos = exponents_up_to(pres.n, 1)
+    # the spans {x^b * f} (right witnesses, unknowns untwisted) and
+    # {f * x^b} (left witnesses, in v = sigma^alpha(g), one map z |-> z^K
+    # by the scalar check), built once for every generator
+    right, left = linalg.Echelon(field), linalg.Echelon(field)
+    for b in exponents_up_to(pres.n, 1):
+        xb = Polynomial.monomial(pres, b)
+        right.reduce(b, dict((xb * f).raw))
+        left.reduce(b, dict((f * xb).raw))
     witnesses: Dict[int, tuple] = {}
     for j in range(pres.n):
         xj = Polynomial.variable(pres, j)
-        # right witness: g' * f = f * x_j, unknowns appear untwisted
-        target = multiply(f, xj)
-        basis_products = [
-            Polynomial.monomial(pres, b) * f for b in monos
-        ]
-        gprime = _solve_combination(basis_products, target, monos, pres)
+        gprime = _solve_combination(right, multiply(f, xj), pres)
         if gprime is None:
             return NormalityVerdict("not_normal", counter_witness=("right", j))
-        # left witness: f * g = x_j * f; substituting v = sigma^alpha(g)
-        # (one map z |-> z^K by the scalar check) makes the system linear in v
-        target = multiply(xj, f)
-        basis_products = [f * Polynomial.monomial(pres, b) for b in monos]
-        v = _solve_combination(basis_products, target, monos, pres)
+        v = _solve_combination(left, multiply(xj, f), pres)
         if v is None:
             return NormalityVerdict("not_normal", counter_witness=("left", j))
         if K == 1:
@@ -117,26 +117,22 @@ def is_normal(f: Polynomial) -> NormalityVerdict:
             g = Polynomial.from_raw(
                 pres, [(b, field.raw_galois(c, k_inv)) for b, c in v.raw], ordered=True
             )
+        # sigma^alpha = sigma_K on supp f gives f*(sigma_K^-1(v)*x^b) = v*(f*x^b)
         if multiply(f, g) != multiply(xj, f):
-            # only possible when sigma twists vary over the support in a way
-            # the scalar probe cannot see; report honestly
-            return NormalityVerdict("unknown")
+            raise RuntimeError(f"left witness {g} of {f} fails at {pres.names[j]}")
         witnesses[j] = (g, gprime)
     return NormalityVerdict(
         "normal", certificate={"kind": "witnesses", "per_generator": witnesses}
     )
 
 
-def _solve_combination(products, target, monos, pres) -> Optional[Polynomial]:
-    """Scalars v_b with sum v_b * products[b] = target, as a polynomial.
-
-    The target is reduced against the products; a product that depends on
-    the ones before it gets v_b = 0.
+def _solve_combination(echelon, target, pres) -> Optional[Polynomial]:
+    """Scalars v_b with sum v_b * (product kept under b) = target, as a
+    polynomial, or None when target is outside the span; a product that
+    depends on the ones before it gets v_b = 0. A target outside is kept,
+    so a caller that gets None must not solve against the echelon again.
     """
     field = pres.field
-    echelon = linalg.Echelon(field)
-    for b, p in zip(monos, products):
-        echelon.reduce(b, dict(p.raw))
     relation = echelon.reduce(None, dict(target.raw))
     if relation is None:
         return None

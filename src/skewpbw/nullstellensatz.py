@@ -4,12 +4,13 @@ The center is decided by one rule on the lattice of central monomials
 (center_generators) and accepted only when it is the polynomial ring on
 pure powers x_i^(L_i), as the paper's Nullstellensatz assumes. Contraction
 of a two-sided ideal to it (the relations among the normal forms of
-central monomials), the ideal of the central points found on a finite
-search grid (Buchberger-Moeller: the relations among the values of
-monomials at the points, with no Groebner basis and no budget), both
-found by one `linalg.Echelon`, the classical radical step (the
-Rabinowitsch trick inside the engine on a trivial-relations presentation)
-and central nilpotency certificates verify the first inclusion of
+central monomials, found by one `linalg.Echelon`), the ideal of the
+central points found on a finite search grid
+(`geometry.commutative_points_ideal`, Buchberger-Moeller on the values
+of monomials at the points, with no Groebner basis and no budget), the
+classical radical step (the Rabinowitsch trick inside the engine on a
+trivial-relations presentation) and central nilpotency certificates
+verify the first inclusion of
 
     < I_Z(V_Z(J)) >  subset of  radical(I)  subset of  I(V(I))
 
@@ -28,6 +29,7 @@ from skewpbw import linalg
 from skewpbw.geometry import (
     SearchDomain,
     VanishingReport,
+    commutative_points_ideal,
     is_root,
     vanishing_set,
 )
@@ -43,7 +45,7 @@ from skewpbw.groebner import (
     normal_forms,
 )
 from skewpbw.normality import central_probe
-from skewpbw.poly import DEGLEX, Polynomial, divides, multiply
+from skewpbw.poly import DEGLEX, Polynomial, multiply
 from skewpbw.presentation import (
     Presentation,
     commutative_presentation,
@@ -256,62 +258,7 @@ def contract_to_center(
 
 
 # ---------------------------------------------------------------------------
-# commutative side: points ideal, radical membership
-
-
-def commutative_points_ideal(
-    center_pres: Presentation, points: Sequence[Sequence[Scalar]]
-) -> List[Polynomial]:
-    """Reduced deglex Groebner basis of the ideal of the points, ascending by lead.
-
-    Buchberger-Moeller (Moeller & Buchberger 1982; Abbott, Bigatti, Kreuzer
-    & Robbiano 2000), on raw field values: walk the monomials in ascending
-    deglex, skipping multiples of the leads found so far, and reduce each
-    one's vector of values at the points in a `linalg.Echelon` of the
-    earlier standard monomials' vectors. A relation t + sum c_j * o_j is
-    the basis element with lead t; a vector that is kept makes t standard.
-    The walk stops after a degree with no candidate left. Every tail
-    monomial is standard, so the basis is reduced; a reduced basis is
-    unique, so this is the basis a fold of pairwise intersections returns,
-    whose block order restricts to deglex on the t-free part. One point
-    gives the x_i - z_i, no points give [1]: the constant's vector is zero.
-    """
-    field = center_pres.field
-    mul, one = field.raw_mul, field.raw_one
-    # distinct points as raw coordinate columns, one per variable
-    distinct = list(
-        dict.fromkeys(tuple(field.coerce(z).value for z in p) for p in points)
-    )
-    columns = list(zip(*distinct))
-    echelon = linalg.Echelon(field)
-    values = {}  # standard monomial -> its values at the points
-    leads: List[tuple] = []
-    basis: List[Polynomial] = []
-    candidates = [(0,) * center_pres.n]
-    while candidates:
-        standard = []
-        for t in candidates:
-            if any(divides(lead, t) for lead in leads):
-                continue
-            # t = x_i * o with o a standard monomial of the degree below
-            i = next((k for k, a in enumerate(t) if a), None)
-            if i is None:
-                vals = [one] * len(distinct)
-            else:
-                o = t[:i] + (t[i] - 1,) + t[i + 1 :]
-                vals = [mul(v, z) for v, z in zip(values[o], columns[i])]
-            relation = echelon.reduce(t, dict(enumerate(vals)))
-            if relation is None:
-                values[t] = vals
-                standard.append(t)
-            else:
-                leads.append(t)
-                basis.append(Polynomial.from_raw(center_pres, relation.items()))
-        candidates = sorted({
-            o[:i] + (o[i] + 1,) + o[i + 1 :]
-            for o in standard for i in range(center_pres.n)
-        })
-    return basis
+# commutative side: radical membership
 
 
 _RABINOWITSCH_BUDGET = Budget(max_degree=24, max_pairs=200_000)

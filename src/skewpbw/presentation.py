@@ -51,7 +51,8 @@ class Presentation:
 
     `_domain_partition` holds one entry for `geometry.vanishing_set`: the
     points of the last search domain asked about, keyed by the domain's
-    raw columns, each flagged as a character or not. Which points are
+    raw columns, each flagged as a character or not, and the positions
+    and raw coordinate columns of the characters. Which points are
     characters depends on the presentation alone; a new domain replaces
     the entry, so it holds at most `geometry.MAX_DOMAIN_POINTS` points.
     """

@@ -7,7 +7,8 @@ power search, Groebner bases come from plain Buchberger completion
 (every pair formed, restart-style inter-reduction) on the public API,
 the Gebauer-Moller pair update from its quadratic definition,
 ideals of points and witnesses from folds of elimination Groebner bases,
-truncated ideals of points from the evaluation matrix,
+truncated ideals of points from the evaluation matrix, evaluation at a
+point from a `Scalar` power per coordinate,
 the point-ideal lemma from a saturation per point, seeded random polynomials,
 linear algebra from Gaussian elimination on Scalars, centers
 from a scan of monomials by `central_probe`, characteristic-0 coefficients from Fraction arithmetic, and the text
@@ -346,6 +347,17 @@ def _satisfies_relations(pres: Presentation, Z: Point) -> bool:
         if rhs != z[j] * z[i]:
             return False
     return True
+
+
+def naive_evaluate(f: Polynomial, Z: Point) -> Scalar:
+    """sum c_alpha * prod z_i ** alpha_i over the terms of f, on Scalars:
+    each power by `Scalar.__pow__`, no value shared between terms."""
+    out = f.pres.field.zero
+    for alpha, c in f.terms:
+        for z, k in zip(Z.coords, alpha):
+            c = c * z ** k
+        out = out + c
+    return out
 
 
 def naive_ideal_of_points(pres: Presentation, points, d: int) -> list:

@@ -4,6 +4,7 @@ import importlib
 import os
 import pkgutil
 import random
+import sys
 
 import pytest
 
@@ -38,11 +39,14 @@ from skewpbw.presentation import (
 from skewpbw.scalars import FieldSpec, get_field
 from conftest import ALGEBRA_DIR, algebra_path
 from oracles import (
+    _satisfies_relations,
     _vector,
     in_row_span,
+    naive_evaluate,
     naive_ideal_of_points,
     naive_witness,
     random_polynomial,
+    random_scalar,
     rank,
     semiprime_probe,
     span_rows,
@@ -328,6 +332,149 @@ def test_no_library_code_calls_nullspace(monkeypatch, qplane_m1, QQ):
     monkeypatch.chdir(os.path.join(ALGEBRA_DIR, ".."))
     import cli_capture
     assert cli_capture.capture() == cli_capture.expected()
+
+
+def test_every_evaluation_reads_the_one_value_walk(monkeypatch, qplane_m1, QQ):
+    """`evaluate`, `vanishing_set` (cold and warm), `ideal_of_points` and
+    `commutative_points_ideal` each compute monomial values through
+    `geometry._monomial_values`, so a second walk fails here; the
+    sandwich's points ideal is the same function."""
+    assert nullstellensatz.commutative_points_ideal is geometry.commutative_points_ideal
+    for gone in ("_power_table", "_top_degrees", "_sparse_terms"):
+        assert not hasattr(geometry, gone), gone
+    walk = geometry._monomial_values
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "_monomial_values", counted)
+    f = parse_polynomial("x^2*y - y + 3", qplane_m1)
+    Z = Point.of(qplane_m1, [0, 3])
+    comm = load_presentation("field: Q\nvars: u, v\n")
+    runs = {
+        "evaluate": lambda: geometry.evaluate(f, Z),
+        "is_root": lambda: is_root(f, Z),
+        "vanishing_set cold": lambda: vanishing_set(qplane_m1, [f], grid(QQ, -3, 3)),
+        "vanishing_set warm": lambda: vanishing_set(qplane_m1, [f, f], grid(QQ, -3, 3)),
+        "ideal_of_points": lambda: ideal_of_points(qplane_m1, [Z], 2),
+        "commutative_points_ideal": lambda: geometry.commutative_points_ideal(
+            comm, [(QQ.one, QQ.zero)]
+        ),
+    }
+    for name, run in runs.items():
+        calls.clear()
+        run()
+        assert calls, name
+
+
+@pytest.mark.parametrize("field_spec", ["gf:7", "Q"])
+def test_value_walk_is_a_loop(field_spec):
+    """x^3000 is 3000 steps of one loop, not 3000 nested calls: evaluate,
+    is_root and a vanishing set of x^3000 - 1 run under the default
+    recursion limit, and agree with Scalar powers (and Fermat over GF(7),
+    where 6 divides 3000)."""
+    assert sys.getrecursionlimit() < 3000
+    pres = load_presentation(f"field: {field_spec}\nvars: x, y\nrelation: y*x = -x*y\n")
+    field = pres.field
+    big = Polynomial.monomial(pres, (3000, 1))
+    x_big = Polynomial.monomial(pres, (3000, 0)) - Polynomial.one(pres)
+    for coords in ([2, 5], [-3, 0], [0, 4]):
+        Z = Point.of(pres, coords)
+        zx, zy = Z.coords
+        expected = zx ** 3000 * zy
+        if field_spec == "gf:7":
+            assert expected == (zy if not zx.is_zero() else field.zero)
+        assert geometry.evaluate(big, Z) == expected
+        root = not is_character(pres, Z) or (zx ** 3000 - field.one).is_zero()
+        assert is_root(x_big, Z) == ("yes" if root else "no")
+    domain = grid(field, -2, 2)
+    rep = vanishing_set(pres, [x_big], domain)
+    tags = {Z.coords: tag for Z, tag in rep.table()}
+    for Z in domain.points(pres):
+        zx = Z.coords[0]
+        if not is_character(pres, Z):
+            assert tags[Z.coords] == "degenerate"
+        else:
+            root = (zx ** 3000 - field.one).is_zero()
+            assert tags[Z.coords] == ("root" if root else "non-root"), Z
+    expected_roots = 4 if field_spec == "gf:7" else 2  # nonzero x on the x-axis
+    assert len([t for t in tags.values() if t == "root"]) == expected_roots
+
+
+def _oracle_presentation(name, request):
+    if name.endswith(".alg"):
+        return load_presentation_file(algebra_path(name))
+    if name == "cyclotomic5_plane":
+        return load_presentation(CYCLOTOMIC5_PLANE)
+    return request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize("name", SHIPPED + ["gf7_qspace3", "cyclotomic5_plane"])
+def test_evaluation_matches_naive_oracle(name, request):
+    """evaluate and the vanishing-set partition agree with sums of Scalar
+    powers at every point of seeded domains, over GF(5), GF(7), Q, Q(i) and
+    Q(zeta5): character and non-character points, an empty generator list,
+    and domains with no character point."""
+    pres = _oracle_presentation(name, request)
+    field = pres.field
+    rng = random.Random(name)
+    values = [field.from_int(k) for k in (0, 1, -1, 2)]
+    if field.primitive() is not None:
+        values.append(field.primitive())
+    domains = [SearchDomain.grid([values]), SearchDomain.grid([values[1:3]])]
+    character_counts = set()
+    for k in range(6):
+        domain = domains[k % 2]
+        points = domain.points(pres)
+        polys = [random_polynomial(pres, rng, 3, 4) for _ in range(k % 3)]
+        if polys:
+            # a generator that vanishes at one seeded point
+            Z = rng.choice(points)
+            polys.append(polys[0] - Polynomial.constant(pres, naive_evaluate(polys[0], Z)))
+        for f in polys:
+            for Z in points:
+                assert geometry.evaluate(f, Z) == naive_evaluate(f, Z), (f, Z)
+        rep = vanishing_set(pres, polys, domain)
+        expected = []
+        for Z in points:
+            if not _satisfies_relations(pres, Z):
+                expected.append((Z, "degenerate"))
+            elif all(naive_evaluate(f, Z).is_zero() for f in polys):
+                expected.append((Z, "root"))
+            else:
+                expected.append((Z, "non-root"))
+        assert sorted(rep.table(), key=repr) == sorted(expected, key=repr), k
+        assert rep.roots == [Z for Z, tag in expected if tag != "non-root"]
+        assert rep.non_roots == [Z for Z, tag in expected if tag == "non-root"]
+        character_counts.add(sum(tag != "degenerate" for _, tag in expected))
+    if name == "commutative_xy.alg":
+        assert 0 not in character_counts  # every point is a character
+    else:
+        assert 0 in character_counts
+    assert (max(character_counts) == 0) == (name == "weyl_z.alg")
+
+
+@pytest.mark.parametrize("spec", ["gf:7", "Q", "Q(i)", "cyclotomic:5"])
+def test_commutative_points_ideal_of_none_one_and_repeated_points(spec):
+    """No points give [1], one point gives the x_i - z_i ascending by lead,
+    and a repeated point counts once."""
+    pres = load_presentation(f"field: {spec}\nvars: u, v, w\n")
+    field = pres.field
+    rng = random.Random(spec)
+    assert geometry.commutative_points_ideal(pres, []) == [Polynomial.one(pres)]
+    for _ in range(4):
+        z = tuple(random_scalar(field, rng) for _ in range(pres.n))
+        expected = [
+            Polynomial.variable(pres, i) - Polynomial.constant(pres, z[i])
+            for i in reversed(range(pres.n))
+        ]
+        assert geometry.commutative_points_ideal(pres, [z]) == expected
+        assert geometry.commutative_points_ideal(pres, [z, z, z]) == expected
+        others = [tuple(random_scalar(field, rng) for _ in range(pres.n)) for _ in range(3)]
+        once = geometry.commutative_points_ideal(pres, others + [z])
+        assert geometry.commutative_points_ideal(pres, [z] + others + [z, others[0]]) == once
 
 
 def test_algebraic_witness_origin(qplane_m1):

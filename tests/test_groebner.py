@@ -207,6 +207,9 @@ def test_gb_unknown_on_tiny_budget(weyl_z):
     H = left_groebner(gens, budget=Budget(max_degree=2))
     assert H.status == "unknown"
     assert is_member_left(parse_polynomial("x", weyl_z), H) == "unknown"
+    # a zero remainder against the partial basis still certifies membership
+    assert is_member_left(Polynomial.zero(weyl_z), H) == "yes"
+    assert is_member_left(H.basis[0], H) == "yes"
 
 
 @pytest.mark.parametrize("fixture", ["witten", "qplane_m1", "qplane_gf5", "qspace3"])

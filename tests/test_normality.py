@@ -7,6 +7,7 @@ import pytest
 
 from conftest import ALGEBRA_DIR, algebra_path
 from oracles import random_polynomial, random_scalar
+from skewpbw import linalg, normality
 from skewpbw.normality import (
     NormalityError,
     central_probe,
@@ -64,6 +65,59 @@ def test_witnesses_have_degree_one(name):
             assert multiply(f, g) == multiply(xj, f)
             assert multiply(gprime, f) == multiply(f, xj)
     assert "normal" in statuses
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_spans_are_built_once_per_call(name, monkeypatch):
+    """is_normal reduces its two spans, {x^b*f} and {f*x^b}, once per call
+    (none when the scalar check decides), and each right witness is the
+    one a fresh span per generator gives."""
+    pres = load_presentation_file(algebra_path(name))
+    rng = random.Random(name)
+    monos = exponents_up_to(pres.n, 1)
+    inputs = [Polynomial.monomial(pres, e) for e in exponents_up_to(pres.n, 2)]
+    inputs += [random_polynomial(pres, rng, 2, 2) for _ in range(8)]
+    echelon = linalg.Echelon
+    built = []
+
+    class Counted(echelon):
+        def __init__(self, field):
+            built.append(field)
+            super().__init__(field)
+
+    statuses = set()
+    for f in (f for f in inputs if not f.is_zero()):
+        built.clear()
+        monkeypatch.setattr(linalg, "Echelon", Counted)
+        verdict = is_normal(f)
+        monkeypatch.setattr(linalg, "Echelon", echelon)
+        statuses.add(verdict.status)
+        scalar = verdict.counter_witness and verdict.counter_witness[0] == "scalar"
+        assert len(built) == (0 if scalar else 2), f
+        if verdict.status != "normal":
+            continue
+        for j, (_, gprime) in verdict.certificate["per_generator"].items():
+            fresh = echelon(pres.field)
+            for b in monos:
+                fresh.reduce(b, dict((Polynomial.monomial(pres, b) * f).raw))
+            target = multiply(f, Polynomial.variable(pres, j))
+            assert normality._solve_combination(fresh, target, pres) == gprime
+    assert "normal" in statuses
+
+
+def test_failed_left_witness_is_an_engine_fault(monkeypatch, qplane_m1):
+    """Once the scalar check passed, the left solve is exact, so a witness
+    that fails f*g = x_j*f is an engine fault: RuntimeError, never an
+    `unknown` verdict."""
+    solve = normality._solve_combination
+
+    def off_by_one(echelon, target, pres):
+        v = solve(echelon, target, pres)
+        return None if v is None else v + Polynomial.one(pres)
+
+    monkeypatch.setattr(normality, "_solve_combination", off_by_one)
+    with pytest.raises(RuntimeError, match="left witness"):
+        is_normal(parse_polynomial("x", qplane_m1))
 
 
 def test_is_normal_counterexample(qplane_m1):
