@@ -42,7 +42,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from operator import le
+from operator import le, sub
 from typing import List, Optional, Sequence, Tuple
 
 from skewpbw import linalg
@@ -174,10 +174,11 @@ def _monomial_values(field: Field, columns, exps, values=None) -> dict:
     points' raw z_i.
 
     A missing x^t starts from a held o <= t of highest degree (t - e_i if
-    held, which exps in ascending degree make usual) and steps up one
-    variable at a time, in a loop: x^3000 costs 3000 products per point
-    and no recursion. A values dict this function returned is extended in
-    place, so a walk that asks for more monomials reuses all it holds.
+    held, which exps in ascending degree make usual) and multiplies by
+    z_i^d, d = t_i - o_i, squaring and multiplying in a loop: at most
+    2 log2(d) products per point, one new list each, and no recursion. A
+    values dict this function returned is extended in place, so a walk
+    that asks for more monomials reuses all it holds.
     """
     mul = field.raw_mul
     if values is None:
@@ -192,9 +193,13 @@ def _monomial_values(field: Field, columns, exps, values=None) -> dict:
         else:
             o = max((o for o in values if all(map(le, o, t))), key=sum)
             vals = values[o]
-            for col, a, b in zip(columns, t, o):
-                for _ in range(a - b):
-                    vals = list(map(mul, vals, col))
+            for col, d in zip(columns, map(sub, t, o)):
+                while d:
+                    if d & 1:
+                        vals = list(map(mul, vals, col))
+                    d >>= 1
+                    if d:
+                        col = list(map(mul, col, col))
             values[t] = vals
     return values
 

@@ -13,6 +13,10 @@ elements that no other lead divides, by a list of right factors: none for
 a left ideal, the variables (and the field primitive when some sigma is
 not the identity) for a two-sided one. Budgets make `unknown` a first
 class outcome: right closure need not terminate in general.
+
+Elements on their way to the basis, S-elements, right multiples and their
+remainders, are `_Raw` dicts: only one that joins the basis becomes a
+(monic) `Polynomial`, so the many that reduce to zero never build one.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from skewpbw.poly import (
     MonomialOrder,
     Polynomial,
     _acc,
+    _multiply_raw,
     _var_times_dict,
     exp_sub,
     find_divisor,
@@ -77,6 +82,18 @@ DEFAULT_BUDGET = Budget()
 # division
 
 
+class _Raw(dict):
+    """{exponent: raw value} of an element on its way to the basis: a
+    generator, an S-element, a right multiple, or the remainder `divide`
+    leaves of one, which lists its terms in descending order: its lead
+    first, and under deglex as `Polynomial.raw` does."""
+
+    __slots__ = ()
+
+    def is_zero(self) -> bool:
+        return not self
+
+
 class DivisionResult:
     """f = sum quotients[i] * divisors[i] + remainder.
 
@@ -85,9 +102,7 @@ class DivisionResult:
     its remainder alone records no quotients, and reading them raises.
     """
 
-    def __init__(
-        self, pres: Presentation, raw_quotients: Optional[List[dict]], remainder: Polynomial
-    ):
+    def __init__(self, pres: Presentation, raw_quotients: Optional[List[dict]], remainder):
         self.remainder = remainder
         self._pres = pres
         self._raw_quotients = raw_quotients
@@ -123,7 +138,8 @@ class _Memo:
       computation uses one order, so each key is built once.
 
     Every division of the computation runs on it, inter-reduction's too,
-    so that reuses the multiples the completion climbed to.
+    so that reuses the multiples the completion climbed to. Only `basis`
+    holds Polynomials; S-elements formed from the products are `_Raw`.
 
     A multiple is built by a ladder of one variable step per rung. With
     x_f the first variable of theta, x^theta * g = x_f * (x^(theta - e_f) * g)
@@ -206,20 +222,24 @@ def divide(
     product leads and lm(h). Raises on an empty divisor list or a zero
     divisor. `memo` and `_quotients` are internal: the caches of the
     Groebner computation whose whole basis `divisors` is, and False when
-    only the remainder is read, so that no quotient is recorded.
+    only the remainder is read, so that no quotient is recorded. With a
+    memo, f may be a `_Raw` of that computation; its remainder is then a
+    `_Raw` too, and no `Polynomial` is built.
     """
     if not divisors:
         raise GroebnerError("division requires at least one divisor")
-    pres = f.pres
     if memo is None:
-        memo = _divisor_memo(pres, divisors, order)
+        memo = _divisor_memo(f.pres, divisors, order)
+    pres = memo.pres
+    raw = isinstance(f, _Raw)
 
     field = pres.field
     add, mul, neg, zero = field.raw_add, field.raw_mul, field.raw_neg, field.raw_zero
     key = order.key
     leads, first, product, keys = memo.leads, memo.first, memo.product, memo.keys
+    products, heappop, heappush = memo.products, heapq.heappop, heapq.heappush
     n = len(leads)
-    work = dict(f.raw)
+    work = dict(f if raw else f.raw)
     # a min-heap on negated order keys pops the largest term first
     heap = []
     for e in work:
@@ -229,10 +249,10 @@ def divide(
         heap.append((k, e))
     heapq.heapify(heap)
     quotients = [dict() for _ in range(n)] if _quotients else None
-    remainder: dict = {}
+    remainder = _Raw()
 
     while heap:
-        _, exp = heapq.heappop(heap)
+        _, exp = heappop(heap)
         coeff = work.pop(exp, None)
         if coeff is None:
             continue  # stale entry
@@ -248,7 +268,7 @@ def divide(
         if i < 0:
             remainder[exp] = coeff
             continue
-        prod, inv_lc = product(i, exp)
+        prod, inv_lc = products.get((i, exp)) or product(i, exp)
         r = mul(coeff, inv_lc)
         if quotients is not None:
             _acc(quotients[i], exp_sub(exp, leads[i]), r, add, zero)
@@ -262,7 +282,7 @@ def divide(
                 k = keys.get(e)
                 if k is None:
                     k = keys[e] = tuple(map(operator.neg, key(e)))
-                heapq.heappush(heap, (k, e))
+                heappush(heap, (k, e))
             else:
                 cur = add(cur, mul(r, c))
                 if cur == zero:
@@ -270,10 +290,9 @@ def divide(
                 else:
                     work[e] = cur
 
-    # the heap pops terms in descending order, which under deglex is the
-    # order of Polynomial.raw
-    rem = Polynomial.from_raw(pres, remainder.items(), ordered=order.kind == "deglex")
-    return DivisionResult(pres, quotients, rem)
+    if not raw:
+        remainder = Polynomial.from_raw(pres, remainder.items(), ordered=order.kind == "deglex")
+    return DivisionResult(pres, quotients, remainder)
 
 
 def _divisor_memo(
@@ -399,20 +418,19 @@ def _reduce_with_cert(
     return res.remainder, cert
 
 
-def _monic(g: Polynomial, cert, order: MonomialOrder):
-    """g and its certificate scaled to lead coefficient 1; no work if it is 1."""
-    lc = g.leading(order)[1]
-    field = g.pres.field
-    if lc == field.raw_one:
-        return g, cert
-    u = field.raw_inv(lc)
+def _monic(pres: Presentation, g: _Raw, cert, order: MonomialOrder):
+    """The Polynomial of g, a `_Raw` whose lead comes first (under deglex,
+    all its terms in descending order), and its certificate, scaled to
+    lead coefficient 1: one scaling, and a sort under any other order."""
+    field = pres.field
+    u = field.raw_inv(next(iter(g.values())))
     if cert is not None:
         # a nonzero scale creates no zero part and merges no two parts
         c = Scalar(field, u)
         cert = tuple((p.scale(c), i, q) for p, i, q in cert)
     mul = field.raw_mul
-    g = Polynomial.from_raw(g.pres, [(e, mul(u, k)) for e, k in g.raw], ordered=True)
-    return g, cert
+    pairs = [(e, mul(u, k)) for e, k in g.items()]
+    return Polynomial.from_raw(pres, pairs, ordered=order.kind == "deglex"), cert
 
 
 def _completion(
@@ -426,9 +444,10 @@ def _completion(
 
     The first `done` items must already be a left GB of monic nonconstant
     elements, and they must be the memo's basis: no pair among them is
-    formed, and they lead the returned items unchanged. Every element the
-    completion adds is appended to the memo. status UNIT means a nonzero
-    constant was derived; the single returned item is then 1.
+    formed, and they lead the returned items unchanged. The items after
+    them are `_Raw`s as `_monic` takes them; every element the completion
+    adds is appended to the memo as a Polynomial. status UNIT means a
+    nonzero constant was derived; the single returned item is then 1.
 
     Pairs are managed with Gebauer-Moller's chain criterion only (the
     product criterion fails for these algebras). It is sound because in a
@@ -467,7 +486,7 @@ def _completion(
         certs.append(cert)
 
     for g, cert in items[done:]:
-        g, cert = _monic(g, cert, order)
+        g, cert = _monic(memo.pres, g, cert, order)
         if g.is_constant():
             return UNIT, [(g, cert)], "derived a nonzero constant"
         add(g, cert)
@@ -487,12 +506,10 @@ def _completion(
             return UNKNOWN, list(zip(basis, certs)), "pair budget exhausted"
 
         s, cert_s = _s_element(memo, certs, i, j, gamma)
-        if s.is_zero():
-            continue
         rem, cert_s = _reduce_with_cert(s, cert_s, basis, certs, order, memo)
         if rem.is_zero():
             continue
-        rem, cert_s = _monic(rem, cert_s, order)
+        rem, cert_s = _monic(memo.pres, rem, cert_s, order)
         if rem.is_constant():
             return UNIT, [(rem, cert_s)], "derived a nonzero constant"
         add(rem, cert_s)
@@ -526,30 +543,36 @@ def _gebauer_moller(pairs: dict, leads: Sequence[tuple], lead: tuple) -> dict:
     lower: list = []  # kept lcms of degree below the current one
     level: list = []  # kept lcms of the current degree
     degree = -1
-    for d, i, gamma in sorted([(sum(gamma), i, gamma) for i, gamma in enumerate(lcms)]):
-        if d != degree:
+    degrees = [sum(gamma) for gamma in lcms]
+    for i in sorted(range(len(lcms)), key=degrees.__getitem__):  # stable
+        gamma = lcms[i]
+        if degrees[i] != degree:
             lower += level
             level = []
-            degree = d
-        if gamma in fresh or any(all(map(le, other, gamma)) for other in lower):
+            degree = degrees[i]
+        if gamma in fresh:
             continue
-        fresh[gamma] = i
-        level.append(gamma)
+        for other in lower:  # stop at the first that divides gamma
+            if all(map(le, other, gamma)):
+                break
+        else:
+            fresh[gamma] = i
+            level.append(gamma)
     return fresh
 
 
 def _s_element(memo: _Memo, certs, i, j, gamma):
-    """Left S-element of basis[i], basis[j] w.r.t. the common multiple gamma."""
+    """Left S-element of basis[i], basis[j] w.r.t. the common multiple
+    gamma, as a `_Raw` for `divide`, and its certificate."""
     pres = memo.pres
     field = pres.field
     add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
     pi, ui = memo.product(i, gamma)
     pj, uj = memo.product(j, gamma)
     uj = field.raw_neg(uj)
-    out = {e: mul(ui, c) for e, c in pi.items()}
+    s = _Raw({e: mul(ui, c) for e, c in pi.items()})
     for e, c in pj.items():
-        _acc(out, e, mul(uj, c), add, zero)
-    s = Polynomial.from_raw(pres, out.items())
+        _acc(s, e, mul(uj, c), add, zero)
     cert = None
     if certs[i] is not None:
         ti = exp_sub(gamma, memo.leads[i])
@@ -585,19 +608,19 @@ def _inter_reduce(memo: _Memo, certs, order):
     the element's own lead divides none. The basis is a left GB of the
     ideal L, so the remainder is the unique normal form of the tail
     modulo L: each element is the one that dividing it by the other
-    minimal elements gives, though its certificate may differ.
+    minimal elements gives, though its certificate may differ. A tail no
+    lead divides is its own remainder and is not divided.
     """
-    basis = memo.basis
+    basis, leads = memo.basis, memo.leads
     out = []
-    for k in _minimal(memo.leads):
-        g = basis[k]
+    for k in _minimal(leads):
+        g, cert = basis[k], certs[k]
         lead = g.leading(order)
-        tail = Polynomial.from_raw(g.pres, [t for t in g.raw if t[0] != lead[0]], ordered=True)
-        rem, cert = _reduce_with_cert(tail, certs[k], basis, certs, order, memo)
-        out.append((
-            Polynomial.from_raw(g.pres, (lead,) + rem.raw, ordered=order.kind == "deglex"),
-            cert,
-        ))
+        tail = _Raw(t for t in g.raw if t[0] != lead[0])
+        if any(find_divisor(leads, e) >= 0 for e in tail):
+            tail, cert = _reduce_with_cert(tail, cert, basis, certs, order, memo)
+        terms = (lead, *tail.items())
+        out.append((Polynomial.from_raw(g.pres, terms, ordered=order.kind == "deglex"), cert))
     out.sort(key=lambda item: order.key(item[0].leading(order)[0]))
     return out
 
@@ -635,8 +658,8 @@ def _groebner(
     pres = gens[0].pres if gens else None
     if any(g.pres is not pres for g in gens):
         raise GroebnerError("generators from a different presentation")
-    items = [
-        (g, None if one is None else ((one, k, one),))
+    items = [  # each as a `_Raw` whose lead comes first, for `_monic`
+        (_Raw((g.leading(order), *g.raw)), None if one is None else ((one, k, one),))
         for k, g in enumerate(gens)
         if not g.is_zero()
     ]
@@ -656,7 +679,7 @@ def _groebner(
                     (p, i, multiply(q, w)) for p, i, q in cert
                 )
                 rem, cw = _reduce_with_cert(
-                    multiply(g, w), cw, basis, certs, order, memo
+                    _multiply_raw(pres, g.raw, w.raw, _Raw()), cw, basis, certs, order, memo
                 )
                 if not rem.is_zero():
                     new_items.append((rem, cw))
@@ -665,10 +688,11 @@ def _groebner(
             break
         rounds += 1
         done = len(items)
-        items = items + new_items
         if rounds >= budget.max_rounds:
             status, note = UNKNOWN, "saturation round budget exhausted"
+            items += [(Polynomial.from_raw(pres, r.items()), c) for r, c in new_items]
             break
+        items = items + new_items
     return IdealHandle(
         pres,
         gens,

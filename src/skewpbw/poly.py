@@ -417,17 +417,19 @@ def multiply(f: Polynomial, g: Polynomial) -> Polynomial:
     """Normal-ordered product in the algebra."""
     if f.pres is not g.pres:
         raise ValueError("polynomials from different presentations")
-    pres = f.pres
-    if f.is_zero() or g.is_zero():
-        return Polynomial.zero(pres)
+    return Polynomial.from_raw(f.pres, _multiply_raw(f.pres, f.raw, g.raw, {}).items())
+
+
+def _multiply_raw(pres: Presentation, f_raw, g_raw, out: dict) -> dict:
+    """out with the product of the raw pairs f_raw * g_raw, as a dict in
+    no particular order, added in; returns out."""
     field = pres.field
     add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
-    gdict = dict(g.raw)
-    out: dict = {}
-    for alpha, a in f.raw:
+    gdict = dict(g_raw)
+    for alpha, a in f_raw:
         for e, c in _mono_times_dict(pres, alpha, gdict).items():
             _acc(out, e, mul(a, c), add, zero)
-    return Polynomial.from_raw(pres, out.items())
+    return out
 
 
 def exponents_of_degree(n: int, d: int):

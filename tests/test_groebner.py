@@ -29,15 +29,21 @@ from skewpbw.groebner import (
 )
 from skewpbw.poly import (
     DEGLEX,
+    DEGREVLEX,
     MonomialOrder,
     Polynomial,
     _mono_times_dict,
+    deglex_key,
     divides,
     exponents_up_to,
     multiply,
     parse_polynomial,
 )
-from skewpbw.presentation import load_presentation, load_presentation_file
+from skewpbw.presentation import (
+    extend_with_central,
+    load_presentation,
+    load_presentation_file,
+)
 
 
 def leading_exp(f):
@@ -491,6 +497,58 @@ def test_round_budget_zero_runs_the_first_round(comm2):
     assert zero.basis == left_groebner(gens).basis
 
 
+@pytest.mark.parametrize("order", ["deglex", "degrevlex", "block"])
+@pytest.mark.parametrize(
+    "name", ["qplane_q2_gf5.alg", "gf7space", "qplane_m1.alg", "qspace3.alg", "zeta5plane"]
+)
+def test_raw_elements_give_the_oracle_bases_under_every_order(name, order):
+    """S-elements, right multiples and remainders stay raw dicts until
+    they join the basis. Over GF(5), GF(7), Q, Q(i) and Q(zeta5), under
+    deglex, degrevlex and the block order `intersect_left` eliminates
+    with (on the presentation with its central variable), seeded left
+    bases and saturations equal the every-pair oracle's, a tracked run
+    gives the untracked basis, and each element is monic under the order
+    and stores its terms in descending deglex order."""
+    pres = _algebra(name)
+    if order == "block":
+        pres = extend_with_central(pres)
+    mono_order = {
+        "deglex": DEGLEX, "degrevlex": DEGREVLEX, "block": MonomialOrder.block([0], pres.n)
+    }[order]
+    rng = random.Random(zlib.crc32(f"raw path {name} {order}".encode()))
+    for _ in range(6):
+        gens = _random_gens(pres, rng, 2, 3)
+        for engine, oracle in (
+            (left_groebner, naive_left_gb),
+            (two_sided_saturate, naive_saturate),
+        ):
+            H = engine(gens, mono_order)
+            assert H.status in ("proper", "unit")
+            assert list(H.basis) == oracle(gens, mono_order)
+            assert engine(gens, mono_order, track=True).basis == H.basis
+            for g in H.basis:
+                assert g.raw == tuple(sorted(g.raw, key=lambda t: deglex_key(t[0]), reverse=True))
+                assert g.leading(mono_order)[1] == pres.field.raw_one
+
+
+def test_raw_remainder_is_sorted_into_deglex_under_other_orders():
+    """A raw remainder lists its terms in the computation's order, lead
+    first; the basis element built from it is sorted into deglex, the
+    order of `Polynomial.raw`, and scaled to lead coefficient 1."""
+    pres = _algebra("gf7space")
+    z3 = parse_polynomial("z^3", pres)
+    f = parse_polynomial("3*y^2 + x*z + x", pres)
+    memo = groebner._divisor_memo(pres, [z3], DEGREVLEX)
+    res = divide(groebner._Raw(f.raw), [z3], DEGREVLEX, memo=memo, _quotients=False)
+    rem = res.remainder
+    assert isinstance(rem, groebner._Raw)
+    assert list(rem) == [(0, 2, 0), (1, 0, 1), (1, 0, 0)]  # y^2 > x*z in degrevlex
+    g, _ = groebner._monic(pres, rem, None, DEGREVLEX)
+    assert g == f.scale(pres.field.from_int(3).inv())
+    assert [e for e, _ in g.raw] == [(1, 0, 1), (0, 2, 0), (1, 0, 0)]
+    assert divide(f, [z3], DEGREVLEX).remainder == f
+
+
 def test_chain_criterion_forms_fewer_pairs(monkeypatch):
     pres = _algebra("qplane_q2_gf5.alg")
     rng = random.Random(5)
@@ -570,8 +628,8 @@ def test_right_multiples_only_of_minimal_elements(monkeypatch):
     inputs = [
         [random_polynomial(pres, rng, 4, 4) for _ in range(3)] for _ in range(10)
     ]
-    completion, multiply_ = groebner._completion, groebner.multiply
-    formed = []  # (left factor, basis it was formed against)
+    completion, multiply_raw = groebner._completion, groebner._multiply_raw
+    formed = []  # (raw pairs of the left factor, basis it was formed against)
     bases = []
 
     def spy_completion(*args):
@@ -579,17 +637,17 @@ def test_right_multiples_only_of_minimal_elements(monkeypatch):
         bases.append([g for g, _ in out[1]])
         return out
 
-    def spy_multiply(f, g):
-        formed.append((f, bases[-1]))
-        return multiply_(f, g)
+    def spy_multiply_raw(pres, f_raw, g_raw, out):
+        formed.append((f_raw, bases[-1]))
+        return multiply_raw(pres, f_raw, g_raw, out)
 
     monkeypatch.setattr(groebner, "_completion", spy_completion)
-    monkeypatch.setattr(groebner, "multiply", spy_multiply)
+    monkeypatch.setattr(groebner, "_multiply_raw", spy_multiply_raw)
     minimal = [two_sided_saturate(gens).basis for gens in inputs]
     assert formed
-    for f, basis in formed:
-        k = next(k for k, g in enumerate(basis) if g is f)
-        lead = leading_exp(f)
+    for f_raw, basis in formed:
+        k = next(k for k, g in enumerate(basis) if g.raw is f_raw)
+        lead = leading_exp(basis[k])
         assert not any(
             divides(leading_exp(g), lead)
             and (leading_exp(g) != lead or j < k)
