@@ -16,7 +16,6 @@ from skewpbw.presentation import (
     load_presentation_file,
     presentation_hash,
     quantum_plane,
-    quantum_space,
     serialize_presentation,
 )
 from skewpbw.poly import (
@@ -60,7 +59,6 @@ from skewpbw.normality import (
     NormalityVerdict,
     central_probe,
     is_normal,
-    normal_from_parts,
 )
 
 __version__ = "0.1.0"

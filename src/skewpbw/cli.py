@@ -336,7 +336,7 @@ def run_command(args) -> tuple:
         # stays while perfbench/cli_expected.json pins it
         doc["inputs"] = {"f": args.f, "slack": 0}
         payload = {"status": verdict.status}
-        if verdict.certificate and verdict.certificate.get("kind") == "witnesses":
+        if verdict.certificate:
             payload["witnesses"] = {
                 pres.names[j]: {"g": str(g), "g_prime": str(gp)}
                 for j, (g, gp) in verdict.certificate["per_generator"].items()

@@ -17,6 +17,9 @@ class outcome: right closure need not terminate in general.
 Elements on their way to the basis, S-elements, right multiples and their
 remainders, are `_Raw` dicts: only one that joins the basis becomes a
 (monic) `Polynomial`, so the many that reduce to zero never build one.
+
+One `_Memo` holds a computation: its order, its basis with each element's
+lead and certificate, and its caches; every helper reads them from it.
 """
 
 from __future__ import annotations
@@ -121,11 +124,15 @@ class DivisionResult:
 
 
 class _Memo:
-    """The basis of one Groebner computation with its caches; dropped
-    when the computation returns.
+    """One Groebner computation: its order, its basis with each element's
+    lead and certificate, and its caches; dropped when the computation
+    returns.
 
     The basis only grows by appending, so a position names one element for
     the whole computation and the maps stay valid:
+    - `certs`: position -> the element's certificate, triples (p, i, q)
+      with element == sum p * gens[i] * q over the generators as given,
+      zeros included; None when nobody asked for one;
     - `first`: exponent -> (position of the first lead dividing it, or -1;
       number of leads checked), so a miss is searched again only among
       the leads appended since;
@@ -154,20 +161,25 @@ class _Memo:
     inverse: only the keys callers ask for pay for one.
     """
 
-    __slots__ = ("pres", "basis", "leads", "first", "multiples", "products", "keys")
+    __slots__ = (
+        "pres", "order", "basis", "leads", "certs", "first", "multiples", "products", "keys"
+    )
 
-    def __init__(self, pres: Presentation):
+    def __init__(self, pres: Presentation, order: MonomialOrder):
         self.pres = pres
+        self.order = order
         self.basis: List[Polynomial] = []
         self.leads: List[tuple] = []
+        self.certs: list = []
         self.first: dict = {}
         self.multiples: dict = {}
         self.products: dict = {}
         self.keys: dict = {}
 
-    def append(self, g: Polynomial, lead: tuple) -> None:
+    def append(self, g: Polynomial, lead: tuple, cert=None) -> None:
         self.basis.append(g)
         self.leads.append(lead)
+        self.certs.append(cert)
 
     def product(self, k: int, mu: tuple):
         """(x^theta * basis[k] as a raw dict, inverse of its lead
@@ -220,17 +232,17 @@ def divide(
     Reduced means no term of h has a monomial divisible by any lm(f_i);
     terms are processed largest first, so lm(f) = max of the partial
     product leads and lm(h). Raises on an empty divisor list or a zero
-    divisor. `memo` and `_quotients` are internal: the caches of the
-    Groebner computation whose whole basis `divisors` is, and False when
-    only the remainder is read, so that no quotient is recorded. With a
-    memo, f may be a `_Raw` of that computation; its remainder is then a
-    `_Raw` too, and no `Polynomial` is built.
+    divisor. `memo` and `_quotients` are internal: the Groebner
+    computation whose whole basis `divisors` is, whose order then rules,
+    and False when only the remainder is read, so that no quotient is
+    recorded. With a memo, f may be a `_Raw` of that computation; its
+    remainder is then a `_Raw` too, and no `Polynomial` is built.
     """
     if not divisors:
         raise GroebnerError("division requires at least one divisor")
     if memo is None:
         memo = _divisor_memo(f.pres, divisors, order)
-    pres = memo.pres
+    pres, order = memo.pres, memo.order
     raw = isinstance(f, _Raw)
 
     field = pres.field
@@ -300,7 +312,7 @@ def _divisor_memo(
 ) -> _Memo:
     """A memo whose basis is the divisors; refuses a zero divisor or one
     from another presentation."""
-    memo = _Memo(pres)
+    memo = _Memo(pres, order)
     for g in divisors:
         if g.pres is not pres:
             raise GroebnerError("divisors from a different presentation")
@@ -332,9 +344,7 @@ def normal_forms(
     if not basis:
         return monos
     memo = _divisor_memo(pres, basis, order)
-    return [
-        divide(m, basis, order, memo=memo, _quotients=False).remainder for m in monos
-    ]
+    return [divide(m, basis, memo=memo, _quotients=False).remainder for m in monos]
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +381,6 @@ class IdealHandle:
         return f"IdealHandle({self.sidedness}, {self.status}, basis=[{body}])"
 
 
-# internal: basis items carry a certificate, a tuple of triples
-# (p, gen_index, q) with element == sum p * gens[gen_index] * q, where
-# gen_index counts the generators as given, zeros included; the
-# certificate is None when nobody asked for one
-
-
 def _cert_sum(parts) -> tuple:
     """Certificate of sum w * element over (w, cert) parts, merged per
     (gen_index, q) in one pass.
@@ -397,32 +401,32 @@ def _cert_sum(parts) -> tuple:
     return tuple((p, i, q) for (i, q), p in merged.items() if not p.is_zero())
 
 
-def _reduce_with_cert(
-    f: Polynomial,
-    cert,
-    basis: List[Polynomial],
-    certs: List,
-    order: MonomialOrder,
-    memo: Optional[_Memo] = None,
-):
-    """f reduced by basis, with its certificate; memo: as for `divide`.
-    Only a certificate reads the quotients, so none are recorded without."""
-    if not basis or f.is_zero():
-        return f, cert
-    res = divide(f, basis, order, memo=memo, _quotients=cert is not None)
+def _cert_minus(cert, res: DivisionResult, certs) -> tuple:
+    """Certificate of f - sum q_i * basis[i] from the division of f."""
+    parts = [(-q, c) for q, c in zip(res.quotients, certs) if not q.is_zero()]
+    return _cert_sum([(None, cert)] + parts)
+
+
+def _reduce_with_cert(f, cert, memo: _Memo):
+    """f reduced by the memo's basis, and the remainder's certificate.
+
+    Only a certificate reads the quotients, so none are recorded without
+    one. Every caller drops a zero remainder, so its certificate is never
+    expanded: it comes back None."""
+    if f.is_zero():
+        return f, None
+    res = divide(f, memo.basis, memo=memo, _quotients=cert is not None)
+    rem = res.remainder
     if cert is not None:
-        cert = _cert_sum(
-            [(None, cert)]
-            + [(-q, c) for q, c in zip(res.quotients, certs) if not q.is_zero()]
-        )
-    return res.remainder, cert
+        cert = None if rem.is_zero() else _cert_minus(cert, res, memo.certs)
+    return rem, cert
 
 
-def _monic(pres: Presentation, g: _Raw, cert, order: MonomialOrder):
+def _monic(memo: _Memo, g: _Raw, cert):
     """The Polynomial of g, a `_Raw` whose lead comes first (under deglex,
     all its terms in descending order), and its certificate, scaled to
     lead coefficient 1: one scaling, and a sort under any other order."""
-    field = pres.field
+    field = memo.pres.field
     u = field.raw_inv(next(iter(g.values())))
     if cert is not None:
         # a nonzero scale creates no zero part and merges no two parts
@@ -430,24 +434,20 @@ def _monic(pres: Presentation, g: _Raw, cert, order: MonomialOrder):
         cert = tuple((p.scale(c), i, q) for p, i, q in cert)
     mul = field.raw_mul
     pairs = [(e, mul(u, k)) for e, k in g.items()]
-    return Polynomial.from_raw(pres, pairs, ordered=order.kind == "deglex"), cert
+    return Polynomial.from_raw(memo.pres, pairs, ordered=memo.order.kind == "deglex"), cert
 
 
-def _completion(
-    items: List[Tuple[Polynomial, Optional[tuple]]],
-    order: MonomialOrder,
-    budget: Budget,
-    done: int,
-    memo: _Memo,
-):
-    """Left Buchberger completion of nonzero items; returns (status, items, note).
+def _completion(items: List[Tuple[_Raw, Optional[tuple]]], budget: Budget, memo: _Memo):
+    """Left Buchberger completion of the memo's basis and the new items;
+    returns (status, items, note).
 
-    The first `done` items must already be a left GB of monic nonconstant
-    elements, and they must be the memo's basis: no pair among them is
-    formed, and they lead the returned items unchanged. The items after
-    them are `_Raw`s as `_monic` takes them; every element the completion
-    adds is appended to the memo as a Polynomial. status UNIT means a
-    nonzero constant was derived; the single returned item is then 1.
+    The memo's basis must already be a left GB of monic nonconstant
+    elements: no pair among them is formed. The new items are nonzero
+    `_Raw`s as `_monic` takes them, with their certificates; each element
+    the completion adds is appended to the memo as a Polynomial with its
+    certificate. The returned items are the memo's (element, certificate)
+    pairs. status UNIT means a nonzero constant was derived; the single
+    returned item is then 1.
 
     Pairs are managed with Gebauer-Moller's chain criterion only (the
     product criterion fails for these algebras). It is sound because in a
@@ -461,32 +461,24 @@ def _completion(
     The same multiplicativity keys the memo's products by their lead: the
     S-element of i and j is formed from the products of basis[i] and
     basis[j] with lead gamma, and a division step cancels exponent mu with
-    the product of lead mu, so neither computes theta on a cache hit. A
-    new product climbs basis[k]'s ladder from its nearest cached rung, one
-    variable step per rung; the rungs are exact (they equal the one-shot
-    product term for term), so the products many divisions and S-elements
-    form share their lower multiples, for this completion and the rounds
-    after it, until the computation returns and its memo goes.
-    Divisions here record quotients only for certificates.
+    the product of lead mu, so neither computes theta on a cache hit, and
+    the products of every division and S-element of the computation share
+    the memo's ladders of lower multiples.
     """
-    if not items:
-        return PROPER, [], ""
-    basis, leads = memo.basis, memo.leads
-    certs: List = [cert for _, cert in items[:done]]
+    order, leads = memo.order, memo.leads
     pairs: dict = {}  # queued pair (i, j), i < j -> lcm of the two leads
     heap: list = []  # (order key of the lcm, i, j); pairs pruned later go stale
 
     def add(g: Polynomial, cert):
-        k = len(basis)
+        k = len(leads)
         lead = g.leading(order)[0]
         for gamma, i in _gebauer_moller(pairs, leads, lead).items():
             pairs[(i, k)] = gamma
             heapq.heappush(heap, (order.key(gamma), i, k))
-        memo.append(g, lead)
-        certs.append(cert)
+        memo.append(g, lead, cert)
 
-    for g, cert in items[done:]:
-        g, cert = _monic(memo.pres, g, cert, order)
+    for g, cert in items:
+        g, cert = _monic(memo, g, cert)
         if g.is_constant():
             return UNIT, [(g, cert)], "derived a nonzero constant"
         add(g, cert)
@@ -503,20 +495,19 @@ def _completion(
             continue
         processed += 1
         if processed > budget.max_pairs:
-            return UNKNOWN, list(zip(basis, certs)), "pair budget exhausted"
+            return UNKNOWN, list(zip(memo.basis, memo.certs)), "pair budget exhausted"
 
-        s, cert_s = _s_element(memo, certs, i, j, gamma)
-        rem, cert_s = _reduce_with_cert(s, cert_s, basis, certs, order, memo)
+        s, cert_s = _s_element(memo, i, j, gamma)
+        rem, cert_s = _reduce_with_cert(s, cert_s, memo)
         if rem.is_zero():
             continue
-        rem, cert_s = _monic(memo.pres, rem, cert_s, order)
+        rem, cert_s = _monic(memo, rem, cert_s)
         if rem.is_constant():
             return UNIT, [(rem, cert_s)], "derived a nonzero constant"
         add(rem, cert_s)
 
-    if skipped:
-        return UNKNOWN, list(zip(basis, certs)), "degree budget exhausted"
-    return PROPER, list(zip(basis, certs)), ""
+    note = "degree budget exhausted" if skipped else ""
+    return UNKNOWN if skipped else PROPER, list(zip(memo.basis, memo.certs)), note
 
 
 def _gebauer_moller(pairs: dict, leads: Sequence[tuple], lead: tuple) -> dict:
@@ -561,7 +552,7 @@ def _gebauer_moller(pairs: dict, leads: Sequence[tuple], lead: tuple) -> dict:
     return fresh
 
 
-def _s_element(memo: _Memo, certs, i, j, gamma):
+def _s_element(memo: _Memo, i, j, gamma):
     """Left S-element of basis[i], basis[j] w.r.t. the common multiple
     gamma, as a `_Raw` for `divide`, and its certificate."""
     pres = memo.pres
@@ -573,7 +564,7 @@ def _s_element(memo: _Memo, certs, i, j, gamma):
     s = _Raw({e: mul(ui, c) for e, c in pi.items()})
     for e, c in pj.items():
         _acc(s, e, mul(uj, c), add, zero)
-    cert = None
+    cert, certs = None, memo.certs
     if certs[i] is not None:
         ti = exp_sub(gamma, memo.leads[i])
         tj = exp_sub(gamma, memo.leads[j])
@@ -598,9 +589,9 @@ def _minimal(leads: Sequence[tuple], start: int = 0) -> List[int]:
     ]
 
 
-def _inter_reduce(memo: _Memo, certs, order):
-    """Reduced GB from the memo's basis, a left GB of monic elements with
-    these certificates, sorted by lead.
+def _inter_reduce(memo: _Memo):
+    """Reduced GB from the memo's basis, a left GB of monic elements, with
+    their certificates, sorted by lead.
 
     Each `_minimal` element becomes its lead plus the remainder of its
     tail, the terms below the lead, divided by the whole basis on the
@@ -609,16 +600,20 @@ def _inter_reduce(memo: _Memo, certs, order):
     ideal L, so the remainder is the unique normal form of the tail
     modulo L: each element is the one that dividing it by the other
     minimal elements gives, though its certificate may differ. A tail no
-    lead divides is its own remainder and is not divided.
+    lead divides is its own remainder and is not divided. A tail that
+    divides to zero leaves the lead, so its certificate is expanded.
     """
-    basis, leads = memo.basis, memo.leads
+    basis, leads, order = memo.basis, memo.leads, memo.order
     out = []
     for k in _minimal(leads):
-        g, cert = basis[k], certs[k]
+        g, cert = basis[k], memo.certs[k]
         lead = g.leading(order)
         tail = _Raw(t for t in g.raw if t[0] != lead[0])
         if any(find_divisor(leads, e) >= 0 for e in tail):
-            tail, cert = _reduce_with_cert(tail, cert, basis, certs, order, memo)
+            res = divide(tail, basis, memo=memo, _quotients=cert is not None)
+            tail = res.remainder
+            if cert is not None:
+                cert = _cert_minus(cert, res, memo.certs)
         terms = (lead, *tail.items())
         out.append((Polynomial.from_raw(g.pres, terms, ordered=order.kind == "deglex"), cert))
     out.sort(key=lambda item: order.key(item[0].leading(order)[0]))
@@ -652,7 +647,8 @@ def _groebner(
     then, by the same argument. So after the round the left ideal contains
     L * w, as if every element of G had been multiplied.
 
-    The computation owns one `_Memo`; its caches go when this returns.
+    The computation is one `_Memo`, which holds the order, the basis and
+    its certificates; its caches go when this returns.
     """
     budget = budget or DEFAULT_BUDGET
     pres = gens[0].pres if gens else None
@@ -663,46 +659,34 @@ def _groebner(
         for k, g in enumerate(gens)
         if not g.is_zero()
     ]
-    memo = _Memo(pres)
-    done = rounds = 0
+    memo = _Memo(pres, order)
+    rounds = 0
     while True:
-        status, items, note = _completion(items, order, budget, done, memo)
+        added = len(memo.basis)  # the position of this completion's first element
+        status, out, note = _completion(items, budget, memo)
         if status != PROPER:
             break
-        basis = memo.basis
-        certs = [c for _, c in items]
-        new_items = []
-        for k in _minimal(memo.leads, done) if right_factors else ():
-            g, cert = items[k]
+        items = []
+        for k in _minimal(memo.leads, added) if right_factors else ():
+            g, cert = memo.basis[k], memo.certs[k]
             for w in right_factors:
                 cw = None if cert is None else tuple(
                     (p, i, multiply(q, w)) for p, i, q in cert
                 )
-                rem, cw = _reduce_with_cert(
-                    _multiply_raw(pres, g.raw, w.raw, _Raw()), cw, basis, certs, order, memo
-                )
+                rem, cw = _reduce_with_cert(_multiply_raw(pres, g.raw, w.raw, _Raw()), cw, memo)
                 if not rem.is_zero():
-                    new_items.append((rem, cw))
-        if not new_items:
-            items = _inter_reduce(memo, certs, order)
+                    items.append((rem, cw))
+        if not items:
+            out = _inter_reduce(memo)
             break
         rounds += 1
-        done = len(items)
         if rounds >= budget.max_rounds:
             status, note = UNKNOWN, "saturation round budget exhausted"
-            items += [(Polynomial.from_raw(pres, r.items()), c) for r, c in new_items]
+            out += [(Polynomial.from_raw(pres, r.items()), c) for r, c in items]
             break
-        items = items + new_items
-    return IdealHandle(
-        pres,
-        gens,
-        LEFT if right_factors is None else TWO_SIDED,
-        status,
-        order,
-        tuple(g for g, _ in items),
-        None if one is None else tuple(c for _, c in items),
-        note,
-    )
+    side = LEFT if right_factors is None else TWO_SIDED
+    certs = None if one is None else tuple(c for _, c in out)
+    return IdealHandle(pres, gens, side, status, order, tuple(g for g, _ in out), certs, note)
 
 
 def left_groebner(

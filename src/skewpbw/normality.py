@@ -10,12 +10,10 @@ forced, so an infeasible bounded solve is a certificate of non-normality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from skewpbw import linalg
 from skewpbw.poly import Polynomial, exponents_up_to, multiply
-from skewpbw.presentation import Presentation
-from skewpbw.scalars import Scalar
 
 
 class NormalityError(ValueError):
@@ -47,28 +45,6 @@ class NormalityVerdict:
 
     def is_normal(self) -> bool:
         return self.status == "normal"
-
-
-def normal_from_parts(
-    pres: Presentation, c: Scalar, alpha: tuple, h: Polynomial
-) -> Tuple[Polynomial, NormalityVerdict]:
-    """c * x^alpha * h with h central: normal by structure over a
-    quasi-commutative presentation."""
-    c = pres.field.coerce(c)
-    if c.is_zero():
-        raise NormalityError("leading scalar must be nonzero")
-    if not pres.quasi_commutative:
-        raise NormalityError("structural normality needs a quasi-commutative presentation")
-    if h.pres is not pres:
-        raise NormalityError("central part from a different presentation")
-    if not central_probe(h):
-        raise NormalityError("h is not central")
-    f = multiply(Polynomial.monomial(pres, alpha, c), h)
-    verdict = NormalityVerdict(
-        "normal",
-        certificate={"kind": "structure", "c": c, "alpha": tuple(alpha), "h": h},
-    )
-    return f, verdict
 
 
 def is_normal(f: Polynomial) -> NormalityVerdict:

@@ -33,7 +33,7 @@ from skewpbw.groebner import (
     left_groebner,
     two_sided_saturate,
 )
-from skewpbw.normality import central_probe
+from skewpbw.normality import NormalityError, NormalityVerdict, central_probe
 from skewpbw.poly import DEGLEX, Polynomial, exponents_up_to, multiply
 from skewpbw.parsing import ParseError, parse_ast
 from skewpbw.presentation import Presentation, PresentationError, Relation
@@ -88,6 +88,30 @@ def naive_commutative_multiply(f: Polynomial, g: Polynomial) -> Polynomial:
             else:
                 out[e] = c
     return Polynomial.from_dict(pres, out)
+
+
+def quantum_space(field: Field, q_pairs: dict, names) -> Presentation:
+    """x_j*x_i = q_ij*x_i*x_j for each pair i < j (missing pairs commute)."""
+    n = len(names)
+    rels = {ij: Relation(q, (field.zero,) * n, field.zero) for ij, q in q_pairs.items()}
+    return Presentation(field, names, relations=rels)
+
+
+def normal_from_parts(pres: Presentation, c: Scalar, alpha: tuple, h: Polynomial):
+    """(c * x^alpha * h, its verdict) with h central: normal by structure
+    over a quasi-commutative presentation."""
+    c = pres.field.coerce(c)
+    if c.is_zero():
+        raise NormalityError("leading scalar must be nonzero")
+    if not pres.quasi_commutative:
+        raise NormalityError("structural normality needs a quasi-commutative presentation")
+    if h.pres is not pres:
+        raise NormalityError("central part from a different presentation")
+    if not central_probe(h):
+        raise NormalityError("h is not central")
+    f = multiply(Polynomial.monomial(pres, alpha, c), h)
+    certificate = {"kind": "structure", "c": c, "alpha": tuple(alpha), "h": h}
+    return f, NormalityVerdict("normal", certificate=certificate)
 
 
 def naive_word_multiply(f: Polynomial, g: Polynomial) -> Polynomial:

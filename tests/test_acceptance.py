@@ -12,6 +12,7 @@ from conftest import algebra_path
 from oracles import (
     _vector,
     brute_force_radical,
+    normal_from_parts,
     random_polynomial,
     semiprime_probe,
     span_rows,
@@ -31,7 +32,7 @@ from skewpbw.groebner import (
     left_groebner,
     two_sided_saturate,
 )
-from skewpbw.normality import is_normal, normal_from_parts
+from skewpbw.normality import is_normal
 from skewpbw.nullstellensatz import (
     center_generators,
     radical_membership_commutative,

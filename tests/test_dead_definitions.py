@@ -3,19 +3,22 @@ its classes, has a caller.
 
 A definition counts as used when its name is read, imported or named in a
 string (perfbench wraps functions by name) anywhere in `src/skewpbw` or
-`perfbench/` outside the definition itself; a name `skewpbw/__init__.py`
-exports is used. A method counts by its name alone, whatever object it is
-read from; dunder methods are exempt, since the language calls them.
-Helpers only tests call belong in `tests/oracles.py`.
+`perfbench/` outside the definition itself, or in the README's Python API
+example. Exporting a name from `skewpbw/__init__.py` does not use it. A
+method counts by its name alone, whatever object it is read from; dunder
+methods are exempt, since the language calls them. Helpers only tests
+call belong in `tests/oracles.py`.
 """
 
 import ast
 import os
+import re
 from collections import Counter
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 SRC = os.path.join(ROOT, "src", "skewpbw")
 PERFBENCH = os.path.join(ROOT, "perfbench")
+README = os.path.join(ROOT, "README.md")
 
 
 def _references(tree) -> Counter:
@@ -100,8 +103,27 @@ def test_checker_flags_an_uncalled_method():
     assert dead_definitions(modules, {}) == ["a.py: K.recursive", "a.py: K.uncalled"]
 
 
+def _readme_api() -> str:
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    return re.search(r"## Python API\n\n```python\n(.*?)```", text, re.S).group(1)
+
+
+def _unused(library: dict) -> list:
+    """Dead definitions of the library's sources; the exports of its
+    `__init__.py` count for nothing."""
+    library = {k: v for k, v in library.items() if k != "__init__.py"}
+    others = {f"perfbench/{k}": v for k, v in _sources(PERFBENCH).items()}
+    others["README.md"] = _readme_api()
+    return dead_definitions(library, others)
+
+
 def test_no_dead_definitions():
+    assert _unused(_sources(SRC)) == []
+
+
+def test_an_export_alone_is_no_use():
     library = _sources(SRC)
-    init = {"__init__.py": library.pop("__init__.py")}
-    others = {**init, **{f"perfbench/{k}": v for k, v in _sources(PERFBENCH).items()}}
-    assert dead_definitions(library, others) == []
+    library["__init__.py"] += "from skewpbw.groebner import exported_only\n"
+    library["groebner.py"] += "\n\ndef exported_only():\n    pass\n"
+    assert _unused(library) == ["groebner.py: exported_only"]

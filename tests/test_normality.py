@@ -6,14 +6,9 @@ import random
 import pytest
 
 from conftest import ALGEBRA_DIR, algebra_path
-from oracles import random_polynomial, random_scalar
+from oracles import normal_from_parts, random_polynomial, random_scalar
 from skewpbw import linalg, normality
-from skewpbw.normality import (
-    NormalityError,
-    central_probe,
-    is_normal,
-    normal_from_parts,
-)
+from skewpbw.normality import NormalityError, central_probe, is_normal
 from skewpbw.poly import Polynomial, exponents_up_to, multiply, parse_polynomial
 from skewpbw.presentation import Presentation, load_presentation_file
 from skewpbw.scalars import FieldSpec, get_field

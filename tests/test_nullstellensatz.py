@@ -14,6 +14,7 @@ from oracles import (
     brute_force_radical,
     first_central_in_box,
     naive_points_ideal,
+    quantum_space,
     random_polynomial,
     random_scalar,
     rref,
@@ -48,7 +49,6 @@ from skewpbw.presentation import (
     commutative_presentation,
     load_presentation_file,
     quantum_plane,
-    quantum_space,
 )
 from skewpbw.scalars import FieldSpec, get_field
 

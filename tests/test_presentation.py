@@ -1,10 +1,12 @@
 """Presentation documents: loading, validation, classification, consistency."""
 
 import os
+import re
 
 import pytest
 
 from conftest import ALGEBRA_DIR, algebra_path
+from skewpbw.cli import EXIT_INPUT, main
 from skewpbw.presentation import (
     PresentationError,
     check_pbw_consistency,
@@ -122,15 +124,42 @@ def test_consistency_shipped_algebras():
 
 
 def test_consistency_flags_mutated_witten():
-    mutated = load_presentation(
-        "field: Q\nvars: x, y, z\n"
-        "relation: y*x = 2*x*y\n"
-        "relation: z*x = x*z - x\n"
-        "relation: z*y = y*z + 2*x\n"
-    )
-    report = check_pbw_consistency(mutated, 4)
-    assert not report.consistent
-    assert report.failure is not None
+    """An inconsistent mutation of Witten's relations no longer loads: the
+    check at construction names the overlap that fails."""
+    with pytest.raises(PresentationError, match=r"overlap z\*y\*x has two normal forms"):
+        load_presentation(
+            "field: Q\nvars: x, y, z\n"
+            "relation: y*x = 2*x*y\n"
+            "relation: z*x = x*z - x\n"
+            "relation: z*y = y*z + 2*x\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "doc, overlap",
+    [
+        ("field: Q(i)\nvars: x, y\nsigma: x = conj\nrelation: y*x = x*y + 1\n", "y*x*i"),
+        ("field: Q(i)\nvars: x, y\nsigma: x = conj\nrelation: y*x = x*y + y\n", "y*x*i"),
+        (
+            "field: Q\nvars: x, y, z\nrelation: y*x = x*y + z\n"
+            "relation: z*x = x*z\nrelation: z*y = 2*y*z\n",
+            "z*y*x",
+        ),
+        # no lower terms, but sigma_x does not fix the constant of z*y
+        ("field: Q(i)\nvars: x, y, z\nsigma: x = conj\nrelation: z*y = i*y*z\n", "z*y*x"),
+    ],
+)
+def test_inconsistent_presentations_are_refused(doc, overlap, tmp_path, capsys):
+    """The documents whose overlaps fail, scalar ones under a twist and a
+    twisted one without lower terms included, are refused with the
+    overlap named, and the CLI exits 1."""
+    with pytest.raises(PresentationError, match="overlap " + re.escape(overlap)):
+        load_presentation(doc)
+    alg = tmp_path / "bad.alg"
+    alg.write_text(doc)
+    assert main(["normalize", "--algebra", str(alg), "--f", "x"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"overlap {overlap} " in err
 
 
 def test_consistency_degree_bound_validation(witten):

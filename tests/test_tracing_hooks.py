@@ -132,9 +132,9 @@ def test_saturation_builds_no_polynomial_for_a_zero_reduction(monkeypatch):
         built.append(f)
         return f
 
-    def spy_append(memo, g, lead):
+    def spy_append(memo, g, lead, cert=None):
         appended.append(g)
-        return append(memo, g, lead)
+        return append(memo, g, lead, cert)
 
     def spy_reduce(f, *args):
         rem, cert = reduce_with_cert(f, *args)
