@@ -47,7 +47,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from skewpbw import linalg
 from skewpbw.groebner import PROPER, TWO_SIDED, UNIT, IdealHandle
-from skewpbw.poly import DEGLEX, Polynomial, divides, exponents_up_to, multiply
+from skewpbw.poly import DEGLEX, Polynomial, exponents_up_to, multiply
 from skewpbw.presentation import Presentation
 from skewpbw.scalars import Field, PrimeField, Scalar
 
@@ -359,44 +359,23 @@ def commutative_points_ideal(
 ) -> List[Polynomial]:
     """Reduced deglex Groebner basis of the ideal of the points, ascending by lead.
 
-    Buchberger-Moeller (Moeller & Buchberger 1982; Abbott, Bigatti, Kreuzer
-    & Robbiano 2000), on raw field values: walk the monomials in ascending
-    deglex, skipping multiples of the leads found so far, and reduce each
-    one's vector of values at the points in a `linalg.Echelon` of the
-    earlier standard monomials' vectors. A relation t + sum c_j * o_j is
-    the basis element with lead t; a vector that is kept makes t standard.
-    The walk stops after a degree with no candidate left. Every tail
-    monomial is standard, so the basis is reduced; a reduced basis is
-    unique, so this is the basis a fold of pairwise intersections returns,
-    whose block order restricts to deglex on the t-free part. One point
-    gives the x_i - z_i, no points give [1]: the constant's vector is zero.
+    `linalg.walk` with unit weights and no cap, on each monomial's values
+    at the distinct points (Abbott, Bigatti, Kreuzer & Robbiano 2000). A
+    reduced basis is unique, so a fold of pairwise intersections returns
+    it too. One point gives the x_i - z_i, no points give [1].
     """
     field = center_pres.field
     n = center_pres.n
     distinct = dict.fromkeys(tuple(field.coerce(z).value for z in p) for p in points)
     columns = [[z[i] for z in distinct] for i in range(n)]
-    echelon = linalg.Echelon(field)
-    values = None
-    leads: List[tuple] = []
-    basis: List[Polynomial] = []
-    candidates = [(0,) * n]
-    while candidates:
-        # a lead of this degree divides no other monomial of it
-        candidates = [t for t in candidates if not any(divides(lead, t) for lead in leads)]
-        # each candidate is x_i * o with o standard, so one step from held values
-        values = _monomial_values(field, columns, candidates, values)
-        standard = []
-        for t in candidates:
-            relation = echelon.reduce(t, dict(enumerate(values[t])))
-            if relation is None:
-                standard.append(t)
-            else:
-                leads.append(t)
-                basis.append(Polynomial.from_raw(center_pres, relation.items()))
-        candidates = sorted({
-            o[:i] + (o[i] + 1,) + o[i + 1 :] for o in standard for i in range(n)
-        })
-    return basis
+    values = _monomial_values(field, columns, ())
+
+    def vectors(level):
+        _monomial_values(field, columns, level, values)
+        return [dict(enumerate(values[t])) for t in level]
+
+    relations = linalg.walk(field, (1,) * n, math.inf, vectors)
+    return [Polynomial.from_raw(center_pres, r.items()) for r in relations]
 
 
 @dataclass

@@ -29,7 +29,7 @@ import operator
 from operator import le
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from skewpbw.poly import (
     DEGLEX,
@@ -330,21 +330,16 @@ def remainder_of(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrde
 
 
 def normal_forms(
-    pres: Presentation,
-    exps: Sequence[tuple],
-    basis: Sequence[Polynomial],
-    order: MonomialOrder,
-) -> List[Polynomial]:
-    """remainder_of(x^e, basis, order) for each e in exps.
-
-    Every monomial divides by the same basis, so they share one memo: each
-    multiple x^theta * g is formed once per call.
-    """
-    monos = [Polynomial.monomial(pres, e) for e in exps]
+    pres: Presentation, basis: Sequence[Polynomial], order: MonomialOrder
+) -> Callable[[tuple], dict]:
+    """A function e -> the raw terms of remainder_of(x^e, basis, order).
+    Its divisions share one memo, so each multiple x^theta * g is formed
+    once, however many monomials it divides."""
+    one = pres.field.raw_one
     if not basis:
-        return monos
+        return lambda e: {e: one}
     memo = _divisor_memo(pres, basis, order)
-    return [divide(m, basis, memo=memo, _quotients=False).remainder for m in monos]
+    return lambda e: divide(_Raw({e: one}), basis, memo=memo, _quotients=False).remainder
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Exact linear algebra over a coefficient field, on raw values: one
-incremental echelon.
+incremental echelon, and one walk over monomials that reduces in it.
 
 Vectors are sparse dicts {row key: raw value}, in the raw values
 `Polynomial.raw` stores, combined with the field's raw functions. A
@@ -8,13 +8,16 @@ as they stand, so callers build no matrix: they feed vectors one at a
 time, each under a key of their own, and read back either "kept" or the
 linear relation that puts it in the span of the vectors kept before it.
 Sizes here are desk scale (tens of vectors), so plain Gaussian
-elimination is enough. `Echelon` is the only routine the library calls.
+elimination is enough. `walk` finds the ideal of central points and
+the contraction to the center; it, `ideal_of_points` and the normality
+solves feed `Echelon`.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional
+from typing import Callable, Hashable, List, Optional, Sequence
 
+from skewpbw.poly import divides
 from skewpbw.scalars import Field
 
 
@@ -67,6 +70,37 @@ class Echelon:
             {k: mul(s, c) for k, c in comb.items()},
         ))
         return None
+
+
+def walk(field: Field, weights: Sequence[int], cap: float, vectors: Callable) -> List[dict]:
+    """The reduced Groebner basis of the kernel of a linear map on
+    monomials, up to leads of weighted degree cap (math.inf for none), as
+    relations {t: 1, o_j: c_j} ascending by lead t.
+
+    Buchberger-Moeller (Marinari, Moeller & Mora 1993; the FGLM step of
+    Faugere, Gianni, Lazard & Mora 1993): visit the monomials by weighted
+    degree sum w_i * t_i (each w_i >= 1), then by exponent tuple, a
+    monomial order; skip the multiples of the leads found so far, and
+    reduce each image in one `Echelon` of the standard monomials' images.
+    vectors(level) returns the images of one weighted degree's monomials,
+    each x_i times a standard one passed before (or 1). Every o_j is
+    standard, so the basis is reduced. With no cap the walk ends exactly
+    when the quotient is finite dimensional.
+    """
+    echelon, leads, relations = Echelon(field), [], []
+    pending = {0: {(0,) * len(weights)}}  # weighted degree -> candidates
+    while pending and (w := min(pending)) <= cap:
+        # a lead of this weighted degree divides no other monomial of it
+        level = sorted(t for t in pending.pop(w) if not any(divides(o, t) for o in leads))
+        for t, vec in zip(level, vectors(level)):
+            relation = echelon.reduce(t, vec)
+            if relation is not None:
+                leads.append(t)
+                relations.append(relation)
+                continue
+            for i, step in enumerate(weights):
+                pending.setdefault(w + step, set()).add(t[:i] + (t[i] + 1,) + t[i + 1 :])
+    return relations
 
 
 def nullspace(rows: List[list], field: Field, ncols: Optional[int] = None):

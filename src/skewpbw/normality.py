@@ -43,9 +43,6 @@ class NormalityVerdict:
     certificate: Optional[dict] = None
     counter_witness: Optional[tuple] = None  # (direction, witness)
 
-    def is_normal(self) -> bool:
-        return self.status == "normal"
-
 
 def is_normal(f: Polynomial) -> NormalityVerdict:
     """Decide Af = fA through generator-wise witness solves.

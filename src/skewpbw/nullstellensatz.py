@@ -2,14 +2,15 @@
 
 The center is decided by one rule on the lattice of central monomials
 (center_generators) and accepted only when it is the polynomial ring on
-pure powers x_i^(L_i), as the paper's Nullstellensatz assumes. Contraction
-of a two-sided ideal to it (the relations among the normal forms of
-central monomials, found by one `linalg.Echelon`), the ideal of the
+pure powers x_i^(L_i), as the paper's Nullstellensatz assumes. One
+Buchberger-Moeller walk (`linalg.walk`) finds both the contraction J of a
+two-sided ideal to it (the reduced basis of the relations among the
+normal forms of central monomials, up to a degree) and the ideal of the
 central points found on a finite search grid
-(`geometry.commutative_points_ideal`, Buchberger-Moeller on the values
-of monomials at the points, with no Groebner basis and no budget), the
-classical radical step (the Rabinowitsch trick inside the engine on a
-trivial-relations presentation) and central nilpotency certificates
+(`geometry.commutative_points_ideal`, on the values of monomials at the
+points), with no Groebner computation and no budget. With the classical
+radical step (the Rabinowitsch trick inside the engine on a
+trivial-relations presentation) and central nilpotency certificates they
 verify the first inclusion of
 
     < I_Z(V_Z(J)) >  subset of  radical(I)  subset of  I(V(I))
@@ -200,14 +201,6 @@ def _echelon(rows, moduli) -> list:
 # contraction to the center
 
 
-def _central_exponents(L: Tuple[int, ...], d: int) -> List[tuple]:
-    """Center-coordinate exponents kappa with sum L_i * kappa_i <= d."""
-    out = [((), 0)]
-    for l in L:
-        out = [(a + (k,), w + k * l) for a, w in out for k in range((d - w) // l + 1)]
-    return [kap for w, kap in sorted((w, kap) for kap, w in out)]
-
-
 def lift_center_poly(C: CenterDescription, f_center: Polynomial) -> Polynomial:
     """u_i -> x_i^(L_i); central monomials stay single monomials."""
     pres = C.presentation
@@ -229,28 +222,25 @@ class ContractionResult:
 def contract_to_center(
     handle: IdealHandle, C: CenterDescription, d: int
 ) -> ContractionResult:
-    """Basis of J up to degree d, J the contraction of the ideal to Z(A).
+    """The reduced basis, up to degree d and ascending by lead, of J, the
+    contraction of the ideal to Z(A).
 
-    Computed as the kernel of coefficient vectors -> normal forms on the
-    span of central monomials of degree <= d, one relation per monomial
-    whose normal form depends on those of the monomials before it, and
-    written in the center variables u_i = x_i^(L_i). Modulo a unit ideal
-    every normal form is 0, so J is spanned by every central monomial.
-    Each lifted element is certified a member of the ideal and central; a
-    failure is an engine fault and raises RuntimeError.
+    J is the kernel of u^kappa -> the normal form of x^(L*kappa), every one
+    divided through one memo. `linalg.walk` with the weights L and the cap
+    d finds it: d bounds the A-degree sum L_i * kappa_i of each lead, and
+    when J is zero-dimensional a large enough d gives its whole basis.
+    A unit ideal gives [1]. Each lifted element is certified a member of
+    the ideal and central; a failure is an engine fault: RuntimeError.
     """
     if handle.status == UNKNOWN:
         raise GroebnerError("contraction needs a resolved ideal; raise the budget")
-    pres = C.presentation
+    pres, L = C.presentation, C.exponents
     center_pres = C.center_presentation()
-    kappas = _central_exponents(C.exponents, d)
-    a_exps = [tuple(k * l for k, l in zip(kap, C.exponents)) for kap in kappas]
-    echelon = linalg.Echelon(pres.field)
-    center_polys = []
-    for kap, nf in zip(kappas, normal_forms(pres, a_exps, handle.basis, handle.order)):
-        relation = echelon.reduce(kap, dict(nf.raw))
-        if relation is not None:
-            center_polys.append(Polynomial.from_raw(center_pres, relation.items()))
+    normal_form = normal_forms(pres, handle.basis, handle.order)
+    relations = linalg.walk(pres.field, L, d, lambda level: [
+        normal_form(tuple(k * l for k, l in zip(kap, L))) for kap in level
+    ])
+    center_polys = [Polynomial.from_raw(center_pres, r.items()) for r in relations]
     lifted = [lift_center_poly(C, f) for f in center_polys]
     if not all(is_member_left(f, handle) == "yes" and central_probe(f) for f in lifted):
         raise RuntimeError("contraction output failed certification")
@@ -408,9 +398,7 @@ def verify_sandwich(
 
     contraction = contract_to_center(handle, C, d)
     j_center = contraction.center_polys
-    center_pres = (
-        j_center[0].pres if j_center else C.center_presentation()
-    )
+    center_pres = j_center[0].pres if j_center else C.center_presentation()
 
     v_center = [p.coords for p in vanishing_set(center_pres, j_center, domain).roots]
 

@@ -500,41 +500,43 @@ def parse_scalar(text: str, field: Field) -> Scalar:
 
 
 def _eval_ast(node, pres: Presentation) -> Polynomial:
+    # every binary operation parses left-nested, so a long sum, product,
+    # quotient or tower of powers is a chain: walk its left spine in a loop,
+    # so that its length takes no recursion depth
+    spine = []  # (kind, right operand), outermost first
+    while node[0] in ("add", "sub", "mul", "div", "pow"):
+        kind, node, right = node
+        if kind == "div":  # a denominator is checked before its numerator
+            right = _eval_ast(right, pres)
+            if right.is_zero():
+                raise ParseError("division by zero")
+            if not right.is_constant():
+                raise ParseError("division only by nonzero scalars")
+            right = Polynomial.constant(pres, right.constant_value().inv())
+        spine.append((kind, right))
     kind = node[0]
     if kind == "int":
-        return Polynomial.constant(pres, pres.field.from_int(node[1]))
-    if kind == "sym":
-        name = node[1]
-        if name in pres.names:
-            return Polynomial.variable(pres, pres.names.index(name))
-        return Polynomial.constant(
-            pres, parsing._scalar_symbol(pres.field, name, node[2])
-        )
-    if kind == "neg":
-        return -_eval_ast(node[1], pres)
-    if kind == "add":
-        return _eval_ast(node[1], pres) + _eval_ast(node[2], pres)
-    if kind == "sub":
-        return _eval_ast(node[1], pres) - _eval_ast(node[2], pres)
-    if kind == "mul":
-        return _eval_ast(node[1], pres) * _eval_ast(node[2], pres)
-    if kind == "div":
-        den = _eval_ast(node[2], pres)
-        if den.is_zero():
+        acc = Polynomial.constant(pres, pres.field.from_int(node[1]))
+    elif kind == "sym" and node[1] in pres.names:
+        acc = Polynomial.variable(pres, pres.names.index(node[1]))
+    elif kind == "sym":
+        acc = Polynomial.constant(pres, parsing._scalar_symbol(pres.field, node[1], node[2]))
+    elif kind == "neg":
+        acc = -_eval_ast(node[1], pres)
+    else:
+        raise ParseError(f"bad node {kind!r}")
+    for kind, right in reversed(spine):
+        if kind == "div":
+            acc = acc * right
+        elif kind != "pow":
+            rhs = _eval_ast(right, pres)
+            acc = acc + rhs if kind == "add" else acc - rhs if kind == "sub" else acc * rhs
+        elif right >= 0:
+            acc = acc ** right
+        elif acc.is_zero():
             raise ParseError("division by zero")
-        if not den.is_constant():
-            raise ParseError("division only by nonzero scalars")
-        return _eval_ast(node[1], pres) * Polynomial.constant(
-            pres, den.constant_value().inv()
-        )
-    if kind == "pow":
-        k = node[2]
-        base = _eval_ast(node[1], pres)
-        if k < 0:
-            if base.is_zero():
-                raise ParseError("division by zero")
-            if not base.is_constant():
-                raise ParseError("negative power of a non-scalar")
-            return Polynomial.constant(pres, base.constant_value() ** k)
-        return base ** k
-    raise ParseError(f"bad node {kind!r}")
+        elif not acc.is_constant():
+            raise ParseError("negative power of a non-scalar")
+        else:
+            acc = Polynomial.constant(pres, acc.constant_value() ** right)
+    return acc

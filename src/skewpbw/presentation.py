@@ -385,9 +385,6 @@ class ConsistencyReport:
     checked: int
     failure: Optional[tuple] = None  # (exp_a, exp_b, exp_c, difference repr)
 
-    def __bool__(self):
-        return self.consistent
-
 
 def check_pbw_consistency(pres: Presentation, degree_bound: int = 4) -> ConsistencyReport:
     """Associativity scan of the rewriting engine up to a total degree.

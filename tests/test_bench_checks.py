@@ -26,7 +26,7 @@ DIGEST_OPS = 200
 DIGESTS = {
     "gb-char0": "5b13029ba06d6e6a",
     "gb-gfp": "510ae3026a4dbd38",
-    "points": "63ce227caf01218f",
+    "points": "557f463497d57766",
 }
 
 

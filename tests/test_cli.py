@@ -104,6 +104,15 @@ def test_recursion_limit_is_input_error(capsys):
     assert "Traceback" not in err
 
 
+def test_long_flat_sum_normalizes(capsys):
+    """A sum of 1,200 terms is a left-nested chain, evaluated in a loop, so
+    it is no recursion-limit input error."""
+    flat = "+".join(["x"] * 1200)
+    code, out, err = run(["normalize", "--algebra", QPLANE, "--f", flat], capsys)
+    assert code == 0 and err == ""
+    assert "result.normal_form: 1200*x" in out
+
+
 def test_long_power_normalizes(capsys):
     """Normal ordering walks its chain of insertions in a loop, so moving y
     past x^1500 needs no recursion depth of 1500."""
@@ -370,7 +379,7 @@ def test_sandwich_without_checked_witness_is_inconclusive(capsys):
             "--domain", "grid:-2..2",
             "--trunc-degree", "8",
             "--max-power", "4",
-            "--budget-degree", "4",
+            "--budget-degree", "3",
         ],
         capsys,
     )
@@ -380,6 +389,31 @@ def test_sandwich_without_checked_witness_is_inconclusive(capsys):
     assert result["inclusion_radical"] == "inconclusive"
     assert result["inclusion_points"] == "confirmed"
     assert result["notes"] == ["radical membership unresolved for some generator"]
+
+
+def test_sandwich_reports_grid_artifacts_within_budget(capsys):
+    """J of <x*y - 1> is its one generator u*v - 1, so at --budget-degree 4
+    radical membership decides both generators of the grid trace's ideal:
+    neither lies in radical(J), and both are reported as grid artifacts."""
+    code, doc, _ = run_json(
+        [
+            "sandwich",
+            "--algebra", COMM,
+            "--gens", "x*y - 1",
+            "--domain", "grid:-2..2",
+            "--trunc-degree", "8",
+            "--max-power", "4",
+            "--budget-degree", "4",
+        ],
+        capsys,
+    )
+    assert code == EXIT_OK
+    result = doc["result"]
+    assert result["J_center"] == ["u*v - 1"]
+    assert [g["in_radical_J"] for g in result["generators"]] == [False, False]
+    assert [g["grid_artifact"] for g in result["generators"]] == [True, True]
+    assert result["inclusion_radical"] == "confirmed"
+    assert result["notes"][0].startswith("2 generator(s) vanish on the grid trace")
 
 
 def test_engine_fault_is_one_internal_error_line(monkeypatch, capsys):

@@ -103,24 +103,6 @@ def test_deep_division_runs_in_a_loop(qplane_m1):
     assert res.remainder == parse_polynomial("y + 1", qplane_m1)
 
 
-@pytest.mark.parametrize("d", [4, 6])
-def test_normal_forms_share_one_memo(qplane_m1, d):
-    """The normal forms that share one memo equal those computed one by
-    one, each with its own division."""
-    gens = [parse_polynomial(t, qplane_m1) for t in ("x^4 + x*y^2", "x^2*y^2 - y^3")]
-    handle = two_sided_saturate(gens)
-    assert handle.status == "proper" and len(handle.basis) > 1
-    exps = exponents_up_to(qplane_m1.n, d)
-    expected = [
-        groebner.remainder_of(Polynomial.monomial(qplane_m1, e), handle.basis, DEGLEX)
-        for e in exps
-    ]
-    assert groebner.normal_forms(qplane_m1, exps, handle.basis, DEGLEX) == expected
-    assert groebner.normal_forms(qplane_m1, exps, [], DEGLEX) == [
-        Polynomial.monomial(qplane_m1, e) for e in exps
-    ]
-
-
 @pytest.mark.parametrize(
     "fixture", ["witten", "weyl_z", "qplane_m1", "qplane_gf5", "qspace3"]
 )

@@ -19,7 +19,7 @@ from oracles import (
     random_scalar,
     rref,
 )
-from skewpbw import nullstellensatz
+from skewpbw import groebner, nullstellensatz
 from skewpbw.geometry import Point, SearchDomain, evaluate
 from skewpbw.groebner import (
     is_member_left,
@@ -39,6 +39,7 @@ from skewpbw.nullstellensatz import (
     verify_sandwich,
 )
 from skewpbw.poly import (
+    DEGLEX,
     Polynomial,
     divides,
     exponents_up_to,
@@ -354,8 +355,55 @@ def test_contract_unit_ideal(qplane_m1):
         [parse_polynomial("x-1", qplane_m1), parse_polynomial("y-1", qplane_m1)]
     )
     res = contract_to_center(I, C, 4)
-    # all central monomials of degree <= 4: 1, u, v, u^2, uv, v^2
-    assert len(res.center_polys) == 6
+    # every normal form is 0, so J's reduced basis is [1]
+    assert [str(g) for g in res.center_polys] == ["1"]
+    assert [str(g) for g in res.lifted] == ["1"]
+
+
+@pytest.mark.parametrize(
+    "gens, basis",
+    [
+        ("x^3 - x*y^2, y^4 - 1", ["v^2 - 1", "u^2 - u*v"]),
+        ("x^2*y^2 - 1, x^6 - y^2", ["u*v - 1", "u^2 - v^2", "v^3 - u"]),
+        ("x^4, y^2", ["v", "u^2"]),
+    ],
+)
+def test_contraction_gives_reduced_bases(qplane_m1, gens, basis):
+    """J's reduced basis on the three zero-dimensional inputs, already at
+    d = 8; the walk ends there, so a higher cap adds nothing."""
+    C = center_generators(qplane_m1)
+    I = two_sided_saturate([parse_polynomial(g, qplane_m1) for g in gens.split(",")])
+    J = contract_to_center(I, C, 8).center_polys
+    assert [str(g) for g in J] == basis
+    assert [str(g) for g in contract_to_center(I, C, 40).center_polys] == basis
+
+
+@pytest.mark.parametrize("d", [4, 6])
+def test_contraction_divides_through_one_memo(qplane_m1, monkeypatch, d):
+    """Every normal form of the contraction divides through one memo, and
+    equals the monomial's own division."""
+    gens = [parse_polynomial(t, qplane_m1) for t in ("x^4 + x*y^2", "x^2*y^2 - y^3")]
+    handle = two_sided_saturate(gens)
+    assert handle.status == "proper" and len(handle.basis) > 1
+    calls = []
+    divide = groebner.divide
+
+    def spy(f, divisors, *args, **kwargs):
+        result = divide(f, divisors, *args, **kwargs)
+        if kwargs.get("memo") is not None:
+            calls.append((dict(f), kwargs["memo"], dict(result.remainder)))
+        return result
+
+    monkeypatch.setattr(groebner, "divide", spy)
+    contract_to_center(handle, center_generators(qplane_m1), d)
+    assert len(calls) > 1 and len({id(memo) for _, memo, _ in calls}) == 1
+    for f, _, remainder in calls:
+        (e,) = f
+        alone = remainder_of(Polynomial.monomial(qplane_m1, e), handle.basis, DEGLEX)
+        assert remainder == dict(alone.raw)
+    calls.clear()
+    contract_to_center(two_sided_saturate([]), center_generators(qplane_m1), d)
+    assert calls == []
 
 
 def _contraction_by_scalars(handle, C, d):
@@ -411,10 +459,12 @@ def _seeded_generator(pres, L, rng):
     "name", ["commutative_xy.alg", "qplane_i.alg", "qplane_m1.alg", "qplane_q2_gf5.alg"]
 )
 def test_contraction_matches_scalar_kernel(name):
-    """contract_to_center at every d <= 6 against the kernel on Scalars, on
-    every shipped algebra with a center: the unit ideal (J holds every
-    central monomial), the zero ideal (proper with an empty basis; J is
-    zero), <x_1^(L_1) - 1> (J holds u_1 - 1) and seeded ideals."""
+    """contract_to_center at every d <= 8 against the kernel on Scalars, on
+    every shipped algebra with a center: the unit ideal (J is [1]), the
+    zero ideal (proper with an empty basis; J is zero), <x_1^(L_1) - 1>
+    (J holds u_1 - 1) and seeded ideals. J is an ordered sub-list of the
+    kernel's span basis that generates every element of it; under equal
+    L_i its order is deglex, and J is a reduced left Groebner basis."""
     pres = load_presentation_file(algebra_path(name))
     C = center_generators(pres)
     rng = random.Random(name)
@@ -429,15 +479,24 @@ def test_contraction_matches_scalar_kernel(name):
         if handle.status == "proper":
             handles.append(handle)
     assert handles[0].status == "unit" and handles[1].basis == ()
+    equal_weights = len(set(C.exponents)) == 1
     for handle in handles:
-        for d in range(7):
-            res = contract_to_center(handle, C, d)
+        for d in range(9):
+            J = contract_to_center(handle, C, d).center_polys
             expected = _contraction_by_scalars(handle, C, d)
-            assert [str(g) for g in res.center_polys] == [str(g) for g in expected]
+            remaining = iter([str(g) for g in expected])
+            assert all(str(g) in remaining for g in J)
             if handle is handles[1]:
-                assert res.center_polys == []
-    unit = contract_to_center(handles[0], C, 6).center_polys
-    assert all(len(g.raw) == 1 and g.raw[0][1] == pres.field.raw_one for g in unit)
+                assert J == []
+            if not J:
+                assert expected == []
+                continue
+            ideal = left_groebner(J)
+            for g in expected:
+                assert is_member_left(parse_polynomial(str(g), J[0].pres), ideal) == "yes"
+            if equal_weights:
+                assert list(ideal.basis) == J
+    assert [str(g) for g in contract_to_center(handles[0], C, 6).center_polys] == ["1"]
 
 
 # -- commutative side ----------------------------------------------------------

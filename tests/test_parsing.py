@@ -103,6 +103,20 @@ def test_print_parse_roundtrip(fixture, request):
         assert parse_polynomial(to_string(f), pres) == f
 
 
+def test_long_flat_chains_parse(comm2):
+    """Binary operations parse as left-nested chains, evaluated in a loop:
+    (x+y+1)^45, 1,081 terms, reads back from its own output, and a chain
+    of 3,000 terms, factors, quotients or powers needs no recursion depth
+    of 3,000."""
+    f = parse_polynomial("x + y + 1", comm2) ** 45
+    assert len(f.raw) == 1081
+    assert parse_polynomial(to_string(f), comm2) == f
+    assert str(parse_polynomial(" - ".join(["x"] * 3000), comm2)) == "-2998*x"
+    assert str(parse_polynomial("*".join(["x"] * 3000), comm2)) == "x^3000"
+    assert str(parse_polynomial("x" + "/1" * 3000 + "/2", comm2)) == "1/2*x"
+    assert str(parse_polynomial("x" + "^1" * 3000 + "^2", comm2)) == "x^2"
+
+
 # -- the text layer against the references in oracles -------------------------
 
 TEXT_FIELDS = (
