@@ -600,10 +600,10 @@ def _inter_reduce(memo: _Memo):
     """
     basis, leads, order = memo.basis, memo.leads, memo.order
     out = []
-    for k in _minimal(leads):
+    for k in sorted(_minimal(leads), key=lambda k: order.key(leads[k])):
         g, cert = basis[k], memo.certs[k]
-        lead = g.leading(order)
-        tail = _Raw(t for t in g.raw if t[0] != lead[0])
+        tail = _Raw(g.raw)
+        lead = (leads[k], tail.pop(leads[k]))
         if any(find_divisor(leads, e) >= 0 for e in tail):
             res = divide(tail, basis, memo=memo, _quotients=cert is not None)
             tail = res.remainder
@@ -611,7 +611,6 @@ def _inter_reduce(memo: _Memo):
                 cert = _cert_minus(cert, res, memo.certs)
         terms = (lead, *tail.items())
         out.append((Polynomial.from_raw(g.pres, terms, ordered=order.kind == "deglex"), cert))
-    out.sort(key=lambda item: order.key(item[0].leading(order)[0]))
     return out
 
 

@@ -89,12 +89,9 @@ class CenterDescription:
     presentation: Presentation
     exponents: Tuple[int, ...]  # L_i per variable
     generators: Tuple[Polynomial, ...]  # x_i^(L_i)
+    center_ring: Presentation  # K[u], u_i standing for x_i^(L_i)
     verified: bool
     case: str
-
-    def center_presentation(self) -> Presentation:
-        names = _center_names(self.presentation.n)
-        return commutative_presentation(self.presentation.field, names)
 
 
 def _center_names(n: int) -> tuple:
@@ -175,7 +172,8 @@ def center_generators(pres: Presentation) -> CenterDescription:
     for g in gens:
         if not central_probe(g):
             raise RuntimeError(f"generator {g} failed the centrality check")
-    return CenterDescription(pres, L, gens, True, case)
+    ring = commutative_presentation(pres.field, _center_names(n))
+    return CenterDescription(pres, L, gens, ring, True, case)
 
 
 def _echelon(rows, moduli) -> list:
@@ -235,12 +233,11 @@ def contract_to_center(
     if handle.status == UNKNOWN:
         raise GroebnerError("contraction needs a resolved ideal; raise the budget")
     pres, L = C.presentation, C.exponents
-    center_pres = C.center_presentation()
     normal_form = normal_forms(pres, handle.basis, handle.order)
     relations = linalg.walk(pres.field, L, d, lambda level: [
         normal_form(tuple(k * l for k, l in zip(kap, L))) for kap in level
     ])
-    center_polys = [Polynomial.from_raw(center_pres, r.items()) for r in relations]
+    center_polys = [Polynomial.from_raw(C.center_ring, r.items()) for r in relations]
     lifted = [lift_center_poly(C, f) for f in center_polys]
     if not all(is_member_left(f, handle) == "yes" and central_probe(f) for f in lifted):
         raise RuntimeError("contraction output failed certification")
@@ -398,7 +395,7 @@ def verify_sandwich(
 
     contraction = contract_to_center(handle, C, d)
     j_center = contraction.center_polys
-    center_pres = j_center[0].pres if j_center else C.center_presentation()
+    center_pres = C.center_ring
 
     v_center = [p.coords for p in vanishing_set(center_pres, j_center, domain).roots]
 

@@ -11,15 +11,11 @@ too (see `poly.parse_scalar` and `presentation.load_presentation`).
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from skewpbw.scalars import (
-    CyclotomicField,
-    Field,
-    GaussianRationalField,
-    Scalar,
-)
+from skewpbw.scalars import Field, Scalar
 
 
 class ParseError(ValueError):
@@ -146,33 +142,31 @@ def parse_ast(text: str):
     if not text.strip():
         raise ParseError("empty input", 0)
     p = _Parser(text)
-    node = p.parse_expr()
+    try:  # the parser recurses once per parenthesis and per unary sign
+        node = p.parse_expr()
+    except RecursionError:
+        raise ParseError(
+            "the input needs deeper recursion than Python's recursion "
+            f"limit ({sys.getrecursionlimit()}) allows"
+        ) from None
     t = p.peek()
     if t.kind != "end":
         raise ParseError(f"trailing input {t.text!r}", t.pos)
     return node
 
 
-# Scalar symbols of the grammar: name -> its value in a field, or None
-# where the field has no such element. Variable names may not shadow them.
-SCALAR_SYMBOLS = {
-    "i": lambda field: (
-        field.i if isinstance(field, GaussianRationalField)
-        else field.zeta if isinstance(field, CyclotomicField) and field.m == 4
-        else None
-    ),
-    "z": lambda field: field.zeta if isinstance(field, CyclotomicField) else None,
-}
+# The grammar's scalar symbols; each field's `symbols` holds those that
+# name one of its elements.
+_SCALAR_NAMES = ("i", "z")
 
 
 def _scalar_symbol(field: Field, name: str, pos: int) -> Scalar:
-    value_in = SCALAR_SYMBOLS.get(name)
-    if value_in is None:
+    value = field.symbols.get(name)
+    if value is not None:
+        return value
+    if name not in _SCALAR_NAMES:
         raise ParseError(f"unknown symbol {name!r}", pos)
-    value = value_in(field)
-    if value is None:
-        raise ParseError(f"{name!r} is not an element of {field.spec}", pos)
-    return value
+    raise ParseError(f"{name!r} is not an element of {field.spec}", pos)
 
 
 def split_top_level(text: str, sep: str = ",") -> list:

@@ -224,19 +224,16 @@ class Polynomial:
     them from `Scalar` coefficients, and `terms` reads the pairs back with
     `Scalar` values. Both stay public because the benchmark harness in
     `perfbench/engine.py` slices `terms` and builds from Scalars.
-
-    `_lead` holds (order, leading pair) for the last order other than
-    deglex that `leading` was asked for, so each lead is searched once.
     """
 
-    __slots__ = ("pres", "raw", "_lead")
+    __slots__ = ("pres", "raw")
 
     def __init__(self, pres: Presentation, terms: Iterable):
         """From (exponent, Scalar) pairs with distinct exponents, in any
         order; as in `from_raw`, they are sorted and zeros are dropped."""
         coerce = pres.field.coerce
         f = Polynomial.from_raw(pres, [(e, coerce(c).value) for e, c in terms])
-        self.pres, self.raw, self._lead = pres, f.raw, None
+        self.pres, self.raw = pres, f.raw
 
     @staticmethod
     def from_raw(pres: Presentation, pairs: Iterable, ordered=False) -> "Polynomial":
@@ -254,7 +251,6 @@ class Polynomial:
         f = Polynomial.__new__(Polynomial)
         f.pres = pres
         f.raw = tuple(items)
-        f._lead = None
         return f
 
     @staticmethod
@@ -315,12 +311,7 @@ class Polynomial:
             return None
         if order.kind == "deglex":
             return self.raw[0]
-        cached = self._lead
-        if cached is not None and cached[0] is order:
-            return cached[1]
-        lead = max(self.raw, key=lambda t: order.key(t[0]))
-        self._lead = (order, lead)
-        return lead
+        return max(self.raw, key=lambda t: order.key(t[0]))
 
     def scale(self, c: Scalar) -> "Polynomial":
         """Left multiplication by a scalar; a nonzero one keeps every term."""

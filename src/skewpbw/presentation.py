@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from skewpbw import parsing
-from skewpbw.parsing import SCALAR_SYMBOLS, ParseError
+from skewpbw.parsing import ParseError
 from skewpbw.scalars import (
     Field,
     FieldError,
@@ -65,7 +65,7 @@ class Presentation:
         if len(set(names)) != len(names):
             raise PresentationError("duplicate variable names")
         for nm in names:
-            if nm in SCALAR_SYMBOLS and SCALAR_SYMBOLS[nm](field) is not None:
+            if nm in field.symbols:
                 raise PresentationError(
                     f"variable name {nm!r} collides with a scalar symbol of {field.spec}"
                 )

@@ -2,12 +2,14 @@
 
 Supported fields: the rationals Q, the Gaussian rationals Q(i), cyclotomic
 fields Q(z_m) in the power basis reduced mod the m-th cyclotomic polynomial,
-and prime fields GF(p). The three characteristic-0 fields share one
-representation, integer numerators over one denominator. Each of them
-generates its own straight-line Galois maps and, for degree phi(m) >= 2,
-its add, mul and neg from the reduction rows of Phi_m; `get_field` refuses
-Q(z_m) with phi(m) above MAX_FIELD_DEGREE. Every value has a unique
-canonical form, so equality is plain structural equality.
+and prime fields GF(p). The three characteristic-0 fields are one class,
+Q(z_m) for m = 1, 4 or the parameter, on integer numerators over one
+denominator. Each field generates its own straight-line Galois maps and,
+for degree phi(m) >= 2, its add, mul and neg from the reduction rows of
+Phi_m; `get_field` refuses Q(z_m) with phi(m) above MAX_FIELD_DEGREE.
+Each field names its elements that the text grammar spells `i` or `z`
+in `Field.symbols`. Every value has a unique canonical form, so equality
+is plain structural equality.
 """
 
 from __future__ import annotations
@@ -266,6 +268,10 @@ class Field:
     raw_zero: object
     raw_one: object
     m = 1  # automorphisms are z |-> z^k for units k mod m (see galois_exponent)
+    symbol = "z"  # the generator's name in printed values
+    # the grammar's scalar symbols that name elements of this field; a
+    # variable name may not shadow one
+    symbols: dict = {}
 
     def _constants(self, raw_zero, raw_one) -> None:
         self.raw_zero = raw_zero
@@ -297,7 +303,7 @@ class Field:
 
     def primitive(self) -> Optional[Scalar]:
         """A generator of the field over its prime field, or None for Q/GF(p)."""
-        return None
+        return self.symbols.get(self.symbol)
 
     def unit_exponent(self, k: int) -> int:
         """The exponent k of z |-> z^k in canonical form: k mod m, and 1 for
@@ -503,13 +509,15 @@ def _q_inv(a):
 
 
 class _NumberField(Field):
-    """Q(z_m) on integers: the one representation behind Q (m = 1), Q(i) (m = 4)
-    and cyclotomic:m.
+    """Q(z_m) on integers, z a primitive m-th root of unity: one class for
+    Q (m = 1), Q(i) (m = 4, printed with i for z) and cyclotomic:m, which
+    differ only in m and in their scalar symbols.
 
     A raw value is a tuple (n_0, ..., n_{d-1}, den) of ints, d = phi(m),
     standing for (n_0 + n_1 z + ... + n_{d-1} z^(d-1)) / den in the power
     basis mod Phi_m, with den > 0 and gcd(n_0, ..., n_{d-1}, den) = 1. So
-    each element has one tuple, and zero is (0, ..., 0, 1).
+    each element has one tuple, and zero is (0, ..., 0, 1): a pair
+    (numerator, denominator) on Q, a triple (re, im, den) on Q(i).
 
     Each field generates its kernels once, from the integer rows x^e mod
     Phi_m (`_kernel_source`), as straight-line functions compiled from
@@ -527,11 +535,14 @@ class _NumberField(Field):
       products in all.
     For d = 1 add, mul, neg and inv are those of Q above, and only the
     identity Galois map is generated.
+
+    The generator is `i` on Q(i) and `zeta` on cyclotomic:m, where it is
+    1 for m = 1 and -1 for m = 2; Q has none.
     """
 
-    symbol = "z"  # the generator's name in printed values
-
-    def __init__(self, spec: FieldSpec, m: int):
+    def __init__(self, spec: FieldSpec):
+        m = {"Q": 1, "Q(i)": 4}.get(spec.kind, spec.param)
+        _check_degree(m)
         self.spec = spec
         self.m = m
         modulus = cyclotomic_polynomial(m)
@@ -549,11 +560,20 @@ class _NumberField(Field):
         if d == 1:
             self.raw_add, self.raw_mul, self.raw_neg = _q_add, _q_mul, _q_neg
             self.raw_inv = _q_inv
+            z = self.one if m == 1 else Scalar(self, (-1, 1))  # z_1, z_2
         else:
             self.raw_add, self.raw_mul, self.raw_neg = (
                 namespace["add"], namespace["mul"], namespace["neg"]
             )
             self.raw_inv = self._inv()
+            z = Scalar(self, (0, 1) + self._pad[1:] + (1,))
+        if spec.kind == "Q(i)":
+            self.symbol = "i"
+            self.i = z
+            self.symbols = {"i": z}
+        elif spec.kind == "cyclotomic":
+            self.zeta = z
+            self.symbols = {"z": z, "i": z} if m == 4 else {"z": z}
 
     def _inv(self):
         d, mul, gcd = self.dim, self.raw_mul, math.gcd
@@ -616,47 +636,6 @@ class _NumberField(Field):
         return f"({text})" if len(parts) > 1 else text
 
 
-class RationalField(_NumberField):
-    """Q; raw values are pairs (numerator, denominator)."""
-
-    def __init__(self):
-        super().__init__(FieldSpec.rationals(), 1)
-
-
-class GaussianRationalField(_NumberField):
-    """Q(i), as Q(z_4) printed with i for z; raw values are triples
-    (re, im, den)."""
-
-    symbol = "i"
-
-    def __init__(self):
-        super().__init__(FieldSpec.gaussian(), 4)
-        self.i = Scalar(self, (0, 1, 1))
-
-    def primitive(self):
-        return self.i
-
-
-class CyclotomicField(_NumberField):
-    """Q(z_m), z a primitive m-th root of unity; raw values are phi(m)
-    numerators over one denominator in the power basis mod Phi_m.
-
-    An inverse costs phi(m) - 1 products (see _NumberField).
-    """
-
-    def __init__(self, m: int):
-        _check_degree(m)
-        super().__init__(FieldSpec.cyclotomic(m), m)
-        if self.dim >= 2:
-            self.zeta = Scalar(self, (0, 1) + self._pad[1:] + (1,))
-        else:
-            # m in {1, 2}: z_1 = 1, z_2 = -1
-            self.zeta = self.one if m == 1 else Scalar(self, (-1, 1))
-
-    def primitive(self):
-        return self.zeta
-
-
 class PrimeField(Field):
     """GF(p); raw values are ints in range(p)."""
 
@@ -698,12 +677,8 @@ _FIELD_CACHE: dict = {}
 def get_field(spec: FieldSpec) -> Field:
     """Field context for a spec; cached so `is` identity works per spec."""
     if spec not in _FIELD_CACHE:
-        if spec.kind == "Q":
-            _FIELD_CACHE[spec] = RationalField()
-        elif spec.kind == "Q(i)":
-            _FIELD_CACHE[spec] = GaussianRationalField()
-        elif spec.kind == "cyclotomic":
-            _FIELD_CACHE[spec] = CyclotomicField(spec.param)
+        if spec.kind in ("Q", "Q(i)", "cyclotomic"):
+            _FIELD_CACHE[spec] = _NumberField(spec)
         elif spec.kind == "gf":
             _FIELD_CACHE[spec] = PrimeField(spec.param)
         else:
@@ -740,7 +715,7 @@ def galois_exponent(tag: str, field: Field) -> int:
     except ValueError:
         raise FieldError(f"unknown automorphism {tag!r}") from None
     if kind == "galois":
-        if not isinstance(field, (GaussianRationalField, CyclotomicField)):
+        if field.primitive() is None:
             raise FieldError(f"galois power undefined on {field.spec}")
         return field.unit_exponent(e)
     if not isinstance(field, PrimeField):

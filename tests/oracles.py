@@ -34,13 +34,16 @@ from skewpbw.groebner import (
     two_sided_saturate,
 )
 from skewpbw.normality import NormalityError, NormalityVerdict, central_probe
-from skewpbw.poly import DEGLEX, Polynomial, exponents_up_to, multiply
+from skewpbw.poly import DEGLEX, MonomialOrder, Polynomial, exponents_up_to, multiply
 from skewpbw.parsing import ParseError, parse_ast
-from skewpbw.presentation import Presentation, PresentationError, Relation
+from skewpbw.presentation import (
+    Presentation,
+    PresentationError,
+    Relation,
+    extend_with_central,
+)
 from skewpbw.scalars import (
-    CyclotomicField,
     Field,
-    GaussianRationalField,
     PrimeField,
     Scalar,
     cyclotomic_polynomial,
@@ -275,6 +278,34 @@ def first_central_in_box(pres: Presentation, L) -> Optional[tuple]:
         if any(alpha) and central_probe(Polynomial.monomial(pres, alpha)):
             return alpha
     return None
+
+
+def block_contraction(handle, C) -> list:
+    """J, the contraction of the two-sided ideal of `handle` to the center,
+    by block-order elimination: adjoin n central u_i, add u_i - x_i^(L_i)
+    to the two-sided basis, and keep the u-only elements of a left GB with
+    the x's as the front block, read in `C.center_ring`. Each u_i - x_i^(L_i)
+    is central, so the left ideal is two-sided and its u-only part is J.
+    Ascending by lead, as the u-part of the order is deglex."""
+    pres, n = C.presentation, C.presentation.n
+    ext = pres
+    for _ in range(n):  # each new central variable goes in front
+        ext = extend_with_central(ext)
+    zero = (0,) * n
+    gens = [Polynomial.from_raw(ext, [(zero + e, c) for e, c in g.raw]) for g in handle.basis]
+    field = pres.field
+    for i, L in enumerate(C.exponents):
+        u = tuple(int(k == i) for k in range(n))
+        x = tuple(L * t for t in u)
+        gens.append(Polynomial.from_raw(
+            ext, [(u + zero, field.raw_one), (zero + x, field.raw_neg(field.raw_one))]
+        ))
+    G = left_groebner(gens, MonomialOrder.block(range(n, 2 * n), 2 * n))
+    return [
+        Polynomial.from_raw(C.center_ring, [(e[:n], c) for e, c in g.raw])
+        for g in G.basis
+        if not any(any(e[n:]) for e, _ in g.raw)
+    ]
 
 
 def span_rows(polys, pres: Presentation, degree: int):
@@ -783,14 +814,15 @@ def fraction_field(spec):
 
 
 def _reference_symbol(field, name: str, pos: int):
+    kind = field.spec.kind
     if name == "i":
-        if isinstance(field, GaussianRationalField):
+        if kind == "Q(i)":
             return field.i
-        if isinstance(field, CyclotomicField) and field.m == 4:
+        if kind == "cyclotomic" and field.m == 4:
             return field.zeta
         raise ParseError(f"'i' is not an element of {field.spec}", pos)
     if name == "z":
-        if isinstance(field, CyclotomicField):
+        if kind == "cyclotomic":
             return field.zeta
         raise ParseError(f"'z' is not an element of {field.spec}", pos)
     raise ParseError(f"unknown symbol {name!r}", pos)

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import algebra_path
 from oracles import (
+    block_contraction,
     brute_force_radical,
     first_central_in_box,
     naive_points_ideal,
@@ -378,6 +379,59 @@ def test_contraction_gives_reduced_bases(qplane_m1, gens, basis):
     assert [str(g) for g in contract_to_center(I, C, 40).center_polys] == basis
 
 
+def test_contractions_share_one_center_ring(qplane_m1):
+    """Contractions of one ideal at two caps live in the description's one
+    K[u]: they compare equal and combine in one Groebner computation."""
+    C = center_generators(qplane_m1)
+    I = two_sided_saturate([parse_polynomial(g, qplane_m1) for g in ("x^3 - x*y^2", "y^4 - 1")])
+    J40 = contract_to_center(I, C, 40).center_polys
+    J8 = contract_to_center(I, C, 8).center_polys
+    assert J40 == J8
+    assert tuple(str(g) for g in left_groebner(J40 + J8).basis) == ("v^2 - 1", "u^2 - u*v")
+    assert all(g.pres is C.center_ring for g in J40)
+
+
+@pytest.mark.parametrize(
+    "gens", ["x^3 - x*y^2, y^4 - 1", "x^2*y^2 - 1, x^6 - y^2", "x^4, y^2"]
+)
+def test_contraction_matches_block_elimination(qplane_m1, gens):
+    """On the zero-dimensional qplane_m1 inputs, J at d = 40 is the
+    block-order elimination's u-only basis, element by element."""
+    C = center_generators(qplane_m1)
+    I = two_sided_saturate([parse_polynomial(g, qplane_m1) for g in gens.split(",")])
+    assert contract_to_center(I, C, 40).center_polys == block_contraction(I, C)
+
+
+def test_seeded_contractions_match_block_elimination():
+    """On seeded ideals whose generators lead with a pure power of each
+    variable, so that A/I and hence K[u]/J are finite-dimensional, J at
+    d = 40 generates the ideal the block-order elimination finds: its
+    reduced deglex basis is the elimination's u-only basis. (J is reduced
+    in the walk's weighted order, which differs from deglex on u when the
+    L_i differ.)"""
+    Q, GF7, C5 = (get_field(FieldSpec.from_string(s)) for s in ("Q", "gf:7", "cyclotomic:5"))
+    spaces = [
+        quantum_space(Q, {(0, 1): Q.from_int(-1)}, ("x", "y")),
+        quantum_space(GF7, {(0, 1): GF7.from_int(2), (1, 2): GF7.from_int(6)}, ("x", "y", "w")),
+        quantum_space(C5, {(0, 1): C5.zeta}, ("x", "y")),
+    ]
+    rng = random.Random(28)
+    proper = 0
+    for pres in spaces:
+        C = center_generators(pres)
+        for _ in range(4):
+            gens = []
+            for i in range(pres.n):
+                a = rng.randint(1, 4)
+                lead = Polynomial.monomial(pres, tuple(a if k == i else 0 for k in range(pres.n)))
+                gens.append(lead + random_polynomial(pres, rng, max_degree=a - 1, max_terms=3))
+            I = two_sided_saturate(gens)
+            J = contract_to_center(I, C, 40).center_polys
+            assert list(left_groebner(J).basis) == block_contraction(I, C)
+            proper += I.status == "proper"
+    assert proper >= 4
+
+
 @pytest.mark.parametrize("d", [4, 6])
 def test_contraction_divides_through_one_memo(qplane_m1, monkeypatch, d):
     """Every normal form of the contraction divides through one memo, and
@@ -430,7 +484,7 @@ def _contraction_by_scalars(handle, C, d):
     ]
     support = sorted(set().union(*forms))
     red, pivots = rref([[f.get(mu, field.zero) for f in forms] for mu in support], field)
-    center_pres = C.center_presentation()
+    center_pres = C.center_ring
     out = []
     for free in range(len(kappas)):
         if free in pivots:

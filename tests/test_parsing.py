@@ -7,7 +7,7 @@ import zlib
 import pytest
 
 from oracles import random_polynomial
-from skewpbw.parsing import SCALAR_SYMBOLS, ParseError, split_top_level
+from skewpbw.parsing import ParseError, split_top_level
 from skewpbw.poly import Polynomial, parse_polynomial, parse_scalar, to_string
 from skewpbw.presentation import (
     PresentationError,
@@ -117,6 +117,14 @@ def test_long_flat_chains_parse(comm2):
     assert str(parse_polynomial("x" + "^1" * 3000 + "^2", comm2)) == "x^2"
 
 
+@pytest.mark.parametrize("text", ["-" * 1200 + "x", "(" * 1000 + "x" + ")" * 1000])
+def test_deep_nesting_is_a_parse_error(comm2, text):
+    """The parser recurses once per unary sign and per parenthesis; input
+    nested past the recursion limit is a ParseError that names it."""
+    with pytest.raises(ParseError, match="recursion limit"):
+        parse_polynomial(text, comm2)
+
+
 # -- the text layer against the references in oracles -------------------------
 
 TEXT_FIELDS = (
@@ -179,7 +187,7 @@ def test_text_layer_matches_references():
     for k in range(560):
         spec = TEXT_FIELDS[k % len(TEXT_FIELDS)]
         field = get_field(FieldSpec.from_string(spec))
-        symbols = [s for s in ("i", "z") if SCALAR_SYMBOLS[s](field) is not None]
+        symbols = sorted(field.symbols)
         names = rng.sample(["x", "y", "u", "v", "w", "s", "t"], rng.randint(2, 4))
         lines = []
         expected = {}

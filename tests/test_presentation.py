@@ -1,20 +1,25 @@
 """Presentation documents: loading, validation, classification, consistency."""
 
 import os
+import random
 import re
 
 import pytest
 
 from conftest import ALGEBRA_DIR, algebra_path
+from skewpbw import presentation
 from skewpbw.cli import EXIT_INPUT, main
 from skewpbw.presentation import (
+    Presentation,
     PresentationError,
+    Relation,
     check_pbw_consistency,
     load_presentation,
     load_presentation_file,
     presentation_hash,
     serialize_presentation,
 )
+from skewpbw.scalars import FieldSpec, get_field
 
 WITTEN_DOC = """
 field: Q
@@ -160,6 +165,46 @@ def test_inconsistent_presentations_are_refused(doc, overlap, tmp_path, capsys):
     assert main(["normalize", "--algebra", str(alg), "--f", "x"]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"overlap {overlap} " in err
+
+
+def _seeded_sigma_free(field, rng):
+    """Three variables; one pair, and each other pair with probability 0.2,
+    gets small random lower terms."""
+    def small():
+        return field.from_int(rng.choice([0, 0, 0, 1, -1, 2]))
+
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    lowered = rng.choice(pairs)
+    rels = {}
+    for pair in pairs:
+        c = field.from_int(rng.choice([1, 1, -1, 2]))
+        if pair == lowered or rng.random() < 0.2:
+            rels[pair] = Relation(c, (small(), small(), small()), small())
+        else:
+            rels[pair] = Relation(c, (field.zero,) * 3, field.zero)
+    return Presentation(field, ("x", "y", "w"), relations=rels)
+
+
+@pytest.mark.parametrize("spec", ["gf:5", "Q"])
+def test_overlap_check_agrees_with_degree_6_scan(spec, monkeypatch):
+    """On seeded sigma-free presentations with lower terms, built with the
+    check patched out, the exact overlap check refuses exactly those the
+    bounded associativity scan at degree 6 finds inconsistent."""
+    field = get_field(FieldSpec.from_string(spec))
+    check = presentation._check_overlaps
+    monkeypatch.setattr(presentation, "_check_overlaps", lambda pres: None)
+    rng = random.Random(10)
+    outcomes = set()
+    for _ in range(6):
+        pres = _seeded_sigma_free(field, rng)
+        try:
+            check(pres)
+            refused = False
+        except PresentationError:
+            refused = True
+        assert refused == (not check_pbw_consistency(pres, 6).consistent)
+        outcomes.add(refused)
+    assert outcomes == {True, False}
 
 
 def test_consistency_degree_bound_validation(witten):

@@ -6,16 +6,19 @@ bookkeeping in products, division and saturation.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from oracles import random_polynomial
+from oracles import random_polynomial, random_scalar
+from skewpbw import presentation
 from skewpbw.groebner import divide, left_groebner, two_sided_saturate
-from skewpbw.poly import Polynomial, multiply, parse_polynomial
+from skewpbw.poly import Polynomial, multiply, parse_polynomial, parse_scalar
 from skewpbw.presentation import (
     Presentation,
     PresentationError,
+    Relation,
     check_pbw_consistency,
     load_presentation,
     presentation_hash,
@@ -233,3 +236,60 @@ def test_sigma_power_composes_sigma_maps(fixture, request):
             for _ in range(t if fn is not None else 0):
                 want = fn(want)
         assert field.raw_galois(c.value, pres.sigma_power(alpha)) == want
+
+
+def _seeded_twisted(field, rng, units):
+    """Two or three variables, each sigma a random unit, random constants
+    and lower terms on each pair with probability 1/2."""
+    n = rng.choice([2, 3])
+    names = ("x", "y", "w")[:n]
+    rels = {}
+    for j in range(n):
+        for i in range(j):
+            c = random_scalar(field, rng)
+            if c.is_zero():
+                c = field.one
+            if rng.random() < 0.5:
+                linear = tuple(random_scalar(field, rng) for _ in range(n))
+                rels[(i, j)] = Relation(c, linear, random_scalar(field, rng))
+            else:
+                rels[(i, j)] = Relation(c, (field.zero,) * n, field.zero)
+    return names, [rng.choice(units) for _ in names], rels
+
+
+@pytest.mark.parametrize("spec, units", [("Q(i)", (1, 3)), ("cyclotomic:5", (1, 2, 3, 4))])
+def test_refused_twisted_overlaps_fail_when_multiplied(spec, units, monkeypatch):
+    """On seeded sigma-twisted presentations with lower terms, the overlap
+    the constructor names fails when multiplied out on the presentation
+    built without the check, by the difference it prints. An accepted one
+    resolves x_j*x_i*r for a random scalar r, not only for the primitive."""
+    field = get_field(FieldSpec.from_string(spec))
+    rng = random.Random(28)
+    seeds = [_seeded_twisted(field, rng, units) for _ in range(40)]
+    refused = 0
+    for names, sigma, rels in seeds:
+        try:
+            pres = Presentation(field, names, sigma=sigma, relations=rels)
+        except PresentationError as exc:
+            refused += 1
+            overlap, diff = re.fullmatch(
+                r"inconsistent relations: the overlap (\S+) has two normal forms,"
+                r" differing by (.+)",
+                str(exc),
+            ).groups()
+            with monkeypatch.context() as m:
+                m.setattr(presentation, "_check_overlaps", lambda pres: None)
+                pres = Presentation(field, names, sigma=sigma, relations=rels)
+            a, b, c = (
+                Polynomial.variable(pres, names.index(t)) if t in names
+                else Polynomial.constant(pres, parse_scalar(t, field))
+                for t in overlap.split("*")
+            )
+            assert str((a * b) * c - a * (b * c)) == diff != "0"
+            continue
+        x = [Polynomial.variable(pres, k) for k in range(pres.n)]
+        r = Polynomial.constant(pres, random_scalar(field, rng))
+        for i in range(pres.n):
+            for j in range(i + 1, pres.n):
+                assert (x[j] * x[i]) * r == x[j] * (x[i] * r)
+    assert 0 < refused < len(seeds)
