@@ -95,13 +95,17 @@ class SearchDomain:
 
     def _columns(self, pres: Presentation) -> Tuple[Tuple[Scalar, ...], ...]:
         """One column of field elements per coordinate, whose product is the
-        domain; GeometryError past MAX_DOMAIN_POINTS, before any is built."""
+        domain; GeometryError for an empty column or past MAX_DOMAIN_POINTS,
+        before any point is built."""
         if self.kind == "grid":
             cols = self.per_coordinate
             if len(cols) == 1 and pres.n > 1:
                 cols = cols * pres.n
             if len(cols) != pres.n:
                 raise GeometryError("grid arity does not match the presentation")
+            for i, col in enumerate(cols):
+                if not col:
+                    raise GeometryError(f"grid has no values for coordinate {i + 1}")
             _check_domain_size(math.prod(len(col) for col in cols))
             return tuple(tuple(pres.field.coerce(v) for v in col) for col in cols)
         if not isinstance(pres.field, PrimeField):
@@ -110,7 +114,8 @@ class SearchDomain:
         return (tuple(pres.field.elements()),) * pres.n
 
     def points(self, pres: Presentation) -> List[Point]:
-        """Every candidate point; GeometryError past MAX_DOMAIN_POINTS."""
+        """Every candidate point; GeometryError for an empty grid column or
+        past MAX_DOMAIN_POINTS."""
         return [Point(t) for t in itertools.product(*self._columns(pres))]
 
     def __repr__(self):
@@ -405,5 +410,5 @@ def algebraic_witness(pres: Presentation, points: Sequence[Point]) -> WitnessRes
         g = multiply(g, s - Polynomial.constant(pres, c))
     for Z in points:
         if is_root(g, Z) == "no":
-            raise GeometryError(f"witness fails root check at {Z}")
+            raise RuntimeError(f"witness fails root check at {Z}")
     return WitnessResult(g)

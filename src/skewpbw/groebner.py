@@ -778,7 +778,7 @@ def intersect_left(
         # 1 is t-free and lies in both ideals only if both are improper;
         # cannot happen for proper inputs, but the elimination ideal may
         # still contain units of the extension: keep the contract honest.
-        raise GroebnerError("elimination produced a unit from proper ideals")
+        raise RuntimeError("elimination produced a unit from proper ideals")
     out = []
     for g in handle.basis:
         if all(e[0] == 0 for e, _ in g.raw):

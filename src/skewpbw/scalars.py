@@ -4,9 +4,10 @@ Supported fields: the rationals Q, the Gaussian rationals Q(i), cyclotomic
 fields Q(z_m) in the power basis reduced mod the m-th cyclotomic polynomial,
 and prime fields GF(p). The three characteristic-0 fields are one class,
 Q(z_m) for m = 1, 4 or the parameter, on integer numerators over one
-denominator. Each field generates its own straight-line Galois maps and,
-for degree phi(m) >= 2, its add, mul and neg from the reduction rows of
-Phi_m; `get_field` refuses Q(z_m) with phi(m) above MAX_FIELD_DEGREE.
+denominator. Each field generates its own straight-line Galois maps, add
+and neg, and for degree phi(m) >= 2 its mul, from the reduction rows of
+Phi_m; Q multiplies and inverts by hand. Every add cross-cancels as
+Q's does. `get_field` refuses Q(z_m) with phi(m) above MAX_FIELD_DEGREE.
 Each field names its elements that the text grammar spells `i` or `z`
 in `Field.symbols`. Every value has a unique canonical form, so equality
 is plain structural equality.
@@ -416,13 +417,25 @@ def _kernel_source(d: int, m: int, rows) -> str:
     (n_0, ..., n_{d-1}, den) of Q(z_m), d = phi(m), where rows[e] is x^e mod
     Phi_m as (power, coefficient) pairs for e <= max(2d - 2, m - 1):
     - `galois_k(a)`, z |-> z^k, for each unit k in range(m);
-    - for d >= 2, `add`, `mul` and `neg`; add and mul end by dividing the
-      numerators and the positive denominator by their gcd.
-    The source uses only int operations and `gcd`."""
+    - `add` and `neg`, and for d >= 2 `mul`.
+    `add` is Henrici's cross-cancelling sum (Knuth, TAOCP vol. 2, 4.5.1),
+    whose argument holds coordinatewise on canonical tuples: with
+    g = gcd(da, db), the cross products are canonical when g = 1, and
+    otherwise only g can share a factor with the numerators
+    a_t * (db / g) + b_t * (da / g). `mul` divides its numerators and
+    denominator by their gcd. Each gcd lists the denominator first, since
+    `math.gcd` stops reducing once it reaches 1. The source uses only int
+    operations and `gcd`."""
     a = [f"a{i}" for i in range(d)]
     b = [f"b{i}" for i in range(d)]
     n = [f"n{t}" for t in range(d)]
+    nums = ", ".join(n)
     unpack = [f"    {', '.join(a)}, da = a", f"    {', '.join(b)}, db = b"]
+
+    def reduced(den, den_g):  # return n / g over den_g, or n over den if g = 1
+        return ["    if g == 1:", f"        return ({nums}, {den})",
+                f"    return ({', '.join(x + ' // g' for x in n)}, {den_g})", ""]
+
     lines = []
     for k in range(m):
         if math.gcd(k, m) == 1:
@@ -432,15 +445,15 @@ def _kernel_source(d: int, m: int, rows) -> str:
                     image[t].append((c, a[j]))
             lines += [f"def galois_{k}(a):", unpack[0]]
             lines += [f"    return ({', '.join(map(_sum, image))}, da)", ""]
+    cross = ", ".join(f"{a[t]} * db + {b[t]} * da" for t in range(d))
+    lines += ["def add(a, b):", *unpack, "    g = gcd(da, db)", "    if g == 1:"]
+    lines += [f"        return ({cross}, da * db)", "    s, t = da // g, db // g"]
+    lines += [f"    {n[k]} = {a[k]} * t + {b[k]} * s" for k in range(d)]
+    lines += [f"    g = gcd(g, {nums})", *reduced("s * db", "s * (db // g)")]
+    lines += ["def neg(a):", unpack[0]]
+    lines += [f"    return ({', '.join('-' + x for x in a)}, da)", ""]
     if d == 1:
         return "\n".join(lines)
-    nums = ", ".join(n)
-    canonical = [
-        f"    g = gcd({nums}, den)",
-        "    if g == 1:",
-        f"        return ({nums}, den)",
-        f"    return ({', '.join(x + ' // g' for x in n)}, den // g)",
-    ]
 
     def products(e):  # the terms of x^e in the unreduced product
         lo, hi = max(0, e - d + 1), min(e, d - 1)
@@ -450,35 +463,19 @@ def _kernel_source(d: int, m: int, rows) -> str:
     for e in range(d, 2 * d - 1):
         for t, c in rows[e]:
             folded[t].append((c, f"p{e}"))
-    lines += ["def add(a, b):", *unpack, "    if da == db:"]
-    lines += [f"        {n[t]} = {a[t]} + {b[t]}" for t in range(d)]
-    lines += ["        den = da", "    else:"]
-    lines += [f"        {n[t]} = {a[t]} * db + {b[t]} * da" for t in range(d)]
-    lines += ["        den = da * db", *canonical, "", "def mul(a, b):", *unpack]
+    lines += ["def mul(a, b):", *unpack]
     lines += [f"    p{e} = {_sum(products(e))}" for e in range(d, 2 * d - 1)]
     lines += [f"    {n[t]} = {_sum(products(t) + folded[t])}" for t in range(d)]
-    lines += ["    den = da * db", *canonical, "", "def neg(a):", unpack[0]]
-    lines += [f"    return ({', '.join('-' + x for x in a)}, da)"]
-    return "\n".join(lines) + "\n"
+    lines += ["    den = da * db", f"    g = gcd(den, {nums})"]
+    lines += reduced("den", "den // g")
+    return "\n".join(lines)
 
 
-# Q on (numerator, denominator) pairs, with the Henrici/Knuth cross-
-# cancellation of `fractions`: each gcd runs on the smaller operands
-# before they are multiplied.
-
-
-def _q_add(a, b):
-    na, da = a
-    nb, db = b
-    g = math.gcd(da, db)
-    if g == 1:
-        return (na * db + nb * da, da * db)
-    s = da // g
-    t = na * (db // g) + nb * s
-    g2 = math.gcd(t, g)
-    if g2 == 1:
-        return (t, s * db)
-    return (t // g2, s * (db // g2))
+# Q multiplies and inverts by hand, since both generated alternatives were
+# slower (CPython 3.11, x86-64): Q's cross-cancelling mul generated for every
+# d took Q(i) mul on 64-bit fractions from 1.5 to 2.5 us, and the d >= 2
+# inverse, a norm with no conjugates on Q, took 1.7-2.5 us against 0.2-0.3
+# us for the swap below.
 
 
 def _q_mul(a, b):
@@ -493,10 +490,6 @@ def _q_mul(a, b):
         nb //= g2
         da //= g2
     return (na * nb, da * db)
-
-
-def _q_neg(a):
-    return (-a[0], a[1])
 
 
 def _q_inv(a):
@@ -522,8 +515,8 @@ class _NumberField(Field):
     Each field generates its kernels once, from the integer rows x^e mod
     Phi_m (`_kernel_source`), as straight-line functions compiled from
     int-only source named `<skewpbw kernel SPEC>`:
-    - `raw_add` cross-multiplies, or adds when the denominators are equal,
-      and divides out one gcd.
+    - `raw_add` and `raw_neg`, on every field Q included; `raw_add`
+      cross-cancels, so its last gcd runs on gcd(da, db) alone.
     - `raw_mul` spells out every product a_i * b_j, gathers those of degree
       k >= d into p_k, and folds each p_k into the numerators by the row
       x^k mod Phi_m, then divides out one gcd.
@@ -533,8 +526,8 @@ class _NumberField(Field):
     - `raw_inv` is a^-1 = b / N(a), b the product of the conjugates
       sigma_k(a) for the units k != 1 mod m and N(a) = a*b in Q: phi(m) - 1
       products in all.
-    For d = 1 add, mul, neg and inv are those of Q above, and only the
-    identity Galois map is generated.
+    On Q (d = 1) `raw_mul` and `raw_inv` are `_q_mul` and `_q_inv`, and
+    the identity is the only Galois map.
 
     The generator is `i` on Q(i) and `zeta` on cyclotomic:m, where it is
     1 for m = 1 and -1 for m = 2; Q has none.
@@ -557,14 +550,12 @@ class _NumberField(Field):
         self._galois = {
             k: namespace[f"galois_{k}"] for k in range(m) if math.gcd(k, m) == 1
         }
+        self.raw_add, self.raw_neg = namespace["add"], namespace["neg"]
         if d == 1:
-            self.raw_add, self.raw_mul, self.raw_neg = _q_add, _q_mul, _q_neg
-            self.raw_inv = _q_inv
+            self.raw_mul, self.raw_inv = _q_mul, _q_inv
             z = self.one if m == 1 else Scalar(self, (-1, 1))  # z_1, z_2
         else:
-            self.raw_add, self.raw_mul, self.raw_neg = (
-                namespace["add"], namespace["mul"], namespace["neg"]
-            )
+            self.raw_mul = namespace["mul"]
             self.raw_inv = self._inv()
             z = Scalar(self, (0, 1) + self._pad[1:] + (1,))
         if spec.kind == "Q(i)":
@@ -590,10 +581,13 @@ class _NumberField(Field):
             n, nd = norm[0], norm[d]
             if n < 0:
                 n, nd = -n, -nd
-            s = [x * nd for x in b[:d]]
-            s.append(b[d] * n)
-            g = gcd(*s)
-            return tuple(s) if g == 1 else tuple([x // g for x in s])
+            den = b[d] * n
+            nums = [x * nd for x in b[:d]]
+            g = gcd(den, *nums)
+            if g > 1:
+                den //= g
+                nums = [x // g for x in nums]
+            return (*nums, den)
 
         return inv
 

@@ -440,6 +440,23 @@ def test_engine_fault_is_one_internal_error_line(monkeypatch, capsys):
     )
 
 
+def test_failed_witness_root_check_is_an_internal_error(monkeypatch, capsys):
+    """The witness checks that every given point is a root of its own
+    product; a failure is an engine fault, not an input error."""
+    from skewpbw import geometry
+
+    evaluate = geometry.evaluate
+
+    def broken(f, Z):
+        value = evaluate(f, Z)
+        return value + value.field.one if str(Z) == "(0, 0)" else value
+
+    monkeypatch.setattr(geometry, "evaluate", broken)
+    code, out, err = run(["witness", "--algebra", QPLANE, "--points", "0,0"], capsys)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "internal error: witness fails root check at (0, 0)\n"
+
+
 def test_failed_centrality_check_is_an_internal_error(monkeypatch, capsys):
     """The centrality check on each center generator is a self-check: its
     failure is an engine fault, reported as one `internal error:` line."""
@@ -477,6 +494,13 @@ def test_field_above_degree_cap_is_input_error(tmp_path, capsys):
         ["witness", "--algebra", COMM, "--points", "0,w"],
         ["center", "--algebra", "no-such-file.alg"],
         ["sandwich", "--algebra", QPLANE, "--gens", "x^4", "--domain", "grid:a..b"],
+        *(
+            pytest.param(
+                ["sandwich", "--algebra", QPLANE, "--gens", "x^4", "--domain", domain],
+                id=f"sandwich-{domain}",
+            )
+            for domain in ("grid:-2..2;", "grid:2..-2", "grid:")
+        ),
         ["normal", "--algebra", QPLANE, "--f", "x", "--order", "block:w"],
         ["consistency", "--algebra", "no-such-file.alg"],
     ],

@@ -189,6 +189,15 @@ def test_search_domain_size_guard(qplane_gf5, monkeypatch):
         SearchDomain.grid([col]).points(qplane_gf5)
 
 
+def test_empty_grid_column_is_refused(qplane_gf5):
+    """A grid with no values for some coordinate has no points; it is
+    refused by name, not searched as an empty domain."""
+    col = [qplane_gf5.field.from_int(k) for k in range(3)]
+    for columns, i in (([col, []], 2), ([[], col], 1), ([[]], 1)):
+        with pytest.raises(GeometryError, match=f"^grid has no values for coordinate {i}$"):
+            SearchDomain.grid(columns).points(qplane_gf5)
+
+
 def test_ideal_of_points_examples(comm2, qplane_m1):
     basis = ideal_of_points(comm2, [Point.of(comm2, [0, 0])], 1)
     assert set(map(str, basis)) == {"x", "y"}

@@ -371,17 +371,24 @@ def test_import_builds_no_field():
 
 
 def test_kernel_source_is_named_for_its_field():
-    """Each field's add, mul and neg are compiled from its own source."""
-    for spec in ("Q(i)", "cyclotomic:5"):
+    """Each field's add and neg, and its mul for degree >= 2, are compiled
+    from its own source; Q's mul is the hand-written one."""
+    for spec in ("Q", "Q(i)", "cyclotomic:5"):
         field = get_field(FieldSpec.from_string(spec))
-        for fn in (field.raw_add, field.raw_mul, field.raw_neg):
+        kernels = [field.raw_add, field.raw_neg]
+        if spec == "Q":
+            assert field.raw_mul is scalars._q_mul
+        else:
+            kernels.append(field.raw_mul)
+        for fn in kernels:
             assert fn.__code__.co_filename == f"<skewpbw kernel {spec}>"
 
 
 def test_gaussian_and_cyclotomic4_give_one_basis():
     """Q(i) is Q(z_4): the same inputs give the same reduced bases, printed
     alike up to the symbol i for z."""
-    text = open(algebra_path("qspace3.alg")).read().replace("z", "t")
+    with open(algebra_path("qspace3.alg")) as fh:
+        text = fh.read().replace("z", "t")
     QI = load_presentation(text)
     C4 = load_presentation(text.replace("field: Q(i)", "field: cyclotomic:4"))
     rng = random.Random(41)
