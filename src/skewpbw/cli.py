@@ -159,9 +159,9 @@ def _check_flags(args) -> None:
 def _budget_from_flags(args) -> Budget:
     b = Budget()
     if args.budget_degree is not None:
-        b.max_degree = args.budget_degree
+        b = b._replace(max_degree=args.budget_degree)
     if args.budget_pairs is not None:
-        b.max_pairs = args.budget_pairs
+        b = b._replace(max_pairs=args.budget_pairs)
     return b
 
 

@@ -41,9 +41,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from operator import le, sub
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from skewpbw import linalg
 from skewpbw.groebner import PROPER, TWO_SIDED, UNIT, IdealHandle
@@ -61,8 +60,7 @@ class GeometryError(ValueError):
 MAX_DOMAIN_POINTS = 100_000
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(NamedTuple):
     coords: Tuple[Scalar, ...]
 
     @staticmethod
@@ -263,8 +261,7 @@ NON_ROOT = "non-root"
 DEGENERATE = "degenerate"
 
 
-@dataclass
-class VanishingReport:
+class VanishingReport(NamedTuple):
     roots: List[Point]
     non_roots: List[Point]
     degenerate: List[Point]
@@ -383,8 +380,7 @@ def commutative_points_ideal(
     return [Polynomial.from_raw(center_pres, r.items()) for r in relations]
 
 
-@dataclass
-class WitnessResult:
+class WitnessResult(NamedTuple):
     witness: Polynomial
     note: str = ""
 

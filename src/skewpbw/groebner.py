@@ -27,9 +27,8 @@ from __future__ import annotations
 import heapq
 import operator
 from operator import le
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from skewpbw.poly import (
     DEGLEX,
@@ -50,8 +49,7 @@ class GroebnerError(ValueError):
     pass
 
 
-@dataclass
-class Budget:
+class Budget(NamedTuple):
     """Caps for completion/saturation work; exceeding one yields `unknown`.
 
     - max_degree: a queued S-pair whose lcm has a higher total degree is
@@ -353,8 +351,7 @@ UNIT = "unit"
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class IdealHandle:
+class IdealHandle(NamedTuple):
     """Generators plus resolution status and (when proper) a left GB.
 
     For two-sided handles the basis is additionally closed under reduced
@@ -735,8 +732,7 @@ def two_sided_saturate(
 # intersection of left ideals (central-variable elimination)
 
 
-@dataclass
-class IntersectionResult:
+class IntersectionResult(NamedTuple):
     elements: List[Polynomial]
     complete: bool
     note: str = ""

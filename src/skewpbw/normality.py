@@ -9,8 +9,7 @@ forced, so an infeasible bounded solve is a certificate of non-normality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 from skewpbw import linalg
 from skewpbw.poly import Polynomial, exponents_up_to, multiply
@@ -37,8 +36,7 @@ def central_probe(f: Polynomial) -> bool:
     return True
 
 
-@dataclass
-class NormalityVerdict:
+class NormalityVerdict(NamedTuple):
     status: str  # "normal" | "not_normal"
     certificate: Optional[dict] = None
     counter_witness: Optional[tuple] = None  # (direction, witness)

@@ -23,8 +23,7 @@ lemma in `geometry`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from skewpbw import linalg
 from skewpbw.geometry import (
@@ -84,8 +83,7 @@ def multiplicative_order(s: Scalar) -> Optional[int]:
     return None
 
 
-@dataclass
-class CenterDescription:
+class CenterDescription(NamedTuple):
     presentation: Presentation
     exponents: Tuple[int, ...]  # L_i per variable
     generators: Tuple[Polynomial, ...]  # x_i^(L_i)
@@ -211,8 +209,7 @@ def lift_center_poly(C: CenterDescription, f_center: Polynomial) -> Polynomial:
     )
 
 
-@dataclass
-class ContractionResult:
+class ContractionResult(NamedTuple):
     center_polys: List[Polynomial]  # over the commutative u-presentation
     lifted: List[Polynomial]  # the same elements inside A
 
@@ -306,8 +303,7 @@ CONFIRMED = "confirmed"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass
-class GeneratorVerdict:
+class GeneratorVerdict(NamedTuple):
     center_poly: Polynomial
     lifted: Polynomial
     in_radical_J: Optional[bool]  # None: radical membership unresolved
@@ -318,8 +314,7 @@ class GeneratorVerdict:
         return self.in_radical_J is False
 
 
-@dataclass
-class SandwichReport:
+class SandwichReport(NamedTuple):
     ideal_generators: List[Polynomial]
     center: CenterDescription
     truncation_degree: int
@@ -330,7 +325,7 @@ class SandwichReport:
     variety_report: VanishingReport
     inclusion_radical: str  # <I_Z(V_Z(J))> subset of radical(I)
     inclusion_points: str  # radical(I) subset of I(V(I)): confirmed, by the lemma
-    notes: List[str] = dc_field(default_factory=list)
+    notes: List[str]
 
     def to_doc(self) -> dict:
         return {

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from skewpbw.scalars import Field, Scalar
 
@@ -31,8 +30,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass
-class Token:
+class Token(NamedTuple):
     kind: str  # "int" | "name" | op char | "end"
     text: str
     pos: int

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from skewpbw import parsing
 from skewpbw.parsing import ParseError
@@ -33,8 +32,7 @@ class PresentationError(ValueError):
     """Invalid presentation document or relation data."""
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     c: Scalar
     linear: tuple  # n Scalars
     const: Scalar
@@ -379,8 +377,7 @@ def presentation_hash(pres: Presentation) -> str:
 # consistency probe
 
 
-@dataclass
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     consistent: bool
     checked: int
     failure: Optional[tuple] = None  # (exp_a, exp_b, exp_c, difference repr)

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 
 class FieldError(ValueError):
@@ -105,8 +104,7 @@ def _rho_divisor(m: int) -> int:
 # field specs
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(NamedTuple):
     """Which coefficient field: Q, Q(i), cyclotomic:m or gf:p."""
 
     kind: str

@@ -1,5 +1,6 @@
 """Division identities, completion, saturation, intersection, membership."""
 
+import argparse
 import os
 import random
 import zlib
@@ -17,7 +18,8 @@ from oracles import (
     random_polynomial,
     two_sided_span_membership,
 )
-from skewpbw import groebner
+from skewpbw import cli, groebner, nullstellensatz
+from skewpbw.geometry import Point
 from skewpbw.groebner import (
     Budget,
     GroebnerError,
@@ -198,6 +200,25 @@ def test_gb_unknown_on_tiny_budget(weyl_z):
     # a zero remainder against the partial basis still certifies membership
     assert is_member_left(Polynomial.zero(weyl_z), H) == "yes"
     assert is_member_left(H.basis[0], H) == "yes"
+
+
+def test_shared_budgets_and_results_are_immutable(weyl_z):
+    """No caller can change the default budgets that every later call
+    reads, nor a handle or point another caller holds; a variant budget
+    is a new record."""
+    H = left_groebner([parse_polynomial("x - 1", weyl_z)])
+    for record, name in (
+        (groebner.DEFAULT_BUDGET, "max_degree"),
+        (nullstellensatz._RABINOWITSCH_BUDGET, "max_pairs"),
+        (H, "status"),
+        (Point.of(weyl_z, [1, 0, 0]), "coords"),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    assert repr(Budget()) == "Budget(max_degree=12, max_pairs=100000, max_rounds=50)"
+    flags = argparse.Namespace(budget_degree=3, budget_pairs=7)
+    assert cli._budget_from_flags(flags) == Budget(max_degree=3, max_pairs=7)
+    assert groebner.DEFAULT_BUDGET == Budget()
 
 
 @pytest.mark.parametrize("fixture", ["witten", "qplane_m1", "qplane_gf5", "qspace3"])

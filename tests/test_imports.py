@@ -1,7 +1,10 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports is used in that module, and the
+package imports nothing it does not need."""
 
 import ast
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -37,3 +40,18 @@ def test_checker_flags_an_unused_import():
 def test_no_unused_imports(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+def test_package_imports_without_dataclasses():
+    """Every CLI command is a fresh interpreter and pays for its imports:
+    importing the package and its CLI loads neither `dataclasses` nor the
+    `inspect` it pulls in."""
+    code = (
+        "import sys, skewpbw, skewpbw.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "[]\n"
