@@ -7,7 +7,7 @@ a desk-scale verifier for the radical sandwich
 < I_Z(V_Z(J)) >  ⊆  sqrt(I)  ⊆  I(V(I)).
 """
 
-from skewpbw.scalars import FieldSpec, Scalar, make_field
+from skewpbw.scalars import FieldSpec, InputError, Scalar, make_field
 from skewpbw.presentation import (
     Presentation,
     check_pbw_consistency,

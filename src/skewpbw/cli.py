@@ -32,14 +32,11 @@ from skewpbw.presentation import (
     load_presentation_file,
     presentation_hash,
 )
+from skewpbw.scalars import InputError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_UNKNOWN = 2
-
-
-class CliError(ValueError):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -137,7 +134,7 @@ def _order_from_flag(text: str, pres: Presentation) -> MonomialOrder:
     if text.startswith("block:"):
         names = [v.strip() for v in text.split(":", 1)[1].split(",") if v.strip()]
         return MonomialOrder.block([pres.index(nm) for nm in names], pres.n)
-    raise CliError(f"unknown order {text!r}")
+    raise InputError(f"unknown order {text!r}")
 
 
 # the least legal value of each integer flag that has one
@@ -153,7 +150,7 @@ def _check_flags(args) -> None:
     for attr, least in _FLAG_MINIMUMS.items():
         value = getattr(args, attr, None)
         if value is not None and value < least:
-            raise CliError(f"--{attr.replace('_', '-')} must be >= {least}")
+            raise InputError(f"--{attr.replace('_', '-')} must be >= {least}")
 
 
 def _budget_from_flags(args) -> Budget:
@@ -183,14 +180,17 @@ def _domain(text: str, pres: Presentation) -> SearchDomain:
     if text == "gf":
         return SearchDomain.full_prime_field()
     if not text.startswith("grid:"):
-        raise CliError(f"unknown domain {text!r} (use grid:<spec> or gf)")
+        raise InputError(f"unknown domain {text!r} (use grid:<spec> or gf)")
     body = text.split(":", 1)[1]
     columns = []
     for part in body.split(";"):
         part = part.strip()
         if ".." in part:
             lo, hi = part.split("..", 1)
-            col = [pres.field.from_int(k) for k in range(int(lo), int(hi) + 1)]
+            try:  # a range stays lazy, so the domain's size check comes first
+                col = range(int(lo), int(hi) + 1)
+            except ValueError:
+                raise InputError(f"grid range {part!r} needs integer bounds") from None
         else:
             col = [parse_scalar(v, pres.field) for v in split_top_level(part, ",")]
         columns.append(col)
@@ -362,7 +362,7 @@ def run_command(args) -> tuple:
         }
 
     else:  # pragma: no cover
-        raise CliError(f"unmapped command {cmd!r}")
+        raise RuntimeError(f"unmapped command {cmd!r}")
 
     doc["status"] = "unknown" if code == EXIT_UNKNOWN else "ok"
     return doc, code
@@ -419,7 +419,7 @@ def _main(argv: Optional[list]) -> int:
     args = parser.parse_args(argv)
     try:
         doc, code = run_command(args)
-    except (ValueError, OSError) as exc:  # every input error is a ValueError
+    except (InputError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except RecursionError:

@@ -48,11 +48,7 @@ from skewpbw import linalg
 from skewpbw.groebner import PROPER, TWO_SIDED, UNIT, IdealHandle
 from skewpbw.poly import DEGLEX, Polynomial, exponents_up_to, multiply
 from skewpbw.presentation import Presentation
-from skewpbw.scalars import Field, PrimeField, Scalar
-
-
-class GeometryError(ValueError):
-    pass
+from skewpbw.scalars import Field, InputError, PrimeField, Scalar
 
 
 # the most points a search domain may enumerate: every point is built up
@@ -67,7 +63,7 @@ class Point(NamedTuple):
     def of(pres: Presentation, values) -> "Point":
         coords = tuple(pres.field.coerce(v) for v in values)
         if len(coords) != pres.n:
-            raise GeometryError(
+            raise InputError(
                 f"point has {len(coords)} coordinates, presentation has {pres.n}"
             )
         return Point(coords)
@@ -85,7 +81,11 @@ class SearchDomain:
 
     @staticmethod
     def grid(columns: Sequence[Sequence[Scalar]]) -> "SearchDomain":
-        return SearchDomain("grid", tuple(tuple(c) for c in columns))
+        """Columns of field elements or ints; a `range` column is kept as
+        it is, so `_columns` counts it before building a value of it."""
+        return SearchDomain(
+            "grid", tuple(c if isinstance(c, range) else tuple(c) for c in columns)
+        )
 
     @staticmethod
     def full_prime_field() -> "SearchDomain":
@@ -93,26 +93,26 @@ class SearchDomain:
 
     def _columns(self, pres: Presentation) -> Tuple[Tuple[Scalar, ...], ...]:
         """One column of field elements per coordinate, whose product is the
-        domain; GeometryError for an empty column or past MAX_DOMAIN_POINTS,
+        domain; InputError for an empty column or past MAX_DOMAIN_POINTS,
         before any point is built."""
         if self.kind == "grid":
             cols = self.per_coordinate
             if len(cols) == 1 and pres.n > 1:
                 cols = cols * pres.n
             if len(cols) != pres.n:
-                raise GeometryError("grid arity does not match the presentation")
+                raise InputError("grid arity does not match the presentation")
             for i, col in enumerate(cols):
                 if not col:
-                    raise GeometryError(f"grid has no values for coordinate {i + 1}")
+                    raise InputError(f"grid has no values for coordinate {i + 1}")
             _check_domain_size(math.prod(len(col) for col in cols))
             return tuple(tuple(pres.field.coerce(v) for v in col) for col in cols)
         if not isinstance(pres.field, PrimeField):
-            raise GeometryError("full-prime-field domain needs a GF(p) presentation")
+            raise InputError("full-prime-field domain needs a GF(p) presentation")
         _check_domain_size(pres.field.p ** pres.n)
         return (tuple(pres.field.elements()),) * pres.n
 
     def points(self, pres: Presentation) -> List[Point]:
-        """Every candidate point; GeometryError for an empty grid column or
+        """Every candidate point; InputError for an empty grid column or
         past MAX_DOMAIN_POINTS."""
         return [Point(t) for t in itertools.product(*self._columns(pres))]
 
@@ -122,7 +122,7 @@ class SearchDomain:
 
 def _check_domain_size(count: int) -> None:
     if count > MAX_DOMAIN_POINTS:
-        raise GeometryError(
+        raise InputError(
             f"search domain has {count} points, above the limit of {MAX_DOMAIN_POINTS}"
         )
 

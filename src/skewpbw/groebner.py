@@ -42,11 +42,7 @@ from skewpbw.poly import (
     multiply,
 )
 from skewpbw.presentation import Presentation, extend_with_central
-from skewpbw.scalars import Scalar
-
-
-class GroebnerError(ValueError):
-    pass
+from skewpbw.scalars import InputError, Scalar
 
 
 class Budget(NamedTuple):
@@ -111,7 +107,7 @@ class DivisionResult:
     @cached_property
     def quotients(self) -> List[Polynomial]:
         if self._raw_quotients is None:
-            raise GroebnerError("this division recorded no quotients")
+            raise RuntimeError("this division recorded no quotients")
         return [Polynomial.from_raw(self._pres, q.items()) for q in self._raw_quotients]
 
     def reconstruct(self, divisors: Sequence[Polynomial]) -> Polynomial:
@@ -189,7 +185,7 @@ class _Memo:
             field = self.pres.field
             lead_c = prod.get(mu)
             if lead_c is None or lead_c == field.raw_zero:
-                raise GroebnerError(
+                raise InputError(
                     "monomial order is not multiplicative for this presentation"
                 )
             hit = self.products[key] = (prod, field.raw_inv(lead_c))
@@ -237,7 +233,7 @@ def divide(
     remainder is then a `_Raw` too, and no `Polynomial` is built.
     """
     if not divisors:
-        raise GroebnerError("division requires at least one divisor")
+        raise InputError("division requires at least one divisor")
     if memo is None:
         memo = _divisor_memo(f.pres, divisors, order)
     pres, order = memo.pres, memo.order
@@ -313,10 +309,10 @@ def _divisor_memo(
     memo = _Memo(pres, order)
     for g in divisors:
         if g.pres is not pres:
-            raise GroebnerError("divisors from a different presentation")
+            raise InputError("divisors from a different presentation")
         lead = g.leading(order)
         if lead is None:
-            raise GroebnerError("division by the zero polynomial")
+            raise InputError("division by the zero polynomial")
         memo.append(g, lead[0])
     return memo
 
@@ -644,7 +640,7 @@ def _groebner(
     budget = budget or DEFAULT_BUDGET
     pres = gens[0].pres if gens else None
     if any(g.pres is not pres for g in gens):
-        raise GroebnerError("generators from a different presentation")
+        raise InputError("generators from a different presentation")
     items = [  # each as a `_Raw` whose lead comes first, for `_monic`
         (_Raw((g.leading(order), *g.raw)), None if one is None else ((one, k, one),))
         for k, g in enumerate(gens)
@@ -750,9 +746,9 @@ def intersect_left(
     I ∩ J (substituting t at 0 and 1 is a ring map because t is central).
     """
     if I.presentation is not J.presentation:
-        raise GroebnerError("ideals over different presentations")
+        raise InputError("ideals over different presentations")
     if I.status != PROPER or J.status != PROPER:
-        raise GroebnerError("intersection needs both ideals proper")
+        raise InputError("intersection needs both ideals proper")
     pres = I.presentation
     budget = budget or DEFAULT_BUDGET
     ext = extend_with_central(pres)

@@ -13,10 +13,7 @@ from typing import Dict, NamedTuple, Optional
 
 from skewpbw import linalg
 from skewpbw.poly import Polynomial, exponents_up_to, multiply
-
-
-class NormalityError(ValueError):
-    pass
+from skewpbw.scalars import InputError
 
 
 def central_probe(f: Polynomial) -> bool:
@@ -55,7 +52,7 @@ def is_normal(f: Polynomial) -> NormalityVerdict:
     the scalar check makes the solve exact.
     """
     if f.is_zero():
-        raise NormalityError("normality of the zero polynomial is undefined")
+        raise InputError("normality of the zero polynomial is undefined")
     pres = f.pres
     field = pres.field
 

@@ -36,7 +36,6 @@ from skewpbw.geometry import (
 from skewpbw.groebner import (
     Budget,
     DEFAULT_BUDGET,
-    GroebnerError,
     IdealHandle,
     UNIT,
     UNKNOWN,
@@ -51,11 +50,7 @@ from skewpbw.presentation import (
     commutative_presentation,
     extend_with_central,
 )
-from skewpbw.scalars import PrimeField, Scalar, _prime_factors
-
-
-class CenterError(ValueError):
-    """Center outside the rule's reach, or verification failure."""
+from skewpbw.scalars import InputError, PrimeField, Scalar, _prime_factors
 
 
 def multiplicative_order(s: Scalar) -> Optional[int]:
@@ -111,7 +106,7 @@ def center_generators(pres: Presentation) -> CenterDescription:
     generate, x^alpha is central iff E*alpha = 0 mod N (De Concini & Procesi
     1993; Brown & Goodearl 2002): L_i = N / gcd(N, row i of E), and the
     center is K[x_i^(L_i)] iff [Z^n : E*Z^n + N*Z^n] * prod L_i = N^n.
-    CenterError otherwise, naming the lex-first central x^alpha != 1 with
+    InputError otherwise, naming the lex-first central x^alpha != 1 with
     alpha in prod [0, L_i); likewise for input that is not quasi-commutative,
     a sigma_i that is not the identity, a constant that is not a root of
     unity, or N above MAX_CENTER_ORDER. `case` is a label only. Each
@@ -119,10 +114,10 @@ def center_generators(pres: Presentation) -> CenterDescription:
     fault and raises RuntimeError.
     """
     if not pres.quasi_commutative:
-        raise CenterError("the center rule needs a quasi-commutative presentation")
+        raise InputError("the center rule needs a quasi-commutative presentation")
     for name, sigma in zip(pres.names, pres.sigma_maps):
         if sigma is not None:
-            raise CenterError(
+            raise InputError(
                 f"sigma of {name} is not the identity: the center is not a K-algebra"
             )
     n = pres.n
@@ -131,10 +126,10 @@ def center_generators(pres: Presentation) -> CenterDescription:
     for pair, c in cs.items():
         orders[pair] = multiplicative_order(c)
         if orders[pair] is None:
-            raise CenterError(f"constant {c} for pair {pair} is not a root of unity")
+            raise InputError(f"constant {c} for pair {pair} is not a root of unity")
     N = math.lcm(*orders.values())
     if N > MAX_CENTER_ORDER:
-        raise CenterError(
+        raise InputError(
             f"the constants generate {N} roots of unity, above the limit "
             f"{MAX_CENTER_ORDER}"
         )
@@ -155,7 +150,7 @@ def center_generators(pres: Presentation) -> CenterDescription:
     if math.prod(basis[c][c] for c in range(n)) * math.prod(L) != N ** n:
         c = max(c for c in range(n) if basis[n + c][n + c] < L[c])
         alpha = tuple(a % l for a, l in zip(basis[n + c][n:], L))
-        raise CenterError(
+        raise InputError(
             f"{Polynomial.monomial(pres, alpha)} is central: "
             "the center is not K[x_i^(L_i)]"
         )
@@ -228,7 +223,7 @@ def contract_to_center(
     the ideal and central; a failure is an engine fault: RuntimeError.
     """
     if handle.status == UNKNOWN:
-        raise GroebnerError("contraction needs a resolved ideal; raise the budget")
+        raise InputError("contraction needs a resolved ideal; raise the budget")
     pres, L = C.presentation, C.exponents
     normal_form = normal_forms(pres, handle.basis, handle.order)
     relations = linalg.walk(pres.field, L, d, lambda level: [
@@ -250,15 +245,16 @@ _RABINOWITSCH_BUDGET = Budget(max_degree=24, max_pairs=200_000)
 
 def radical_membership_commutative(
     f: Polynomial, J_gens: Sequence[Polynomial], budget: Optional[Budget] = None
-) -> bool:
+) -> Optional[bool]:
     """f in radical(J) in a commutative presentation, by the extra-variable
-    trick: true iff 1 lies in J + <1 - t*f>."""
+    trick: true iff 1 lies in J + <1 - t*f>; None when the Groebner basis
+    of J + <1 - t*f> runs out of budget."""
     center_pres = f.pres
     if not center_pres.quasi_commutative or any(
         not rel.is_trivial_lower() or rel.c != center_pres.field.one
         for rel in center_pres.relations.values()
     ):
-        raise GroebnerError("radical membership runs on trivial relations only")
+        raise InputError("radical membership runs on trivial relations only")
     budget = budget or _RABINOWITSCH_BUDGET
     ext = extend_with_central(center_pres)
 
@@ -269,9 +265,7 @@ def radical_membership_commutative(
     gens = [lift(g) for g in J_gens if not g.is_zero()]
     gens.append(Polynomial.one(ext) - multiply(t, lift(f)))
     handle = left_groebner(gens, DEGLEX, budget)
-    if handle.status == UNKNOWN:
-        raise GroebnerError("radical membership unresolved in budget")
-    return handle.status == UNIT
+    return None if handle.status == UNKNOWN else handle.status == UNIT
 
 
 def central_nilpotency(
@@ -283,7 +277,7 @@ def central_nilpotency(
     I-nilpotent and I-strongly-nilpotent coincide.
     """
     if not central_probe(w):
-        raise CenterError("nilpotency certificates need a central element")
+        raise InputError("nilpotency certificates need a central element")
     if w.is_zero():
         return 1
     power = w
@@ -382,7 +376,9 @@ def verify_sandwich(
     As a self-check, every certified witness must vanish at every character
     root of the ideal itself (a degenerate point is a root of everything);
     RuntimeError if one does not, since that is an engine fault. The budget
-    reaches only the radical membership step.
+    reaches only the radical membership step. The first inclusion is
+    inconclusive when a radical membership runs out of budget, when no
+    generator is certified, or when a certified one has no exponent <= M.
     """
     pres = C.presentation
     budget = budget or DEFAULT_BUDGET
@@ -395,15 +391,9 @@ def verify_sandwich(
     v_center = [p.coords for p in vanishing_set(center_pres, j_center, domain).roots]
 
     verdicts: List[GeneratorVerdict] = []
-    radical_unresolved = False
     for g in commutative_points_ideal(center_pres, v_center):
         lifted = lift_center_poly(C, g)
-        try:
-            in_rad = radical_membership_commutative(g, j_center, budget)
-        except GroebnerError:
-            radical_unresolved = True
-            verdicts.append(GeneratorVerdict(g, lifted, None, None))
-            continue
+        in_rad = radical_membership_commutative(g, j_center, budget)
         m = central_nilpotency(lifted, handle, M) if in_rad else None
         verdicts.append(GeneratorVerdict(g, lifted, in_rad, m))
 
@@ -414,12 +404,12 @@ def verify_sandwich(
             f"{len(artifacts)} generator(s) vanish on the grid trace but lie "
             "outside radical(J); reported as grid artifacts"
         )
-    if radical_unresolved:
+    if any(v.in_radical_J is None for v in verdicts):
         inclusion_radical = INCONCLUSIVE
         notes.append("radical membership unresolved for some generator")
     elif not certified:
-        inclusion_radical = CONFIRMED
-        notes.append("no radical-certified generators; first inclusion vacuous")
+        inclusion_radical = INCONCLUSIVE
+        notes.append("no generator is certified in radical(J): first inclusion unchecked")
     elif all(v.nilpotency_m is not None for v in certified):
         inclusion_radical = CONFIRMED
     else:

@@ -12,17 +12,9 @@ from __future__ import annotations
 
 import re
 import sys
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
-from skewpbw.scalars import Field, Scalar
-
-
-class ParseError(ValueError):
-    def __init__(self, message: str, position: Optional[int] = None):
-        self.position = position
-        if position is not None:
-            message = f"{message} (at position {position})"
-        super().__init__(message)
+from skewpbw.scalars import Field, InputError, Scalar
 
 
 _TOKEN_RE = re.compile(
@@ -46,7 +38,7 @@ def tokenize(text: str) -> list:
             if not stripped:
                 break
             bad = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {text[bad]!r}", bad)
+            raise InputError(f"unexpected character {text[bad]!r} (at position {bad})")
         if m.group("int") is not None:
             tokens.append(Token("int", m.group("int"), m.start("int")))
         elif m.group("name") is not None:
@@ -75,10 +67,21 @@ class _Parser:
         self.k += 1
         return t
 
+    def integer(self, t: Token) -> int:
+        try:
+            return int(t.text)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise InputError(
+                f"an integer of {len(t.text)} digits is above Python's limit of "
+                f"{sys.get_int_max_str_digits()} (at position {t.pos})"
+            ) from None
+
     def expect(self, kind: str) -> Token:
         t = self.next()
         if t.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {t.text or 'end'!r}", t.pos)
+            raise InputError(
+                f"expected {kind!r}, found {t.text or 'end'!r} (at position {t.pos})"
+            )
         return t
 
     def parse_expr(self):
@@ -120,36 +123,37 @@ class _Parser:
                 self.next()
                 sign = -1
             e = self.expect("int")
-            node = ("pow", node, sign * int(e.text))
+            node = ("pow", node, sign * self.integer(e))
         return node
 
     def parse_atom(self):
         t = self.next()
         if t.kind == "int":
-            return ("int", int(t.text))
+            return ("int", self.integer(t))
         if t.kind == "name":
             return ("sym", t.text, t.pos)
         if t.kind == "(":
             node = self.parse_expr()
             self.expect(")")
             return node
-        raise ParseError(f"unexpected {t.text or 'end of input'!r}", t.pos)
+        found = t.text or "end of input"
+        raise InputError(f"unexpected {found!r} (at position {t.pos})")
 
 
 def parse_ast(text: str):
     if not text.strip():
-        raise ParseError("empty input", 0)
+        raise InputError("empty input (at position 0)")
     p = _Parser(text)
     try:  # the parser recurses once per parenthesis and per unary sign
         node = p.parse_expr()
     except RecursionError:
-        raise ParseError(
+        raise InputError(
             "the input needs deeper recursion than Python's recursion "
             f"limit ({sys.getrecursionlimit()}) allows"
         ) from None
     t = p.peek()
     if t.kind != "end":
-        raise ParseError(f"trailing input {t.text!r}", t.pos)
+        raise InputError(f"trailing input {t.text!r} (at position {t.pos})")
     return node
 
 
@@ -163,8 +167,8 @@ def _scalar_symbol(field: Field, name: str, pos: int) -> Scalar:
     if value is not None:
         return value
     if name not in _SCALAR_NAMES:
-        raise ParseError(f"unknown symbol {name!r}", pos)
-    raise ParseError(f"{name!r} is not an element of {field.spec}", pos)
+        raise InputError(f"unknown symbol {name!r} (at position {pos})")
+    raise InputError(f"{name!r} is not an element of {field.spec} (at position {pos})")
 
 
 def split_top_level(text: str, sep: str = ",") -> list:

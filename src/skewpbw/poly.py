@@ -20,9 +20,8 @@ from operator import le
 from typing import Iterable, Optional, Tuple
 
 from skewpbw import parsing
-from skewpbw.parsing import ParseError
 from skewpbw.presentation import Presentation
-from skewpbw.scalars import Field, Scalar
+from skewpbw.scalars import Field, InputError, Scalar
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +295,7 @@ class Polynomial:
         if self.is_zero():
             return self.pres.field.zero
         if not self.is_constant():
-            raise ValueError("not a constant polynomial")
+            raise InputError("not a constant polynomial")
         return Scalar(self.pres.field, self.raw[0][1])
 
     def degree(self) -> int:
@@ -326,7 +325,7 @@ class Polynomial:
 
     def _check(self, other: "Polynomial") -> None:
         if self.pres is not other.pres:
-            raise ValueError("polynomials from different presentations")
+            raise InputError("polynomials from different presentations")
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -376,7 +375,7 @@ class Polynomial:
     def __pow__(self, k: int):
         """Square-and-multiply: powers of one element commute with each other."""
         if k < 0:
-            raise ValueError("negative power of a polynomial")
+            raise InputError("negative power of a polynomial")
         out = Polynomial.one(self.pres)
         base = self
         while k:
@@ -407,7 +406,7 @@ class Polynomial:
 def multiply(f: Polynomial, g: Polynomial) -> Polynomial:
     """Normal-ordered product in the algebra."""
     if f.pres is not g.pres:
-        raise ValueError("polynomials from different presentations")
+        raise InputError("polynomials from different presentations")
     return Polynomial.from_raw(f.pres, _multiply_raw(f.pres, f.raw, g.raw, {}).items())
 
 
@@ -500,9 +499,9 @@ def _eval_ast(node, pres: Presentation) -> Polynomial:
         if kind == "div":  # a denominator is checked before its numerator
             right = _eval_ast(right, pres)
             if right.is_zero():
-                raise ParseError("division by zero")
+                raise InputError("division by zero")
             if not right.is_constant():
-                raise ParseError("division only by nonzero scalars")
+                raise InputError("division only by nonzero scalars")
             right = Polynomial.constant(pres, right.constant_value().inv())
         spine.append((kind, right))
     kind = node[0]
@@ -515,7 +514,7 @@ def _eval_ast(node, pres: Presentation) -> Polynomial:
     elif kind == "neg":
         acc = -_eval_ast(node[1], pres)
     else:
-        raise ParseError(f"bad node {kind!r}")
+        raise RuntimeError(f"bad node {kind!r}")
     for kind, right in reversed(spine):
         if kind == "div":
             acc = acc * right
@@ -525,9 +524,9 @@ def _eval_ast(node, pres: Presentation) -> Polynomial:
         elif right >= 0:
             acc = acc ** right
         elif acc.is_zero():
-            raise ParseError("division by zero")
+            raise InputError("division by zero")
         elif not acc.is_constant():
-            raise ParseError("negative power of a non-scalar")
+            raise InputError("negative power of a non-scalar")
         else:
             acc = Polynomial.constant(pres, acc.constant_value() ** right)
     return acc

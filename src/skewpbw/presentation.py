@@ -18,18 +18,14 @@ import itertools
 from typing import NamedTuple, Optional
 
 from skewpbw import parsing
-from skewpbw.parsing import ParseError
 from skewpbw.scalars import (
     Field,
-    FieldError,
     FieldSpec,
+    InputError,
     Scalar,
     galois_exponent,
     get_field,
 )
-
-class PresentationError(ValueError):
-    """Invalid presentation document or relation data."""
 
 
 class Relation(NamedTuple):
@@ -61,10 +57,10 @@ class Presentation:
     def __init__(self, field: Field, names, sigma=None, relations=None):
         names = tuple(names)
         if len(set(names)) != len(names):
-            raise PresentationError("duplicate variable names")
+            raise InputError("duplicate variable names")
         for nm in names:
             if nm in field.symbols:
-                raise PresentationError(
+                raise InputError(
                     f"variable name {nm!r} collides with a scalar symbol of {field.spec}"
                 )
         self.field = field
@@ -72,9 +68,7 @@ class Presentation:
         self.n = len(names)
         sigma = (1,) * self.n if sigma is None else tuple(sigma)
         if len(sigma) != self.n:
-            raise PresentationError(
-                f"sigma has {len(sigma)} exponents for {self.n} variables"
-            )
+            raise InputError(f"sigma has {len(sigma)} exponents for {self.n} variables")
         self.sigma = tuple(field.unit_exponent(k) for k in sigma)
         # sigma_i on raw field values, None where it is the identity map
         self.sigma_maps = tuple(
@@ -88,7 +82,7 @@ class Presentation:
                 if rel is None:
                     rel = Relation(field.one, (field.zero,) * self.n, field.zero)
                 if rel.c.is_zero():
-                    raise PresentationError(
+                    raise InputError(
                         f"relation {names[j]}*{names[i]}: leading constant must be nonzero"
                     )
                 rels[(i, j)] = rel
@@ -116,7 +110,7 @@ class Presentation:
         try:
             return self.names.index(name)
         except ValueError:
-            raise PresentationError(f"unknown variable {name!r}") from None
+            raise InputError(f"unknown variable {name!r}") from None
 
     def __eq__(self, other):
         return self is other
@@ -129,7 +123,7 @@ class Presentation:
 
 
 def _check_overlaps(pres: Presentation) -> None:
-    """Raises PresentationError at the first Bergman overlap whose two
+    """Raises InputError at the first Bergman overlap whose two
     sides differ under the engine's products.
 
     The relations and x_i * r = sigma_i(r) * x_i rewrite compatibly with
@@ -158,7 +152,7 @@ def _check_overlaps(pres: Presentation) -> None:
     for name, a, b, c in overlaps:
         diff = (a * b) * c - a * (b * c)
         if not diff.is_zero():
-            raise PresentationError(
+            raise InputError(
                 f"inconsistent relations: the overlap {name} has two normal forms,"
                 f" differing by {diff}"
             )
@@ -171,7 +165,7 @@ def commutative_presentation(field: Field, names) -> Presentation:
 def quantum_plane(field: Field, q: Scalar, names=("x", "y")) -> Presentation:
     """y*x = q*x*y in two variables."""
     if len(names) != 2:
-        raise PresentationError("quantum plane has two variables")
+        raise InputError("quantum plane has two variables")
     rel = Relation(q, (field.zero, field.zero), field.zero)
     return Presentation(field, names, relations={(0, 1): rel})
 
@@ -218,90 +212,89 @@ def load_presentation(text: str) -> Presentation:
         if not line:
             continue
         if ":" not in line:
-            raise PresentationError(f"line {lineno}: expected 'key: value'")
+            raise InputError(f"line {lineno}: expected 'key: value'")
         key, value = line.split(":", 1)
         key = key.strip().lower()
         value = value.strip()
         if key in ("field", "vars") and key in seen:
-            raise PresentationError(f"line {lineno}: duplicate '{key}:' line")
+            raise InputError(f"line {lineno}: duplicate '{key}:' line")
         seen.add(key)
         if key == "field":
             try:
                 field = get_field(FieldSpec.from_string(value))
-            except FieldError as exc:
-                raise PresentationError(f"line {lineno}: {exc}") from exc
+            except InputError as exc:
+                raise InputError(f"line {lineno}: {exc}") from exc
         elif key == "vars":
             names = tuple(v.strip() for v in value.split(",") if v.strip())
         elif key == "sigma":
             for item in parsing.split_top_level(value, ","):
                 if "=" not in item:
-                    raise PresentationError(
+                    raise InputError(
                         f"line {lineno}: sigma entries look like 'x = conj'"
                     )
                 var, tag = item.split("=", 1)
                 var = var.strip()
                 if var in sigma_tags:
-                    raise PresentationError(
-                        f"line {lineno}: duplicate sigma for {var}"
-                    )
+                    raise InputError(f"line {lineno}: duplicate sigma for {var}")
                 sigma_tags[var] = (lineno, tag)
         elif key == "relation":
             relation_lines.append((lineno, value))
         else:
-            raise PresentationError(f"line {lineno}: unknown key {key!r}")
+            raise InputError(f"line {lineno}: unknown key {key!r}")
     if field is None:
-        raise PresentationError("missing 'field:' line")
+        raise InputError("missing 'field:' line")
     if not names:
-        raise PresentationError("missing 'vars:' line")
+        raise InputError("missing 'vars:' line")
     index = {nm: k for k, nm in enumerate(names)}
     # tags are read once the field is known: 'field:' may follow 'sigma:'
     sigma = [1] * len(names)
     for var, (lineno, tag) in sigma_tags.items():
         if var not in index:
-            raise PresentationError(
-                f"line {lineno}: sigma for unknown variable {var!r}"
-            )
+            raise InputError(f"line {lineno}: sigma for unknown variable {var!r}")
         try:
             sigma[index[var]] = galois_exponent(tag, field)
-        except FieldError as exc:
-            raise PresentationError(f"line {lineno}: {exc}") from exc
+        except InputError as exc:
+            raise InputError(f"line {lineno}: {exc}") from exc
 
     comm = Presentation(field, names)
     relations = {}
     for lineno, line in relation_lines:
         if "=" not in line:
-            raise PresentationError(f"line {lineno}: relation needs '='")
+            raise InputError(f"line {lineno}: relation needs '='")
         lhs, rhs = line.split("=", 1)
         i, j = _parse_relation_lhs(lhs, index, lineno)
         if (i, j) in relations:
-            raise PresentationError(
+            raise InputError(
                 f"line {lineno}: duplicate relation for {names[j]}*{names[i]}"
             )
         try:
             f = poly.parse_polynomial(rhs, comm)
-        except ParseError as exc:
-            raise PresentationError(f"line {lineno}: {exc}") from exc
+        except InputError as exc:
+            raise InputError(f"line {lineno}: {exc}") from exc
         relations[(i, j)] = _relation_of(f, i, j, lineno)
     return Presentation(field, names, sigma=sigma, relations=relations)
 
 
 def load_presentation_file(path: str) -> Presentation:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_presentation(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: byte {exc.start} is not UTF-8 text") from None
+    return load_presentation(text)
 
 
 def _parse_relation_lhs(lhs: str, index: dict, lineno: int):
     parts = [p.strip() for p in lhs.strip().split("*")]
     if len(parts) != 2:
-        raise PresentationError(
-            f"line {lineno}: relation left side must be 'x_j*x_i'"
-        )
+        raise InputError(f"line {lineno}: relation left side must be 'x_j*x_i'")
     for p in parts:
         if p not in index:
-            raise PresentationError(f"line {lineno}: unknown variable {p!r}")
+            raise InputError(f"line {lineno}: unknown variable {p!r}")
     j, i = index[parts[0]], index[parts[1]]
     if j <= i:
-        raise PresentationError(
+        raise InputError(
             f"line {lineno}: left side must be (later var)*(earlier var), "
             f"got {parts[0]}*{parts[1]}"
         )
@@ -329,12 +322,12 @@ def _relation_of(f, i: int, j: int, lineno: int) -> Relation:
         elif sum(exp) == 1:
             linear[exp.index(1)] = coeff
         else:
-            raise PresentationError(
+            raise InputError(
                 f"line {lineno}: right side must be c*{names[i]}*{names[j]}"
                 f" + linear terms + constant"
             )
     if c.is_zero():
-        raise PresentationError(
+        raise InputError(
             f"line {lineno}: coefficient of {names[i]}*{names[j]} must be nonzero"
         )
     return Relation(c, tuple(linear), const)
@@ -397,7 +390,7 @@ def check_pbw_consistency(pres: Presentation, degree_bound: int = 4) -> Consiste
     from skewpbw import poly  # deferred: poly imports this module
 
     if degree_bound < 3:
-        raise PresentationError("degree bound must be >= 3")
+        raise InputError("degree bound must be >= 3")
     n = pres.n
     checked = 0
 

@@ -21,12 +21,10 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
 
-class FieldError(ValueError):
-    """Invalid field construction or operation."""
-
-
-class FieldMismatchError(FieldError):
-    """Operands belong to different fields."""
+class InputError(ValueError):
+    """Input that skewpbw refuses: a malformed document or expression, an
+    unsupported field, mismatched operands, or a request outside the
+    engine's scope. Its message is the whole explanation."""
 
 
 # Miller-Rabin with the first 13 primes as bases decides primality exactly
@@ -36,11 +34,11 @@ _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def _is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin; FieldError at or above _MR_LIMIT."""
+    """Deterministic Miller-Rabin; InputError at or above _MR_LIMIT."""
     if p < 2:
         return False
     if p >= _MR_LIMIT:
-        raise FieldError(
+        raise InputError(
             f"primality is decided only below {_MR_LIMIT} (about 3.3e24), not for {p}"
         )
     for b in _MR_BASES:
@@ -139,7 +137,7 @@ class FieldSpec(NamedTuple):
                 return FieldSpec(kind, int(param))
             except ValueError:
                 pass
-        raise FieldError(f"unknown field spec {text!r}")
+        raise InputError(f"unknown field spec {text!r}")
 
     def __str__(self) -> str:
         if self.kind in ("Q", "Q(i)"):
@@ -235,7 +233,7 @@ class Scalar:
         if isinstance(other, (int, Fraction)):
             try:
                 return self.value == self.field.coerce(other).value
-            except FieldError:
+            except InputError:
                 return NotImplemented
         return NotImplemented
 
@@ -281,15 +279,13 @@ class Field:
     def coerce(self, v: Union[Scalar, int, Fraction]) -> Scalar:
         if isinstance(v, Scalar):
             if v.field is not self:
-                raise FieldMismatchError(
-                    f"scalar of {v.field.spec} used in {self.spec}"
-                )
+                raise InputError(f"scalar of {v.field.spec} used in {self.spec}")
             return v
         if isinstance(v, int):
             return self.from_int(v)
         if isinstance(v, Fraction):
             return self.from_fraction(v)
-        raise FieldError(f"cannot coerce {v!r} into {self.spec}")
+        raise InputError(f"cannot coerce {v!r} into {self.spec}")
 
     def from_int(self, k: int) -> Scalar:
         raise NotImplementedError
@@ -306,10 +302,10 @@ class Field:
 
     def unit_exponent(self, k: int) -> int:
         """The exponent k of z |-> z^k in canonical form: k mod m, and 1 for
-        the identity map (every k when m = 1). FieldError unless gcd(k, m) = 1.
+        the identity map (every k when m = 1). InputError unless gcd(k, m) = 1.
         """
         if math.gcd(k, self.m) != 1:
-            raise FieldError(f"galois exponent {k} not coprime to {self.m}")
+            raise InputError(f"galois exponent {k} not coprime to {self.m}")
         return k % self.m or 1
 
     @property
@@ -356,7 +352,7 @@ def cyclotomic_polynomial(m: int) -> list:
     Memoized per m; each call returns a fresh list.
     """
     if m < 1:
-        raise FieldError("cyclotomic index must be >= 1")
+        raise InputError("cyclotomic index must be >= 1")
     return list(_cyclotomic(m))
 
 
@@ -384,16 +380,16 @@ MAX_FIELD_DEGREE = 32
 
 
 def _check_degree(m: int) -> None:
-    """FieldError unless m >= 1 and phi(m) <= MAX_FIELD_DEGREE. Since
+    """InputError unless m >= 1 and phi(m) <= MAX_FIELD_DEGREE. Since
     phi(m) >= sqrt(m/2), no m above 2 * MAX_FIELD_DEGREE^2 is factored."""
     if m < 1:
-        raise FieldError("cyclotomic index must be >= 1")
+        raise InputError("cyclotomic index must be >= 1")
     phi = m
     if m <= 2 * MAX_FIELD_DEGREE**2:
         for p in _prime_factors(m):
             phi -= phi // p
     if phi > MAX_FIELD_DEGREE:
-        raise FieldError(
+        raise InputError(
             f"cyclotomic:{m} has degree phi({m}) above the limit of "
             f"{MAX_FIELD_DEGREE} (scalars.MAX_FIELD_DEGREE)"
         )
@@ -633,7 +629,7 @@ class PrimeField(Field):
 
     def __init__(self, p: int):
         if not _is_prime(p):
-            raise FieldError(f"{p} is not prime")
+            raise InputError(f"{p} is not prime")
         self.p = p
         self.spec = FieldSpec.prime(p)
         self._constants(0, 1 % p)
@@ -648,7 +644,7 @@ class PrimeField(Field):
     def from_fraction(self, q):
         den = q.denominator % self.p
         if den == 0:
-            raise FieldError(f"denominator {q.denominator} vanishes mod {self.p}")
+            raise InputError(f"denominator {q.denominator} vanishes mod {self.p}")
         return Scalar(self, q.numerator * pow(den, -1, self.p) % self.p)
 
     def raw_inv(self, a):
@@ -674,7 +670,7 @@ def get_field(spec: FieldSpec) -> Field:
         elif spec.kind == "gf":
             _FIELD_CACHE[spec] = PrimeField(spec.param)
         else:
-            raise FieldError(f"unknown field kind {spec.kind!r}")
+            raise InputError(f"unknown field kind {spec.kind!r}")
     return _FIELD_CACHE[spec]
 
 
@@ -698,20 +694,20 @@ def galois_exponent(tag: str, field: Field) -> int:
     if tag == "conj":
         if isinstance(field, _NumberField):
             return field.unit_exponent(-1)
-        raise FieldError(f"conjugation undefined on {field.spec}")
+        raise InputError(f"conjugation undefined on {field.spec}")
     kind, _, arg = tag.partition(":")
     if kind not in ("galois", "frobenius"):
-        raise FieldError(f"unknown automorphism {tag!r}")
+        raise InputError(f"unknown automorphism {tag!r}")
     try:
         e = int(arg)
     except ValueError:
-        raise FieldError(f"unknown automorphism {tag!r}") from None
+        raise InputError(f"unknown automorphism {tag!r}") from None
     if kind == "galois":
         if field.primitive() is None:
-            raise FieldError(f"galois power undefined on {field.spec}")
+            raise InputError(f"galois power undefined on {field.spec}")
         return field.unit_exponent(e)
     if not isinstance(field, PrimeField):
-        raise FieldError(f"frobenius undefined on {field.spec}")
+        raise InputError(f"frobenius undefined on {field.spec}")
     if e < 0:
-        raise FieldError("frobenius power must be >= 0")
+        raise InputError("frobenius power must be >= 0")
     return 1

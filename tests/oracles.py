@@ -33,17 +33,17 @@ from skewpbw.groebner import (
     left_groebner,
     two_sided_saturate,
 )
-from skewpbw.normality import NormalityError, NormalityVerdict, central_probe
+from skewpbw.normality import NormalityVerdict, central_probe
 from skewpbw.poly import DEGLEX, MonomialOrder, Polynomial, exponents_up_to, multiply
-from skewpbw.parsing import ParseError, parse_ast
+from skewpbw.parsing import parse_ast
 from skewpbw.presentation import (
     Presentation,
-    PresentationError,
     Relation,
     extend_with_central,
 )
 from skewpbw.scalars import (
     Field,
+    InputError,
     PrimeField,
     Scalar,
     cyclotomic_polynomial,
@@ -105,13 +105,13 @@ def normal_from_parts(pres: Presentation, c: Scalar, alpha: tuple, h: Polynomial
     over a quasi-commutative presentation."""
     c = pres.field.coerce(c)
     if c.is_zero():
-        raise NormalityError("leading scalar must be nonzero")
+        raise InputError("leading scalar must be nonzero")
     if not pres.quasi_commutative:
-        raise NormalityError("structural normality needs a quasi-commutative presentation")
+        raise InputError("structural normality needs a quasi-commutative presentation")
     if h.pres is not pres:
-        raise NormalityError("central part from a different presentation")
+        raise InputError("central part from a different presentation")
     if not central_probe(h):
-        raise NormalityError("h is not central")
+        raise InputError("h is not central")
     f = multiply(Polynomial.monomial(pres, alpha, c), h)
     certificate = {"kind": "structure", "c": c, "alpha": tuple(alpha), "h": h}
     return f, NormalityVerdict("normal", certificate=certificate)
@@ -820,12 +820,12 @@ def _reference_symbol(field, name: str, pos: int):
             return field.i
         if kind == "cyclotomic" and field.m == 4:
             return field.zeta
-        raise ParseError(f"'i' is not an element of {field.spec}", pos)
+        raise InputError(f"'i' is not an element of {field.spec} (at position {pos})")
     if name == "z":
         if kind == "cyclotomic":
             return field.zeta
-        raise ParseError(f"'z' is not an element of {field.spec}", pos)
-    raise ParseError(f"unknown symbol {name!r}", pos)
+        raise InputError(f"'z' is not an element of {field.spec} (at position {pos})")
+    raise InputError(f"unknown symbol {name!r} (at position {pos})")
 
 
 def reference_eval_scalar(node, field):
@@ -845,14 +845,14 @@ def reference_eval_scalar(node, field):
     if kind == "div":
         den = reference_eval_scalar(node[2], field)
         if den.is_zero():
-            raise ParseError("division by zero")
+            raise InputError("division by zero")
         return reference_eval_scalar(node[1], field) / den
     if kind == "pow":
         base = reference_eval_scalar(node[1], field)
         if node[2] < 0 and base.is_zero():
-            raise ParseError("division by zero")
+            raise InputError("division by zero")
         return base ** node[2]
-    raise ParseError(f"bad node {kind!r}")
+    raise InputError(f"bad node {kind!r}")
 
 
 def reference_parse_scalar(text: str, field):
@@ -902,9 +902,9 @@ def reference_collect(node, field, var_index: dict) -> dict:
         base = reference_collect(node[1], field, var_index)
         if k < 0:
             if not base:
-                raise ParseError("division by zero")
+                raise InputError("division by zero")
             if len(base) != 1 or any(any(e) for e in base):
-                raise ParseError("negative power of a non-scalar")
+                raise InputError("negative power of a non-scalar")
             ((e, c),) = base.items()
             return {e: c ** k}
         out = {(0,) * n: field.one}
@@ -916,13 +916,13 @@ def reference_collect(node, field, var_index: dict) -> dict:
         right = reference_collect(node[2], field, var_index)
         if kind == "div":
             if not right:
-                raise ParseError("division by zero")
+                raise InputError("division by zero")
             if len(right) != 1 or any(any(e) for e in right):
-                raise ParseError("division by a non-scalar")
+                raise InputError("division by a non-scalar")
             ((_, c),) = right.items()
             right = {(0,) * n: c.inv()}
         return _convolve(left, right, field)
-    raise ParseError(f"bad node {kind!r}")
+    raise InputError(f"bad node {kind!r}")
 
 
 def reference_relation(rhs: str, field, names, i: int, j: int) -> Relation:
@@ -938,11 +938,11 @@ def reference_relation(rhs: str, field, names, i: int, j: int) -> Relation:
         elif sum(exp) == 1:
             linear[exp.index(1)] = coeff
         else:
-            raise PresentationError(
+            raise InputError(
                 f"right side must be c*{names[i]}*{names[j]} + linear terms + constant"
             )
     if c.is_zero():
-        raise PresentationError(f"coefficient of {names[i]}*{names[j]} must be nonzero")
+        raise InputError(f"coefficient of {names[i]}*{names[j]} must be nonzero")
     return Relation(c, tuple(linear), const)
 
 

@@ -153,6 +153,34 @@ def test_large_search_domain_is_input_error(tmp_path, capsys):
     assert err == "error: search domain has 1000006000009 points, above the limit of 100000\n"
 
 
+def test_oversized_grid_range_is_refused_before_building(monkeypatch, capsys):
+    """A range column is counted, not built: grid:0..10^12 on the plane is
+    refused at once, with the field's from_int called only for the
+    document and the polynomial."""
+    from skewpbw.scalars import FieldSpec, get_field
+
+    cls = type(get_field(FieldSpec.rationals()))
+    from_int = cls.from_int
+    calls = []
+
+    def counting(self, k):
+        calls.append(k)
+        if len(calls) > 1000:
+            raise AssertionError("the range column is being built")
+        return from_int(self, k)
+
+    monkeypatch.setattr(cls, "from_int", counting)
+    code, out, err = run(
+        ["vanish", "--algebra", QPLANE, "--polys", "x",
+         "--domain", "grid:0..1000000000000"],
+        capsys,
+    )
+    assert (code, out) == (EXIT_INPUT, "")
+    points = (10**12 + 1) ** 2
+    assert err == f"error: search domain has {points} points, above the limit of 100000\n"
+    assert len(calls) < 1000
+
+
 def test_parse_error_exit_code(capsys):
     code, out, err = run(
         ["normalize", "--algebra", WITTEN, "--f", "x*w"], capsys
@@ -394,7 +422,9 @@ def test_sandwich_without_checked_witness_is_inconclusive(capsys):
 def test_sandwich_reports_grid_artifacts_within_budget(capsys):
     """J of <x*y - 1> is its one generator u*v - 1, so at --budget-degree 4
     radical membership decides both generators of the grid trace's ideal:
-    neither lies in radical(J), and both are reported as grid artifacts."""
+    neither lies in radical(J), and both are reported as grid artifacts.
+    With no generator certified the first inclusion is unchecked, so the
+    verdict is inconclusive (exit 2), not confirmed."""
     code, doc, _ = run_json(
         [
             "sandwich",
@@ -407,13 +437,68 @@ def test_sandwich_reports_grid_artifacts_within_budget(capsys):
         ],
         capsys,
     )
-    assert code == EXIT_OK
+    assert code == EXIT_UNKNOWN
     result = doc["result"]
     assert result["J_center"] == ["u*v - 1"]
     assert [g["in_radical_J"] for g in result["generators"]] == [False, False]
     assert [g["grid_artifact"] for g in result["generators"]] == [True, True]
-    assert result["inclusion_radical"] == "confirmed"
+    assert result["inclusion_radical"] == "inconclusive"
     assert result["notes"][0].startswith("2 generator(s) vanish on the grid trace")
+    assert result["notes"][1] == (
+        "no generator is certified in radical(J): first inclusion unchecked"
+    )
+
+
+def test_sandwich_with_no_certified_generator_is_inconclusive(capsys):
+    """V(J) is {(9, 0)}, outside the grid, so the grid trace is empty and
+    its ideal's one generator, 1, is a grid artifact. No generator is
+    certified, so nothing of the first inclusion was checked."""
+    code, doc, _ = run_json(
+        ["sandwich", "--algebra", QPLANE, "--gens", "x^2 - 9, y^2",
+         "--domain", "grid:-2..2", "--trunc-degree", "8", "--max-power", "4"],
+        capsys,
+    )
+    assert code == EXIT_UNKNOWN
+    result = doc["result"]
+    assert [g["center"] for g in result["generators"]] == ["1"]
+    assert [g["grid_artifact"] for g in result["generators"]] == [True]
+    assert result["inclusion_radical"] == "inconclusive"
+    assert result["notes"][-1] == (
+        "no generator is certified in radical(J): first inclusion unchecked"
+    )
+
+
+def test_sandwich_nilpotency_cap_is_inconclusive(capsys):
+    """The README's x^4 example certifies generators in radical(J) whose
+    nilpotency exponents lie above --max-power 1."""
+    code, doc, _ = run_json(
+        ["sandwich", "--algebra", QPLANE, "--gens", "x^4", "--domain", "grid:-2..2",
+         "--trunc-degree", "4", "--max-power", "1"],
+        capsys,
+    )
+    assert code == EXIT_UNKNOWN
+    result = doc["result"]
+    assert any(g["in_radical_J"] for g in result["generators"])
+    assert result["inclusion_radical"] == "inconclusive"
+    assert result["notes"][-1] == (
+        "some certified generator has no nilpotency exponent within the cap"
+    )
+
+
+def test_bare_value_error_is_an_internal_error(monkeypatch, capsys):
+    """Only InputError (and OSError) is the user's fault: a bare ValueError
+    from inside the engine is an engine fault, one `internal error:` line."""
+    from skewpbw import geometry
+
+    def broken(f, Z):
+        raise ValueError("math domain error")
+
+    monkeypatch.setattr(geometry, "evaluate", broken)
+    code, out, err = run(
+        ["root", "--algebra", QPLANE, "--f", "x", "--point", "0,0"], capsys
+    )
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "internal error: math domain error\n"
 
 
 def test_engine_fault_is_one_internal_error_line(monkeypatch, capsys):
@@ -513,6 +598,25 @@ def test_malformed_input_is_one_error_line(argv, capsys):
     assert (code, out) == (EXIT_INPUT, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("domain", ["grid:a..2", "grid:1..", "grid:0..1;2..y"])
+def test_grid_bounds_must_be_integers(domain, capsys):
+    code, out, err = run(
+        ["vanish", "--algebra", QPLANE, "--polys", "x", "--domain", domain], capsys
+    )
+    assert (code, out) == (EXIT_INPUT, "")
+    bad = domain.split(":", 1)[1].split(";")[-1]
+    assert err == f"error: grid range {bad!r} needs integer bounds\n"
+
+
+def test_non_utf8_document_is_input_error(tmp_path, capsys):
+    alg = tmp_path / "latin1.alg"
+    data = b"field: Q\nvars: x, y\n# caf\xe9\n"
+    alg.write_bytes(data)
+    code, out, err = run(["normalize", "--algebra", str(alg), "--f", "x"], capsys)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == f"error: {alg}: byte {data.index(0xE9)} is not UTF-8 text\n"
 
 
 GF7SPACE = (

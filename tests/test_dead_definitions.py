@@ -127,3 +127,30 @@ def test_an_export_alone_is_no_use():
     library["__init__.py"] += "from skewpbw.groebner import exported_only\n"
     library["groebner.py"] += "\n\ndef exported_only():\n    pass\n"
     assert _unused(library) == ["groebner.py: exported_only"]
+
+
+def _is_exception_class(node) -> bool:
+    names = [b.id if isinstance(b, ast.Name) else getattr(b, "attr", "") for b in node.bases]
+    return any(n.endswith(("Error", "Exception", "Warning")) for n in names)
+
+
+def test_one_input_error_class():
+    """The CLI reports InputError (and OSError) as the user's fault and
+    everything else as an engine fault, so every refusal of input raises
+    InputError: it is the one exception class the library defines, and no
+    input error is raised as a bare ValueError."""
+    classes, bare = [], []
+    for label, text in _sources(SRC).items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ClassDef) and _is_exception_class(node):
+                classes.append(f"{label}: {node.name}({ast.unparse(node.bases[0])})")
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                    bare.append(f"{label}:{node.lineno}")
+    assert classes == ["scalars.py: InputError(ValueError)"]
+    assert bare == []
+    import skewpbw
+    from skewpbw.scalars import InputError
+
+    assert skewpbw.InputError is InputError

@@ -11,7 +11,6 @@ import pytest
 import skewpbw
 from skewpbw import geometry, groebner, linalg, nullstellensatz
 from skewpbw.geometry import (
-    GeometryError,
     Point,
     SearchDomain,
     algebraic_witness,
@@ -36,7 +35,7 @@ from skewpbw.presentation import (
     load_presentation_file,
     quantum_plane,
 )
-from skewpbw.scalars import FieldSpec, get_field
+from skewpbw.scalars import FieldSpec, InputError, get_field
 from conftest import ALGEBRA_DIR, algebra_path
 from oracles import (
     _satisfies_relations,
@@ -178,14 +177,14 @@ def test_search_domain_size_guard(qplane_gf5, monkeypatch):
     points of GF(1000003)^2 would not end."""
     F = get_field(FieldSpec.prime(1_000_003))
     big = quantum_plane(F, F.from_int(2))
-    with pytest.raises(GeometryError, match="1000006000009 points, above the limit of 100000"):
+    with pytest.raises(InputError, match="1000006000009 points, above the limit of 100000"):
         SearchDomain.full_prime_field().points(big)
     monkeypatch.setattr(geometry, "MAX_DOMAIN_POINTS", 24)
-    with pytest.raises(GeometryError, match="25 points, above the limit of 24"):
+    with pytest.raises(InputError, match="25 points, above the limit of 24"):
         SearchDomain.full_prime_field().points(qplane_gf5)
     col = [qplane_gf5.field.from_int(k) for k in range(6)]
     assert len(SearchDomain.grid([col[:4], col]).points(qplane_gf5)) == 24
-    with pytest.raises(GeometryError, match="36 points"):
+    with pytest.raises(InputError, match="36 points"):
         SearchDomain.grid([col]).points(qplane_gf5)
 
 
@@ -194,7 +193,7 @@ def test_empty_grid_column_is_refused(qplane_gf5):
     refused by name, not searched as an empty domain."""
     col = [qplane_gf5.field.from_int(k) for k in range(3)]
     for columns, i in (([col, []], 2), ([[], col], 1), ([[]], 1)):
-        with pytest.raises(GeometryError, match=f"^grid has no values for coordinate {i}$"):
+        with pytest.raises(InputError, match=f"^grid has no values for coordinate {i}$"):
             SearchDomain.grid(columns).points(qplane_gf5)
 
 

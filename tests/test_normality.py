@@ -8,10 +8,10 @@ import pytest
 from conftest import ALGEBRA_DIR, algebra_path
 from oracles import normal_from_parts, random_polynomial, random_scalar
 from skewpbw import linalg, normality
-from skewpbw.normality import NormalityError, central_probe, is_normal
+from skewpbw.normality import central_probe, is_normal
 from skewpbw.poly import Polynomial, exponents_up_to, multiply, parse_polynomial
 from skewpbw.presentation import Presentation, load_presentation_file
-from skewpbw.scalars import FieldSpec, get_field
+from skewpbw.scalars import FieldSpec, InputError, get_field
 
 SHIPPED = sorted(f for f in os.listdir(ALGEBRA_DIR) if f.endswith(".alg"))
 
@@ -123,7 +123,7 @@ def test_is_normal_counterexample(qplane_m1):
 
 def test_is_normal_unit(qplane_m1):
     assert is_normal(Polynomial.one(qplane_m1)).status == "normal"
-    with pytest.raises(NormalityError):
+    with pytest.raises(InputError):
         is_normal(Polynomial.zero(qplane_m1))
 
 
@@ -138,7 +138,7 @@ def test_normal_from_parts_examples(qplane_m1, qplane_q2, QQ):
     assert str(f2) == "3*x^2*y^2"
     assert is_normal(f2).status == "normal"
 
-    with pytest.raises(NormalityError):
+    with pytest.raises(InputError):
         normal_from_parts(qplane_q2, QQ.one, (0, 0), parse_polynomial("x", qplane_q2))
 
 

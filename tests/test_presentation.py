@@ -11,7 +11,6 @@ from skewpbw import presentation
 from skewpbw.cli import EXIT_INPUT, main
 from skewpbw.presentation import (
     Presentation,
-    PresentationError,
     Relation,
     check_pbw_consistency,
     load_presentation,
@@ -19,7 +18,7 @@ from skewpbw.presentation import (
     presentation_hash,
     serialize_presentation,
 )
-from skewpbw.scalars import FieldSpec, get_field
+from skewpbw.scalars import FieldSpec, InputError, get_field
 
 WITTEN_DOC = """
 field: Q
@@ -51,39 +50,39 @@ def test_load_commutative_defaults(QQ):
 
 
 def test_zero_constant_rejected():
-    with pytest.raises(PresentationError, match="nonzero"):
+    with pytest.raises(InputError, match="nonzero"):
         load_presentation("field: Q\nvars: x, y\nrelation: y*x = 0*x*y + 1\n")
 
 
 def test_unknown_variable_rejected():
-    with pytest.raises(PresentationError):
+    with pytest.raises(InputError):
         load_presentation("field: Q\nvars: x, y\nrelation: y*w = x*y\n")
-    with pytest.raises(PresentationError):
+    with pytest.raises(InputError):
         load_presentation("field: Q\nvars: x, y\nrelation: y*x = x*y + w\n")
 
 
 def test_bad_relation_shape_rejected():
-    with pytest.raises(PresentationError):
+    with pytest.raises(InputError):
         load_presentation("field: Q\nvars: x, y\nrelation: y*x = x^2*y\n")
-    with pytest.raises(PresentationError):
+    with pytest.raises(InputError):
         load_presentation("field: Q\nvars: x, y\nrelation: x*y = y*x\n")
 
 
 def test_reserved_symbol_collision():
-    with pytest.raises(PresentationError, match="collides"):
+    with pytest.raises(InputError, match="collides"):
         load_presentation("field: Q(i)\nvars: i, y\n")
     # fine over the rationals
     load_presentation("field: Q\nvars: z, w\n")
 
 
 def test_field_parameter_must_be_an_integer():
-    with pytest.raises(PresentationError, match=r"^line 2: unknown field spec 'cyclotomic:abc'$"):
+    with pytest.raises(InputError, match=r"^line 2: unknown field spec 'cyclotomic:abc'$"):
         load_presentation("vars: x, y\nfield: cyclotomic:abc\n")
 
 
 def test_field_above_degree_cap_names_its_line():
     with pytest.raises(
-        PresentationError,
+        InputError,
         match=r"^line 1: cyclotomic:37 has degree phi\(37\) above the limit of 32",
     ):
         load_presentation("field: cyclotomic:37\nvars: x, y\n")
@@ -101,7 +100,7 @@ def test_duplicate_field_or_vars_line_rejected(doc, line):
     """A second `field:` or `vars:` line is an error, not a silent override."""
     lineno = 3 if line == "field" else 4
     with pytest.raises(
-        PresentationError, match=rf"^line {lineno}: duplicate '{line}:' line$"
+        InputError, match=rf"^line {lineno}: duplicate '{line}:' line$"
     ):
         load_presentation(doc)
 
@@ -131,7 +130,7 @@ def test_consistency_shipped_algebras():
 def test_consistency_flags_mutated_witten():
     """An inconsistent mutation of Witten's relations no longer loads: the
     check at construction names the overlap that fails."""
-    with pytest.raises(PresentationError, match=r"overlap z\*y\*x has two normal forms"):
+    with pytest.raises(InputError, match=r"overlap z\*y\*x has two normal forms"):
         load_presentation(
             "field: Q\nvars: x, y, z\n"
             "relation: y*x = 2*x*y\n"
@@ -158,7 +157,7 @@ def test_inconsistent_presentations_are_refused(doc, overlap, tmp_path, capsys):
     """The documents whose overlaps fail, scalar ones under a twist and a
     twisted one without lower terms included, are refused with the
     overlap named, and the CLI exits 1."""
-    with pytest.raises(PresentationError, match="overlap " + re.escape(overlap)):
+    with pytest.raises(InputError, match="overlap " + re.escape(overlap)):
         load_presentation(doc)
     alg = tmp_path / "bad.alg"
     alg.write_text(doc)
@@ -200,7 +199,7 @@ def test_overlap_check_agrees_with_degree_6_scan(spec, monkeypatch):
         try:
             check(pres)
             refused = False
-        except PresentationError:
+        except InputError:
             refused = True
         assert refused == (not check_pbw_consistency(pres, 6).consistent)
         outcomes.add(refused)
@@ -208,5 +207,5 @@ def test_overlap_check_agrees_with_degree_6_scan(spec, monkeypatch):
 
 
 def test_consistency_degree_bound_validation(witten):
-    with pytest.raises(PresentationError):
+    with pytest.raises(InputError):
         check_pbw_consistency(witten, 2)

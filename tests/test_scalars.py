@@ -18,9 +18,8 @@ from skewpbw.groebner import Budget, left_groebner, two_sided_saturate
 from skewpbw.poly import parse_polynomial
 from skewpbw.presentation import Presentation, load_presentation
 from skewpbw.scalars import (
-    FieldError,
-    FieldMismatchError,
     FieldSpec,
+    InputError,
     Scalar,
     cyclotomic_polynomial,
     galois_exponent,
@@ -58,9 +57,9 @@ def test_make_field_examples():
     assert get_field(FieldSpec.prime(5)).p == 5
     c4 = get_field(FieldSpec.cyclotomic(4))
     assert c4.zeta * c4.zeta == c4.from_int(-1)
-    with pytest.raises(FieldError):
+    with pytest.raises(InputError):
         make_field(FieldSpec.prime(4))
-    with pytest.raises(FieldError):
+    with pytest.raises(InputError):
         make_field(FieldSpec.prime(1))
 
 
@@ -75,7 +74,7 @@ def test_scalar_operator_examples(rng):
     assert F5.from_int(3).inv() == F5.from_int(2)
     with pytest.raises(ZeroDivisionError):
         F5.zero.inv()
-    with pytest.raises(FieldMismatchError):
+    with pytest.raises(InputError):
         Q.one + F5.one
 
 
@@ -164,9 +163,9 @@ def test_is_prime_miller_rabin():
     assert scalars._is_prime(2**64 + 13)  # the least prime above 2^64
     assert not scalars._is_prime(2**64 + 1)  # 274177 * 67280421310721
     assert not scalars._is_prime(274177 * 67280421310721)
-    with pytest.raises(FieldError, match="3317044064679887385961981"):
+    with pytest.raises(InputError, match="3317044064679887385961981"):
         scalars._is_prime(2**127 - 1)
-    with pytest.raises(FieldError, match="not prime"):
+    with pytest.raises(InputError, match="not prime"):
         make_field(FieldSpec.prime(561))
     assert make_field(FieldSpec.prime(2**61 - 1)).p == 2**61 - 1
 
@@ -192,7 +191,7 @@ def test_automorphism_examples():
     C4 = get_field(FieldSpec.cyclotomic(4))
     assert _automorphism("galois:3", C4)(C4.zeta) == -C4.zeta
 
-    with pytest.raises(FieldError):
+    with pytest.raises(InputError):
         galois_exponent("galois:2", C4)
 
 
@@ -336,25 +335,25 @@ def test_degree_cap():
             scalars._check_degree(m)
             allowed.append(m)
         else:
-            with pytest.raises(FieldError, match=f"above the limit of {cap}"):
+            with pytest.raises(InputError, match=f"above the limit of {cap}"):
                 scalars._check_degree(m)
     assert allowed[-1] == 120
     with pytest.raises(
-        FieldError,
+        InputError,
         match=r"^cyclotomic:37 has degree phi\(37\) above the limit of 32 "
         r"\(scalars.MAX_FIELD_DEGREE\)$",
     ):
         get_field(FieldSpec.cyclotomic(37))
     assert FieldSpec.cyclotomic(37) not in scalars._FIELD_CACHE
-    with pytest.raises(FieldError, match="above the limit of 32"):
+    with pytest.raises(InputError, match="above the limit of 32"):
         get_field(FieldSpec.cyclotomic(10**40))  # refused without factoring
-    with pytest.raises(FieldError, match="must be >= 1"):
+    with pytest.raises(InputError, match="must be >= 1"):
         get_field(FieldSpec.cyclotomic(0))
 
 
 def test_field_spec_parameter_must_be_an_integer():
     for text in ("cyclotomic:abc", "gf:", "gf:7.0", "cyclotomic:5:1"):
-        with pytest.raises(FieldError, match=rf"^unknown field spec {text!r}$"):
+        with pytest.raises(InputError, match=rf"^unknown field spec {text!r}$"):
             FieldSpec.from_string(text)
     assert FieldSpec.from_string(" cyclotomic:5 ") == FieldSpec.cyclotomic(5)
 

@@ -17,13 +17,12 @@ from skewpbw.groebner import divide, left_groebner, two_sided_saturate
 from skewpbw.poly import Polynomial, multiply, parse_polynomial, parse_scalar
 from skewpbw.presentation import (
     Presentation,
-    PresentationError,
     Relation,
     check_pbw_consistency,
     load_presentation,
     presentation_hash,
 )
-from skewpbw.scalars import FieldError, FieldSpec, get_field
+from skewpbw.scalars import FieldSpec, InputError, get_field
 
 
 @pytest.fixture(scope="module")
@@ -137,13 +136,13 @@ def test_identity_maps_are_untwisted(doc, sigma, gens):
 def test_sigma_tag_rejections(field, tag, message):
     """Each field accepts only its own automorphism tags, with one message
     per kind of rejection, prefixed by the line of the sigma entry."""
-    with pytest.raises(PresentationError, match=f"^line 3: {message}$"):
+    with pytest.raises(InputError, match=f"^line 3: {message}$"):
         load_presentation(f"field: {field}\nvars: x, y\nsigma: x = {tag}\n")
 
 
 def test_sigma_tag_with_bad_exponent_is_unknown():
     with pytest.raises(
-        PresentationError, match=r"^line 3: unknown automorphism 'galois:abc'$"
+        InputError, match=r"^line 3: unknown automorphism 'galois:abc'$"
     ):
         load_presentation("field: Q(i)\nvars: x\nsigma: x = galois:abc\n")
 
@@ -152,11 +151,11 @@ def test_sigma_errors_name_their_line():
     """A tag is read once the field is known, which may be after the sigma
     line; the error still names the line of the entry."""
     with pytest.raises(
-        PresentationError, match="^line 2: galois exponent 2 not coprime to 4$"
+        InputError, match="^line 2: galois exponent 2 not coprime to 4$"
     ):
         load_presentation("vars: x, y\nsigma: y = conj, x = galois:2\n\nfield: Q(i)\n")
     with pytest.raises(
-        PresentationError, match="^line 4: sigma for unknown variable 'z'$"
+        InputError, match="^line 4: sigma for unknown variable 'z'$"
     ):
         load_presentation("field: Q(i)\nvars: x\nsigma: x = conj\nsigma: z = conj\n")
 
@@ -165,19 +164,19 @@ def test_duplicate_sigma_rejected():
     """A second sigma entry for one variable is an error, as a second
     relation for one pair is, on one line or across two."""
     base = "field: Q(i)\nvars: x, y\n"
-    with pytest.raises(PresentationError, match=r"^line 3: duplicate sigma for x$"):
+    with pytest.raises(InputError, match=r"^line 3: duplicate sigma for x$"):
         load_presentation(base + "sigma: x = conj, x = identity\n")
-    with pytest.raises(PresentationError, match=r"^line 4: duplicate sigma for y$"):
+    with pytest.raises(InputError, match=r"^line 4: duplicate sigma for y$"):
         load_presentation(base + "sigma: y = conj\nsigma: x = conj, y = conj\n")
 
 
 def test_constructor_checks_sigma():
     QI = get_field(FieldSpec.gaussian())
-    with pytest.raises(PresentationError, match="1 exponents for 2 variables"):
+    with pytest.raises(InputError, match="1 exponents for 2 variables"):
         Presentation(QI, ("x", "y"), sigma=(-1,))
-    with pytest.raises(PresentationError, match="3 exponents for 2 variables"):
+    with pytest.raises(InputError, match="3 exponents for 2 variables"):
         Presentation(QI, ("x", "y"), sigma=(1, 1, 1))
-    with pytest.raises(FieldError, match="^galois exponent 2 not coprime to 4$"):
+    with pytest.raises(InputError, match="^galois exponent 2 not coprime to 4$"):
         Presentation(QI, ("x", "y"), sigma=(2, 1))
     # exponents are stored mod m, with 1 for the identity on every field
     assert Presentation(QI, ("x", "y"), sigma=(-1, 5)).sigma == (3, 1)
@@ -270,7 +269,7 @@ def test_refused_twisted_overlaps_fail_when_multiplied(spec, units, monkeypatch)
     for names, sigma, rels in seeds:
         try:
             pres = Presentation(field, names, sigma=sigma, relations=rels)
-        except PresentationError as exc:
+        except InputError as exc:
             refused += 1
             overlap, diff = re.fullmatch(
                 r"inconsistent relations: the overlap (\S+) has two normal forms,"
