@@ -301,9 +301,10 @@ def run_command(args) -> tuple:
             "case": C.case,
             "exponents": list(C.exponents),
             "generators": [str(g) for g in C.generators],
-            "verified": C.verified,
-            # constant since the center is decided; the key stays while
-            # perfbench/cli_expected.json pins it
+            # constants: center_generators raises unless every generator is
+            # central and the center is decided; the keys stay while
+            # perfbench/cli_expected.json pins them
+            "verified": True,
             "polynomial_center_assumed": False,
         }
 

@@ -114,7 +114,10 @@ class SearchDomain:
     def points(self, pres: Presentation) -> List[Point]:
         """Every candidate point; InputError for an empty grid column or
         past MAX_DOMAIN_POINTS."""
-        return [Point(t) for t in itertools.product(*self._columns(pres))]
+        # tuple.__new__ builds each Point at C level, not through the named
+        # tuple's Python __new__
+        point = functools.partial(tuple.__new__, Point)
+        return list(map(point, zip(itertools.product(*self._columns(pres)))))
 
     def __repr__(self):
         return f"SearchDomain({self.kind})"
@@ -150,15 +153,26 @@ def _character_test(pres: Presentation):
     field = pres.field
     add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
     twisted = [i for i, sigma in enumerate(pres.sigma_maps) if sigma is not None]
-    relations = [
-        (i, j, rel.c.value, rel.const.value,
-         [(k, a.value) for k, a in enumerate(rel.linear) if not a.is_zero()])
-        for (i, j), rel in pres.relations.items()
-    ]
+    # with no lower terms, z_i*z_j = c*z_i*z_j holds always when c = 1 and
+    # otherwise exactly when z_i = 0 or z_j = 0; other relations keep the
+    # whole equation
+    axes = []
+    relations = []
+    for (i, j), rel in pres.relations.items():
+        if not rel.is_trivial_lower():
+            relations.append((
+                i, j, rel.c.value, rel.const.value,
+                [(k, a.value) for k, a in enumerate(rel.linear) if not a.is_zero()],
+            ))
+        elif rel.c.value != field.raw_one:
+            axes.append((i, j))
 
     def test(z) -> bool:
         for i in twisted:
             if z[i] != zero:
+                return False
+        for i, j in axes:
+            if z[i] != zero and z[j] != zero:
                 return False
         for i, j, c, d, linear in relations:
             zij = mul(z[i], z[j])
@@ -292,7 +306,8 @@ def _domain_partition(pres: Presentation, domain: SearchDomain):
     if entry is None:
         character = _character_test(pres)
         raw = list(itertools.product(*key))
-        points = [Point(t) for t in itertools.product(*cols)]
+        point = functools.partial(tuple.__new__, Point)  # as in SearchDomain.points
+        points = list(map(point, zip(itertools.product(*cols))))
         degenerate = [not character(z) for z in raw]
         positions = [k for k, dg in enumerate(degenerate) if not dg]
         columns = [[raw[k][i] for k in positions] for i in range(pres.n)]

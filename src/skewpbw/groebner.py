@@ -30,6 +30,7 @@ from operator import le
 from functools import cached_property
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
+from skewpbw import poly
 from skewpbw.poly import (
     DEGLEX,
     MonomialOrder,
@@ -192,7 +193,12 @@ class _Memo:
         return hit
 
     def _multiple(self, k: int, mu: tuple) -> dict:
-        """The rung (k, mu) of basis[k]'s ladder; see the class docstring."""
+        """The rung (k, mu) of basis[k]'s ladder; see the class docstring.
+        Like `poly._mono_times_dict`, it starts by clearing an insertion
+        cache that has reached `poly.MAX_INSERT_CACHE`."""
+        pres = self.pres
+        if len(pres._insert_cache) >= poly.MAX_INSERT_CACHE:
+            pres._insert_cache.clear()
         multiples, lead = self.multiples, self.leads[k]
         n = len(lead)
         steps = []  # (first variable of theta, mu) from mu down
@@ -207,7 +213,6 @@ class _Memo:
             steps.append((f, mu))
             mu = mu[:f] + (mu[f] - 1,) + mu[f + 1 :]
             d = multiples.get((k, mu))
-        pres = self.pres
         for f, mu in reversed(steps):
             d = multiples[(k, mu)] = _var_times_dict(pres, f, d)
         return d

@@ -5,7 +5,10 @@ Products are normalized by a confluent rewriting of adjacent inversions
 x_j x_i (j > i) through the presentation's relation constants, with
 coefficients passing variables via the sigma automorphisms. The engine
 memoizes single-variable insertions per presentation, which keeps repeated
-division/completion work cheap.
+division/completion work cheap. In a quasi-commutative presentation (no
+relation has lower terms) whose sigmas are all the identity, an insertion
+is the closed form x_i * x^e = c * x^(e + e_i), c a product of powers of
+the relation constants, and needs no rewriting.
 
 Coefficients are raw field values throughout (an int residue, or a tuple
 of integer numerators over one denominator; see scalars.Field): the
@@ -103,9 +106,11 @@ DEGREVLEX = MonomialOrder("degrevlex")
 # ---------------------------------------------------------------------------
 # rewriting engine (dict-of-exponent form)
 
-# Entries a presentation's insertion cache holds before a miss clears it;
-# at the ~0.5 kB an entry took with small coefficients (tracemalloc,
-# CPython 3.11, x86-64), about 50 MB.
+# Entries a presentation's insertion cache may hold when a product starts:
+# `_mono_times_dict` and `groebner._Memo._multiple` clear a cache that has
+# reached it, and no insertion does, so the cache holds at most this many
+# plus the entries of one product. At the ~0.5 kB an entry took with small
+# coefficients (tracemalloc, CPython 3.11, x86-64), the cap is about 50 MB.
 MAX_INSERT_CACHE = 100_000
 
 
@@ -126,13 +131,15 @@ def _insert_var(pres: Presentation, i: int, exp: tuple) -> dict:
     """Normal form of x_i * x^exp as {exponent: raw value}; memoized.
 
     pres._insert_cache maps (i, exp) to that dict of raw field values.
-    Callers must treat the returned dict as read-only. A miss that finds
-    MAX_INSERT_CACHE entries clears the cache first, so it holds at most
-    that many plus the entries of the insertion in progress; dicts already
-    returned stay valid.
+    Callers must treat the returned dict as read-only. No insertion clears
+    the cache; see MAX_INSERT_CACHE.
 
-    With x_j the first variable of exp before x_i and rest = exp - e_j,
-    x_i * x_j = c * x_j * x_i + (linear + const) gives
+    Quasi-commutative with every sigma the identity: x_i * x^exp is the
+    one term c * x^(exp + e_i), c the product of c_ji^(exp_j) over j < i
+    (Lezama & Reyes, Comm. Algebra 2014), cached as one entry.
+
+    Otherwise, with x_j the first variable of exp before x_i and
+    rest = exp - e_j, x_i * x_j = c * x_j * x_i + (linear + const) gives
     x_i * x^exp = c * x_j * (x_i * x^rest) + (linear + const) * x^rest.
     The chain exp, rest, ... walks down to the nearest cached entry, or to
     an exponent with no variable before x_i, then climbs back one entry at
@@ -144,9 +151,25 @@ def _insert_var(pres: Presentation, i: int, exp: tuple) -> dict:
     cached = cache.get((i, exp))
     if cached is not None:
         return cached
-    if len(cache) >= MAX_INSERT_CACHE:
-        cache.clear()
     field = pres.field
+    if pres.quasi_commutative and pres.sigma_all_identity:
+        mul, one = field.raw_mul, field.raw_one
+        c = one
+        for j in range(i):
+            t = exp[j]
+            if not t:
+                continue
+            q = pres.relations[(j, i)].c.value
+            # c *= q^t by square-and-multiply; once a square is 1, so is the rest
+            while t and q != one:
+                if t & 1:
+                    c = mul(c, q)
+                t >>= 1
+                if t:
+                    q = mul(q, q)
+        e2 = exp[:i] + (exp[i] + 1,) + exp[i + 1 :]
+        inner = cache[(i, exp)] = {e2: c}
+        return inner
     steps = []  # (j, exp) from exp down
     j = 0  # the first variable of exp before x_i only moves right
     while True:
@@ -191,6 +214,14 @@ def _var_times_dict(pres: Presentation, i: int, d: dict) -> dict:
     add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
     sigma = pres.sigma_maps[i]
     out: dict = {}
+    if pres.quasi_commutative:
+        # every insertion is one term, and distinct monomials give distinct ones
+        for e, c in d.items():
+            if sigma is not None:
+                c = sigma(c)
+            [(e2, k)] = _insert_var(pres, i, e).items()
+            out[e2] = mul(c, k)
+        return out
     for e, c in d.items():
         if sigma is not None:
             c = sigma(c)
@@ -200,7 +231,12 @@ def _var_times_dict(pres: Presentation, i: int, d: dict) -> dict:
 
 
 def _mono_times_dict(pres: Presentation, alpha: tuple, d: dict) -> dict:
-    """x^alpha * d on raw dicts; may return d itself, so treat it as read-only."""
+    """x^alpha * d on raw dicts; may return d itself, so treat it as read-only.
+
+    A product starts by clearing an insertion cache that has reached
+    MAX_INSERT_CACHE."""
+    if len(pres._insert_cache) >= MAX_INSERT_CACHE:
+        pres._insert_cache.clear()
     for i in range(pres.n - 1, -1, -1):
         for _ in range(alpha[i]):
             if not d:

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from conftest import algebra_path
 from oracles import naive_commutative_multiply, naive_word_multiply, random_polynomial
-from skewpbw import poly
+from skewpbw import groebner, poly
 from skewpbw.groebner import left_groebner
 from skewpbw.poly import (
     DEGLEX,
@@ -247,16 +247,19 @@ def test_sigma_twisted_coefficients_pass_variables():
 
 class _RecordingCache(dict):
     """An insertion cache that records, at each store, by how much its size
-    exceeds the stores made since the outermost insertion began."""
+    exceeds the stores made since the current product began, and which
+    keys were stored."""
 
     def __init__(self):
         super().__init__()
         self.stores = self.clears = self.begun = 0
         self.excess = 0
+        self.keys = set()
 
     def __setitem__(self, key, value):
         super().__setitem__(key, value)
         self.stores += 1
+        self.keys.add(key)
         self.excess = max(self.excess, len(self) - (self.stores - self.begun))
 
     def clear(self):
@@ -267,7 +270,8 @@ class _RecordingCache(dict):
 def test_insert_cache_stays_within_its_bound(monkeypatch):
     """With the bound patched small, products and a Witten left GB are
     unchanged, the cache is cleared, and it never holds more than the bound
-    plus the entries of the insertion in progress."""
+    plus the entries of the product in progress: one x^alpha * g, or one
+    climb of a Groebner memo's ladder."""
     bound = 8
     path = algebra_path("witten.alg")
     texts = ("x^2*y + x*z", "y*z - x")
@@ -286,20 +290,39 @@ def test_insert_cache_stays_within_its_bound(monkeypatch):
 
     pres = load_presentation_file(path)
     cache = pres._insert_cache = _RecordingCache()
-    insert_var = poly._insert_var
-    depth = [0]
+    mono_times, multiple = poly._mono_times_dict, groebner._Memo._multiple
 
-    def tracked(pres, i, exp):
-        if depth[0] == 0:
-            cache.begun = cache.stores
-        depth[0] += 1
-        try:
-            return insert_var(pres, i, exp)
-        finally:
-            depth[0] -= 1
+    def begin():
+        cache.begun = cache.stores
+
+    def tracked_mono_times(pres, alpha, d):
+        begin()
+        return mono_times(pres, alpha, d)
+
+    def tracked_multiple(memo, k, mu):
+        begin()
+        return multiple(memo, k, mu)
 
     monkeypatch.setattr(poly, "MAX_INSERT_CACHE", bound)
-    monkeypatch.setattr(poly, "_insert_var", tracked)
+    monkeypatch.setattr(poly, "_mono_times_dict", tracked_mono_times)
+    monkeypatch.setattr(groebner._Memo, "_multiple", tracked_multiple)
     assert run(pres) == expected
     assert cache.clears > 0
     assert cache.excess <= bound
+
+
+def test_insert_cache_does_not_thrash(monkeypatch):
+    """A product whose own insertions outgrow the bound writes each entry
+    once: on weyl_z, y^150 * x^150 makes 45,299 insertions, and with the
+    bound at 20,000 none is cleared and made again."""
+    pres = load_presentation_file(algebra_path("weyl_z.alg"))
+    f, g = parse_polynomial("y^150", pres), parse_polynomial("x^150", pres)
+    expected = multiply(f, g).raw
+    cache = pres._insert_cache = _RecordingCache()
+    monkeypatch.setattr(poly, "MAX_INSERT_CACHE", 20_000)
+    assert multiply(f, g).raw == expected
+    assert cache.stores == len(cache.keys) == len(cache) == 45_299
+    assert cache.clears == 0
+    # the next product starts by clearing the full cache
+    multiply(g, f)
+    assert cache.clears == 1
