@@ -11,7 +11,6 @@ from skewpbw.scalars import FieldSpec, InputError, Scalar, make_field
 from skewpbw.presentation import (
     Presentation,
     check_pbw_consistency,
-    commutative_presentation,
     load_presentation,
     load_presentation_file,
     presentation_hash,

@@ -48,7 +48,7 @@ from skewpbw import linalg
 from skewpbw.groebner import PROPER, TWO_SIDED, UNIT, IdealHandle
 from skewpbw.poly import DEGLEX, Polynomial, exponents_up_to, multiply
 from skewpbw.presentation import Presentation
-from skewpbw.scalars import Field, InputError, PrimeField, Scalar
+from skewpbw.scalars import Field, InputError, PrimeField, Scalar, power
 
 
 # the most points a search domain may enumerate: every point is built up
@@ -61,15 +61,22 @@ class Point(NamedTuple):
 
     @staticmethod
     def of(pres: Presentation, values) -> "Point":
-        coords = tuple(pres.field.coerce(v) for v in values)
-        if len(coords) != pres.n:
-            raise InputError(
-                f"point has {len(coords)} coordinates, presentation has {pres.n}"
-            )
-        return Point(coords)
+        Z = Point(tuple(pres.field.coerce(v) for v in values))
+        _check_point(pres, Z)
+        return Z
 
     def __repr__(self):
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
+
+
+def _check_point(pres: Presentation, Z: Point) -> None:
+    """InputError unless Z has one coordinate per variable of pres, each
+    an element of its field."""
+    if len(Z.coords) != pres.n:
+        raise InputError(f"point has {len(Z.coords)} coordinates, presentation has {pres.n}")
+    for c in Z.coords:
+        if not (isinstance(c, Scalar) and c.field is pres.field):
+            raise InputError(f"point {Z} has a coordinate outside {pres.field.spec}")
 
 
 class SearchDomain:
@@ -145,6 +152,7 @@ def is_character(pres: Presentation, Z: Point) -> bool:
     z_i*(r - sigma_i(r)) = 0), and Z
     satisfies z_j*z_i = c_ij*z_i*z_j + sum_k a_k*z_k + d for every i < j.
     """
+    _check_point(pres, Z)
     return _character_test(pres)([c.value for c in Z.coords])
 
 
@@ -192,12 +200,16 @@ def _monomial_values(field: Field, columns, exps, values=None) -> dict:
 
     A missing x^t starts from a held o <= t of highest degree (t - e_i if
     held, which exps in ascending degree make usual) and multiplies by
-    z_i^d, d = t_i - o_i, squaring and multiplying in a loop: at most
-    2 log2(d) products per point, one new list each, and no recursion. A
-    values dict this function returned is extended in place, so a walk
-    that asks for more monomials reuses all it holds.
+    z_i^d, d = t_i - o_i, by `scalars.power`: at most 2 log2(d) products
+    per point, one new list each, and no recursion. A values dict this
+    function returned is extended in place, so a walk that asks for more
+    monomials reuses all it holds.
     """
     mul = field.raw_mul
+
+    def pointwise(a, b):
+        return list(map(mul, a, b))
+
     if values is None:
         values = {(0,) * len(columns): [field.raw_one] * len(columns[0])}
     for t in exps:
@@ -211,12 +223,7 @@ def _monomial_values(field: Field, columns, exps, values=None) -> dict:
             o = max((o for o in values if all(map(le, o, t))), key=sum)
             vals = values[o]
             for col, d in zip(columns, map(sub, t, o)):
-                while d:
-                    if d & 1:
-                        vals = list(map(mul, vals, col))
-                    d >>= 1
-                    if d:
-                        col = list(map(mul, col, col))
+                vals = power(col, d, pointwise, vals)
             values[t] = vals
     return values
 
@@ -238,6 +245,7 @@ def evaluate(f: Polynomial, Z: Point) -> Scalar:
     At a character point this is the ring map epsilon_Z applied to f, and
     f is a root exactly when it is zero.
     """
+    _check_point(f.pres, Z)
     field = f.pres.field
     exps = [e for e, _ in reversed(f.raw)]
     values = _monomial_values(field, [(c.value,) for c in Z.coords], exps)
@@ -253,6 +261,7 @@ def point_ideal(pres: Presentation, Z: Point) -> IdealHandle:
     """
     handle = pres._point_ideals.get(Z.coords)
     if handle is None:
+        _check_point(pres, Z)
         gens = tuple(point_generators(pres, Z))
         if is_character(pres, Z):
             status, basis, note = PROPER, gens[::-1], ""
@@ -328,6 +337,9 @@ def vanishing_set(
     The generators are evaluated at the character points only; every other
     point is a degenerate root.
     """
+    for f in polys:
+        if f.pres is not pres:
+            raise InputError(f"polynomial {f} is from another presentation than {pres}")
     points, degenerate_mask, positions, columns = _domain_partition(pres, domain)
     field, zero = pres.field, pres.field.raw_zero
     exps = [e for f in polys for e, _ in reversed(f.raw)]
@@ -357,6 +369,8 @@ def ideal_of_points(
     Each monomial's values at the character points are reduced in one
     `linalg.Echelon`, in `exponents_up_to` order; a relation is an element.
     """
+    for Z in points:
+        _check_point(pres, Z)
     field = pres.field
     character = _character_test(pres)
     raw = [z for z in ([c.value for c in Z.coords] for Z in points) if character(z)]
@@ -411,6 +425,8 @@ def algebraic_witness(pres: Presentation, points: Sequence[Point]) -> WitnessRes
     zero; any other point is a root of everything. A is a domain, so g is
     not zero. The empty set gets s, the sum at the origin.
     """
+    for Z in points:
+        _check_point(pres, Z)
     s = Polynomial.zero(pres)
     for i in range(pres.n):
         s = s + Polynomial.variable(pres, i)

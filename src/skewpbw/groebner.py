@@ -30,19 +30,19 @@ from operator import le
 from functools import cached_property
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from skewpbw import poly
 from skewpbw.poly import (
     DEGLEX,
     MonomialOrder,
     Polynomial,
     _acc,
+    _bound_insert_cache,
     _multiply_raw,
     _var_times_dict,
     exp_sub,
     find_divisor,
     multiply,
 )
-from skewpbw.presentation import Presentation, extend_with_central
+from skewpbw.presentation import Presentation, central_multiple, extend_with_central
 from skewpbw.scalars import InputError, Scalar
 
 
@@ -194,11 +194,9 @@ class _Memo:
 
     def _multiple(self, k: int, mu: tuple) -> dict:
         """The rung (k, mu) of basis[k]'s ladder; see the class docstring.
-        Like `poly._mono_times_dict`, it starts by clearing an insertion
-        cache that has reached `poly.MAX_INSERT_CACHE`."""
+        Like every product, it starts with `_bound_insert_cache`."""
         pres = self.pres
-        if len(pres._insert_cache) >= poly.MAX_INSERT_CACHE:
-            pres._insert_cache.clear()
+        _bound_insert_cache(pres)
         multiples, lead = self.multiples, self.leads[k]
         n = len(lead)
         steps = []  # (first variable of theta, mu) from mu down
@@ -755,21 +753,13 @@ def intersect_left(
     if I.status != PROPER or J.status != PROPER:
         raise InputError("intersection needs both ideals proper")
     pres = I.presentation
-    budget = budget or DEFAULT_BUDGET
     ext = extend_with_central(pres)
     block = MonomialOrder.block([0], ext.n)
-
-    def lift(f: Polynomial, tdeg: int) -> Polynomial:
-        # a common t-degree keeps the deglex order of the terms
-        return Polynomial.from_raw(
-            ext, [((tdeg,) + e, c) for e, c in f.raw], ordered=True
-        )
-
-    gens = [lift(f, 1) for f in I.generators if not f.is_zero()]
-    one_minus_t = Polynomial.one(ext) - Polynomial.variable(ext, 0)
-    for g in J.generators:
-        if not g.is_zero():
-            gens.append(multiply(one_minus_t, lift(g, 0)))
+    gens = [central_multiple(ext, f, 1) for f in I.generators if not f.is_zero()]
+    gens += [
+        central_multiple(ext, g, 0) - central_multiple(ext, g, 1)
+        for g in J.generators if not g.is_zero()
+    ]
     handle = left_groebner(gens, block, budget)
     if handle.status == UNIT:
         # 1 is t-free and lies in both ideals only if both are improper;

@@ -35,7 +35,6 @@ from skewpbw.geometry import (
 )
 from skewpbw.groebner import (
     Budget,
-    DEFAULT_BUDGET,
     IdealHandle,
     UNIT,
     UNKNOWN,
@@ -45,11 +44,7 @@ from skewpbw.groebner import (
 )
 from skewpbw.normality import central_probe
 from skewpbw.poly import DEGLEX, Polynomial, multiply
-from skewpbw.presentation import (
-    Presentation,
-    commutative_presentation,
-    extend_with_central,
-)
+from skewpbw.presentation import Presentation, central_multiple, extend_with_central
 from skewpbw.scalars import InputError, PrimeField, Scalar, _prime_factors
 
 
@@ -164,7 +159,7 @@ def center_generators(pres: Presentation) -> CenterDescription:
     for g in gens:
         if not central_probe(g):
             raise RuntimeError(f"generator {g} failed the centrality check")
-    ring = commutative_presentation(pres.field, _center_names(n))
+    ring = Presentation(pres.field, _center_names(n))
     return CenterDescription(pres, L, gens, ring, case)
 
 
@@ -239,30 +234,21 @@ def contract_to_center(
 # commutative side: radical membership
 
 
-_RABINOWITSCH_BUDGET = Budget(max_degree=24, max_pairs=200_000)
-
-
 def radical_membership_commutative(
     f: Polynomial, J_gens: Sequence[Polynomial], budget: Optional[Budget] = None
 ) -> Optional[bool]:
     """f in radical(J) in a commutative presentation, by the extra-variable
     trick: true iff 1 lies in J + <1 - t*f>; None when the Groebner basis
-    of J + <1 - t*f> runs out of budget."""
+    of J + <1 - t*f> runs out of budget, by default `groebner.DEFAULT_BUDGET`."""
     center_pres = f.pres
     if not center_pres.quasi_commutative or any(
         not rel.is_trivial_lower() or rel.c != center_pres.field.one
         for rel in center_pres.relations.values()
     ):
         raise InputError("radical membership runs on trivial relations only")
-    budget = budget or _RABINOWITSCH_BUDGET
     ext = extend_with_central(center_pres)
-
-    def lift(g: Polynomial) -> Polynomial:
-        return Polynomial.from_raw(ext, [((0,) + e, c) for e, c in g.raw], ordered=True)
-
-    t = Polynomial.variable(ext, 0)
-    gens = [lift(g) for g in J_gens if not g.is_zero()]
-    gens.append(Polynomial.one(ext) - multiply(t, lift(f)))
+    gens = [central_multiple(ext, g, 0) for g in J_gens if not g.is_zero()]
+    gens.append(Polynomial.one(ext) - central_multiple(ext, f, 1))
     handle = left_groebner(gens, DEGLEX, budget)
     return None if handle.status == UNKNOWN else handle.status == UNIT
 
@@ -382,7 +368,6 @@ def verify_sandwich(
     generator is certified, or when a certified one has no exponent <= M.
     """
     pres = C.presentation
-    budget = budget or DEFAULT_BUDGET
     notes: List[str] = []
 
     contraction = contract_to_center(handle, C, d)

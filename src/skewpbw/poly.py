@@ -23,8 +23,7 @@ from operator import le
 from typing import Iterable, Optional, Tuple
 
 from skewpbw import parsing
-from skewpbw.presentation import Presentation
-from skewpbw.scalars import Field, InputError, Scalar
+from skewpbw.scalars import Field, InputError, Scalar, power
 
 
 # ---------------------------------------------------------------------------
@@ -107,11 +106,18 @@ DEGREVLEX = MonomialOrder("degrevlex")
 # rewriting engine (dict-of-exponent form)
 
 # Entries a presentation's insertion cache may hold when a product starts:
-# `_mono_times_dict` and `groebner._Memo._multiple` clear a cache that has
-# reached it, and no insertion does, so the cache holds at most this many
-# plus the entries of one product. At the ~0.5 kB an entry took with small
+# every product clears a cache that has reached it (`_bound_insert_cache`),
+# and no insertion does, so the cache holds at most this many plus the
+# entries of one product. At the ~0.5 kB an entry took with small
 # coefficients (tracemalloc, CPython 3.11, x86-64), the cap is about 50 MB.
 MAX_INSERT_CACHE = 100_000
+
+
+def _bound_insert_cache(pres: Presentation) -> None:
+    """Clear pres's insertion cache if it has reached MAX_INSERT_CACHE; a
+    product x^alpha * d calls this before its first insertion."""
+    if len(pres._insert_cache) >= MAX_INSERT_CACHE:
+        pres._insert_cache.clear()
 
 
 def _acc(out: dict, exp: tuple, c, add, zero) -> None:
@@ -153,20 +159,10 @@ def _insert_var(pres: Presentation, i: int, exp: tuple) -> dict:
         return cached
     field = pres.field
     if pres.quasi_commutative and pres.sigma_all_identity:
-        mul, one = field.raw_mul, field.raw_one
-        c = one
+        mul, c = field.raw_mul, field.raw_one
         for j in range(i):
-            t = exp[j]
-            if not t:
-                continue
-            q = pres.relations[(j, i)].c.value
-            # c *= q^t by square-and-multiply; once a square is 1, so is the rest
-            while t and q != one:
-                if t & 1:
-                    c = mul(c, q)
-                t >>= 1
-                if t:
-                    q = mul(q, q)
+            if exp[j]:
+                c = power(pres.relations[(j, i)].c.value, exp[j], mul, c)
         e2 = exp[:i] + (exp[i] + 1,) + exp[i + 1 :]
         inner = cache[(i, exp)] = {e2: c}
         return inner
@@ -231,12 +227,8 @@ def _var_times_dict(pres: Presentation, i: int, d: dict) -> dict:
 
 
 def _mono_times_dict(pres: Presentation, alpha: tuple, d: dict) -> dict:
-    """x^alpha * d on raw dicts; may return d itself, so treat it as read-only.
-
-    A product starts by clearing an insertion cache that has reached
-    MAX_INSERT_CACHE."""
-    if len(pres._insert_cache) >= MAX_INSERT_CACHE:
-        pres._insert_cache.clear()
+    """x^alpha * d on raw dicts; may return d itself, so treat it as read-only."""
+    _bound_insert_cache(pres)
     for i in range(pres.n - 1, -1, -1):
         for _ in range(alpha[i]):
             if not d:
@@ -412,15 +404,7 @@ class Polynomial:
         """Square-and-multiply: powers of one element commute with each other."""
         if k < 0:
             raise InputError("negative power of a polynomial")
-        out = Polynomial.one(self.pres)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return power(self, k, multiply, Polynomial.one(self.pres))
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -522,6 +506,8 @@ def parse_polynomial(text: str, pres: Presentation) -> Polynomial:
 
 def parse_scalar(text: str, field: Field) -> Scalar:
     """Parse the scalar grammar: a polynomial over no variables."""
+    from skewpbw.presentation import Presentation  # deferred: it imports this module
+
     return parse_polynomial(text, Presentation(field, ())).constant_value()
 
 
@@ -551,12 +537,15 @@ def _eval_ast(node, pres: Presentation) -> Polynomial:
         acc = -_eval_ast(node[1], pres)
     else:
         raise RuntimeError(f"bad node {kind!r}")
+    run = [acc]  # acc and the factors of the * and / that follow it
     for kind, right in reversed(spine):
-        if kind == "div":
-            acc = acc * right
-        elif kind != "pow":
+        if kind in ("mul", "div"):
+            run.append(right if kind == "div" else _eval_ast(right, pres))
+            continue
+        acc = _product(run)
+        if kind != "pow":
             rhs = _eval_ast(right, pres)
-            acc = acc + rhs if kind == "add" else acc - rhs if kind == "sub" else acc * rhs
+            acc = acc + rhs if kind == "add" else acc - rhs
         elif right >= 0:
             acc = acc ** right
         elif acc.is_zero():
@@ -565,4 +554,16 @@ def _eval_ast(node, pres: Presentation) -> Polynomial:
             raise InputError("negative power of a non-scalar")
         else:
             acc = Polynomial.constant(pres, acc.constant_value() ** right)
-    return acc
+        run = [acc]
+    return _product(run)
+
+
+def _product(factors: list) -> Polynomial:
+    """The product of factors in their order, multiplied from the right.
+    Each step's left operand is then one factor, so x*x*...*x inserts one
+    variable per step instead of moving a growing power of x past the next
+    x: linear in the chain's length, not quadratic."""
+    out = factors[-1]
+    for f in reversed(factors[:-1]):
+        out = multiply(f, out)
+    return out

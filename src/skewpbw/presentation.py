@@ -17,7 +17,7 @@ import hashlib
 import itertools
 from typing import NamedTuple, Optional
 
-from skewpbw import parsing
+from skewpbw import parsing, poly
 from skewpbw.scalars import (
     Field,
     FieldSpec,
@@ -134,8 +134,6 @@ def _check_overlaps(pres: Presentation) -> None:
     With every sigma the identity and no lower terms, all overlaps resolve
     and the constructor skips the check.
     """
-    from skewpbw import poly  # deferred: poly imports this module
-
     names, x = pres.names, [poly.Polynomial.variable(pres, k) for k in range(pres.n)]
     down = list(reversed(range(pres.n)))
     overlaps = [
@@ -156,10 +154,6 @@ def _check_overlaps(pres: Presentation) -> None:
                 f"inconsistent relations: the overlap {name} has two normal forms,"
                 f" differing by {diff}"
             )
-
-
-def commutative_presentation(field: Field, names) -> Presentation:
-    return Presentation(field, names)
 
 
 def quantum_plane(field: Field, q: Scalar, names=("x", "y")) -> Presentation:
@@ -189,6 +183,12 @@ def extend_with_central(pres: Presentation) -> Presentation:
     return Presentation(field, names, sigma=(1,) + pres.sigma, relations=rels)
 
 
+def central_multiple(ext: Presentation, f: poly.Polynomial, k: int) -> poly.Polynomial:
+    """t^k * f in ext = extend_with_central(f.pres), t its central variable:
+    each term of f gains t-degree k, which keeps their deglex order."""
+    return poly.Polynomial.from_raw(ext, [((k,) + e, c) for e, c in f.raw], ordered=True)
+
+
 # ---------------------------------------------------------------------------
 # documents
 
@@ -200,8 +200,6 @@ def load_presentation(text: str) -> Presentation:
     variables with the document's names: its normal form is the formal
     collection of c*x_i*x_j, the linear terms and the constant.
     """
-    from skewpbw import poly  # deferred: poly imports this module
-
     field: Optional[Field] = None
     names: Optional[tuple] = None
     sigma_tags: dict = {}
@@ -340,8 +338,6 @@ def serialize_presentation(pres: Presentation) -> str:
     any other k but the identity, which prints nothing. So two spellings of
     one automorphism give one text and one `presentation_hash`.
     """
-    from skewpbw import poly  # deferred: poly imports this module
-
     lines = [f"field: {pres.field.spec}", "vars: " + ", ".join(pres.names)]
     m = pres.field.m
     tags = [
@@ -387,8 +383,6 @@ def check_pbw_consistency(pres: Presentation, degree_bound: int = 4) -> Consiste
     that was built the scan finds none; the `consistency` command prints
     its count.
     """
-    from skewpbw import poly  # deferred: poly imports this module
-
     if degree_bound < 3:
         raise InputError("degree bound must be >= 3")
     n = pres.n
@@ -407,11 +401,10 @@ def check_pbw_consistency(pres: Presentation, degree_bound: int = 4) -> Consiste
             return (ea, eb, ec, str(left - right))
         return None
 
-    unit = lambda k: tuple(1 if t == k else 0 for t in range(n))
     for k in range(n - 1, -1, -1):
         for jj in range(n - 1, -1, -1):
             for ii in range(n - 1, -1, -1):
-                bad = probe(unit(k), unit(jj), unit(ii))
+                bad = probe(_exponent(n, k), _exponent(n, jj), _exponent(n, ii))
                 if bad:
                     return ConsistencyReport(False, checked, bad)
 

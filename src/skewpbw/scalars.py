@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
@@ -96,6 +97,19 @@ def _rho_divisor(m: int) -> int:
         if d != m:
             return d
         c += 1
+
+
+def power(base, k: int, mul, acc):
+    """acc * base^k for an int k >= 0 by square-and-multiply, mul(a, b)
+    being the product a*b: each set bit of k multiplies acc on the right by
+    a square of base, so about 2 log2(k) products and no recursion."""
+    while k:
+        if k & 1:
+            acc = mul(acc, base)
+        k >>= 1
+        if k:
+            base = mul(base, base)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -215,14 +229,7 @@ class Scalar:
     def __pow__(self, k: int) -> "Scalar":
         if k < 0:
             return self.inv() ** (-k)
-        out = self.field.one
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, operator.mul, self.field.one)
 
     def is_zero(self) -> bool:
         return self.value == self.field.raw_zero
@@ -321,7 +328,7 @@ class Field:
 def _cyclotomic(m: int) -> tuple:
     # Phi_m = prod over d | m of (x^d - 1)^mu(m/d): multiply in the factors
     # with mu = 1, then divide out those with mu = -1, exactly over Z
-    primes = [q for q in range(2, m + 1) if m % q == 0 and _is_prime(q)]
+    primes = sorted(_prime_factors(m))
     coeffs = [1]
     divide_by = []
     for k in range(1 << len(primes)):  # squarefree e = m/d, mu(e) = (-1)^|e|

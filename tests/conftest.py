@@ -10,7 +10,6 @@ from skewpbw.poly import Polynomial
 from skewpbw.presentation import (
     Presentation,
     Relation,
-    commutative_presentation,
     load_presentation_file,
     quantum_plane,
 )
@@ -82,12 +81,12 @@ def conj_qplane(QI):
 
 @pytest.fixture(scope="session")
 def comm2(QQ):
-    return commutative_presentation(QQ, ("x", "y"))
+    return Presentation(QQ, ("x", "y"))
 
 
 @pytest.fixture(scope="session")
 def comm2_gf5(GF5):
-    return commutative_presentation(GF5, ("x", "y"))
+    return Presentation(GF5, ("x", "y"))
 
 
 def variables(pres: Presentation):

@@ -197,6 +197,45 @@ def test_empty_grid_column_is_refused(qplane_gf5):
             SearchDomain.grid(columns).points(qplane_gf5)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    ["evaluate", "is_root", "point_ideal", "is_character", "vanishing_set",
+     "ideal_of_points", "algebraic_witness"],
+)
+def test_inputs_of_another_presentation_are_refused(
+    entry, witten, comm2, qplane_m1, qplane_gf5
+):
+    """A point needs one coordinate per variable, each in the presentation's
+    field, and a generator must be over the presentation. Otherwise the
+    answer is about no algebra at all: x*y*z + 1 on witten would evaluate
+    to 2 at (1, 1), ideal_of_points would give [1, x, y, z], qplane_m1's x
+    would tag (1, 1) of the commutative plane a non-root, and a GF(5)
+    generator over Q would end in a TypeError."""
+    f = parse_polynomial("x*y*z + 1", witten)
+    domain = SearchDomain.grid([range(2)])
+    calls = {
+        "evaluate": lambda Z: geometry.evaluate(f, Z),
+        "is_root": lambda Z: is_root(f, Z),
+        "point_ideal": lambda Z: point_ideal(witten, Z),
+        "is_character": lambda Z: is_character(witten, Z),
+        "ideal_of_points": lambda Z: ideal_of_points(witten, [Z], 1),
+        "algebraic_witness": lambda Z: algebraic_witness(witten, [Z]),
+        "vanishing_set": lambda pres: vanishing_set(
+            comm2, [parse_polynomial("x", pres)], domain
+        ),
+    }
+    if entry == "vanishing_set":
+        cases = [(qplane_m1, "another presentation"), (qplane_gf5, "another presentation")]
+    else:
+        cases = [
+            (Point.of(comm2, [1, 1]), "point has 2 coordinates, presentation has 3"),
+            (Point((qplane_gf5.field.one,) * 3), "coordinate outside Q"),
+        ]
+    for arg, message in cases:
+        with pytest.raises(InputError, match=message):
+            calls[entry](arg)
+
+
 def test_ideal_of_points_examples(comm2, qplane_m1):
     basis = ideal_of_points(comm2, [Point.of(comm2, [0, 0])], 1)
     assert set(map(str, basis)) == {"x", "y"}

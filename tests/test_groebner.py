@@ -18,7 +18,7 @@ from oracles import (
     random_polynomial,
     two_sided_span_membership,
 )
-from skewpbw import cli, groebner, nullstellensatz
+from skewpbw import cli, groebner
 from skewpbw.geometry import Point
 from skewpbw.groebner import (
     Budget,
@@ -41,6 +41,7 @@ from skewpbw.poly import (
     parse_polynomial,
 )
 from skewpbw.presentation import (
+    Presentation,
     extend_with_central,
     load_presentation,
     load_presentation_file,
@@ -209,7 +210,6 @@ def test_shared_budgets_and_results_are_immutable(weyl_z):
     H = left_groebner([parse_polynomial("x - 1", weyl_z)])
     for record, name in (
         (groebner.DEFAULT_BUDGET, "max_degree"),
-        (nullstellensatz._RABINOWITSCH_BUDGET, "max_pairs"),
         (H, "status"),
         (Point.of(weyl_z, [1, 0, 0]), "coords"),
     ):
@@ -938,9 +938,7 @@ def test_katsura3_commutative_groebner(QQ):
     """A standard 3-variable zero-dimensional system completes quickly with
     a reduced basis; soundness via certificates, completeness via random
     combinations."""
-    from skewpbw.presentation import commutative_presentation
-
-    C3 = commutative_presentation(QQ, ("x", "y", "z"))
+    C3 = Presentation(QQ, ("x", "y", "z"))
     gens = [
         parse_polynomial(t, C3)
         for t in (

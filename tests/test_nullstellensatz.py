@@ -48,7 +48,7 @@ from skewpbw.poly import (
     parse_polynomial,
 )
 from skewpbw.presentation import (
-    commutative_presentation,
+    Presentation,
     load_presentation_file,
     quantum_plane,
 )
@@ -566,6 +566,19 @@ def test_radical_membership_examples(comm2):
     assert radical_membership_commutative(u + 1, [u * u], Budget(max_degree=3)) is False
 
 
+def test_radical_membership_defaults_to_the_default_budget(comm2):
+    """With no budget the radical step reads `groebner.DEFAULT_BUDGET`, as
+    every other entry point does. x lies in radical(<x^13>), but the first
+    S-pair, of x^13 and 1 - t*x, has lcm t*x^13 of degree 14, above the
+    default's 12: so both calls leave it unresolved, and a degree budget
+    of 14 decides it."""
+    x = parse_polynomial("x", comm2)
+    J = [parse_polynomial("x^13", comm2)]
+    assert radical_membership_commutative(x, J) is None
+    assert radical_membership_commutative(x, J, groebner.DEFAULT_BUDGET) is None
+    assert radical_membership_commutative(x, J, Budget(max_degree=14)) is True
+
+
 def test_radical_membership_vs_power_search(comm2, comm2_gf5):
     for pres in (comm2, comm2_gf5):
         rng = random.Random(29)
@@ -746,7 +759,7 @@ def _random_point_sets():
     for k in range(48):
         field = get_field(specs[k % len(specs)])
         n = 1 + k // len(specs) % 3
-        pres = commutative_presentation(field, ("u", "v", "w")[:n])
+        pres = Presentation(field, ("u", "v", "w")[:n])
         points = []
         for _ in range(k % 9):
             if points and rng.random() < 0.25:

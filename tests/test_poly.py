@@ -1,5 +1,6 @@
 """Monomial orders, the rewriting engine, and polynomial ring axioms."""
 
+import operator
 import random
 import zlib
 
@@ -8,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from conftest import algebra_path
 from oracles import naive_commutative_multiply, naive_word_multiply, random_polynomial
-from skewpbw import groebner, poly
+from skewpbw import geometry, groebner, poly
 from skewpbw.groebner import left_groebner
 from skewpbw.poly import (
     DEGLEX,
@@ -22,7 +23,7 @@ from skewpbw.poly import (
     multiply,
     parse_polynomial,
 )
-from skewpbw.presentation import Presentation, load_presentation_file
+from skewpbw.presentation import Presentation, Relation, load_presentation_file
 from skewpbw.scalars import FieldSpec, Scalar, get_field
 
 SHIPPED = ["witten", "weyl_z", "qplane_m1", "qplane_q2", "qplane_gf5", "qspace3", "comm2"]
@@ -229,6 +230,43 @@ def test_power_is_repeated_product(fixture, request):
         for k in range(8):
             assert f ** k == product
             product = product * f
+
+
+@pytest.mark.parametrize("spec", ["gf:7", "Q(i)"])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 7, 8, 1000])
+def test_square_and_multiply_is_repeated_product(spec, k):
+    """Each power the package takes runs through `scalars.power`: a Scalar
+    power, a Polynomial power, the closed-form insertion x_w * x^e on a
+    quasi-commutative presentation, and a gap d = k in
+    `geometry._monomial_values`. Each equals k repeated products; the
+    insertion, w * x^k * y = c_xw^k * c_yw * x^k*y*w, is checked against
+    word rewriting."""
+    field = get_field(FieldSpec.from_string(spec))
+    g = field.primitive() or field.from_int(3)  # i on Q(i), 3 on GF(7)
+    s = g + 1
+
+    def repeated(mul, base, acc):
+        for _ in range(k):
+            acc = mul(base, acc)
+        return acc
+
+    assert s ** k == repeated(operator.mul, s, field.one)
+    zero = field.zero
+    rels = {
+        ij: Relation(c, (zero,) * 3, zero)
+        for ij, c in zip([(0, 1), (0, 2), (1, 2)], [g, s, field.from_int(-1)])
+    }
+    pres = Presentation(field, ("x", "y", "w"), relations=rels)
+    assert pres.quasi_commutative and pres.sigma_all_identity
+    f = Polynomial.monomial(pres, (1, 1, 0), s)
+    assert f ** k == repeated(multiply, f, Polynomial.one(pres))
+    w, e = Polynomial.variable(pres, 2), (k, 1, 0)
+    inserted = Polynomial.from_raw(pres, poly._insert_var(pres, 2, e).items())
+    assert inserted == naive_word_multiply(w, Polynomial.monomial(pres, e))
+    points = [v.value for v in (s, g, field.from_int(-1), zero)]
+    columns = [points, [field.raw_one] * len(points)]
+    values = geometry._monomial_values(field, columns, [(k, 0)])
+    assert values[(k, 0)] == [repeated(field.raw_mul, z, field.raw_one) for z in points]
 
 
 def test_sigma_twisted_coefficients_pass_variables():

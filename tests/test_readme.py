@@ -62,7 +62,6 @@ def test_readme_limits_table_matches_the_code():
     rows = re.findall(r"^\| `([^`]+)`[^|]*\| ([\d,]+) \|", section, re.M)
     table = {name: int(default.replace(",", "")) for name, default in rows}
     budget = groebner.Budget()
-    rabinowitsch = nullstellensatz._RABINOWITSCH_BUDGET
     assert table == {
         "groebner.Budget.max_degree": budget.max_degree,
         "groebner.Budget.max_pairs": budget.max_pairs,
@@ -71,8 +70,6 @@ def test_readme_limits_table_matches_the_code():
         "geometry.MAX_DOMAIN_POINTS": geometry.MAX_DOMAIN_POINTS,
         "scalars.MAX_FIELD_DEGREE": scalars.MAX_FIELD_DEGREE,
         "poly.MAX_INSERT_CACHE": poly.MAX_INSERT_CACHE,
-        "nullstellensatz._RABINOWITSCH_BUDGET.max_degree": rabinowitsch.max_degree,
-        "nullstellensatz._RABINOWITSCH_BUDGET.max_pairs": rabinowitsch.max_pairs,
     }
     for info in pkgutil.iter_modules(skewpbw.__path__):
         if info.name == "__main__":  # importing it runs the CLI
