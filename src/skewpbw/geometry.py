@@ -52,7 +52,8 @@ from skewpbw.scalars import Field, InputError, PrimeField, Scalar, power
 
 
 # the most points a search domain may enumerate: every point is built up
-# front and then checked and evaluated on its own
+# front and then checked and evaluated on its own; also the most entries
+# a presentation's point-ideal cache holds
 MAX_DOMAIN_POINTS = 100_000
 
 
@@ -257,11 +258,14 @@ def point_ideal(pres: Presentation, Z: Point) -> IdealHandle:
 
     The reduced basis is unique, so it is written down, not saturated: at
     a character point it is the generators sorted by lead (the last
-    variable is the smallest), elsewhere the ideal is the whole ring.
+    variable is the smallest), elsewhere the ideal is the whole ring. A
+    miss clears a cache that holds MAX_DOMAIN_POINTS entries.
     """
     handle = pres._point_ideals.get(Z.coords)
     if handle is None:
         _check_point(pres, Z)
+        if len(pres._point_ideals) >= MAX_DOMAIN_POINTS:
+            pres._point_ideals.clear()
         gens = tuple(point_generators(pres, Z))
         if is_character(pres, Z):
             status, basis, note = PROPER, gens[::-1], ""
@@ -393,10 +397,14 @@ def commutative_points_ideal(
     `linalg.walk` with unit weights and no cap, on each monomial's values
     at the distinct points (Abbott, Bigatti, Kreuzer & Robbiano 2000). A
     reduced basis is unique, so a fold of pairwise intersections returns
-    it too. One point gives the x_i - z_i, no points give [1].
+    it too. One point gives the x_i - z_i, no points give [1]. InputError
+    for a point without one coordinate per variable.
     """
     field = center_pres.field
     n = center_pres.n
+    for p in points:
+        if len(p) != n:
+            raise InputError(f"point has {len(p)} coordinates, presentation has {n}")
     distinct = dict.fromkeys(tuple(field.coerce(z).value for z in p) for p in points)
     columns = [[z[i] for z in distinct] for i in range(n)]
     values = _monomial_values(field, columns, ())

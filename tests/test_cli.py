@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from conftest import algebra_path
-from skewpbw.cli import EXIT_INPUT, EXIT_OK, EXIT_UNKNOWN, main
+from skewpbw.cli import COMMANDS, EXIT_INPUT, EXIT_OK, EXIT_UNKNOWN, main
 
 
 def run(argv, capsys):
@@ -251,13 +251,18 @@ def test_zero_to_negative_power_in_polynomial_is_division_by_zero(capsys):
     ],
     ids=["root", "vanish", "points-ideal"],
 )
-def test_point_commands_ignore_budgets(argv, capsys):
-    """Points are decided by evaluation, so no budget can leave one unknown."""
+def test_point_commands_refuse_budgets(argv, capsys):
+    """Points are decided by evaluation, so no budget can leave one
+    unknown, and these subcommands take no budget flag: a usage error,
+    exit 1, with nothing on stdout."""
     argv = [argv[0], "--algebra", QPLANE] + argv[1:]
-    code, doc, _ = run_json(argv, capsys)
-    starved = argv + ["--budget-degree", "0", "--budget-pairs", "1"]
-    assert run_json(starved, capsys) == (code, doc, "")
+    code, _, _ = run_json(argv, capsys)
     assert code == EXIT_OK
+    for flag, value in (("--budget-degree", "0"), ("--budget-pairs", "1")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert exc.value.code == EXIT_INPUT
+        assert capsys.readouterr().out == ""
 
 
 def test_gb_certificates_index_generators_as_given(capsys):
@@ -349,13 +354,18 @@ def test_points_ideal_and_witness(capsys):
 def test_witness_needs_no_budget(capsys):
     """A budget of one S-pair left the intersection fold unresolved: exit 2
     with a null witness. The product of the hyperplane sums reads no
-    budget, and gives the witness the fold found under the default one."""
+    budget, so `witness` takes no budget flag, and gives the witness the
+    fold found under the default one."""
     argv = [
         "witness",
         "--algebra", algebra_path("qspace3.alg"),
         "--points", "1,0,0; 0,1,0; 0,0,i",
     ]
-    code, doc, err = run_json(argv + ["--budget-pairs", "1"], capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(["--format", "json"] + argv + ["--budget-pairs", "1"])
+    assert exc.value.code == EXIT_INPUT
+    assert capsys.readouterr().out == ""
+    code, doc, err = run_json(argv, capsys)
     assert (code, err) == (EXIT_OK, "")
     assert doc["status"] == "ok"
     assert doc["result"] == {
@@ -363,7 +373,6 @@ def test_witness_needs_no_budget(capsys):
         " + (-1-i)*x + (-1-i)*y + (-1-i)*z + i",
         "note": "",
     }
-    assert run_json(argv, capsys) == (code, doc, err)
 
 
 def test_witness_on_a_variable_named_t(tmp_path, capsys):
@@ -586,7 +595,11 @@ def test_field_above_degree_cap_is_input_error(tmp_path, capsys):
             )
             for domain in ("grid:-2..2;", "grid:2..-2", "grid:")
         ),
-        ["normal", "--algebra", QPLANE, "--f", "x", "--order", "block:w"],
+        ["normal", "--algebra", QPLANE, "--f", "x*"],
+        pytest.param(
+            ["gb", "--algebra", QPLANE, "--gens", "x", "--order", "block:w"],
+            id="gb-block:w",
+        ),
         ["consistency", "--algebra", "no-such-file.alg"],
     ],
     ids=lambda argv: argv[0],
@@ -718,3 +731,88 @@ def test_text_format(capsys):
     )
     assert code == EXIT_OK
     assert "normal_form: -x*y" in out
+
+
+# one valid call of every subcommand
+CALLS = {
+    "normalize": ["--algebra", QPLANE, "--f", "y*x"],
+    "mul": ["--algebra", WITTEN, "--f", "z", "--g", "x"],
+    "divide": ["--algebra", WITTEN, "--f", "x^2*y + x*z", "--divisors", "x-1, y+2"],
+    "gb": ["--algebra", QPLANE, "--gens", "x-1, y-1"],
+    "member": ["--algebra", QPLANE, "--f", "x^2*y", "--gens", "y"],
+    "saturate": ["--algebra", QPLANE, "--gens", "x-1, y"],
+    "root": ["--algebra", WEYLZ, "--f", "1", "--point", "1,0,0"],
+    "vanish": ["--algebra", QPLANE, "--polys", "x", "--domain", "grid:0..1"],
+    "points-ideal": ["--algebra", COMM, "--points", "0,0", "--trunc-degree", "1"],
+    "witness": ["--algebra", COMM, "--points", "0,0; 1,1"],
+    "center": ["--algebra", QPLANE],
+    "sandwich": ["--algebra", QPLANE, "--gens", "x^4", "--domain", "grid:-2..2"],
+    "normal": ["--algebra", QPLANE, "--f", "x+y"],
+    "consistency": ["--algebra", WITTEN, "--degree-bound", "3"],
+}
+READS_ORDER = {"divide", "gb", "member", "saturate", "sandwich"}
+READS_BUDGET = {"gb", "member", "saturate", "sandwich"}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_each_subcommand_takes_only_the_flags_it_reads(command, capsys):
+    """--order and the budget flags are accepted exactly where they are
+    read; at their defaults they change nothing, and elsewhere they are a
+    usage error, exit 1, with nothing on stdout. Every document has a
+    status."""
+    argv = [command] + CALLS[command]
+    code, doc, err = run_json(argv, capsys)
+    assert (code, err) == (EXIT_OK, "")
+    assert doc["status"] == "ok" and doc["order"] == "deglex"
+    for flag, value, readers in (
+        ("--order", "deglex", READS_ORDER),
+        ("--budget-degree", "12", READS_BUDGET),
+        ("--budget-pairs", "100000", READS_BUDGET),
+    ):
+        if command in readers:
+            assert run_json(argv + [flag, value], capsys) == (code, doc, err)
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(["--format", "json"] + argv + [flag, value])
+            assert exc.value.code == EXIT_INPUT
+            assert capsys.readouterr().out == ""
+
+
+STARVED = ["--gens", "x^2 - y, x*y + 1", "--budget-pairs", "0"]
+
+
+@pytest.mark.parametrize(
+    "algebra, domain, message",
+    [
+        ("qplane_m1.alg", "box:0..1", "error: unknown domain 'box:0..1' "),
+        ("qplane_m1.alg", "grid:0..1000000",
+         "error: search domain has 1000002000001 points,"),
+        ("witten.alg", "grid:0..1",
+         "error: the center rule needs a quasi-commutative presentation"),
+    ],
+    ids=["unknown-domain", "domain-size", "center"],
+)
+def test_sandwich_refuses_bad_input_whatever_the_budget(algebra, domain, message, capsys):
+    """The domain and the center are checked before the saturation, so a
+    budget that leaves the saturation unknown cannot hide a refusal."""
+    code, out, err = run(
+        ["sandwich", "--algebra", algebra_path(algebra), "--domain", domain] + STARVED,
+        capsys,
+    )
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+def test_sandwich_unknown_saturation_document(capsys):
+    """An unknown saturation ends the sandwich with exit 2; its document
+    echoes all four inputs and has a top-level status, like every other."""
+    code, doc, err = run_json(
+        ["sandwich", "--algebra", QPLANE, "--domain", "grid:0..1"] + STARVED, capsys
+    )
+    assert (code, err) == (EXIT_UNKNOWN, "")
+    assert doc["status"] == "unknown"
+    assert doc["inputs"] == {
+        "gens": "x^2 - y, x*y + 1", "domain": "grid:0..1",
+        "trunc_degree": 4, "max_power": 4,
+    }
+    assert doc["result"]["status"] == "unknown"

@@ -172,6 +172,23 @@ def test_vanishing_set_domain_cache(GF5, monkeypatch):
             assert root == (tag in ("root", "degenerate")), (k, Z, tag)
 
 
+def test_point_ideal_cache_is_bounded(GF5, monkeypatch):
+    """A miss clears a point-ideal cache that holds MAX_DOMAIN_POINTS
+    entries: with the cap at 3 it never holds more than 3, and every
+    answer equals the uncapped one."""
+    def answers(pres):
+        fs = [parse_polynomial(t, pres) for t in ("x - 1", "x*y", "y^2 - 4*y")]
+        out = []
+        for Z in (Point.of(pres, [a, b]) for a in range(5) for b in range(5)):
+            out.append([is_root(f, Z) for f in fs] + [point_ideal(pres, Z).status])
+            assert len(pres._point_ideals) <= geometry.MAX_DOMAIN_POINTS
+        return out
+
+    want = answers(quantum_plane(GF5, GF5.from_int(2)))
+    monkeypatch.setattr(geometry, "MAX_DOMAIN_POINTS", 3)
+    assert answers(quantum_plane(GF5, GF5.from_int(2))) == want
+
+
 def test_search_domain_size_guard(qplane_gf5, monkeypatch):
     """The count is checked before any point is built: enumerating 10^12
     points of GF(1000003)^2 would not end."""
@@ -200,7 +217,7 @@ def test_empty_grid_column_is_refused(qplane_gf5):
 @pytest.mark.parametrize(
     "entry",
     ["evaluate", "is_root", "point_ideal", "is_character", "vanishing_set",
-     "ideal_of_points", "algebraic_witness"],
+     "ideal_of_points", "algebraic_witness", "commutative_points_ideal"],
 )
 def test_inputs_of_another_presentation_are_refused(
     entry, witten, comm2, qplane_m1, qplane_gf5
@@ -210,7 +227,9 @@ def test_inputs_of_another_presentation_are_refused(
     answer is about no algebra at all: x*y*z + 1 on witten would evaluate
     to 2 at (1, 1), ideal_of_points would give [1, x, y, z], qplane_m1's x
     would tag (1, 1) of the commutative plane a non-root, and a GF(5)
-    generator over Q would end in a TypeError."""
+    generator over Q would end in a TypeError. commutative_points_ideal
+    takes raw coordinates: on the plane it would drop the third of
+    (1, 2, 3) and end (1,) in an IndexError."""
     f = parse_polynomial("x*y*z + 1", witten)
     domain = SearchDomain.grid([range(2)])
     calls = {
@@ -220,12 +239,20 @@ def test_inputs_of_another_presentation_are_refused(
         "is_character": lambda Z: is_character(witten, Z),
         "ideal_of_points": lambda Z: ideal_of_points(witten, [Z], 1),
         "algebraic_witness": lambda Z: algebraic_witness(witten, [Z]),
+        "commutative_points_ideal": lambda Z: geometry.commutative_points_ideal(
+            comm2, [Z]
+        ),
         "vanishing_set": lambda pres: vanishing_set(
             comm2, [parse_polynomial("x", pres)], domain
         ),
     }
     if entry == "vanishing_set":
         cases = [(qplane_m1, "another presentation"), (qplane_gf5, "another presentation")]
+    elif entry == "commutative_points_ideal":
+        cases = [
+            ((1, 2, 3), "point has 3 coordinates, presentation has 2"),
+            ((1,), "point has 1 coordinates, presentation has 2"),
+        ]
     else:
         cases = [
             (Point.of(comm2, [1, 1]), "point has 2 coordinates, presentation has 3"),
@@ -778,7 +805,7 @@ def test_vanishing_set_matches_saturation_per_point(qplane_gf5, rng):
         rep = vanishing_set(pres, gens, SearchDomain.full_prime_field())
         table = {p.coords: tag for p, tag in rep.table()}
         assert len(table) == 25 and not rep.unknown
-        for Z in SearchDomain.full_prime_field().points(pres):
+        for Z in (Point.of(pres, [a, b]) for a in range(5) for b in range(5)):
             oracle = _saturated(pres, Z)
             if oracle.status == "unit":
                 expected = "degenerate"
