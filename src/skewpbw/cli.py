@@ -193,18 +193,23 @@ def _witness(a):
     return {"witness": str(res.witness), "note": res.note}, False
 
 
-def _center(a):
-    C = nullstellensatz.center_generators(a.pres)
+def _center_doc(C) -> dict:
+    # center_generators raises unless every generator is central and the
+    # center is decided, so `verified` is the constant true; the key stays
+    # while perfbench/cli_expected.json pins it
     return {
-        "case": C.case,
         "exponents": list(C.exponents),
         "generators": [str(g) for g in C.generators],
-        # constants: center_generators raises unless every generator is
-        # central and the center is decided; the keys stay while
-        # perfbench/cli_expected.json pins them
+        "case": C.case,
         "verified": True,
-        "polynomial_center_assumed": False,
-    }, False
+    }
+
+
+def _center(a):
+    C = nullstellensatz.center_generators(a.pres)
+    # `case` first, as pinned; polynomial_center_assumed is the constant
+    # false for the same reason as `verified`
+    return {"case": C.case, **_center_doc(C), "polynomial_center_assumed": False}, False
 
 
 def _sandwich(a):
@@ -216,8 +221,33 @@ def _sandwich(a):
     rep = nullstellensatz.verify_sandwich(
         handle, C, a.domain, a.trunc_degree, a.max_power, a.budget
     )
-    # inclusion_points is always confirmed, by the lemma
-    return rep.to_doc(), rep.inclusion_radical == "inconclusive"
+    return {
+        "ideal_generators": [str(g) for g in handle.generators],
+        "center": _center_doc(C),
+        "truncation_degree": a.trunc_degree,
+        "max_power": a.max_power,
+        "J_center": [str(g) for g in rep.j_center],
+        "V_center": [[str(c) for c in p] for p in rep.v_center],
+        "generators": [
+            {
+                "center": str(v.center_poly),
+                "lifted": str(v.lifted),
+                "in_radical_J": v.in_radical_J,
+                "nilpotency_exponent": v.nilpotency_m,
+                # evaluation decides every root, so none fails or is
+                # unknown; the keys stay while perfbench/cli_expected.json
+                # pins them
+                "failed_roots": [],
+                "unknown_roots": [],
+                "grid_artifact": v.grid_artifact,
+            }
+            for v in rep.generator_verdicts
+        ],
+        "variety_points": [[str(p), tag] for p, tag in rep.variety_report.table()],
+        "inclusion_radical": rep.inclusion_radical,
+        "inclusion_points": rep.inclusion_points,  # always confirmed, by the lemma
+        "notes": rep.notes,
+    }, rep.inclusion_radical == nullstellensatz.INCONCLUSIVE
 
 
 def _normal(a):
@@ -226,7 +256,7 @@ def _normal(a):
     if verdict.certificate:
         payload["witnesses"] = {
             a.pres.names[j]: {"g": str(g), "g_prime": str(gp)}
-            for j, (g, gp) in verdict.certificate["per_generator"].items()
+            for j, (g, gp) in verdict.certificate.items()
         }
     if verdict.counter_witness:
         direction, w = verdict.counter_witness

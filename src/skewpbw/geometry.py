@@ -47,7 +47,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from skewpbw import linalg
 from skewpbw.groebner import PROPER, TWO_SIDED, UNIT, IdealHandle
 from skewpbw.poly import DEGLEX, Polynomial, exponents_up_to, multiply
-from skewpbw.presentation import Presentation
+from skewpbw.presentation import Presentation, require_commutative
 from skewpbw.scalars import Field, InputError, PrimeField, Scalar, power
 
 
@@ -319,8 +319,7 @@ def _domain_partition(pres: Presentation, domain: SearchDomain):
     if entry is None:
         character = _character_test(pres)
         raw = list(itertools.product(*key))
-        point = functools.partial(tuple.__new__, Point)  # as in SearchDomain.points
-        points = list(map(point, zip(itertools.product(*cols))))
+        points = domain.points(pres)
         degenerate = [not character(z) for z in raw]
         positions = [k for k, dg in enumerate(degenerate) if not dg]
         columns = [[raw[k][i] for k in positions] for i in range(pres.n)]
@@ -398,8 +397,10 @@ def commutative_points_ideal(
     at the distinct points (Abbott, Bigatti, Kreuzer & Robbiano 2000). A
     reduced basis is unique, so a fold of pairwise intersections returns
     it too. One point gives the x_i - z_i, no points give [1]. InputError
-    for a point without one coordinate per variable.
+    for a point without one coordinate per variable, or a presentation that
+    is not commutative.
     """
+    require_commutative(center_pres)
     field = center_pres.field
     n = center_pres.n
     for p in points:

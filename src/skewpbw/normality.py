@@ -35,7 +35,7 @@ def central_probe(f: Polynomial) -> bool:
 
 class NormalityVerdict(NamedTuple):
     status: str  # "normal" | "not_normal"
-    certificate: Optional[dict] = None
+    certificate: Optional[Dict[int, tuple]] = None  # generator index: (g, g')
     counter_witness: Optional[tuple] = None  # (direction, witness)
 
 
@@ -89,9 +89,7 @@ def is_normal(f: Polynomial) -> NormalityVerdict:
         if multiply(f, g) != multiply(xj, f):
             raise RuntimeError(f"left witness {g} of {f} fails at {pres.names[j]}")
         witnesses[j] = (g, gprime)
-    return NormalityVerdict(
-        "normal", certificate={"kind": "witnesses", "per_generator": witnesses}
-    )
+    return NormalityVerdict("normal", certificate=witnesses)
 
 
 def _solve_combination(echelon, target, pres) -> Optional[Polynomial]:

@@ -17,7 +17,8 @@ verify the first inclusion of
 
 generator by generator, over that grid, never confirming it without a
 certificate. The second inclusion holds for every two-sided ideal, by the
-lemma in `geometry`.
+lemma in `geometry`. The module returns results; `cli` renders them as
+documents.
 """
 
 from __future__ import annotations
@@ -44,33 +45,29 @@ from skewpbw.groebner import (
 )
 from skewpbw.normality import central_probe
 from skewpbw.poly import DEGLEX, Polynomial, multiply
-from skewpbw.presentation import Presentation, central_multiple, extend_with_central
+from skewpbw.presentation import (
+    Presentation, central_multiple, extend_with_central, require_commutative,
+)
 from skewpbw.scalars import InputError, PrimeField, Scalar, _prime_factors
 
 
 def multiplicative_order(s: Scalar) -> Optional[int]:
     """Smallest k >= 1 with s^k = 1; None when s is not a root of unity.
 
-    On GF(p) the order divides p - 1 and comes from its factorization.
-    The roots of unity in Q(zeta_m) are the +-zeta_m^j, so every order
-    there divides lcm(2, m) (m = 1 for Q, 4 for Q(i)) and the search stops
-    at it.
+    Every root of unity in the field has an order dividing K: K = p - 1 on
+    GF(p), and on Q(zeta_m), whose roots of unity are the +-zeta_m^j,
+    K = lcm(2, m) (m = 1 for Q, 4 for Q(i)). So s is one exactly when
+    s^K = 1, and its order is K with each prime q divided out while
+    s^(K/q) = 1.
     """
     field = s.field
-    if s.is_zero():
+    k = field.p - 1 if isinstance(field, PrimeField) else math.lcm(2, field.m)
+    if s.is_zero() or s ** k != field.one:
         return None
-    if isinstance(field, PrimeField):
-        k = field.p - 1
-        for q in _prime_factors(k):
-            while k % q == 0 and pow(s.value, k // q, field.p) == 1:
-                k //= q
-        return k
-    acc = s
-    for k in range(1, math.lcm(2, field.m) + 1):
-        if acc == field.one:
-            return k
-        acc = acc * s
-    return None
+    for q in _prime_factors(k):
+        while k % q == 0 and s ** (k // q) == field.one:
+            k //= q
+    return k
 
 
 class CenterDescription(NamedTuple):
@@ -239,14 +236,10 @@ def radical_membership_commutative(
 ) -> Optional[bool]:
     """f in radical(J) in a commutative presentation, by the extra-variable
     trick: true iff 1 lies in J + <1 - t*f>; None when the Groebner basis
-    of J + <1 - t*f> runs out of budget, by default `groebner.DEFAULT_BUDGET`."""
-    center_pres = f.pres
-    if not center_pres.quasi_commutative or any(
-        not rel.is_trivial_lower() or rel.c != center_pres.field.one
-        for rel in center_pres.relations.values()
-    ):
-        raise InputError("radical membership runs on trivial relations only")
-    ext = extend_with_central(center_pres)
+    of J + <1 - t*f> runs out of budget, by default `groebner.DEFAULT_BUDGET`.
+    InputError on a presentation that is not commutative."""
+    require_commutative(f.pres)
+    ext = extend_with_central(f.pres)
     gens = [central_multiple(ext, g, 0) for g in J_gens if not g.is_zero()]
     gens.append(Polynomial.one(ext) - central_multiple(ext, f, 1))
     handle = left_groebner(gens, DEGLEX, budget)
@@ -294,10 +287,6 @@ class GeneratorVerdict(NamedTuple):
 
 
 class SandwichReport(NamedTuple):
-    ideal_generators: List[Polynomial]
-    center: CenterDescription
-    truncation_degree: int
-    max_power: int
     j_center: List[Polynomial]
     v_center: List[tuple]
     generator_verdicts: List[GeneratorVerdict]
@@ -305,44 +294,6 @@ class SandwichReport(NamedTuple):
     inclusion_radical: str  # <I_Z(V_Z(J))> subset of radical(I)
     inclusion_points: str  # radical(I) subset of I(V(I)): confirmed, by the lemma
     notes: List[str]
-
-    def to_doc(self) -> dict:
-        return {
-            "ideal_generators": [str(g) for g in self.ideal_generators],
-            "center": {
-                "exponents": list(self.center.exponents),
-                "generators": [str(g) for g in self.center.generators],
-                "case": self.center.case,
-                # center_generators raises unless every generator is central;
-                # the key stays while perfbench/cli_expected.json pins it
-                "verified": True,
-            },
-            "truncation_degree": self.truncation_degree,
-            "max_power": self.max_power,
-            "J_center": [str(g) for g in self.j_center],
-            "V_center": [[str(c) for c in p] for p in self.v_center],
-            "generators": [
-                {
-                    "center": str(v.center_poly),
-                    "lifted": str(v.lifted),
-                    "in_radical_J": v.in_radical_J,
-                    "nilpotency_exponent": v.nilpotency_m,
-                    # no root fails and none is unknown (evaluation decides
-                    # each); the keys stay while perfbench/cli_expected.json
-                    # pins them
-                    "failed_roots": [],
-                    "unknown_roots": [],
-                    "grid_artifact": v.grid_artifact,
-                }
-                for v in self.generator_verdicts
-            ],
-            "variety_points": [
-                [str(p), tag] for p, tag in self.variety_report.table()
-            ],
-            "inclusion_radical": self.inclusion_radical,
-            "inclusion_points": self.inclusion_points,
-            "notes": self.notes,
-        }
 
 
 def verify_sandwich(
@@ -417,15 +368,5 @@ def verify_sandwich(
                 )
 
     return SandwichReport(
-        list(handle.generators),
-        C,
-        d,
-        M,
-        j_center,
-        v_center,
-        verdicts,
-        variety,
-        inclusion_radical,
-        CONFIRMED,
-        notes,
+        j_center, v_center, verdicts, variety, inclusion_radical, CONFIRMED, notes
     )

@@ -158,6 +158,21 @@ def _check_overlaps(pres: Presentation) -> None:
             )
 
 
+def require_commutative(pres: Presentation) -> None:
+    """InputError unless pres is a commutative polynomial ring: every
+    relation y*x = x*y and every sigma the identity."""
+    names = pres.names
+    for (i, j), rel in pres.relations.items():
+        if not rel.is_trivial_lower() or rel.c != pres.field.one:
+            raise InputError(
+                f"{pres} is not commutative: {names[j]}*{names[i]} is not "
+                f"{names[i]}*{names[j]}"
+            )
+    for name, sigma in zip(names, pres.sigma_maps):
+        if sigma is not None:
+            raise InputError(f"{pres} is not commutative: sigma of {name} is not the identity")
+
+
 def quantum_plane(field: Field, q: Scalar, names=("x", "y")) -> Presentation:
     """y*x = q*x*y in two variables."""
     if len(names) != 2:

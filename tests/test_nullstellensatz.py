@@ -20,7 +20,7 @@ from oracles import (
     random_scalar,
     rref,
 )
-from skewpbw import groebner, nullstellensatz
+from skewpbw import cli, groebner, nullstellensatz
 from skewpbw.geometry import Point, SearchDomain, evaluate
 from skewpbw.groebner import (
     Budget,
@@ -49,6 +49,7 @@ from skewpbw.poly import (
 )
 from skewpbw.presentation import (
     Presentation,
+    load_presentation,
     load_presentation_file,
     quantum_plane,
 )
@@ -579,6 +580,28 @@ def test_radical_membership_defaults_to_the_default_budget(comm2):
     assert radical_membership_commutative(x, J, Budget(max_degree=14)) is True
 
 
+@pytest.mark.parametrize("entry", ["commutative_points_ideal", "radical_membership"])
+def test_center_ring_functions_refuse_rings_that_are_not_commutative(entry, qplane_m1):
+    """Both functions work in the commutative center ring. On qplane_m1,
+    where y*x = -x*y, the points ideal of (1, 1) used to come back as
+    [y - 1, x - 1], whose two-sided saturation is the unit ideal. On Q(i)
+    with sigma x = conj, radical membership used to answer True or False."""
+    G = [parse_polynomial(t, qplane_m1) for t in ("y - 1", "x - 1")]
+    assert two_sided_saturate(G).status == "unit"
+    twisted = load_presentation("field: Q(i)\nvars: x, y\nsigma: x = conj\n")
+    cases = [
+        (qplane_m1, r"not commutative: y\*x is not x\*y"),
+        (twisted, "not commutative: sigma of x is not the identity"),
+    ]
+    for pres, message in cases:
+        x = parse_polynomial("x", pres)
+        with pytest.raises(InputError, match=message):
+            if entry == "commutative_points_ideal":
+                commutative_points_ideal(pres, [(1, 1)])
+            else:
+                radical_membership_commutative(x, [x * x])
+
+
 def test_radical_membership_vs_power_search(comm2, comm2_gf5):
     for pres in (comm2, comm2_gf5):
         rng = random.Random(29)
@@ -635,6 +658,17 @@ def test_central_nilpotency(qplane_m1):
 # -- the sandwich -------------------------------------------------------------
 
 
+def sandwich_document(*flags):
+    """(result, exit code) of the CLI sandwich of x^4 on qplane_m1 over the
+    -2..2 grid, with d = M = 4."""
+    args = cli.build_parser().parse_args([
+        "sandwich", "--algebra", algebra_path("qplane_m1.alg"), "--gens", "x^4",
+        "--domain", "grid:-2..2", *flags,
+    ])
+    doc, code = cli.run_command(args)
+    return doc["result"], code
+
+
 def test_sandwich_quantum_plane(qplane_m1, QQ):
     C = center_generators(qplane_m1)
     I = two_sided_saturate([parse_polynomial("x^4", qplane_m1)])
@@ -648,8 +682,8 @@ def test_sandwich_quantum_plane(qplane_m1, QQ):
     assert certified[0].nilpotency_m == 2
     artifacts = [v for v in rep.generator_verdicts if v.grid_artifact]
     assert artifacts and artifacts[0].nilpotency_m is None
-    doc = rep.to_doc()
-    assert doc["inclusion_radical"] == "confirmed"
+    doc, code = sandwich_document()
+    assert code == cli.EXIT_OK and doc["inclusion_radical"] == "confirmed"
 
 
 def test_sandwich_commutative_classical(comm2, QQ):
@@ -715,9 +749,11 @@ def test_sandwich_unresolved_radical_is_no_grid_artifact(qplane_m1, QQ):
     assert unresolved
     assert not any(v.grid_artifact for v in unresolved)
     assert not any("grid artifacts" in note for note in rep.notes)
+    doc, code = sandwich_document("--budget-degree", "2")
+    assert code == cli.EXIT_UNKNOWN
     assert all(
         g["grid_artifact"] is False
-        for g in rep.to_doc()["generators"]
+        for g in doc["generators"]
         if g["in_radical_J"] is None
     )
 
