@@ -8,6 +8,8 @@ the echoed inputs, the presentation hash, the result payload and status.
 
 `COMMANDS` declares each subcommand once: the parser, the reading of its
 arguments, the echo of its inputs and its dispatch all read that table.
+Each flag is one `_Arg`, which carries its reader, its default, its least
+legal value and its help.
 """
 
 from __future__ import annotations
@@ -53,21 +55,8 @@ def _order_from_flag(text: str, pres: Presentation) -> MonomialOrder:
     raise InputError(f"unknown order {text!r}")
 
 
-# the least legal value of each integer flag that has one
-_FLAG_MINIMUMS = {"budget_degree": 0, "budget_pairs": 0, "trunc_degree": 0, "max_power": 1}
-
-
-def _check_flags(args) -> None:
-    for attr, least in _FLAG_MINIMUMS.items():
-        value = getattr(args, attr, None)
-        if value is not None and value < least:
-            raise InputError(f"--{attr.replace('_', '-')} must be >= {least}")
-
-
-def _budget_from_flags(args) -> Budget:
-    limits = {"max_degree": getattr(args, "budget_degree", None),
-              "max_pairs": getattr(args, "budget_pairs", None)}
-    return Budget()._replace(**{k: v for k, v in limits.items() if v is not None})
+def _budget_from_flags(a) -> Budget:
+    return Budget(max_degree=a.budget_degree, max_pairs=a.budget_pairs)
 
 
 def _polys(text: str, pres: Presentation) -> List[Polynomial]:
@@ -110,32 +99,29 @@ def _domain(text: str, pres: Presentation) -> SearchDomain:
 
 
 class _Arg(NamedTuple):
-    """One argument of a subcommand, echoed in its document's inputs."""
+    """One flag, declared once: the parser registers it, `run_command`
+    checks its bound and reads it, and a command's inputs echo it."""
 
     flag: str
     read: Optional[Callable] = None  # (text, pres) -> value; None: an int flag
-    default: Optional[int] = None  # None makes the flag required
+    default: object = None  # None makes the flag required; False: a switch
+    least: Optional[int] = None  # the least legal value of an int flag
+    help: Optional[str] = None
 
     @property
     def name(self) -> str:
         return self.flag[2:].replace("-", "_")
 
 
-# the shared flags a subcommand may read
-_ORDER = "order"
-_BUDGET = "budget"
-
-
 class _Command(NamedTuple):
-    """One subcommand: its help, its arguments in the order the JSON echoes
-    them, and `compute`, which takes the read arguments (with `pres`,
-    `order` and `budget`) and returns (result, whether it is unknown)."""
+    """One subcommand: its help, its inputs in the order the JSON echoes
+    them, and `compute`, which takes the read flags (with `pres` and
+    `order`) and returns (result, whether it is unknown)."""
 
     help: str
     inputs: Tuple[_Arg, ...]
     compute: Callable
-    shared: Tuple[str, ...] = ()  # of _ORDER and _BUDGET
-    switches: Tuple[str, ...] = ()  # on/off flags, read but not echoed
+    flags: Tuple[_Arg, ...] = ()  # read but not echoed
     pinned: Tuple[tuple, ...] = ()  # (key, value) inputs echoed as they are
 
 
@@ -157,7 +143,9 @@ def _divide(a):
 
 
 def _gb(a):
-    handle = groebner.left_groebner(a.gens, a.order, a.budget, track=a.certificates)
+    handle = groebner.left_groebner(
+        a.gens, a.order, _budget_from_flags(a), track=a.certificates
+    )
     result, unknown = _handle_result(handle)
     if a.certificates and handle.certificates:
         result["certificates"] = [
@@ -168,7 +156,7 @@ def _gb(a):
 
 def _member(a):
     close = groebner.two_sided_saturate if a.two_sided else groebner.left_groebner
-    handle = close(a.gens, a.order, a.budget)
+    handle = close(a.gens, a.order, _budget_from_flags(a))
     verdict = groebner.is_member_left(a.f, handle)
     return {"member": verdict, "ideal_status": handle.status}, verdict == "unknown"
 
@@ -215,11 +203,12 @@ def _center(a):
 def _sandwich(a):
     # the center refuses a presentation before the saturation runs
     C = nullstellensatz.center_generators(a.pres)
-    handle = groebner.two_sided_saturate(a.gens, a.order, a.budget)
+    budget = _budget_from_flags(a)
+    handle = groebner.two_sided_saturate(a.gens, a.order, budget)
     if handle.status == UNKNOWN:
         return {"status": "unknown", "note": handle.note}, True
     rep = nullstellensatz.verify_sandwich(
-        handle, C, a.domain, a.trunc_degree, a.max_power, a.budget
+        handle, C, a.domain, a.trunc_degree, a.max_power, budget
     )
     return {
         "ideal_generators": [str(g) for g in handle.generators],
@@ -279,10 +268,25 @@ def _consistency(a):
     }, False
 
 
+# read first, from its text alone: it builds the pres the other readers take
+_ALGEBRA = _Arg("--algebra", load_presentation_file, help="presentation document")
 _F = _Arg("--f", parse_polynomial)
 _GENS = _Arg("--gens", _polys)
 _POINTS = _Arg("--points", _points)
 _DOMAIN = _Arg("--domain", _domain)
+_ORDER_FLAG = _Arg("--order", _order_from_flag, default="deglex")
+_BUDGET_FLAGS = (
+    _Arg(
+        "--budget-degree", default=Budget().max_degree, least=0,
+        help="skip S-pairs whose lcm has a higher total degree (result "
+        "unknown); pairs pruned by the chain criterion never count",
+    ),
+    _Arg(
+        "--budget-pairs", default=Budget().max_pairs, least=0,
+        help="most S-elements one completion forms (else unknown); "
+        "pairs pruned by the chain criterion are not formed or counted",
+    ),
+)
 
 COMMANDS = {
     "normalize": _Command(
@@ -295,20 +299,22 @@ COMMANDS = {
     ),
     "divide": _Command(
         "division with quotients and reduced remainder",
-        (_F, _Arg("--divisors", _polys)), _divide, (_ORDER,),
+        (_F, _Arg("--divisors", _polys)), _divide, (_ORDER_FLAG,),
     ),
     "gb": _Command(
-        "left Groebner basis of a left ideal", (_GENS,), _gb, (_ORDER, _BUDGET),
-        ("--certificates",),
+        "left Groebner basis of a left ideal", (_GENS,), _gb,
+        (_Arg("--certificates", default=False), _ORDER_FLAG, *_BUDGET_FLAGS),
     ),
     "member": _Command(
-        "left-ideal membership", (_F, _GENS), _member, (_ORDER, _BUDGET),
-        ("--two-sided",),
+        "left-ideal membership", (_F, _GENS), _member,
+        (_Arg("--two-sided", default=False), _ORDER_FLAG, *_BUDGET_FLAGS),
     ),
     "saturate": _Command(
         "two-sided saturation of generators", (_GENS,),
-        lambda a: _handle_result(groebner.two_sided_saturate(a.gens, a.order, a.budget)),
-        (_ORDER, _BUDGET),
+        lambda a: _handle_result(
+            groebner.two_sided_saturate(a.gens, a.order, _budget_from_flags(a))
+        ),
+        (_ORDER_FLAG, *_BUDGET_FLAGS),
     ),
     "root": _Command(
         "is the point a root of f", (_F, _Arg("--point", _point)),
@@ -319,7 +325,7 @@ COMMANDS = {
         _vanish,
     ),
     "points-ideal": _Command(
-        "degree-truncated ideal of points", (_POINTS, _Arg("--trunc-degree")),
+        "degree-truncated ideal of points", (_POINTS, _Arg("--trunc-degree", least=0)),
         _points_ideal,
     ),
     "witness": _Command(
@@ -328,15 +334,16 @@ COMMANDS = {
     "center": _Command("central generators x_i^(L_i)", (), _center),
     "sandwich": _Command(
         "verify both radical-sandwich inclusions",
-        (_GENS, _DOMAIN, _Arg("--trunc-degree", default=4),
-         _Arg("--max-power", default=4)),
-        _sandwich, (_ORDER, _BUDGET),
+        (_GENS, _DOMAIN, _Arg("--trunc-degree", default=4, least=0),
+         _Arg("--max-power", default=4, least=1)),
+        _sandwich, (_ORDER_FLAG, *_BUDGET_FLAGS),
     ),
     # witnesses have degree 1, so there is no slack to set; the key stays
     # while perfbench/cli_expected.json pins it
     "normal": _Command(
         "normal-element test Af = fA", (_F,), _normal, pinned=(("slack", 0),)
     ),
+    # the library refuses a degree bound below 3
     "consistency": _Command(
         "associativity scan of the presentation", (_Arg("--degree-bound", default=4),),
         _consistency,
@@ -353,41 +360,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
-        p.add_argument("--algebra", required=True, help="presentation document")
-        for arg in command.inputs:
-            p.add_argument(
-                arg.flag, type=None if arg.read else int,
-                required=arg.default is None, default=arg.default,
-            )
-        for flag in command.switches:
-            p.add_argument(flag, action="store_true")
-        if _ORDER in command.shared:
-            p.add_argument("--order", default="deglex")
-        if _BUDGET in command.shared:
-            p.add_argument(
-                "--budget-degree", type=int, default=None,
-                help="skip S-pairs whose lcm has a higher total degree (result "
-                "unknown); pairs pruned by the chain criterion never count",
-            )
-            p.add_argument(
-                "--budget-pairs", type=int, default=None,
-                help="most S-elements one completion forms (else unknown); "
-                "pairs pruned by the chain criterion are not formed or counted",
-            )
+        for arg in (_ALGEBRA, *command.inputs, *command.flags):
+            if arg.default is False:
+                p.add_argument(arg.flag, action="store_true", help=arg.help)
+            else:
+                p.add_argument(
+                    arg.flag, type=None if arg.read else int, help=arg.help,
+                    required=arg.default is None, default=arg.default,
+                )
     return top
 
 
 def run_command(args) -> tuple:
     """Execute a parsed command; returns (document, exit_code). Every
-    argument is read and checked before anything is computed; without
-    --order the document names deglex, the order polynomials print in."""
-    _check_flags(args)
+    flag is checked against its bound, then read, before anything is
+    computed, an order or budget flag before an input; without --order the
+    document names deglex, the order polynomials print in."""
     command = COMMANDS[args.command]
-    pres = load_presentation_file(args.algebra)
+    flags = command.flags + command.inputs
+    for arg in flags:
+        if arg.least is not None and getattr(args, arg.name) < arg.least:
+            raise InputError(f"{arg.flag} must be >= {arg.least}")
+    pres = _ALGEBRA.read(args.algebra)
     a = argparse.Namespace(**vars(args))
-    a.pres, a.budget = pres, _budget_from_flags(args)
-    a.order = _order_from_flag(getattr(args, "order", "deglex"), pres)
-    for arg in command.inputs:
+    a.pres, a.order = pres, DEGLEX
+    for arg in flags:
         if arg.read:
             setattr(a, arg.name, arg.read(getattr(args, arg.name), pres))
     doc = {

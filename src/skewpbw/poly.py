@@ -91,6 +91,9 @@ class MonomialOrder:
     @staticmethod
     def block(front_indices: Iterable[int], n: int) -> "MonomialOrder":
         front = set(front_indices)
+        for k in front:
+            if not 0 <= k < n:
+                raise InputError(f"block order index {k} is not in 0..{n - 1}")
         mask = tuple(1 if k in front else 0 for k in range(n))
         return MonomialOrder("block", mask)
 

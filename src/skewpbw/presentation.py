@@ -114,12 +114,6 @@ class Presentation:
         except ValueError:
             raise InputError(f"unknown variable {name!r}") from None
 
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return id(self)
-
     def __repr__(self):
         return f"Presentation({self.field.spec}; {', '.join(self.names)})"
 

@@ -24,7 +24,7 @@ from skewpbw.poly import (
     parse_polynomial,
 )
 from skewpbw.presentation import Presentation, Relation, load_presentation_file
-from skewpbw.scalars import FieldSpec, Scalar, get_field
+from skewpbw.scalars import FieldSpec, InputError, Scalar, get_field
 
 SHIPPED = ["witten", "weyl_z", "qplane_m1", "qplane_q2", "qplane_gf5", "qspace3", "comm2"]
 
@@ -34,6 +34,14 @@ def test_compare_monomials_examples():
     assert DEGLEX.key((0, 0)) == DEGLEX.key((0, 0))
     block = MonomialOrder.block([0], 2)
     assert block.key((1, 0)) > block.key((0, 5))
+
+
+@pytest.mark.parametrize("index", [5, -1])
+def test_block_order_refuses_an_index_outside_the_variables(index):
+    """An index outside 0..n-1 is refused, not dropped: dropping it would
+    leave deglex under the name `block`."""
+    with pytest.raises(InputError, match=f"block order index {index} "):
+        MonomialOrder.block([index], 2)
 
 
 def test_deglex_spec_rule():

@@ -1,5 +1,6 @@
 """The README's examples must stay executable and truthful."""
 
+import argparse
 import importlib
 import io
 import os
@@ -9,7 +10,7 @@ from contextlib import redirect_stdout
 
 from conftest import algebra_path
 import skewpbw
-from skewpbw import geometry, groebner, nullstellensatz, poly, scalars
+from skewpbw import cli, geometry, groebner, nullstellensatz, poly, scalars
 from skewpbw.presentation import (
     load_presentation,
     load_presentation_file,
@@ -78,3 +79,28 @@ def test_readme_limits_table_matches_the_code():
         for name in vars(module):
             if name.startswith("MAX_"):
                 assert f"{info.name}.{name}" in table
+
+
+def test_readme_flags_match_the_commands():
+    """Every flag of the CLI appears in the README's CLI section, and its
+    sentence on `--order` and the budget flags names exactly the
+    subcommands that take them."""
+    section = _readme().split("## CLI\n", 1)[1].split("\n## ", 1)[0]
+    top = cli.build_parser()
+    sub = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    takers = {}
+    for name, parser in [("", top), *sub.choices.items()]:
+        for action in parser._actions:
+            if not isinstance(action, argparse._HelpAction):
+                for flag in action.option_strings:
+                    takers.setdefault(flag, set()).add(name)
+    missing = [f for f in takers if not re.search(re.escape(f) + r"(?![\w-])", section)]
+    assert missing == []
+    sentence = re.search(
+        r"\. ([^.]*) take `--order`; ([^.]*) take `--budget-degree` and `--budget-pairs`\.",
+        section,
+    )
+    assert sentence, "README lost its sentence on --order and the budget flags"
+    ordered, budgeted = (set(re.findall(r"`([\w-]+)`", g)) for g in sentence.groups())
+    assert ordered == takers["--order"]
+    assert budgeted == takers["--budget-degree"] == takers["--budget-pairs"]
