@@ -103,7 +103,9 @@ class _Arg(NamedTuple):
     checks its bound and reads it, and a command's inputs echo it."""
 
     flag: str
-    read: Optional[Callable] = None  # (text, pres) -> value; None: an int flag
+    # (text, pres) -> value, or (text) -> pres for --algebra, which
+    # run_command reads first; None: an int flag
+    read: Optional[Callable] = None
     default: object = None  # None makes the flag required; False: a switch
     least: Optional[int] = None  # the least legal value of an int flag
     help: Optional[str] = None
@@ -268,7 +270,7 @@ def _consistency(a):
     }, False
 
 
-# read first, from its text alone: it builds the pres the other readers take
+# in no command's inputs or flags: its reader builds the pres theirs take
 _ALGEBRA = _Arg("--algebra", load_presentation_file, help="presentation document")
 _F = _Arg("--f", parse_polynomial)
 _GENS = _Arg("--gens", _polys)

@@ -5,8 +5,7 @@ text that replaces it, and the test node ids expected to fail with it.
 Tier-1 passing says nothing about whether a test that once caught a bug
 still can; this does. Run it from the repository root, after tier-1:
 
-    python tests/mutants.py              # every mutant
-    python tests/mutants.py NAME ...     # only these
+    python tests/mutants.py
 
 The runner copies the trees and root files the tests read into a
 temporary directory and runs the registered tests there once unmutated.
@@ -20,7 +19,6 @@ A mutation check made on a change is added here rather than described in
 prose; a change that moves a mutant's code re-targets the mutant.
 """
 
-import argparse
 import hashlib
 import os
 import shutil
@@ -198,16 +196,9 @@ def _survival(copy: str, mutant: Mutant) -> str:
     return "" if code == 1 else f"pytest exited {code}, not 1:\n{tail}"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="check that every registered mutant is killed")
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    names = parser.parse_args(argv).names
-    unknown = sorted(set(names) - {m.name for m in MUTANTS})
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(unknown)}")
-    chosen = [m for m in MUTANTS if not names or m.name in names]
+def main() -> int:
     failures = []
-    for m in chosen:
+    for m in MUTANTS:
         with open(os.path.join(ROOT, m.path), encoding="utf-8") as fh:
             count = fh.read().count(m.old)
         if count != 1:
@@ -225,18 +216,18 @@ def main(argv=None) -> int:
             return f"the run wrote {', '.join(paths)}" if paths else ""
 
         # a registered test that fails on the unmutated tree kills anything
-        code, tail = _pytest(copy, dict.fromkeys(t for m in chosen for t in m.tests))
+        code, tail = _pytest(copy, dict.fromkeys(t for m in MUTANTS for t in m.tests))
         ran = "" if code == 0 else f"pytest exited {code}:\n{tail}"
         problem = "\n".join(filter(None, (ran, written())))
         if problem:
             print(f"the registered tests do not pass unmutated:\n{problem}")
             return 1
-        for m in chosen:
+        for m in MUTANTS:
             problem = "\n".join(filter(None, (_survival(copy, m), written())))
             print(f"{m.name}: {'FAILED ' + problem if problem else 'killed'}", flush=True)
             if problem:
                 failures.append(m.name)
-    print(f"{len(chosen) - len(failures)} of {len(chosen)} mutants killed")
+    print(f"{len(MUTANTS) - len(failures)} of {len(MUTANTS)} mutants killed")
     return 1 if failures else 0
 
 

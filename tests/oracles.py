@@ -179,6 +179,15 @@ def naive_word_multiply(f: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial.from_dict(pres, out)
 
 
+def check_products(pres: Presentation, rng: random.Random, degree: int, terms: int) -> None:
+    """On 25 seeded triples, `multiply` agrees with `naive_word_multiply`
+    and is associative."""
+    for _ in range(25):
+        f, g, h = (random_polynomial(pres, rng, degree, terms) for _ in range(3))
+        assert multiply(f, g) == naive_word_multiply(f, g), (f, g)
+        assert multiply(multiply(f, g), h) == multiply(f, multiply(g, h))
+
+
 def _vector(f: Polynomial, monos: list, index: dict):
     field = f.pres.field
     v = [field.zero] * len(monos)

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import ALGEBRA_DIR, algebra_path
 from oracles import (
+    check_products,
     expand_certificate,
     left_span_membership,
     naive_gebauer_moller,
@@ -364,18 +365,42 @@ def test_saturation_closes_under_scalars_with_sigma_twist():
 # -- engine against the every-pair oracle ------------------------------------
 
 SHIPPED = sorted(f for f in os.listdir(ALGEBRA_DIR) if f.endswith(".alg"))
-GF7_SPACE = (
-    "field: gf:7\nvars: x, y, z\n"
-    "relation: y*x = 2*x*y\nrelation: z*x = 3*x*z\nrelation: z*y = 5*y*z\n"
-)
-ZETA5_PLANE = "field: cyclotomic:5\nvars: x, y\nrelation: y*x = z*x*y\n"
+INLINE = {
+    "gf7space": (
+        "field: gf:7\nvars: x, y, z\n"
+        "relation: y*x = 2*x*y\nrelation: z*x = 3*x*z\nrelation: z*y = 5*y*z\n"
+    ),
+    "zeta5plane": "field: cyclotomic:5\nvars: x, y\nrelation: y*x = z*x*y\n",
+    # Skew PBW extensions whose linear terms call each other, written by hand
+    # from the relations that Gallego & Lezama (Comm. Algebra 2011) and
+    # Lezama & Reyes (Comm. Algebra 2014) list, with the parameters fixed:
+    # the dispin algebra U(osp(1,2)), the Woronowicz algebra W_nu(sl(2)) at
+    # nu = 2, the q-Heisenberg algebra at q = 2, and a Lie algebra.
+    "dispin": (
+        "field: Q\nvars: x, y, z\n"
+        "relation: y*x = x*y - x\nrelation: z*x = -x*z + y\nrelation: z*y = y*z - z\n"
+    ),
+    "woronowicz": (
+        "field: Q\nvars: x, y, z\n"
+        "relation: y*x = (1/4)*x*y - (1/2)*z\n"
+        "relation: z*x = (1/16)*x*z - (5/16)*x\n"
+        "relation: z*y = 16*y*z + 5*y\n"
+    ),
+    "q_heisenberg": (
+        "field: Q\nvars: x, y, z\n"
+        "relation: y*x = 2*x*y - 2*z\nrelation: z*x = (1/2)*x*z\nrelation: z*y = 2*y*z\n"
+    ),
+    "lie_gf32003": (
+        "field: gf:32003\nvars: x, y, z\n"
+        "relation: y*x = x*y + z\nrelation: z*x = x*z + y\n"
+    ),
+}
+NAMED = ["dispin", "woronowicz", "q_heisenberg", "lie_gf32003"]
 
 
 def _algebra(name):
-    if name == "gf7space":
-        return load_presentation(GF7_SPACE)
-    if name == "zeta5plane":
-        return load_presentation(ZETA5_PLANE)
+    if name in INLINE:
+        return load_presentation(INLINE[name])
     return load_presentation_file(algebra_path(name))
 
 
@@ -407,18 +432,43 @@ def test_reduced_bases_match_naive_oracle(name):
         two = two_sided_saturate(gens)
         assert two.status in ("proper", "unit")
         assert list(two.basis) == naive_saturate(gens)
-    for _ in range(3):
+    _check_tracked_bases(pres, rng, 3)
+
+
+def _check_tracked_bases(pres, rng, rounds):
+    """On seeded inputs of degree 2 with 3 terms, tracked left bases and
+    saturations are the oracles' reduced bases, and each certificate
+    expands to its element by the engine's product and by the
+    word-rewriting one."""
+    for _ in range(rounds):
         gens = _random_gens(pres, rng, 2, 3)
         for engine, oracle in (
             (left_groebner, naive_left_gb),
             (two_sided_saturate, naive_saturate),
         ):
             H = engine(gens, track=True)
-            assert H.status in ("proper", "unit")
+            assert H.status in ("proper", "unit"), (gens, H.note)
             assert list(H.basis) == oracle(gens)
             for element, cert in zip(H.basis, H.certificates):
                 assert expand_certificate(cert, H.generators) == element
                 assert expand_certificate(cert, H.generators, naive_word_multiply) == element
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_named_presentations_multiply_by_word_rewriting(name):
+    """Each named presentation loads with lower terms; its products agree
+    with `naive_word_multiply` and associate."""
+    pres = _algebra(name)
+    assert not pres.quasi_commutative
+    check_products(pres, random.Random(f"products {name}"), 2, 3)
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_named_presentations_match_naive_oracle(name):
+    """Tracked bases on the named presentations match the oracles. Inputs
+    stay at degree 2 with 3 terms: on the Woronowicz algebra, a degree-3
+    left basis over Q can outgrow every budget (ROADMAP item 2)."""
+    _check_tracked_bases(_algebra(name), random.Random(f"bases {name}"), 6)
 
 
 @pytest.mark.parametrize("name", SHIPPED)
