@@ -52,8 +52,8 @@ class Presentation:
     and raw coordinate columns of the characters. Which points are
     characters depends on the presentation alone; a new domain replaces
     the entry, so it holds at most `geometry.MAX_DOMAIN_POINTS` points.
-    `_point_ideals` maps a point's coordinates to `geometry.point_ideal`'s
-    handle; a miss clears it once it holds that many entries.
+    `_point_ideals` stays empty: only the benchmark's tracer reads it, and
+    `geometry.point_ideal` says why nothing is stored there.
     """
 
     def __init__(self, field: Field, names, sigma=None, relations=None):

@@ -138,6 +138,37 @@ MUTANTS = (
         ("tests/test_groebner.py::test_shared_budgets_and_results_are_immutable",
          "tests/test_cli.py::test_sandwich_without_checked_witness_is_inconclusive"),
     ),
+    Mutant(
+        "number-field-add-skips-gcd", "src/skewpbw/scalars.py",
+        'f"    g = gcd(g, {nums})"', 'f"    g = 1"',
+        ("tests/test_scalars.py::test_field_axioms_random[Q(i)]",),
+    ),
+    Mutant(
+        "monic-keeps-heap-order", "src/skewpbw/groebner.py",
+        'ordered=memo.order.kind == "deglex"', "ordered=True",
+        ("tests/test_groebner.py::test_raw_remainder_is_sorted_into_deglex_under_other_orders",),
+    ),
+    Mutant(
+        "point-ideal-skips-character-test", "src/skewpbw/geometry.py",
+        "    proper = is_character(pres, Z)\n", "    proper = True\n",
+        ("tests/test_geometry.py::test_is_root_examples",),
+    ),
+    Mutant(
+        "point-ideal-stores-its-handle", "src/skewpbw/geometry.py",
+        "    return IdealHandle(pres, gens, TWO_SIDED, status, DEGLEX, basis, None, note)\n",
+        "    handle = IdealHandle(pres, gens, TWO_SIDED, status, DEGLEX, basis, None, note)\n"
+        "    return pres._point_ideals.setdefault(Z.coords, handle)\n",
+        ("tests/test_reference_cycles.py::"
+         "test_no_operation_keeps_its_presentation_in_a_cycle[point_ideal]",
+         "tests/test_reference_cycles.py::"
+         "test_no_operation_keeps_its_presentation_in_a_cycle[is_root]"),
+    ),
+    Mutant(
+        "vanishing-set-any-generator", "src/skewpbw/geometry.py",
+        "vanish = [v and s == zero", "vanish = [v or s == zero",
+        ("tests/test_geometry.py::test_evaluation_matches_naive_oracle",
+         "tests/test_acceptance.py::test_c04_variety_property_suite"),
+    ),
 )
 
 

@@ -2,12 +2,16 @@
 
 import decimal
 import json
+import os
+import random
 import sys
 
 import pytest
 
-from conftest import algebra_path
+from conftest import ALGEBRA_DIR, algebra_path
+from oracles import random_polynomial, random_scalar
 from skewpbw.cli import COMMANDS, EXIT_INPUT, EXIT_OK, EXIT_UNKNOWN, main
+from skewpbw.presentation import load_presentation_file
 
 
 def run(argv, capsys):
@@ -816,3 +820,64 @@ def test_sandwich_unknown_saturation_document(capsys):
         "trunc_degree": 4, "max_power": 4,
     }
     assert doc["result"]["status"] == "unknown"
+
+
+SHIPPED = sorted(name for name in os.listdir(ALGEBRA_DIR) if name.endswith(".alg"))
+
+
+def _sweep_argvs(path, rng):
+    """One argv for each of 13 subcommands, on well-formed inputs drawn
+    from rng: polynomials of degree <= 2 with <= 3 terms, and points whose
+    coordinates are often 0 or +-1, so that some are characters."""
+    pres = load_presentation_file(path)
+
+    def poly():
+        return str(random_polynomial(pres, rng, 2, 3))
+
+    def polys():
+        return ", ".join(poly() for _ in range(rng.randint(1, 3)))
+
+    def point():
+        return ", ".join(
+            str(rng.choice((0, 1, -1)) if rng.random() < 0.5 else random_scalar(pres.field, rng))
+            for _ in range(pres.n)
+        )
+
+    def points():
+        return "; ".join(point() for _ in range(rng.randint(1, 3)))
+
+    # flag=value, so that a value with a leading minus sign is no flag
+    budget, domain = "--budget-pairs=200", "--domain=grid:-1..1"
+    return [
+        ["normalize", f"--f={poly()}"],
+        ["mul", f"--f={poly()}", f"--g={poly()}"],
+        ["divide", f"--f={poly()}", f"--divisors={polys()}"],
+        ["gb", f"--gens={polys()}", budget],
+        ["saturate", f"--gens={polys()}", budget],
+        ["member", f"--f={poly()}", f"--gens={polys()}", budget],
+        ["root", f"--f={poly()}", f"--point={point()}"],
+        ["witness", f"--points={points()}"],
+        ["normal", f"--f={poly()}"],
+        ["vanish", f"--polys={polys()}", domain],
+        ["points-ideal", f"--points={points()}", "--trunc-degree=2"],
+        ["center"],
+        ["sandwich", f"--gens={polys()}", domain, budget],
+    ]
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_seeded_sweep_finds_no_engine_fault(name, capsys):
+    """Well-formed input gets an answer, an input error or `unknown`, and
+    never an engine fault: six seeded rounds of 13 subcommands on each
+    shipped algebra."""
+    path = algebra_path(name)
+    rng = random.Random(f"cli sweep {name}")
+    codes = set()
+    for _ in range(6):
+        for command, *flags in _sweep_argvs(path, rng):
+            argv = ["--format", "json", command, "--algebra", path, *flags]
+            code, _, err = run(argv, capsys)
+            assert code in (EXIT_OK, EXIT_INPUT, EXIT_UNKNOWN), argv
+            assert "internal error:" not in err and "Traceback" not in err, (argv, err)
+            codes.add(code)
+    assert EXIT_OK in codes

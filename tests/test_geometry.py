@@ -172,23 +172,6 @@ def test_vanishing_set_domain_cache(GF5, monkeypatch):
             assert root == (tag in ("root", "degenerate")), (k, Z, tag)
 
 
-def test_point_ideal_cache_is_bounded(GF5, monkeypatch):
-    """A miss clears a point-ideal cache that holds MAX_DOMAIN_POINTS
-    entries: with the cap at 3 it never holds more than 3, and every
-    answer equals the uncapped one."""
-    def answers(pres):
-        fs = [parse_polynomial(t, pres) for t in ("x - 1", "x*y", "y^2 - 4*y")]
-        out = []
-        for Z in (Point.of(pres, [a, b]) for a in range(5) for b in range(5)):
-            out.append([is_root(f, Z) for f in fs] + [point_ideal(pres, Z).status])
-            assert len(pres._point_ideals) <= geometry.MAX_DOMAIN_POINTS
-        return out
-
-    want = answers(quantum_plane(GF5, GF5.from_int(2)))
-    monkeypatch.setattr(geometry, "MAX_DOMAIN_POINTS", 3)
-    assert answers(quantum_plane(GF5, GF5.from_int(2))) == want
-
-
 def test_search_domain_size_guard(qplane_gf5, monkeypatch):
     """The count is checked before any point is built: enumerating 10^12
     points of GF(1000003)^2 would not end."""
