@@ -138,8 +138,12 @@ def _check_domain_size(count: int) -> None:
 
 
 def point_generators(pres: Presentation, Z: Point) -> List[Polynomial]:
+    """The x_i - z_i, their raw terms written down in deglex order."""
+    one, neg, o = pres.field.raw_one, pres.field.raw_neg, (0,) * pres.n
     return [
-        Polynomial.variable(pres, i) - Polynomial.constant(pres, z)
+        Polynomial.from_raw(
+            pres, ((o[:i] + (1,) + o[i + 1 :], one), (o, neg(z.value))), ordered=True
+        )
         for i, z in enumerate(Z.coords)
     ]
 
@@ -157,7 +161,16 @@ def is_character(pres: Presentation, Z: Point) -> bool:
 
 
 def _character_test(pres: Presentation):
-    """is_character on raw coordinates, with the relations unwrapped once."""
+    """is_character on raw coordinates, built on first use and kept on pres:
+    it holds the field's kernels and raw relation values, never pres, so
+    keeping it makes no reference cycle."""
+    if pres._character is None:
+        pres._character = _new_character_test(pres)
+    return pres._character
+
+
+def _new_character_test(pres: Presentation):
+    """The character test, with the relations unwrapped once."""
     field = pres.field
     add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
     twisted = [i for i, sigma in enumerate(pres.sigma_maps) if sigma is not None]

@@ -4,7 +4,8 @@ The division algorithm peels leading terms: a term whose monomial is
 divisible by some divisor's leading monomial is cancelled exactly (over a
 field the coefficient condition is always solvable), otherwise it moves to
 the remainder. Completion is Buchberger-style on left S-elements with the
-normal selection strategy and Gebauer-Moller's chain criterion.
+normal selection strategy and Gebauer-Moller's chain criterion, plus
+Buchberger's product criterion on a commutative ring.
 
 One routine computes left and two-sided bases: a two-sided basis is a left
 basis that is also closed under right multiples. It alternates left
@@ -58,14 +59,14 @@ class Budget(NamedTuple):
       elements, the result is `unknown`. The first round always runs, so
       0 acts as 1. A left basis runs no round and never reads it.
 
-    Pairs pruned by the chain criterion are never formed: they count
-    nowhere and never trip the degree budget. A saturation round
-    multiplies only the new elements whose lead no other lead divides, so
-    fewer right multiples feed the next completion. So a budget goes
-    further than it would without the criterion and with every right
-    multiple, and an input that ran out of it there may be decided here.
-    A proper or unit answer is exact whatever the budget; budgets count
-    work, never time.
+    Pairs pruned by the chain criterion, and in a commutative ring the
+    pairs of coprime leads, are never formed: they count nowhere and never
+    trip the degree budget. A saturation round multiplies only the new
+    elements whose lead no other lead divides, so fewer right multiples
+    feed the next completion. So a budget goes further than it would
+    without the criteria and with every right multiple, and an input that
+    ran out of it there may be decided here. A proper or unit answer is
+    exact whatever the budget; budgets count work, never time.
     """
 
     max_degree: int = 12
@@ -440,8 +441,11 @@ def _completion(items: List[Tuple[_Raw, Optional[tuple]]], budget: Budget, memo:
     pairs. status UNIT means a nonzero constant was derived; the single
     returned item is then 1.
 
-    Pairs are managed with Gebauer-Moller's chain criterion only (the
-    product criterion fails for these algebras). It is sound because in a
+    Pairs are managed with Gebauer-Moller's chain criterion. Buchberger's
+    product criterion, which drops a pair whose leads share no variable,
+    holds only in a commutative ring (`Presentation.commutative`); there it
+    is applied after the update, as Gebauer and Moller do, and elsewhere
+    it fails for these algebras. The chain criterion is sound because in a
     bijective skew PBW extension lm(x^a * g) = x^(a + lm g) with a nonzero
     coefficient, so S-elements of a chain i-k-j whose lcms divide the lcm
     of i and j combine into a standard representation of the S-element of
@@ -457,6 +461,8 @@ def _completion(items: List[Tuple[_Raw, Optional[tuple]]], budget: Budget, memo:
     the memo's ladders of lower multiples.
     """
     order, leads = memo.order, memo.leads
+    # two_sided_saturate([]) completes nothing, on no presentation
+    commutative = memo.pres is not None and memo.pres.commutative
     pairs: dict = {}  # queued pair (i, j), i < j -> lcm of the two leads
     heap: list = []  # (order key of the lcm, i, j); pairs pruned later go stale
 
@@ -464,6 +470,8 @@ def _completion(items: List[Tuple[_Raw, Optional[tuple]]], budget: Budget, memo:
         k = len(leads)
         lead = g.leading(order)[0]
         for gamma, i in _gebauer_moller(pairs, leads, lead).items():
+            if commutative and not any(map(min, leads[i], lead)):
+                continue  # coprime leads: the product criterion
             pairs[(i, k)] = gamma
             heapq.heappush(heap, (order.key(gamma), i, k))
         memo.append(g, lead, cert)

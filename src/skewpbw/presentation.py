@@ -93,9 +93,14 @@ class Presentation:
         self.quasi_commutative = all(
             rel.is_trivial_lower() for rel in rels.values()
         )
+        # a commutative polynomial ring: Buchberger's product criterion holds
+        self.commutative = self.sigma_all_identity and self.quasi_commutative and all(
+            rel.c == field.one for rel in rels.values()
+        )
         self._insert_cache: dict = {}
         self._point_ideals: dict = {}
         self._domain_partition: dict = {}
+        self._character = None  # `geometry._character_test`, built on first use
         if not (self.sigma_all_identity and self.quasi_commutative):
             _check_overlaps(self)
 
@@ -155,6 +160,8 @@ def _check_overlaps(pres: Presentation) -> None:
 def require_commutative(pres: Presentation) -> None:
     """InputError unless pres is a commutative polynomial ring: every
     relation y*x = x*y and every sigma the identity."""
+    if pres.commutative:
+        return
     names = pres.names
     for (i, j), rel in pres.relations.items():
         if not rel.is_trivial_lower() or rel.c != pres.field.one:

@@ -482,6 +482,8 @@ def _kernel_source(d: int, m: int, rows) -> str:
 def _q_mul(a, b):
     na, da = a
     nb, db = b
+    if da == 1 and db == 1:  # integers: nothing to cancel
+        return (na * nb, 1)
     g1 = math.gcd(na, db)
     if g1 > 1:
         na //= g1

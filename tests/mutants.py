@@ -164,6 +164,28 @@ MUTANTS = (
          "test_no_operation_keeps_its_presentation_in_a_cycle[is_root]"),
     ),
     Mutant(
+        "product-criterion-on-every-ring", "src/skewpbw/groebner.py",
+        "            if commutative and not any(map(min, leads[i], lead)):\n",
+        "            if not any(map(min, leads[i], lead)):\n",
+        ("tests/test_groebner.py::test_product_criterion_only_on_commutative_rings",
+         "tests/test_groebner.py::test_reduced_bases_match_naive_oracle[qplane_m1.alg]"),
+    ),
+    Mutant(
+        "rational-mul-skips-gcds-on-one-integer", "src/skewpbw/scalars.py",
+        "    if da == 1 and db == 1:", "    if da == 1 or db == 1:",
+        ("tests/test_scalars.py::test_rational_mul_and_inv_match_fraction",),
+    ),
+    Mutant(
+        "character-test-shared-by-the-field", "src/skewpbw/geometry.py",
+        "    if pres._character is None:\n"
+        "        pres._character = _new_character_test(pres)\n"
+        "    return pres._character\n",
+        '    if getattr(pres.field, "_character", None) is None:\n'
+        "        pres.field._character = _new_character_test(pres)\n"
+        "    return pres.field._character\n",
+        ("tests/test_geometry.py::test_character_test_is_built_once_per_presentation",),
+    ),
+    Mutant(
         "vanishing-set-any-generator", "src/skewpbw/geometry.py",
         "vanish = [v and s == zero", "vanish = [v or s == zero",
         ("tests/test_geometry.py::test_evaluation_matches_naive_oracle",

@@ -75,6 +75,34 @@ def test_is_root_examples(qplane_m1, weyl_z, comm2):
     assert is_root(Polynomial.one(weyl_z), Point.of(weyl_z, [1, 0, 0])) == "yes"
 
 
+def test_character_test_is_built_once_per_presentation(monkeypatch, QQ):
+    """is_character (so point_ideal and is_root), vanishing_set and
+    ideal_of_points share one character test per presentation, built on
+    first use. Two presentations over one field keep their own: (1, 1) is
+    a character of the commutative plane and not of the q = -1 plane."""
+    builds = []
+    new_test = geometry._new_character_test
+    monkeypatch.setattr(
+        geometry, "_new_character_test", lambda p: builds.append(p) or new_test(p)
+    )
+    plane = quantum_plane(QQ, QQ.from_int(-1))
+    ring = load_presentation("field: Q\nvars: x, y\n")
+    answers = []
+    for pres in (plane, ring):
+        Z = Point.of(pres, [1, 1])
+        f = parse_polynomial("x - y", pres)
+        answers.append((
+            is_character(pres, Z),
+            is_root(f, Z),
+            point_ideal(pres, Z).status,
+            len(vanishing_set(pres, [f], grid(QQ, 0, 1)).degenerate),
+            len(ideal_of_points(pres, [Z], 1)),
+        ))
+    assert builds == [plane, ring]
+    assert answers == [(False, "yes", "unit", 1, 3), (True, "yes", "proper", 0, 2)]
+    assert geometry._character_test(plane) is not geometry._character_test(ring)
+
+
 def test_vanishing_set_commutative(comm2, QQ):
     rep = vanishing_set(
         comm2, [parse_polynomial("x", comm2)], grid(QQ, -1, 1)
@@ -118,8 +146,9 @@ def _report_coords(rep):
 def test_vanishing_set_domain_cache(GF5, monkeypatch):
     """One presentation keeps the character partition of the last domain:
     a warm call tests no point, a new domain replaces the entry, and two
-    domains that list the same points share it. Every report equals a
-    fresh presentation's and agrees with is_root point by point."""
+    domains that list the same points share it. The character test is
+    built once, by the first call. Every report equals a fresh
+    presentation's and agrees with is_root point by point."""
     pres = quantum_plane(GF5, GF5.from_int(2))
     lists = [["x - 1"], ["y^2 - 4*y", "x - 2"], [], ["x^3*y + 2*x - y^2"]]
     lists = [[parse_polynomial(t, pres) for t in ts] for ts in lists]
@@ -135,7 +164,7 @@ def test_vanishing_set_domain_cache(GF5, monkeypatch):
         (grid_b, True), (grid_a_scalars, False), (full, False),
     ]
     builds, tests = [], []
-    character_test = geometry._character_test
+    character_test = geometry._new_character_test
 
     def counting(p):
         builds.append(p)
@@ -151,13 +180,14 @@ def test_vanishing_set_domain_cache(GF5, monkeypatch):
         polys = lists[k % len(lists)]
         builds.clear()
         tests.clear()
-        monkeypatch.setattr(geometry, "_character_test", counting)
+        monkeypatch.setattr(geometry, "_new_character_test", counting)
         rep = vanishing_set(pres, polys, domain)
-        monkeypatch.setattr(geometry, "_character_test", character_test)
+        monkeypatch.setattr(geometry, "_new_character_test", character_test)
+        assert builds == ([pres] if k == 0 else []), k
         if warm:
-            assert builds == [] and tests == [], k
+            assert tests == [], k
         else:
-            assert builds == [pres] and len(tests) == len(domain.points(pres)), k
+            assert len(tests) == len(domain.points(pres)), k
         assert len(pres._domain_partition) == 1
 
         fresh = quantum_plane(GF5, GF5.from_int(2))

@@ -655,6 +655,105 @@ def test_chain_criterion_forms_fewer_pairs(monkeypatch):
     assert formed[0] == 78
 
 
+# commutative rings, on which `_completion` applies the product criterion:
+# a shipped one over Q, and, named by their field, the rings a radical
+# membership runs on, a central variable in front of a commutative plane
+COMMUTATIVE = ["commutative_xy.alg", "gf:7", "Q(i)"]
+
+
+def _commutative(name):
+    if name.endswith(".alg"):
+        return _algebra(name)
+    return extend_with_central(load_presentation(f"field: {name}\nvars: x, y\n"))
+
+
+@pytest.mark.parametrize("order", ["deglex", "degrevlex"])
+@pytest.mark.parametrize("name", COMMUTATIVE)
+def test_product_criterion_gives_the_oracle_bases(name, order):
+    """With pairs of coprime leads never formed, seeded left bases and
+    saturations on commutative rings equal the every-pair oracle's, a
+    tracked run gives the untracked basis, and each certificate expands
+    to its element."""
+    pres = _commutative(name)
+    assert pres.commutative
+    mono_order = {"deglex": DEGLEX, "degrevlex": DEGREVLEX}[order]
+    rng = random.Random(zlib.crc32(f"product criterion {name} {order}".encode()))
+    for _ in range(6):
+        gens = _random_gens(pres, rng, 3, 3)
+        for engine, oracle in (
+            (left_groebner, naive_left_gb),
+            (two_sided_saturate, naive_saturate),
+        ):
+            H = engine(gens, mono_order)
+            assert H.status in ("proper", "unit")
+            assert list(H.basis) == oracle(gens, mono_order)
+            T = engine(gens, mono_order, track=True)
+            assert T.basis == H.basis
+            for element, cert in zip(T.basis, T.certificates):
+                assert expand_certificate(cert, T.generators) == element
+
+
+def _sympy_poly(sympy, f, domain, symbols):
+    """f as a sympy Poly over domain, from its raw terms."""
+    value = {"gf": int, "Q": lambda c: sympy.Rational(*c)}.get(
+        f.pres.field.spec.kind, lambda c: (c[0] + c[1] * sympy.I) / c[2]  # Q(i)
+    )
+    terms = {e: value(c) for e, c in f.raw}
+    return sympy.Poly.from_dict(terms or {(0,) * len(symbols): 0}, symbols, domain=domain)
+
+
+@pytest.mark.parametrize("name", COMMUTATIVE)
+def test_product_criterion_agrees_with_sympy(name):
+    """Seeded reduced deglex bases on commutative rings equal sympy's
+    `groebner` under grlex, the same order on the same variable order."""
+    sympy = pytest.importorskip("sympy")
+    pres = _commutative(name)
+    kind = pres.field.spec.kind
+    domain = {"gf": sympy.GF(7), "Q": sympy.QQ}.get(kind) or sympy.QQ_I
+    symbols = sympy.symbols(pres.names)
+    rng = random.Random(zlib.crc32(f"sympy {name}".encode()))
+    for _ in range(8):
+        gens = _random_gens(pres, rng, 3, 3)
+        want = sympy.groebner(
+            [_sympy_poly(sympy, g, domain, symbols) for g in gens],
+            *symbols, order="grlex", domain=domain,
+        )
+        got = [_sympy_poly(sympy, g, domain, symbols) for g in left_groebner(gens).basis]
+        assert sorted(map(str, got)) == sorted(map(str, want.polys))
+
+
+def test_product_criterion_only_on_commutative_rings(monkeypatch):
+    """A pair whose leads share no variable is never formed on a
+    commutative ring, and still formed on the q = -1 plane, where
+    x + 1 and y + 1 generate the unit left ideal through that pair alone.
+    A saturation of no generators, on no presentation, completes."""
+    coprime = []
+    s_element = groebner._s_element
+
+    def spying(memo, i, j, gamma):
+        coprime.append(not any(map(min, memo.leads[i], memo.leads[j])))
+        return s_element(memo, i, j, gamma)
+
+    monkeypatch.setattr(groebner, "_s_element", spying)
+    plane, ring = _algebra("qplane_m1.alg"), _algebra("commutative_xy.alg")
+    assert not plane.commutative and ring.commutative
+    gens = [parse_polynomial(t, plane) for t in ("x + 1", "y + 1")]
+    assert left_groebner(gens).status == "unit" and coprime == [True]
+    coprime.clear()
+    gens = [parse_polynomial(t, ring) for t in ("x + 1", "y + 1")]
+    assert left_groebner(gens).status == "proper" and coprime == []
+    for pres in (plane, ring):
+        coprime.clear()
+        rng = random.Random(17)
+        for _ in range(6):
+            gens = _random_gens(pres, rng, 3, 3)
+            left_groebner(gens)
+            two_sided_saturate(gens)
+        assert any(coprime) == (pres is plane) and coprime
+    empty = two_sided_saturate([])
+    assert (empty.status, empty.basis) == ("proper", ())
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_gebauer_moller_update_matches_its_definition(n):
     """After each insertion into seeded lead sequences, with some queued
@@ -808,7 +907,7 @@ def test_memo_lives_for_one_computation(qspace3):
     first, again = handles(), handles()
     assert set(vars(qspace3)) == before
     assert {a for a in before if a.startswith("_")} == {
-        "_insert_cache", "_point_ideals", "_domain_partition"
+        "_insert_cache", "_point_ideals", "_domain_partition", "_character"
     }
     assert first == again
 

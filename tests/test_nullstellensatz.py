@@ -748,7 +748,11 @@ def test_sandwich_unresolved_radical_is_no_grid_artifact(qplane_m1, QQ):
     unresolved = [v for v in rep.generator_verdicts if v.in_radical_J is None]
     assert unresolved
     assert not any(v.grid_artifact for v in unresolved)
-    assert not any("grid artifacts" in note for note in rep.notes)
+    # the artifact note counts only the generators decided outside radical(J)
+    outside = [v for v in rep.generator_verdicts if v.in_radical_J is False]
+    assert [note.split(" ", 1)[0] for note in rep.notes if "grid artifacts" in note] == (
+        [str(len(outside))] if outside else []
+    )
     doc, code = sandwich_document("--budget-degree", "2")
     assert code == cli.EXIT_UNKNOWN
     assert all(

@@ -60,6 +60,9 @@ OPERATIONS = {
     "point_ideal": ("witten.alg", lambda pres: [
         geometry.point_ideal(pres, Point.of(pres, Z)) for Z in ([0, 0, 2], [1, 1, 1])
     ]),
+    "is_character": ("witten.alg", lambda pres: [
+        geometry.is_character(pres, Point.of(pres, Z)) for Z in ([0, 0, 2], [1, 1, 1])
+    ]),
     "algebraic_witness": ("qplane_m1.alg", lambda pres: geometry.algebraic_witness(
         pres, [Point.of(pres, [1, 0]), Point.of(pres, [0, 2]), Point.of(pres, [1, 1])]
     )),

@@ -322,6 +322,33 @@ def test_number_field_kernel_matches_fraction_oracle(spec):
             assert field.raw_mul(a, inv) == field.raw_one
 
 
+def test_rational_mul_and_inv_match_fraction():
+    """Q's hand-written mul, with its integer fast path, and inv against
+    Fraction on integers and non-integers, zero and negatives included:
+    every result is canonical, a positive denominator coprime to the
+    numerator, with zero as (0, 1)."""
+    values = [
+        Fraction(n, d)
+        for n in (-(2 ** 70) - 1, -12, -3, -1, 0, 1, 2, 6, 35, 2 ** 64)
+        for d in (1, 2, 3, 10, 3 ** 41)
+    ]
+
+    def check(got, want):
+        assert got[1] > 0 and math.gcd(*got) == 1
+        assert got == (want.numerator, want.denominator)
+
+    for a in values:
+        ra = (a.numerator, a.denominator)
+        for b in values:
+            check(scalars._q_mul(ra, (b.numerator, b.denominator)), a * b)
+        if a:
+            check(scalars._q_inv(ra), 1 / a)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                scalars._q_inv(ra)
+    assert scalars._q_mul((0, 1), (-5, 1)) == (0, 1) == scalars._q_mul((-5, 3), (0, 1))
+
+
 def test_degree_cap():
     """get_field builds Q(z_m) exactly when phi(m) <= MAX_FIELD_DEGREE: 120
     is the largest such m and 37 (phi = 36) the first m over the cap. No m
