@@ -33,7 +33,13 @@ monomial gets the list of its values z^t at all points at once, one
 variable step from the nearest monomial already held. `evaluate` runs it
 at one point, `vanishing_set` at a domain's cached character points, and
 both ideals of points (`ideal_of_points`, `commutative_points_ideal`)
-on the monomials they reduce.
+on the monomials they reduce. The walk and the sums c_alpha * z^alpha
+work on whole lists through the field's vector kernels, `raw_products`
+and `raw_combination`; over GF(p) they take one reduction mod p per
+entry. `vanishing_set` keeps the values it walked with the domain
+partition, so a warm call walks only monomials it has not met; they go
+with the partition when the domain changes, and are dropped once they
+hold more than MAX_DOMAIN_POINTS values.
 """
 
 from __future__ import annotations
@@ -121,10 +127,7 @@ class SearchDomain:
     def points(self, pres: Presentation) -> List[Point]:
         """Every candidate point; InputError for an empty grid column or
         past MAX_DOMAIN_POINTS."""
-        # tuple.__new__ builds each Point at C level, not through the named
-        # tuple's Python __new__
-        point = functools.partial(tuple.__new__, Point)
-        return list(map(point, zip(itertools.product(*self._columns(pres)))))
+        return _product_points(self._columns(pres))
 
     def __repr__(self):
         return f"SearchDomain({self.kind})"
@@ -135,6 +138,14 @@ def _check_domain_size(count: int) -> None:
         raise InputError(
             f"search domain has {count} points, above the limit of {MAX_DOMAIN_POINTS}"
         )
+
+
+def _product_points(columns) -> List[Point]:
+    """The points of the product of columns of field elements, in order."""
+    # tuple.__new__ builds each Point at C level, not through the named
+    # tuple's Python __new__
+    point = functools.partial(tuple.__new__, Point)
+    return list(map(point, zip(itertools.product(*columns))))
 
 
 def point_generators(pres: Presentation, Z: Point) -> List[Polynomial]:
@@ -211,45 +222,46 @@ def _monomial_values(field: Field, columns, exps, values=None) -> dict:
     """{t: [raw z^t at each point]} for every t in exps; column i holds the
     points' raw z_i.
 
-    A missing x^t starts from a held o <= t of highest degree (t - e_i if
-    held, which exps in ascending degree make usual) and multiplies by
-    z_i^d, d = t_i - o_i, by `scalars.power`: at most 2 log2(d) products
-    per point, one new list each, and no recursion. A values dict this
-    function returned is extended in place, so a walk that asks for more
-    monomials reuses all it holds.
+    A missing x^t starts from a held o <= t: t - e_i if held, which exps
+    in ascending degree make usual, and otherwise the one of highest
+    degree among x^0 and the monomials of exps before t. It multiplies by
+    z_i^d, d = t_i - o_i, by `scalars.power`: at most 2 log2(d) vector
+    products `Field.raw_products`, one new list each, and no recursion.
+    A values dict is extended in place, starting from x^0 when it is
+    empty, so a walk that asks for more monomials reuses all it holds;
+    `vanishing_set` keeps one with each domain partition. The scan for o
+    never reads the whole dict, so what a kept dict holds does not make
+    it longer.
     """
-    mul = field.raw_mul
-
-    def pointwise(a, b):
-        return list(map(mul, a, b))
-
+    product = field.raw_products
+    start = (0,) * len(columns)
     if values is None:
-        values = {(0,) * len(columns): [field.raw_one] * len(columns[0])}
+        values = {}
+    if not values:
+        values[start] = [field.raw_one] * len(columns[0])
+    scanned = [start]
     for t in exps:
-        if t in values:
-            continue
-        for i, a in enumerate(t):
-            if a and (o := t[:i] + (a - 1,) + t[i + 1 :]) in values:
-                values[t] = list(map(mul, values[o], columns[i]))
-                break
-        else:
-            o = max((o for o in values if all(map(le, o, t))), key=sum)
-            vals = values[o]
-            for col, d in zip(columns, map(sub, t, o)):
-                vals = power(col, d, pointwise, vals)
-            values[t] = vals
+        if t not in values:
+            for i, a in enumerate(t):
+                if a and (o := t[:i] + (a - 1,) + t[i + 1 :]) in values:
+                    values[t] = product(values[o], columns[i])
+                    break
+            else:
+                o = max((o for o in scanned if all(map(le, o, t))), key=sum)
+                vals = values[o]
+                for col, d in zip(columns, map(sub, t, o)):
+                    vals = power(col, d, product, vals)
+                values[t] = vals
+        scanned.append(t)
     return values
 
 
 def _sums(field: Field, f: Polynomial, values: dict, count: int) -> list:
     """f's raw value sum c_alpha * z^alpha at each of count points, from
-    the values of its monomials."""
+    the values of its monomials, by `Field.raw_combination`."""
     if not f.raw:
         return [field.raw_zero] * count
-    add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
-    coeffs = [c for _, c in f.raw]
-    rows = zip(*[values[e] for e, _ in f.raw])  # one row of z^alpha per point
-    return [functools.reduce(add, map(mul, coeffs, row), zero) for row in rows]
+    return field.raw_combination([c for _, c in f.raw], [values[e] for e, _ in f.raw])
 
 
 def evaluate(f: Polynomial, Z: Point) -> Scalar:
@@ -314,12 +326,14 @@ class VanishingReport(NamedTuple):
 
 def _domain_partition(pres: Presentation, domain: SearchDomain):
     """(points in domain order, whether each one is degenerate, the
-    positions of the character points, their raw coordinate columns) of
-    the domain.
+    positions of the character points, their raw coordinate columns, the
+    monomial values kept at them) of the domain.
 
     Whether a point is a character depends on the presentation alone, so
     the partition is cached on it, keyed by the domain's raw columns; a
-    new domain replaces the cached one.
+    new domain replaces the cached one, its kept values with it. The
+    values are a `_monomial_values` dict of raw values, which
+    `vanishing_set` extends and bounds.
     """
     cols = domain._columns(pres)
     key = tuple(tuple(c.value for c in col) for col in cols)
@@ -328,11 +342,10 @@ def _domain_partition(pres: Presentation, domain: SearchDomain):
     if entry is None:
         character = _character_test(pres)
         raw = list(itertools.product(*key))
-        points = domain.points(pres)
         degenerate = [not character(z) for z in raw]
         positions = [k for k, dg in enumerate(degenerate) if not dg]
         columns = [[raw[k][i] for k in positions] for i in range(pres.n)]
-        entry = (points, degenerate, positions, columns)
+        entry = (_product_points(cols), degenerate, positions, columns, {})
         cache.clear()
         cache[key] = entry
     return entry
@@ -347,19 +360,24 @@ def vanishing_set(
     checking generators suffices for the ideal they generate.
 
     The generators are evaluated at the character points only; every other
-    point is a degenerate root.
+    point is a degenerate root. Their monomials' values are kept with the
+    domain partition, so a warm call walks only monomials it has not met;
+    past MAX_DOMAIN_POINTS kept values they are dropped.
     """
     for f in polys:
         if f.pres is not pres:
             raise InputError(f"polynomial {f} is from another presentation than {pres}")
-    points, degenerate_mask, positions, columns = _domain_partition(pres, domain)
+    points, degenerate_mask, positions, columns, values = _domain_partition(pres, domain)
     field, zero = pres.field, pres.field.raw_zero
-    exps = [e for f in polys for e, _ in reversed(f.raw)]
-    values = _monomial_values(field, columns, exps)
+    _monomial_values(field, columns, [e for f in polys for e, _ in reversed(f.raw)], values)
     vanish = [True] * len(positions)
     for f in polys:
         sums = _sums(field, f, values, len(positions))
         vanish = [v and s == zero for v, s in zip(vanish, sums)]
+    # a monomial counts once even with no character points, so its key is
+    # bounded too
+    if len(values) * max(len(positions), 1) > MAX_DOMAIN_POINTS:
+        values.clear()
     is_root = list(degenerate_mask)
     for k, v in zip(positions, vanish):
         is_root[k] = v

@@ -48,10 +48,12 @@ class Presentation:
 
     `_domain_partition` holds one entry for `geometry.vanishing_set`: the
     points of the last search domain asked about, keyed by the domain's
-    raw columns, each flagged as a character or not, and the positions
-    and raw coordinate columns of the characters. Which points are
-    characters depends on the presentation alone; a new domain replaces
-    the entry, so it holds at most `geometry.MAX_DOMAIN_POINTS` points.
+    raw columns, each flagged as a character or not, the positions and
+    raw coordinate columns of the characters, and the raw values of the
+    monomials evaluated there so far. Which points are characters depends
+    on the presentation alone; a new domain replaces the entry, so it
+    holds at most `geometry.MAX_DOMAIN_POINTS` points, and the kept
+    values are dropped once they pass that many.
     `_point_ideals` stays empty: only the benchmark's tracer reads it, and
     `geometry.point_ideal` says why nothing is stored there.
     """

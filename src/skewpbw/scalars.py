@@ -266,6 +266,12 @@ class Field:
     division and linear algebra call these functions directly; a Scalar
     wraps a raw value only where a caller reads a coefficient, and its
     operators call the same functions.
+
+    Two vector kernels work on whole lists of raw values, as evaluation at
+    many points does: `raw_products(a, b)`, the entrywise products, and
+    `raw_combination(coeffs, vectors)`, sum_k coeffs[k] * vectors[k]
+    entry by entry. Here they map `raw_mul` and fold `raw_add`; GF(p)
+    overrides both with int arithmetic and one reduction mod p per entry.
     """
 
     spec: FieldSpec
@@ -302,6 +308,16 @@ class Field:
 
     def format(self, a: Scalar) -> str:
         raise NotImplementedError
+
+    def raw_products(self, a, b) -> list:
+        """[a_k * b_k] for two lists of raw values of one length."""
+        return list(map(self.raw_mul, a, b))
+
+    def raw_combination(self, coeffs, vectors) -> list:
+        """[sum_k coeffs[k] * vectors[k][j] for each entry j], for lists
+        of raw values of one length; [] when there are no vectors."""
+        add, mul, zero = self.raw_add, self.raw_mul, self.raw_zero
+        return [functools.reduce(add, map(mul, coeffs, row), zero) for row in zip(*vectors)]
 
     def primitive(self) -> Optional[Scalar]:
         """A generator of the field over its prime field, or None for Q/GF(p)."""
@@ -646,6 +662,11 @@ class PrimeField(Field):
         self.raw_add = lambda a, b: (a + b) % p
         self.raw_mul = lambda a, b: a * b % p
         self.raw_neg = lambda a: -a % p
+        # the vector kernels on ints, with one reduction per entry
+        self.raw_products = lambda a, b: [x * y % p for x, y in zip(a, b)]
+        self.raw_combination = lambda coeffs, vectors: [
+            sum(map(operator.mul, coeffs, row)) % p for row in zip(*vectors)
+        ]
 
     def from_int(self, k):
         return Scalar(self, k % self.p)

@@ -186,6 +186,24 @@ MUTANTS = (
         ("tests/test_geometry.py::test_character_test_is_built_once_per_presentation",),
     ),
     Mutant(
+        "prime-field-combination-unreduced", "src/skewpbw/scalars.py",
+        "            sum(map(operator.mul, coeffs, row)) % p for row in zip(*vectors)\n",
+        "            sum(map(operator.mul, coeffs, row)) for row in zip(*vectors)\n",
+        ("tests/test_scalars.py::test_vector_kernels_match_scalar_arithmetic[gf:7]",),
+    ),
+    Mutant(
+        "kept-values-survive-a-new-domain", "src/skewpbw/geometry.py",
+        "positions, columns, {})\n",
+        "positions, columns, next(iter(cache.values()), [{}])[-1])\n",
+        ("tests/test_geometry.py::test_domain_change_drops_kept_values",),
+    ),
+    Mutant(
+        "kept-values-unbounded", "src/skewpbw/geometry.py",
+        "    if len(values) * max(len(positions), 1) > MAX_DOMAIN_POINTS:\n",
+        "    if False:\n",
+        ("tests/test_geometry.py::test_kept_values_stay_bounded",),
+    ),
+    Mutant(
         "vanishing-set-any-generator", "src/skewpbw/geometry.py",
         "vanish = [v and s == zero", "vanish = [v or s == zero",
         ("tests/test_geometry.py::test_evaluation_matches_naive_oracle",

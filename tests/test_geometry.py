@@ -202,6 +202,111 @@ def test_vanishing_set_domain_cache(GF5, monkeypatch):
             assert root == (tag in ("root", "degenerate")), (k, Z, tag)
 
 
+GF7SPACE = (
+    "field: gf:7\nvars: x, y, z\n"
+    "relation: y*x = 2*x*y\nrelation: z*x = 3*x*z\nrelation: z*y = 5*y*z\n"
+)
+
+
+def _partition(pres):
+    """pres's one domain partition: (points, degenerate flags, character
+    positions, columns, kept monomial values)."""
+    (entry,) = pres._domain_partition.values()
+    return entry
+
+
+def _seeded_lists(pres, domain, rng, count, degree=3):
+    """count lists of one to three generators; the last of each vanishes
+    at one seeded point of the domain, so that roots occur."""
+    points = domain.points(pres)
+    lists = []
+    for _ in range(count):
+        polys = [random_polynomial(pres, rng, degree, 3) for _ in range(rng.randint(1, 2))]
+        f = polys[-1]
+        polys.append(f - Polynomial.constant(pres, naive_evaluate(f, rng.choice(points))))
+        lists.append(polys)
+    return lists
+
+
+def _document(name):
+    """The text of a shipped algebra, or name itself, a document."""
+    if name.endswith(".alg"):
+        with open(algebra_path(name), encoding="utf-8") as fh:
+            return fh.read()
+    return name
+
+
+def _fresh_report(document, polys, domain):
+    fresh = load_presentation(document)
+    return _report_coords(
+        vanishing_set(fresh, [Polynomial.from_raw(fresh, f.raw) for f in polys], domain)
+    )
+
+
+KEPT_VALUE_RUNS = {
+    "gf7space": (GF7SPACE, SearchDomain.full_prime_field()),
+    "qplane_m1": ("qplane_m1.alg", SearchDomain.grid([range(-2, 3)])),
+    "commutative_xy": ("commutative_xy.alg", SearchDomain.grid([range(-3, 4), range(0, 5)])),
+}
+
+
+@pytest.mark.parametrize("name", KEPT_VALUE_RUNS)
+def test_kept_values_give_a_fresh_presentations_answers(name):
+    """Fifty seeded lists on one presentation, each report equal to that of
+    a fresh presentation, which keeps no values. The kept values hold
+    every monomial the run asked for, so a warm call walks only new ones."""
+    document, domain = KEPT_VALUE_RUNS[name]
+    document = _document(document)
+    pres = load_presentation(document)
+    asked = set()
+    for polys in _seeded_lists(pres, domain, random.Random(name), 50):
+        rep = vanishing_set(pres, polys, domain)
+        assert _report_coords(rep) == _fresh_report(document, polys, domain)
+        asked.update(e for f in polys for e, _ in f.raw)
+    assert asked <= set(_partition(pres)[-1])
+
+
+def test_domain_change_drops_kept_values():
+    """A new domain replaces the partition and its kept values: the values
+    of the old domain's points are never read at the new one's, and
+    returning to a domain starts again from x^0."""
+    document = _document("qplane_m1.alg")
+    pres = load_presentation(document)
+    domains = [SearchDomain.grid([range(-2, 3)]), SearchDomain.grid([[0, 1], [3, 4, 5]])]
+    rng = random.Random("domain change")
+    for k in range(6):
+        domain = domains[k % 2]
+        polys = _seeded_lists(pres, domain, rng, 1)[0]
+        before = pres._domain_partition.copy()
+        rep = vanishing_set(pres, polys, domain)
+        assert _report_coords(rep) == _fresh_report(document, polys, domain), k
+        _, _, positions, _, kept = _partition(pres)
+        assert all(kept is not entry[-1] for entry in before.values()), k
+        assert set(kept) <= {e for f in polys for e, _ in f.raw} | {(0, 0)}, k
+        assert all(len(v) == len(positions) for v in kept.values()), k
+
+
+@pytest.mark.parametrize("name", ["qplane_m1.alg", "weyl_z.alg"])
+def test_kept_values_stay_bounded(monkeypatch, name):
+    """Past MAX_DOMAIN_POINTS values the kept values are dropped, so between
+    calls a presentation keeps at most that many; a monomial counts once
+    when no point is a character (weyl_z has none), so the keys are
+    bounded too. The answers do not change."""
+    limit = 40
+    monkeypatch.setattr(geometry, "MAX_DOMAIN_POINTS", limit)
+    document = _document(name)
+    pres = load_presentation(document)
+    domain = SearchDomain.grid([range(-1, 2)])
+    sizes = []
+    for polys in _seeded_lists(pres, domain, random.Random(name), 30, degree=6):
+        rep = vanishing_set(pres, polys, domain)
+        assert _report_coords(rep) == _fresh_report(document, polys, domain)
+        _, _, positions, _, kept = _partition(pres)
+        assert len(kept) * max(len(positions), 1) <= limit
+        sizes.append(len(kept))
+    assert max(sizes) > 1 and min(sizes) == 0  # values were kept, and dropped
+
+
 def test_search_domain_size_guard(qplane_gf5, monkeypatch):
     """The count is checked before any point is built: enumerating 10^12
     points of GF(1000003)^2 would not end."""

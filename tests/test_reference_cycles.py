@@ -73,6 +73,11 @@ OPERATIONS = {
     "vanishing_set": ("qplane_q2_gf5.alg", lambda pres: geometry.vanishing_set(
         pres, _polys(pres, "x*y", "y^2 - 1"), SearchDomain.full_prime_field()
     )),
+    # the second call finds the partition warm and extends its kept values
+    "vanishing_set_twice": ("qplane_q2_gf5.alg", lambda pres: [
+        geometry.vanishing_set(pres, _polys(pres, *texts), SearchDomain.full_prime_field())
+        for texts in (("x*y", "y^2 - 1"), ("x^3 - 2*y", "x*y^2 + 1"))
+    ]),
     "ideal_of_points": ("witten.alg", lambda pres: geometry.ideal_of_points(
         pres, [Point.of(pres, [0, 0, 2]), Point.of(pres, [1, 1, 1])], 2
     )),

@@ -349,6 +349,64 @@ def test_rational_mul_and_inv_match_fraction():
     assert scalars._q_mul((0, 1), (-5, 1)) == (0, 1) == scalars._q_mul((-5, 3), (0, 1))
 
 
+@pytest.mark.parametrize("spec", ["gf:2", "gf:7", "gf:32003"] + ORACLE_SPECS)
+def test_vector_kernels_match_scalar_arithmetic(spec):
+    """raw_products and raw_combination equal Scalar products and sums
+    entry by entry, on empty vectors, with zero coefficients, and over
+    GF(p) on values near p, where an unreduced sum of many products runs
+    far past p. Every output entry is canonical: an int in range(p), or
+    the number field's unique tuple."""
+    field = get_field(FieldSpec.from_string(spec))
+    rng = random.Random(zlib.crc32(spec.encode()))
+    if field.spec.kind == "gf":
+        p = field.p
+        near = [0, 1, p - 1, max(p - 2, 0)]
+
+        def draw():
+            return rng.choice(near) if rng.random() < 0.5 else rng.randrange(p)
+
+        def canonical(v):
+            return type(v) is int and 0 <= v < p
+    else:
+
+        def draw():
+            shape = rng.choice(("zero", "int", "small"))
+            return _canonical(_fraction_value(field.dim, rng, shape))
+
+        def canonical(v):
+            return v[-1] > 0 and math.gcd(*v) == 1
+
+    def scalar(v):
+        return Scalar(field, v)
+
+    assert field.raw_products([], []) == []
+    assert field.raw_combination([], []) == []
+    assert field.raw_combination([draw(), field.raw_zero], [[], []]) == []
+    for length in (1, 2, 7):
+        a = [draw() for _ in range(length)]
+        b = [draw() for _ in range(length)]
+        got = field.raw_products(a, b)
+        assert got == [(scalar(x) * scalar(y)).value for x, y in zip(a, b)]
+        assert all(map(canonical, got))
+        for count in (1, 3, 12):
+            coeffs = [draw() for _ in range(count)]
+            coeffs[0] = field.raw_zero
+            vectors = [[draw() for _ in range(length)] for _ in range(count)]
+            got = field.raw_combination(coeffs, vectors)
+            want = []
+            for j in range(length):
+                total = field.zero
+                for c, v in zip(coeffs, vectors):
+                    total = total + scalar(c) * scalar(v[j])
+                want.append(total.value)
+            assert got == want, (coeffs, vectors)
+            assert all(map(canonical, got))
+    if field.spec.kind == "gf":
+        top = field.p - 1
+        assert field.raw_combination([top] * 12, [[top, 0]] * 12) == [12 % field.p, 0]
+        assert field.raw_products([top, top], [top, 1]) == [1 % field.p, top]
+
+
 def test_degree_cap():
     """get_field builds Q(z_m) exactly when phi(m) <= MAX_FIELD_DEGREE: 120
     is the largest such m and 37 (phi = 36) the first m over the cap. No m
