@@ -25,8 +25,10 @@ are roots of everything and the reports mark them as degenerate. Which
 points of a domain are characters depends on the presentation and never
 on the polynomials, so `vanishing_set` tests each point once per
 presentation: the partition of the last domain it was given stays on the
-presentation, and each call evaluates its generators, on raw field
-values, at the character points only.
+presentation, with the domain's points and its degenerate points, keyed
+by the domain's raw values, so a warm call over a full prime field builds
+no Scalar. Each call evaluates its generators, on raw field values, at
+the character points only, and copies the kept lists into its report.
 
 Every value at points comes from one walk, `_monomial_values`: each
 monomial gets the list of its values z^t at all points at once, one
@@ -95,7 +97,7 @@ class SearchDomain:
     @staticmethod
     def grid(columns: Sequence[Sequence[Scalar]]) -> "SearchDomain":
         """Columns of field elements or ints; a `range` column is kept as
-        it is, so `_columns` counts it before building a value of it."""
+        it is, so `_raw_columns` counts it before building a value of it."""
         return SearchDomain(
             "grid", tuple(c if isinstance(c, range) else tuple(c) for c in columns)
         )
@@ -104,9 +106,9 @@ class SearchDomain:
     def full_prime_field() -> "SearchDomain":
         return SearchDomain("full-prime-field")
 
-    def _columns(self, pres: Presentation) -> Tuple[Tuple[Scalar, ...], ...]:
-        """One column of field elements per coordinate, whose product is the
-        domain; InputError for an empty column or past MAX_DOMAIN_POINTS,
+    def _raw_columns(self, pres: Presentation) -> Tuple[tuple, ...]:
+        """One column of raw field values per coordinate, whose product is
+        the domain; InputError for an empty column or past MAX_DOMAIN_POINTS,
         before any point is built."""
         if self.kind == "grid":
             cols = self.per_coordinate
@@ -118,11 +120,15 @@ class SearchDomain:
                 if not col:
                     raise InputError(f"grid has no values for coordinate {i + 1}")
             _check_domain_size(math.prod(len(col) for col in cols))
-            return tuple(tuple(pres.field.coerce(v) for v in col) for col in cols)
+            return tuple(tuple(pres.field.coerce(v).value for v in col) for col in cols)
         if not isinstance(pres.field, PrimeField):
             raise InputError("full-prime-field domain needs a GF(p) presentation")
         _check_domain_size(pres.field.p ** pres.n)
-        return (tuple(pres.field.elements()),) * pres.n
+        return (tuple(range(pres.field.p)),) * pres.n
+
+    def _columns(self, pres: Presentation) -> Tuple[Tuple[Scalar, ...], ...]:
+        """`_raw_columns` as field elements."""
+        return tuple(tuple(Scalar(pres.field, v) for v in col) for col in self._raw_columns(pres))
 
     def points(self, pres: Presentation) -> List[Point]:
         """Every candidate point; InputError for an empty grid column or
@@ -327,16 +333,18 @@ class VanishingReport(NamedTuple):
 def _domain_partition(pres: Presentation, domain: SearchDomain):
     """(points in domain order, whether each one is degenerate, the
     positions of the character points, their raw coordinate columns, the
-    monomial values kept at them) of the domain.
+    degenerate points in domain order, the monomial values kept at the
+    characters) of the domain.
 
     Whether a point is a character depends on the presentation alone, so
-    the partition is cached on it, keyed by the domain's raw columns; a
-    new domain replaces the cached one, its kept values with it. The
-    values are a `_monomial_values` dict of raw values, which
-    `vanishing_set` extends and bounds.
+    the partition is cached on it, keyed by the domain's raw columns,
+    `SearchDomain._raw_columns`: a hit builds no Point and runs no
+    character test, and over a full prime field it builds no Scalar. A new
+    domain replaces the cached one, its kept values with it. The values
+    are a `_monomial_values` dict of raw values, which `vanishing_set`
+    extends and bounds; it copies the degenerate points into each report.
     """
-    cols = domain._columns(pres)
-    key = tuple(tuple(c.value for c in col) for col in cols)
+    key = domain._raw_columns(pres)
     cache = pres._domain_partition
     entry = cache.get(key)
     if entry is None:
@@ -345,7 +353,9 @@ def _domain_partition(pres: Presentation, domain: SearchDomain):
         degenerate = [not character(z) for z in raw]
         positions = [k for k, dg in enumerate(degenerate) if not dg]
         columns = [[raw[k][i] for k in positions] for i in range(pres.n)]
-        entry = (_product_points(cols), degenerate, positions, columns, {})
+        points = _product_points(domain._columns(pres))
+        kept = list(itertools.compress(points, degenerate))
+        entry = (points, degenerate, positions, columns, kept, {})
         cache.clear()
         cache[key] = entry
     return entry
@@ -362,12 +372,14 @@ def vanishing_set(
     The generators are evaluated at the character points only; every other
     point is a degenerate root. Their monomials' values are kept with the
     domain partition, so a warm call walks only monomials it has not met;
-    past MAX_DOMAIN_POINTS kept values they are dropped.
+    past MAX_DOMAIN_POINTS kept values they are dropped. The report's
+    lists are new on every call: the roots are the kept degenerate points
+    when no character point vanishes, and otherwise a merge in domain order.
     """
     for f in polys:
         if f.pres is not pres:
             raise InputError(f"polynomial {f} is from another presentation than {pres}")
-    points, degenerate_mask, positions, columns, values = _domain_partition(pres, domain)
+    points, mask, positions, columns, degenerate, values = _domain_partition(pres, domain)
     field, zero = pres.field, pres.field.raw_zero
     _monomial_values(field, columns, [e for f in polys for e, _ in reversed(f.raw)], values)
     vanish = [True] * len(positions)
@@ -378,13 +390,14 @@ def vanishing_set(
     # bounded too
     if len(values) * max(len(positions), 1) > MAX_DOMAIN_POINTS:
         values.clear()
-    is_root = list(degenerate_mask)
-    for k, v in zip(positions, vanish):
-        is_root[k] = v
-    roots = list(itertools.compress(points, is_root))
+    roots = degenerate
+    if any(vanish):
+        is_root = list(mask)
+        for k, v in zip(positions, vanish):
+            is_root[k] = v
+        roots = itertools.compress(points, is_root)
     non_roots = [points[k] for k, v in zip(positions, vanish) if not v]
-    degenerate = list(itertools.compress(points, degenerate_mask))
-    return VanishingReport(roots, non_roots, degenerate, [])
+    return VanishingReport(list(roots), non_roots, list(degenerate), [])
 
 
 def ideal_of_points(

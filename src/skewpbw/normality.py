@@ -12,7 +12,9 @@ from __future__ import annotations
 from typing import Dict, NamedTuple, Optional
 
 from skewpbw import linalg
-from skewpbw.poly import Polynomial, exponents_up_to, multiply
+from skewpbw.poly import (
+    Polynomial, _mono_times_dict, _multiply_raw, exponents_up_to, multiply,
+)
 from skewpbw.scalars import InputError
 
 
@@ -21,14 +23,16 @@ def central_probe(f: Polynomial) -> bool:
 
     Generators plus scalars generate the algebra, so this decides f in Z(A).
     The scalar half needs sigma^alpha to fix the field, exponent 1, for
-    every exponent alpha in the support.
+    every exponent alpha in the support. The products f*x_j and x_j*f are
+    compared as raw dicts, with no polynomial built or sorted.
     """
     pres = f.pres
     if not pres.sigma_all_identity and any(pres.sigma_power(e) != 1 for e, _ in f.raw):
         return False
+    one, o, d = pres.field.raw_one, (0,) * pres.n, dict(f.raw)
     for j in range(pres.n):
-        xj = Polynomial.variable(pres, j)
-        if multiply(f, xj) != multiply(xj, f):
+        ej = o[:j] + (1,) + o[j + 1 :]
+        if _multiply_raw(pres, f.raw, ((ej, one),), {}) != _mono_times_dict(pres, ej, d):
             return False
     return True
 

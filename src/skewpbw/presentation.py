@@ -49,11 +49,14 @@ class Presentation:
     `_domain_partition` holds one entry for `geometry.vanishing_set`: the
     points of the last search domain asked about, keyed by the domain's
     raw columns, each flagged as a character or not, the positions and
-    raw coordinate columns of the characters, and the raw values of the
-    monomials evaluated there so far. Which points are characters depends
-    on the presentation alone; a new domain replaces the entry, so it
-    holds at most `geometry.MAX_DOMAIN_POINTS` points, and the kept
-    values are dropped once they pass that many.
+    raw coordinate columns of the characters, the degenerate points, and
+    the raw values of the monomials evaluated there so far. A hit builds
+    no Point and, over a full prime field, no Scalar. Which points are
+    characters depends on the presentation alone; a new domain replaces
+    the entry, so it holds at most `geometry.MAX_DOMAIN_POINTS` points,
+    and the kept values are dropped once they pass that many.
+    `_extension` is the ring `extend_with_central` returns, built on
+    first use; it holds no reference back to this presentation.
     `_point_ideals` stays empty: only the benchmark's tracer reads it, and
     `geometry.point_ideal` says why nothing is stored there.
     """
@@ -103,6 +106,7 @@ class Presentation:
         self._point_ideals: dict = {}
         self._domain_partition: dict = {}
         self._character = None  # `geometry._character_test`, built on first use
+        self._extension = None  # `extend_with_central`, built on first use
         if not (self.sigma_all_identity and self.quasi_commutative):
             _check_overlaps(self)
 
@@ -185,10 +189,14 @@ def quantum_plane(field: Field, q: Scalar, names=("x", "y")) -> Presentation:
 
 
 def extend_with_central(pres: Presentation) -> Presentation:
-    """New presentation with one fresh central variable in front (index 0).
+    """Presentation with one fresh central variable in front (index 0).
 
     It is named by the first of t, t1, t2, ... that is not a variable yet.
+    It is built on first use and kept as pres._extension, so the calls on
+    one ring share its insertion cache; it holds no reference to pres.
     """
+    if pres._extension is not None:
+        return pres._extension
     name, k = "t", 0
     while name in pres.names:
         k += 1
@@ -200,7 +208,8 @@ def extend_with_central(pres: Presentation) -> Presentation:
     rels = {}
     for (i, j), rel in pres.relations.items():
         rels[(i + 1, j + 1)] = Relation(rel.c, (zero,) + rel.linear, rel.const)
-    return Presentation(field, names, sigma=(1,) + pres.sigma, relations=rels)
+    pres._extension = Presentation(field, names, sigma=(1,) + pres.sigma, relations=rels)
+    return pres._extension
 
 
 def central_multiple(ext: Presentation, f: poly.Polynomial, k: int) -> poly.Polynomial:

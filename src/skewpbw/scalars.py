@@ -682,9 +682,6 @@ class PrimeField(Field):
             raise ZeroDivisionError("inverse of 0")
         return pow(a, -1, self.p)
 
-    def elements(self):
-        return [Scalar(self, v) for v in range(self.p)]
-
     def format(self, a):
         return str(a.value)
 

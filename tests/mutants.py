@@ -193,8 +193,8 @@ MUTANTS = (
     ),
     Mutant(
         "kept-values-survive-a-new-domain", "src/skewpbw/geometry.py",
-        "positions, columns, {})\n",
-        "positions, columns, next(iter(cache.values()), [{}])[-1])\n",
+        "positions, columns, kept, {})\n",
+        "positions, columns, kept, next(iter(cache.values()), [{}])[-1])\n",
         ("tests/test_geometry.py::test_domain_change_drops_kept_values",),
     ),
     Mutant(
@@ -202,6 +202,17 @@ MUTANTS = (
         "    if len(values) * max(len(positions), 1) > MAX_DOMAIN_POINTS:\n",
         "    if False:\n",
         ("tests/test_geometry.py::test_kept_values_stay_bounded",),
+    ),
+    Mutant(
+        "report-shares-the-kept-degenerate-points", "src/skewpbw/geometry.py",
+        "non_roots, list(degenerate), [])\n", "non_roots, degenerate, [])\n",
+        ("tests/test_geometry.py::test_reports_share_no_list_with_the_partition",),
+    ),
+    Mutant(
+        "central-probe-compares-a-product-with-itself", "src/skewpbw/normality.py",
+        " != _mono_times_dict(pres, ej, d):",
+        " != _multiply_raw(pres, f.raw, ((ej, one),), {}):",
+        ("tests/test_normality.py::test_central_probe_matches_products",),
     ),
     Mutant(
         "vanishing-set-any-generator", "src/skewpbw/geometry.py",

@@ -35,7 +35,7 @@ from skewpbw.presentation import (
     load_presentation_file,
     quantum_plane,
 )
-from skewpbw.scalars import FieldSpec, InputError, get_field
+from skewpbw.scalars import FieldSpec, InputError, Scalar, get_field
 from conftest import ALGEBRA_DIR, algebra_path
 from oracles import (
     _satisfies_relations,
@@ -210,7 +210,7 @@ GF7SPACE = (
 
 def _partition(pres):
     """pres's one domain partition: (points, degenerate flags, character
-    positions, columns, kept monomial values)."""
+    positions, columns, degenerate points, kept monomial values)."""
     (entry,) = pres._domain_partition.values()
     return entry
 
@@ -280,7 +280,7 @@ def test_domain_change_drops_kept_values():
         before = pres._domain_partition.copy()
         rep = vanishing_set(pres, polys, domain)
         assert _report_coords(rep) == _fresh_report(document, polys, domain), k
-        _, _, positions, _, kept = _partition(pres)
+        _, _, positions, _, _, kept = _partition(pres)
         assert all(kept is not entry[-1] for entry in before.values()), k
         assert set(kept) <= {e for f in polys for e, _ in f.raw} | {(0, 0)}, k
         assert all(len(v) == len(positions) for v in kept.values()), k
@@ -301,10 +301,62 @@ def test_kept_values_stay_bounded(monkeypatch, name):
     for polys in _seeded_lists(pres, domain, random.Random(name), 30, degree=6):
         rep = vanishing_set(pres, polys, domain)
         assert _report_coords(rep) == _fresh_report(document, polys, domain)
-        _, _, positions, _, kept = _partition(pres)
+        _, _, positions, _, _, kept = _partition(pres)
         assert len(kept) * max(len(positions), 1) <= limit
         sizes.append(len(kept))
     assert max(sizes) > 1 and min(sizes) == 0  # values were kept, and dropped
+
+
+def test_warm_vanishing_set_builds_no_scalar(monkeypatch):
+    """The partition is keyed by the domain's raw columns: field elements
+    are built through `SearchDomain._columns` on the first call only, not
+    on a warm call nor for another domain object that lists the same
+    points, and a warm call over a full prime field builds no Scalar."""
+    pres = load_presentation(GF7SPACE)
+    polys = [parse_polynomial(t, pres) for t in ("x*y - z", "y^2*z - 3*x")]
+    domains = [
+        SearchDomain.full_prime_field(), SearchDomain.full_prime_field(),
+        SearchDomain.grid([range(7)]), SearchDomain.grid([range(7)] * 3),
+    ]
+    expected = [_fresh_report(GF7SPACE, polys, domain) for domain in domains]
+    columns, init = SearchDomain._columns, Scalar.__init__
+    calls, built = [], []
+
+    def counted_columns(self, p):
+        calls.append(self)
+        return columns(self, p)
+
+    def counted_init(self, field, value):
+        built.append(value)
+        init(self, field, value)
+
+    monkeypatch.setattr(SearchDomain, "_columns", counted_columns)
+    monkeypatch.setattr(Scalar, "__init__", counted_init)
+    for k, domain in enumerate(domains + domains[:1]):
+        built.clear()
+        rep = vanishing_set(pres, polys, domain)
+        assert len(calls) == 1, k
+        if k and domain.kind == "full-prime-field":
+            assert built == [], k
+        assert _report_coords(rep) == expected[k % len(domains)], k
+
+
+@pytest.mark.parametrize("text", ["1", "x", "x*y - z"])
+def test_reports_share_no_list_with_the_partition(text):
+    """Clearing or appending to one report's lists changes no later report:
+    each warm report equals a fresh presentation's, when no character
+    point vanishes (1) and when some do."""
+    pres = load_presentation(GF7SPACE)
+    domain = SearchDomain.full_prime_field()
+    polys = [parse_polynomial(text, pres)]
+    expected = _fresh_report(GF7SPACE, polys, domain)
+    extra = Point.of(pres, (1, 2, 3))
+    for edit in (list.clear, list.clear, lambda part: part.append(extra)):
+        rep = vanishing_set(pres, polys, domain)
+        assert _report_coords(rep) == expected
+        for part in (rep.roots, rep.non_roots, rep.degenerate):
+            edit(part)
+    assert _report_coords(vanishing_set(pres, polys, domain)) == expected
 
 
 def test_search_domain_size_guard(qplane_gf5, monkeypatch):

@@ -907,7 +907,7 @@ def test_memo_lives_for_one_computation(qspace3):
     first, again = handles(), handles()
     assert set(vars(qspace3)) == before
     assert {a for a in before if a.startswith("_")} == {
-        "_insert_cache", "_point_ideals", "_domain_partition", "_character"
+        "_insert_cache", "_point_ideals", "_domain_partition", "_character", "_extension"
     }
     assert first == again
 

@@ -22,6 +22,40 @@ def test_central_probe_examples(qplane_m1, qplane_q2):
     assert central_probe(Polynomial.one(qplane_q2))
 
 
+def _probe_ring(name, request):
+    """A shipped algebra, the conjugation-twisted plane, or a plane over
+    Q(z_12) whose variables act by the Galois maps z -> z^5 and z -> z^7."""
+    if name.endswith(".alg"):
+        return load_presentation_file(algebra_path(name))
+    if name == "galois_pair":
+        return Presentation(get_field(FieldSpec.cyclotomic(12)), ("x", "y"), sigma=(5, 7))
+    return request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize("name", SHIPPED + ["conj_qplane", "galois_pair"])
+def test_central_probe_matches_products(name, request):
+    """central_probe says what the definition says: sigma^alpha fixes the
+    field on supp f, and multiply(f, x_j) == multiply(x_j, f) for every j.
+    The cases are the monomials of degree <= 4, with coefficient 1 and
+    with a seeded one, seeded polynomials and sums of two monomials; both
+    verdicts occur unless the ring is commutative."""
+    pres = _probe_ring(name, request)
+    rng = random.Random(name)
+    xs = [Polynomial.variable(pres, j) for j in range(pres.n)]
+    monos = [Polynomial.monomial(pres, e) for e in exponents_up_to(pres.n, 4)]
+    monos += [m * random_scalar(pres.field, rng) for m in monos]
+    cases = monos + [Polynomial.zero(pres)]
+    cases += [random_polynomial(pres, rng, 3, 3) for _ in range(20)]
+    cases += [rng.choice(monos) + rng.choice(monos) for _ in range(20)]
+    verdicts = set()
+    for f in cases:
+        fixed = all(pres.sigma_power(e) == 1 for e, _ in f.raw)
+        expected = fixed and all(multiply(f, x) == multiply(x, f) for x in xs)
+        assert central_probe(f) == expected, f
+        verdicts.add(expected)
+    assert verdicts == ({True} if pres.commutative else {True, False})
+
+
 def test_is_normal_x_quantum_plane(qplane_q2):
     verdict = is_normal(parse_polynomial("x", qplane_q2))
     assert verdict.status == "normal"

@@ -580,6 +580,25 @@ def test_radical_membership_defaults_to_the_default_budget(comm2):
     assert radical_membership_commutative(x, J, Budget(max_degree=14)) is True
 
 
+def test_radical_steps_share_one_extension_ring(monkeypatch):
+    """The ring with the extra variable t is built on the first radical
+    step and kept on the ring it extends, so later steps on that ring
+    reuse it and its insertion cache."""
+    P = load_presentation("field: gf:7\nvars: u, v\n")
+    built = []
+    init = Presentation.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Presentation, "__init__", counted)
+    u, v = (parse_polynomial(t, P) for t in ("u", "v"))
+    assert radical_membership_commutative(u * v, [u * u, v * v * v])
+    assert not radical_membership_commutative(u + 1, [u * u])
+    assert len(built) == 1 and P._extension is built[0]
+
+
 @pytest.mark.parametrize("entry", ["commutative_points_ideal", "radical_membership"])
 def test_center_ring_functions_refuse_rings_that_are_not_commutative(entry, qplane_m1):
     """Both functions work in the commutative center ring. On qplane_m1,
