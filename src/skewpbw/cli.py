@@ -94,7 +94,7 @@ def _domain(text: str, pres: Presentation) -> SearchDomain:
         domain = SearchDomain.grid([_column(part, pres) for part in body.split(";")])
     else:
         raise InputError(f"unknown domain {text!r} (use grid:<spec> or gf)")
-    domain._columns(pres)
+    domain._raw_columns(pres)
     return domain
 
 

@@ -2,7 +2,9 @@
 
 The center is decided by one rule on the lattice of central monomials
 (center_generators) and accepted only when it is the polynomial ring on
-pure powers x_i^(L_i), as the paper's Nullstellensatz assumes. One
+pure powers x_i^(L_i), as the paper's Nullstellensatz assumes. That ring
+K[u] depends only on the field and n, so one is kept per pair for the
+process, and every sandwich finds its caches warm. One
 Buchberger-Moeller walk (`linalg.walk`) finds both the contraction J of a
 two-sided ideal to it (the reduced basis of the relations among the
 normal forms of central monomials, up to a degree) and the ideal of the
@@ -74,7 +76,7 @@ class CenterDescription(NamedTuple):
     presentation: Presentation
     exponents: Tuple[int, ...]  # L_i per variable
     generators: Tuple[Polynomial, ...]  # x_i^(L_i)
-    center_ring: Presentation  # K[u], u_i standing for x_i^(L_i)
+    center_ring: Presentation  # K[u], u_i for x_i^(L_i); one per field and n
     case: str
 
 
@@ -83,6 +85,9 @@ def _center_names(n: int) -> tuple:
         return ("u", "v", "w")[:n]
     return tuple(f"u{k + 1}" for k in range(n))
 
+
+# K[u] per (field, n), kept like `scalars._FIELD_CACHE`: shared caches
+_CENTER_RINGS: dict = {}
 
 # largest N accepted: it bounds the table of the N powers of w, and the
 # generators x_i^(L_i), L_i <= N, that central_probe multiplies by each x_j
@@ -102,7 +107,9 @@ def center_generators(pres: Presentation) -> CenterDescription:
     a sigma_i that is not the identity, a constant that is not a root of
     unity, or N above MAX_CENTER_ORDER. `case` is a label only. Each
     generator is checked central by `central_probe`; a failure is an engine
-    fault and raises RuntimeError.
+    fault and raises RuntimeError. The center ring is built once per field
+    and n and then read from `_CENTER_RINGS`, with its domain partition,
+    insertion cache and `_extension`.
     """
     if not pres.quasi_commutative:
         raise InputError("the center rule needs a quasi-commutative presentation")
@@ -156,8 +163,10 @@ def center_generators(pres: Presentation) -> CenterDescription:
     for g in gens:
         if not central_probe(g):
             raise RuntimeError(f"generator {g} failed the centrality check")
-    ring = Presentation(pres.field, _center_names(n))
-    return CenterDescription(pres, L, gens, ring, case)
+    key = (pres.field, n)
+    if key not in _CENTER_RINGS:
+        _CENTER_RINGS[key] = Presentation(pres.field, _center_names(n))
+    return CenterDescription(pres, L, gens, _CENTER_RINGS[key], case)
 
 
 def _echelon(rows, moduli) -> list:

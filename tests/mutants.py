@@ -220,6 +220,16 @@ MUTANTS = (
         ("tests/test_geometry.py::test_evaluation_matches_naive_oracle",
          "tests/test_acceptance.py::test_c04_variety_property_suite"),
     ),
+    Mutant(
+        "center-ring-keyed-by-the-field", "src/skewpbw/nullstellensatz.py",
+        "    key = (pres.field, n)\n", "    key = pres.field\n",
+        ("tests/test_nullstellensatz.py::test_center_rings_are_shared_per_field_and_arity",),
+    ),
+    Mutant(
+        "center-ring-keyed-by-the-arity", "src/skewpbw/nullstellensatz.py",
+        "    key = (pres.field, n)\n", "    key = n\n",
+        ("tests/test_nullstellensatz.py::test_center_rings_are_shared_per_field_and_arity",),
+    ),
 )
 
 

@@ -49,3 +49,17 @@ def test_sandwich_documents_match_recording(recorded, monkeypatch):
     assert (code, stdout.getvalue(), stderr.getvalue()) == (
         recorded["exit"], recorded["stdout"], recorded["stderr"]
     )
+
+
+def test_sandwich_documents_match_recording_in_either_order(monkeypatch):
+    """Every recorded sandwich in one process, forward and then in
+    reverse: an answer does not depend on what an earlier sandwich left in
+    the center ring that descriptions over one field and arity share."""
+    monkeypatch.chdir(ROOT)
+    for recorded in SANDWICHES + SANDWICHES[::-1]:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = cli.main(recorded["argv"])
+        assert (code, stdout.getvalue(), stderr.getvalue()) == (
+            recorded["exit"], recorded["stdout"], recorded["stderr"]
+        ), _name(recorded)

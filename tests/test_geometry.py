@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import skewpbw
-from skewpbw import geometry, groebner, linalg, nullstellensatz
+from skewpbw import cli, geometry, groebner, linalg, nullstellensatz
 from skewpbw.geometry import (
     Point,
     SearchDomain,
@@ -311,7 +311,9 @@ def test_warm_vanishing_set_builds_no_scalar(monkeypatch):
     """The partition is keyed by the domain's raw columns: field elements
     are built through `SearchDomain._columns` on the first call only, not
     on a warm call nor for another domain object that lists the same
-    points, and a warm call over a full prime field builds no Scalar."""
+    points. A warm call over a full prime field builds no Scalar, and
+    neither does a second call with one grid, which keeps the columns it
+    coerced."""
     pres = load_presentation(GF7SPACE)
     polys = [parse_polynomial(t, pres) for t in ("x*y - z", "y^2*z - 3*x")]
     domains = [
@@ -332,13 +334,31 @@ def test_warm_vanishing_set_builds_no_scalar(monkeypatch):
 
     monkeypatch.setattr(SearchDomain, "_columns", counted_columns)
     monkeypatch.setattr(Scalar, "__init__", counted_init)
-    for k, domain in enumerate(domains + domains[:1]):
+    for k, domain in enumerate(domains + domains):
         built.clear()
         rep = vanishing_set(pres, polys, domain)
         assert len(calls) == 1, k
-        if k and domain.kind == "full-prime-field":
+        if k and domain.kind == "full-prime-field" or k >= len(domains):
             assert built == [], k
         assert _report_coords(rep) == expected[k % len(domains)], k
+
+
+def test_cli_domain_builds_no_scalar(monkeypatch):
+    """The CLI checks a domain through its raw columns: reading `gf` on a
+    one-variable gf:32003 presentation builds no Scalar, and a domain that
+    does not fit is still refused with the same message."""
+    pres = load_presentation("field: gf:32003\nvars: x\n")
+    init, built = Scalar.__init__, []
+
+    def counted_init(self, field, value):
+        built.append(value)
+        init(self, field, value)
+
+    monkeypatch.setattr(Scalar, "__init__", counted_init)
+    assert cli._domain("gf", pres).kind == "full-prime-field"
+    assert built == []
+    with pytest.raises(InputError, match="grid arity does not match the presentation"):
+        cli._domain("grid:0..2;0..2", pres)
 
 
 @pytest.mark.parametrize("text", ["1", "x", "x*y - z"])

@@ -381,14 +381,70 @@ def test_contraction_gives_reduced_bases(qplane_m1, gens, basis):
 
 def test_contractions_share_one_center_ring(qplane_m1):
     """Contractions of one ideal at two caps live in the description's one
-    K[u]: they compare equal and combine in one Groebner computation."""
+    K[u]: they compare equal and combine in one Groebner computation. So
+    do contractions on two separately loaded copies of one algebra, whose
+    descriptions share the K[u] of their field and arity."""
     C = center_generators(qplane_m1)
-    I = two_sided_saturate([parse_polynomial(g, qplane_m1) for g in ("x^3 - x*y^2", "y^4 - 1")])
+    gens = ("x^3 - x*y^2", "y^4 - 1")
+    I = two_sided_saturate([parse_polynomial(g, qplane_m1) for g in gens])
     J40 = contract_to_center(I, C, 40).center_polys
     J8 = contract_to_center(I, C, 8).center_polys
     assert J40 == J8
     assert tuple(str(g) for g in left_groebner(J40 + J8).basis) == ("v^2 - 1", "u^2 - u*v")
     assert all(g.pres is C.center_ring for g in J40)
+    copies = []
+    for _ in range(2):
+        pres = load_presentation_file(algebra_path("qplane_m1.alg"))
+        I = two_sided_saturate([parse_polynomial(g, pres) for g in gens])
+        copies.append(contract_to_center(I, center_generators(pres), 40).center_polys)
+    assert copies[0] == copies[1] == J40
+
+
+def test_center_rings_are_shared_per_field_and_arity():
+    """One K[u] per (field, number of variables): two presentations over Q
+    with two variables share it, while another arity or another field
+    gets a ring of its own, with its own field and n variables."""
+    qplane, comm = (
+        center_generators(load_presentation_file(algebra_path(name))).center_ring
+        for name in ("qplane_m1.alg", "commutative_xy.alg")
+    )
+    assert qplane is comm
+    assert (qplane.field.spec, qplane.names) == (FieldSpec.rationals(), ("u", "v"))
+    Q = get_field(FieldSpec.rationals())
+    space = quantum_space(Q, {(0, 1): Q.from_int(-1)}, ("x", "y", "z"))
+    gf5 = load_presentation_file(algebra_path("qplane_q2_gf5.alg"))
+    for pres in (space, gf5):
+        ring = center_generators(pres).center_ring
+        assert ring is not qplane
+        assert (ring.field, ring.n) == (pres.field, pres.n)
+        assert ring is center_generators(pres).center_ring
+
+
+def test_second_center_description_builds_no_presentation(qplane_m1, monkeypatch):
+    """A second description over one field and arity reads its K[u] from
+    the kept rings: center_generators builds no Presentation."""
+    center_generators(qplane_m1)
+    init, built = Presentation.__init__, []
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Presentation, "__init__", counted_init)
+    C = center_generators(qplane_m1)
+    assert built == []
+    assert C.center_ring.names == ("u", "v")
+
+
+def test_shared_center_ring_keeps_one_domain_partition(qplane_m1, QQ):
+    """Sandwiches over two grids leave at most one domain partition on the
+    shared K[u], the last grid's."""
+    C = center_generators(qplane_m1)
+    I = two_sided_saturate([parse_polynomial("x^4", qplane_m1)])
+    for lo, hi in ((-2, 2), (-1, 1)):
+        verify_sandwich(I, C, qgrid(QQ, lo, hi), 4, 4)
+    partition = C.center_ring._domain_partition
+    assert list(partition) == [qgrid(QQ, -1, 1)._raw_columns(C.center_ring)]
 
 
 @pytest.mark.parametrize(
