@@ -26,10 +26,9 @@ points of a domain are characters depends on the presentation and never
 on the polynomials, so `vanishing_set` tests each point once per
 presentation: the partition of the last domain it was given stays on the
 presentation, with the domain's points and its degenerate points, keyed
-by the domain's raw values, which a grid keeps once coerced, so a warm
-call builds no Scalar. Each call evaluates its generators, on raw field
-values, at the character points only, and copies the kept lists into
-its report.
+by the domain's raw values, so a warm call over a full prime field builds
+no Scalar. Each call evaluates its generators, on raw field values, at
+the character points only, and copies the kept lists into its report.
 
 Every value at points comes from one walk, `_monomial_values`: each
 monomial gets the list of its values z^t at all points at once, one
@@ -94,7 +93,6 @@ class SearchDomain:
     def __init__(self, kind: str, per_coordinate: Optional[tuple] = None):
         self.kind = kind  # "grid" | "full-prime-field"
         self.per_coordinate = per_coordinate
-        self._raw = (None, 0, ())  # (field, n, raw columns) of the last grid read
 
     @staticmethod
     def grid(columns: Sequence[Sequence[Scalar]]) -> "SearchDomain":
@@ -111,9 +109,7 @@ class SearchDomain:
     def _raw_columns(self, pres: Presentation) -> Tuple[tuple, ...]:
         """One column of raw field values per coordinate, whose product is
         the domain; InputError for an empty column or past MAX_DOMAIN_POINTS,
-        before any point is built. A grid keeps the columns it coerced for
-        the last field and arity, so a read that repeats them builds no
-        Scalar."""
+        before any point is built."""
         if self.kind == "grid":
             cols = self.per_coordinate
             if len(cols) == 1 and pres.n > 1:
@@ -124,10 +120,7 @@ class SearchDomain:
                 if not col:
                     raise InputError(f"grid has no values for coordinate {i + 1}")
             _check_domain_size(math.prod(len(col) for col in cols))
-            if self._raw[:2] != (pres.field, pres.n):
-                raw = tuple(tuple(pres.field.coerce(v).value for v in col) for col in cols)
-                self._raw = (pres.field, pres.n, raw)
-            return self._raw[2]
+            return tuple(tuple(pres.field.coerce(v).value for v in col) for col in cols)
         if not isinstance(pres.field, PrimeField):
             raise InputError("full-prime-field domain needs a GF(p) presentation")
         _check_domain_size(pres.field.p ** pres.n)
@@ -346,7 +339,7 @@ def _domain_partition(pres: Presentation, domain: SearchDomain):
     Whether a point is a character depends on the presentation alone, so
     the partition is cached on it, keyed by the domain's raw columns,
     `SearchDomain._raw_columns`: a hit builds no Point and runs no
-    character test, nor a Scalar over GF(p)^n or a grid read before. A new
+    character test, and over a full prime field it builds no Scalar. A new
     domain replaces the cached one, its kept values with it. The values
     are a `_monomial_values` dict of raw values, which `vanishing_set`
     extends and bounds; it copies the degenerate points into each report.
