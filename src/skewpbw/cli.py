@@ -218,7 +218,7 @@ def _sandwich(a):
         "truncation_degree": a.trunc_degree,
         "max_power": a.max_power,
         "J_center": [str(g) for g in rep.j_center],
-        "V_center": [[str(c) for c in p] for p in rep.v_center],
+        "V_center": [[str(c) for c in p.coords] for p in rep.v_center],
         "generators": [
             {
                 "center": str(v.center_poly),

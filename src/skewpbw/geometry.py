@@ -26,9 +26,10 @@ points of a domain are characters depends on the presentation and never
 on the polynomials, so `vanishing_set` tests each point once per
 presentation: the partition of the last domain it was given stays on the
 presentation, with the domain's points and its degenerate points, keyed
-by the domain's raw values, so a warm call over a full prime field builds
-no Scalar. Each call evaluates its generators, on raw field values, at
-the character points only, and copies the kept lists into its report.
+by the domain's raw values. A `Point` holds raw field values, as a
+`Polynomial` does, so a call over a full prime field builds no Scalar.
+Each call evaluates its generators, on raw field values, at the
+character points only, and copies the kept lists into its report.
 
 Every value at points comes from one walk, `_monomial_values`: each
 monomial gets the list of its values z^t at all points at once, one
@@ -49,7 +50,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from operator import le, sub
+from operator import le, not_, sub
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from skewpbw import linalg
@@ -65,26 +66,39 @@ MAX_DOMAIN_POINTS = 100_000
 
 
 class Point(NamedTuple):
-    coords: Tuple[Scalar, ...]
+    """Raw coordinate values and their field; `coords` builds Scalars."""
+
+    raw: tuple
+    field: Field
 
     @staticmethod
     def of(pres: Presentation, values) -> "Point":
-        Z = Point(tuple(pres.field.coerce(v) for v in values))
+        Z = Point(tuple(pres.field.coerce(v).value for v in values), pres.field)
         _check_point(pres, Z)
         return Z
+
+    @property
+    def coords(self) -> Tuple[Scalar, ...]:
+        return tuple(Scalar(self.field, v) for v in self.raw)
 
     def __repr__(self):
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
 
 def _check_point(pres: Presentation, Z: Point) -> None:
-    """InputError unless Z has one coordinate per variable of pres, each
-    an element of its field."""
-    if len(Z.coords) != pres.n:
-        raise InputError(f"point has {len(Z.coords)} coordinates, presentation has {pres.n}")
-    for c in Z.coords:
-        if not (isinstance(c, Scalar) and c.field is pres.field):
-            raise InputError(f"point {Z} has a coordinate outside {pres.field.spec}")
+    """InputError unless Z has one coordinate per variable of pres, over
+    its field."""
+    if len(Z.raw) != pres.n:
+        raise InputError(f"point has {len(Z.raw)} coordinates, presentation has {pres.n}")
+    if Z.field is not pres.field:
+        raise InputError(f"point {Z} has a coordinate outside {pres.field.spec}")
+
+
+def _points(field: Field, raw) -> List[Point]:
+    """The Points over field of an iterable of raw coordinate tuples."""
+    # tuple.__new__ at C level, not the named tuple's Python __new__
+    point = functools.partial(tuple.__new__, Point)
+    return list(map(point, zip(raw, itertools.repeat(field))))
 
 
 class SearchDomain:
@@ -126,14 +140,10 @@ class SearchDomain:
         _check_domain_size(pres.field.p ** pres.n)
         return (tuple(range(pres.field.p)),) * pres.n
 
-    def _columns(self, pres: Presentation) -> Tuple[Tuple[Scalar, ...], ...]:
-        """`_raw_columns` as field elements."""
-        return tuple(tuple(Scalar(pres.field, v) for v in col) for col in self._raw_columns(pres))
-
     def points(self, pres: Presentation) -> List[Point]:
         """Every candidate point; InputError for an empty grid column or
         past MAX_DOMAIN_POINTS."""
-        return _product_points(self._columns(pres))
+        return _points(pres.field, itertools.product(*self._raw_columns(pres)))
 
     def __repr__(self):
         return f"SearchDomain({self.kind})"
@@ -146,22 +156,14 @@ def _check_domain_size(count: int) -> None:
         )
 
 
-def _product_points(columns) -> List[Point]:
-    """The points of the product of columns of field elements, in order."""
-    # tuple.__new__ builds each Point at C level, not through the named
-    # tuple's Python __new__
-    point = functools.partial(tuple.__new__, Point)
-    return list(map(point, zip(itertools.product(*columns))))
-
-
 def point_generators(pres: Presentation, Z: Point) -> List[Polynomial]:
     """The x_i - z_i, their raw terms written down in deglex order."""
     one, neg, o = pres.field.raw_one, pres.field.raw_neg, (0,) * pres.n
     return [
         Polynomial.from_raw(
-            pres, ((o[:i] + (1,) + o[i + 1 :], one), (o, neg(z.value))), ordered=True
+            pres, ((o[:i] + (1,) + o[i + 1 :], one), (o, neg(z))), ordered=True
         )
-        for i, z in enumerate(Z.coords)
+        for i, z in enumerate(Z.raw)
     ]
 
 
@@ -174,7 +176,7 @@ def is_character(pres: Presentation, Z: Point) -> bool:
     satisfies z_j*z_i = c_ij*z_i*z_j + sum_k a_k*z_k + d for every i < j.
     """
     _check_point(pres, Z)
-    return _character_test(pres)([c.value for c in Z.coords])
+    return _character_test(pres)(Z.raw)
 
 
 def _character_test(pres: Presentation):
@@ -224,9 +226,9 @@ def _new_character_test(pres: Presentation):
     return test
 
 
-def _monomial_values(field: Field, columns, exps, values=None) -> dict:
+def _monomial_values(field: Field, columns, count: int, exps, values=None) -> dict:
     """{t: [raw z^t at each point]} for every t in exps; column i holds the
-    points' raw z_i.
+    count points' raw z_i.
 
     A missing x^t starts from a held o <= t: t - e_i if held, which exps
     in ascending degree make usual, and otherwise the one of highest
@@ -244,7 +246,7 @@ def _monomial_values(field: Field, columns, exps, values=None) -> dict:
     if values is None:
         values = {}
     if not values:
-        values[start] = [field.raw_one] * len(columns[0])
+        values[start] = [field.raw_one] * count
     scanned = [start]
     for t in exps:
         if t not in values:
@@ -279,7 +281,7 @@ def evaluate(f: Polynomial, Z: Point) -> Scalar:
     _check_point(f.pres, Z)
     field = f.pres.field
     exps = [e for e, _ in reversed(f.raw)]
-    values = _monomial_values(field, [(c.value,) for c in Z.coords], exps)
+    values = _monomial_values(field, [(z,) for z in Z.raw], 1, exps)
     return Scalar(field, _sums(field, f, values, 1)[0])
 
 
@@ -322,25 +324,22 @@ class VanishingReport(NamedTuple):
     unknown: List[Point]  # always empty: evaluation decides every point
 
     def table(self) -> List[tuple]:
-        rows = []
-        degen = set(p.coords for p in self.degenerate)
-        for p in self.roots:
-            rows.append((p, DEGENERATE if p.coords in degen else ROOT))
+        degen = set(self.degenerate)
+        rows = [(p, DEGENERATE if p in degen else ROOT) for p in self.roots]
         rows.extend((p, NON_ROOT) for p in self.non_roots)
         return rows
 
 
 def _domain_partition(pres: Presentation, domain: SearchDomain):
-    """(points in domain order, whether each one is degenerate, the
-    positions of the character points, their raw coordinate columns, the
-    degenerate points in domain order, the monomial values kept at the
-    characters) of the domain.
+    """(points in domain order, the positions of the character points,
+    their raw coordinate columns, the degenerate points in domain order,
+    the monomial values kept at the characters) of the domain.
 
     Whether a point is a character depends on the presentation alone, so
     the partition is cached on it, keyed by the domain's raw columns,
     `SearchDomain._raw_columns`: a hit builds no Point and runs no
-    character test, and over a full prime field it builds no Scalar. A new
-    domain replaces the cached one, its kept values with it. The values
+    character test, and over a full prime field no call builds a Scalar. A
+    new domain replaces the cached one, its kept values with it. The values
     are a `_monomial_values` dict of raw values, which `vanishing_set`
     extends and bounds; it copies the degenerate points into each report.
     """
@@ -348,14 +347,13 @@ def _domain_partition(pres: Presentation, domain: SearchDomain):
     cache = pres._domain_partition
     entry = cache.get(key)
     if entry is None:
-        character = _character_test(pres)
         raw = list(itertools.product(*key))
-        degenerate = [not character(z) for z in raw]
-        positions = [k for k, dg in enumerate(degenerate) if not dg]
+        points = _points(pres.field, raw)
+        flags = list(map(_character_test(pres), raw))
+        positions = list(itertools.compress(range(len(raw)), flags))
         columns = [[raw[k][i] for k in positions] for i in range(pres.n)]
-        points = _product_points(domain._columns(pres))
-        kept = list(itertools.compress(points, degenerate))
-        entry = (points, degenerate, positions, columns, kept, {})
+        degenerate = list(itertools.compress(points, map(not_, flags)))
+        entry = (points, positions, columns, degenerate, {})
         cache.clear()
         cache[key] = entry
     return entry
@@ -379,9 +377,10 @@ def vanishing_set(
     for f in polys:
         if f.pres is not pres:
             raise InputError(f"polynomial {f} is from another presentation than {pres}")
-    points, mask, positions, columns, degenerate, values = _domain_partition(pres, domain)
+    points, positions, columns, degenerate, values = _domain_partition(pres, domain)
     field, zero = pres.field, pres.field.raw_zero
-    _monomial_values(field, columns, [e for f in polys for e, _ in reversed(f.raw)], values)
+    exps = [e for f in polys for e, _ in reversed(f.raw)]
+    _monomial_values(field, columns, len(positions), exps, values)
     vanish = [True] * len(positions)
     for f in polys:
         sums = _sums(field, f, values, len(positions))
@@ -392,7 +391,7 @@ def vanishing_set(
         values.clear()
     roots = degenerate
     if any(vanish):
-        is_root = list(mask)
+        is_root = [True] * len(points)
         for k, v in zip(positions, vanish):
             is_root[k] = v
         roots = itertools.compress(points, is_root)
@@ -415,10 +414,10 @@ def ideal_of_points(
     for Z in points:
         _check_point(pres, Z)
     field = pres.field
-    character = _character_test(pres)
-    raw = [z for z in ([c.value for c in Z.coords] for Z in points) if character(z)]
+    raw = list(filter(_character_test(pres), (Z.raw for Z in points)))
     monos = exponents_up_to(pres.n, d)
-    values = _monomial_values(field, [[z[i] for z in raw] for i in range(pres.n)], monos)
+    columns = [[z[i] for z in raw] for i in range(pres.n)]
+    values = _monomial_values(field, columns, len(raw), monos)
     echelon = linalg.Echelon(field)
     basis = []
     for t in monos:
@@ -429,7 +428,7 @@ def ideal_of_points(
 
 
 def commutative_points_ideal(
-    center_pres: Presentation, points: Sequence[Sequence[Scalar]]
+    center_pres: Presentation, points: Sequence[Point]
 ) -> List[Polynomial]:
     """Reduced deglex Groebner basis of the ideal of the points, ascending by lead.
 
@@ -437,21 +436,19 @@ def commutative_points_ideal(
     at the distinct points (Abbott, Bigatti, Kreuzer & Robbiano 2000). A
     reduced basis is unique, so a fold of pairwise intersections returns
     it too. One point gives the x_i - z_i, no points give [1]. InputError
-    for a point without one coordinate per variable, or a presentation that
-    is not commutative.
+    for a point that `_check_point` refuses, or a presentation that is not
+    commutative.
     """
     require_commutative(center_pres)
-    field = center_pres.field
-    n = center_pres.n
-    for p in points:
-        if len(p) != n:
-            raise InputError(f"point has {len(p)} coordinates, presentation has {n}")
-    distinct = dict.fromkeys(tuple(field.coerce(z).value for z in p) for p in points)
+    for Z in points:
+        _check_point(center_pres, Z)
+    field, n = center_pres.field, center_pres.n
+    distinct = dict.fromkeys(Z.raw for Z in points)
     columns = [[z[i] for z in distinct] for i in range(n)]
-    values = _monomial_values(field, columns, ())
+    values = _monomial_values(field, columns, len(distinct), ())
 
     def vectors(level):
-        _monomial_values(field, columns, level, values)
+        _monomial_values(field, columns, len(distinct), level, values)
         return [dict(enumerate(values[t])) for t in level]
 
     relations = linalg.walk(field, (1,) * n, math.inf, vectors)
@@ -472,18 +469,25 @@ def algebraic_witness(pres: Presentation, points: Sequence[Point]) -> WitnessRes
     multiple of each one. At a character point Z, epsilon_Z is a ring map,
     so it sends g to the product of the epsilon_Z(s - c), one of which is
     zero; any other point is a root of everything. A is a domain, so g is
-    not zero. The empty set gets s, the sum at the origin.
+    not zero. The empty set gets s, the sum at the origin. Over K^0, A is
+    K and s is zero: the empty set gets 1, and the one point is an
+    InputError, since no nonzero constant vanishes there.
     """
     for Z in points:
         _check_point(pres, Z)
+    if not pres.n:
+        if points:
+            raise InputError("no nonzero polynomial vanishes at the point of K^0")
+        return WitnessResult(Polynomial.one(pres), "empty point set")
     s = Polynomial.zero(pres)
     for i in range(pres.n):
         s = s + Polynomial.variable(pres, i)
     if not points:
         return WitnessResult(s, "empty point set; witness at the origin")
+    field = pres.field
     g = Polynomial.one(pres)
-    for c in dict.fromkeys(sum(Z.coords, pres.field.zero) for Z in points):
-        g = multiply(g, s - Polynomial.constant(pres, c))
+    for c in dict.fromkeys(functools.reduce(field.raw_add, Z.raw, field.raw_zero) for Z in points):
+        g = multiply(g, s - Polynomial.constant(pres, Scalar(field, c)))
     for Z in points:
         if is_root(g, Z) == "no":
             raise RuntimeError(f"witness fails root check at {Z}")

@@ -30,6 +30,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from skewpbw import linalg
 from skewpbw.geometry import (
+    Point,
     SearchDomain,
     VanishingReport,
     commutative_points_ideal,
@@ -297,7 +298,7 @@ class GeneratorVerdict(NamedTuple):
 
 class SandwichReport(NamedTuple):
     j_center: List[Polynomial]
-    v_center: List[tuple]
+    v_center: List[Point]
     generator_verdicts: List[GeneratorVerdict]
     variety_report: VanishingReport
     inclusion_radical: str  # <I_Z(V_Z(J))> subset of radical(I)
@@ -334,7 +335,7 @@ def verify_sandwich(
     j_center = contraction.center_polys
     center_pres = C.center_ring
 
-    v_center = [p.coords for p in vanishing_set(center_pres, j_center, domain).roots]
+    v_center = vanishing_set(center_pres, j_center, domain).roots
 
     verdicts: List[GeneratorVerdict] = []
     for g in commutative_points_ideal(center_pres, v_center):
@@ -365,8 +366,8 @@ def verify_sandwich(
         )
 
     variety = vanishing_set(pres, list(handle.generators), domain)
-    degenerate = {Z.coords for Z in variety.degenerate}
-    character_roots = [Z for Z in variety.roots if Z.coords not in degenerate]
+    degenerate = set(variety.degenerate)
+    character_roots = [Z for Z in variety.roots if Z not in degenerate]
     for v in certified:
         if v.nilpotency_m is None:
             continue

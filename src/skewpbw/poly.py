@@ -446,6 +446,10 @@ def _multiply_raw(pres: Presentation, f_raw, g_raw, out: dict) -> dict:
 
 
 def exponents_of_degree(n: int, d: int):
+    if n == 0:  # K^0's one monomial, x^() = 1, has degree 0
+        if d == 0:
+            yield ()
+        return
     if n == 1:
         yield (d,)
         return

@@ -46,12 +46,12 @@ class Presentation:
     `sigma` holds the exponents k_i, taken as ints coprime to the field's m
     and stored in `Field.unit_exponent` form: 1 for the identity.
 
-    `_domain_partition` holds one entry for `geometry.vanishing_set`: the
-    points of the last search domain asked about, keyed by the domain's
-    raw columns, each flagged as a character or not, the positions and
-    raw coordinate columns of the characters, the degenerate points, and
-    the raw values of the monomials evaluated there so far. A hit builds
-    no Point and, over a full prime field, no Scalar. Which points are
+    `_domain_partition` holds one five-field entry for `vanishing_set`,
+    keyed by the raw columns of the last search domain asked about: its
+    points, which hold raw values, the positions and raw coordinate
+    columns of the characters, the degenerate points, and the raw values
+    of the monomials evaluated there so far. A hit builds no Point, and
+    over a full prime field no call builds a Scalar. Which points are
     characters depends on the presentation alone; a new domain replaces
     the entry, so it holds at most `geometry.MAX_DOMAIN_POINTS` points,
     and the kept values are dropped once they pass that many.

@@ -193,8 +193,8 @@ MUTANTS = (
     ),
     Mutant(
         "kept-values-survive-a-new-domain", "src/skewpbw/geometry.py",
-        "positions, columns, kept, {})\n",
-        "positions, columns, kept, next(iter(cache.values()), [{}])[-1])\n",
+        "positions, columns, degenerate, {})\n",
+        "positions, columns, degenerate, next(iter(cache.values()), [{}])[-1])\n",
         ("tests/test_geometry.py::test_domain_change_drops_kept_values",),
     ),
     Mutant(
@@ -229,6 +229,16 @@ MUTANTS = (
         "center-ring-keyed-by-the-arity", "src/skewpbw/nullstellensatz.py",
         "    key = (pres.field, n)\n", "    key = n\n",
         ("tests/test_nullstellensatz.py::test_center_rings_are_shared_per_field_and_arity",),
+    ),
+    Mutant(
+        "point-check-skips-the-field", "src/skewpbw/geometry.py",
+        "    if Z.field is not pres.field:\n", "    if False:\n",
+        ("tests/test_geometry.py::test_points_of_two_fields_with_equal_raw_values_differ",),
+    ),
+    Mutant(
+        "no-variables-have-a-monomial-of-every-degree", "src/skewpbw/poly.py",
+        "        if d == 0:\n            yield ()\n", "        yield ()\n",
+        ("tests/test_geometry.py::test_point_routines_on_the_space_of_no_coordinates",),
     ),
 )
 

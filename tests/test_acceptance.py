@@ -409,7 +409,7 @@ def _proper_points(pres, want=10):
                 )
                 if coords not in seen:
                     seen.add(coords)
-                    candidates.append(Point(coords))
+                    candidates.append(Point.of(pres, coords))
     out = []
     for Z in candidates:
         if is_character(pres, Z):

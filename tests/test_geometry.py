@@ -27,8 +27,10 @@ from skewpbw.groebner import (
     left_groebner,
     two_sided_saturate,
 )
-from skewpbw.poly import Polynomial, multiply, parse_polynomial
+from skewpbw.normality import is_normal
+from skewpbw.poly import Polynomial, exponents_up_to, multiply, parse_polynomial
 from skewpbw.presentation import (
+    Presentation,
     check_pbw_consistency,
     extend_with_central,
     load_presentation,
@@ -50,6 +52,7 @@ from oracles import (
     semiprime_probe,
     span_rows,
 )
+from test_scalars import ORACLE_SPECS
 
 
 SHIPPED = sorted(f for f in os.listdir(ALGEBRA_DIR) if f.endswith(".alg"))
@@ -138,8 +141,7 @@ def test_full_prime_field_domain(qplane_gf5):
 
 def _report_coords(rep):
     return tuple(
-        [tuple(c.value for c in Z.coords) for Z in part]
-        for part in (rep.roots, rep.non_roots, rep.degenerate, rep.unknown)
+        [Z.raw for Z in part] for part in (rep.roots, rep.non_roots, rep.degenerate, rep.unknown)
     )
 
 
@@ -209,8 +211,8 @@ GF7SPACE = (
 
 
 def _partition(pres):
-    """pres's one domain partition: (points, degenerate flags, character
-    positions, columns, degenerate points, kept monomial values)."""
+    """pres's one domain partition: (points, character positions, columns,
+    degenerate points, kept monomial values)."""
     (entry,) = pres._domain_partition.values()
     return entry
 
@@ -280,7 +282,7 @@ def test_domain_change_drops_kept_values():
         before = pres._domain_partition.copy()
         rep = vanishing_set(pres, polys, domain)
         assert _report_coords(rep) == _fresh_report(document, polys, domain), k
-        _, _, positions, _, _, kept = _partition(pres)
+        _, positions, _, _, kept = _partition(pres)
         assert all(kept is not entry[-1] for entry in before.values()), k
         assert set(kept) <= {e for f in polys for e, _ in f.raw} | {(0, 0)}, k
         assert all(len(v) == len(positions) for v in kept.values()), k
@@ -301,17 +303,42 @@ def test_kept_values_stay_bounded(monkeypatch, name):
     for polys in _seeded_lists(pres, domain, random.Random(name), 30, degree=6):
         rep = vanishing_set(pres, polys, domain)
         assert _report_coords(rep) == _fresh_report(document, polys, domain)
-        _, _, positions, _, _, kept = _partition(pres)
+        _, positions, _, _, kept = _partition(pres)
         assert len(kept) * max(len(positions), 1) <= limit
         sizes.append(len(kept))
     assert max(sizes) > 1 and min(sizes) == 0  # values were kept, and dropped
 
 
+def _counting_scalars(monkeypatch) -> list:
+    """The raw values of the Scalars built from now on, in order."""
+    init, built = Scalar.__init__, []
+
+    def counted_init(self, field, value):
+        built.append(value)
+        init(self, field, value)
+
+    monkeypatch.setattr(Scalar, "__init__", counted_init)
+    return built
+
+
+def test_cold_vanishing_set_builds_no_scalar(monkeypatch):
+    """A cold call over GF(7)^3 builds each Point from the raw tuple the
+    character test reads, and no Scalar."""
+    pres = load_presentation(GF7SPACE)
+    polys = [parse_polynomial(t, pres) for t in ("x*y - z", "y^2*z - 3*x")]
+    domain = SearchDomain.full_prime_field()
+    expected = _fresh_report(GF7SPACE, polys, domain)
+    built = _counting_scalars(monkeypatch)
+    rep = vanishing_set(pres, polys, domain)
+    assert built == []
+    assert _report_coords(rep) == expected
+
+
 def test_warm_vanishing_set_builds_no_scalar(monkeypatch):
-    """The partition is keyed by the domain's raw columns: field elements
-    are built through `SearchDomain._columns` on the first call only, not
-    on a warm call nor for another domain object that lists the same
-    points, and a warm call over a full prime field builds no Scalar."""
+    """The partition is keyed by the domain's raw columns: Points are
+    built on the first call only, not on a warm call nor for another
+    domain object that lists the same points, and a warm call over a full
+    prime field builds no Scalar."""
     pres = load_presentation(GF7SPACE)
     polys = [parse_polynomial(t, pres) for t in ("x*y - z", "y^2*z - 3*x")]
     domains = [
@@ -319,19 +346,14 @@ def test_warm_vanishing_set_builds_no_scalar(monkeypatch):
         SearchDomain.grid([range(7)]), SearchDomain.grid([range(7)] * 3),
     ]
     expected = [_fresh_report(GF7SPACE, polys, domain) for domain in domains]
-    columns, init = SearchDomain._columns, Scalar.__init__
-    calls, built = [], []
+    points, calls = geometry._points, []
 
-    def counted_columns(self, p):
-        calls.append(self)
-        return columns(self, p)
+    def counted_points(field, raw):
+        calls.append(field)
+        return points(field, raw)
 
-    def counted_init(self, field, value):
-        built.append(value)
-        init(self, field, value)
-
-    monkeypatch.setattr(SearchDomain, "_columns", counted_columns)
-    monkeypatch.setattr(Scalar, "__init__", counted_init)
+    monkeypatch.setattr(geometry, "_points", counted_points)
+    built = _counting_scalars(monkeypatch)
     for k, domain in enumerate(domains + domains[:1]):
         built.clear()
         rep = vanishing_set(pres, polys, domain)
@@ -346,13 +368,7 @@ def test_cli_domain_builds_no_scalar(monkeypatch):
     one-variable gf:32003 presentation builds no Scalar, and a domain that
     does not fit is still refused with the same message."""
     pres = load_presentation("field: gf:32003\nvars: x\n")
-    init, built = Scalar.__init__, []
-
-    def counted_init(self, field, value):
-        built.append(value)
-        init(self, field, value)
-
-    monkeypatch.setattr(Scalar, "__init__", counted_init)
+    built = _counting_scalars(monkeypatch)
     assert cli._domain("gf", pres).kind == "full-prime-field"
     assert built == []
     with pytest.raises(InputError, match="grid arity does not match the presentation"):
@@ -416,8 +432,7 @@ def test_inputs_of_another_presentation_are_refused(
     to 2 at (1, 1), ideal_of_points would give [1, x, y, z], qplane_m1's x
     would tag (1, 1) of the commutative plane a non-root, and a GF(5)
     generator over Q would end in a TypeError. commutative_points_ideal
-    takes raw coordinates: on the plane it would drop the third of
-    (1, 2, 3) and end (1,) in an IndexError."""
+    checks its points the same way, on the plane."""
     f = parse_polynomial("x*y*z + 1", witten)
     domain = SearchDomain.grid([range(2)])
     calls = {
@@ -438,13 +453,13 @@ def test_inputs_of_another_presentation_are_refused(
         cases = [(qplane_m1, "another presentation"), (qplane_gf5, "another presentation")]
     elif entry == "commutative_points_ideal":
         cases = [
-            ((1, 2, 3), "point has 3 coordinates, presentation has 2"),
-            ((1,), "point has 1 coordinates, presentation has 2"),
+            (Point.of(witten, [1, 2, 3]), "point has 3 coordinates, presentation has 2"),
+            (Point.of(qplane_gf5, [1, 1]), "coordinate outside Q"),
         ]
     else:
         cases = [
             (Point.of(comm2, [1, 1]), "point has 2 coordinates, presentation has 3"),
-            (Point((qplane_gf5.field.one,) * 3), "coordinate outside Q"),
+            (Point((1, 1, 1), qplane_gf5.field), "coordinate outside Q"),
         ]
     for arg, message in cases:
         with pytest.raises(InputError, match=message):
@@ -534,10 +549,10 @@ def _point_sets(pres, rng):
         values += [field.zero, field.primitive()]
     sets = [[]]
     for _ in range(11):
-        points = [Point(tuple(rng.choice(values) for _ in range(pres.n)))]
+        points = [Point.of(pres, (rng.choice(values) for _ in range(pres.n)))]
         for _ in range(rng.randrange(5)):
             points.append(rng.choice(points) if rng.random() < 0.25 else
-                          Point(tuple(rng.choice(values) for _ in range(pres.n))))
+                          Point.of(pres, (rng.choice(values) for _ in range(pres.n))))
         sets.append(points)
     return sets
 
@@ -622,7 +637,7 @@ def test_every_evaluation_reads_the_one_value_walk(monkeypatch, qplane_m1, QQ):
         "vanishing_set warm": lambda: vanishing_set(qplane_m1, [f, f], grid(QQ, -3, 3)),
         "ideal_of_points": lambda: ideal_of_points(qplane_m1, [Z], 2),
         "commutative_points_ideal": lambda: geometry.commutative_points_ideal(
-            comm, [(QQ.one, QQ.zero)]
+            comm, [Point.of(comm, [1, 0])]
         ),
     }
     for name, run in runs.items():
@@ -727,14 +742,16 @@ def test_commutative_points_ideal_of_none_one_and_repeated_points(spec):
     rng = random.Random(spec)
     assert geometry.commutative_points_ideal(pres, []) == [Polynomial.one(pres)]
     for _ in range(4):
-        z = tuple(random_scalar(field, rng) for _ in range(pres.n))
+        z = Point.of(pres, [random_scalar(field, rng) for _ in range(pres.n)])
         expected = [
-            Polynomial.variable(pres, i) - Polynomial.constant(pres, z[i])
+            Polynomial.variable(pres, i) - Polynomial.constant(pres, z.coords[i])
             for i in reversed(range(pres.n))
         ]
         assert geometry.commutative_points_ideal(pres, [z]) == expected
         assert geometry.commutative_points_ideal(pres, [z, z, z]) == expected
-        others = [tuple(random_scalar(field, rng) for _ in range(pres.n)) for _ in range(3)]
+        others = [
+            Point.of(pres, [random_scalar(field, rng) for _ in range(pres.n)]) for _ in range(3)
+        ]
         once = geometry.commutative_points_ideal(pres, others + [z])
         assert geometry.commutative_points_ideal(pres, [z] + others + [z, others[0]]) == once
 
@@ -768,6 +785,79 @@ def test_algebraic_witness_empty(comm2):
     assert str(res.witness) == "x + y"
 
 
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_points_keep_raw_values_and_print_their_scalars(spec):
+    """A Point holds raw values and its field; `coords` gives back the
+    Scalars it was built from, `Point.of` of them gives an equal Point
+    with an equal hash, and it prints them in parentheses."""
+    field = get_field(FieldSpec.from_string(spec))
+    pres = Presentation(field, ("u", "v", "w"))
+    rng = random.Random(spec)
+    for _ in range(4):
+        values = tuple(random_scalar(field, rng) for _ in range(pres.n))
+        Z = Point.of(pres, values)
+        assert Z.raw == tuple(c.value for c in values) and Z.field is field
+        assert Z.coords == values
+        assert Point.of(pres, Z.coords) == Z and hash(Point.of(pres, Z.coords)) == hash(Z)
+        assert repr(Z) == str(Z) == "(" + ", ".join(str(c) for c in values) + ")"
+
+
+def test_points_of_two_fields_with_equal_raw_values_differ():
+    """(1, 2) over GF(5) and over GF(7) have equal raw values, yet they are
+    different points, and each field's routines refuse the other's."""
+    planes = {p: load_presentation(f"field: gf:{p}\nvars: x, y\n") for p in (5, 7)}
+    points = {p: Point.of(pres, [1, 2]) for p, pres in planes.items()}
+    assert points[5].raw == points[7].raw
+    assert points[5] != points[7] and len(set(points.values())) == 2
+    for p, q in ((5, 7), (7, 5)):
+        pres, Z = planes[p], points[q]
+        f = parse_polynomial("x - 1", pres)
+        calls = [
+            lambda: geometry.evaluate(f, Z), lambda: is_root(f, Z),
+            lambda: is_character(pres, Z), lambda: point_ideal(pres, Z),
+            lambda: ideal_of_points(pres, [Z], 1), lambda: algebraic_witness(pres, [Z]),
+            lambda: geometry.commutative_points_ideal(pres, [Z]),
+        ]
+        for call in calls:
+            with pytest.raises(InputError, match=f"coordinate outside gf:{p}$"):
+                call()
+
+
+@pytest.mark.parametrize("spec", ["gf:5", "Q"])
+def test_point_routines_on_the_space_of_no_coordinates(spec):
+    """K^0 has one point, (), a character: A is K, so a constant is a root
+    exactly when it is zero, the ideal of the point is 0 and that of no
+    point is A, and no nonzero witness vanishes at the point."""
+    field = get_field(FieldSpec.from_string(spec))
+    pres = Presentation(field, ())
+    Z = Point.of(pres, [])
+    three, zero = Polynomial.constant(pres, field.from_int(3)), Polynomial.zero(pres)
+    assert Z == Point((), field) and repr(Z) == "()" and Z.coords == ()
+    assert exponents_up_to(0, 3) == [()]
+    assert is_character(pres, Z) and point_ideal(pres, Z).basis == ()
+    assert geometry.evaluate(three, Z) == 3 and geometry.evaluate(zero, Z) == 0
+    assert (is_root(three, Z), is_root(zero, Z)) == ("no", "yes")
+    domains = [SearchDomain.grid([])]
+    if spec.startswith("gf"):
+        domains.append(SearchDomain.full_prime_field())
+    for domain in domains:
+        assert domain.points(pres) == [Z]
+        for polys, roots in (([three], []), ([zero], [Z]), ([], [Z])):
+            rep = vanishing_set(pres, polys, domain)
+            assert rep.roots == roots and rep.non_roots == [Z][len(roots):]
+            assert rep.degenerate == rep.unknown == []
+    for d in range(3):
+        assert ideal_of_points(pres, [Z], d) == []
+        assert ideal_of_points(pres, [], d) == [Polynomial.one(pres)]
+    assert geometry.commutative_points_ideal(pres, [Z, Z]) == []
+    assert geometry.commutative_points_ideal(pres, []) == [Polynomial.one(pres)]
+    assert algebraic_witness(pres, []).witness == Polynomial.one(pres)
+    with pytest.raises(InputError, match="no nonzero polynomial vanishes"):
+        algebraic_witness(pres, [Z])
+    assert check_pbw_consistency(pres).consistent
+    assert is_normal(three).status == "normal"
+
+
 @pytest.fixture(scope="module")
 def gf7_qspace3():
     """A GF(7) quantum 3-space: yx = 2xy, zx = 3xz, zy = 5yz."""
@@ -792,7 +882,7 @@ def test_algebraic_witness_matches_intersection_fold(name, request):
         values.append(field.primitive())
     for k in range(5):
         pts = [
-            Point(tuple(rng.choice(values) for _ in range(pres.n))) for _ in range(k)
+            Point.of(pres, (rng.choice(values) for _ in range(pres.n))) for _ in range(k)
         ]
         assert algebraic_witness(pres, pts).witness == naive_witness(pres, pts), (
             f"{name} at {pts}"
@@ -942,10 +1032,10 @@ def _test_points(pres, rng):
     values = [field.from_int(k) for k in (0, 0, 1, -1, 2, 3)]
     if field.primitive() is not None:
         values.append(field.primitive())
-    points = {Point(tuple(rng.choice(values) for _ in range(pres.n))) for _ in range(12)}
+    points = {Point.of(pres, (rng.choice(values) for _ in range(pres.n))) for _ in range(12)}
     for i in range(pres.n):
         for v in values[2:4]:
-            points.add(Point(tuple(v if k == i else field.zero for k in range(pres.n))))
+            points.add(Point.of(pres, (v if k == i else field.zero for k in range(pres.n))))
     return points
 
 

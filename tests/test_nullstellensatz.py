@@ -672,7 +672,7 @@ def test_center_ring_functions_refuse_rings_that_are_not_commutative(entry, qpla
         x = parse_polynomial("x", pres)
         with pytest.raises(InputError, match=message):
             if entry == "commutative_points_ideal":
-                commutative_points_ideal(pres, [(1, 1)])
+                commutative_points_ideal(pres, [Point.of(pres, [1, 1])])
             else:
                 radical_membership_commutative(x, [x * x])
 
@@ -697,24 +697,22 @@ def test_radical_membership_vs_power_search(comm2, comm2_gf5):
 
 
 def test_commutative_points_ideal_examples(comm2, QQ):
-    G = commutative_points_ideal(comm2, [(QQ.zero, QQ.zero)])
+    G = commutative_points_ideal(comm2, [Point.of(comm2, [0, 0])])
     assert set(map(str, G)) == {"x", "y"}
     # one order, ascending by lead, whatever the multiplicity
-    p = (QQ.zero, QQ.from_int(2))
+    p = Point.of(comm2, [0, 2])
     for pts in ([p], [p, p]):
         assert [str(g) for g in commutative_points_ideal(comm2, pts)] == ["y - 2", "x"]
     assert commutative_points_ideal(comm2, []) == [Polynomial.one(comm2)]
 
-    pts = [(QQ.from_int(1), QQ.zero), (QQ.zero, QQ.from_int(1))]
+    pts = [Point.of(comm2, [1, 0]), Point.of(comm2, [0, 1])]
     G2 = commutative_points_ideal(comm2, pts)
     # evaluation oracle on a 5x5 grid: vanishing exactly on the two points
     for a in range(-2, 3):
         for b in range(-2, 3):
-            coords = (QQ.from_int(a), QQ.from_int(b))
-            vanish_all = all(
-                evaluate(g, Point(coords)).is_zero() for g in G2
-            )
-            assert vanish_all == (coords in [tuple(p) for p in pts])
+            Z = Point.of(comm2, [a, b])
+            vanish_all = all(evaluate(g, Z).is_zero() for g in G2)
+            assert vanish_all == (Z in pts)
     u2_minus_u = parse_polynomial("x^2 - x", comm2)
     assert is_member_left(u2_minus_u, left_groebner(G2)) == "yes"
 
@@ -880,18 +878,19 @@ def _random_point_sets():
             if points and rng.random() < 0.25:
                 points.append(rng.choice(points))
             else:
-                points.append(tuple(random_scalar(field, rng) for _ in range(n)))
+                points.append(Point.of(pres, [random_scalar(field, rng) for _ in range(n)]))
         yield pres, points
 
 
 def test_points_ideal_matches_elimination_fold():
     for pres, points in _random_point_sets():
         G = commutative_points_ideal(pres, points)
-        assert [str(g) for g in G] == [str(g) for g in naive_points_ideal(pres, points)]
+        naive = naive_points_ideal(pres, [Z.coords for Z in points])
+        assert [str(g) for g in G] == [str(g) for g in naive]
         leads = [g.leading()[0] for g in G]
         for g in G:
             assert g.leading()[1] == pres.field.raw_one
-            assert all(evaluate(g, Point(coords)).is_zero() for coords in points)
+            assert all(evaluate(g, Z).is_zero() for Z in points)
             for e, _ in g.terms[1:]:
                 assert not any(divides(lead, e) for lead in leads)
         for k, lead in enumerate(leads):

@@ -273,7 +273,7 @@ def test_square_and_multiply_is_repeated_product(spec, k):
     assert inserted == naive_word_multiply(w, Polynomial.monomial(pres, e))
     points = [v.value for v in (s, g, field.from_int(-1), zero)]
     columns = [points, [field.raw_one] * len(points)]
-    values = geometry._monomial_values(field, columns, [(k, 0)])
+    values = geometry._monomial_values(field, columns, len(points), [(k, 0)])
     assert values[(k, 0)] == [repeated(field.raw_mul, z, field.raw_one) for z in points]
 
 

@@ -82,7 +82,9 @@ OPERATIONS = {
         pres, [Point.of(pres, [0, 0, 2]), Point.of(pres, [1, 1, 1])], 2
     )),
     "commutative_points_ideal": ("commutative_xy.alg", lambda pres: (
-        geometry.commutative_points_ideal(pres, [(0, 1), (2, 3)])
+        geometry.commutative_points_ideal(
+            pres, [Point.of(pres, [0, 1]), Point.of(pres, [2, 3])]
+        )
     )),
     "left_groebner": ("weyl_z.alg", lambda pres: groebner.left_groebner(
         _polys(pres, "x^2 - z", "x*y + 1")
