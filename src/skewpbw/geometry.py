@@ -65,14 +65,44 @@ from skewpbw.scalars import Field, InputError, PrimeField, Scalar, power
 MAX_DOMAIN_POINTS = 100_000
 
 
-class Point(NamedTuple):
-    """Raw coordinate values and their field; `coords` builds Scalars."""
+def _is_raw(field: Field, v) -> bool:
+    """Whether v is a canonical raw value of field (see `scalars.Field`)."""
+    if isinstance(field, PrimeField):
+        return type(v) is int and 0 <= v < field.p
+    return (
+        type(v) is tuple and len(v) == field.dim + 1 and v[-1] > 0
+        and all(type(x) is int for x in v) and math.gcd(*v) == 1
+    )
 
+
+class _Coordinates(NamedTuple):
     raw: tuple
     field: Field
 
+
+class Point(_Coordinates):
+    """Raw coordinate values and their field; `coords` builds Scalars.
+    Built directly, a Point refuses raw values that are not canonical, as
+    (5,) over GF(5), with an InputError; `of` coerces ints, Fractions and
+    Scalars first. The package builds its enumerated Points with
+    `tuple.__new__`, from raw values it reduced itself."""
+
+    __slots__ = ()
+
+    def __new__(cls, raw: tuple, field: Field):
+        raw = tuple(raw)
+        for v in raw:
+            if not _is_raw(field, v):
+                raise InputError(f"{v!r} is not a canonical raw value of {field.spec}")
+        return tuple.__new__(cls, (raw, field))
+
+    @classmethod
+    def _make(cls, iterable) -> "Point":  # so `_replace` checks its values too
+        return cls(*iterable)
+
     @staticmethod
     def of(pres: Presentation, values) -> "Point":
+        # Point checks the raw values: a Scalar built directly may hold any
         Z = Point(tuple(pres.field.coerce(v).value for v in values), pres.field)
         _check_point(pres, Z)
         return Z

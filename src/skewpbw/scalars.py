@@ -261,11 +261,13 @@ class Field:
     field: an int residue for GF(p), and for Q, Q(i) and Q(z_m) a tuple of
     ints, integer numerators over one denominator (see _NumberField). Each
     field supplies `raw_zero`, `raw_one` and the functions `raw_add(a, b)`,
-    `raw_mul(a, b)`, `raw_neg(a)` and `raw_inv(a)` (ZeroDivisionError on
-    zero). `Polynomial` stores raw values, so polynomial arithmetic,
-    division and linear algebra call these functions directly; a Scalar
-    wraps a raw value only where a caller reads a coefficient, and its
-    operators call the same functions.
+    `raw_mul(a, b)`, `raw_neg(a)` and `raw_inv(a)`: ZeroDivisionError on
+    zero at every call, and on a number field of degree >= 2 a memoized
+    tuple for a value inverted before (MAX_INVERSE_MEMO). `Polynomial`
+    stores raw values, so polynomial arithmetic, division and linear
+    algebra call these functions directly; a Scalar wraps a raw value only
+    where a caller reads a coefficient, and its operators call the same
+    functions.
 
     Two vector kernels work on whole lists of raw values, as evaluation at
     many points does: `raw_products(a, b)`, the entrywise products, and
@@ -520,6 +522,10 @@ def _q_inv(a):
     raise ZeroDivisionError("inverse of 0")
 
 
+# The inverses a number field of degree >= 2 memoizes (`_NumberField._inverses`)
+MAX_INVERSE_MEMO = 256
+
+
 class _NumberField(Field):
     """Q(z_m) on integers, z a primitive m-th root of unity: one class for
     Q (m = 1), Q(i) (m = 4, printed with i for z) and cyclotomic:m, which
@@ -542,9 +548,11 @@ class _NumberField(Field):
     - `raw_galois(a, k)` calls the map generated for the unit k mod m,
       z^j |-> x^(jk mod m) mod Phi_m; an automorphism of Z[z] keeps the
       gcd, so its image needs no reduction.
-    - `raw_inv` is a^-1 = b / N(a), b the product of the conjugates
-      sigma_k(a) for the units k != 1 mod m and N(a) = a*b in Q: phi(m) - 1
-      products in all.
+    - `raw_inv` answers from a memo of MAX_INVERSE_MEMO values per field
+      (`_inverses`). A miss inverts the numerators x down the subfields of
+      `_tower`: a step of prime index q multiplies the conjugates
+      sigma_h^t(x), 0 < t < q, into c, and x^-1 = c (x c)^-1 with x c in
+      the next subfield; cyclotomic:120 takes 5 steps, not 31 conjugates.
     On Q (d = 1) `raw_mul` and `raw_inv` are `_q_mul` and `_q_inv`, and
     the identity is the only Galois map.
 
@@ -585,28 +593,58 @@ class _NumberField(Field):
             self.zeta = z
             self.symbols = {"z": z, "i": z} if m == 4 else {"z": z}
 
+    def _tower(self) -> list:
+        """Per step of a chain 1 < H_1 < ... < (Z/m)^x of prime indices q,
+        the maps sigma_h^t, 0 < t < q, h generating the step. It keeps e,
+        the gcd of m and every h - 1, large, so Q(z_e) stays in the fixed
+        field: for p^2 | m, the powers of z^p span Q(z_(m/p)) sparsely."""
+        m, group, e, steps = self.m, {1}, self.m, []
+        while len(group) < self.dim:
+            candidates = []
+            for k in set(self._galois) - group:
+                n, x = 1, k  # the order of k modulo the group
+                while x not in group:
+                    x, n = x * k % m, n + 1
+                q = min(_prime_factors(n))
+                h = pow(k, n // q, m)
+                candidates.append((-math.gcd(e, h - 1), q, h))
+            _, q, h = min(candidates)
+            e = math.gcd(e, h - 1)
+            steps.append([self._galois[pow(h, t, m)] for t in range(1, q)])
+            group = {g * pow(h, t, m) % m for g in group for t in range(q)}
+        return steps
+
     def _inv(self):
-        d, mul, gcd = self.dim, self.raw_mul, math.gcd
-        conjugates = [g for k, g in self._galois.items() if k != 1]
-        first, rest = conjugates[0], conjugates[1:]
+        d, mul, gcd, steps = self.dim, self.raw_mul, math.gcd, self._tower()
+        memo = self._inverses = {}
 
         def inv(a):
+            b = memo.get(a)
+            if b is not None:
+                return b
             if not any(a[:d]):
                 raise ZeroDivisionError("inverse of 0")
-            b = first(a)
-            for galois in rest:
-                b = mul(b, galois(a))
-            norm = mul(a, b)
-            n, nd = norm[0], norm[d]
+            x, cofactors = a[:d] + (1,), []
+            for maps in steps:
+                c = maps[0](x)
+                if c == x:  # x lies in the next subfield already
+                    continue
+                for galois in maps[1:]:
+                    c = mul(c, galois(x))
+                cofactors.append(c)
+                x = mul(x, c)
+            # a^-1 = den * c / n: n = x[0] the norm, c the cofactors' product
+            c = functools.reduce(mul, cofactors[::-1]) if cofactors else self.raw_one
+            n, den = x[0], a[d]
             if n < 0:
-                n, nd = -n, -nd
-            den = b[d] * n
-            nums = [x * nd for x in b[:d]]
-            g = gcd(den, *nums)
-            if g > 1:
-                den //= g
-                nums = [x // g for x in nums]
-            return (*nums, den)
+                n, den = -n, -den
+            nums = [v * den for v in c[:d]]
+            g = gcd(n, *nums)
+            b = (*nums, n) if g == 1 else (*(v // g for v in nums), n // g)
+            if len(memo) >= MAX_INVERSE_MEMO:
+                memo.clear()
+            memo[a] = b
+            return b
 
         return inv
 

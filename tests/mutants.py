@@ -240,6 +240,28 @@ MUTANTS = (
         "        if d == 0:\n            yield ()\n", "        yield ()\n",
         ("tests/test_geometry.py::test_point_routines_on_the_space_of_no_coordinates",),
     ),
+    Mutant(
+        "point-takes-any-raw-value", "src/skewpbw/geometry.py",
+        "            if not _is_raw(field, v):\n", "            if False:\n",
+        ("tests/test_geometry.py::"
+         "test_points_built_directly_refuse_raw_values_that_are_not_canonical",),
+    ),
+    Mutant(
+        "inverse-memo-never-clears", "src/skewpbw/scalars.py",
+        "            if len(memo) >= MAX_INVERSE_MEMO:\n                memo.clear()\n", "",
+        ("tests/test_scalars.py::test_inverse_memo_never_holds_more_than_its_bound",),
+    ),
+    Mutant(
+        "inverse-memo-keyed-by-the-numerators", "src/skewpbw/scalars.py",
+        "            memo[a] = b\n", "            memo[a[:d] + (1,)] = b\n",
+        ("tests/test_scalars.py::test_inverse_memo_hit_returns_the_tuple_of_its_miss",),
+    ),
+    Mutant(
+        "inverse-tower-skips-its-first-step", "src/skewpbw/scalars.py",
+        "            for maps in steps:\n", "            for maps in steps[1:]:\n",
+        ("tests/test_scalars.py::"
+         "test_number_field_kernel_matches_fraction_oracle[cyclotomic:120]",),
+    ),
 )
 
 

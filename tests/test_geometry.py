@@ -5,6 +5,7 @@ import os
 import pkgutil
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -821,6 +822,34 @@ def test_points_of_two_fields_with_equal_raw_values_differ():
         for call in calls:
             with pytest.raises(InputError, match=f"coordinate outside gf:{p}$"):
                 call()
+
+
+def test_points_built_directly_refuse_raw_values_that_are_not_canonical():
+    """On y*x = 2*x*y over GF(5), the raw value 5 would make (5, 1) a
+    degenerate point, a root of x*y - 1, though it is (0, 1), where
+    x*y - 1 is -1. So `Point`, `_replace` and `Point.of` of a Scalar built
+    directly refuse it, and every other raw value that is not canonical,
+    while `Point.of` reduces the int 5 and the answer is no."""
+    pres = load_presentation("field: gf:5\nvars: x, y\nrelation: y*x = 2*x*y\n")
+    assert is_root(parse_polynomial("x*y - 1", pres), Point.of(pres, [5, 1])) == "no"
+    assert Point.of(pres, [5, 1]) == Point((0, 1), pres.field)
+    Q, Qi = get_field(FieldSpec.rationals()), get_field(FieldSpec.gaussian())
+    refused = [
+        ((5, 1), pres.field), ((-1,), pres.field), ((True,), pres.field),
+        ((1.0,), pres.field), (((1, 1),), pres.field),
+        (((2, 4),), Q), (((1, -2),), Q), (((0, 0),), Q), ((1,), Q),
+        (((1, 1),), Qi), (((2, 0, 2),), Qi), (((1, 0, 1.0),), Qi),
+    ]
+    for raw, field in refused:
+        with pytest.raises(InputError, match="not a canonical raw value"):
+            Point(raw, field)
+    with pytest.raises(InputError, match="not a canonical raw value"):
+        Point.of(pres, [1, 1])._replace(raw=(5, 1))
+    with pytest.raises(InputError, match="not a canonical raw value"):
+        Point.of(pres, [Scalar(pres.field, 5), 1])
+    assert Point(((1, 2), (0, 1)), Q).coords == (Q.from_fraction(Fraction(1, 2)), Q.zero)
+    three_minus_i_halves = (Qi.from_int(3) - Qi.i) / Qi.from_int(2)
+    assert Point(((3, -1, 2),), Qi) == Point.of(Presentation(Qi, ("u",)), [three_minus_i_halves])
 
 
 @pytest.mark.parametrize("spec", ["gf:5", "Q"])

@@ -70,6 +70,7 @@ def test_readme_limits_table_matches_the_code():
         "nullstellensatz.MAX_CENTER_ORDER": nullstellensatz.MAX_CENTER_ORDER,
         "geometry.MAX_DOMAIN_POINTS": geometry.MAX_DOMAIN_POINTS,
         "scalars.MAX_FIELD_DEGREE": scalars.MAX_FIELD_DEGREE,
+        "scalars.MAX_INVERSE_MEMO": scalars.MAX_INVERSE_MEMO,
         "poly.MAX_INSERT_CACHE": poly.MAX_INSERT_CACHE,
     }
     for info in pkgutil.iter_modules(skewpbw.__path__):

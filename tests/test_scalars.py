@@ -305,11 +305,6 @@ def test_number_field_kernel_matches_fraction_oracle(spec):
             check(field.raw_galois(a, k), oracle.galois(fa, k))
         assert field.raw_add(a, field.raw_neg(a)) == zero
         assert field.raw_mul(a, zero) == zero == field.raw_mul(zero, a)
-        if field.dim > 8:
-            # a dense 200-bit value has a ~6,400-bit common denominator, and
-            # its inverse, a product of 31 conjugates, takes seconds
-            fa = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in fa)
-            a = _canonical(fa)
         if not any(fa):
             with pytest.raises(ZeroDivisionError):
                 field.raw_inv(a)
@@ -320,6 +315,65 @@ def test_number_field_kernel_matches_fraction_oracle(spec):
             inv = field.raw_inv(a)
             assert inv[-1] > 0 and math.gcd(*inv) == 1
             assert field.raw_mul(a, inv) == field.raw_one
+
+
+MEMO_SPECS = ["Q(i)", "cyclotomic:5", "cyclotomic:120"]
+
+
+def _is_inverse(field, a, inv):
+    return inv[-1] > 0 and math.gcd(*inv) == 1 and field.raw_mul(a, inv) == field.raw_one
+
+
+@pytest.mark.parametrize("spec", MEMO_SPECS)
+def test_inverse_memo_hit_returns_the_tuple_of_its_miss(spec):
+    """An inverse is computed once per value: a miss stores the canonical
+    inverse under the value, and a hit, by an equal tuple built anew,
+    returns that same tuple. A value over a denominator and its
+    numerators over 1 are different values with different entries."""
+    field = get_field(FieldSpec.from_string(spec))
+    memo = field._inverses
+    memo.clear()
+    rng = random.Random(zlib.crc32(spec.encode()))
+    for _ in range(12):
+        fa = tuple(Fraction(rng.randint(-9, 9), rng.randint(2, 12)) for _ in range(field.dim))
+        if not any(fa):
+            continue
+        a = _canonical(fa)
+        for v in (a, a[:-1] + (1,)):
+            miss = field.raw_inv(v)
+            assert memo[v] is miss and _is_inverse(field, v, miss)
+            assert field.raw_inv(tuple(list(v))) is miss
+
+
+@pytest.mark.parametrize("spec", MEMO_SPECS)
+def test_inverse_memo_never_stores_zero(spec):
+    """0 raises ZeroDivisionError on every call, before and after the memo
+    holds entries, and never enters it."""
+    field = get_field(FieldSpec.from_string(spec))
+    memo = field._inverses
+    memo.clear()
+    for held in (0, 1):
+        for _ in range(3):
+            with pytest.raises(ZeroDivisionError, match="inverse of 0"):
+                field.raw_inv(field.raw_zero)
+        assert len(memo) == held and field.raw_zero not in memo
+        field.raw_inv(field.raw_one)
+
+
+@pytest.mark.parametrize("spec", MEMO_SPECS)
+def test_inverse_memo_never_holds_more_than_its_bound(spec):
+    """Inverting MAX_INVERSE_MEMO + 40 distinct values k + z: the memo
+    grows to the bound, the next miss clears it and starts again, and
+    every answer is still the inverse."""
+    field = get_field(FieldSpec.from_string(spec))
+    memo, bound = field._inverses, scalars.MAX_INVERSE_MEMO
+    memo.clear()
+    sizes = []
+    for k in range(bound + 40):
+        a = (k, 1) + (0,) * (field.dim - 2) + (1,)
+        assert _is_inverse(field, a, field.raw_inv(a))
+        sizes.append(len(memo))
+    assert max(sizes) == sizes[bound - 1] == bound and sizes[bound] == 1
 
 
 def test_rational_mul_and_inv_match_fraction():
