@@ -65,16 +65,6 @@ from skewpbw.scalars import Field, InputError, PrimeField, Scalar, power
 MAX_DOMAIN_POINTS = 100_000
 
 
-def _is_raw(field: Field, v) -> bool:
-    """Whether v is a canonical raw value of field (see `scalars.Field`)."""
-    if isinstance(field, PrimeField):
-        return type(v) is int and 0 <= v < field.p
-    return (
-        type(v) is tuple and len(v) == field.dim + 1 and v[-1] > 0
-        and all(type(x) is int for x in v) and math.gcd(*v) == 1
-    )
-
-
 class _Coordinates(NamedTuple):
     raw: tuple
     field: Field
@@ -91,9 +81,8 @@ class Point(_Coordinates):
 
     def __new__(cls, raw: tuple, field: Field):
         raw = tuple(raw)
-        for v in raw:
-            if not _is_raw(field, v):
-                raise InputError(f"{v!r} is not a canonical raw value of {field.spec}")
+        for v in raw:  # `Field.coerce` refuses a value that `is_raw` rejects
+            field.coerce(Scalar(field, v))
         return tuple.__new__(cls, (raw, field))
 
     @classmethod
@@ -102,7 +91,6 @@ class Point(_Coordinates):
 
     @staticmethod
     def of(pres: Presentation, values) -> "Point":
-        # Point checks the raw values: a Scalar built directly may hold any
         Z = Point(tuple(pres.field.coerce(v).value for v in values), pres.field)
         _check_point(pres, Z)
         return Z
@@ -131,59 +119,46 @@ def _points(field: Field, raw) -> List[Point]:
     return list(map(point, zip(raw, itertools.repeat(field))))
 
 
-class SearchDomain:
-    """Finite candidate set over which vanishing sets are enumerated."""
+class SearchDomain(NamedTuple):
+    """Finite candidate set over which vanishing sets are enumerated: the
+    columns of a grid, or None for the whole prime field."""
 
-    def __init__(self, kind: str, per_coordinate: Optional[tuple] = None):
-        self.kind = kind  # "grid" | "full-prime-field"
-        self.per_coordinate = per_coordinate
+    columns: Optional[tuple]
 
     @staticmethod
     def grid(columns: Sequence[Sequence[Scalar]]) -> "SearchDomain":
         """Columns of field elements or ints; a `range` column is kept as
         it is, so `_raw_columns` counts it before building a value of it."""
-        return SearchDomain(
-            "grid", tuple(c if isinstance(c, range) else tuple(c) for c in columns)
-        )
+        return SearchDomain(tuple(c if isinstance(c, range) else tuple(c) for c in columns))
 
     @staticmethod
     def full_prime_field() -> "SearchDomain":
-        return SearchDomain("full-prime-field")
+        return SearchDomain(None)
 
     def _raw_columns(self, pres: Presentation) -> Tuple[tuple, ...]:
         """One column of raw field values per coordinate, whose product is
         the domain; InputError for an empty column or past MAX_DOMAIN_POINTS,
         before any point is built."""
-        if self.kind == "grid":
-            cols = self.per_coordinate
-            if len(cols) == 1 and pres.n > 1:
-                cols = cols * pres.n
-            if len(cols) != pres.n:
-                raise InputError("grid arity does not match the presentation")
-            for i, col in enumerate(cols):
-                if not col:
-                    raise InputError(f"grid has no values for coordinate {i + 1}")
-            _check_domain_size(math.prod(len(col) for col in cols))
-            return tuple(tuple(pres.field.coerce(v).value for v in col) for col in cols)
-        if not isinstance(pres.field, PrimeField):
-            raise InputError("full-prime-field domain needs a GF(p) presentation")
-        _check_domain_size(pres.field.p ** pres.n)
-        return (tuple(range(pres.field.p)),) * pres.n
-
-    def points(self, pres: Presentation) -> List[Point]:
-        """Every candidate point; InputError for an empty grid column or
-        past MAX_DOMAIN_POINTS."""
-        return _points(pres.field, itertools.product(*self._raw_columns(pres)))
-
-    def __repr__(self):
-        return f"SearchDomain({self.kind})"
-
-
-def _check_domain_size(count: int) -> None:
-    if count > MAX_DOMAIN_POINTS:
-        raise InputError(
-            f"search domain has {count} points, above the limit of {MAX_DOMAIN_POINTS}"
-        )
+        field, cols = pres.field, self.columns
+        if cols is None:
+            if not isinstance(field, PrimeField):
+                raise InputError("full-prime-field domain needs a GF(p) presentation")
+            cols = (range(field.p),) * pres.n
+        elif len(cols) == 1 and pres.n > 1:
+            cols = cols * pres.n
+        if len(cols) != pres.n:
+            raise InputError("grid arity does not match the presentation")
+        for i, col in enumerate(cols):
+            if not col:
+                raise InputError(f"grid has no values for coordinate {i + 1}")
+        count = math.prod(map(len, cols))
+        if count > MAX_DOMAIN_POINTS:
+            raise InputError(
+                f"search domain has {count} points, above the limit of {MAX_DOMAIN_POINTS}"
+            )
+        if self.columns is None:  # range(p) holds the raw values already
+            return tuple(map(tuple, cols))
+        return tuple(tuple(field.coerce(v).value for v in col) for col in cols)
 
 
 def point_generators(pres: Presentation, Z: Point) -> List[Polynomial]:

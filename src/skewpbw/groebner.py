@@ -321,25 +321,6 @@ def _divisor_memo(
     return memo
 
 
-def remainder_of(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder) -> Polynomial:
-    if not basis or f.is_zero():
-        return f
-    return divide(f, basis, order, _quotients=False).remainder
-
-
-def normal_forms(
-    pres: Presentation, basis: Sequence[Polynomial], order: MonomialOrder
-) -> Callable[[tuple], dict]:
-    """A function e -> the raw terms of remainder_of(x^e, basis, order).
-    Its divisions share one memo, so each multiple x^theta * g is formed
-    once, however many monomials it divides."""
-    one = pres.field.raw_one
-    if not basis:
-        return lambda e: {e: one}
-    memo = _divisor_memo(pres, basis, order)
-    return lambda e: divide(_Raw({e: one}), basis, memo=memo, _quotients=False).remainder
-
-
 # ---------------------------------------------------------------------------
 # ideal handles
 
@@ -699,17 +680,31 @@ def left_groebner(
     return _groebner(gens, order, budget, None, one)
 
 
+def normal_forms(handle: IdealHandle) -> Callable[[object], dict]:
+    """A function: raw terms, a dict or pairs -> those of their remainder by
+    the handle's basis, all on one memo: each multiple x^theta * g is formed once."""
+    if not handle.basis:
+        return _Raw
+    memo = _divisor_memo(handle.presentation, handle.basis, handle.order)
+    return lambda terms: divide(_Raw(terms), handle.basis, memo=memo, _quotients=False).remainder
+
+
+def _check_presentation(pres: Presentation, handle: IdealHandle) -> None:
+    """InputError unless the handle's basis, if any, lies in pres."""
+    if handle.basis and pres is not handle.presentation:
+        raise InputError("divisors from a different presentation")
+
+
 def is_member_left(f: Polynomial, handle: IdealHandle) -> str:
     """'yes', 'no' or 'unknown' membership of f in the handle's ideal.
 
     A zero remainder certifies membership, also against the partial basis
     of an UNKNOWN handle, which can never refute it.
     """
-    if handle.status == UNIT or f.is_zero() or (
-        handle.basis and remainder_of(f, handle.basis, handle.order).is_zero()
-    ):
-        return "yes"
-    return "unknown" if handle.status == UNKNOWN else "no"
+    _check_presentation(f.pres, handle)
+    if handle.status != UNIT and not f.is_zero() and normal_forms(handle)(f.raw):
+        return "unknown" if handle.status == UNKNOWN else "no"
+    return "yes"
 
 
 def two_sided_saturate(

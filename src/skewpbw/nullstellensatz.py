@@ -42,7 +42,7 @@ from skewpbw.groebner import (
     IdealHandle,
     UNIT,
     UNKNOWN,
-    is_member_left,
+    _check_presentation,
     left_groebner,
     normal_forms,
 )
@@ -205,36 +205,30 @@ def lift_center_poly(C: CenterDescription, f_center: Polynomial) -> Polynomial:
     )
 
 
-class ContractionResult(NamedTuple):
-    center_polys: List[Polynomial]  # over the commutative u-presentation
-    lifted: List[Polynomial]  # the same elements inside A
+def contract_to_center(handle: IdealHandle, C: CenterDescription, d: int) -> List[Polynomial]:
+    """The reduced basis in K[u], up to degree d and ascending by lead, of
+    J, the contraction of the ideal to Z(A).
 
-
-def contract_to_center(
-    handle: IdealHandle, C: CenterDescription, d: int
-) -> ContractionResult:
-    """The reduced basis, up to degree d and ascending by lead, of J, the
-    contraction of the ideal to Z(A).
-
-    J is the kernel of u^kappa -> the normal form of x^(L*kappa), every one
-    divided through one memo. `linalg.walk` with the weights L and the cap
-    d finds it: d bounds the A-degree sum L_i * kappa_i of each lead, and
-    when J is zero-dimensional a large enough d gives its whole basis.
-    A unit ideal gives [1]. Each lifted element is certified a member of
-    the ideal and central; a failure is an engine fault: RuntimeError.
+    J is the kernel of u^kappa -> the normal form of x^(L*kappa). `linalg.walk`
+    with the weights L and the cap d finds it: d bounds the A-degree sum
+    L_i * kappa_i of each lead, and when J is zero-dimensional a large
+    enough d gives its whole basis. A unit ideal gives [1]. Each lifted
+    element is certified central and a member of the ideal, by a zero normal
+    form on the walk's memo; a failure is an engine fault: RuntimeError.
     """
     if handle.status == UNKNOWN:
         raise InputError("contraction needs a resolved ideal; raise the budget")
     pres, L = C.presentation, C.exponents
-    normal_form = normal_forms(pres, handle.basis, handle.order)
+    _check_presentation(pres, handle)
+    normal_form, one = normal_forms(handle), pres.field.raw_one
     relations = linalg.walk(pres.field, L, d, lambda level: [
-        normal_form(tuple(k * l for k, l in zip(kap, L))) for kap in level
+        normal_form({tuple(k * l for k, l in zip(kap, L)): one}) for kap in level
     ])
-    center_polys = [Polynomial.from_raw(C.center_ring, r.items()) for r in relations]
-    lifted = [lift_center_poly(C, f) for f in center_polys]
-    if not all(is_member_left(f, handle) == "yes" and central_probe(f) for f in lifted):
+    J = [Polynomial.from_raw(C.center_ring, r.items()) for r in relations]
+    lifted = [lift_center_poly(C, f) for f in J]
+    if any(normal_form(f.raw) or not central_probe(f) for f in lifted):
         raise RuntimeError("contraction output failed certification")
-    return ContractionResult(center_polys, lifted)
+    return J
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +258,15 @@ def central_nilpotency(
     A returned exponent certifies w in radical(I): for central elements,
     I-nilpotent and I-strongly-nilpotent coincide.
     """
+    _check_presentation(w.pres, handle)
     if not central_probe(w):
         raise InputError("nilpotency certificates need a central element")
     if w.is_zero():
         return 1
+    normal_form = normal_forms(handle)
     power = w
     for m in range(1, M + 1):
-        if is_member_left(power, handle) == "yes":
+        if not normal_form(power.raw):  # w^m lies in the ideal
             return m
         if m < M:
             power = multiply(power, w)
@@ -331,8 +327,7 @@ def verify_sandwich(
     pres = C.presentation
     notes: List[str] = []
 
-    contraction = contract_to_center(handle, C, d)
-    j_center = contraction.center_polys
+    j_center = contract_to_center(handle, C, d)
     center_pres = C.center_ring
 
     v_center = vanishing_set(center_pres, j_center, domain).roots

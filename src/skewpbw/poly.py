@@ -286,7 +286,7 @@ class Polynomial:
     @staticmethod
     def from_dict(pres: Presentation, d: dict) -> "Polynomial":
         """The polynomial of a dict {exponent: Scalar}; zeros dropped."""
-        return Polynomial.from_raw(pres, [(e, c.value) for e, c in d.items()])
+        return Polynomial(pres, d.items())
 
     @staticmethod
     def zero(pres: Presentation) -> "Polynomial":
@@ -484,21 +484,13 @@ def to_string(f: Polynomial) -> str:
             text = mono
         elif cs == "-1":
             text = f"-{mono}"
-        else:
-            text = f"({cs})*{mono}" if _needs_parens(cs) else f"{cs}*{mono}"
+        else:  # a scalar of several parts prints in parentheses already
+            text = f"{cs}*{mono}"
         parts.append(text)
     out = parts[0]
     for p in parts[1:]:
         out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
     return out
-
-
-def _needs_parens(cs: str) -> bool:
-    # compound scalars print pre-parenthesized; bare sums still need wrapping
-    if cs.startswith("("):
-        return False
-    core = cs[1:] if cs.startswith("-") else cs
-    return any(ch in core for ch in "+-")
 
 
 def parse_polynomial(text: str, pres: Presentation) -> Polynomial:

@@ -40,8 +40,8 @@ class Relation(NamedTuple):
 class Presentation:
     """Immutable algebra presentation; carries the normal-form caches.
 
-    Construction refuses an inconsistent presentation, one whose PBW
-    monomials are no basis: see `_check_overlaps`.
+    Construction coerces each relation's constants into the field, and
+    refuses an inconsistent presentation: see `_check_overlaps`.
 
     `sigma` holds the exponents k_i, taken as ints coprime to the field's m
     and stored in `Field.unit_exponent` form: 1 for the identity.
@@ -82,17 +82,19 @@ class Presentation:
             None if k == 1 else (lambda a, k=k: field.raw_galois(a, k))
             for k in self.sigma
         )
-        rels = {}
+        rels, default = {}, Relation(field.one, (field.zero,) * self.n, field.zero)
         for i in range(self.n):
             for j in range(i + 1, self.n):
-                rel = relations.get((i, j)) if relations else None
-                if rel is None:
-                    rel = Relation(field.one, (field.zero,) * self.n, field.zero)
-                if rel.c.is_zero():
+                rel = (relations or {}).get((i, j), default)
+                try:
+                    c, *linear, const = map(field.coerce, (rel.c, *rel.linear, rel.const))
+                except InputError as exc:
+                    raise InputError(f"relation {names[j]}*{names[i]}: {exc}") from None
+                if c.is_zero():
                     raise InputError(
                         f"relation {names[j]}*{names[i]}: leading constant must be nonzero"
                     )
-                rels[(i, j)] = rel
+                rels[(i, j)] = Relation(c, tuple(linear), const)
         self.relations = rels
         self.sigma_all_identity = all(m is None for m in self.sigma_maps)
         self.quasi_commutative = all(
@@ -203,11 +205,9 @@ def extend_with_central(pres: Presentation) -> Presentation:
         name = f"t{k}"
     field = pres.field
     names = (name,) + pres.names
-    n = pres.n + 1
-    zero = field.zero
     rels = {}
     for (i, j), rel in pres.relations.items():
-        rels[(i + 1, j + 1)] = Relation(rel.c, (zero,) + rel.linear, rel.const)
+        rels[(i + 1, j + 1)] = Relation(rel.c, (field.zero,) + rel.linear, rel.const)
     pres._extension = Presentation(field, names, sigma=(1,) + pres.sigma, relations=rels)
     return pres._extension
 

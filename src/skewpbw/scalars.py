@@ -174,7 +174,10 @@ class Scalar:
 
     def _operand(self, other):
         """other's raw value in this field; None for non-scalar operands
-        (e.g. polynomials), which defer to the reflected op."""
+        (e.g. polynomials), which defer to the reflected op. Like self, a
+        Scalar of this field is read as it is, without `coerce`'s check."""
+        if type(other) is Scalar and other.field is self.field:
+            return other.value
         if isinstance(other, (Scalar, int, Fraction)):
             return self.field.coerce(other).value
         return None
@@ -258,16 +261,16 @@ class Field:
     """Base field context: constants, arithmetic closure, canonical formatting.
 
     Arithmetic lives on raw values, the canonical `Scalar.value` of each
-    field: an int residue for GF(p), and for Q, Q(i) and Q(z_m) a tuple of
-    ints, integer numerators over one denominator (see _NumberField). Each
-    field supplies `raw_zero`, `raw_one` and the functions `raw_add(a, b)`,
+    field, which `is_raw(v)` tests and `coerce` requires of a Scalar: an int
+    residue for GF(p), and for Q, Q(i) and Q(z_m) a tuple of ints, integer
+    numerators over one denominator (see _NumberField). Each field supplies
+    `raw_zero`, `raw_one` and the functions `raw_add(a, b)`,
     `raw_mul(a, b)`, `raw_neg(a)` and `raw_inv(a)`: ZeroDivisionError on
     zero at every call, and on a number field of degree >= 2 a memoized
     tuple for a value inverted before (MAX_INVERSE_MEMO). `Polynomial`
-    stores raw values, so polynomial arithmetic, division and linear
-    algebra call these functions directly; a Scalar wraps a raw value only
-    where a caller reads a coefficient, and its operators call the same
-    functions.
+    stores raw values, so polynomial arithmetic, division and linear algebra
+    call these functions directly; a Scalar wraps a raw value only where a
+    caller reads a coefficient, and its operators call the same functions.
 
     Two vector kernels work on whole lists of raw values, as evaluation at
     many points does: `raw_products(a, b)`, the entrywise products, and
@@ -295,6 +298,8 @@ class Field:
         if isinstance(v, Scalar):
             if v.field is not self:
                 raise InputError(f"scalar of {v.field.spec} used in {self.spec}")
+            if not self.is_raw(v.value):
+                raise InputError(f"{v.value!r} is not a canonical raw value of {self.spec}")
             return v
         if isinstance(v, int):
             return self.from_int(v)
@@ -556,8 +561,8 @@ class _NumberField(Field):
     On Q (d = 1) `raw_mul` and `raw_inv` are `_q_mul` and `_q_inv`, and
     the identity is the only Galois map.
 
-    The generator is `i` on Q(i) and `zeta` on cyclotomic:m, where it is
-    1 for m = 1 and -1 for m = 2; Q has none.
+    The generator, `primitive()`, is i on Q(i) and z on cyclotomic:m,
+    where it is 1 for m = 1 and -1 for m = 2; Q has none.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -587,10 +592,8 @@ class _NumberField(Field):
             z = Scalar(self, (0, 1) + self._pad[1:] + (1,))
         if spec.kind == "Q(i)":
             self.symbol = "i"
-            self.i = z
             self.symbols = {"i": z}
         elif spec.kind == "cyclotomic":
-            self.zeta = z
             self.symbols = {"z": z, "i": z} if m == 4 else {"z": z}
 
     def _tower(self) -> list:
@@ -647,6 +650,12 @@ class _NumberField(Field):
             return b
 
         return inv
+
+    def is_raw(self, v) -> bool:
+        try:  # gcd and > refuse a value that is not an integer
+            return type(v) is tuple and len(v) == self.dim + 1 and v[-1] > 0 and math.gcd(*v) == 1
+        except TypeError:
+            return False
 
     def raw_galois(self, a, k: int):
         """z |-> z^k on the power basis; requires gcd(k, m) = 1."""
@@ -715,6 +724,9 @@ class PrimeField(Field):
             raise InputError(f"denominator {q.denominator} vanishes mod {self.p}")
         return Scalar(self, q.numerator * pow(den, -1, self.p) % self.p)
 
+    def is_raw(self, v) -> bool:
+        return type(v) is int and 0 <= v < self.p
+
     def raw_inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
@@ -739,8 +751,7 @@ def get_field(spec: FieldSpec) -> Field:
     return _FIELD_CACHE[spec]
 
 
-def make_field(spec: FieldSpec) -> Field:
-    return get_field(spec)
+make_field = get_field  # the name the package exports
 
 
 # ---------------------------------------------------------------------------

@@ -242,9 +242,28 @@ MUTANTS = (
     ),
     Mutant(
         "point-takes-any-raw-value", "src/skewpbw/geometry.py",
-        "            if not _is_raw(field, v):\n", "            if False:\n",
+        "            field.coerce(Scalar(field, v))\n", "            pass\n",
         ("tests/test_geometry.py::"
          "test_points_built_directly_refuse_raw_values_that_are_not_canonical",),
+    ),
+    Mutant(
+        "coerce-takes-any-raw-value", "src/skewpbw/scalars.py",
+        "            if not self.is_raw(v.value):\n", "            if False:\n",
+        ("tests/test_scalars.py::"
+         "test_coerce_refuses_a_scalar_whose_value_is_not_canonical",),
+    ),
+    Mutant(
+        "relation-constants-unchecked", "src/skewpbw/presentation.py",
+        "map(field.coerce, (rel.c, *rel.linear, rel.const))",
+        "iter((rel.c, *rel.linear, rel.const))",
+        ("tests/test_presentation.py::test_relation_constants_are_coerced_into_the_field",),
+    ),
+    Mutant(
+        "contraction-certifies-centrality-only", "src/skewpbw/nullstellensatz.py",
+        "any(normal_form(f.raw) or not central_probe(f) for f in lifted)",
+        "any(not central_probe(f) for f in lifted)",
+        ("tests/test_nullstellensatz.py::"
+         "test_contract_refuses_an_uncertified_element[is_member_left]",),
     ),
     Mutant(
         "inverse-memo-never-clears", "src/skewpbw/scalars.py",

@@ -397,6 +397,13 @@ def naive_points_ideal(pres: Presentation, points) -> list:
     return current
 
 
+def domain_points(domain, pres: Presentation) -> List[Point]:
+    """Every candidate point of a search domain, in domain order; its raw
+    columns refuse an empty grid column or a domain past
+    `geometry.MAX_DOMAIN_POINTS`."""
+    return [Point(raw, pres.field) for raw in itertools.product(*domain._raw_columns(pres))]
+
+
 def _satisfies_relations(pres: Presentation, Z: Point) -> bool:
     """The character test on Scalars, from its definition: z_i = 0 where
     sigma_i is not the identity, and z_j*z_i = c*z_i*z_j + sum a_k*z_k + d
@@ -826,13 +833,13 @@ def _reference_symbol(field, name: str, pos: int):
     kind = field.spec.kind
     if name == "i":
         if kind == "Q(i)":
-            return field.i
+            return field.primitive()
         if kind == "cyclotomic" and field.m == 4:
-            return field.zeta
+            return field.primitive()
         raise InputError(f"'i' is not an element of {field.spec} (at position {pos})")
     if name == "z":
         if kind == "cyclotomic":
-            return field.zeta
+            return field.primitive()
         raise InputError(f"'z' is not an element of {field.spec} (at position {pos})")
     raise InputError(f"unknown symbol {name!r} (at position {pos})")
 

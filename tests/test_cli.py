@@ -408,6 +408,54 @@ def test_sandwich_subcommand(capsys):
     assert doc["result"]["inclusion_points"] == "confirmed"
 
 
+def test_text_format_prints_lists_of_values_on_one_line(capsys):
+    """--format text prints the command, hash and status, then one line per
+    result key: a list of values on one line, joined by commas, and a list
+    of lists or of dicts as one numbered entry per line."""
+    code, out, _ = run(["gb", "--algebra", QPLANE, "--gens", "x^2 - y, x*y"], capsys)
+    assert code == EXIT_OK
+    assert out.splitlines() == [
+        "command: gb", "presentation: c3b01d9c56320f0c", "status: ok",
+        "result.status: proper", "result.basis: y^2, x*y, x^2 - y", "result.note: ",
+    ]
+    code, out, _ = run(
+        ["sandwich", "--algebra", QPLANE, "--gens", "x^4", "--domain", "grid:-1..1"], capsys
+    )
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    for line in (
+        "result.center.exponents: 2, 2",
+        "result.J_center: u^2",
+        "result.V_center.0: 0, -1",
+        "result.V_center.2: 0, 1",
+        "result.generators.1.lifted: y^6 - y^2",
+        "result.generators.1.failed_roots: ",
+        "result.generators.1.grid_artifact: True",
+        "result.variety_points.7: (-1, 0), non-root",
+        "result.notes: 1 generator(s) vanish on the grid trace but lie outside "
+        "radical(J); reported as grid artifacts",
+    ):
+        assert line in lines
+    assert len(lines) == 40
+
+
+def test_order_flag_reaches_the_division(capsys):
+    """Under --order degrevlex, y^3 leads x*z^2 - y^3 and divides y^3;
+    under deglex, the default, x*z^2 leads and y^3 is its own remainder.
+    The document names the order either way."""
+    divide = ["divide", "--algebra", WITTEN, "--f", "y^3", "--divisors", "x*z^2 - y^3"]
+    for flags, order, quotient, remainder in (
+        ([], "deglex", "0", "y^3"),
+        (["--order", "deglex"], "deglex", "0", "y^3"),
+        (["--order", "degrevlex"], "degrevlex", "-1", "x*z^2"),
+    ):
+        code, doc, _ = run_json(divide + flags, capsys)
+        assert code == EXIT_OK and doc["order"] == order
+        assert doc["result"] == {
+            "quotients": [quotient], "remainder": remainder, "identity_verified": True,
+        }
+
+
 def test_sandwich_without_checked_witness_is_inconclusive(capsys):
     """Radical membership of both generators runs out of budget, so the
     first inclusion is inconclusive; the second holds by the point-ideal

@@ -43,6 +43,7 @@ from conftest import ALGEBRA_DIR, algebra_path
 from oracles import (
     _satisfies_relations,
     _vector,
+    domain_points,
     in_row_span,
     naive_evaluate,
     naive_ideal_of_points,
@@ -134,7 +135,7 @@ def test_vanishing_set_empty_generators(comm2, QQ):
 
 def test_full_prime_field_domain(qplane_gf5):
     dom = SearchDomain.full_prime_field()
-    pts = dom.points(qplane_gf5)
+    pts = domain_points(dom, qplane_gf5)
     assert len(pts) == 25
     rep = vanishing_set(qplane_gf5, [parse_polynomial("x", qplane_gf5)], dom)
     assert len(rep.roots) + len(rep.non_roots) == 25
@@ -190,7 +191,7 @@ def test_vanishing_set_domain_cache(GF5, monkeypatch):
         if warm:
             assert tests == [], k
         else:
-            assert len(tests) == len(domain.points(pres)), k
+            assert len(tests) == len(domain_points(domain, pres)), k
         assert len(pres._domain_partition) == 1
 
         fresh = quantum_plane(GF5, GF5.from_int(2))
@@ -199,7 +200,7 @@ def test_vanishing_set_domain_cache(GF5, monkeypatch):
             vanishing_set(fresh, fresh_polys, domain)
         ), k
         table = rep.table()
-        assert len(table) == len(domain.points(pres))
+        assert len(table) == len(domain_points(domain, pres))
         for Z, tag in table:
             root = all(is_root(f, Z) == "yes" for f in polys)
             assert root == (tag in ("root", "degenerate")), (k, Z, tag)
@@ -221,7 +222,7 @@ def _partition(pres):
 def _seeded_lists(pres, domain, rng, count, degree=3):
     """count lists of one to three generators; the last of each vanishes
     at one seeded point of the domain, so that roots occur."""
-    points = domain.points(pres)
+    points = domain_points(domain, pres)
     lists = []
     for _ in range(count):
         polys = [random_polynomial(pres, rng, degree, 3) for _ in range(rng.randint(1, 2))]
@@ -359,7 +360,7 @@ def test_warm_vanishing_set_builds_no_scalar(monkeypatch):
         built.clear()
         rep = vanishing_set(pres, polys, domain)
         assert len(calls) == 1, k
-        if k and domain.kind == "full-prime-field":
+        if k and domain.columns is None:
             assert built == [], k
         assert _report_coords(rep) == expected[k % len(domains)], k
 
@@ -370,7 +371,7 @@ def test_cli_domain_builds_no_scalar(monkeypatch):
     does not fit is still refused with the same message."""
     pres = load_presentation("field: gf:32003\nvars: x\n")
     built = _counting_scalars(monkeypatch)
-    assert cli._domain("gf", pres).kind == "full-prime-field"
+    assert cli._domain("gf", pres) == SearchDomain.full_prime_field()
     assert built == []
     with pytest.raises(InputError, match="grid arity does not match the presentation"):
         cli._domain("grid:0..2;0..2", pres)
@@ -400,14 +401,14 @@ def test_search_domain_size_guard(qplane_gf5, monkeypatch):
     F = get_field(FieldSpec.prime(1_000_003))
     big = quantum_plane(F, F.from_int(2))
     with pytest.raises(InputError, match="1000006000009 points, above the limit of 100000"):
-        SearchDomain.full_prime_field().points(big)
+        domain_points(SearchDomain.full_prime_field(), big)
     monkeypatch.setattr(geometry, "MAX_DOMAIN_POINTS", 24)
     with pytest.raises(InputError, match="25 points, above the limit of 24"):
-        SearchDomain.full_prime_field().points(qplane_gf5)
+        domain_points(SearchDomain.full_prime_field(), qplane_gf5)
     col = [qplane_gf5.field.from_int(k) for k in range(6)]
-    assert len(SearchDomain.grid([col[:4], col]).points(qplane_gf5)) == 24
+    assert len(domain_points(SearchDomain.grid([col[:4], col]), qplane_gf5)) == 24
     with pytest.raises(InputError, match="36 points"):
-        SearchDomain.grid([col]).points(qplane_gf5)
+        domain_points(SearchDomain.grid([col]), qplane_gf5)
 
 
 def test_empty_grid_column_is_refused(qplane_gf5):
@@ -416,7 +417,7 @@ def test_empty_grid_column_is_refused(qplane_gf5):
     col = [qplane_gf5.field.from_int(k) for k in range(3)]
     for columns, i in (([col, []], 2), ([[], col], 1), ([[]], 1)):
         with pytest.raises(InputError, match=f"^grid has no values for coordinate {i}$"):
-            SearchDomain.grid(columns).points(qplane_gf5)
+            domain_points(SearchDomain.grid(columns), qplane_gf5)
 
 
 @pytest.mark.parametrize(
@@ -670,7 +671,7 @@ def test_value_walk_is_a_loop(field_spec):
     domain = grid(field, -2, 2)
     rep = vanishing_set(pres, [x_big], domain)
     tags = {Z.coords: tag for Z, tag in rep.table()}
-    for Z in domain.points(pres):
+    for Z in domain_points(domain, pres):
         zx = Z.coords[0]
         if not is_character(pres, Z):
             assert tags[Z.coords] == "degenerate"
@@ -705,7 +706,7 @@ def test_evaluation_matches_naive_oracle(name, request):
     character_counts = set()
     for k in range(6):
         domain = domains[k % 2]
-        points = domain.points(pres)
+        points = domain_points(domain, pres)
         polys = [random_polynomial(pres, rng, 3, 4) for _ in range(k % 3)]
         if polys:
             # a generator that vanishes at one seeded point
@@ -848,8 +849,23 @@ def test_points_built_directly_refuse_raw_values_that_are_not_canonical():
     with pytest.raises(InputError, match="not a canonical raw value"):
         Point.of(pres, [Scalar(pres.field, 5), 1])
     assert Point(((1, 2), (0, 1)), Q).coords == (Q.from_fraction(Fraction(1, 2)), Q.zero)
-    three_minus_i_halves = (Qi.from_int(3) - Qi.i) / Qi.from_int(2)
+    three_minus_i_halves = (Qi.from_int(3) - Qi.primitive()) / Qi.from_int(2)
     assert Point(((3, -1, 2),), Qi) == Point.of(Presentation(Qi, ("u",)), [three_minus_i_halves])
+
+
+def test_points_of_fractions_over_a_prime_field(qplane_gf5):
+    """`Point.of` reduces a Fraction mod p, 1/2 to 3 over GF(5), and
+    refuses one whose denominator p divides."""
+    assert Point.of(qplane_gf5, [Fraction(1, 2), 0]) == Point((3, 0), qplane_gf5.field)
+    with pytest.raises(InputError, match="^denominator 5 vanishes mod 5$"):
+        Point.of(qplane_gf5, [Fraction(1, 5), 0])
+
+
+def test_full_prime_field_domain_needs_a_prime_field(qplane_m1):
+    with pytest.raises(
+        InputError, match=r"^full-prime-field domain needs a GF\(p\) presentation$"
+    ):
+        vanishing_set(qplane_m1, [], SearchDomain.full_prime_field())
 
 
 @pytest.mark.parametrize("spec", ["gf:5", "Q"])
@@ -870,7 +886,7 @@ def test_point_routines_on_the_space_of_no_coordinates(spec):
     if spec.startswith("gf"):
         domains.append(SearchDomain.full_prime_field())
     for domain in domains:
-        assert domain.points(pres) == [Z]
+        assert domain_points(domain, pres) == [Z]
         for polys, roots in (([three], []), ([zero], [Z]), ([], [Z])):
             rep = vanishing_set(pres, polys, domain)
             assert rep.roots == roots and rep.non_roots == [Z][len(roots):]

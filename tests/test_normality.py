@@ -227,9 +227,9 @@ def test_sigma_twisted_scalar_counterexample():
     assert verdict.status == "not_normal"
     assert verdict.counter_witness[0] == "scalar"
     # direct confirmation: i*f cannot be f*s for any scalar s
-    i_const = Polynomial.constant(pres, G.i)
+    i_const = Polynomial.constant(pres, G.primitive())
     lhs = multiply(i_const, f)
-    for s in (G.i, -G.i):
+    for s in (G.primitive(), -G.primitive()):
         assert lhs != multiply(f, Polynomial.constant(pres, s))
 
 

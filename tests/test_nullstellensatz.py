@@ -24,9 +24,9 @@ from skewpbw import cli, groebner, nullstellensatz
 from skewpbw.geometry import Point, SearchDomain, evaluate
 from skewpbw.groebner import (
     Budget,
+    divide,
     is_member_left,
     left_groebner,
-    remainder_of,
     two_sided_saturate,
 )
 from skewpbw.normality import central_probe
@@ -40,7 +40,6 @@ from skewpbw.nullstellensatz import (
     verify_sandwich,
 )
 from skewpbw.poly import (
-    DEGLEX,
     Polynomial,
     divides,
     exponents_up_to,
@@ -68,7 +67,7 @@ def test_multiplicative_order(QQ, GF5):
     assert multiplicative_order(QQ.from_int(2)) is None
     assert multiplicative_order(GF5.from_int(2)) == 4
     C4 = get_field(FieldSpec.cyclotomic(4))
-    assert multiplicative_order(C4.zeta) == 4
+    assert multiplicative_order(C4.primitive()) == 4
 
 
 @pytest.mark.parametrize(
@@ -113,7 +112,7 @@ def test_prime_field_order_large_field(p, factors):
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_center_quantum_plane_roots_of_unity(m):
     F = get_field(FieldSpec.cyclotomic(m))
-    P = quantum_plane(F, F.zeta)
+    P = quantum_plane(F, F.primitive())
     C = center_generators(P)
     assert C.exponents == (m, m)
     assert [str(g) for g in C.generators] == [f"x^{m}", f"y^{m}"]
@@ -193,9 +192,9 @@ def _pair_lcms(P):
 def _roots_of_unity(F):
     if F.spec.kind == "gf":
         return [F.from_int(v) for v in range(1, F.spec.param)]
-    gens = [F.from_int(-1)] + ([F.zeta] if F.spec.kind == "cyclotomic" else [])
+    gens = [F.from_int(-1)] + ([F.primitive()] if F.spec.kind == "cyclotomic" else [])
     if F.spec.kind == "Q(i)":
-        gens.append(F.i)
+        gens.append(F.primitive())
     out = {F.one}
     for g in gens:
         out |= {r * g ** k for r in out for k in range(24)}
@@ -326,19 +325,25 @@ def test_contract_power_ideal(qplane_m1):
     C = center_generators(qplane_m1)
     x = parse_polynomial("x", qplane_m1)
     I = two_sided_saturate([x ** 4])
-    res = contract_to_center(I, C, 4)
-    assert [str(g) for g in res.center_polys] == ["u^2"]
-    assert [str(g) for g in res.lifted] == ["x^4"]
-    assert all(is_member_left(f, I) == "yes" and central_probe(f) for f in res.lifted)
+    J = contract_to_center(I, C, 4)
+    assert [str(g) for g in J] == ["u^2"]
+    lifted = [nullstellensatz.lift_center_poly(C, g) for g in J]
+    assert [str(f) for f in lifted] == ["x^4"]
+    assert all(is_member_left(f, I) == "yes" and central_probe(f) for f in lifted)
 
 
 @pytest.mark.parametrize("probe", ["is_member_left", "central_probe"])
 def test_contract_refuses_an_uncertified_element(qplane_m1, monkeypatch, probe):
     """Each lifted element is certified a member of I and central, or the
-    contraction raises; a failing probe must reach the caller."""
+    contraction raises; a failing probe must reach the caller. Membership
+    fails when the lift adds 1, which is central and leaves I."""
     C = center_generators(qplane_m1)
     I = two_sided_saturate([parse_polynomial("x", qplane_m1) ** 4])
-    monkeypatch.setattr(nullstellensatz, probe, lambda *args: False)
+    if probe == "is_member_left":
+        lift = nullstellensatz.lift_center_poly
+        monkeypatch.setattr(nullstellensatz, "lift_center_poly", lambda *args: lift(*args) + 1)
+    else:
+        monkeypatch.setattr(nullstellensatz, probe, lambda *args: False)
     with pytest.raises(RuntimeError, match="failed certification"):
         contract_to_center(I, C, 4)
 
@@ -346,8 +351,7 @@ def test_contract_refuses_an_uncertified_element(qplane_m1, monkeypatch, probe):
 def test_contract_variable_ideal(qplane_m1):
     C = center_generators(qplane_m1)
     I = two_sided_saturate([parse_polynomial("x", qplane_m1)])
-    res = contract_to_center(I, C, 2)
-    assert [str(g) for g in res.center_polys] == ["u"]
+    assert [str(g) for g in contract_to_center(I, C, 2)] == ["u"]
 
 
 def test_contract_unit_ideal(qplane_m1):
@@ -355,10 +359,10 @@ def test_contract_unit_ideal(qplane_m1):
     I = two_sided_saturate(
         [parse_polynomial("x-1", qplane_m1), parse_polynomial("y-1", qplane_m1)]
     )
-    res = contract_to_center(I, C, 4)
+    J = contract_to_center(I, C, 4)
     # every normal form is 0, so J's reduced basis is [1]
-    assert [str(g) for g in res.center_polys] == ["1"]
-    assert [str(g) for g in res.lifted] == ["1"]
+    assert [str(g) for g in J] == ["1"]
+    assert nullstellensatz.lift_center_poly(C, J[0]) == Polynomial.one(qplane_m1)
 
 
 @pytest.mark.parametrize(
@@ -374,9 +378,9 @@ def test_contraction_gives_reduced_bases(qplane_m1, gens, basis):
     d = 8; the walk ends there, so a higher cap adds nothing."""
     C = center_generators(qplane_m1)
     I = two_sided_saturate([parse_polynomial(g, qplane_m1) for g in gens.split(",")])
-    J = contract_to_center(I, C, 8).center_polys
+    J = contract_to_center(I, C, 8)
     assert [str(g) for g in J] == basis
-    assert [str(g) for g in contract_to_center(I, C, 40).center_polys] == basis
+    assert [str(g) for g in contract_to_center(I, C, 40)] == basis
 
 
 def test_contractions_share_one_center_ring(qplane_m1):
@@ -387,8 +391,8 @@ def test_contractions_share_one_center_ring(qplane_m1):
     C = center_generators(qplane_m1)
     gens = ("x^3 - x*y^2", "y^4 - 1")
     I = two_sided_saturate([parse_polynomial(g, qplane_m1) for g in gens])
-    J40 = contract_to_center(I, C, 40).center_polys
-    J8 = contract_to_center(I, C, 8).center_polys
+    J40 = contract_to_center(I, C, 40)
+    J8 = contract_to_center(I, C, 8)
     assert J40 == J8
     assert tuple(str(g) for g in left_groebner(J40 + J8).basis) == ("v^2 - 1", "u^2 - u*v")
     assert all(g.pres is C.center_ring for g in J40)
@@ -396,7 +400,7 @@ def test_contractions_share_one_center_ring(qplane_m1):
     for _ in range(2):
         pres = load_presentation_file(algebra_path("qplane_m1.alg"))
         I = two_sided_saturate([parse_polynomial(g, pres) for g in gens])
-        copies.append(contract_to_center(I, center_generators(pres), 40).center_polys)
+        copies.append(contract_to_center(I, center_generators(pres), 40))
     assert copies[0] == copies[1] == J40
 
 
@@ -455,7 +459,7 @@ def test_contraction_matches_block_elimination(qplane_m1, gens):
     block-order elimination's u-only basis, element by element."""
     C = center_generators(qplane_m1)
     I = two_sided_saturate([parse_polynomial(g, qplane_m1) for g in gens.split(",")])
-    assert contract_to_center(I, C, 40).center_polys == block_contraction(I, C)
+    assert contract_to_center(I, C, 40) == block_contraction(I, C)
 
 
 def test_seeded_contractions_match_block_elimination():
@@ -469,7 +473,7 @@ def test_seeded_contractions_match_block_elimination():
     spaces = [
         quantum_space(Q, {(0, 1): Q.from_int(-1)}, ("x", "y")),
         quantum_space(GF7, {(0, 1): GF7.from_int(2), (1, 2): GF7.from_int(6)}, ("x", "y", "w")),
-        quantum_space(C5, {(0, 1): C5.zeta}, ("x", "y")),
+        quantum_space(C5, {(0, 1): C5.primitive()}, ("x", "y")),
     ]
     rng = random.Random(28)
     proper = 0
@@ -482,19 +486,31 @@ def test_seeded_contractions_match_block_elimination():
                 lead = Polynomial.monomial(pres, tuple(a if k == i else 0 for k in range(pres.n)))
                 gens.append(lead + random_polynomial(pres, rng, max_degree=a - 1, max_terms=3))
             I = two_sided_saturate(gens)
-            J = contract_to_center(I, C, 40).center_polys
+            J = contract_to_center(I, C, 40)
             assert list(left_groebner(J).basis) == block_contraction(I, C)
             proper += I.status == "proper"
     assert proper >= 4
 
 
-@pytest.mark.parametrize("d", [4, 6])
-def test_contraction_divides_through_one_memo(qplane_m1, monkeypatch, d):
-    """Every normal form of the contraction divides through one memo, and
-    equals the monomial's own division."""
-    gens = [parse_polynomial(t, qplane_m1) for t in ("x^4 + x*y^2", "x^2*y^2 - y^3")]
-    handle = two_sided_saturate(gens)
-    assert handle.status == "proper" and len(handle.basis) > 1
+def test_elements_of_another_presentation_are_refused(qplane_m1):
+    """Membership, nilpotency and contraction divide elements of one
+    presentation by an ideal's basis: over a copy of the algebra they
+    raise, also against the unit ideal, which used to answer yes."""
+    other = load_presentation_file(algebra_path("qplane_m1.alg"))
+    x2 = parse_polynomial("x^2", other)
+    for gens in ("x^4", "x - 1, y - 1"):
+        I = two_sided_saturate([parse_polynomial(g, qplane_m1) for g in gens.split(",")])
+        with pytest.raises(InputError, match="^divisors from a different presentation$"):
+            is_member_left(x2, I)
+        with pytest.raises(InputError, match="^divisors from a different presentation$"):
+            central_nilpotency(x2, I, 4)
+        with pytest.raises(InputError, match="^divisors from a different presentation$"):
+            contract_to_center(I, center_generators(other), 4)
+
+
+def _memo_divisions(monkeypatch) -> list:
+    """The (terms, memo, remainder) of every division run on a memo from
+    now on, in call order."""
     calls = []
     divide = groebner.divide
 
@@ -505,22 +521,54 @@ def test_contraction_divides_through_one_memo(qplane_m1, monkeypatch, d):
         return result
 
     monkeypatch.setattr(groebner, "divide", spy)
-    contract_to_center(handle, center_generators(qplane_m1), d)
-    assert len(calls) > 1 and len({id(memo) for _, memo, _ in calls}) == 1
-    for f, _, remainder in calls:
+    return calls
+
+
+@pytest.mark.parametrize("d", [4, 6])
+def test_contraction_divides_through_one_memo(qplane_m1, monkeypatch, d):
+    """Every division of the contraction runs on one memo: the walk's
+    normal forms of central monomials, each equal to the monomial's own
+    division, then the certification's of each lifted element of J."""
+    gens = [parse_polynomial(t, qplane_m1) for t in ("x^4 + x*y^2", "x^2*y^2 - y^3")]
+    handle = two_sided_saturate(gens)
+    assert handle.status == "proper" and len(handle.basis) > 1
+    C = center_generators(qplane_m1)
+    calls = _memo_divisions(monkeypatch)
+    J = contract_to_center(handle, C, d)
+    assert len(calls) > len(J) > 0 and len({id(memo) for _, memo, _ in calls}) == 1
+    walk, certification = calls[: -len(J)], calls[-len(J) :]
+    for f, _, remainder in walk:
         (e,) = f
-        alone = remainder_of(Polynomial.monomial(qplane_m1, e), handle.basis, DEGLEX)
-        assert remainder == dict(alone.raw)
+        alone = divide(Polynomial.monomial(qplane_m1, e), handle.basis)
+        assert remainder == dict(alone.remainder.raw)
+    lifted = [nullstellensatz.lift_center_poly(C, g) for g in J]
+    assert [(f, remainder) for f, _, remainder in certification] == [
+        (dict(g.raw), {}) for g in lifted
+    ]
     calls.clear()
-    contract_to_center(two_sided_saturate([]), center_generators(qplane_m1), d)
+    contract_to_center(two_sided_saturate([]), C, d)
     assert calls == []
+
+
+def test_central_nilpotency_divides_every_power_through_one_memo(qplane_m1, monkeypatch):
+    """central_nilpotency divides w, w^2, ... through one memo, one
+    division per power, until a power lies in the ideal or M is reached."""
+    x, y = (parse_polynomial(t, qplane_m1) for t in ("x", "y"))
+    I = two_sided_saturate([x ** 6])
+    calls = _memo_divisions(monkeypatch)
+    for w, M, m in ((x * x, 4, 3), (y * y, 3, None)):
+        calls.clear()
+        assert central_nilpotency(w, I, M) == m
+        assert [f for f, _, _ in calls] == [dict((w ** k).raw) for k in range(1, (m or M) + 1)]
+        assert len({id(memo) for _, memo, _ in calls}) == 1
 
 
 def _contraction_by_scalars(handle, C, d):
     """J up to degree d, as `contract_to_center` lists it, built apart from
-    it: each central monomial's own `remainder_of`, the kernel of their
-    coefficient vectors on Scalars by `oracles.rref`, one vector per
-    dependent column with 1 there."""
+    it: each central monomial's own remainder (the monomial itself when
+    the basis is empty), the kernel of their coefficient vectors on
+    Scalars by `oracles.rref`, one vector per dependent column with 1
+    there."""
     pres, L = C.presentation, C.exponents
     field = pres.field
     weighted = sorted(
@@ -528,16 +576,10 @@ def _contraction_by_scalars(handle, C, d):
         for kap in itertools.product(*(range(d // l + 1) for l in L))
     )
     kappas = [kap for w, kap in weighted if w <= d]
-    forms = [
-        dict(
-            remainder_of(
-                Polynomial.monomial(pres, tuple(k * l for k, l in zip(kap, L))),
-                handle.basis,
-                handle.order,
-            ).terms
-        )
-        for kap in kappas
-    ]
+    forms = [Polynomial.monomial(pres, tuple(k * l for k, l in zip(kap, L))) for kap in kappas]
+    if handle.basis:
+        forms = [divide(f, handle.basis, handle.order).remainder for f in forms]
+    forms = [dict(f.terms) for f in forms]
     support = sorted(set().union(*forms))
     red, pivots = rref([[f.get(mu, field.zero) for f in forms] for mu in support], field)
     center_pres = C.center_ring
@@ -592,7 +634,7 @@ def test_contraction_matches_scalar_kernel(name):
     equal_weights = len(set(C.exponents)) == 1
     for handle in handles:
         for d in range(9):
-            J = contract_to_center(handle, C, d).center_polys
+            J = contract_to_center(handle, C, d)
             expected = _contraction_by_scalars(handle, C, d)
             remaining = iter([str(g) for g in expected])
             assert all(str(g) in remaining for g in J)
@@ -606,7 +648,7 @@ def test_contraction_matches_scalar_kernel(name):
                 assert is_member_left(parse_polynomial(str(g), J[0].pres), ideal) == "yes"
             if equal_weights:
                 assert list(ideal.basis) == J
-    assert [str(g) for g in contract_to_center(handles[0], C, 6).center_polys] == ["1"]
+    assert [str(g) for g in contract_to_center(handles[0], C, 6)] == ["1"]
 
 
 # -- commutative side ----------------------------------------------------------
@@ -791,7 +833,7 @@ def test_sandwich_unit_ideal(qplane_m1, QQ):
 def test_sandwich_cyclotomic_plane():
     """Full pipeline over Q(zeta_4) with q = i: center F[x^4, y^4]."""
     F = get_field(FieldSpec.cyclotomic(4))
-    P = quantum_plane(F, F.zeta)
+    P = quantum_plane(F, F.primitive())
     C = center_generators(P)
     assert C.exponents == (4, 4)
     I = two_sided_saturate([parse_polynomial("x^8", P)])

@@ -24,9 +24,9 @@ def test_scalar_grammar():
     assert parse_scalar("-(2/3)", Q) == -(Q.from_int(2) / Q.from_int(3))
     assert parse_scalar("(1+2)*3", Q) == Q.from_int(9)
     G = get_field(FieldSpec.gaussian())
-    assert parse_scalar("2+3*i", G) == G.from_int(2) + G.from_int(3) * G.i
+    assert parse_scalar("2+3*i", G) == G.from_int(2) + G.from_int(3) * G.primitive()
     C3 = get_field(FieldSpec.cyclotomic(3))
-    assert parse_scalar("z^2", C3) == C3.zeta * C3.zeta
+    assert parse_scalar("z^2", C3) == C3.primitive() * C3.primitive()
     F5 = get_field(FieldSpec.prime(5))
     assert parse_scalar("7", F5) == F5.from_int(2)
     with pytest.raises(InputError):

@@ -87,16 +87,17 @@ def test_commute_scalar_examples(qplane_q2, QQ):
 
     G = get_field(FieldSpec.gaussian())
     pres = Presentation(G, ("x", "y"), sigma=(-1, 1))
-    i_const = Polynomial.constant(pres, G.i)
-    assert _monomial_times(pres, (1, 0), i_const) == Polynomial.monomial(pres, (1, 0), -G.i)
-    assert _monomial_times(pres, (2, 0), i_const) == Polynomial.monomial(pres, (2, 0), G.i)
+    i = G.primitive()
+    i_const = Polynomial.constant(pres, i)
+    assert _monomial_times(pres, (1, 0), i_const) == Polynomial.monomial(pres, (1, 0), -i)
+    assert _monomial_times(pres, (2, 0), i_const) == Polynomial.monomial(pres, (2, 0), i)
 
 
 def test_monomial_product_examples(qspace3, witten, QQ):
     QI = qspace3.field
     y = Polynomial.monomial(qspace3, (0, 1, 0))
     assert multiply(y, Polynomial.variable(qspace3, 0)) == Polynomial.monomial(
-        qspace3, (1, 1, 0), QI.from_int(2) * QI.i
+        qspace3, (1, 1, 0), QI.from_int(2) * QI.primitive()
     )
 
     z, x = Polynomial.variable(witten, 2), Polynomial.variable(witten, 0)
@@ -228,6 +229,18 @@ def test_mixed_scalar_polynomial_operators(qplane_q2, QQ):
     assert 1 - f == Polynomial.one(qplane_q2) - f
 
 
+def test_polynomials_from_scalars_refuse_another_field(qplane_gf5, QQ):
+    """`Polynomial(pres, terms)` and `from_dict` coerce every coefficient
+    into the presentation's field: a Q scalar in a GF(5) polynomial is
+    refused, where `from_dict` used to keep its raw value (3, 1)."""
+    x, three = (1, 0), qplane_gf5.field.from_int(3)
+    assert str(Polynomial.from_dict(qplane_gf5, {x: three})) == "3*x"
+    assert Polynomial.from_dict(qplane_gf5, {x: three}) == Polynomial(qplane_gf5, [(x, three)])
+    for build in (Polynomial.from_dict, lambda pres, d: Polynomial(pres, d.items())):
+        with pytest.raises(InputError, match="^scalar of Q used in gf:5$"):
+            build(qplane_gf5, {x: QQ.from_int(3)})
+
+
 @pytest.mark.parametrize("fixture", ["witten", "conj_qplane"])
 def test_power_is_repeated_product(fixture, request):
     pres = request.getfixturevalue(fixture)
@@ -285,10 +298,10 @@ def test_sigma_twisted_coefficients_pass_variables():
         sigma=(-1, 1),
     )
     x, y = Polynomial.variable(pres, 0), Polynomial.variable(pres, 1)
-    i_const = Polynomial.constant(pres, G.i)
+    i_const = Polynomial.constant(pres, G.primitive())
     # x * i = conj(i) * x = -i x
-    assert x * i_const == Polynomial.monomial(pres, (1, 0), -G.i)
-    assert y * i_const == Polynomial.monomial(pres, (0, 1), G.i)
+    assert x * i_const == Polynomial.monomial(pres, (1, 0), -G.primitive())
+    assert y * i_const == Polynomial.monomial(pres, (0, 1), G.primitive())
 
 
 class _RecordingCache(dict):

@@ -16,9 +16,10 @@ from skewpbw.presentation import (
     load_presentation,
     load_presentation_file,
     presentation_hash,
+    quantum_plane,
     serialize_presentation,
 )
-from skewpbw.scalars import FieldSpec, InputError, get_field
+from skewpbw.scalars import FieldSpec, InputError, Scalar, get_field
 
 WITTEN_DOC = """
 field: Q
@@ -103,6 +104,71 @@ def test_duplicate_field_or_vars_line_rejected(doc, line):
         InputError, match=rf"^line {lineno}: duplicate '{line}:' line$"
     ):
         load_presentation(doc)
+
+
+QUANTUM_PLANE_Q = "field: Q\nvars: x, y\n"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: load_presentation(QUANTUM_PLANE_Q + "y*x = -x*y\n"),
+         "line 3: expected 'key: value'"),
+        (lambda: load_presentation("field: Q(i)\nvars: x, y\nsigma: x conj\n"),
+         "line 3: sigma entries look like 'x = conj'"),
+        (lambda: load_presentation(QUANTUM_PLANE_Q + "Relation: y*x = -x*y\nrule: y*x = x*y\n"),
+         "line 4: unknown key 'rule'"),
+        (lambda: load_presentation("vars: x, y\n"), "missing 'field:' line"),
+        (lambda: load_presentation("field: Q\nvars: ,\n"), "missing 'vars:' line"),
+        (lambda: load_presentation(QUANTUM_PLANE_Q + "relation: y*x\n"),
+         "line 3: relation needs '='"),
+        (lambda: load_presentation(
+            QUANTUM_PLANE_Q + "relation: y*x = -x*y\n# again\nrelation: y * x = x*y\n"
+        ), "line 5: duplicate relation for y*x"),
+        (lambda: load_presentation(QUANTUM_PLANE_Q + "relation: y*x*x = x*y\n"),
+         "line 3: relation left side must be 'x_j*x_i'"),
+        (lambda: load_presentation("field: Q\nvars: x, y, x\n"), "duplicate variable names"),
+        (lambda: quantum_plane(get_field(FieldSpec.rationals()), 0),
+         "relation y*x: leading constant must be nonzero"),
+        (lambda: quantum_plane(get_field(FieldSpec.rationals()), -1, ("x", "y", "z")),
+         "quantum plane has two variables"),
+    ],
+    ids=[
+        "key-value", "sigma-entry", "unknown-key", "missing-field", "missing-vars",
+        "relation-sign", "duplicate-relation", "relation-left-side", "duplicate-names",
+        "zero-constant", "plane-arity",
+    ],
+)
+def test_presentation_refusals_name_their_cause(build, message):
+    """Each refusal of a presentation document, or of a presentation built
+    directly, raises InputError with its message, and a document's with
+    the number of the line it refuses."""
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_relation_constants_are_coerced_into_the_field():
+    """A relation's constants are coerced into the presentation's field.
+    A Q constant over GF(5) used to raise a TypeError at the first
+    product, and Scalar(GF(5), 6) as c gave y*x = x*y on a presentation
+    that was not `commutative`: both are refused, naming the pair. Ints
+    are coerced, so c = 6 is the commutative 1."""
+    GF5, Q = get_field(FieldSpec.prime(5)), get_field(FieldSpec.rationals())
+    zero = GF5.zero
+    refused = [
+        (Relation(GF5.from_int(2), (zero, zero), Q.one), "scalar of Q used in gf:5"),
+        (Relation(GF5.one, (zero, Q.one), zero), "scalar of Q used in gf:5"),
+        (Relation(Scalar(GF5, 6), (zero, zero), zero), "6 is not a canonical raw value of gf:5"),
+    ]
+    for rel, message in refused:
+        with pytest.raises(InputError, match=f"^{re.escape('relation y*x: ' + message)}$"):
+            Presentation(GF5, ("x", "y"), relations={(0, 1): rel})
+    with pytest.raises(InputError, match=re.escape("relation y*x: scalar of Q used in gf:5")):
+        quantum_plane(GF5, Q.from_int(2))
+    pres = Presentation(GF5, ("x", "y"), relations={(0, 1): Relation(6, (0, 0), 0)})
+    assert pres.relations[(0, 1)] == (GF5.one, (zero, zero), zero)
+    assert pres.commutative
+    assert serialize_presentation(pres) == "field: gf:5\nvars: x, y\nrelation: y*x = x*y\n"
 
 
 def test_serialize_roundtrip():

@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from oracles import _satisfies_relations, check_products
+from oracles import _satisfies_relations, check_products, domain_points
 from skewpbw import poly
 from skewpbw.geometry import Point, SearchDomain, is_character, vanishing_set
 from skewpbw.presentation import Presentation, Relation
@@ -105,7 +105,7 @@ def test_characters_match_relation_equations(spec, kind):
     if field.primitive() is not None:
         column += _constants(field)[1:]
     domain = SearchDomain.grid([column])
-    points = domain.points(pres)
+    points = domain_points(domain, pres)
     assert [Z.coords for Z in points] == list(itertools.product(column, repeat=pres.n))
     assert all(type(Z) is Point for Z in points)
     expected = [Z for Z in points if not _satisfies_relations(pres, Z)]

@@ -47,7 +47,7 @@ def gf5_plane():
 
 def _zeta_plane(m):
     field = get_field(FieldSpec.cyclotomic(m))
-    return quantum_plane(field, field.zeta)
+    return quantum_plane(field, field.primitive())
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,7 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import zlib
@@ -15,7 +16,7 @@ from conftest import algebra_path
 from oracles import random_polynomial
 from skewpbw import scalars
 from skewpbw.groebner import Budget, left_groebner, two_sided_saturate
-from skewpbw.poly import parse_polynomial
+from skewpbw.poly import Polynomial, parse_polynomial
 from skewpbw.presentation import Presentation, load_presentation
 from skewpbw.scalars import (
     FieldSpec,
@@ -56,7 +57,7 @@ def _random_scalar(field, rng):
 def test_make_field_examples():
     assert get_field(FieldSpec.prime(5)).p == 5
     c4 = get_field(FieldSpec.cyclotomic(4))
-    assert c4.zeta * c4.zeta == c4.from_int(-1)
+    assert c4.primitive() * c4.primitive() == c4.from_int(-1)
     with pytest.raises(InputError):
         make_field(FieldSpec.prime(4))
     with pytest.raises(InputError):
@@ -69,7 +70,7 @@ def test_scalar_operator_examples(rng):
         Fraction(1, 3)
     ) == Q.from_fraction(Fraction(5, 6))
     C4 = get_field(FieldSpec.cyclotomic(4))
-    assert C4.zeta * C4.zeta == C4.from_int(-1)
+    assert C4.primitive() * C4.primitive() == C4.from_int(-1)
     F5 = get_field(FieldSpec.prime(5))
     assert F5.from_int(3).inv() == F5.from_int(2)
     with pytest.raises(ZeroDivisionError):
@@ -109,10 +110,34 @@ def test_canonicalization_idempotent(spec):
         assert hash(field.coerce(a)) == hash(a)
 
 
+def test_coerce_refuses_a_scalar_whose_value_is_not_canonical():
+    """A Scalar built directly may hold any value. `Field.coerce` refuses
+    one whose value `is_raw` rejects, so the constant 5 over GF(5) no
+    longer becomes a polynomial that holds the raw term 5 and is not
+    zero; a canonical Scalar passes as it is."""
+    GF5, Q, Qi = (get_field(FieldSpec.from_string(s)) for s in ("gf:5", "Q", "Q(i)"))
+    refused = [
+        (GF5, 5), (GF5, -1), (GF5, True), (GF5, 1.0), (GF5, (1, 1)),
+        (Q, (2, 4)), (Q, (1, -2)), (Q, (0, 0)), (Q, 1),
+        (Qi, (1, 1)), (Qi, (2, 0, 2)), (Qi, (1, 0, 1.0)),
+    ]
+    for field, value in refused:
+        assert not field.is_raw(value)
+        message = f"{value!r} is not a canonical raw value of {field.spec}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            field.coerce(Scalar(field, value))
+    pres = load_presentation("field: gf:5\nvars: x, y\nrelation: y*x = 2*x*y\n")
+    with pytest.raises(InputError, match="^5 is not a canonical raw value of gf:5$"):
+        Polynomial.constant(pres, Scalar(GF5, 5))
+    for field, value in ((GF5, 4), (Q, (-1, 2)), (Qi, (3, -1, 2))):
+        a = Scalar(field, value)
+        assert field.is_raw(value) and field.coerce(a) is a
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 8, 12])
 def test_cyclotomic_root_orders(m):
     field = get_field(FieldSpec.cyclotomic(m))
-    z = field.zeta
+    z = field.primitive()
     assert z ** m == field.one
     for j in range(1, m):
         assert z ** j != field.one
@@ -184,12 +209,12 @@ def test_automorphism_examples():
     assert galois_exponent("conj", Q) == 1  # conjugation fixes Q
 
     G = get_field(FieldSpec.gaussian())
-    two_plus_i = G.from_int(2) + G.i
+    two_plus_i = G.from_int(2) + G.primitive()
     assert galois_exponent("conj", G) == galois_exponent("galois:3", G) == 3
-    assert _automorphism("conj", G)(two_plus_i) == G.from_int(2) - G.i
+    assert _automorphism("conj", G)(two_plus_i) == G.from_int(2) - G.primitive()
 
     C4 = get_field(FieldSpec.cyclotomic(4))
-    assert _automorphism("galois:3", C4)(C4.zeta) == -C4.zeta
+    assert _automorphism("galois:3", C4)(C4.primitive()) == -C4.primitive()
 
     with pytest.raises(InputError):
         galois_exponent("galois:2", C4)

@@ -68,10 +68,10 @@ def test_twisted_ring_axioms_and_division(fixture, request):
 def test_twisted_scalar_passage(conj_qplane):
     G = conj_qplane.field
     x = Polynomial.variable(conj_qplane, 0)
-    i_const = Polynomial.constant(conj_qplane, G.i)
+    i_const = Polynomial.constant(conj_qplane, G.primitive())
     # x * i = conj(i) x = -i x; x^2 * i = i x^2
-    assert multiply(x, i_const) == Polynomial.monomial(conj_qplane, (1, 0), -G.i)
-    assert multiply(x * x, i_const) == Polynomial.monomial(conj_qplane, (2, 0), G.i)
+    assert multiply(x, i_const) == Polynomial.monomial(conj_qplane, (1, 0), -G.primitive())
+    assert multiply(x * x, i_const) == Polynomial.monomial(conj_qplane, (2, 0), G.primitive())
 
 
 def test_twisted_completion_deterministic(galois_pair):
