@@ -5,7 +5,9 @@ divisible by some divisor's leading monomial is cancelled exactly (over a
 field the coefficient condition is always solvable), otherwise it moves to
 the remainder. Completion is Buchberger-style on left S-elements with the
 normal selection strategy and Gebauer-Moller's chain criterion, plus
-Buchberger's product criterion on a commutative ring.
+Buchberger's product criterion on a commutative ring. On a
+quasi-commutative presentation every monomial is normal, so no pair of two
+monomials and no right multiple of a monomial is formed.
 
 One routine computes left and two-sided bases: a two-sided basis is a left
 basis that is also closed under right multiples. It alternates left
@@ -59,13 +61,15 @@ class Budget(NamedTuple):
       elements, the result is `unknown`. The first round always runs, so
       0 acts as 1. A left basis runs no round and never reads it.
 
-    Pairs pruned by the chain criterion, and in a commutative ring the
-    pairs of coprime leads, are never formed: they count nowhere and never
-    trip the degree budget. A saturation round multiplies only the new
-    elements whose lead no other lead divides, so fewer right multiples
-    feed the next completion. So a budget goes further than it would
-    without the criteria and with every right multiple, and an input that
-    ran out of it there may be decided here. A proper or unit answer is
+    Pairs pruned by the chain criterion, in a commutative ring the pairs
+    of coprime leads, and in a quasi-commutative presentation the pairs of
+    two monomials, are never formed: they count nowhere and never trip the
+    degree budget. A saturation round multiplies only the new elements
+    whose lead no other lead divides, and in a quasi-commutative
+    presentation none that is a monomial, so fewer right multiples feed
+    the next completion. So a budget goes further than it would without
+    the criteria and with every right multiple, and an input that ran out
+    of it there may be decided here. A proper or unit answer is
     exact whatever the budget; budgets count work, never time.
     """
 
@@ -434,6 +438,14 @@ def _completion(items: List[Tuple[_Raw, Optional[tuple]]], budget: Budget, memo:
     step compares each new lcm only with kept lcms of lower total degree,
     the only ones that can divide it properly.
 
+    In a quasi-commutative presentation (`Presentation.quasi_commutative`,
+    any sigma), x^theta * x^alpha = c * x^(theta + alpha) with c nonzero, so
+    both products of a pair of two monomials are x^gamma once scaled to
+    lead coefficient 1: its S-element is 0. Such a pair is never queued;
+    like the product criterion, this is applied after the update, and the
+    chain criterion stays sound, since a zero S-element has a standard
+    representation.
+
     The same multiplicativity keys the memo's products by their lead: the
     S-element of i and j is formed from the products of basis[i] and
     basis[j] with lead gamma, and a division step cancels exponent mu with
@@ -441,18 +453,22 @@ def _completion(items: List[Tuple[_Raw, Optional[tuple]]], budget: Budget, memo:
     the products of every division and S-element of the computation share
     the memo's ladders of lower multiples.
     """
-    order, leads = memo.order, memo.leads
+    order, leads, basis = memo.order, memo.leads, memo.basis
     # two_sided_saturate([]) completes nothing, on no presentation
     commutative = memo.pres is not None and memo.pres.commutative
+    quasi = memo.pres is not None and memo.pres.quasi_commutative
     pairs: dict = {}  # queued pair (i, j), i < j -> lcm of the two leads
     heap: list = []  # (order key of the lcm, i, j); pairs pruned later go stale
 
     def add(g: Polynomial, cert):
         k = len(leads)
         lead = g.leading(order)[0]
+        monomial = quasi and len(g.raw) == 1
         for gamma, i in _gebauer_moller(pairs, leads, lead).items():
             if commutative and not any(map(min, leads[i], lead)):
                 continue  # coprime leads: the product criterion
+            if monomial and len(basis[i].raw) == 1:
+                continue  # two monomials: both products are x^gamma
             pairs[(i, k)] = gamma
             heapq.heappush(heap, (order.key(gamma), i, k))
         memo.append(g, lead, cert)
@@ -616,12 +632,18 @@ def _groebner(
     when elements carry certificates, seeding generator k's as
     ((1, k, 1),), and None when they carry none.
 
+    In a quasi-commutative presentation (any sigma) a monomial g = x^alpha
+    is normal: g * w = c * w * g for every variable w, with c nonzero, and
+    g * r = sigma^alpha(r) * g for a scalar r. So its right multiples lie
+    in its left ideal already, and none is formed.
+
     Why the minimal elements suffice. Let G be the left GB a completion
     returns, L its left ideal and G' its minimal elements. Every lead in G
     is divisible by a lead in G', so G' is a left GB of L as well, and each
     g in G reduces to 0 by G': g = sum a_h * h over h in G', hence
     g * w = sum a_h * (h * w) for each right factor w. For an h this
-    completion added, h * w is adjoined now; an h from an earlier round
+    completion added, h * w is adjoined now, or lies in L already when h
+    is a normal monomial; an h from an earlier round
     lies in that round's left ideal, whose products with w were adjoined
     then, by the same argument. So after the round the left ideal contains
     L * w, as if every element of G had been multiplied.
@@ -648,6 +670,8 @@ def _groebner(
         items = []
         for k in _minimal(memo.leads, added) if right_factors else ():
             g, cert = memo.basis[k], memo.certs[k]
+            if len(g.raw) == 1 and pres.quasi_commutative:
+                continue  # a normal monomial: g * w = c * w * g
             for w in right_factors:
                 cw = None if cert is None else tuple(
                     (p, i, multiply(q, w)) for p, i, q in cert

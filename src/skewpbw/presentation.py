@@ -376,13 +376,13 @@ def serialize_presentation(pres: Presentation) -> str:
     ]
     if tags:
         lines.append("sigma: " + ", ".join(tags))
-    comm = Presentation(pres.field, pres.names)
     n = pres.n
     for (i, j), rel in sorted(pres.relations.items()):
         terms = {_exponent(n, k): a.value for k, a in enumerate(rel.linear)}
         terms[_exponent(n, i, j)] = rel.c.value
         terms[_exponent(n)] = rel.const.value
-        rhs = poly.to_string(poly.Polynomial.from_raw(comm, terms.items()))
+        # printing reads only the names and the field, never the relations
+        rhs = poly.to_string(poly.Polynomial.from_raw(pres, terms.items()))
         lines.append(f"relation: {pres.names[j]}*{pres.names[i]} = {rhs}")
     return "\n".join(lines) + "\n"
 

@@ -171,6 +171,18 @@ MUTANTS = (
          "tests/test_groebner.py::test_reduced_bases_match_naive_oracle[qplane_m1.alg]"),
     ),
     Mutant(
+        "monomial-right-multiples-on-every-presentation", "src/skewpbw/groebner.py",
+        "            if len(g.raw) == 1 and pres.quasi_commutative:\n",
+        "            if len(g.raw) == 1:\n",
+        ("tests/test_groebner.py::test_monomials_are_not_normal_elsewhere",),
+    ),
+    Mutant(
+        "monomial-pairs-on-every-presentation", "src/skewpbw/groebner.py",
+        "        monomial = quasi and len(g.raw) == 1\n",
+        "        monomial = len(g.raw) == 1\n",
+        ("tests/test_groebner.py::test_monomials_are_not_normal_elsewhere",),
+    ),
+    Mutant(
         "rational-mul-skips-gcds-on-one-integer", "src/skewpbw/scalars.py",
         "    if da == 1 and db == 1:", "    if da == 1 or db == 1:",
         ("tests/test_scalars.py::test_rational_mul_and_inv_match_fraction",),

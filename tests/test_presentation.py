@@ -180,6 +180,24 @@ def test_serialize_roundtrip():
         assert Q.names == P.names and Q.relations == P.relations
 
 
+def test_serialize_builds_no_presentation(monkeypatch):
+    """Printing the right sides reads only the names and the field, so
+    serializing and hashing build no second Presentation."""
+    shipped = [load_presentation_file(algebra_path(n)) for n in sorted(os.listdir(ALGEBRA_DIR))]
+    built = []
+    init = Presentation.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Presentation, "__init__", counting)
+    for P in shipped:
+        serialize_presentation(P)
+        presentation_hash(P)
+    assert built == []
+
+
 def test_classify_examples(witten, qspace3, comm2):
     assert not witten.quasi_commutative
     assert qspace3.quasi_commutative
