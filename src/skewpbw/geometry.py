@@ -437,10 +437,18 @@ def commutative_points_ideal(
 ) -> List[Polynomial]:
     """Reduced deglex Groebner basis of the ideal of the points, ascending by lead.
 
-    `linalg.walk` with unit weights and no cap, on each monomial's values
-    at the distinct points (Abbott, Bigatti, Kreuzer & Robbiano 2000). A
-    reduced basis is unique, so a fold of pairwise intersections returns
-    it too. One point gives the x_i - z_i, no points give [1]. InputError
+    When the distinct points fill the box S_1 x ... x S_n of their
+    coordinate sets, the basis is the prod_{c in S_i} (x_i - c), by
+    `_box_ideal`, with no walk. Each vanishes on the box. Their leads
+    x_i^|S_i| are pairwise coprime, so they are a reduced Groebner basis
+    of the ideal they generate, whose quotient has |S_1| * ... * |S_n|
+    standard monomials: as many as the points, so that ideal is the whole
+    ideal of the points. One point is such a box and gives the x_i - z_i;
+    so is the one point of K^0, which gives [].
+    Any other set goes through `linalg.walk` with unit weights and no cap,
+    on each monomial's values at the distinct points (Abbott, Bigatti,
+    Kreuzer & Robbiano 2000); no points give [1]. A reduced basis is
+    unique, so a fold of pairwise intersections returns it too. InputError
     for a point that `_check_point` refuses, or a presentation that is not
     commutative.
     """
@@ -449,6 +457,9 @@ def commutative_points_ideal(
         _check_point(center_pres, Z)
     field, n = center_pres.field, center_pres.n
     distinct = dict.fromkeys(Z.raw for Z in points)
+    sets = [dict.fromkeys(z[i] for z in distinct) for i in range(n)]
+    if distinct and len(distinct) == math.prod(map(len, sets)):
+        return _box_ideal(center_pres, sets)
     columns = [[z[i] for z in distinct] for i in range(n)]
     values = _monomial_values(field, columns, len(distinct), ())
 
@@ -458,6 +469,25 @@ def commutative_points_ideal(
 
     relations = linalg.walk(field, (1,) * n, math.inf, vectors)
     return [Polynomial.from_raw(center_pres, r.items()) for r in relations]
+
+
+def _box_ideal(pres: Presentation, sets) -> List[Polynomial]:
+    """The prod_{c in S_i} (x_i - c), one per coordinate set S_i, ascending
+    by lead x_i^|S_i|: by degree, then by exponent tuple."""
+    field, n = pres.field, pres.n
+    add, mul, neg, zero = field.raw_add, field.raw_mul, field.raw_neg, field.raw_zero
+    out = []
+    for i, values in enumerate(sets):
+        coeffs = [field.raw_one]  # of x_i^0, x_i^1, ... in the product so far
+        for c in values:
+            c = neg(c)
+            coeffs = [zero] + coeffs
+            for k in range(len(coeffs) - 1):
+                coeffs[k] = add(coeffs[k], mul(c, coeffs[k + 1]))
+        exps = [(0,) * i + (k,) + (0,) * (n - i - 1) for k in range(len(coeffs))]
+        out.append(Polynomial.from_raw(pres, zip(exps, coeffs)))
+    out.sort(key=lambda g: (sum(g.raw[0][0]), g.raw[0][0]))
+    return out
 
 
 class WitnessResult(NamedTuple):

@@ -9,8 +9,9 @@ time, each under a key of their own, and read back either "kept" or the
 linear relation that puts it in the span of the vectors kept before it.
 Sizes here are desk scale (tens of vectors), so plain Gaussian
 elimination is enough. `walk` finds the ideal of central points and
-the contraction to the center; it, `ideal_of_points` and the normality
-solves feed `Echelon`.
+the contraction to the center, except where those have a closed form (a
+box of points, a basis of monomials; see their docstrings); it,
+`ideal_of_points` and the normality solves feed `Echelon`.
 """
 
 from __future__ import annotations

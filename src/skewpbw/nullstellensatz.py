@@ -10,7 +10,11 @@ two-sided ideal to it (the reduced basis of the relations among the
 normal forms of central monomials, up to a degree) and the ideal of the
 central points found on a finite search grid
 (`geometry.commutative_points_ideal`, on the values of monomials at the
-points), with no Groebner computation and no budget. With the classical
+points), with no Groebner computation and no budget. Two inputs have a
+closed form instead, exact for the reasons the two functions give: a
+basis of monomials, whose contraction is the monomial ideal of the
+u^ceil(beta/L), and points that fill the box of their coordinate sets,
+whose ideal is the product of (u_i - c) over each set. With the classical
 radical step (the Rabinowitsch trick inside the engine on a
 trivial-relations presentation) and central nilpotency certificates they
 verify the first inclusion of
@@ -26,6 +30,7 @@ documents.
 from __future__ import annotations
 
 import math
+from operator import mul
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from skewpbw import linalg
@@ -47,7 +52,7 @@ from skewpbw.groebner import (
     normal_forms,
 )
 from skewpbw.normality import central_probe
-from skewpbw.poly import DEGLEX, Polynomial, multiply
+from skewpbw.poly import DEGLEX, Polynomial, divides, multiply
 from skewpbw.presentation import (
     Presentation, central_multiple, extend_with_central, require_commutative,
 )
@@ -212,23 +217,51 @@ def contract_to_center(handle: IdealHandle, C: CenterDescription, d: int) -> Lis
     J is the kernel of u^kappa -> the normal form of x^(L*kappa). `linalg.walk`
     with the weights L and the cap d finds it: d bounds the A-degree sum
     L_i * kappa_i of each lead, and when J is zero-dimensional a large
-    enough d gives its whole basis. A unit ideal gives [1]. Each lifted
-    element is certified central and a member of the ideal, by a zero normal
-    form on the walk's memo; a failure is an engine fault: RuntimeError.
+    enough d gives its whole basis. A unit ideal gives [1].
+
+    When the presentation is quasi-commutative and every basis element is
+    one term x^beta, no walk runs. Each monomial is then normal, so the
+    ideal is spanned by the monomials some x^beta divides: the normal form
+    of x^(L*kappa) is 0 when L*kappa >= beta for some beta, and otherwise
+    x^(L*kappa) itself, and distinct monomials are independent. So J is
+    the monomial ideal of the u^ceil(beta/L), and its reduced basis is the
+    minimal ones of weighted degree <= d, in the walk's order
+    (`_monomial_contraction`).
+
+    Either way each lifted element is certified central and a member of
+    the ideal, by a zero normal form on one memo; a failure is an engine
+    fault: RuntimeError.
     """
     if handle.status == UNKNOWN:
         raise InputError("contraction needs a resolved ideal; raise the budget")
     pres, L = C.presentation, C.exponents
     _check_presentation(pres, handle)
     normal_form, one = normal_forms(handle), pres.field.raw_one
-    relations = linalg.walk(pres.field, L, d, lambda level: [
-        normal_form({tuple(k * l for k, l in zip(kap, L)): one}) for kap in level
-    ])
+    if pres.quasi_commutative and all(len(g.raw) == 1 for g in handle.basis):
+        leads = _monomial_contraction([g.raw[0][0] for g in handle.basis], L, d)
+        relations = [{t: one} for t in leads]
+    else:
+        relations = linalg.walk(pres.field, L, d, lambda level: [
+            normal_form({tuple(k * l for k, l in zip(kap, L)): one}) for kap in level
+        ])
     J = [Polynomial.from_raw(C.center_ring, r.items()) for r in relations]
     lifted = [lift_center_poly(C, f) for f in J]
     if any(normal_form(f.raw) or not central_probe(f) for f in lifted):
         raise RuntimeError("contraction output failed certification")
     return J
+
+
+def _monomial_contraction(betas, L, d) -> list:
+    """The minimal exponents among the ceil(beta / L), of weighted degree
+    sum L_i * kappa_i <= d, ascending by weighted degree, then exponent
+    tuple: the order in which `linalg.walk` finds the leads."""
+    ceilings = {tuple(-(-b // l) for b, l in zip(beta, L)) for beta in betas}
+    minimal = []
+    # a proper divisor has the smaller weighted degree, so it comes first
+    for w, kappa in sorted((sum(map(mul, kappa, L)), kappa) for kappa in ceilings):
+        if w <= d and not any(divides(m, kappa) for m in minimal):
+            minimal.append(kappa)
+    return minimal
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,13 @@ text that replaces it, and the test node ids expected to fail with it.
 Tier-1 passing says nothing about whether a test that once caught a bug
 still can; this does. Run it from the repository root, after tier-1:
 
-    python tests/mutants.py
+    python tests/mutants.py [NAME ...]
+
+With names it runs only those mutants; a name that is not registered
+exits 2 and lists the registered names. With none it runs them all.
 
 The runner copies the trees and root files the tests read into a
-temporary directory and runs the registered tests there once unmutated.
+temporary directory and runs the mutants' tests there once unmutated.
 Then it applies one mutant at a time, runs only that mutant's tests and
 restores the file. It exits 1 when a mutant survives (none of its tests
 fails), when an old text does not occur exactly once in its file, when
@@ -293,6 +296,17 @@ MUTANTS = (
         ("tests/test_scalars.py::"
          "test_number_field_kernel_matches_fraction_oracle[cyclotomic:120]",),
     ),
+    Mutant(
+        "monomial-contraction-rounds-down", "src/skewpbw/nullstellensatz.py",
+        "-(-b // l)", "b // l",
+        ("tests/test_nullstellensatz.py::test_contraction_matches_scalar_kernel[qplane_m1.alg]",),
+    ),
+    Mutant(
+        "box-test-takes-any-point-set", "src/skewpbw/geometry.py",
+        "len(distinct) == math.prod(map(len, sets))",
+        "len(distinct) <= math.prod(map(len, sets))",
+        ("tests/test_nullstellensatz.py::test_box_points_ideal_matches_elimination_fold",),
+    ),
 )
 
 
@@ -351,9 +365,15 @@ def _survival(copy: str, mutant: Mutant) -> str:
     return "" if code == 1 else f"pytest exited {code}, not 1:\n{tail}"
 
 
-def main() -> int:
+def main(names) -> int:
+    registered = {m.name: m for m in MUTANTS}
+    unknown = [name for name in names if name not in registered]
+    if unknown:
+        print(f"no mutant named {', '.join(unknown)}; registered:\n" + "\n".join(registered))
+        return 2
+    mutants = [registered[name] for name in dict.fromkeys(names)] if names else MUTANTS
     failures = []
-    for m in MUTANTS:
+    for m in mutants:
         with open(os.path.join(ROOT, m.path), encoding="utf-8") as fh:
             count = fh.read().count(m.old)
         if count != 1:
@@ -371,20 +391,20 @@ def main() -> int:
             return f"the run wrote {', '.join(paths)}" if paths else ""
 
         # a registered test that fails on the unmutated tree kills anything
-        code, tail = _pytest(copy, dict.fromkeys(t for m in MUTANTS for t in m.tests))
+        code, tail = _pytest(copy, dict.fromkeys(t for m in mutants for t in m.tests))
         ran = "" if code == 0 else f"pytest exited {code}:\n{tail}"
         problem = "\n".join(filter(None, (ran, written())))
         if problem:
             print(f"the registered tests do not pass unmutated:\n{problem}")
             return 1
-        for m in MUTANTS:
+        for m in mutants:
             problem = "\n".join(filter(None, (_survival(copy, m), written())))
             print(f"{m.name}: {'FAILED ' + problem if problem else 'killed'}", flush=True)
             if problem:
                 failures.append(m.name)
-    print(f"{len(MUTANTS) - len(failures)} of {len(MUTANTS)} mutants killed")
+    print(f"{len(mutants) - len(failures)} of {len(mutants)} mutants killed")
     return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from conftest import ALGEBRA_DIR, algebra_path
+from documents import GF7SPACE
 from oracles import random_polynomial, random_scalar
 from skewpbw.cli import COMMANDS, EXIT_INPUT, EXIT_OK, EXIT_UNKNOWN, main
 from skewpbw.presentation import load_presentation_file
@@ -682,12 +683,6 @@ def test_non_utf8_document_is_input_error(tmp_path, capsys):
     code, out, err = run(["normalize", "--algebra", str(alg), "--f", "x"], capsys)
     assert (code, out) == (EXIT_INPUT, "")
     assert err == f"error: {alg}: byte {data.index(0xE9)} is not UTF-8 text\n"
-
-
-GF7SPACE = (
-    "field: gf:7\nvars: x, y, z\n"
-    "relation: y*x = 2*x*y\nrelation: z*x = 3*x*z\nrelation: z*y = 5*y*z\n"
-)
 
 
 def test_sandwich_refuses_assumed_center(tmp_path, capsys):

@@ -40,6 +40,7 @@ from skewpbw.presentation import (
 )
 from skewpbw.scalars import FieldSpec, InputError, Scalar, get_field
 from conftest import ALGEBRA_DIR, algebra_path
+from documents import GF7SPACE
 from oracles import (
     _satisfies_relations,
     _vector,
@@ -204,12 +205,6 @@ def test_vanishing_set_domain_cache(GF5, monkeypatch):
         for Z, tag in table:
             root = all(is_root(f, Z) == "yes" for f in polys)
             assert root == (tag in ("root", "degenerate")), (k, Z, tag)
-
-
-GF7SPACE = (
-    "field: gf:7\nvars: x, y, z\n"
-    "relation: y*x = 2*x*y\nrelation: z*x = 3*x*z\nrelation: z*y = 5*y*z\n"
-)
 
 
 def _partition(pres):
@@ -617,7 +612,8 @@ def test_every_evaluation_reads_the_one_value_walk(monkeypatch, qplane_m1, QQ):
     """`evaluate`, `vanishing_set` (cold and warm), `ideal_of_points` and
     `commutative_points_ideal` each compute monomial values through
     `geometry._monomial_values`, so a second walk fails here; the
-    sandwich's points ideal is the same function."""
+    sandwich's points ideal is the same function. Its points are no box,
+    since the ideal of a box is written down without values."""
     assert nullstellensatz.commutative_points_ideal is geometry.commutative_points_ideal
     for gone in ("_power_table", "_top_degrees", "_sparse_terms"):
         assert not hasattr(geometry, gone), gone
@@ -639,7 +635,7 @@ def test_every_evaluation_reads_the_one_value_walk(monkeypatch, qplane_m1, QQ):
         "vanishing_set warm": lambda: vanishing_set(qplane_m1, [f, f], grid(QQ, -3, 3)),
         "ideal_of_points": lambda: ideal_of_points(qplane_m1, [Z], 2),
         "commutative_points_ideal": lambda: geometry.commutative_points_ideal(
-            comm, [Point.of(comm, [1, 0])]
+            comm, [Point.of(comm, [1, 0]), Point.of(comm, [0, 1])]
         ),
     }
     for name, run in runs.items():
@@ -906,10 +902,7 @@ def test_point_routines_on_the_space_of_no_coordinates(spec):
 @pytest.fixture(scope="module")
 def gf7_qspace3():
     """A GF(7) quantum 3-space: yx = 2xy, zx = 3xz, zy = 5yz."""
-    return load_presentation(
-        "field: gf:7\nvars: x, y, z\nrelation: y*x = 2*x*y\n"
-        "relation: z*x = 3*x*z\nrelation: z*y = 5*y*z\n"
-    )
+    return load_presentation(GF7SPACE)
 
 
 @pytest.mark.parametrize("name", SHIPPED + ["gf7_qspace3"])

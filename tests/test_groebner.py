@@ -8,6 +8,7 @@ import zlib
 import pytest
 
 from conftest import ALGEBRA_DIR, algebra_path
+from documents import GF7SPACE
 from oracles import (
     check_products,
     expand_certificate,
@@ -368,10 +369,7 @@ def test_saturation_closes_under_scalars_with_sigma_twist():
 
 SHIPPED = sorted(f for f in os.listdir(ALGEBRA_DIR) if f.endswith(".alg"))
 INLINE = {
-    "gf7space": (
-        "field: gf:7\nvars: x, y, z\n"
-        "relation: y*x = 2*x*y\nrelation: z*x = 3*x*z\nrelation: z*y = 5*y*z\n"
-    ),
+    "gf7space": GF7SPACE,
     "zeta5plane": "field: cyclotomic:5\nvars: x, y\nrelation: y*x = z*x*y\n",
     # x conjugates the scalars it passes: right multiples by i are needed
     "conjplane": "field: Q(i)\nvars: x, y\nsigma: x = conj\nrelation: y*x = i*x*y\n",

@@ -3,6 +3,7 @@
 import inspect
 import itertools
 import math
+import operator
 import random
 import re
 import sys
@@ -607,6 +608,15 @@ def _seeded_generator(pres, L, rng):
     return g
 
 
+def _seeded_monomials(pres, rng):
+    """One to three scaled monomials of degree 1 to 6."""
+    monos = exponents_up_to(pres.n, 6)[1:]
+    return [
+        Polynomial.monomial(pres, rng.choice(monos), random_scalar(pres.field, rng))
+        for _ in range(rng.randint(1, 3))
+    ]
+
+
 @pytest.mark.parametrize(
     "name", ["commutative_xy.alg", "qplane_i.alg", "qplane_m1.alg", "qplane_q2_gf5.alg"]
 )
@@ -614,9 +624,14 @@ def test_contraction_matches_scalar_kernel(name):
     """contract_to_center at every d <= 8 against the kernel on Scalars, on
     every shipped algebra with a center: the unit ideal (J is [1]), the
     zero ideal (proper with an empty basis; J is zero), <x_1^(L_1) - 1>
-    (J holds u_1 - 1) and seeded ideals. J is an ordered sub-list of the
-    kernel's span basis that generates every element of it; under equal
-    L_i its order is deglex, and J is a reduced left Groebner basis."""
+    (J holds u_1 - 1), seeded ideals, and seeded two-sided and left
+    ideals of monomials. J is an ordered sub-list of the kernel's span
+    basis that generates every element of it; under equal L_i its order is
+    deglex, and J is a reduced left Groebner basis, the elements of the
+    block-order elimination's whose lead has weighted degree <= d.
+
+    A basis of monomials takes the closed form, any other the walk; both
+    kinds are checked, each more than once."""
     pres = load_presentation_file(algebra_path(name))
     C = center_generators(pres)
     rng = random.Random(name)
@@ -630,11 +645,23 @@ def test_contraction_matches_scalar_kernel(name):
         handle = two_sided_saturate([g for g in gens if not g.is_zero()])
         if handle.status == "proper":
             handles.append(handle)
+    for _ in range(3):
+        handles.append(two_sided_saturate(_seeded_monomials(pres, rng)))
+        handles.append(left_groebner(_seeded_monomials(pres, rng)))
     assert handles[0].status == "unit" and handles[1].basis == ()
+    monomial = [all(len(g.terms) == 1 for g in h.basis) for h in handles]
+    assert sum(monomial) >= 8 and monomial.count(False) >= 2
+    assert {h.sidedness for h in handles} == {"left", "two-sided"}
     equal_weights = len(set(C.exponents)) == 1
     for handle in handles:
+        block = block_contraction(handle, C)
         for d in range(9):
             J = contract_to_center(handle, C, d)
+            if equal_weights:
+                assert J == [
+                    g for g in block
+                    if sum(map(operator.mul, g.leading()[0], C.exponents)) <= d
+                ]
             expected = _contraction_by_scalars(handle, C, d)
             remaining = iter([str(g) for g in expected])
             assert all(str(g) in remaining for g in J)
@@ -924,22 +951,67 @@ def _random_point_sets():
         yield pres, points
 
 
+def _assert_matches_elimination_fold(pres, points):
+    """The points ideal is the fold's basis, monic, vanishing on the
+    points and reduced, with one standard monomial per distinct point.
+    The fold intersects left bases, which K^0 has none of, so there it
+    is given the one distinct point."""
+    G = commutative_points_ideal(pres, points)
+    naive = naive_points_ideal(pres, [Z.coords for Z in (points if pres.n else set(points))])
+    assert [str(g) for g in G] == [str(g) for g in naive]
+    leads = [g.leading()[0] for g in G]
+    for g in G:
+        assert g.leading()[1] == pres.field.raw_one
+        assert all(evaluate(g, Z).is_zero() for Z in points)
+        for e, _ in g.terms[1:]:
+            assert not any(divides(lead, e) for lead in leads)
+    for k, lead in enumerate(leads):
+        assert not any(divides(o, lead) for j, o in enumerate(leads) if j != k)
+    distinct = set(points)
+    standard = [
+        e for e in exponents_up_to(pres.n, len(distinct))
+        if not any(divides(lead, e) for lead in leads)
+    ]
+    assert len(standard) == len(distinct)
+
+
 def test_points_ideal_matches_elimination_fold():
     for pres, points in _random_point_sets():
-        G = commutative_points_ideal(pres, points)
-        naive = naive_points_ideal(pres, [Z.coords for Z in points])
-        assert [str(g) for g in G] == [str(g) for g in naive]
-        leads = [g.leading()[0] for g in G]
-        for g in G:
-            assert g.leading()[1] == pres.field.raw_one
-            assert all(evaluate(g, Z).is_zero() for Z in points)
-            for e, _ in g.terms[1:]:
-                assert not any(divides(lead, e) for lead in leads)
-        for k, lead in enumerate(leads):
-            assert not any(divides(o, lead) for j, o in enumerate(leads) if j != k)
-        distinct = set(points)
-        standard = [
-            e for e in exponents_up_to(pres.n, len(distinct))
-            if not any(divides(lead, e) for lead in leads)
-        ]
-        assert len(standard) == len(distinct)
+        _assert_matches_elimination_fold(pres, points)
+
+
+def _box_point_sets():
+    """Seeded boxes S_1 x ... x S_n over five fields, 0-3 variables, each
+    shuffled, then with a repeated point, and without one point; single
+    points and the empty set."""
+    rng = random.Random(4611)
+    for spec in ("gf:5", "gf:7", "Q", "Q(i)", "cyclotomic:5"):
+        field = get_field(FieldSpec.from_string(spec))
+        for n in range(4):
+            pres = Presentation(field, ("u", "v", "w")[:n])
+            yield pres, []
+            for _ in range(3):
+                sets = [
+                    list(dict.fromkeys(random_scalar(field, rng) for _ in range(rng.randint(1, 3))))
+                    for _ in range(n)
+                ]
+                box = [Point.of(pres, c) for c in itertools.product(*sets)]
+                rng.shuffle(box)
+                yield pres, box
+                yield pres, box + [rng.choice(box)]
+                yield pres, box[1:]
+                yield pres, box[:1]
+
+
+def test_box_points_ideal_matches_elimination_fold():
+    """Point sets on both sides of the box test, whose ideal is written
+    down when the distinct points fill the box of their coordinate sets,
+    against the fold; each side is met more than once."""
+    boxes = []
+    for pres, points in _box_point_sets():
+        coordinates = [dict.fromkeys(Z.raw[i] for Z in points) for i in range(pres.n)]
+        boxes.append(bool(points) and set(points) == set(
+            Point(raw, pres.field) for raw in itertools.product(*coordinates)
+        ))
+        _assert_matches_elimination_fold(pres, points)
+    assert boxes.count(True) >= 100 and boxes.count(False) >= 40

@@ -13,6 +13,7 @@ import random
 import zlib
 
 from conftest import algebra_path
+from documents import GF7SPACE
 from oracles import random_polynomial
 from skewpbw import geometry, groebner
 from skewpbw.poly import Polynomial, parse_polynomial
@@ -63,10 +64,7 @@ def test_counters_see_point_ideal_calls(monkeypatch, qplane_gf5):
 def _gb_gfp_inputs():
     """Seeded left-GB and saturation inputs over GF(5) and GF(7), like the
     gb-gfp benchmark's."""
-    gf7 = load_presentation(
-        "field: gf:7\nvars: x, y, z\n"
-        "relation: y*x = 2*x*y\nrelation: z*x = 3*x*z\nrelation: z*y = 5*y*z\n"
-    )
+    gf7 = load_presentation(GF7SPACE)
     rng = random.Random(zlib.crc32(b"gb-gfp hooks"))
     out = []
     for pres in (load_presentation_file(algebra_path("qplane_q2_gf5.alg")), gf7):
