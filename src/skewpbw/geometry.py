@@ -207,7 +207,7 @@ def _new_character_test(pres: Presentation):
         if not rel.is_trivial_lower():
             relations.append((
                 i, j, rel.c.value, rel.const.value,
-                [(k, a.value) for k, a in enumerate(rel.linear) if not a.is_zero()],
+                [(k, a.value) for k, a in rel.linear],
             ))
         elif rel.c.value != field.raw_one:
             axes.append((i, j))

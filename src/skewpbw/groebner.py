@@ -775,10 +775,12 @@ def intersect_left(
     eliminates t with a block order; the t-free basis elements generate
     I ∩ J (substituting t at 0 and 1 is a ring map because t is central).
     """
-    if I.presentation is not J.presentation:
+    if None not in (I.presentation, J.presentation) and I.presentation is not J.presentation:
         raise InputError("ideals over different presentations")
     if I.status != PROPER or J.status != PROPER:
         raise InputError("intersection needs both ideals proper")
+    if not (I.basis and J.basis):  # the intersection with a zero ideal is zero
+        return IntersectionResult([], True)
     pres = I.presentation
     ext = extend_with_central(pres)
     block = MonomialOrder.block([0], ext.n)

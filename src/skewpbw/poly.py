@@ -196,9 +196,7 @@ def _insert_var(pres: Presentation, i: int, exp: tuple) -> dict:
             cf2 = mul(c, cf if sigma is None else sigma(cf))
             for e3, k3 in _insert_var(pres, j, e).items():
                 _acc(out, e3, mul(cf2, k3), add, zero)
-        for k, a in enumerate(rel.linear):
-            if a.is_zero():
-                continue
+        for k, a in rel.linear:
             for e3, k3 in _insert_var(pres, k, rest).items():
                 _acc(out, e3, mul(a.value, k3), add, zero)
         if not rel.const.is_zero():

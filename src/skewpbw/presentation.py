@@ -29,19 +29,24 @@ from skewpbw.scalars import (
 
 
 class Relation(NamedTuple):
+    """The rule x_j*x_i = c*x_i*x_j + sum a_k*x_k + const. `linear` holds the
+    (k, a_k) with a_k nonzero, ascending in k, as `Polynomial.raw` holds terms."""
+
     c: Scalar
-    linear: tuple  # n Scalars
+    linear: tuple
     const: Scalar
 
     def is_trivial_lower(self) -> bool:
-        return all(a.is_zero() for a in self.linear) and self.const.is_zero()
+        return not self.linear and self.const.is_zero()
 
 
 class Presentation:
     """Immutable algebra presentation; carries the normal-form caches.
 
-    Construction coerces each relation's constants into the field, and
-    refuses an inconsistent presentation: see `_check_overlaps`.
+    `relations` holds every pair (i, j), i < j; the pairs a caller leaves
+    out share one `Relation(one, (), zero)`. Construction checks the others
+    (`_coerce_relation`) and refuses an inconsistent presentation: see
+    `_check_overlaps`.
 
     `sigma` holds the exponents k_i, taken as ints coprime to the field's m
     and stored in `Field.unit_exponent` form: 1 for the identity.
@@ -82,24 +87,13 @@ class Presentation:
             None if k == 1 else (lambda a, k=k: field.raw_galois(a, k))
             for k in self.sigma
         )
-        rels, default = {}, Relation(field.one, (field.zero,) * self.n, field.zero)
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                rel = (relations or {}).get((i, j), default)
-                try:
-                    c, *linear, const = map(field.coerce, (rel.c, *rel.linear, rel.const))
-                except InputError as exc:
-                    raise InputError(f"relation {names[j]}*{names[i]}: {exc}") from None
-                if c.is_zero():
-                    raise InputError(
-                        f"relation {names[j]}*{names[i]}: leading constant must be nonzero"
-                    )
-                rels[(i, j)] = Relation(c, tuple(linear), const)
-        self.relations = rels
+        default, given = Relation(field.one, (), field.zero), relations or {}
+        self.relations = rels = {
+            pair: _coerce_relation(self, pair, given[pair]) if pair in given else default
+            for pair in itertools.combinations(range(self.n), 2)
+        }
         self.sigma_all_identity = all(m is None for m in self.sigma_maps)
-        self.quasi_commutative = all(
-            rel.is_trivial_lower() for rel in rels.values()
-        )
+        self.quasi_commutative = all(rel.is_trivial_lower() for rel in rels.values())
         # a commutative polynomial ring: Buchberger's product criterion holds
         self.commutative = self.sigma_all_identity and self.quasi_commutative and all(
             rel.c == field.one for rel in rels.values()
@@ -131,23 +125,54 @@ class Presentation:
         return f"Presentation({self.field.spec}; {', '.join(self.names)})"
 
 
+def _coerce_relation(pres: Presentation, pair, rel) -> Relation:
+    """rel with its constants in pres.field and only its nonzero lower terms,
+    ascending; InputError naming the relation otherwise."""
+    (i, j), field, names = pair, pres.field, pres.names
+    try:
+        c, linear = field.coerce(rel.c), {}
+        for k, a in rel.linear:
+            if type(k) is not int or not 0 <= k < pres.n or k in linear:
+                raise InputError(f"lower term index {k!r} is outside the variables or repeated")
+            linear[k] = field.coerce(a)
+        const = field.coerce(rel.const)
+    except InputError as exc:
+        raise InputError(f"relation {names[j]}*{names[i]}: {exc}") from None
+    if c.is_zero():
+        raise InputError(f"relation {names[j]}*{names[i]}: leading constant must be nonzero")
+    return Relation(c, tuple(sorted((k, a) for k, a in linear.items() if not a.is_zero())), const)
+
+
 def _check_overlaps(pres: Presentation) -> None:
     """Raises InputError at the first Bergman overlap whose two
     sides differ under the engine's products.
 
     The relations and x_i * r = sigma_i(r) * x_i rewrite compatibly with
-    the degree, so by the diamond lemma the PBW monomials are a basis
-    exactly when every overlap resolves: x_k*x_j*x_i for k > j > i, and
-    x_j*x_i*r for j > i and r a scalar. An automorphism of Q(zeta_m) is
-    fixed by its value at zeta, so the field primitive stands for every r.
-    With every sigma the identity and no lower terms, all overlaps resolve
-    and the constructor skips the check.
+    the degree, so by the diamond lemma (Bergman, Adv. Math. 1978) the PBW
+    monomials are a basis exactly when every overlap resolves: x_k*x_j*x_i
+    for k > j > i, and x_j*x_i*r for j > i and r a scalar. An automorphism
+    of Q(zeta_m) is fixed by its value at zeta, so the field primitive
+    stands for every r.
+
+    A triple is skipped when its three relations have no lower terms and
+    sigma_i, sigma_j, sigma_k are the identity: both reductions of
+    x_k*x_j*x_i then use only the rules x_b*x_a = c_ab*x_a*x_b, and each
+    scalar moves left past x_i, x_j or x_k unchanged, so
+        x_k*x_j*x_i -> c_jk*x_j*x_k*x_i -> c_jk*c_ik*x_j*x_i*x_k,
+        x_k*x_j*x_i -> c_ij*x_k*x_i*x_j -> c_ij*c_ik*x_i*x_k*x_j,
+    and one more step takes both to c_ij*c_ik*c_jk*x_i*x_j*x_k. With every
+    sigma the identity and no lower terms all overlaps resolve, and the
+    constructor skips the check.
     """
     names, x = pres.names, [poly.Polynomial.variable(pres, k) for k in range(pres.n)]
+    fixed = [m is None for m in pres.sigma_maps]
+    lowered = {pair for pair, rel in pres.relations.items() if not rel.is_trivial_lower()}
     down = list(reversed(range(pres.n)))
     overlaps = [
         (f"{names[k]}*{names[j]}*{names[i]}", x[k], x[j], x[i])
         for k, j, i in itertools.combinations(down, 3)
+        if not (fixed[i] and fixed[j] and fixed[k])
+        or (i, j) in lowered or (i, k) in lowered or (j, k) in lowered
     ]
     if not pres.sigma_all_identity:
         r = pres.field.primitive()
@@ -186,8 +211,7 @@ def quantum_plane(field: Field, q: Scalar, names=("x", "y")) -> Presentation:
     """y*x = q*x*y in two variables."""
     if len(names) != 2:
         raise InputError("quantum plane has two variables")
-    rel = Relation(q, (field.zero, field.zero), field.zero)
-    return Presentation(field, names, relations={(0, 1): rel})
+    return Presentation(field, names, relations={(0, 1): Relation(q, (), field.zero)})
 
 
 def extend_with_central(pres: Presentation) -> Presentation:
@@ -203,12 +227,11 @@ def extend_with_central(pres: Presentation) -> Presentation:
     while name in pres.names:
         k += 1
         name = f"t{k}"
-    field = pres.field
     names = (name,) + pres.names
     rels = {}
     for (i, j), rel in pres.relations.items():
-        rels[(i + 1, j + 1)] = Relation(rel.c, (field.zero,) + rel.linear, rel.const)
-    pres._extension = Presentation(field, names, sigma=(1,) + pres.sigma, relations=rels)
+        rels[(i + 1, j + 1)] = rel._replace(linear=tuple((k + 1, a) for k, a in rel.linear))
+    pres._extension = Presentation(pres.field, names, sigma=(1,) + pres.sigma, relations=rels)
     return pres._extension
 
 
@@ -256,9 +279,7 @@ def load_presentation(text: str) -> Presentation:
         elif key == "sigma":
             for item in parsing.split_top_level(value, ","):
                 if "=" not in item:
-                    raise InputError(
-                        f"line {lineno}: sigma entries look like 'x = conj'"
-                    )
+                    raise InputError(f"line {lineno}: sigma entries look like 'x = conj'")
                 var, tag = item.split("=", 1)
                 var = var.strip()
                 if var in sigma_tags:
@@ -291,9 +312,7 @@ def load_presentation(text: str) -> Presentation:
         lhs, rhs = line.split("=", 1)
         i, j = _parse_relation_lhs(lhs, index, lineno)
         if (i, j) in relations:
-            raise InputError(
-                f"line {lineno}: duplicate relation for {names[j]}*{names[i]}"
-            )
+            raise InputError(f"line {lineno}: duplicate relation for {names[j]}*{names[i]}")
         try:
             f = poly.parse_polynomial(rhs, comm)
         except InputError as exc:
@@ -335,11 +354,8 @@ def _exponent(n: int, *ks: int) -> tuple:
 
 def _relation_of(f, i: int, j: int, lineno: int) -> Relation:
     """The Relation whose right side is f, a polynomial in commuting variables."""
-    comm = f.pres
-    field, names, n = comm.field, comm.names, comm.n
-    c = field.zero
-    linear = [field.zero] * n
-    const = field.zero
+    field, names, n = f.pres.field, f.pres.names, f.pres.n
+    c, linear, const = field.zero, [], field.zero
     pair_exp = _exponent(n, i, j)
     for exp, coeff in f.terms:
         if exp == pair_exp:
@@ -347,16 +363,14 @@ def _relation_of(f, i: int, j: int, lineno: int) -> Relation:
         elif sum(exp) == 0:
             const = coeff
         elif sum(exp) == 1:
-            linear[exp.index(1)] = coeff
+            linear.append((exp.index(1), coeff))
         else:
             raise InputError(
                 f"line {lineno}: right side must be c*{names[i]}*{names[j]}"
                 f" + linear terms + constant"
             )
     if c.is_zero():
-        raise InputError(
-            f"line {lineno}: coefficient of {names[i]}*{names[j]} must be nonzero"
-        )
+        raise InputError(f"line {lineno}: coefficient of {names[i]}*{names[j]} must be nonzero")
     return Relation(c, tuple(linear), const)
 
 
@@ -376,11 +390,11 @@ def serialize_presentation(pres: Presentation) -> str:
     ]
     if tags:
         lines.append("sigma: " + ", ".join(tags))
-    n = pres.n
+    n, one = pres.n, _exponent(pres.n)
     for (i, j), rel in sorted(pres.relations.items()):
-        terms = {_exponent(n, k): a.value for k, a in enumerate(rel.linear)}
+        terms = {_exponent(n, k): a.value for k, a in rel.linear}
         terms[_exponent(n, i, j)] = rel.c.value
-        terms[_exponent(n)] = rel.const.value
+        terms[one] = rel.const.value
         # printing reads only the names and the field, never the relations
         rhs = poly.to_string(poly.Polynomial.from_raw(pres, terms.items()))
         lines.append(f"relation: {pres.names[j]}*{pres.names[i]} = {rhs}")
@@ -414,34 +428,18 @@ def check_pbw_consistency(pres: Presentation, degree_bound: int = 4) -> Consiste
     """
     if degree_bound < 3:
         raise InputError("degree bound must be >= 3")
-    n = pres.n
-    checked = 0
-
-    def mono(exp):
-        return poly.Polynomial.monomial(pres, exp, pres.field.one)
-
-    def probe(ea, eb, ec) -> Optional[tuple]:
-        nonlocal checked
-        checked += 1
-        a, b, c = mono(ea), mono(eb), mono(ec)
-        left = (a * b) * c
-        right = a * (b * c)
+    n, one, bound = pres.n, pres.field.one, degree_bound
+    exps = [(e, sum(e)) for e in poly.exponents_up_to(n, bound)]
+    triples = itertools.chain(
+        itertools.product([_exponent(n, k) for k in reversed(range(n))], repeat=3),
+        (
+            (ea, eb, ec) for ea, da in exps for eb, db in exps if da + db <= bound
+            for ec, dc in exps if da + db + dc <= bound
+        ),
+    )
+    for checked, triple in enumerate(triples, start=1):
+        a, b, c = (poly.Polynomial.monomial(pres, e, one) for e in triple)
+        left, right = (a * b) * c, a * (b * c)
         if left != right:
-            return (ea, eb, ec, str(left - right))
-        return None
-
-    for k in range(n - 1, -1, -1):
-        for jj in range(n - 1, -1, -1):
-            for ii in range(n - 1, -1, -1):
-                bad = probe(_exponent(n, k), _exponent(n, jj), _exponent(n, ii))
-                if bad:
-                    return ConsistencyReport(False, checked, bad)
-
-    exps = poly.exponents_up_to(n, degree_bound)
-    for ea, eb, ec in itertools.product(exps, repeat=3):
-        if sum(ea) + sum(eb) + sum(ec) > degree_bound:
-            continue
-        bad = probe(ea, eb, ec)
-        if bad:
-            return ConsistencyReport(False, checked, bad)
+            return ConsistencyReport(False, checked, (*triple, str(left - right)))
     return ConsistencyReport(True, checked)

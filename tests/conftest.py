@@ -70,7 +70,7 @@ def qspace3():
 @pytest.fixture(scope="session")
 def conj_qplane(QI):
     """y*x = i*x*y over Q(i), with x conjugating the coefficients it passes."""
-    rel = Relation(QI.primitive(), (QI.zero, QI.zero), QI.zero)
+    rel = Relation(QI.primitive(), (), QI.zero)
     return Presentation(
         QI,
         ("x", "y"),

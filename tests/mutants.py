@@ -269,9 +269,22 @@ MUTANTS = (
     ),
     Mutant(
         "relation-constants-unchecked", "src/skewpbw/presentation.py",
-        "map(field.coerce, (rel.c, *rel.linear, rel.const))",
-        "iter((rel.c, *rel.linear, rel.const))",
+        "            linear[k] = field.coerce(a)\n",
+        "            linear[k] = a\n",
         ("tests/test_presentation.py::test_relation_constants_are_coerced_into_the_field",),
+    ),
+    Mutant(
+        "overlap-skip-ignores-lower-terms", "src/skewpbw/presentation.py",
+        "or (i, j) in lowered or (i, k) in lowered or (j, k) in lowered",
+        "or (i, j) in lowered and (i, k) in lowered and (j, k) in lowered",
+        ("tests/test_presentation.py::test_overlap_check_agrees_with_degree_6_scan[gf:5]",),
+    ),
+    Mutant(
+        "overlap-skip-ignores-sigma", "src/skewpbw/presentation.py",
+        "        if not (fixed[i] and fixed[j] and fixed[k])\n        or ",
+        "        if ",
+        ("tests/test_presentation.py::test_inconsistent_presentations_are_refused",
+         "tests/test_sigma_twisted.py::test_refused_twisted_overlaps_fail_when_multiplied"),
     ),
     Mutant(
         "contraction-certifies-centrality-only", "src/skewpbw/nullstellensatz.py",

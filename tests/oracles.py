@@ -95,8 +95,7 @@ def naive_commutative_multiply(f: Polynomial, g: Polynomial) -> Polynomial:
 
 def quantum_space(field: Field, q_pairs: dict, names) -> Presentation:
     """x_j*x_i = q_ij*x_i*x_j for each pair i < j (missing pairs commute)."""
-    n = len(names)
-    rels = {ij: Relation(q, (field.zero,) * n, field.zero) for ij, q in q_pairs.items()}
+    rels = {ij: Relation(q, (), field.zero) for ij, q in q_pairs.items()}
     return Presentation(field, names, relations=rels)
 
 
@@ -171,9 +170,8 @@ def naive_word_multiply(f: Polynomial, g: Polynomial) -> Polynomial:
         u, j, i, v = w[:t], w[t], w[t + 1], w[t + 2 :]
         rel = pres.relations[(i, j)]
         put(u + (i, j) + v, c * past(u, rel.c))
-        for k, a in enumerate(rel.linear):
-            if not a.is_zero():
-                put(u + (k,) + v, c * past(u, a))
+        for k, a in rel.linear:
+            put(u + (k,) + v, c * past(u, a))
         if not rel.const.is_zero():
             put(u + v, c * past(u, rel.const))
     return Polynomial.from_dict(pres, out)
@@ -413,7 +411,7 @@ def _satisfies_relations(pres: Presentation, Z: Point) -> bool:
         return False
     for (i, j), rel in pres.relations.items():
         rhs = rel.c * z[i] * z[j] + rel.const
-        for k, a in enumerate(rel.linear):
+        for k, a in rel.linear:
             rhs = rhs + a * z[k]
         if rhs != z[j] * z[i]:
             return False
@@ -945,21 +943,21 @@ def reference_relation(rhs: str, field, names, i: int, j: int) -> Relation:
     """The relation x_j*x_i = rhs, collected by reference_collect."""
     n = len(names)
     terms = reference_collect(parse_ast(rhs), field, {nm: k for k, nm in enumerate(names)})
-    c, const, linear = field.zero, field.zero, [field.zero] * n
+    c, const, linear = field.zero, field.zero, []
     for exp, coeff in terms.items():
         if exp == tuple(1 if k in (i, j) else 0 for k in range(n)):
             c = coeff
         elif sum(exp) == 0:
             const = coeff
         elif sum(exp) == 1:
-            linear[exp.index(1)] = coeff
+            linear.append((exp.index(1), coeff))
         else:
             raise InputError(
                 f"right side must be c*{names[i]}*{names[j]} + linear terms + constant"
             )
     if c.is_zero():
         raise InputError(f"coefficient of {names[i]}*{names[j]} must be nonzero")
-    return Relation(c, tuple(linear), const)
+    return Relation(c, tuple(sorted(linear)), const)
 
 
 def _coeff_times(c, mono: str) -> str:
@@ -986,9 +984,8 @@ def reference_serialize(pres: Presentation) -> str:
         lines.append("sigma: " + ", ".join(tags))
     for (i, j), rel in sorted(pres.relations.items()):
         parts = [_coeff_times(rel.c, f"{pres.names[i]}*{pres.names[j]}")]
-        for k, a in enumerate(rel.linear):
-            if not a.is_zero():
-                parts.append(_coeff_times(a, pres.names[k]))
+        for k, a in rel.linear:
+            parts.append(_coeff_times(a, pres.names[k]))
         if not rel.const.is_zero():
             parts.append(str(rel.const))
         rhs = parts[0]

@@ -1174,6 +1174,19 @@ def test_intersect_requires_proper(qplane_m1):
         intersect_left(unit, proper)
 
 
+def test_intersect_with_the_zero_ideal_is_zero(qplane_m1, comm2):
+    """A handle of no generators, which has no presentation, or of zero
+    generators intersects any proper ideal in the zero ideal; a zero ideal
+    of one presentation still refuses an ideal of another."""
+    x = parse_polynomial("x", qplane_m1)
+    none, zero = left_groebner([]), left_groebner([Polynomial.zero(qplane_m1)])
+    for I, J in [(none, none), (none, left_groebner([x])), (left_groebner([x]), none),
+                 (zero, none), (zero, left_groebner([x]))]:
+        assert intersect_left(I, J) == ([], True, "")
+    with pytest.raises(InputError, match="^ideals over different presentations$"):
+        intersect_left(zero, left_groebner([parse_polynomial("x", comm2)]))
+
+
 def test_katsura3_commutative_groebner(QQ):
     """A standard 3-variable zero-dimensional system completes quickly with
     a reduced basis; soundness via certificates, completeness via random

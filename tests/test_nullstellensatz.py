@@ -953,11 +953,9 @@ def _random_point_sets():
 
 def _assert_matches_elimination_fold(pres, points):
     """The points ideal is the fold's basis, monic, vanishing on the
-    points and reduced, with one standard monomial per distinct point.
-    The fold intersects left bases, which K^0 has none of, so there it
-    is given the one distinct point."""
+    points and reduced, with one standard monomial per distinct point."""
     G = commutative_points_ideal(pres, points)
-    naive = naive_points_ideal(pres, [Z.coords for Z in (points if pres.n else set(points))])
+    naive = naive_points_ideal(pres, [Z.coords for Z in points])
     assert [str(g) for g in G] == [str(g) for g in naive]
     leads = [g.leading()[0] for g in G]
     for g in G:

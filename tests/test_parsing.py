@@ -217,14 +217,14 @@ def test_text_layer_matches_references():
                     continue
                 assert load_presentation(doc).relations[(i, j)] == want
                 if len(names) > 2:
-                    want = Relation(want.c, (field.zero,) * len(names), field.zero)
+                    want = Relation(want.c, (), field.zero)
                     rhs = f"({want.c})*{names[i]}*{names[j]}"
                 expected[(i, j)] = want
                 lines.append(f"relation: {names[j]}*{names[i]} = {rhs}")
         doc = f"field: {spec}\nvars: {', '.join(names)}\n" + "\n".join(lines)
         P = load_presentation(doc)
         for key, rel in P.relations.items():
-            assert rel == expected.get(key, Relation(field.one, (field.zero,) * P.n, field.zero))
+            assert rel == expected.get(key, Relation(field.one, (), field.zero))
         text = serialize_presentation(P)
         assert text == oracles.reference_serialize(P)
         assert load_presentation(text).relations == P.relations
@@ -238,7 +238,7 @@ def test_text_layer_matches_references():
             assert (got, got_err) == (want, err), s
             counts["scalars"] += 1
         for rel in P.relations.values():
-            for c in (rel.c, rel.const) + rel.linear:
+            for c in (rel.c, rel.const, *(a for _, a in rel.linear)):
                 assert parse_scalar(str(c), field) == c
                 counts["scalars"] += 1
     assert counts["presentations"] == 560

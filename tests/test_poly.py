@@ -274,7 +274,7 @@ def test_square_and_multiply_is_repeated_product(spec, k):
     assert s ** k == repeated(operator.mul, s, field.one)
     zero = field.zero
     rels = {
-        ij: Relation(c, (zero,) * 3, zero)
+        ij: Relation(c, (), zero)
         for ij, c in zip([(0, 1), (0, 2), (1, 2)], [g, s, field.from_int(-1)])
     }
     pres = Presentation(field, ("x", "y", "w"), relations=rels)

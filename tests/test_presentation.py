@@ -1,5 +1,6 @@
 """Presentation documents: loading, validation, classification, consistency."""
 
+import itertools
 import os
 import random
 import re
@@ -19,7 +20,8 @@ from skewpbw.presentation import (
     quantum_plane,
     serialize_presentation,
 )
-from skewpbw.scalars import FieldSpec, InputError, Scalar, get_field
+from skewpbw.poly import Polynomial
+from skewpbw.scalars import Field, FieldSpec, InputError, Scalar, get_field
 
 WITTEN_DOC = """
 field: Q
@@ -36,9 +38,8 @@ def test_load_witten_constants(QQ):
     r01, r02, r12 = P.relations[(0, 1)], P.relations[(0, 2)], P.relations[(1, 2)]
     assert r01.c == QQ.from_int(2) and r01.is_trivial_lower()
     assert r02.c == QQ.one
-    assert r02.linear[0] == QQ.from_int(-1)
-    assert r02.linear[1].is_zero() and r02.linear[2].is_zero()
-    assert r12.c == QQ.one and r12.linear[1] == QQ.from_int(2)
+    assert r02.linear == ((0, QQ.from_int(-1)),)
+    assert r12.c == QQ.one and r12.linear == ((1, QQ.from_int(2)),)
 
 
 def test_load_commutative_defaults(QQ):
@@ -152,23 +153,44 @@ def test_relation_constants_are_coerced_into_the_field():
     A Q constant over GF(5) used to raise a TypeError at the first
     product, and Scalar(GF(5), 6) as c gave y*x = x*y on a presentation
     that was not `commutative`: both are refused, naming the pair. Ints
-    are coerced, so c = 6 is the commutative 1."""
+    are coerced, so c = 6 is the commutative 1. Lower terms are (index,
+    value) pairs: an index outside the variables or given twice is
+    refused, and a zero term is dropped, so spelling it out builds an
+    equal presentation; the kept terms come in ascending index."""
     GF5, Q = get_field(FieldSpec.prime(5)), get_field(FieldSpec.rationals())
-    zero = GF5.zero
+    one, zero = GF5.one, GF5.zero
+    bad_index = "is outside the variables or repeated"
     refused = [
-        (Relation(GF5.from_int(2), (zero, zero), Q.one), "scalar of Q used in gf:5"),
-        (Relation(GF5.one, (zero, Q.one), zero), "scalar of Q used in gf:5"),
-        (Relation(Scalar(GF5, 6), (zero, zero), zero), "6 is not a canonical raw value of gf:5"),
+        (Relation(GF5.from_int(2), (), Q.one), "scalar of Q used in gf:5"),
+        (Relation(GF5.one, ((1, Q.one),), zero), "scalar of Q used in gf:5"),
+        (Relation(Scalar(GF5, 6), (), zero), "6 is not a canonical raw value of gf:5"),
+        (
+            Relation(one, ((0, one), (1, Scalar(GF5, 7))), zero),
+            "7 is not a canonical raw value of gf:5",
+        ),
+        (Relation(one, ((2, one),), zero), f"lower term index 2 {bad_index}"),
+        (Relation(one, ((-1, one),), zero), f"lower term index -1 {bad_index}"),
+        (Relation(one, ((1.0, one),), zero), f"lower term index 1.0 {bad_index}"),
+        (Relation(one, ((1, one), (1, zero)), zero), f"lower term index 1 {bad_index}"),
     ]
     for rel, message in refused:
         with pytest.raises(InputError, match=f"^{re.escape('relation y*x: ' + message)}$"):
             Presentation(GF5, ("x", "y"), relations={(0, 1): rel})
     with pytest.raises(InputError, match=re.escape("relation y*x: scalar of Q used in gf:5")):
         quantum_plane(GF5, Q.from_int(2))
-    pres = Presentation(GF5, ("x", "y"), relations={(0, 1): Relation(6, (0, 0), 0)})
-    assert pres.relations[(0, 1)] == (GF5.one, (zero, zero), zero)
+    pres = Presentation(GF5, ("x", "y"), relations={(0, 1): Relation(6, (), 0)})
+    assert pres.relations[(0, 1)] == (GF5.one, (), zero)
     assert pres.commutative
     assert serialize_presentation(pres) == "field: gf:5\nvars: x, y\nrelation: y*x = x*y\n"
+    c, d = GF5.from_int(3), GF5.from_int(4)
+    sparse = Presentation(GF5, ("x", "y"), relations={(0, 1): Relation(c, (), d)})
+    for linear in (((0, zero),), ((1, 0), (0, 5)), ((1, zero), (0, zero))):
+        spelled = Presentation(GF5, ("x", "y"), relations={(0, 1): Relation(c, linear, d)})
+        assert spelled.relations == sparse.relations
+        assert serialize_presentation(spelled) == serialize_presentation(sparse)
+    rel = Relation(one, ((1, GF5.from_int(2)), (0, 3)), zero)
+    pres = Presentation(GF5, ("x", "y"), relations={(0, 1): rel})
+    assert pres.relations[(0, 1)].linear == ((0, GF5.from_int(3)), (1, GF5.from_int(2)))
 
 
 def test_serialize_roundtrip():
@@ -262,17 +284,37 @@ def _seeded_sigma_free(field, rng):
     for pair in pairs:
         c = field.from_int(rng.choice([1, 1, -1, 2]))
         if pair == lowered or rng.random() < 0.2:
-            rels[pair] = Relation(c, (small(), small(), small()), small())
+            rels[pair] = Relation(c, tuple((k, small()) for k in range(3)), small())
         else:
-            rels[pair] = Relation(c, (field.zero,) * 3, field.zero)
+            rels[pair] = Relation(c, (), field.zero)
     return Presentation(field, ("x", "y", "w"), relations=rels)
+
+
+def _seeded_five_variables(field, rng):
+    """Five variables; one or two pairs get one random lower term, a
+    variable or the constant, and each pair a c that is mostly 1."""
+    pairs = list(itertools.combinations(range(5), 2))
+    lowered = rng.sample(pairs, rng.choice([1, 2]))
+    rels = {}
+    for pair in pairs:
+        c = field.from_int(rng.choice([1] * 9 + [-1, 2]))
+        a, k = field.from_int(rng.choice([1, -1, 2])), rng.randrange(6)
+        if pair not in lowered:
+            rels[pair] = Relation(c, (), field.zero)
+        elif k < 5:
+            rels[pair] = Relation(c, ((k, a),), field.zero)
+        else:
+            rels[pair] = Relation(c, (), a)
+    return Presentation(field, ("x", "y", "w", "u", "v"), relations=rels)
 
 
 @pytest.mark.parametrize("spec", ["gf:5", "Q"])
 def test_overlap_check_agrees_with_degree_6_scan(spec, monkeypatch):
     """On seeded sigma-free presentations with lower terms, built with the
     check patched out, the exact overlap check refuses exactly those the
-    bounded associativity scan at degree 6 finds inconsistent."""
+    bounded associativity scan finds inconsistent: at degree 6 on three
+    variables, and at degree 4 on five, where lower terms on one or two
+    pairs leave triples that the check skips and triples that it forms."""
     field = get_field(FieldSpec.from_string(spec))
     check = presentation._check_overlaps
     monkeypatch.setattr(presentation, "_check_overlaps", lambda pres: None)
@@ -288,6 +330,79 @@ def test_overlap_check_agrees_with_degree_6_scan(spec, monkeypatch):
         assert refused == (not check_pbw_consistency(pres, 6).consistent)
         outcomes.add(refused)
     assert outcomes == {True, False}
+
+    mul, products = Polynomial.__mul__, []
+
+    def counting(a, b):
+        products.append(None)
+        return mul(a, b)
+
+    outcomes, formed, skipped = set(), 0, 0
+    for _ in range(20):
+        pres = _seeded_five_variables(field, rng)
+        products.clear()
+        with monkeypatch.context() as m:
+            m.setattr(Polynomial, "__mul__", counting)
+            try:
+                check(pres)
+                refused = False
+            except InputError:
+                refused = True
+        assert refused == (not check_pbw_consistency(pres, 4).consistent)
+        outcomes.add(refused)
+        if not refused:  # each formed overlap x_k*x_j*x_i takes four products
+            formed += len(products) // 4
+            skipped += 10 - len(products) // 4
+    assert outcomes == {True, False}
+    assert formed > 0 and skipped > 0
+
+
+def test_overlap_check_forms_only_the_triples_of_a_pair_with_lower_terms(monkeypatch):
+    """On 40 variables with the one relation x1*x0 = x0*x1 + x0, the check
+    forms the 38 overlaps x_k*x1*x0 and skips the 9,842 other triples."""
+    names = [f"x{k}" for k in range(40)]
+    doc = f"field: gf:7\nvars: {', '.join(names)}\nrelation: x1*x0 = x0*x1 + x0\n"
+    check, mul, products = presentation._check_overlaps, Polynomial.__mul__, []
+
+    def variable(f):
+        """The index of f when f is one variable, else None."""
+        return f.raw[0][0].index(1) if len(f.raw) == 1 and sum(f.raw[0][0]) == 1 else None
+
+    def recording(a, b):
+        products.append((variable(a), variable(b)))
+        return mul(a, b)
+
+    def checking(pres):
+        with monkeypatch.context() as m:
+            m.setattr(Polynomial, "__mul__", recording)
+            check(pres)
+
+    monkeypatch.setattr(presentation, "_check_overlaps", checking)
+    load_presentation(doc)
+    # the products of x_k*x_j*x_i are x_k*x_j, (x_k*x_j)*x_i, x_j*x_i, x_k*(x_j*x_i)
+    assert len(products) == 4 * 38
+    triples = [(k, j, i) for (k, j), (_, i) in zip(products[0::4], products[2::4])]
+    assert triples == [(k, 1, 0) for k in range(39, 1, -1)]
+
+
+def test_load_coerces_no_scalar_per_pair(monkeypatch):
+    """A document with no relations builds its pairs from one shared
+    relation: a load coerces no more scalars on 40 variables than on 10."""
+    coerced = []
+    coerce = Field.coerce
+
+    def counting(self, v):
+        coerced.append(v)
+        return coerce(self, v)
+
+    monkeypatch.setattr(Field, "coerce", counting)
+    counts = []
+    for n in (10, 40):
+        coerced.clear()
+        pres = load_presentation(f"field: gf:7\nvars: {', '.join(f'x{k}' for k in range(n))}\n")
+        assert len(pres.relations) == n * (n - 1) // 2 and pres.commutative
+        counts.append(len(coerced))
+    assert counts[0] == counts[1] < 10
 
 
 def test_consistency_degree_bound_validation(witten):

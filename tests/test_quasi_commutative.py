@@ -45,7 +45,7 @@ def _constants(field):
 def _presentation(spec, kind) -> Presentation:
     field = get_field(SPECS[spec])
     rng = random.Random(f"{spec} {kind}")
-    zero, n = field.zero, 3
+    zero = field.zero
     consts = list(_constants(field))
     rng.shuffle(consts)
     c = dict(zip([(0, 1), (0, 2), (1, 2)], consts))
@@ -59,11 +59,11 @@ def _presentation(spec, kind) -> Presentation:
         # the overlap x_w*x_y*x_x needs c_xy * c_xw = 1
         c[(0, 1)] = rng.choice(_constants(field)[1:])
         c[(0, 2)] = c[(0, 1)].inv()
-    rels = {ij: Relation(q, (zero,) * n, zero) for ij, q in c.items()}
+    rels = {ij: Relation(q, (), zero) for ij, q in c.items()}
     if kind == "lower":
         # a = -d, so that (1, 0, 0) is a character
         d = rng.choice([-2, 3])
-        rels[(1, 2)] = Relation(c[(1, 2)], (field.from_int(-d), zero, zero), field.from_int(d))
+        rels[(1, 2)] = Relation(c[(1, 2)], ((0, field.from_int(-d)),), field.from_int(d))
     return Presentation(field, ("x", "y", "w"), sigma, rels)
 
 

@@ -249,10 +249,10 @@ def _seeded_twisted(field, rng, units):
             if c.is_zero():
                 c = field.one
             if rng.random() < 0.5:
-                linear = tuple(random_scalar(field, rng) for _ in range(n))
+                linear = tuple((k, random_scalar(field, rng)) for k in range(n))
                 rels[(i, j)] = Relation(c, linear, random_scalar(field, rng))
             else:
-                rels[(i, j)] = Relation(c, (field.zero,) * n, field.zero)
+                rels[(i, j)] = Relation(c, (), field.zero)
     return names, [rng.choice(units) for _ in names], rels
 
 
