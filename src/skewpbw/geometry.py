@@ -26,23 +26,27 @@ points of a domain are characters depends on the presentation and never
 on the polynomials, so `vanishing_set` tests each point once per
 presentation: the partition of the last domain it was given stays on the
 presentation, with the domain's points and its degenerate points, keyed
-by the domain's raw values. A `Point` holds raw field values, as a
+by the domain's raw values; a warm call over a whole prime field finds
+it without building them. A `Point` holds raw field values, as a
 `Polynomial` does, so a call over a full prime field builds no Scalar.
 Each call evaluates its generators, on raw field values, at the
-character points only, and copies the kept lists into its report.
+character points only, and lists its roots by slicing the kept
+degenerate points around the characters that vanish.
 
 Every value at points comes from one walk, `_monomial_values`: each
 monomial gets the list of its values z^t at all points at once, one
-variable step from the nearest monomial already held. `evaluate` runs it
-at one point, `vanishing_set` at a domain's cached character points, and
-both ideals of points (`ideal_of_points`, `commutative_points_ideal`)
+variable step from a monomial already held, or a climb of such steps
+that keeps each one, or, for long powers, by squaring. `evaluate` runs
+it at one point, `vanishing_set` at a domain's cached character points,
+and both ideals of points (`ideal_of_points`, `commutative_points_ideal`)
 on the monomials they reduce. The walk and the sums c_alpha * z^alpha
 work on whole lists through the field's vector kernels, `raw_products`
 and `raw_combination`; over GF(p) they take one reduction mod p per
 entry. `vanishing_set` keeps the values it walked with the domain
-partition, so a warm call walks only monomials it has not met; they go
-with the partition when the domain changes, and are dropped once they
-hold more than MAX_DOMAIN_POINTS values.
+partition, so a warm call pays only for the monomials it has not met and
+the characters that vanish, not for the size of the domain. The kept
+values go with the partition when the domain changes, and are dropped
+once they hold more than MAX_DOMAIN_POINTS values.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from operator import le, not_, sub
+from operator import not_
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from skewpbw import linalg
@@ -157,8 +161,16 @@ class SearchDomain(NamedTuple):
                 f"search domain has {count} points, above the limit of {MAX_DOMAIN_POINTS}"
             )
         if self.columns is None:  # range(p) holds the raw values already
-            return tuple(map(tuple, cols))
+            return _WholeField((tuple(range(field.p)),) * pres.n)
         return tuple(tuple(field.coerce(v).value for v in col) for col in cols)
+
+
+class _WholeField(tuple):
+    """The raw columns of a whole prime field: equal to them and hashed as
+    they are, so a grid of the same points finds the same partition, but
+    marked, so that a warm full-field call finds it without building them."""
+
+    __slots__ = ()
 
 
 def point_generators(pres: Presentation, Z: Point) -> List[Polynomial]:
@@ -231,20 +243,37 @@ def _new_character_test(pres: Presentation):
     return test
 
 
+def _power_products(d: int) -> int:
+    """The vector products `scalars.power` takes for acc * base^d: one per
+    set bit of d and one square per bit above the lowest."""
+    return d and d.bit_count() + d.bit_length() - 1
+
+
 def _monomial_values(field: Field, columns, count: int, exps, values=None) -> dict:
     """{t: [raw z^t at each point]} for every t in exps; column i holds the
     count points' raw z_i.
 
-    A missing x^t starts from a held o <= t: t - e_i if held, which exps
-    in ascending degree make usual, and otherwise the one of highest
-    degree among x^0 and the monomials of exps before t. It multiplies by
-    z_i^d, d = t_i - o_i, by `scalars.power`: at most 2 log2(d) vector
-    products `Field.raw_products`, one new list each, and no recursion.
+    A missing x^t is one vector product `Field.raw_products` from t - e_i
+    when some t - e_i is held, which exps in ascending degree make usual.
+    Otherwise it takes the route of fewer products, with no constant to
+    tune:
+    - powers: x^0 times each z_i^t_i by `scalars.power`, P = the sum of
+      the `_power_products`(t_i), at most 2 log2(t_i) each, and no
+      recursion. It keeps only x^t;
+    - a climb: it steps down from t by the last variable each monomial
+      holds, probing every m - e_i on the way, until one is held; then it
+      multiplies back up, one product per step, and keeps each monomial
+      it passes. It meets x^0 after deg t steps, and any held monomial,
+      kept ones included, sooner.
+    The walk climbs unless P < deg t, the climb's most steps, which holds
+    exactly when some t_i is 4 or more. So a long power, as x^3000, takes
+    at most P products, and a monomial below a 4th power in each variable
+    is climbed, its divisors kept.
     A values dict is extended in place, starting from x^0 when it is
     empty, so a walk that asks for more monomials reuses all it holds;
-    `vanishing_set` keeps one with each domain partition. The scan for o
-    never reads the whole dict, so what a kept dict holds does not make
-    it longer.
+    `vanishing_set` keeps one with each domain partition. So it holds the
+    monomials asked for and divisors of them. No step reads the whole
+    dict, so what a kept dict holds does not make a walk longer.
     """
     product = field.raw_products
     start = (0,) * len(columns)
@@ -252,20 +281,39 @@ def _monomial_values(field: Field, columns, count: int, exps, values=None) -> di
         values = {}
     if not values:
         values[start] = [field.raw_one] * count
-    scanned = [start]
     for t in exps:
-        if t not in values:
-            for i, a in enumerate(t):
-                if a and (o := t[:i] + (a - 1,) + t[i + 1 :]) in values:
-                    values[t] = product(values[o], columns[i])
-                    break
-            else:
-                o = max((o for o in scanned if all(map(le, o, t))), key=sum)
-                vals = values[o]
-                for col, d in zip(columns, map(sub, t, o)):
+        if t in values:
+            continue
+        for i, a in enumerate(t):
+            if a and (o := t[:i] + (a - 1,) + t[i + 1 :]) in values:
+                values[t] = product(values[o], columns[i])
+                break
+        else:
+            if sum(map(_power_products, t)) < sum(t):
+                vals = values[start]
+                for col, d in zip(columns, t):
                     vals = power(col, d, product, vals)
                 values[t] = vals
-        scanned.append(t)
+                continue
+            # the climb: steps (m, i) down from t by the last variable m
+            # holds, none of them held, until some m - e_i is
+            m, climb = t, []
+            while True:
+                i = len(m) - 1
+                while not m[i]:
+                    i -= 1
+                climb.append((m, i))
+                m = m[:i] + (m[i] - 1,) + m[i + 1 :]
+                for i, a in enumerate(m):
+                    if a and (o := m[:i] + (a - 1,) + m[i + 1 :]) in values:
+                        break
+                else:
+                    continue
+                climb.append((m, i))
+                break
+            vals = values[o]
+            for m, i in reversed(climb):
+                vals = values[m] = product(vals, columns[i])
     return values
 
 
@@ -343,13 +391,20 @@ def _domain_partition(pres: Presentation, domain: SearchDomain):
     Whether a point is a character depends on the presentation alone, so
     the partition is cached on it, keyed by the domain's raw columns,
     `SearchDomain._raw_columns`: a hit builds no Point and runs no
-    character test, and over a full prime field no call builds a Scalar. A
-    new domain replaces the cached one, its kept values with it. The values
-    are a `_monomial_values` dict of raw values, which `vanishing_set`
-    extends and bounds; it copies the degenerate points into each report.
+    character test, and over a full prime field no call builds a Scalar.
+    The whole field's key is a `_WholeField`, so a warm full-field call
+    finds it with no columns built; a grid of the same points finds it
+    too, and when a grid built the entry, the whole field's next call
+    marks it. A new domain replaces the cached one, its kept values with
+    it. The values are a `_monomial_values` dict of raw values, which
+    `vanishing_set` extends and bounds.
     """
-    key = domain._raw_columns(pres)
     cache = pres._domain_partition
+    if domain.columns is None:
+        for key, entry in cache.items():
+            if type(key) is _WholeField:
+                return entry
+    key = domain._raw_columns(pres)
     entry = cache.get(key)
     if entry is None:
         raw = list(itertools.product(*key))
@@ -359,8 +414,11 @@ def _domain_partition(pres: Presentation, domain: SearchDomain):
         columns = [[raw[k][i] for k in positions] for i in range(pres.n)]
         degenerate = list(itertools.compress(points, map(not_, flags)))
         entry = (points, positions, columns, degenerate, {})
-        cache.clear()
-        cache[key] = entry
+    elif type(key) is not _WholeField:
+        return entry
+    # a new partition, or a grid's that the whole field now marks
+    cache.clear()
+    cache[key] = entry
     return entry
 
 
@@ -376,8 +434,9 @@ def vanishing_set(
     point is a degenerate root. Their monomials' values are kept with the
     domain partition, so a warm call walks only monomials it has not met;
     past MAX_DOMAIN_POINTS kept values they are dropped. The report's
-    lists are new on every call: the roots are the kept degenerate points
-    when no character point vanishes, and otherwise a merge in domain order.
+    lists are new on every call. The roots merge the vanishing characters
+    into slices of the kept degenerate points, in domain order, in time
+    O(N + V) for N points and V vanishing characters.
     """
     for f in polys:
         if f.pres is not pres:
@@ -394,14 +453,17 @@ def vanishing_set(
     # bounded too
     if len(values) * max(len(positions), 1) > MAX_DOMAIN_POINTS:
         values.clear()
-    roots = degenerate
-    if any(vanish):
-        is_root = [True] * len(points)
-        for k, v in zip(positions, vanish):
-            is_root[k] = v
-        roots = itertools.compress(points, is_root)
+    # the character at position k, j-th of them, follows k - j degenerate
+    # points in domain order: each vanishing one goes after their slice
+    roots, done = [], 0
+    for j in itertools.compress(range(len(positions)), vanish):
+        k = positions[j]
+        roots += degenerate[done : k - j]
+        roots.append(points[k])
+        done = k - j
+    roots += degenerate[done:]
     non_roots = [points[k] for k, v in zip(positions, vanish) if not v]
-    return VanishingReport(list(roots), non_roots, list(degenerate), [])
+    return VanishingReport(roots, non_roots, list(degenerate), [])
 
 
 def ideal_of_points(

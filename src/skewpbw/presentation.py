@@ -39,6 +39,11 @@ class Relation(NamedTuple):
     def is_trivial_lower(self) -> bool:
         return not self.linear and self.const.is_zero()
 
+    def is_commuting(self) -> bool:
+        """Whether the rule is x_j*x_i = x_i*x_j, as for every pair that no
+        document writes."""
+        return self.c.value == self.c.field.raw_one and self.is_trivial_lower()
+
 
 class Presentation:
     """Immutable algebra presentation; carries the normal-form caches.
@@ -52,11 +57,13 @@ class Presentation:
     and stored in `Field.unit_exponent` form: 1 for the identity.
 
     `_domain_partition` holds one five-field entry for `vanishing_set`,
-    keyed by the raw columns of the last search domain asked about: its
+    keyed by the raw columns of the last search domain asked about (for a
+    whole prime field, marked so that a warm call builds none): its
     points, which hold raw values, the positions and raw coordinate
     columns of the characters, the degenerate points, and the raw values
-    of the monomials evaluated there so far. A hit builds no Point, and
-    over a full prime field no call builds a Scalar. Which points are
+    of the monomials evaluated there so far and of the divisors the walk
+    climbed through. A hit builds no Point, and over a full prime field
+    no call builds a Scalar. Which points are
     characters depends on the presentation alone; a new domain replaces
     the entry, so it holds at most `geometry.MAX_DOMAIN_POINTS` points,
     and the kept values are dropped once they pass that many.
@@ -88,15 +95,17 @@ class Presentation:
             for k in self.sigma
         )
         default, given = Relation(field.one, (), field.zero), relations or {}
-        self.relations = rels = {
-            pair: _coerce_relation(self, pair, given[pair]) if pair in given else default
-            for pair in itertools.combinations(range(self.n), 2)
-        }
+        self.relations = rels = dict.fromkeys(itertools.combinations(range(self.n), 2), default)
+        # only the pairs the caller gives are checked and read: the others
+        # share the commuting default
+        written = sorted(pair for pair in given if pair in rels)
+        for pair in written:
+            rels[pair] = _coerce_relation(self, pair, given[pair])
         self.sigma_all_identity = all(m is None for m in self.sigma_maps)
-        self.quasi_commutative = all(rel.is_trivial_lower() for rel in rels.values())
+        self.quasi_commutative = all(rels[pair].is_trivial_lower() for pair in written)
         # a commutative polynomial ring: Buchberger's product criterion holds
-        self.commutative = self.sigma_all_identity and self.quasi_commutative and all(
-            rel.c == field.one for rel in rels.values()
+        self.commutative = self.sigma_all_identity and all(
+            rels[pair].is_commuting() for pair in written
         )
         self._insert_cache: dict = {}
         self._point_ideals: dict = {}
@@ -165,21 +174,16 @@ def _check_overlaps(pres: Presentation) -> None:
     constructor skips the check.
     """
     names, x = pres.names, [poly.Polynomial.variable(pres, k) for k in range(pres.n)]
-    fixed = [m is None for m in pres.sigma_maps]
-    lowered = {pair for pair, rel in pres.relations.items() if not rel.is_trivial_lower()}
-    down = list(reversed(range(pres.n)))
     overlaps = [
         (f"{names[k]}*{names[j]}*{names[i]}", x[k], x[j], x[i])
-        for k, j, i in itertools.combinations(down, 3)
-        if not (fixed[i] and fixed[j] and fixed[k])
-        or (i, j) in lowered or (i, k) in lowered or (j, k) in lowered
+        for k, j, i in _overlap_triples(pres)
     ]
     if not pres.sigma_all_identity:
         r = pres.field.primitive()
         c = poly.Polynomial.constant(pres, r)
         overlaps += [
             (f"{names[j]}*{names[i]}*{r}", x[j], x[i], c)
-            for j, i in itertools.combinations(down, 2)
+            for j, i in itertools.combinations(reversed(range(pres.n)), 2)
         ]
     for name, a, b, c in overlaps:
         diff = (a * b) * c - a * (b * c)
@@ -190,6 +194,29 @@ def _check_overlaps(pres: Presentation) -> None:
             )
 
 
+def _overlap_triples(pres: Presentation) -> list:
+    """The (k, j, i), k > j > i, that hold a pair with lower terms or a
+    variable whose sigma is not the identity, in the order of
+    `itertools.combinations` over the indices from the last down: the
+    triples `_check_overlaps` must form, found from those pairs and
+    variables without a scan of all C(n, 3) triples."""
+    n = pres.n
+    triples = set()
+    for pair, rel in pres.relations.items():
+        if not rel.is_trivial_lower():
+            triples.update(
+                tuple(sorted((*pair, m), reverse=True)) for m in range(n) if m not in pair
+            )
+    for v, sigma in enumerate(pres.sigma_maps):
+        if sigma is not None:
+            others = [m for m in reversed(range(n)) if m != v]
+            triples.update(
+                tuple(sorted((v, a, b), reverse=True))
+                for a, b in itertools.combinations(others, 2)
+            )
+    return sorted(triples, reverse=True)
+
+
 def require_commutative(pres: Presentation) -> None:
     """InputError unless pres is a commutative polynomial ring: every
     relation y*x = x*y and every sigma the identity."""
@@ -197,7 +224,7 @@ def require_commutative(pres: Presentation) -> None:
         return
     names = pres.names
     for (i, j), rel in pres.relations.items():
-        if not rel.is_trivial_lower() or rel.c != pres.field.one:
+        if not rel.is_commuting():
             raise InputError(
                 f"{pres} is not commutative: {names[j]}*{names[i]} is not "
                 f"{names[i]}*{names[j]}"
@@ -228,9 +255,11 @@ def extend_with_central(pres: Presentation) -> Presentation:
         k += 1
         name = f"t{k}"
     names = (name,) + pres.names
-    rels = {}
-    for (i, j), rel in pres.relations.items():
-        rels[(i + 1, j + 1)] = rel._replace(linear=tuple((k + 1, a) for k, a in rel.linear))
+    rels = {
+        (i + 1, j + 1): rel._replace(linear=tuple((k + 1, a) for k, a in rel.linear))
+        for (i, j), rel in pres.relations.items()
+        if not rel.is_commuting()
+    }
     pres._extension = Presentation(pres.field, names, sigma=(1,) + pres.sigma, relations=rels)
     return pres._extension
 
@@ -390,14 +419,17 @@ def serialize_presentation(pres: Presentation) -> str:
     ]
     if tags:
         lines.append("sigma: " + ", ".join(tags))
-    n, one = pres.n, _exponent(pres.n)
+    n, one, names = pres.n, _exponent(pres.n), pres.names
     for (i, j), rel in sorted(pres.relations.items()):
-        terms = {_exponent(n, k): a.value for k, a in rel.linear}
-        terms[_exponent(n, i, j)] = rel.c.value
-        terms[one] = rel.const.value
-        # printing reads only the names and the field, never the relations
-        rhs = poly.to_string(poly.Polynomial.from_raw(pres, terms.items()))
-        lines.append(f"relation: {pres.names[j]}*{pres.names[i]} = {rhs}")
+        if rel.is_commuting():  # as `poly.to_string` prints x_i*x_j, with no n-tuple
+            rhs = f"{names[i]}*{names[j]}"
+        else:
+            terms = {_exponent(n, k): a.value for k, a in rel.linear}
+            terms[_exponent(n, i, j)] = rel.c.value
+            terms[one] = rel.const.value
+            # printing reads only the names and the field, never the relations
+            rhs = poly.to_string(poly.Polynomial.from_raw(pres, terms.items()))
+        lines.append(f"relation: {names[j]}*{names[i]} = {rhs}")
     return "\n".join(lines) + "\n"
 
 

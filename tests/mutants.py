@@ -275,14 +275,15 @@ MUTANTS = (
     ),
     Mutant(
         "overlap-skip-ignores-lower-terms", "src/skewpbw/presentation.py",
-        "or (i, j) in lowered or (i, k) in lowered or (j, k) in lowered",
-        "or (i, j) in lowered and (i, k) in lowered and (j, k) in lowered",
-        ("tests/test_presentation.py::test_overlap_check_agrees_with_degree_6_scan[gf:5]",),
+        "        if not rel.is_trivial_lower():\n            triples.update(",
+        "        if rel.linear:\n            triples.update(",
+        ("tests/test_presentation.py::test_overlap_check_agrees_with_degree_6_scan[gf:5]",
+         "tests/test_presentation.py::test_overlap_triples_keep_the_order_of_the_full_scan"),
     ),
     Mutant(
         "overlap-skip-ignores-sigma", "src/skewpbw/presentation.py",
-        "        if not (fixed[i] and fixed[j] and fixed[k])\n        or ",
-        "        if ",
+        "        if sigma is not None:\n            others",
+        "        if False:\n            others",
         ("tests/test_presentation.py::test_inconsistent_presentations_are_refused",
          "tests/test_sigma_twisted.py::test_refused_twisted_overlaps_fail_when_multiplied"),
     ),
@@ -319,6 +320,19 @@ MUTANTS = (
         "len(distinct) == math.prod(map(len, sets))",
         "len(distinct) <= math.prod(map(len, sets))",
         ("tests/test_nullstellensatz.py::test_box_points_ideal_matches_elimination_fold",),
+    ),
+    Mutant(
+        "root-merge-slot-off-by-one", "src/skewpbw/geometry.py",
+        "        roots += degenerate[done : k - j]\n",
+        "        roots += degenerate[done : k - j + 1]\n",
+        ("tests/test_geometry.py::test_roots_merge_in_domain_order[gf7space]",),
+    ),
+    Mutant(
+        "walk-climbs-wrong-column", "src/skewpbw/geometry.py",
+        "vals = values[m] = product(vals, columns[i])\n",
+        "vals = values[m] = product(vals, columns[i - 1])\n",
+        ("tests/test_geometry.py::test_value_walk_matches_naive_evaluation[gf7space]",
+         "tests/test_geometry.py::test_value_walk_matches_naive_evaluation[dispin]"),
     ),
 )
 

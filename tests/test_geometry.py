@@ -6,6 +6,7 @@ import pkgutil
 import random
 import sys
 from fractions import Fraction
+from operator import le
 
 import pytest
 
@@ -40,7 +41,7 @@ from skewpbw.presentation import (
 )
 from skewpbw.scalars import FieldSpec, InputError, Scalar, get_field
 from conftest import ALGEBRA_DIR, algebra_path
-from documents import GF7SPACE
+from documents import GF7SPACE, INLINE
 from oracles import (
     _satisfies_relations,
     _vector,
@@ -268,7 +269,8 @@ def test_kept_values_give_a_fresh_presentations_answers(name):
 def test_domain_change_drops_kept_values():
     """A new domain replaces the partition and its kept values: the values
     of the old domain's points are never read at the new one's, and
-    returning to a domain starts again from x^0."""
+    returning to a domain starts again from x^0. What the walk keeps is
+    the monomials asked for and divisors of them, which it climbed."""
     document = _document("qplane_m1.alg")
     pres = load_presentation(document)
     domains = [SearchDomain.grid([range(-2, 3)]), SearchDomain.grid([[0, 1], [3, 4, 5]])]
@@ -281,8 +283,59 @@ def test_domain_change_drops_kept_values():
         assert _report_coords(rep) == _fresh_report(document, polys, domain), k
         _, positions, _, _, kept = _partition(pres)
         assert all(kept is not entry[-1] for entry in before.values()), k
-        assert set(kept) <= {e for f in polys for e, _ in f.raw} | {(0, 0)}, k
+        asked = {e for f in polys for e, _ in f.raw}
+        assert all(any(all(map(le, o, t)) for t in asked | {(0, 0)}) for o in kept), k
         assert all(len(v) == len(positions) for v in kept.values()), k
+
+
+def _oracle_report(pres, polys, domain):
+    """The report's lists from their definition, in domain order: a point
+    that is no character is a degenerate root, and a character is a root
+    when every generator's naive value there is zero."""
+    roots, non_roots, degenerate = [], [], []
+    for Z in domain_points(domain, pres):
+        if not _satisfies_relations(pres, Z):
+            degenerate.append(Z.raw)
+        elif not all(naive_evaluate(f, Z).is_zero() for f in polys):
+            non_roots.append(Z.raw)
+            continue
+        roots.append(Z.raw)
+    return roots, non_roots, degenerate, []
+
+
+ORDER_RUNS = {  # a domain, a generator some characters kill, and one all do
+    # every point a character, so no point is degenerate
+    "commutative_xy": (
+        "commutative_xy.alg", SearchDomain.grid([range(-3, 4), range(0, 5)]),
+        "x^2 - y", "x*(x^2 - 1)*(x^2 - 4)*(x^2 - 9)",
+    ),
+    # 19 characters, on the axes, among 343 points
+    "gf7space": (GF7SPACE, SearchDomain.full_prime_field(), "x + y + z - 1", "x*y"),
+}
+
+
+@pytest.mark.parametrize("name", ORDER_RUNS)
+def test_roots_merge_in_domain_order(name):
+    """Warm and fresh reports list their roots, non-roots and degenerate
+    points in domain order, as the oracle does, when no character point
+    vanishes (1), when some do (seeded lists and one more polynomial) and
+    when all do (0, and a product that every character kills)."""
+    document, domain, some, every = ORDER_RUNS[name]
+    document = _document(document)
+    pres = load_presentation(document)
+    rng = random.Random(name)
+    cases = [[Polynomial.one(pres)], [parse_polynomial(some, pres)], [], [Polynomial.zero(pres)]]
+    cases.append([parse_polynomial(every, pres)])
+    seeded = _seeded_lists(pres, domain, rng, 6)
+    cases += seeded + [polys[-1:] for polys in seeded]
+    vanishing = []
+    for k, polys in enumerate(cases):
+        expected = roots, non_roots, degenerate, _ = _oracle_report(pres, polys, domain)
+        assert _report_coords(vanishing_set(pres, polys, domain)) == expected, k
+        assert _fresh_report(document, polys, domain) == expected, k
+        vanishing.append("all" if not non_roots else len(roots) > len(degenerate))
+    assert vanishing[:5] == [False, True, "all", "all", "all"]
+    assert vanishing.count(True) >= 7
 
 
 @pytest.mark.parametrize("name", ["qplane_m1.alg", "weyl_z.alg"])
@@ -358,6 +411,36 @@ def test_warm_vanishing_set_builds_no_scalar(monkeypatch):
         if k and domain.columns is None:
             assert built == [], k
         assert _report_coords(rep) == expected[k % len(domains)], k
+
+
+def test_warm_full_field_call_builds_no_columns(monkeypatch):
+    """A warm call over the whole prime field finds its partition without
+    building raw columns. A grid of the same points shares the partition
+    either way round: after it, the whole field builds its columns once
+    more, to find the partition, and then no more."""
+    pres = load_presentation(GF7SPACE)
+    polys = [parse_polynomial("x*y - z", pres)]
+    full, same = SearchDomain.full_prime_field(), SearchDomain.grid([range(7)])
+    expected = _fresh_report(GF7SPACE, polys, full)
+    raw_columns, built, points, partitions = SearchDomain._raw_columns, [], geometry._points, []
+
+    def counted_columns(domain, pres):
+        built.append(domain)
+        return raw_columns(domain, pres)
+
+    def counted_points(field, raw):
+        partitions.append(field)
+        return points(field, raw)
+
+    monkeypatch.setattr(SearchDomain, "_raw_columns", counted_columns)
+    monkeypatch.setattr(geometry, "_points", counted_points)
+    counts = []
+    for domain in (same, full, full, same, full):
+        built.clear()
+        assert _report_coords(vanishing_set(pres, polys, domain)) == expected
+        counts.append(len(built))
+    assert counts == [1, 1, 0, 1, 0]
+    assert len(partitions) == 1
 
 
 def test_cli_domain_builds_no_scalar(monkeypatch):
@@ -676,6 +759,61 @@ def test_value_walk_is_a_loop(field_spec):
             assert tags[Z.coords] == ("root" if root else "non-root"), Z
     expected_roots = 4 if field_spec == "gf:7" else 2  # nonzero x on the x-axis
     assert len([t for t in tags.values() if t == "root"]) == expected_roots
+
+
+def _exponent_runs(n, rng):
+    """Named lists of exponents: every monomial up to degree 3 ascending,
+    descending and shuffled; sparse seeded monomials up to degree 12; and
+    long powers among one low monomial."""
+    dense = exponents_up_to(n, 3)
+    shuffled = dense[:]
+    rng.shuffle(shuffled)
+    sparse = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(6)]
+    long = [(0,) * (n - 1) + (40,), (37,) + (1,) * (n - 1), (1,) * n, (64,) + (0,) * (n - 1)]
+    return {
+        "ascending": dense, "descending": dense[::-1], "shuffled": shuffled,
+        "sparse": sparse, "long": long,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(INLINE))
+def test_value_walk_matches_naive_evaluation(name):
+    """Seeded runs of `_monomial_values` at one point and at five, with
+    exponents ascending, descending, shuffled, sparse and long, each on a
+    new dict and on one dict that every run extends, as a kept dict is:
+    every value equals the naive power product. What a dict holds is the
+    monomials asked for and divisors of them, and a long power takes at
+    most 2 log2 products per exponent."""
+    pres = load_presentation(INLINE[name])
+    field, n = pres.field, pres.n
+    rng = random.Random(name)
+    runs = _exponent_runs(n, rng)
+    for count in (1, 5):
+        raw = [tuple(random_scalar(field, rng).value for _ in range(n)) for _ in range(count)]
+        columns = [[z[i] for z in raw] for i in range(n)]
+        points = [Point(z, field) for z in raw]
+        kept, asked, products = {}, set(), []
+
+        class Counting:  # the field, counting its vector products
+            raw_one = field.raw_one
+
+            @staticmethod
+            def raw_products(a, b):
+                products.append(None)
+                return field.raw_products(a, b)
+
+        for run, exps in runs.items():
+            products.clear()
+            fresh = geometry._monomial_values(Counting, columns, count, exps)
+            if run == "long":
+                assert 0 < len(products) <= sum(2 * d.bit_length() for t in exps for d in t)
+            geometry._monomial_values(field, columns, count, exps, kept)
+            for values in (fresh, kept):
+                for t in exps:
+                    f = Polynomial.monomial(pres, t)
+                    assert values[t] == [naive_evaluate(f, Z).value for Z in points], (run, t)
+            asked.update(exps)
+            assert all(any(all(map(le, o, t)) for t in asked) for o in kept), run
 
 
 def _oracle_presentation(name, request):

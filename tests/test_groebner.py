@@ -8,7 +8,7 @@ import zlib
 import pytest
 
 from conftest import ALGEBRA_DIR, algebra_path
-from documents import GF7SPACE
+from documents import INLINE
 from oracles import (
     check_products,
     expand_certificate,
@@ -368,35 +368,6 @@ def test_saturation_closes_under_scalars_with_sigma_twist():
 # -- engine against the every-pair oracle ------------------------------------
 
 SHIPPED = sorted(f for f in os.listdir(ALGEBRA_DIR) if f.endswith(".alg"))
-INLINE = {
-    "gf7space": GF7SPACE,
-    "zeta5plane": "field: cyclotomic:5\nvars: x, y\nrelation: y*x = z*x*y\n",
-    # x conjugates the scalars it passes: right multiples by i are needed
-    "conjplane": "field: Q(i)\nvars: x, y\nsigma: x = conj\nrelation: y*x = i*x*y\n",
-    # Skew PBW extensions whose linear terms call each other, written by hand
-    # from the relations that Gallego & Lezama (Comm. Algebra 2011) and
-    # Lezama & Reyes (Comm. Algebra 2014) list, with the parameters fixed:
-    # the dispin algebra U(osp(1,2)), the Woronowicz algebra W_nu(sl(2)) at
-    # nu = 2, the q-Heisenberg algebra at q = 2, and a Lie algebra.
-    "dispin": (
-        "field: Q\nvars: x, y, z\n"
-        "relation: y*x = x*y - x\nrelation: z*x = -x*z + y\nrelation: z*y = y*z - z\n"
-    ),
-    "woronowicz": (
-        "field: Q\nvars: x, y, z\n"
-        "relation: y*x = (1/4)*x*y - (1/2)*z\n"
-        "relation: z*x = (1/16)*x*z - (5/16)*x\n"
-        "relation: z*y = 16*y*z + 5*y\n"
-    ),
-    "q_heisenberg": (
-        "field: Q\nvars: x, y, z\n"
-        "relation: y*x = 2*x*y - 2*z\nrelation: z*x = (1/2)*x*z\nrelation: z*y = 2*y*z\n"
-    ),
-    "lie_gf32003": (
-        "field: gf:32003\nvars: x, y, z\n"
-        "relation: y*x = x*y + z\nrelation: z*x = x*z + y\n"
-    ),
-}
 NAMED = ["dispin", "woronowicz", "q_heisenberg", "lie_gf32003"]
 
 

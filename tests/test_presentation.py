@@ -4,16 +4,20 @@ import itertools
 import os
 import random
 import re
+from types import SimpleNamespace
 
 import pytest
 
+import oracles
 from conftest import ALGEBRA_DIR, algebra_path
+from documents import INLINE
 from skewpbw import presentation
 from skewpbw.cli import EXIT_INPUT, main
 from skewpbw.presentation import (
     Presentation,
     Relation,
     check_pbw_consistency,
+    extend_with_central,
     load_presentation,
     load_presentation_file,
     presentation_hash,
@@ -202,6 +206,43 @@ def test_serialize_roundtrip():
         assert Q.names == P.names and Q.relations == P.relations
 
 
+def _variables_document(n, relations=""):
+    return f"field: gf:7\nvars: {', '.join(f'x{k}' for k in range(n))}\n{relations}"
+
+
+def test_serialize_matches_the_reference_printer():
+    """The text equals `oracles.reference_serialize`, which prints term by
+    term, on every shipped algebra, its central extension, the inline
+    documents and 300 variables with and without a lower-term relation."""
+    shipped = [load_presentation_file(algebra_path(n)) for n in sorted(os.listdir(ALGEBRA_DIR))]
+    inline = [load_presentation(doc) for doc in INLINE.values()]
+    wide = [
+        load_presentation(_variables_document(300, rels))
+        for rels in ("", "relation: x1*x0 = x0*x1 + x0\nrelation: x299*x7 = 3*x7*x299 - 1\n")
+    ]
+    for P in shipped + [extend_with_central(P) for P in shipped] + inline + wide:
+        assert serialize_presentation(P) == oracles.reference_serialize(P), P
+
+
+def test_serialize_builds_no_exponent_per_commuting_pair(monkeypatch):
+    """A pair that no document writes prints with no n-tuple: serializing
+    builds as many exponents on 40 variables as on 10."""
+    exponent, built = presentation._exponent, []
+
+    def counting(*args):
+        built.append(args)
+        return exponent(*args)
+
+    monkeypatch.setattr(presentation, "_exponent", counting)
+    counts = []
+    for n in (10, 40):
+        pres = load_presentation(_variables_document(n, "relation: x1*x0 = x0*x1 + x0\n"))
+        built.clear()
+        serialize_presentation(pres)
+        counts.append(len(built))
+    assert counts[0] == counts[1] <= 4
+
+
 def test_serialize_builds_no_presentation(monkeypatch):
     """Printing the right sides reads only the names and the field, so
     serializing and hashing build no second Presentation."""
@@ -378,11 +419,38 @@ def test_overlap_check_forms_only_the_triples_of_a_pair_with_lower_terms(monkeyp
             check(pres)
 
     monkeypatch.setattr(presentation, "_check_overlaps", checking)
-    load_presentation(doc)
+    pres = load_presentation(doc)
     # the products of x_k*x_j*x_i are x_k*x_j, (x_k*x_j)*x_i, x_j*x_i, x_k*(x_j*x_i)
     assert len(products) == 4 * 38
     triples = [(k, j, i) for (k, j), (_, i) in zip(products[0::4], products[2::4])]
     assert triples == [(k, 1, 0) for k in range(39, 1, -1)]
+    # and it considers no other triple: they come from the pair, not a scan
+    assert presentation._overlap_triples(pres) == triples
+
+
+def test_overlap_triples_keep_the_order_of_the_full_scan():
+    """The triples the check forms are those of the scan of all C(n, 3)
+    triples that hold a pair with lower terms or a twisted variable, in
+    the scan's order, so each refusal names the same first overlap."""
+    G = get_field(FieldSpec.gaussian())
+    rng = random.Random("overlap triples")
+    for _ in range(30):
+        n = rng.randint(3, 7)
+        pairs = list(itertools.combinations(range(n), 2))
+        lowered = set(rng.sample(pairs, rng.randint(0, 2)))
+        sigma = [-1 if rng.random() < 0.15 else 1 for _ in range(n)]
+        relations = {pair: Relation(G.one, (), G.one) for pair in lowered}
+        pres = SimpleNamespace(  # what the triples read of a presentation
+            n=n,
+            relations={pair: relations.get(pair, Relation(G.one, (), G.zero)) for pair in pairs},
+            sigma_maps=[None if k == 1 else abs for k in sigma],
+        )
+        scan = [
+            (k, j, i) for k, j, i in itertools.combinations(reversed(range(n)), 3)
+            if sigma[i] != 1 or sigma[j] != 1 or sigma[k] != 1
+            or {(i, j), (i, k), (j, k)} & lowered
+        ]
+        assert presentation._overlap_triples(pres) == scan
 
 
 def test_load_coerces_no_scalar_per_pair(monkeypatch):
@@ -401,6 +469,30 @@ def test_load_coerces_no_scalar_per_pair(monkeypatch):
         coerced.clear()
         pres = load_presentation(f"field: gf:7\nvars: {', '.join(f'x{k}' for k in range(n))}\n")
         assert len(pres.relations) == n * (n - 1) // 2 and pres.commutative
+        counts.append(len(coerced))
+    assert counts[0] == counts[1] < 10
+
+
+def test_central_extension_coerces_no_scalar_per_pair(monkeypatch):
+    """`extend_with_central` passes on only the relations its ring stores:
+    extending 40 variables coerces no more scalars than extending 10."""
+    coerced = []
+    coerce = Field.coerce
+
+    def counting(self, v):
+        coerced.append(v)
+        return coerce(self, v)
+
+    counts = []
+    for n in (10, 40):
+        pres = load_presentation(_variables_document(n, "relation: x1*x0 = 2*x0*x1 + x0\n"))
+        with monkeypatch.context() as m:
+            m.setattr(Field, "coerce", counting)
+            coerced.clear()
+            ext = extend_with_central(pres)
+        assert ext.relations[(2, 3)] == pres.relations[(1, 2)]
+        assert ext.relations[(1, 2)].linear == ((1, pres.field.one),)
+        assert serialize_presentation(ext).count("relation:") == (n + 1) * n // 2
         counts.append(len(coerced))
     assert counts[0] == counts[1] < 10
 
