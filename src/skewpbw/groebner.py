@@ -20,6 +20,9 @@ class outcome: right closure need not terminate in general.
 Elements on their way to the basis, S-elements, right multiples and their
 remainders, are `_Raw` dicts: only one that joins the basis becomes a
 (monic) `Polynomial`, so the many that reduce to zero never build one.
+Certificates stay raw for the whole computation, {(gen_index, q): p} with
+p a dict of raw values; they become tuples of Polynomials only in the
+returned handle.
 
 One `_Memo` holds a computation: its order, its basis with each element's
 lead and certificate, and its caches; every helper reads them from it.
@@ -46,7 +49,7 @@ from skewpbw.poly import (
     multiply,
 )
 from skewpbw.presentation import Presentation, central_multiple, extend_with_central
-from skewpbw.scalars import InputError, Scalar
+from skewpbw.scalars import InputError
 
 
 class Budget(NamedTuple):
@@ -101,8 +104,9 @@ class DivisionResult:
     """f = sum quotients[i] * divisors[i] + remainder.
 
     The quotients are built from their raw dicts on first access: callers
-    that need only the remainder never pay for them. A division run for
-    its remainder alone records no quotients, and reading them raises.
+    that need only the remainder never pay for them, and a Groebner
+    computation's certificates read the raw dicts. A division run for its
+    remainder alone records no quotients, and reading them raises.
     """
 
     def __init__(self, pres: Presentation, raw_quotients: Optional[List[dict]], remainder):
@@ -130,9 +134,10 @@ class _Memo:
 
     The basis only grows by appending, so a position names one element for
     the whole computation and the maps stay valid:
-    - `certs`: position -> the element's certificate, triples (p, i, q)
-      with element == sum p * gens[i] * q over the generators as given,
-      zeros included; None when nobody asked for one;
+    - `certs`: position -> the element's certificate, a dict
+      {(i, q): p} with element == sum p * gens[i] * q over the generators
+      as given, zeros included, q a Polynomial and p a nonzero dict of raw
+      values; None when nobody asked for one;
     - `first`: exponent -> (position of the first lead dividing it, or -1;
       number of leads checked), so a miss is searched again only among
       the leads appended since;
@@ -358,34 +363,27 @@ class IdealHandle(NamedTuple):
         return f"IdealHandle({self.sidedness}, {self.status}, basis=[{body}])"
 
 
-def _cert_sum(parts) -> tuple:
-    """Certificate of sum w * element over (w, cert) parts, merged per
-    (gen_index, q) in one pass.
-
-    w multiplies each p on the left and is a Polynomial, or None for 1; a
-    constant w scales p, the same product without normal ordering.
-    """
-    merged: dict = {}
-    for w, cert in parts:
-        c = w.constant_value() if w is not None and w.is_constant() else None
-        for p, i, q in cert:
-            if c is not None:
-                p = p.scale(c)
-            elif w is not None:
-                p = multiply(w, p)
-            prev = merged.get((i, q))
-            merged[(i, q)] = p if prev is None else prev + p
-    return tuple((p, i, q) for (i, q), p in merged.items() if not p.is_zero())
+def _cert_add(out: dict, pres: Presentation, w, cert: dict) -> None:
+    """Add w * (the element of cert) into the certificate out: w, raw
+    (exponent, value) pairs, multiplies each p on the left. A part that
+    cancels stays as an empty dict, in its place; the caller drops it."""
+    for key, p in cert.items():
+        _multiply_raw(pres, w, p, out.setdefault(key, {}))
 
 
-def _cert_minus(cert, res: DivisionResult, certs) -> tuple:
-    """Certificate of f - sum q_i * basis[i] from the division of f."""
-    parts = [(-q, c) for q, c in zip(res.quotients, certs) if not q.is_zero()]
-    return _cert_sum([(None, cert)] + parts)
+def _cert_minus(cert: dict, res: DivisionResult, memo: _Memo) -> dict:
+    """Certificate of f - sum q_i * basis[i] from the division of f by the
+    memo's basis, read from the division's raw quotients."""
+    neg = memo.pres.field.raw_neg
+    out = {key: dict(p) for key, p in cert.items()}
+    for q, c in zip(res._raw_quotients, memo.certs):
+        if q:
+            _cert_add(out, memo.pres, [(e, neg(v)) for e, v in q.items()], c)
+    return {key: p for key, p in out.items() if p}
 
 
 def _reduce_with_cert(f, cert, memo: _Memo):
-    """f reduced by the memo's basis, and the remainder's certificate.
+    """f reduced by the memo's basis, and the remainder's raw certificate.
 
     Only a certificate reads the quotients, so none are recorded without
     one. Every caller drops a zero remainder, so its certificate is never
@@ -395,21 +393,20 @@ def _reduce_with_cert(f, cert, memo: _Memo):
     res = divide(f, memo.basis, memo=memo, _quotients=cert is not None)
     rem = res.remainder
     if cert is not None:
-        cert = None if rem.is_zero() else _cert_minus(cert, res, memo.certs)
+        cert = None if rem.is_zero() else _cert_minus(cert, res, memo)
     return rem, cert
 
 
 def _monic(memo: _Memo, g: _Raw, cert):
     """The Polynomial of g, a `_Raw` whose lead comes first (under deglex,
-    all its terms in descending order), and its certificate, scaled to
-    lead coefficient 1: one scaling, and a sort under any other order."""
+    all its terms in descending order), and its raw certificate, scaled
+    to lead coefficient 1: one scaling, and a sort under any other order."""
     field = memo.pres.field
     u = field.raw_inv(next(iter(g.values())))
-    if cert is not None:
-        # a nonzero scale creates no zero part and merges no two parts
-        c = Scalar(field, u)
-        cert = tuple((p.scale(c), i, q) for p, i, q in cert)
     mul = field.raw_mul
+    if cert is not None:
+        # a nonzero scale creates no zero part
+        cert = {key: {e: mul(u, k) for e, k in p.items()} for key, p in cert.items()}
     pairs = [(e, mul(u, k)) for e, k in g.items()]
     return Polynomial.from_raw(memo.pres, pairs, ordered=memo.order.kind == "deglex"), cert
 
@@ -562,12 +559,10 @@ def _s_element(memo: _Memo, i, j, gamma):
         _acc(s, e, mul(uj, c), add, zero)
     cert, certs = None, memo.certs
     if certs[i] is not None:
-        ti = exp_sub(gamma, memo.leads[i])
-        tj = exp_sub(gamma, memo.leads[j])
-        cert = _cert_sum((
-            (Polynomial.from_raw(pres, ((ti, ui),), ordered=True), certs[i]),
-            (Polynomial.from_raw(pres, ((tj, uj),), ordered=True), certs[j]),
-        ))
+        cert = {}
+        _cert_add(cert, pres, ((exp_sub(gamma, memo.leads[i]), ui),), certs[i])
+        _cert_add(cert, pres, ((exp_sub(gamma, memo.leads[j]), uj),), certs[j])
+        cert = {key: p for key, p in cert.items() if p}
     return s, cert
 
 
@@ -609,7 +604,7 @@ def _inter_reduce(memo: _Memo):
             res = divide(tail, basis, memo=memo, _quotients=cert is not None)
             tail = res.remainder
             if cert is not None:
-                cert = _cert_minus(cert, res, memo.certs)
+                cert = _cert_minus(cert, res, memo)
         terms = (lead, *tail.items())
         out.append((Polynomial.from_raw(g.pres, terms, ordered=order.kind == "deglex"), cert))
     return out
@@ -620,7 +615,7 @@ def _groebner(
     order: MonomialOrder,
     budget: Optional[Budget],
     right_factors: Optional[List[Polynomial]],
-    one: Optional[Polynomial],
+    track: bool,
 ) -> IdealHandle:
     """Reduced left basis of the ideal of gens closed under right multiples
     by right_factors; None asks for the left ideal.
@@ -628,9 +623,9 @@ def _groebner(
     Each round completes the left basis, then adjoins the reduced right
     multiples of the elements that completion added and that are minimal:
     no other lead divides theirs (of equal leads, the first counts). A
-    left ideal stops after its one completion. `one` is the polynomial 1
-    when elements carry certificates, seeding generator k's as
-    ((1, k, 1),), and None when they carry none.
+    left ideal stops after its one completion. With `track`, elements
+    carry raw certificates, generator k's seeded as {(k, 1): 1}, and the
+    handle's are built from them as tuples of (p, i, q) Polynomials.
 
     In a quasi-commutative presentation (any sigma) a monomial g = x^alpha
     is normal: g * w = c * w * g for every variable w, with c nonzero, and
@@ -655,8 +650,9 @@ def _groebner(
     pres = gens[0].pres if gens else None
     if any(g.pres is not pres for g in gens):
         raise InputError("generators from a different presentation")
+    one = Polynomial.one(pres) if track and gens else None
     items = [  # each as a `_Raw` whose lead comes first, for `_monic`
-        (_Raw((g.leading(order), *g.raw)), None if one is None else ((one, k, one),))
+        (_Raw((g.leading(order), *g.raw)), None if one is None else {(k, one): dict(one.raw)})
         for k, g in enumerate(gens)
         if not g.is_zero()
     ]
@@ -673,9 +669,10 @@ def _groebner(
             if len(g.raw) == 1 and pres.quasi_commutative:
                 continue  # a normal monomial: g * w = c * w * g
             for w in right_factors:
-                cw = None if cert is None else tuple(
-                    (p, i, multiply(q, w)) for p, i, q in cert
-                )
+                # right multiplication by w != 0 is injective: no keys merge
+                cw = None if cert is None else {
+                    (i, multiply(q, w)): p for (i, q), p in cert.items()
+                }
                 rem, cw = _reduce_with_cert(_multiply_raw(pres, g.raw, w.raw, _Raw()), cw, memo)
                 if not rem.is_zero():
                     items.append((rem, cw))
@@ -688,7 +685,10 @@ def _groebner(
             out += [(Polynomial.from_raw(pres, r.items()), c) for r, c in items]
             break
     side = LEFT if right_factors is None else TWO_SIDED
-    certs = None if one is None else tuple(c for _, c in out)
+    certs = tuple(
+        tuple((Polynomial.from_raw(pres, p.items()), i, q) for (i, q), p in c.items())
+        for _, c in out
+    ) if track else None
     return IdealHandle(pres, gens, side, status, order, tuple(g for g, _ in out), certs, note)
 
 
@@ -699,9 +699,7 @@ def left_groebner(
     track: bool = False,
 ) -> IdealHandle:
     """Left Groebner basis of the left ideal generated by gens."""
-    gens = tuple(gens)
-    one = Polynomial.one(gens[0].pres) if track and gens else None
-    return _groebner(gens, order, budget, None, one)
+    return _groebner(tuple(gens), order, budget, None, track)
 
 
 def normal_forms(handle: IdealHandle) -> Callable[[object], dict]:
@@ -745,13 +743,12 @@ def two_sided_saturate(
     """
     gens = tuple(gens)
     if not gens:
-        return _groebner(gens, order, budget, [], None)
+        return _groebner(gens, order, budget, [], track)
     pres = gens[0].pres
     right_factors = [Polynomial.variable(pres, j) for j in range(pres.n)]
     if not pres.sigma_all_identity:  # some sigma moves the primitive
         right_factors.append(Polynomial.constant(pres, pres.field.primitive()))
-    one = Polynomial.one(pres) if track else None
-    return _groebner(gens, order, budget, right_factors, one)
+    return _groebner(gens, order, budget, right_factors, track)
 
 
 # ---------------------------------------------------------------------------

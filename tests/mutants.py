@@ -334,6 +334,25 @@ MUTANTS = (
         ("tests/test_geometry.py::test_value_walk_matches_naive_evaluation[gf7space]",
          "tests/test_geometry.py::test_value_walk_matches_naive_evaluation[dispin]"),
     ),
+    Mutant(
+        "cert-minus-keeps-the-sign", "src/skewpbw/groebner.py",
+        "_cert_add(out, memo.pres, [(e, neg(v)) for e, v in q.items()], c)",
+        "_cert_add(out, memo.pres, q.items(), c)",
+        ("tests/test_groebner.py::test_gb_soundness_certificates[witten]",
+         "tests/test_groebner.py::test_printed_certificates_are_pinned"),
+    ),
+    Mutant(
+        "cert-right-multiple-keeps-q", "src/skewpbw/groebner.py",
+        "(i, multiply(q, w)): p for", "(i, q): p for",
+        ("tests/test_groebner.py::test_saturation_two_sided_certificates",
+         "tests/test_groebner.py::test_printed_certificates_are_pinned"),
+    ),
+    Mutant(
+        "cert-keeps-zero-parts", "src/skewpbw/groebner.py",
+        "    return {key: p for key, p in out.items() if p}\n", "    return out\n",
+        ("tests/test_groebner.py::test_tracked_and_untracked_computations_agree[qspace3.alg]",
+         "tests/test_groebner.py::test_printed_certificates_are_pinned"),
+    ),
 )
 
 

@@ -1,6 +1,7 @@
 """Division identities, completion, saturation, intersection, membership."""
 
 import argparse
+import hashlib
 import os
 import random
 import zlib
@@ -423,8 +424,17 @@ def _check_tracked_bases(pres, rng, rounds):
             assert H.status in ("proper", "unit"), (gens, H.note)
             assert list(H.basis) == oracle(gens)
             for element, cert in zip(H.basis, H.certificates):
+                _check_certificate_parts(cert)
                 assert expand_certificate(cert, H.generators) == element
                 assert expand_certificate(cert, H.generators, naive_word_multiply) == element
+
+
+def _check_certificate_parts(cert):
+    """No part of a certificate is zero, and each (gen_index, q) occurs in
+    one part only."""
+    assert all(not p.is_zero() for p, _, _ in cert), cert
+    keys = [(i, q) for _, i, q in cert]
+    assert len(set(keys)) == len(keys), cert
 
 
 @pytest.mark.parametrize("name", NAMED)
@@ -459,7 +469,76 @@ def test_tracked_and_untracked_computations_agree(name):
             assert (H.status, H.note, H.basis) == (G.status, G.note, G.basis)
             assert G.certificates is None and len(H.certificates) == len(H.basis)
             for element, cert in zip(H.basis, H.certificates):
+                _check_certificate_parts(cert)
                 assert expand_certificate(cert, gens) == element
+
+
+# SHA-256 prefix of what the test below prints, recorded when certificates
+# were still summed as Polynomials: it pins every part and the order of
+# the parts, which a certificate that still expands need not keep.
+CERTIFICATE_DIGEST = "fa8d35d0441f7864"
+
+
+def test_printed_certificates_are_pinned():
+    """Seeded tracked left bases and saturations over every shipped algebra
+    and inline document print the recorded statuses, bases and
+    certificates, byte for byte."""
+    digest = hashlib.sha256()
+    for name in SHIPPED + sorted(INLINE):
+        pres = _algebra(name)
+        rng = random.Random(zlib.crc32(b"pinned certificates " + name.encode()))
+        for _ in range(8):
+            gens = _random_gens(pres, rng, 2, 3)
+            for engine in (left_groebner, two_sided_saturate):
+                H = engine(gens, track=True)
+                certs = [[(str(p), i, str(q)) for p, i, q in c] for c in H.certificates]
+                printed = (name, H.status, H.note, [str(g) for g in H.basis], certs)
+                digest.update(repr(printed).encode())
+    assert digest.hexdigest()[:16] == CERTIFICATE_DIGEST
+
+
+def test_tracked_left_bases_multiply_and_scale_no_polynomial(monkeypatch):
+    """Certificates are summed and scaled on raw values: a tracked left
+    basis calls neither `groebner.multiply` nor `Polynomial.scale`, though
+    its certificates expand to its elements."""
+    calls = []
+    multiply_, scale = groebner.multiply, Polynomial.scale
+
+    def spy_multiply(f, g):
+        calls.append("multiply")
+        return multiply_(f, g)
+
+    def spy_scale(f, c):
+        calls.append("scale")
+        return scale(f, c)
+
+    cases = []
+    for name in SHIPPED:
+        pres = _algebra(name)
+        rng = random.Random(zlib.crc32(b"raw certificates " + name.encode()))
+        cases += [_random_gens(pres, rng, 2, 3) for _ in range(3)]
+    monkeypatch.setattr(groebner, "multiply", spy_multiply)
+    monkeypatch.setattr(Polynomial, "scale", spy_scale)
+    handles = [left_groebner(gens, track=True) for gens in cases]
+    assert calls == []
+    monkeypatch.undo()
+    assert sum(len(H.basis) > 1 for H in handles) > len(handles) // 2
+    for gens, H in zip(cases, handles):
+        for element, cert in zip(H.basis, H.certificates):
+            assert expand_certificate(cert, gens) == element
+
+
+@pytest.mark.parametrize("engine", [left_groebner, two_sided_saturate])
+def test_tracked_ideal_of_no_generators_has_no_certificates(engine):
+    """Tracking an ideal of no generators, or of zeros only, gives an empty
+    tuple of certificates, one per basis element, so zipping them with the
+    basis works; untracked, there are none."""
+    pres = _algebra("qplane_m1.alg")
+    for gens in ([], [Polynomial.zero(pres)]):
+        H = engine(gens, track=True)
+        assert (H.status, H.basis, H.certificates) == ("proper", (), ())
+        assert list(zip(H.basis, H.certificates)) == []
+        assert engine(gens).certificates is None
 
 
 def _inter_reduce_by_the_others(memo):
