@@ -41,12 +41,15 @@ it at one point, `vanishing_set` at a domain's cached character points,
 and both ideals of points (`ideal_of_points`, `commutative_points_ideal`)
 on the monomials they reduce. The walk and the sums c_alpha * z^alpha
 work on whole lists through the field's vector kernels, `raw_products`
-and `raw_combination`; over GF(p) they take one reduction mod p per
-entry. `vanishing_set` keeps the values it walked with the domain
-partition, so a warm call pays only for the monomials it has not met and
-the characters that vanish, not for the size of the domain. The kept
-values go with the partition when the domain changes, and are dropped
-once they hold more than MAX_DOMAIN_POINTS values.
+and `raw_combination`, whose loop runs over the shorter side: at many
+points a sum adds whole columns of monomial values, and at one point it
+sums the terms; over GF(p) a column sum adds unreduced ints and reduces
+mod p once per entry, in its last pass. `vanishing_set` keeps the values
+it walked with the domain partition, so a warm call pays only for the
+monomials it has not met and the characters that vanish, not for the
+size of the domain. The kept values go with the partition when the
+domain changes, and are dropped once they hold more than
+MAX_DOMAIN_POINTS values.
 """
 
 from __future__ import annotations
@@ -442,13 +445,14 @@ def vanishing_set(
         if f.pres is not pres:
             raise InputError(f"polynomial {f} is from another presentation than {pres}")
     points, positions, columns, degenerate, values = _domain_partition(pres, domain)
-    field, zero = pres.field, pres.field.raw_zero
+    field, zero, count = pres.field, pres.field.raw_zero, len(positions)
     exps = [e for f in polys for e, _ in reversed(f.raw)]
-    _monomial_values(field, columns, len(positions), exps, values)
-    vanish = [True] * len(positions)
-    for f in polys:
-        sums = _sums(field, f, values, len(positions))
-        vanish = [v and s == zero for v, s in zip(vanish, sums)]
+    _monomial_values(field, columns, count, exps, values)
+    # the first generator's sums give the flags; with none, all vanish
+    sums = (_sums(field, f, values, count) for f in polys)
+    vanish = [s == zero for s in next(sums, [zero] * count)]
+    for f_sums in sums:
+        vanish = [v and s == zero for v, s in zip(vanish, f_sums)]
     # a monomial counts once even with no character points, so its key is
     # bounded too
     if len(values) * max(len(positions), 1) > MAX_DOMAIN_POINTS:

@@ -19,6 +19,7 @@ is built only where a caller reads a coefficient as a field element.
 
 from __future__ import annotations
 
+from itertools import compress
 from operator import le
 from typing import Iterable, Optional, Tuple
 
@@ -230,7 +231,9 @@ def _var_times_dict(pres: Presentation, i: int, d: dict) -> dict:
 def _mono_times_dict(pres: Presentation, alpha: tuple, d: dict) -> dict:
     """x^alpha * d on raw dicts; may return d itself, so treat it as read-only."""
     _bound_insert_cache(pres)
-    for i in range(pres.n - 1, -1, -1):
+    # the variables alpha holds, last first: a product by one variable
+    # costs its support, not pres.n
+    for i in compress(range(pres.n - 1, -1, -1), reversed(alpha)):
         for _ in range(alpha[i]):
             if not d:
                 return d

@@ -19,6 +19,7 @@ import functools
 import math
 import operator
 from fractions import Fraction
+from itertools import repeat
 from typing import NamedTuple, Optional, Union
 
 
@@ -275,8 +276,13 @@ class Field:
     Two vector kernels work on whole lists of raw values, as evaluation at
     many points does: `raw_products(a, b)`, the entrywise products, and
     `raw_combination(coeffs, vectors)`, sum_k coeffs[k] * vectors[k]
-    entry by entry. Here they map `raw_mul` and fold `raw_add`; GF(p)
-    overrides both with int arithmetic and one reduction mod p per entry.
+    entry by entry. `raw_products` maps `raw_mul`. `raw_combination`'s
+    Python-level loop runs over the shorter side: when the entries
+    outnumber the terms it adds whole columns, starting from the first
+    product, and otherwise it folds `raw_add` over each row, so one point
+    of a long polynomial costs what it did. GF(p) overrides both kernels
+    with int arithmetic and one reduction mod p per entry: its columns
+    add unreduced ints, and the last column's pass reduces.
     """
 
     spec: FieldSpec
@@ -324,7 +330,13 @@ class Field:
         """[sum_k coeffs[k] * vectors[k][j] for each entry j], for lists
         of raw values of one length; [] when there are no vectors."""
         add, mul, zero = self.raw_add, self.raw_mul, self.raw_zero
-        return [functools.reduce(add, map(mul, coeffs, row), zero) for row in zip(*vectors)]
+        if not vectors or len(vectors[0]) <= len(coeffs):
+            return [functools.reduce(add, map(mul, coeffs, row), zero) for row in zip(*vectors)]
+        # columns, from the first product on
+        acc = list(map(mul, repeat(coeffs[0]), vectors[0]))
+        for c, v in zip(coeffs[1:], vectors[1:]):
+            acc = list(map(add, acc, map(mul, repeat(c), v)))
+        return acc
 
     def primitive(self) -> Optional[Scalar]:
         """A generator of the field over its prime field, or None for Q/GF(p)."""
@@ -711,9 +723,23 @@ class PrimeField(Field):
         self.raw_neg = lambda a: -a % p
         # the vector kernels on ints, with one reduction per entry
         self.raw_products = lambda a, b: [x * y % p for x, y in zip(a, b)]
-        self.raw_combination = lambda coeffs, vectors: [
-            sum(map(operator.mul, coeffs, row)) % p for row in zip(*vectors)
-        ]
+
+        def raw_combination(coeffs, vectors):
+            if not vectors or len(vectors[0]) <= len(coeffs):
+                return [sum(map(operator.mul, coeffs, row)) % p for row in zip(*vectors)]
+            last = len(coeffs) - 1
+            if not last:
+                c = coeffs[0]
+                return [c * x % p for x in vectors[0]]
+            # columns summed unreduced; the last one's pass reduces
+            c = coeffs[0]
+            acc = [c * x for x in vectors[0]]
+            for c, v in zip(coeffs[1:last], vectors[1:last]):
+                acc = [a + c * x for a, x in zip(acc, v)]
+            c = coeffs[last]
+            return [(a + c * x) % p for a, x in zip(acc, vectors[last])]
+
+        self.raw_combination = raw_combination
 
     def from_int(self, k):
         return Scalar(self, k % self.p)

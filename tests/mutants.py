@@ -33,7 +33,7 @@ from typing import NamedTuple, Optional, Tuple
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # what the tests read: the trees, and the root files pytest and they open
 COPIED = (
-    "src", "tests", "perfbench", "algebras",
+    "src", "tests", "perfbench", "algebras", ".github",
     "conftest.py", "pyproject.toml", "README.md", "BENCHMARK.json",
 )
 # a mutant that loops forever is reported, not waited for
@@ -202,9 +202,39 @@ MUTANTS = (
     ),
     Mutant(
         "prime-field-combination-unreduced", "src/skewpbw/scalars.py",
-        "            sum(map(operator.mul, coeffs, row)) % p for row in zip(*vectors)\n",
-        "            sum(map(operator.mul, coeffs, row)) for row in zip(*vectors)\n",
+        "[sum(map(operator.mul, coeffs, row)) % p for row in zip(*vectors)]",
+        "[sum(map(operator.mul, coeffs, row)) for row in zip(*vectors)]",
         ("tests/test_scalars.py::test_vector_kernels_match_scalar_arithmetic[gf:7]",),
+    ),
+    Mutant(
+        "prime-field-columns-unreduced", "src/skewpbw/scalars.py",
+        "            return [(a + c * x) % p for a, x in zip(acc, vectors[last])]\n",
+        "            return [a + c * x for a, x in zip(acc, vectors[last])]\n",
+        ("tests/test_scalars.py::test_vector_kernels_match_scalar_arithmetic[gf:7]",),
+    ),
+    Mutant(
+        "prime-field-one-column-unreduced", "src/skewpbw/scalars.py",
+        "                return [c * x % p for x in vectors[0]]\n",
+        "                return [c * x for x in vectors[0]]\n",
+        ("tests/test_scalars.py::test_vector_kernels_match_scalar_arithmetic[gf:7]",),
+    ),
+    Mutant(
+        "number-field-columns-drop-the-first-vector", "src/skewpbw/scalars.py",
+        "        acc = list(map(mul, repeat(coeffs[0]), vectors[0]))\n",
+        "        acc = [zero] * len(vectors[0])\n",
+        ("tests/test_scalars.py::test_vector_kernels_match_scalar_arithmetic[Q]",
+         "tests/test_scalars.py::test_vector_kernels_match_scalar_arithmetic[Q(i)]"),
+    ),
+    Mutant(
+        "vanishing-set-without-generators-lists-no-character",
+        "src/skewpbw/geometry.py",
+        "next(sums, [zero] * count)", "next(sums, [])",
+        ("tests/test_geometry.py::test_vanishing_set_empty_generators",),
+    ),
+    Mutant(
+        "readme-states-another-pin", "README.md",
+        "sympy==1.14.0", "sympy==1.13.0",
+        ("tests/test_readme.py::test_readme_ci_steps_match_the_workflow",),
     ),
     Mutant(
         "kept-values-survive-a-new-domain", "src/skewpbw/geometry.py",

@@ -135,6 +135,29 @@ def test_vanishing_set_empty_generators(comm2, QQ):
     assert len(rep.roots) == 4 and not rep.non_roots
 
 
+@pytest.mark.parametrize(
+    "texts", [["x^2*y + 3*x - y + 1"], ["x*y - 2", "x^3 + y^2 + x*y + 4"], []]
+)
+def test_vanishing_set_with_no_character_point(texts):
+    """On Weyl algebras no point is a character, so every point of a
+    domain is degenerate and a generator of several terms is summed at no
+    point: each report, cold and warm, over the whole GF(5)^2 and a grid
+    of Q^3, lists every point as a root, in domain order, and none as a
+    non-root."""
+    weyl_gf5 = load_presentation("field: gf:5\nvars: x, y\nrelation: y*x = x*y + 1\n")
+    weyl_q = load_presentation_file(algebra_path("weyl_z.alg"))
+    for pres, dom in (
+        (weyl_gf5, SearchDomain.full_prime_field()),
+        (weyl_q, grid(weyl_q.field, -1, 1)),
+    ):
+        polys = [parse_polynomial(t, pres) for t in texts]
+        points = domain_points(dom, pres)
+        for _ in range(2):
+            rep = vanishing_set(pres, polys, dom)
+            assert rep.roots == rep.degenerate == points
+            assert not rep.non_roots and not rep.unknown
+
+
 def test_full_prime_field_domain(qplane_gf5):
     dom = SearchDomain.full_prime_field()
     pts = domain_points(dom, qplane_gf5)

@@ -18,10 +18,16 @@ from skewpbw.presentation import (
 )
 
 
-def _readme():
-    path = os.path.join(os.path.dirname(__file__), "..", "README.md")
-    with open(path, encoding="utf-8") as fh:
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+
+
+def _read(*parts):
+    with open(os.path.join(ROOT, *parts), encoding="utf-8") as fh:
         return fh.read()
+
+
+def _readme():
+    return _read("README.md")
 
 
 def _presentation_blocks():
@@ -105,3 +111,20 @@ def test_readme_flags_match_the_commands():
     ordered, budgeted = (set(re.findall(r"`([\w-]+)`", g)) for g in sentence.groups())
     assert ordered == takers["--order"]
     assert budgeted == takers["--budget-degree"] == takers["--budget-pairs"]
+
+
+def test_readme_ci_steps_match_the_workflow():
+    """README's "Install and test" names the Python versions, the pinned
+    test tools and the commands of the CI workflow's first job: the
+    install, tier-1 under `python -X dev`, the mutants and the smoke test.
+    A pin or a step changed in one place and not the other fails here."""
+    section = _readme().split("## Install and test\n", 1)[1].split("\n## ", 1)[0]
+    workflow = _read(".github", "workflows", "tier1.yml")
+    pins = re.compile(r"([\w-]+)==([\d.]+)")
+    assert set(pins.findall(workflow)) == set(pins.findall(section)) != set()
+    pythons = set(re.findall(r'python-version: "([\d.]+)"', workflow))
+    assert pythons == set(re.findall(r"Python (3\.\d+)", section)) == {"3.10", "3.11"}
+    first_job = workflow.split("\n  minimum-python:", 1)[0]
+    steps = re.findall(r"^ +run: ([^|\s].*)$", first_job, re.M)  # one-line steps
+    assert len(steps) == 4 and "-X dev" in steps[1]
+    assert [s for s in steps if s not in section] == []

@@ -431,11 +431,16 @@ def test_rational_mul_and_inv_match_fraction():
 @pytest.mark.parametrize("spec", ["gf:2", "gf:7", "gf:32003"] + ORACLE_SPECS)
 def test_vector_kernels_match_scalar_arithmetic(spec):
     """raw_products and raw_combination equal Scalar products and sums
-    entry by entry, on empty vectors, with zero coefficients, and over
-    GF(p) on values near p, where an unreduced sum of many products runs
-    far past p. Every output entry is canonical: an int in range(p), or
-    the number field's unique tuple."""
+    entry by entry, on empty vectors and on shapes on both sides of
+    raw_combination's rule: more entries than terms (one term on 19 and
+    on 343 entries, the sums by column), as many (by row) and fewer (17
+    terms on one entry, by row). Each shape runs with nonzero
+    coefficients, with zeros among them and with zeros only. Over GF(p),
+    values near p make an unreduced sum of many products, by row or by
+    column, run far past p. Every output entry is canonical: an int in
+    range(p), or the number field's unique tuple."""
     field = get_field(FieldSpec.from_string(spec))
+    zero = field.raw_zero
     rng = random.Random(zlib.crc32(spec.encode()))
     if field.spec.kind == "gf":
         p = field.p
@@ -455,22 +460,32 @@ def test_vector_kernels_match_scalar_arithmetic(spec):
         def canonical(v):
             return v[-1] > 0 and math.gcd(*v) == 1
 
+    def draw_nonzero():
+        while (v := draw()) == zero:
+            pass
+        return v
+
     def scalar(v):
         return Scalar(field, v)
 
     assert field.raw_products([], []) == []
     assert field.raw_combination([], []) == []
-    assert field.raw_combination([draw(), field.raw_zero], [[], []]) == []
+    assert field.raw_combination([draw(), zero], [[], []]) == []
     for length in (1, 2, 7):
         a = [draw() for _ in range(length)]
         b = [draw() for _ in range(length)]
         got = field.raw_products(a, b)
         assert got == [(scalar(x) * scalar(y)).value for x, y in zip(a, b)]
         assert all(map(canonical, got))
-        for count in (1, 3, 12):
-            coeffs = [draw() for _ in range(count)]
-            coeffs[0] = field.raw_zero
-            vectors = [[draw() for _ in range(length)] for _ in range(count)]
+    # (entries, terms): columns above the diagonal, rows on and below it
+    shapes = [(19, 1), (343, 1), (2, 1), (7, 3), (19, 4), (1, 1), (3, 3), (12, 12),
+              (1, 17), (2, 12), (7, 12)]
+    for length, count in shapes:
+        vectors = [[draw() for _ in range(length)] for _ in range(count)]
+        nonzero = [draw_nonzero() for _ in range(count)]
+        with_zeros = list(nonzero)
+        with_zeros[0] = with_zeros[count // 2] = zero
+        for coeffs in (nonzero, with_zeros, [zero] * count):
             got = field.raw_combination(coeffs, vectors)
             want = []
             for j in range(length):
@@ -482,7 +497,11 @@ def test_vector_kernels_match_scalar_arithmetic(spec):
             assert all(map(canonical, got))
     if field.spec.kind == "gf":
         top = field.p - 1
+        # top * top = 1, so each sum is the number of terms mod p
         assert field.raw_combination([top] * 12, [[top, 0]] * 12) == [12 % field.p, 0]
+        assert field.raw_combination([top] * 17, [[top] * 19] * 17) == [17 % field.p] * 19
+        assert field.raw_combination([top] * 3, [[top] * 19] * 3) == [3 % field.p] * 19
+        assert field.raw_combination([top], [[top] * 343]) == [1 % field.p] * 343
         assert field.raw_products([top, top], [top, 1]) == [1 % field.p, top]
 
 
