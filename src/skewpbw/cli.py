@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
@@ -458,11 +459,18 @@ def _main(argv: Optional[list]) -> int:
         message = " ".join(str(exc).split()) or type(exc).__name__
         sys.stderr.write(f"internal error: {message}\n")
         return EXIT_INPUT
-    if args.format == "json":
-        json.dump(doc, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        _print_text(doc, sys.stdout)
+    try:
+        if args.format == "json":
+            json.dump(doc, sys.stdout, indent=2)
+            sys.stdout.write("\n")
+        else:
+            _print_text(doc, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send the flush at exit to devnull, so
+        # it raises nothing more (the SIGPIPE note in the `signal` docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT
     return code
 
 

@@ -25,9 +25,9 @@ are roots of everything and the reports mark them as degenerate. Which
 points of a domain are characters depends on the presentation and never
 on the polynomials, so `vanishing_set` tests each point once per
 presentation: the partition of the last domain it was given stays on the
-presentation, with the domain's points and its degenerate points, keyed
-by the domain's raw values; a warm call over a whole prime field finds
-it without building them. A `Point` holds raw field values, as a
+presentation, with the domain's points and its degenerate points. A grid
+is keyed by its raw values, and the whole prime field by itself, so a
+warm call over it builds none. A `Point` holds raw field values, as a
 `Polynomial` does, so a call over a full prime field builds no Scalar.
 Each call evaluates its generators, on raw field values, at the
 character points only, and lists its roots by slicing the kept
@@ -164,16 +164,8 @@ class SearchDomain(NamedTuple):
                 f"search domain has {count} points, above the limit of {MAX_DOMAIN_POINTS}"
             )
         if self.columns is None:  # range(p) holds the raw values already
-            return _WholeField((tuple(range(field.p)),) * pres.n)
+            return cols
         return tuple(tuple(field.coerce(v).value for v in col) for col in cols)
-
-
-class _WholeField(tuple):
-    """The raw columns of a whole prime field: equal to them and hashed as
-    they are, so a grid of the same points finds the same partition, but
-    marked, so that a warm full-field call finds it without building them."""
-
-    __slots__ = ()
 
 
 def point_generators(pres: Presentation, Z: Point) -> List[Polynomial]:
@@ -392,36 +384,28 @@ def _domain_partition(pres: Presentation, domain: SearchDomain):
     the monomial values kept at the characters) of the domain.
 
     Whether a point is a character depends on the presentation alone, so
-    the partition is cached on it, keyed by the domain's raw columns,
-    `SearchDomain._raw_columns`: a hit builds no Point and runs no
-    character test, and over a full prime field no call builds a Scalar.
-    The whole field's key is a `_WholeField`, so a warm full-field call
-    finds it with no columns built; a grid of the same points finds it
-    too, and when a grid built the entry, the whole field's next call
-    marks it. A new domain replaces the cached one, its kept values with
-    it. The values are a `_monomial_values` dict of raw values, which
-    `vanishing_set` extends and bounds.
+    the partition is cached on it, keyed by `SearchDomain.columns` for the
+    whole prime field, None, and otherwise by the grid's raw columns,
+    `SearchDomain._raw_columns`: two grids that list the same points share
+    a partition. A hit builds no Point and runs no character test, and a
+    whole-field hit builds no columns either; over a full prime field no
+    call builds a Scalar. A new domain replaces the cached one, its kept
+    values with it. The values are a `_monomial_values` dict of raw
+    values, which `vanishing_set` extends and bounds.
     """
     cache = pres._domain_partition
-    if domain.columns is None:
-        for key, entry in cache.items():
-            if type(key) is _WholeField:
-                return entry
-    key = domain._raw_columns(pres)
+    key = None if domain.columns is None else domain._raw_columns(pres)
     entry = cache.get(key)
     if entry is None:
-        raw = list(itertools.product(*key))
+        raw = list(itertools.product(*(domain._raw_columns(pres) if key is None else key)))
         points = _points(pres.field, raw)
         flags = list(map(_character_test(pres), raw))
         positions = list(itertools.compress(range(len(raw)), flags))
         columns = [[raw[k][i] for k in positions] for i in range(pres.n)]
         degenerate = list(itertools.compress(points, map(not_, flags)))
         entry = (points, positions, columns, degenerate, {})
-    elif type(key) is not _WholeField:
-        return entry
-    # a new partition, or a grid's that the whole field now marks
-    cache.clear()
-    cache[key] = entry
+        cache.clear()
+        cache[key] = entry
     return entry
 
 

@@ -19,6 +19,7 @@ is built only where a caller reads a coefficient as a field element.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import compress
 from operator import le
 from typing import Iterable, Optional, Tuple
@@ -65,6 +66,14 @@ def block_key(a, mask):
     return (fdeg,) + tuple(front) + (rdeg,) + tuple(rest)
 
 
+def _checked_exponent(pres: Presentation, e) -> tuple:
+    """e as a tuple; InputError unless it is pres.n ints >= 0."""
+    e = tuple(e) if isinstance(e, (tuple, list)) else e
+    if type(e) is not tuple or len(e) != pres.n or not all(type(a) is int and a >= 0 for a in e):
+        raise InputError(f"exponent {e!r} is not {pres.n} ints >= 0")
+    return e
+
+
 def find_divisor(leads, target, start=0):
     """Index of the first exponent in ``leads[start:]`` dividing ``target``, or -1."""
     for i in range(start, len(leads)):
@@ -74,20 +83,25 @@ def find_divisor(leads, target, start=0):
 
 
 class MonomialOrder:
-    """Total degree-first order on exponents, as a flat sort key."""
+    """Total degree-first order on exponents, as a flat sort key: `key` is
+    bound once, to `deglex_key`, `degrevlex_key` or `block_key` over the
+    mask. InputError for another kind, or "block" without a mask."""
 
-    __slots__ = ("kind", "mask")
+    __slots__ = ("kind", "mask", "key")
 
     def __init__(self, kind: str, mask: Optional[tuple] = None):
+        if kind == "deglex":
+            self.key = deglex_key
+        elif kind == "degrevlex":
+            self.key = degrevlex_key
+        elif kind != "block":
+            raise InputError(f"unknown monomial order {kind!r}")
+        elif mask is None:
+            raise InputError("a block order needs a mask")
+        else:
+            self.key = partial(block_key, mask=mask)
         self.kind = kind
         self.mask = mask
-
-    def key(self, exp: tuple) -> tuple:
-        if self.kind == "deglex":
-            return deglex_key(exp)
-        if self.kind == "degrevlex":
-            return degrevlex_key(exp)
-        return block_key(exp, self.mask)
 
     @staticmethod
     def block(front_indices: Iterable[int], n: int) -> "MonomialOrder":
@@ -261,10 +275,13 @@ class Polynomial:
 
     def __init__(self, pres: Presentation, terms: Iterable):
         """From (exponent, Scalar) pairs with distinct exponents, in any
-        order; as in `from_raw`, they are sorted and zeros are dropped."""
+        order; as in `from_raw`, they are sorted and zeros are dropped.
+        InputError for a repeated exponent, or one `_checked_exponent` refuses."""
         coerce = pres.field.coerce
-        f = Polynomial.from_raw(pres, [(e, coerce(c).value) for e, c in terms])
-        self.pres, self.raw = pres, f.raw
+        pairs = [(_checked_exponent(pres, e), coerce(c).value) for e, c in terms]
+        if len(dict(pairs)) != len(pairs):
+            raise InputError("a polynomial's terms repeat an exponent")
+        self.pres, self.raw = pres, Polynomial.from_raw(pres, pairs).raw
 
     @staticmethod
     def from_raw(pres: Presentation, pairs: Iterable, ordered=False) -> "Polynomial":
@@ -299,17 +316,20 @@ class Polynomial:
 
     @staticmethod
     def constant(pres: Presentation, c: Scalar) -> "Polynomial":
-        return Polynomial.monomial(pres, (0,) * pres.n, c)
+        pair = ((0,) * pres.n, pres.field.coerce(c).value)
+        return Polynomial.from_raw(pres, (pair,), ordered=True)
 
     @staticmethod
     def variable(pres: Presentation, i: int) -> "Polynomial":
         e = tuple(1 if k == i else 0 for k in range(pres.n))
-        return Polynomial.monomial(pres, e)
+        return Polynomial.from_raw(pres, ((e, pres.field.raw_one),), ordered=True)
 
     @staticmethod
     def monomial(pres: Presentation, exp: tuple, c=None) -> "Polynomial":
+        """c * x^exp, c = 1 by default; InputError for an exponent that
+        `_checked_exponent` refuses. `constant` and `variable` build theirs."""
         c = pres.field.one if c is None else pres.field.coerce(c)
-        return Polynomial.from_raw(pres, ((tuple(exp), c.value),), ordered=True)
+        return Polynomial.from_raw(pres, ((_checked_exponent(pres, exp), c.value),), ordered=True)
 
     @property
     def terms(self) -> tuple:
@@ -372,14 +392,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        self._check(other)
-        field = self.pres.field
-        add, neg, zero = field.raw_add, field.raw_neg, field.raw_zero
-        out = dict(self.raw)
-        for e, c in other.raw:
-            _acc(out, e, neg(c), add, zero)
-        return Polynomial.from_raw(self.pres, out.items())
+        return self + -self._coerce(other)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -402,7 +415,7 @@ class Polynomial:
 
     def __rmul__(self, other):
         # scalar * poly: left scaling
-        return self.scale(self.pres.field.coerce(other))
+        return self.scale(other)
 
     def __pow__(self, k: int):
         """Square-and-multiply: powers of one element commute with each other."""

@@ -49,7 +49,8 @@ class Presentation:
     """Immutable algebra presentation; carries the normal-form caches.
 
     `relations` holds every pair (i, j), i < j; the pairs a caller leaves
-    out share one `Relation(one, (), zero)`. Construction checks the others
+    out share one `Relation(one, (), zero)`. Construction refuses a key
+    that is no such pair of ints, checks the given relations
     (`_coerce_relation`) and refuses an inconsistent presentation: see
     `_check_overlaps`.
 
@@ -57,8 +58,9 @@ class Presentation:
     and stored in `Field.unit_exponent` form: 1 for the identity.
 
     `_domain_partition` holds one five-field entry for `vanishing_set`,
-    keyed by the raw columns of the last search domain asked about (for a
-    whole prime field, marked so that a warm call builds none): its
+    for the last search domain asked about, keyed by a grid's raw columns
+    and by None, its `SearchDomain.columns`, for the whole prime field, so
+    that a warm call there builds no columns: its
     points, which hold raw values, the positions and raw coordinate
     columns of the characters, the degenerate points, and the raw values
     of the monomials evaluated there so far and of the divisors the walk
@@ -98,7 +100,10 @@ class Presentation:
         self.relations = rels = dict.fromkeys(itertools.combinations(range(self.n), 2), default)
         # only the pairs the caller gives are checked and read: the others
         # share the commuting default
-        written = sorted(pair for pair in given if pair in rels)
+        for pair in given:
+            if pair not in rels or not all(type(k) is int for k in pair):
+                raise InputError(f"relation key {pair!r} is not a pair 0 <= i < j < {self.n}")
+        written = sorted(given)
         for pair in written:
             rels[pair] = _coerce_relation(self, pair, given[pair])
         self.sigma_all_identity = all(m is None for m in self.sigma_maps)
@@ -305,6 +310,8 @@ def load_presentation(text: str) -> Presentation:
                 raise InputError(f"line {lineno}: {exc}") from exc
         elif key == "vars":
             names = tuple(v.strip() for v in value.split(",") if v.strip())
+            if value and not names:  # separators alone; an empty line is K^0
+                names = None
         elif key == "sigma":
             for item in parsing.split_top_level(value, ","):
                 if "=" not in item:
@@ -320,7 +327,7 @@ def load_presentation(text: str) -> Presentation:
             raise InputError(f"line {lineno}: unknown key {key!r}")
     if field is None:
         raise InputError("missing 'field:' line")
-    if not names:
+    if names is None:
         raise InputError("missing 'vars:' line")
     index = {nm: k for k, nm in enumerate(names)}
     # tags are read once the field is known: 'field:' may follow 'sigma:'

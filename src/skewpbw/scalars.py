@@ -193,18 +193,10 @@ class Scalar:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        f = self.field
-        return Scalar(f, f.raw_add(self.value, f.raw_neg(o)))
+        return self + -other
 
     def __rsub__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        f = self.field
-        return Scalar(f, f.raw_add(o, f.raw_neg(self.value)))
+        return -self + other
 
     def __mul__(self, other):
         o = self._operand(other)
@@ -359,8 +351,12 @@ class Field:
         return f"Field({self.spec})"
 
 
-@functools.lru_cache(maxsize=None)
-def _cyclotomic(m: int) -> tuple:
+def cyclotomic_polynomial(m: int) -> list:
+    """Integer coefficients of the m-th cyclotomic polynomial, low degree
+    first, computed on each call: a number field computes its Phi_m once,
+    since fields are kept (`get_field`)."""
+    if m < 1:
+        raise InputError("cyclotomic index must be >= 1")
     # Phi_m = prod over d | m of (x^d - 1)^mu(m/d): multiply in the factors
     # with mu = 1, then divide out those with mu = -1, exactly over Z
     primes = sorted(_prime_factors(m))
@@ -385,17 +381,7 @@ def _cyclotomic(m: int) -> tuple:
             q[j - d] = coeffs[j] + (q[j] if j < len(q) else 0)
         assert all(coeffs[j] + q[j] == 0 for j in range(d)), "inexact division"
         coeffs = q
-    return tuple(coeffs)
-
-
-def cyclotomic_polynomial(m: int) -> list:
-    """Integer coefficients of the m-th cyclotomic polynomial, low degree first.
-
-    Memoized per m; each call returns a fresh list.
-    """
-    if m < 1:
-        raise InputError("cyclotomic index must be >= 1")
-    return list(_cyclotomic(m))
+    return coeffs
 
 
 def _power_rows(modulus: list, top: int) -> list:

@@ -378,6 +378,55 @@ MUTANTS = (
          "tests/test_groebner.py::test_printed_certificates_are_pinned"),
     ),
     Mutant(
+        "presentation-keeps-any-relation-key", "src/skewpbw/presentation.py",
+        "            if pair not in rels or not all(type(k) is int for k in pair):\n",
+        "            if False:\n",
+        ("tests/test_presentation.py::test_relation_keys_outside_the_pairs_are_refused",),
+    ),
+    Mutant(
+        "exponent-takes-any-entries", "src/skewpbw/poly.py",
+        " or len(e) != pres.n or not all(type(a) is int and a >= 0 for a in e):", ":",
+        ("tests/test_poly.py::test_exponents_outside_the_monomials_are_refused",),
+    ),
+    Mutant(
+        "polynomial-keeps-repeated-exponents", "src/skewpbw/poly.py",
+        "        if len(dict(pairs)) != len(pairs):\n", "        if False:\n",
+        ("tests/test_poly.py::test_repeated_exponents_are_refused",),
+    ),
+    Mutant(
+        "monomial-order-takes-any-kind", "src/skewpbw/poly.py",
+        '        elif kind != "block":\n', "        elif False:\n",
+        ("tests/test_poly.py::test_unknown_monomial_orders_are_refused",),
+    ),
+    Mutant(
+        "galois-maps-are-the-identity", "src/skewpbw/scalars.py",
+        "                for t, c in rows[j * k % m]:\n", "                for t, c in rows[j]:\n",
+        ("tests/test_metamorphic.py::test_conjugate_inputs_give_conjugate_answers",),
+    ),
+    Mutant(
+        "degree-skip-reports-proper", "src/skewpbw/groebner.py",
+        "    return UNKNOWN if skipped else PROPER, list(", "    return PROPER, list(",
+        ("tests/test_metamorphic.py::test_a_finished_basis_is_the_one_a_larger_budget_gives",),
+    ),
+    Mutant(
+        "closed-pipe-raises", "src/skewpbw/cli.py",
+        "    except BrokenPipeError:\n", "    except ZeroDivisionError:\n",
+        ("tests/test_cli.py::test_closed_pipe_exits_one_without_a_traceback",),
+    ),
+    Mutant(
+        "empty-vars-line-declares-nothing", "src/skewpbw/presentation.py",
+        "            if value and not names:", "            if not names:",
+        ("tests/test_presentation.py::test_the_space_of_no_variables_round_trips",),
+    ),
+    Mutant(
+        "minimum-python-job-skips-sympy", ".github/workflows/tier1.yml",
+        '"3.10"\n      - name: Install the test tools\n'
+        "        run: python -m pip install pytest==9.0.3 hypothesis==6.155.2 sympy==1.14.0\n",
+        '"3.10"\n      - name: Install the test tools\n'
+        "        run: python -m pip install pytest==9.0.3 hypothesis==6.155.2\n",
+        ("tests/test_readme.py::test_every_tier1_job_installs_every_pinned_tool",),
+    ),
+    Mutant(
         "cert-keeps-zero-parts", "src/skewpbw/groebner.py",
         "    return {key: p for key, p in out.items() if p}\n", "    return out\n",
         ("tests/test_groebner.py::test_tracked_and_untracked_computations_agree[qspace3.alg]",

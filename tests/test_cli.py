@@ -4,6 +4,7 @@ import decimal
 import json
 import os
 import random
+import subprocess
 import sys
 
 import pytest
@@ -924,3 +925,23 @@ def test_seeded_sweep_finds_no_engine_fault(name, capsys):
             assert "internal error:" not in err and "Traceback" not in err, (argv, err)
             codes.add(code)
     assert EXIT_OK in codes
+
+
+def test_closed_pipe_exits_one_without_a_traceback():
+    """A reader that closes stdout early, as `| head -c 10` does, ends the
+    command with exit code 1 and nothing on stderr: no BrokenPipeError
+    traceback and no "Exception ignored" line from the flush at exit."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    argv = [
+        sys.executable, "-m", "skewpbw", "--format", "json", "vanish",
+        "--algebra", algebra_path("qplane_m1.alg"), "--polys", "x", "--domain", "grid:-30..30",
+    ]
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_INPUT
+    assert head == b'{\n  "comma'
+    assert err == ""

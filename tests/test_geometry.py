@@ -175,7 +175,8 @@ def _report_coords(rep):
 def test_vanishing_set_domain_cache(GF5, monkeypatch):
     """One presentation keeps the character partition of the last domain:
     a warm call tests no point, a new domain replaces the entry, and two
-    domains that list the same points share it. The character test is
+    grids that list the same points share it; the whole field is keyed by
+    itself, so a grid of all its points does not. The character test is
     built once, by the first call. Every report equals a fresh
     presentation's and agrees with is_root point by point."""
     pres = quantum_plane(GF5, GF5.from_int(2))
@@ -188,7 +189,7 @@ def test_vanishing_set_domain_cache(GF5, monkeypatch):
     whole_field = SearchDomain.grid([range(5)])
     # (domain, whether the call finds its partition cached)
     calls = [
-        (full, False), (full, True), (whole_field, True),
+        (full, False), (full, True), (whole_field, False),
         (grid_a, False), (grid_a_scalars, True), (grid_b, False),
         (grid_b, True), (grid_a_scalars, False), (full, False),
     ]
@@ -408,10 +409,10 @@ def test_cold_vanishing_set_builds_no_scalar(monkeypatch):
 
 
 def test_warm_vanishing_set_builds_no_scalar(monkeypatch):
-    """The partition is keyed by the domain's raw columns: Points are
-    built on the first call only, not on a warm call nor for another
-    domain object that lists the same points, and a warm call over a full
-    prime field builds no Scalar."""
+    """A grid's partition is keyed by its raw columns, and the whole
+    field's by None: Points are built once for the whole field and once
+    for `grid([range(7)])`, not on a warm call nor for another grid that
+    lists the same points, and a whole-field call builds no Scalar."""
     pres = load_presentation(GF7SPACE)
     polys = [parse_polynomial(t, pres) for t in ("x*y - z", "y^2*z - 3*x")]
     domains = [
@@ -430,17 +431,17 @@ def test_warm_vanishing_set_builds_no_scalar(monkeypatch):
     for k, domain in enumerate(domains + domains[:1]):
         built.clear()
         rep = vanishing_set(pres, polys, domain)
-        assert len(calls) == 1, k
-        if k and domain.columns is None:
+        assert len(calls) == [1, 1, 2, 2, 3][k], k
+        if domain.columns is None:
             assert built == [], k
         assert _report_coords(rep) == expected[k % len(domains)], k
 
 
 def test_warm_full_field_call_builds_no_columns(monkeypatch):
     """A warm call over the whole prime field finds its partition without
-    building raw columns. A grid of the same points shares the partition
-    either way round: after it, the whole field builds its columns once
-    more, to find the partition, and then no more."""
+    building raw columns; a cold one builds them once. A grid of the same
+    points is keyed by its raw columns, not by None, so each change
+    between the two builds a new partition."""
     pres = load_presentation(GF7SPACE)
     polys = [parse_polynomial("x*y - z", pres)]
     full, same = SearchDomain.full_prime_field(), SearchDomain.grid([range(7)])
@@ -462,8 +463,8 @@ def test_warm_full_field_call_builds_no_columns(monkeypatch):
         built.clear()
         assert _report_coords(vanishing_set(pres, polys, domain)) == expected
         counts.append(len(built))
-    assert counts == [1, 1, 0, 1, 0]
-    assert len(partitions) == 1
+    assert counts == [1, 1, 0, 1, 1]
+    assert len(partitions) == 4
 
 
 def test_cli_domain_builds_no_scalar(monkeypatch):

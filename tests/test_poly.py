@@ -241,6 +241,47 @@ def test_polynomials_from_scalars_refuse_another_field(qplane_gf5, QQ):
             build(qplane_gf5, {x: QQ.from_int(3)})
 
 
+@pytest.mark.parametrize("exp", [(1,), (-1, 0), (1, 0, 0), (1.5, 0), (True, 0), "xy", 7])
+def test_exponents_outside_the_monomials_are_refused(exp, QQ):
+    """`Polynomial(pres, terms)`, `from_dict` and `monomial` refuse an
+    exponent that is not n ints >= 0. On y*x = 2*x*y, (1,) times x used to
+    raise IndexError, (-1, 0) printed x^-1 with x * x^-1 = 1, and
+    (1, 0, 0) printed x but was not equal to x."""
+    pres = Presentation(QQ, ("x", "y"), relations={(0, 1): Relation(2, (), 0)})
+    one = QQ.one
+    builds = [
+        lambda: Polynomial(pres, [(exp, one)]),
+        lambda: Polynomial.from_dict(pres, {exp: one}),
+        lambda: Polynomial.monomial(pres, exp),
+    ]
+    for build in builds:
+        with pytest.raises(InputError, match=r"^exponent .* is not 2 ints >= 0$"):
+            build()
+
+
+def test_repeated_exponents_are_refused(qplane_q2, QQ):
+    """Two terms of one exponent are refused, where they printed the
+    non-canonical x + x; a list exponent reads as its tuple."""
+    with pytest.raises(InputError, match="^a polynomial's terms repeat an exponent$"):
+        Polynomial(qplane_q2, [((1, 0), QQ.one), ((1, 0), QQ.one)])
+    f = Polynomial(qplane_q2, [([1, 0], QQ.one), ((0, 1), QQ.from_int(2))])
+    assert f == parse_polynomial("x + 2*y", qplane_q2)
+    assert Polynomial.monomial(qplane_q2, [0, 3]) == parse_polynomial("y^3", qplane_q2)
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("lex", "unknown monomial order 'lex'"),
+    ("Deglex", "unknown monomial order 'Deglex'"),
+    ("block", "a block order needs a mask"),
+])
+def test_unknown_monomial_orders_are_refused(kind, message):
+    """An order is checked when it is built: "lex" used to be accepted and
+    fail at its first key with a TypeError."""
+    with pytest.raises(InputError, match=f"^{message}$"):
+        MonomialOrder(kind)
+    assert MonomialOrder("block", (1, 0)).key((0, 5)) < MonomialOrder("block", (1, 0)).key((1, 0))
+
+
 @pytest.mark.parametrize("fixture", ["witten", "conj_qplane"])
 def test_power_is_repeated_product(fixture, request):
     pres = request.getfixturevalue(fixture)

@@ -206,6 +206,30 @@ def test_serialize_roundtrip():
         assert Q.names == P.names and Q.relations == P.relations
 
 
+def test_the_space_of_no_variables_round_trips(QQ):
+    """An empty `vars:` line declares K^0, so the text that K^0 prints
+    loads back to it, with its pinned hash; a document with no `vars:`
+    line, or one of separators alone, is still refused."""
+    P = Presentation(QQ, ())
+    text = serialize_presentation(P)
+    assert text == "field: Q\nvars: \n"
+    Q = load_presentation(text)
+    assert Q.n == 0 and Q.relations == {}
+    assert presentation_hash(Q) == presentation_hash(P) == "68d751975ac3d74b"
+    for doc in ("field: Q\n", "field: Q\nvars: ,\n", "field: Q\nvars:  , ,\n"):
+        with pytest.raises(InputError, match="^missing 'vars:' line$"):
+            load_presentation(doc)
+
+
+@pytest.mark.parametrize("key", [(1, 0), (0, 5), (0, 0), (-1, 1), "ab", 3, (0, 1.0), (0, 1, 2)])
+def test_relation_keys_outside_the_pairs_are_refused(QQ, key):
+    """A relation keyed by anything but a pair of ints 0 <= i < j < n is
+    refused, not dropped: (1, 0) used to leave the commutative plane, on
+    which y*x parses to x*y."""
+    with pytest.raises(InputError, match=r"^relation key .* is not a pair 0 <= i < j < 2$"):
+        Presentation(QQ, ("x", "y"), relations={key: Relation(QQ.from_int(2), (), QQ.zero)})
+
+
 def _variables_document(n, relations=""):
     return f"field: gf:7\nvars: {', '.join(f'x{k}' for k in range(n))}\n{relations}"
 

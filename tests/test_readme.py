@@ -128,3 +128,19 @@ def test_readme_ci_steps_match_the_workflow():
     steps = re.findall(r"^ +run: ([^|\s].*)$", first_job, re.M)  # one-line steps
     assert len(steps) == 4 and "-X dev" in steps[1]
     assert [s for s in steps if s not in section] == []
+
+
+def test_every_tier1_job_installs_every_pinned_tool():
+    """Each CI job that runs tier-1 installs every tool README pins, and
+    lists its skips (`-rs`): a job without sympy would skip
+    `test_product_criterion_agrees_with_sympy` and still pass."""
+    section = _readme().split("## Install and test\n", 1)[1].split("\n## ", 1)[0]
+    pinned = set(re.findall(r"([\w-]+)==([\d.]+)", section))
+    workflow = _read(".github", "workflows", "tier1.yml").split("\njobs:\n", 1)[1]
+    jobs = re.split(r"^  (?=[\w-]+:$)", workflow, flags=re.M)[1:]
+    tier1 = [job for job in jobs if " -m pytest " in job]
+    assert len(tier1) == len(jobs) == 2
+    for job in tier1:
+        installs = re.findall(r"pip install (.*)$", job, re.M)
+        assert pinned <= {tuple(p.split("==")) for line in installs for p in line.split()}, job
+        assert all(" -rs " in line for line in re.findall(r".* -m pytest .*", job)), job

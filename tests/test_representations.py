@@ -13,7 +13,7 @@ import zlib
 
 from oracles import random_polynomial
 from skewpbw.poly import Polynomial, multiply
-from skewpbw.presentation import quantum_plane
+from skewpbw.presentation import Presentation, Relation, quantum_plane
 from skewpbw.scalars import FieldSpec, get_field
 
 
@@ -63,9 +63,10 @@ def _random_coeffs(field, rng, top=4):
 
 
 def test_weyl_pair_matches_differential_operators(weyl_z):
-    # restrict to the x, y pair (z never appears); y*x = x*y - 1 means
-    # y acts as -d/dt when x acts as t
+    # restrict to the x, y pair (z never appears), a presentation of its
+    # own; y*x = x*y - 1 means y acts as -d/dt when x acts as t
     field = weyl_z.field
+    pair = Presentation(field, ("x", "y"), relations={(0, 1): Relation(1, (), -1)})
     rng = random.Random(zlib.crc32(b"weyl-ops"))
     y_action = lambda c: _op_neg_ddt(c, field)
 
@@ -74,9 +75,7 @@ def test_weyl_pair_matches_differential_operators(weyl_z):
         while True:
             f = random_polynomial(weyl_z, rng, 3, 3)
             if all(e[2] == 0 for e, _ in f.terms):
-                return Polynomial(
-                    weyl_z, tuple(((e[0], e[1]), c) for e, c in f.terms)
-                )
+                return Polynomial(pair, tuple(((e[0], e[1]), c) for e, c in f.terms))
 
     def as_weyl(f2):
         return Polynomial(
@@ -86,7 +85,7 @@ def test_weyl_pair_matches_differential_operators(weyl_z):
     for _ in range(60):
         f2, g2 = sample(), sample()
         fg = multiply(as_weyl(f2), as_weyl(g2))
-        fg2 = Polynomial(weyl_z, tuple(((e[0], e[1]), c) for e, c in fg.terms))
+        fg2 = Polynomial(pair, tuple(((e[0], e[1]), c) for e, c in fg.terms))
         coeffs = _random_coeffs(field, rng)
         via_product = _apply_poly(fg2, coeffs, field, y_action)
         via_compose = _apply_poly(f2, _apply_poly(g2, coeffs, field, y_action), field, y_action)
