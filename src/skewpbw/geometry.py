@@ -192,16 +192,9 @@ def is_character(pres: Presentation, Z: Point) -> bool:
 
 
 def _character_test(pres: Presentation):
-    """is_character on raw coordinates, built on first use and kept on pres:
-    it holds the field's kernels and raw relation values, never pres, so
-    keeping it makes no reference cycle."""
-    if pres._character is None:
-        pres._character = _new_character_test(pres)
-    return pres._character
-
-
-def _new_character_test(pres: Presentation):
-    """The character test, with the relations unwrapped once."""
+    """is_character on raw coordinates, built on each call in O(written + n)
+    time: a pair that no document writes commutes, so it places no
+    condition on the point."""
     field = pres.field
     add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
     twisted = [i for i, sigma in enumerate(pres.sigma_maps) if sigma is not None]
@@ -210,7 +203,7 @@ def _new_character_test(pres: Presentation):
     # whole equation
     axes = []
     relations = []
-    for (i, j), rel in pres.relations.items():
+    for (i, j), rel in pres.written.items():
         if not rel.is_trivial_lower():
             relations.append((
                 i, j, rel.c.value, rel.const.value,

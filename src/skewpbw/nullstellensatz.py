@@ -125,7 +125,8 @@ def center_generators(pres: Presentation) -> CenterDescription:
                 f"sigma of {name} is not the identity: the center is not a K-algebra"
             )
     n = pres.n
-    cs = {pair: rel.c for pair, rel in pres.relations.items()}
+    # an unwritten pair commutes: order 1, log 0, a zero entry of E
+    cs = {pair: rel.c for pair, rel in pres.written.items()}
     orders = {}
     for pair, c in cs.items():
         orders[pair] = multiplicative_order(c)
@@ -160,7 +161,8 @@ def center_generators(pres: Presentation) -> CenterDescription:
         )
     case = (
         "commutative" if N == 1 else "quantum-plane" if n == 2
-        else "uniform" if len(set(cs.values())) == 1 else "multiparametric"
+        else "uniform" if len(cs) == n * (n - 1) // 2 and len(set(cs.values())) == 1
+        else "multiparametric"
     )
     gens = tuple(
         Polynomial.monomial(pres, tuple(L[i] if k == i else 0 for k in range(n)))
@@ -182,14 +184,14 @@ def _echelon(rows, moduli) -> list:
     there the positive gcd of the lattice's entries in that column.
     """
     basis = []
+    rows = [[a % m for a, m in zip(r, moduli)] for r in rows]
     for c, modulus in enumerate(moduli):
-        rows = [[a % m for a, m in zip(r, moduli)] for r in rows]
         pivot = [0] * len(moduli)
         pivot[c] = modulus
         for r in rows:
             while r[c]:
                 q = pivot[c] // r[c]
-                pivot, r[:] = r[:], [a - q * b for a, b in zip(pivot, r)]
+                pivot, r[:] = r[:], [(a - q * b) % m for a, b, m in zip(pivot, r, moduli)]
         basis.append(pivot)
     return basis
 

@@ -49,8 +49,10 @@ class Presentation:
     """Immutable algebra presentation; carries the normal-form caches.
 
     `relations` holds every pair (i, j), i < j; the pairs a caller leaves
-    out share one `Relation(one, (), zero)`. Construction refuses a key
-    that is no such pair of ints, checks the given relations
+    out share one `Relation(one, (), zero)`. `written` maps the pairs the
+    caller gave, ascending, to their relations: every other pair commutes,
+    so a reader that skips commuting pairs visits only these. Construction
+    refuses a key that is no such pair of ints, checks the given relations
     (`_coerce_relation`) and refuses an inconsistent presentation: see
     `_check_overlaps`.
 
@@ -103,19 +105,17 @@ class Presentation:
         for pair in given:
             if pair not in rels or not all(type(k) is int for k in pair):
                 raise InputError(f"relation key {pair!r} is not a pair 0 <= i < j < {self.n}")
-        written = sorted(given)
-        for pair in written:
-            rels[pair] = _coerce_relation(self, pair, given[pair])
+        self.written = written = {p: _coerce_relation(self, p, given[p]) for p in sorted(given)}
+        rels.update(written)
         self.sigma_all_identity = all(m is None for m in self.sigma_maps)
-        self.quasi_commutative = all(rels[pair].is_trivial_lower() for pair in written)
+        self.quasi_commutative = all(rel.is_trivial_lower() for rel in written.values())
         # a commutative polynomial ring: Buchberger's product criterion holds
         self.commutative = self.sigma_all_identity and all(
-            rels[pair].is_commuting() for pair in written
+            rel.is_commuting() for rel in written.values()
         )
         self._insert_cache: dict = {}
         self._point_ideals: dict = {}
         self._domain_partition: dict = {}
-        self._character = None  # `geometry._character_test`, built on first use
         self._extension = None  # `extend_with_central`, built on first use
         if not (self.sigma_all_identity and self.quasi_commutative):
             _check_overlaps(self)
@@ -168,6 +168,8 @@ def _check_overlaps(pres: Presentation) -> None:
     of Q(zeta_m) is fixed by its value at zeta, so the field primitive
     stands for every r.
 
+    An overlap x_j*x_i*r whose relation has no lower terms is skipped: the
+    sigmas commute, so both sides reduce to c_ij*sigma_i(sigma_j(r))*x_i*x_j.
     A triple is skipped when its three relations have no lower terms and
     sigma_i, sigma_j, sigma_k are the identity: both reductions of
     x_k*x_j*x_i then use only the rules x_b*x_a = c_ab*x_a*x_b, and each
@@ -188,7 +190,8 @@ def _check_overlaps(pres: Presentation) -> None:
         c = poly.Polynomial.constant(pres, r)
         overlaps += [
             (f"{names[j]}*{names[i]}*{r}", x[j], x[i], c)
-            for j, i in itertools.combinations(reversed(range(pres.n)), 2)
+            for i, j in sorted(pres.written, key=lambda pair: pair[::-1], reverse=True)
+            if not pres.written[(i, j)].is_trivial_lower()
         ]
     for name, a, b, c in overlaps:
         diff = (a * b) * c - a * (b * c)
@@ -207,7 +210,7 @@ def _overlap_triples(pres: Presentation) -> list:
     variables without a scan of all C(n, 3) triples."""
     n = pres.n
     triples = set()
-    for pair, rel in pres.relations.items():
+    for pair, rel in pres.written.items():
         if not rel.is_trivial_lower():
             triples.update(
                 tuple(sorted((*pair, m), reverse=True)) for m in range(n) if m not in pair
@@ -228,7 +231,7 @@ def require_commutative(pres: Presentation) -> None:
     if pres.commutative:
         return
     names = pres.names
-    for (i, j), rel in pres.relations.items():
+    for (i, j), rel in pres.written.items():
         if not rel.is_commuting():
             raise InputError(
                 f"{pres} is not commutative: {names[j]}*{names[i]} is not "
@@ -262,7 +265,7 @@ def extend_with_central(pres: Presentation) -> Presentation:
     names = (name,) + pres.names
     rels = {
         (i + 1, j + 1): rel._replace(linear=tuple((k + 1, a) for k, a in rel.linear))
-        for (i, j), rel in pres.relations.items()
+        for (i, j), rel in pres.written.items()
         if not rel.is_commuting()
     }
     pres._extension = Presentation(pres.field, names, sigma=(1,) + pres.sigma, relations=rels)

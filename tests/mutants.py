@@ -191,14 +191,28 @@ MUTANTS = (
         ("tests/test_scalars.py::test_rational_mul_and_inv_match_fraction",),
     ),
     Mutant(
-        "character-test-shared-by-the-field", "src/skewpbw/geometry.py",
-        "    if pres._character is None:\n"
-        "        pres._character = _new_character_test(pres)\n"
-        "    return pres._character\n",
-        '    if getattr(pres.field, "_character", None) is None:\n'
-        "        pres.field._character = _new_character_test(pres)\n"
-        "    return pres.field._character\n",
-        ("tests/test_geometry.py::test_character_test_is_built_once_per_presentation",),
+        "character-test-drops-a-written-pair", "src/skewpbw/geometry.py",
+        "    for (i, j), rel in pres.written.items():\n",
+        "    for (i, j), rel in list(pres.written.items())[1:]:\n",
+        ("tests/test_geometry.py::test_character_test_answers_per_presentation",),
+    ),
+    Mutant(
+        "exponent-difference-unsigned", "src/skewpbw/poly.py",
+        "    return tuple(x - y for x, y in zip(a, b))\n",
+        "    return tuple(abs(x - y) for x, y in zip(a, b))\n",
+        ("tests/test_poly.py::test_exponent_helpers_consistency",),
+    ),
+    Mutant(
+        "center-echelon-rows-unreduced", "src/skewpbw/nullstellensatz.py",
+        "    rows = [[a % m for a, m in zip(r, moduli)] for r in rows]\n",
+        "    rows = [list(r) for r in rows]\n",
+        ("tests/test_nullstellensatz.py::test_center_rule_matches_box_scan_on_wider_spaces",),
+    ),
+    Mutant(
+        "center-echelon-update-unreduced", "src/skewpbw/nullstellensatz.py",
+        "[(a - q * b) % m for a, b, m in zip(pivot, r, moduli)]",
+        "[a - q * b for a, b in zip(pivot, r)]",
+        ("tests/test_nullstellensatz.py::test_center_rule_matches_box_scan_on_wider_spaces",),
     ),
     Mutant(
         "prime-field-combination-unreduced", "src/skewpbw/scalars.py",

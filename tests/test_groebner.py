@@ -1049,7 +1049,7 @@ def test_memo_lives_for_one_computation(qspace3):
     first, again = handles(), handles()
     assert set(vars(qspace3)) == before
     assert {a for a in before if a.startswith("_")} == {
-        "_insert_cache", "_point_ideals", "_domain_partition", "_character", "_extension"
+        "_insert_cache", "_point_ideals", "_domain_partition", "_extension"
     }
     assert first == again
 
@@ -1175,6 +1175,12 @@ def test_generators_from_different_presentations_are_refused(qplane_m1, comm2):
             engine(gens)
         with pytest.raises(InputError, match="different presentation"):
             engine(gens[::-1], track=True)
+
+
+def test_divisors_from_another_presentation_are_refused(qplane_m1, comm2):
+    f, g = parse_polynomial("x*y", qplane_m1), parse_polynomial("x", comm2)
+    with pytest.raises(InputError, match="^divisors from a different presentation$"):
+        divide(f, [g])
 
 
 # -- intersection ------------------------------------------------------------

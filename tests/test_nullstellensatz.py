@@ -239,6 +239,48 @@ def test_center_rule_matches_box_scan():
     assert min(seen.values()) >= 30
 
 
+def test_center_rule_matches_box_scan_on_wider_spaces():
+    """As above, on seeded quantum spaces of 5 to 7 variables over GF(p)
+    that write one to five pairs: the echelon reduces each row once and
+    then every update, and its diagonal and refusals stay the scan's."""
+    rng = random.Random(20261022)
+    seen = {"accepted": 0, "refused": 0}
+    for _ in range(100):
+        n = rng.randint(5, 7)
+        F = get_field(FieldSpec.from_string(rng.choice(["gf:3", "gf:5", "gf:7"])))
+        pairs = rng.sample(list(itertools.combinations(range(n), 2)), rng.randint(1, 5))
+        roots = _roots_of_unity(F)
+        P = quantum_space(
+            F, {pair: rng.choice(roots) for pair in pairs}, [f"x{k}" for k in range(n)]
+        )
+        L = _pair_lcms(P)
+        alpha = first_central_in_box(P, L)
+        if alpha is None:
+            assert center_generators(P).exponents == L
+            seen["accepted"] += 1
+        else:
+            extra = str(Polynomial.monomial(P, alpha))
+            with pytest.raises(InputError, match=rf"^{re.escape(extra)} is central"):
+                center_generators(P)
+            seen["refused"] += 1
+    assert min(seen.values()) >= 30
+
+
+def test_center_case_reads_the_unwritten_pairs_as_commuting():
+    """Pairs that no document writes commute: one written pair of -1 on
+    three variables is multiparametric, and over GF(7) four variables are
+    uniform only when all six pairs are written with the constant 2."""
+    Q, F = (get_field(FieldSpec.from_string(s)) for s in ("Q", "gf:7"))
+    one_pair = quantum_space(Q, {(0, 1): Q.from_int(-1)}, ("x", "y", "z"))
+    assert list(one_pair.written) == [(0, 1)]
+    C = center_generators(one_pair)
+    assert (C.case, C.exponents) == ("multiparametric", (2, 2, 1))
+    pairs = list(itertools.combinations(range(4), 2))
+    for written, case in ((pairs, "uniform"), (pairs[:1] + pairs[2:], "multiparametric")):
+        C = center_generators(quantum_space(F, dict.fromkeys(written, F.from_int(2)), "abcd"))
+        assert (C.case, C.exponents) == (case, (3, 3, 3, 3))
+
+
 def _space(spec, names, constants):
     F = get_field(FieldSpec.from_string(spec))
     pairs = [(i, j) for i in range(len(names)) for j in range(i + 1, len(names))]
@@ -507,6 +549,14 @@ def test_elements_of_another_presentation_are_refused(qplane_m1):
             central_nilpotency(x2, I, 4)
         with pytest.raises(InputError, match="^divisors from a different presentation$"):
             contract_to_center(I, center_generators(other), 4)
+
+
+def test_contraction_of_an_unresolved_ideal_is_refused(qplane_m1):
+    f = parse_polynomial("x^3*y + x*y^2 + 1", qplane_m1)
+    I = two_sided_saturate([f], budget=Budget(2, 1))
+    assert I.status == "unknown"
+    with pytest.raises(InputError, match="^contraction needs a resolved ideal; raise the budget$"):
+        contract_to_center(I, center_generators(qplane_m1), 4)
 
 
 def _memo_divisions(monkeypatch) -> list:

@@ -74,6 +74,17 @@ def test_parse_error_position(witten):
         parse_polynomial("x / y", witten)
 
 
+def test_tokenizer_refuses_unknown_characters_and_reads_signs(comm2):
+    """A character of no token is refused at its position; trailing
+    whitespace ends the text, and a unary plus changes nothing."""
+    with pytest.raises(InputError, match=r"^unexpected character '\$' \(at position 2\)$"):
+        parse_polynomial("x $ y", comm2)
+    x = parse_polynomial("x", comm2)
+    assert parse_polynomial("x ", comm2) == x
+    assert parse_polynomial("+x", comm2) == x
+    assert parse_polynomial("-(+x)*+y", comm2) == -parse_polynomial("x*y", comm2)
+
+
 def test_integer_past_the_int_string_limit_is_input_error(witten):
     """Python refuses to convert an integer of more digits than its limit;
     the parser reports that as an InputError naming the limit."""

@@ -63,15 +63,21 @@ def test_monomial_divides_examples():
     assert divides((0, 0), (3, 4))
 
 
-@given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=6))
-def test_exponent_helpers_consistency(pairs):
-    a, b = tuple(x for x, _ in pairs), tuple(y for _, y in pairs)
-    assert exp_sub(a, b) == tuple(x - y for x, y in zip(a, b))
-    assert divides(a, b) == all(x <= y for x, y in zip(a, b))
-    assert find_divisor([b, a], a) == (0 if divides(b, a) else 1)
-    # deglex key: degree first, then leftmost larger entry wins
-    if deglex_key(a) > deglex_key(b):
-        assert sum(a) > sum(b) or (sum(a) == sum(b) and a > b)
+def test_exponent_helpers_consistency():
+    """Run inside a plain test, as every `given` function here is: a
+    failure then reaches pytest as a plain assertion."""
+
+    @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=6))
+    def check(pairs):
+        a, b = tuple(x for x, _ in pairs), tuple(y for _, y in pairs)
+        assert exp_sub(a, b) == tuple(x - y for x, y in zip(a, b))
+        assert divides(a, b) == all(x <= y for x, y in zip(a, b))
+        assert find_divisor([b, a], a) == (0 if divides(b, a) else 1)
+        # deglex key: degree first, then leftmost larger entry wins
+        if deglex_key(a) > deglex_key(b):
+            assert sum(a) > sum(b) or (sum(a) == sum(b) and a > b)
+
+    check()
 
 
 def _monomial_times(pres, alpha, other):
@@ -239,6 +245,22 @@ def test_polynomials_from_scalars_refuse_another_field(qplane_gf5, QQ):
     for build in (Polynomial.from_dict, lambda pres, d: Polynomial(pres, d.items())):
         with pytest.raises(InputError, match="^scalar of Q used in gf:5$"):
             build(qplane_gf5, {x: QQ.from_int(3)})
+
+
+def test_mixed_presentations_negative_powers_and_non_constants_are_refused(
+    qplane_q2, qplane_m1
+):
+    """A sum or product across presentations, a negative power and the
+    constant value of a non-constant polynomial raise InputError."""
+    f, g = parse_polynomial("x + 1", qplane_q2), parse_polynomial("x + 1", qplane_m1)
+    with pytest.raises(InputError, match="^polynomials from different presentations$"):
+        f + g
+    with pytest.raises(InputError, match="^polynomials from different presentations$"):
+        multiply(f, g)
+    with pytest.raises(InputError, match="^negative power of a polynomial$"):
+        f ** -1
+    with pytest.raises(InputError, match="^not a constant polynomial$"):
+        f.constant_value()
 
 
 @pytest.mark.parametrize("exp", [(1,), (-1, 0), (1, 0, 0), (1.5, 0), (True, 0), "xy", 7])

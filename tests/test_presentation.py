@@ -466,7 +466,7 @@ def test_overlap_triples_keep_the_order_of_the_full_scan():
         relations = {pair: Relation(G.one, (), G.one) for pair in lowered}
         pres = SimpleNamespace(  # what the triples read of a presentation
             n=n,
-            relations={pair: relations.get(pair, Relation(G.one, (), G.zero)) for pair in pairs},
+            written={pair: relations.get(pair, Relation(G.one, (), G.zero)) for pair in pairs},
             sigma_maps=[None if k == 1 else abs for k in sigma],
         )
         scan = [

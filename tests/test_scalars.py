@@ -134,6 +134,13 @@ def test_coerce_refuses_a_scalar_whose_value_is_not_canonical():
         assert field.is_raw(value) and field.coerce(a) is a
 
 
+def test_coerce_refuses_a_string():
+    """Text is parsed by `poly.parse_scalar`, never coerced."""
+    Q = get_field(FieldSpec.rationals())
+    with pytest.raises(InputError, match="^cannot coerce '1' into Q$"):
+        Q.coerce("1")
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 8, 12])
 def test_cyclotomic_root_orders(m):
     field = get_field(FieldSpec.cyclotomic(m))
