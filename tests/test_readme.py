@@ -115,31 +115,34 @@ def test_readme_flags_match_the_commands():
 
 def test_readme_ci_steps_match_the_workflow():
     """README's "Install and test" names the Python versions, the pinned
-    test tools and the commands of the CI workflow's first job: the
-    install, tier-1 under `python -X dev`, the mutants and the smoke test.
-    A pin or a step changed in one place and not the other fails here."""
+    test tools and the commands of the CI workflow's one job: the install,
+    tier-1 under `python -X dev`, the mutants and the smoke test. A pin or
+    a step changed in one place and not the other fails here."""
     section = _readme().split("## Install and test\n", 1)[1].split("\n## ", 1)[0]
     workflow = _read(".github", "workflows", "tier1.yml")
     pins = re.compile(r"([\w-]+)==([\d.]+)")
     assert set(pins.findall(workflow)) == set(pins.findall(section)) != set()
-    pythons = set(re.findall(r'python-version: "([\d.]+)"', workflow))
+    (matrix,) = re.findall(r"python-version: \[(.*)\]", workflow)
+    pythons = set(re.findall(r'"([\d.]+)"', matrix))
     assert pythons == set(re.findall(r"Python (3\.\d+)", section)) == {"3.10", "3.11"}
-    first_job = workflow.split("\n  minimum-python:", 1)[0]
-    steps = re.findall(r"^ +run: ([^|\s].*)$", first_job, re.M)  # one-line steps
+    steps = re.findall(r"^ +run: ([^|\s].*)$", workflow, re.M)  # one-line steps
     assert len(steps) == 4 and "-X dev" in steps[1]
     assert [s for s in steps if s not in section] == []
 
 
 def test_every_tier1_job_installs_every_pinned_tool():
-    """Each CI job that runs tier-1 installs every tool README pins, and
-    lists its skips (`-rs`): a job without sympy would skip
-    `test_product_criterion_agrees_with_sympy` and still pass."""
+    """The one CI job runs tier-1 on every Python of its matrix, installs
+    every tool README pins, and lists its skips (`-rs`): a run without
+    sympy would skip `test_product_criterion_agrees_with_sympy` and still
+    pass. Only the mutants step is limited to one Python."""
     section = _readme().split("## Install and test\n", 1)[1].split("\n## ", 1)[0]
     pinned = set(re.findall(r"([\w-]+)==([\d.]+)", section))
     workflow = _read(".github", "workflows", "tier1.yml").split("\njobs:\n", 1)[1]
     jobs = re.split(r"^  (?=[\w-]+:$)", workflow, flags=re.M)[1:]
     tier1 = [job for job in jobs if " -m pytest " in job]
-    assert len(tier1) == len(jobs) == 2
+    assert len(tier1) == len(jobs) == 1
+    limited = re.findall(r"^ +- name: (.*)\n(?: +#.*\n)* +if: ", jobs[0], re.M)
+    assert limited == ["Registered mutants are killed"]
     for job in tier1:
         installs = re.findall(r"pip install (.*)$", job, re.M)
         assert pinned <= {tuple(p.split("==")) for line in installs for p in line.split()}, job
