@@ -209,6 +209,21 @@ _ORACLE_FIELDS = ["gf:5", "gf:7", "gf:11", "gf:13", "Q", "Q(i)",
 _SMALL_GROUP_FIELDS = ["gf:5", "gf:7", "Q", "Q(i)", "cyclotomic:3"]
 
 
+def _center_against_box_scan(P) -> str:
+    """'accepted' when the box scan finds no central monomial and the rule
+    gives the pair-order lcms; 'refused' when the rule names the scan's
+    first one."""
+    L = _pair_lcms(P)
+    alpha = first_central_in_box(P, L)
+    if alpha is None:
+        assert center_generators(P).exponents == L
+        return "accepted"
+    extra = str(Polynomial.monomial(P, alpha))
+    with pytest.raises(InputError, match=rf"^{re.escape(extra)} is central"):
+        center_generators(P)
+    return "refused"
+
+
 def test_center_rule_matches_box_scan():
     """Accept or refuse as a central_probe scan of prod [0, L_i) says, on
     seeded random quantum spaces with root-of-unity constants (1 included);
@@ -226,16 +241,7 @@ def test_center_rule_matches_box_scan():
             {(i, j): rng.choice(roots) for i in range(n) for j in range(i + 1, n)},
             ("a", "b", "c", "d")[:n],
         )
-        L = _pair_lcms(P)
-        alpha = first_central_in_box(P, L)
-        if alpha is None:
-            assert center_generators(P).exponents == L
-            seen["accepted"] += 1
-        else:
-            extra = str(Polynomial.monomial(P, alpha))
-            with pytest.raises(InputError, match=rf"^{re.escape(extra)} is central"):
-                center_generators(P)
-            seen["refused"] += 1
+        seen[_center_against_box_scan(P)] += 1
     assert min(seen.values()) >= 30
 
 
@@ -253,16 +259,7 @@ def test_center_rule_matches_box_scan_on_wider_spaces():
         P = quantum_space(
             F, {pair: rng.choice(roots) for pair in pairs}, [f"x{k}" for k in range(n)]
         )
-        L = _pair_lcms(P)
-        alpha = first_central_in_box(P, L)
-        if alpha is None:
-            assert center_generators(P).exponents == L
-            seen["accepted"] += 1
-        else:
-            extra = str(Polynomial.monomial(P, alpha))
-            with pytest.raises(InputError, match=rf"^{re.escape(extra)} is central"):
-                center_generators(P)
-            seen["refused"] += 1
+        seen[_center_against_box_scan(P)] += 1
     assert min(seen.values()) >= 30
 
 
