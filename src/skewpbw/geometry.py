@@ -39,17 +39,18 @@ variable step from a monomial already held, or a climb of such steps
 that keeps each one, or, for long powers, by squaring. `evaluate` runs
 it at one point, `vanishing_set` at a domain's cached character points,
 and both ideals of points (`ideal_of_points`, `commutative_points_ideal`)
-on the monomials they reduce. The walk and the sums c_alpha * z^alpha
-work on whole lists through the field's vector kernels, `raw_products`
-and `raw_combination`, whose loop runs over the shorter side: at many
-points a sum adds whole columns of monomial values, and at one point it
-sums the terms; over GF(p) a column sum adds unreduced ints and reduces
-mod p once per entry, in its last pass. `vanishing_set` keeps the values
-it walked with the domain partition, so a warm call pays only for the
-monomials it has not met and the characters that vanish, not for the
-size of the domain. The kept values go with the partition when the
-domain changes, and are dropped once they hold more than
-MAX_DOMAIN_POINTS values.
+on the monomials they reduce. At many points the walk and the sums
+c_alpha * z^alpha work on whole lists through the field's vector
+kernels, `raw_products` and `raw_combination`, whose loop runs over the
+shorter side: a sum adds whole columns of monomial values, and over
+GF(p) it adds unreduced ints and reduces mod p once per entry, in its
+last pass. At one point the walk takes the same steps on raw scalars,
+by `raw_mul`, and `evaluate` sums the terms by `raw_add`, so no list of
+one value is built. `vanishing_set` keeps the values it walked with the
+domain partition, so a warm call pays only for the monomials it has not
+met and the characters that vanish, not for the size of the domain. The
+kept values go with the partition when the domain changes, and are
+dropped once they hold more than MAX_DOMAIN_POINTS values.
 """
 
 from __future__ import annotations
@@ -237,12 +238,18 @@ def _power_products(d: int) -> int:
     return d and d.bit_count() + d.bit_length() - 1
 
 
-def _monomial_values(field: Field, columns, count: int, exps, values=None) -> dict:
+def _monomial_values(field: Field, columns, count: Optional[int], exps, values=None) -> dict:
     """{t: [raw z^t at each point]} for every t in exps; column i holds the
-    count points' raw z_i.
+    count points' raw z_i. With count None the input is one point: column
+    i is its raw z_i itself, and each value z^t is a raw scalar.
 
-    A missing x^t is one vector product `Field.raw_products` from t - e_i
-    when some t - e_i is held, which exps in ascending degree make usual.
+    This is the one value walk, and its product kernel comes from its
+    input: `Field.raw_products` on columns, `Field.raw_mul` on one point's
+    scalars, which builds no one-entry lists. Either way the rules are the
+    same, and "product" below means one call of that kernel.
+
+    A missing x^t is one product from t - e_i when some t - e_i is held,
+    which exps in ascending degree make usual.
     Otherwise it takes the route of fewer products, with no constant to
     tune:
     - powers: x^0 times each z_i^t_i by `scalars.power`, P = the sum of
@@ -263,12 +270,12 @@ def _monomial_values(field: Field, columns, count: int, exps, values=None) -> di
     monomials asked for and divisors of them. No step reads the whole
     dict, so what a kept dict holds does not make a walk longer.
     """
-    product = field.raw_products
+    product = field.raw_mul if count is None else field.raw_products
     start = (0,) * len(columns)
     if values is None:
         values = {}
     if not values:
-        values[start] = [field.raw_one] * count
+        values[start] = field.raw_one if count is None else [field.raw_one] * count
     for t in exps:
         if t in values:
             continue
@@ -321,9 +328,12 @@ def evaluate(f: Polynomial, Z: Point) -> Scalar:
     """
     _check_point(f.pres, Z)
     field = f.pres.field
-    exps = [e for e, _ in reversed(f.raw)]
-    values = _monomial_values(field, [(z,) for z in Z.raw], 1, exps)
-    return Scalar(field, _sums(field, f, values, 1)[0])
+    add, mul = field.raw_add, field.raw_mul
+    values = _monomial_values(field, Z.raw, None, [e for e, _ in reversed(f.raw)])
+    acc = field.raw_zero
+    for e, c in f.raw:
+        acc = add(acc, mul(c, values[e]))
+    return Scalar(field, acc)
 
 
 def point_ideal(pres: Presentation, Z: Point) -> IdealHandle:

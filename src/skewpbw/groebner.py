@@ -610,6 +610,23 @@ def _inter_reduce(memo: _Memo):
     return out
 
 
+def _start(gens: Tuple[Polynomial, ...], order: MonomialOrder, track: bool):
+    """The items a first completion takes, each nonzero generator as a
+    `_Raw` whose lead comes first, for `_monic`, with generator k's
+    certificate {(k, 1): 1} when `track` asks for one; and the computation's
+    empty `_Memo`, on the generators' presentation (None when there are none)."""
+    pres = gens[0].pres if gens else None
+    if any(g.pres is not pres for g in gens):
+        raise InputError("generators from a different presentation")
+    one = Polynomial.one(pres) if track and gens else None
+    items = [
+        (_Raw((g.leading(order), *g.raw)), None if one is None else {(k, one): dict(one.raw)})
+        for k, g in enumerate(gens)
+        if not g.is_zero()
+    ]
+    return items, _Memo(pres, order)
+
+
 def _groebner(
     gens: Tuple[Polynomial, ...],
     order: MonomialOrder,
@@ -647,16 +664,8 @@ def _groebner(
     its certificates; its caches go when this returns.
     """
     budget = budget or DEFAULT_BUDGET
-    pres = gens[0].pres if gens else None
-    if any(g.pres is not pres for g in gens):
-        raise InputError("generators from a different presentation")
-    one = Polynomial.one(pres) if track and gens else None
-    items = [  # each as a `_Raw` whose lead comes first, for `_monic`
-        (_Raw((g.leading(order), *g.raw)), None if one is None else {(k, one): dict(one.raw)})
-        for k, g in enumerate(gens)
-        if not g.is_zero()
-    ]
-    memo = _Memo(pres, order)
+    items, memo = _start(gens, order, track)
+    pres = memo.pres
     rounds = 0
     while True:
         added = len(memo.basis)  # the position of this completion's first element

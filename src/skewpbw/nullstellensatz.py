@@ -16,8 +16,9 @@ basis of monomials, whose contraction is the monomial ideal of the
 u^ceil(beta/L), and points that fill the box of their coordinate sets,
 whose ideal is the product of (u_i - c) over each set. With the classical
 radical step (the Rabinowitsch trick inside the engine on a
-trivial-relations presentation) and central nilpotency certificates they
-verify the first inclusion of
+trivial-relations presentation, which reads the left completion's status
+and builds no basis) and central nilpotency certificates they verify the
+first inclusion of
 
     < I_Z(V_Z(J)) >  subset of  radical(I)  subset of  I(V(I))
 
@@ -43,12 +44,14 @@ from skewpbw.geometry import (
     vanishing_set,
 )
 from skewpbw.groebner import (
+    DEFAULT_BUDGET,
     Budget,
     IdealHandle,
     UNIT,
     UNKNOWN,
     _check_presentation,
-    left_groebner,
+    _completion,
+    _start,
     normal_forms,
 )
 from skewpbw.normality import central_probe
@@ -274,15 +277,20 @@ def radical_membership_commutative(
     f: Polynomial, J_gens: Sequence[Polynomial], budget: Optional[Budget] = None
 ) -> Optional[bool]:
     """f in radical(J) in a commutative presentation, by the extra-variable
-    trick: true iff 1 lies in J + <1 - t*f>; None when the Groebner basis
+    trick: true iff 1 lies in J + <1 - t*f>; None when the left completion
     of J + <1 - t*f> runs out of budget, by default `groebner.DEFAULT_BUDGET`.
-    InputError on a presentation that is not commutative."""
+    InputError on a presentation that is not commutative.
+
+    Only the left completion's status is read. It is the status
+    `left_groebner` would return, since a left ideal stops after its one
+    completion, so no reduced basis and no handle is built."""
     require_commutative(f.pres)
     ext = extend_with_central(f.pres)
     gens = [central_multiple(ext, g, 0) for g in J_gens if not g.is_zero()]
     gens.append(Polynomial.one(ext) - central_multiple(ext, f, 1))
-    handle = left_groebner(gens, DEGLEX, budget)
-    return None if handle.status == UNKNOWN else handle.status == UNIT
+    items, memo = _start(tuple(gens), DEGLEX, False)
+    status = _completion(items, budget or DEFAULT_BUDGET, memo)[0]
+    return None if status == UNKNOWN else status == UNIT
 
 
 def central_nilpotency(

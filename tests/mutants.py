@@ -444,6 +444,26 @@ MUTANTS = (
         ("tests/test_groebner.py::test_tracked_and_untracked_computations_agree[qspace3.alg]",
          "tests/test_groebner.py::test_printed_certificates_are_pinned"),
     ),
+    Mutant(
+        "radical-status-reads-unknown-as-no", "src/skewpbw/nullstellensatz.py",
+        "    return None if status == UNKNOWN else status == UNIT\n",
+        "    return status == UNIT\n",
+        ("tests/test_nullstellensatz.py::test_radical_status_matches_the_left_basis_status[gf:5]",
+         "tests/test_nullstellensatz.py::test_radical_membership_examples",
+         "tests/test_nullstellensatz.py::test_radical_membership_defaults_to_the_default_budget"),
+    ),
+    Mutant(
+        "evaluate-drops-the-lead-term", "src/skewpbw/geometry.py",
+        "    for e, c in f.raw:\n        acc = add(acc, mul(c, values[e]))\n",
+        "    for e, c in f.raw[1:]:\n        acc = add(acc, mul(c, values[e]))\n",
+        ("tests/test_geometry.py::test_evaluation_matches_naive_oracle[gf7_qspace3]",
+         "tests/test_geometry.py::test_evaluation_matches_naive_oracle[cyclotomic5_plane]"),
+    ),
+    Mutant(
+        "test-extra-drops-a-pin", "pyproject.toml",
+        '"sympy==1.14.0"', '"sympy"',
+        ("tests/test_readme.py::test_test_extra_pins_what_ci_and_readme_pin",),
+    ),
 )
 
 

@@ -113,22 +113,30 @@ def test_division_results_keep_raw_canonical(name, order):
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
 def test_central_variable_lifts_keep_raw_canonical(name, monkeypatch):
     """Both lifts prefix a common t-degree to every exponent and keep the
-    order of `raw` as it is; the elements they feed to `left_groebner`, and
-    the t-free elements `intersect_left` projects back, must still be
-    canonical. The lifts are checked before any basis is computed from
-    them."""
+    order of `raw` as it is; the elements they feed to a completion, by
+    `left_groebner` in `intersect_left` and by `groebner._start` in the
+    radical step, and the t-free elements `intersect_left` projects back,
+    must still be canonical. The lifts are checked before any completion
+    runs on them."""
     seen = []
     original = groebner.left_groebner
 
-    def recording(gens, *args, **kwargs):
+    def checked(gens):
         for g in gens:
             assert g.pres is not pres and g.pres is not comm
             assert_canonical(g)
         seen.extend(gens)
+
+    def recording(gens, *args, **kwargs):
+        checked(gens)
         return original(gens, *args, **kwargs)
 
+    def recording_start(gens, *args, **kwargs):
+        checked(gens)
+        return groebner._start(gens, *args, **kwargs)
+
     monkeypatch.setattr(groebner, "left_groebner", recording)
-    monkeypatch.setattr(nullstellensatz, "left_groebner", recording)
+    monkeypatch.setattr(nullstellensatz, "_start", recording_start)
     budget = Budget(max_degree=6, max_pairs=200)
     pres = load_presentation(ALGEBRAS[name])
     comm = load_presentation(f"field: {FIELDS[name]}\nvars: x, y\n")

@@ -795,40 +795,50 @@ def _exponent_runs(n, rng):
 
 @pytest.mark.parametrize("name", sorted(INLINE))
 def test_value_walk_matches_naive_evaluation(name):
-    """Seeded runs of `_monomial_values` at one point and at five, with
-    exponents ascending, descending, shuffled, sparse and long, each on a
-    new dict and on one dict that every run extends, as a kept dict is:
-    every value equals the naive power product. What a dict holds is the
-    monomials asked for and divisors of them, and a long power takes at
-    most 2 log2 products per exponent."""
+    """Seeded runs of `_monomial_values` at one point and at five on
+    columns, and at one point on raw scalars (count None), with exponents
+    ascending, descending, shuffled, sparse and long, each on a new dict
+    and on one dict that every run extends, as a kept dict is: every
+    value equals the naive power product. Columns take only the vector
+    kernel and one point's scalars only `raw_mul`. What a dict holds is
+    the monomials asked for and divisors of them, and a long power takes
+    at most 2 log2 products per exponent."""
     pres = load_presentation(INLINE[name])
     field, n = pres.field, pres.n
     rng = random.Random(name)
     runs = _exponent_runs(n, rng)
-    for count in (1, 5):
-        raw = [tuple(random_scalar(field, rng).value for _ in range(n)) for _ in range(count)]
-        columns = [[z[i] for z in raw] for i in range(n)]
+    for count in (1, 5, None):
+        raw = [tuple(random_scalar(field, rng).value for _ in range(n)) for _ in range(count or 1)]
+        columns = raw[0] if count is None else [[z[i] for z in raw] for i in range(n)]
         points = [Point(z, field) for z in raw]
+        kernel = "raw_mul" if count is None else "raw_products"
         kept, asked, products = {}, set(), []
 
-        class Counting:  # the field, counting its vector products
+        class Counting:  # the field, recording the kernel of each product
             raw_one = field.raw_one
 
             @staticmethod
             def raw_products(a, b):
-                products.append(None)
+                products.append("raw_products")
                 return field.raw_products(a, b)
+
+            @staticmethod
+            def raw_mul(a, b):
+                products.append("raw_mul")
+                return field.raw_mul(a, b)
 
         for run, exps in runs.items():
             products.clear()
             fresh = geometry._monomial_values(Counting, columns, count, exps)
+            assert set(products) == {kernel}, run
             if run == "long":
                 assert 0 < len(products) <= sum(2 * d.bit_length() for t in exps for d in t)
             geometry._monomial_values(field, columns, count, exps, kept)
             for values in (fresh, kept):
                 for t in exps:
                     f = Polynomial.monomial(pres, t)
-                    assert values[t] == [naive_evaluate(f, Z).value for Z in points], (run, t)
+                    naive = [naive_evaluate(f, Z).value for Z in points]
+                    assert values[t] == (naive[0] if count is None else naive), (run, t)
             asked.update(exps)
             assert all(any(all(map(le, o, t)) for t in asked) for o in kept), run
 

@@ -49,6 +49,8 @@ from skewpbw.poly import (
 )
 from skewpbw.presentation import (
     Presentation,
+    central_multiple,
+    extend_with_central,
     load_presentation,
     load_presentation_file,
     quantum_plane,
@@ -750,6 +752,50 @@ def test_radical_membership_defaults_to_the_default_budget(comm2):
     assert radical_membership_commutative(x, J) is None
     assert radical_membership_commutative(x, J, groebner.DEFAULT_BUDGET) is None
     assert radical_membership_commutative(x, J, Budget(max_degree=14)) is True
+
+
+@pytest.mark.parametrize("spec", ["gf:5", "Q", "Q(i)"])
+def test_radical_status_matches_the_left_basis_status(spec):
+    """The radical step reads the left completion's status and builds no
+    basis. On seeded J and f its answer is `left_groebner`'s status on the
+    same Rabinowitsch generators J + <1 - t*f>, unit, proper and unknown
+    read as True, False and None: monomial and non-monomial J, the unit
+    and the zero ideal, f = 0, and degree and pair budgets that run out."""
+    comm = load_presentation(f"field: {spec}\nvars: x, y\n")
+    ext = extend_with_central(comm)
+    rng = random.Random("radical status " + spec)
+    x, y, one, zero = (parse_polynomial(t, comm) for t in ("x", "y", "1", "0"))
+    cases = [
+        ([x * x, y ** 3], x + y),
+        ([x * x * y, x * y * y], x * y),
+        ([x * x], x + one),
+        ([x * x - y, y * y], x),
+        ([x * y - one], x),
+        ([one + one], x),  # the unit ideal
+        ([], x),  # the zero ideal, as no generator
+        ([zero], y + one),  # and as a zero generator
+        ([zero], zero),
+        ([x ** 3 + y], zero),
+    ]
+    for _ in range(8):
+        J = [random_polynomial(comm, rng, 3, 3) for _ in range(rng.randint(1, 2))]
+        cases.append((J, random_polynomial(comm, rng, 2, 3)))
+    budgets = [None, Budget(max_degree=2), Budget(max_degree=4), Budget(max_pairs=1)]
+    reading = {"unit": True, "proper": False, "unknown": None}
+    answers = []
+    for J, f in cases:
+        gens = [central_multiple(ext, g, 0) for g in J if not g.is_zero()]
+        gens.append(Polynomial.one(ext) - central_multiple(ext, f, 1))
+        for budget in budgets:
+            got = radical_membership_commutative(f, J, budget)
+            assert got is reading[left_groebner(gens, budget=budget).status], (J, f, budget)
+            answers.append(got)
+    assert {True, False, None} <= set(answers)
+    assert radical_membership_commutative(x + y, cases[0][0]) is True
+    assert radical_membership_commutative(x, [one + one]) is True
+    assert radical_membership_commutative(x, []) is False
+    assert radical_membership_commutative(zero, [zero]) is True
+    assert radical_membership_commutative(x + one, [x * x], Budget(max_degree=2)) is None
 
 
 def test_radical_steps_share_one_extension_ring(monkeypatch):

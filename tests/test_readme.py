@@ -130,6 +130,19 @@ def test_readme_ci_steps_match_the_workflow():
     assert [s for s in steps if s not in section] == []
 
 
+def test_test_extra_pins_what_ci_and_readme_pin():
+    """`pyproject.toml`'s `test` extra pins the same tools, at the same
+    versions, as README's "Install and test" and the CI workflow, so
+    `pip install -e .[test]` gets what CI runs with."""
+    section = _readme().split("## Install and test\n", 1)[1].split("\n## ", 1)[0]
+    workflow = _read(".github", "workflows", "tier1.yml")
+    (extra,) = re.findall(r"^test = \[(.*)\]$", _read("pyproject.toml"), re.M)
+    pins = re.compile(r"([\w-]+)==([\d.]+)")
+    listed = re.findall(r'"([^"]*)"', extra)
+    assert [p for p in listed if not pins.fullmatch(p)] == []
+    assert set(pins.findall(extra)) == set(pins.findall(section)) == set(pins.findall(workflow))
+
+
 def test_every_tier1_job_installs_every_pinned_tool():
     """The one CI job runs tier-1 on every Python of its matrix, installs
     every tool README pins, and lists its skips (`-rs`): a run without
